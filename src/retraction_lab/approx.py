@@ -84,10 +84,12 @@ class NoisyOracle:
 
 def powered_count(oracle, inst: ListedInstance, target: Graph, eps: float, delta: float):
     """Boost a quarter-failure oracle to failure probability delta by taking
-    the median of independent calls at precision eps."""
+    the median of independent calls at precision eps.  An exact oracle is
+    asked once."""
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise ValueError("eps and delta must lie in (0, 1)")
-    if delta >= 0.25:
+    if delta >= 0.25 or getattr(oracle, "behavior", "") == "exact":
+        # a deterministic oracle's median of identical answers is its one answer
         return oracle.count(inst, target, eps)
     m = math.ceil(POWERING_TRIALS_PER_LOG * math.log(1 / delta))
     vals = sorted(oracle.count(inst, target, eps) for _ in range(m))
@@ -297,17 +299,19 @@ def coverage_mc(
     oracle,
     seed: int,
     force_jvv: bool = False,
-    chunk: int = 1 << 20,
 ) -> CoverageRun:
     """The Monte Carlo union estimator: pin each witness (U_i, tau_i), weigh
     the branches by powered oracle counts, sample m homomorphisms from the
     weighted disjoint union and count first-occurrence hits.
 
-    With the exact oracle the per-sample JVV walk collapses (sampling is
-    exactly uniform per branch and the hit indicator depends only on the
-    branch's first-occurrence fraction), so samples are drawn as a
-    categorical-plus-Bernoulli batch; force_jvv runs the literal per-sample
-    walk instead, which is also what noisy oracles get.
+    With the exact oracle the per-sample JVV walk collapses: a sample lands in
+    branch i with probability omega_i / Omega, is uniform there, and is a
+    first-occurrence hit with probability phat_i.  So the m samples hit
+    independently with probability sum_i omega_i phat_i / Omega = |union| /
+    Omega, and x_total is one Binomial(m, |union| / Omega) draw (Karp, Luby
+    and Madras).  force_jvv runs the literal per-sample walk instead, which
+    is also what noisy oracles get.  Raises ValueError if an oracle that
+    claims to be exact disagrees with the enumeration tables.
     """
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -327,27 +331,17 @@ def coverage_mc(
     if omega <= 0:
         return CoverageRun(mode, t, tuple(omegas), omega, m, 0, Fraction(0), seed, eps, delta, "none")
 
-    use_fast = getattr(oracle, "behavior", "") == "exact" and not force_jvv
-    if use_fast:
+    if getattr(oracle, "behavior", "") == "exact" and not force_jvv:
         tables = coverage_tables(inst, target, mode)
-        # exact-oracle omegas must agree with the enumeration tables
-        assert list(omegas) == tables.omega_exact
-        phat = np.array(
-            [float(tables.phat(i)) for i in range(t)], dtype=np.float64
-        )
-        w = np.array([float(x) for x in omegas], dtype=np.float64)
-        cum = np.cumsum(w)
-        cum /= cum[-1]
+        # the binomial's success probability is only right for exact weights
+        if omegas != tables.omega_exact:
+            i = next(i for i, (a, b) in enumerate(zip(omegas, tables.omega_exact)) if a != b)
+            raise ValueError(
+                f"exact oracle disagrees with the enumeration tables at witness {i} "
+                f"of {t}: oracle count {omegas[i]}, table count {tables.omega_exact[i]}"
+            )
         rng = nprng(seed, "coverage", mode)
-        x_total = 0
-        left = m
-        while left > 0:
-            batch = min(left, chunk)
-            us = rng.random(batch)
-            idx = np.searchsorted(cum, us, side="right")
-            hits = rng.random(batch) < phat[idx]
-            x_total += int(hits.sum())
-            left -= batch
+        x_total = int(rng.binomial(m, tables.union_size / float(omega)))
         sampler = "collapsed-exact"
     else:
         rng = pyrng(seed, "coverage-jvv", mode)

@@ -1,4 +1,5 @@
 import math
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,37 @@ def test_jvv_and_collapsed_agree_distributionally():
         assert truth * math.exp(-0.5) <= run.y <= truth * math.exp(0.5)
 
 
+def test_collapsed_hit_count_is_binomial():
+    tw = build_two_wrench()
+    inst = ListedInstance.full(build_path(5), tw)
+    oracle = approx.ExactOracle()
+    for mode in ("sur", "comp"):  # hit probability 1/2 and 1
+        tables = approx.coverage_tables(inst, tw, mode)
+        omega = sum(tables.omega_exact)
+        p = Fraction(tables.union_size, omega)
+        assert p == sum(
+            Fraction(w) * tables.phat(i) for i, w in enumerate(tables.omega_exact)
+        ) / omega
+        runs = [approx.coverage_mc(inst, tw, mode, 0.5, 0.3, oracle, seed=s) for s in range(200)]
+        xs = [run.x_total for run in runs]
+        m = runs[0].m
+        var = float(m * p * (1 - p))
+        assert abs(statistics.fmean(xs) - float(m * p)) <= 4 * math.sqrt(var / len(xs))
+        assert 0.5 * var <= statistics.pvariance(xs) <= 1.5 * var
+
+
+def test_coverage_rejects_exact_oracle_that_disagrees_with_tables():
+    class WrongExact:
+        behavior = "exact"
+
+        def count(self, inst, target, eps=None):
+            return exact.count_list_hom(inst, target) + 1
+
+    inst = ListedInstance.full(build_path(4), K2)
+    with pytest.raises(ValueError, match="disagrees with the enumeration tables at witness 0"):
+        approx.coverage_mc(inst, K2, "sur", 0.2, 0.1, WrongExact(), seed=0)
+
+
 def test_closed_form_expectation():
     tw = build_two_wrench()
     for g in (build_path(4), build_path(5)):
@@ -113,6 +145,7 @@ def test_powered_count_exact_and_quarter_delta():
     oracle = approx.ExactOracle()
     inst = ListedInstance.full(build_path(3), K2)
     assert approx.powered_count(oracle, inst, K2, 0.01, 1e-6) == exact.count_list_hom(inst, K2)
+    assert len(oracle.calls) == 1
     oracle2 = approx.ExactOracle()
     approx.powered_count(oracle2, inst, K2, 0.3, 0.25)
     assert len(oracle2.calls) == 1
