@@ -38,11 +38,11 @@ class ExactOracle:
     behavior = "exact"
 
     def __init__(self):
-        self.calls: list[tuple[int, float | None]] = []
+        self.calls = 0
         self._cache: dict = {}
 
     def count(self, inst: ListedInstance, target: Graph, eps: float | None = None):
-        self.calls.append((len(inst.pattern), eps))
+        self.calls += 1
         key = _instance_key(inst, target)
         if key not in self._cache:
             self._cache[key] = count_list_hom(inst, target)
@@ -65,16 +65,16 @@ class NoisyOracle:
         self.eps0 = eps0
         self.fail_prob = fail_prob
         self.seed = seed
-        self.calls: list[tuple[int, float | None]] = []
+        self.calls = 0
         self._exact = ExactOracle()
 
     def count(self, inst: ListedInstance, target: Graph, eps: float | None = None):
-        self.calls.append((len(inst.pattern), eps))
+        self.calls += 1
         true = self._exact.count(inst, target)
         if true == 0:
             return Fraction(0)
         eps_use = self.eps0 if eps is None else min(eps, self.eps0) if eps > 0 else self.eps0
-        rng = pyrng(self.seed, "noisy-call", len(self.calls))
+        rng = pyrng(self.seed, "noisy-call", self.calls)
         if rng.random() < self.fail_prob:
             u = (1.5 + rng.random()) * eps_use * rng.choice((-1, 1))
         else:
@@ -92,7 +92,10 @@ def powered_count(oracle, inst: ListedInstance, target: Graph, eps: float, delta
         # a deterministic oracle's median of identical answers is its one answer
         return oracle.count(inst, target, eps)
     m = math.ceil(POWERING_TRIALS_PER_LOG * math.log(1 / delta))
-    vals = sorted(oracle.count(inst, target, eps) for _ in range(m))
+    # float() of a Fraction is correctly rounded, so monotone: the float
+    # orders all but near-ties, and the exact value breaks those
+    vals = [oracle.count(inst, target, eps) for _ in range(m)]
+    vals.sort(key=lambda x: (float(x), x))
     return vals[m // 2]
 
 

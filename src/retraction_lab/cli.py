@@ -64,11 +64,8 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-_MODE_ALIASES = {"hom": "hom", "lhom": "lhom", "ret": "ret", "sur": "sur", "comp": "comp"}
-
-
 def _cmd_count(args) -> int:
-    mode = _MODE_ALIASES[args.mode]
+    mode = args.mode
     method = args.method
     if method == "blocked":
         if not args.lists:
@@ -353,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("count", help="exact counting")
-    p.add_argument("--mode", choices=sorted(_MODE_ALIASES), required=True)
+    p.add_argument("--mode", choices=sorted(exact.COUNT_MODES), required=True)
     p.add_argument("-G", "--pattern")
     p.add_argument("-H", "--target")
     p.add_argument("-L", "--lists", help="instance file (overrides -G/-H)")

@@ -2,15 +2,24 @@
 surjective homomorphisms and compactions.
 
 All counts are exact Python integers.  The core search is backtracking with
-arc-consistency propagation on pattern edges; the variable order is
-most-constrained-first with lexicographic tie-break, so traces are
-reproducible.  Surjective/compaction counts have two independent
-implementations (enumerate-and-test and inclusion-exclusion) which the test
-suite requires to agree.
+forward checking on pattern edges and a per-call memo on the residual state,
+so its time follows the number of distinct residual subproblems, not the
+count.  The memo key is
+  - hom, lhom, ret: the unassigned vertices' domain masks (assigned and
+    peeled vertices hold 0);
+  - sur: those, plus the target vertices already covered;
+  - comp: those, plus the covered target edges and the images of the
+    assigned vertices next to an unassigned one.
+Counting branches in a fixed order chosen to keep few unassigned vertices
+next to assigned ones; enumeration branches most-constrained-first with
+lexicographic tie-break.  Both are deterministic.  Surjective/compaction
+counts also have an inclusion-exclusion route, which the test suite requires
+to agree.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import combinations
 from typing import Iterator
 
@@ -31,9 +40,32 @@ def stirling_surjections(a: int, b: int) -> int:
 
 # -- search kernel ---------------------------------------------------------
 
+# below this many active vertices a memo lookup costs more than the search
+_MEMO_MIN_ACTIVE = 3
+
+
+def _packer(width: int):
+    """A function packing a list of `width`-bit masks into a compact memo key:
+    one or two bytes per mask instead of a pointer (and, above 256, an int
+    object) each; the packing is injective."""
+    if width <= 8:
+        return bytes
+    if width <= 64:
+        code = "H" if width <= 16 else "Q"
+        return lambda masks: array(code, masks).tobytes()
+    return tuple
+
 
 class _Search:
-    """Backtracking state shared by the counting and enumeration entry points."""
+    """Backtracking state shared by the counting and enumeration entry points.
+
+    A search state is the active (unassigned) vertex set with the active
+    vertices' domain masks, forward-checked against every assigned neighbor.
+    Assigned and peeled vertices get domain 0, so ``doms`` alone fixes the
+    residual subproblem, and `count` memoises on it for the length of one
+    call.  `count` branches in a fixed order (see `_order`); `assignments`
+    branches most-constrained-first.
+    """
 
     def __init__(self, pattern: Graph, lists: dict[str, frozenset[str]], target: Graph):
         if not pattern.is_irreflexive():
@@ -52,51 +84,134 @@ class _Search:
                 mask |= 1 << tindex[t]
             self.domains.append(mask)
 
-    def count(self) -> int:
-        n = len(self.pverts)
-        if n == 0:
-            return 1
+    def count(self, full_v: int | None = None, ebit: list[list[int]] | None = None) -> int:
+        """Number of homomorphisms.  With `full_v`, only those whose image
+        covers that target-vertex mask; with `ebit` as well (``ebit[i][j]`` is
+        the bit of the non-loop target edge ij, 0 for a non-edge or a loop),
+        only those that also realize every such edge."""
         if any(d == 0 for d in self.domains):
             return 0
-        return self._count(((1 << n) - 1), list(self.domains))
+        self.full_v = full_v
+        self.ebit = ebit
+        self.full_e = 0
+        for row in ebit or ():
+            for b in row:
+                self.full_e |= b
+        self._pack = _packer(max(len(self.tverts), self.full_e.bit_length()))
+        order = self._order()
+        pos = [0] * len(order)
+        for k, v in enumerate(order):
+            pos[v] = k
+        # relabel the pattern so that `order` is the identity: the next vertex
+        # to branch on is then the lowest active bit
+        self.cadj = [sum(1 << pos[u] for u in _bits(self.padj[v])) for v in order]
+        self.image = [-1] * len(order)
+        self.memo: dict = {}
+        return self._count((1 << len(order)) - 1, [self.domains[v] for v in order], 0, 0)
 
-    def _count(self, active: int, doms: list[int]) -> int:
+    def _order(self) -> list[int]:
+        """The fixed branching order of `count`: single-value vertices first,
+        then greedily the vertex, next to the assigned ones if any is, that
+        leaves the fewest unassigned vertices next to assigned ones (ties: the
+        lowest index).  In a fixed order every branch reaches the same active
+        set after the same number of steps, so the memo separates states only
+        by the domains on that frontier: paths, cycles and 2 x k grids take
+        time linear in their length."""
         padj = self.padj
-        tadj = self.tadj
-        factor = 1
-        # peel unassigned vertices with no unassigned neighbors: their domains
-        # are final and contribute independently
-        while True:
-            peel = 0
-            for v in _bits(active):
-                if padj[v] & active & ~(1 << v) == 0:
-                    c = doms[v].bit_count()
-                    if c == 0:
-                        return 0
-                    factor *= c
-                    peel |= 1 << v
-            if not peel:
-                break
-            active &= ~peel
+        order = [v for v, d in enumerate(self.domains) if d.bit_count() == 1]
+        left = (1 << len(padj)) - 1
+        reach = 0
+        for v in order:
+            left &= ~(1 << v)
+            reach |= padj[v]
+        while left:
+            v = min(
+                _bits(reach & left or left),
+                key=lambda v: ((reach | padj[v]) & left & ~(1 << v)).bit_count(),
+            )
+            order.append(v)
+            left &= ~(1 << v)
+            reach |= padj[v]
+        return order
+
+    def _count(self, active: int, doms: list[int], cov_v: int, cov_e: int) -> int:
+        """Completions of the state; `cov_v`/`cov_e` are the target vertices
+        and edges the assigned vertices already cover (0 unless covering)."""
+        full_v = self.full_v
         if active == 0:
-            return factor
-        v = min(_bits(active), key=lambda i: (doms[i].bit_count(), i))
+            return 1 if full_v is None else int(cov_v == full_v and cov_e == self.full_e)
+        if full_v is not None and (full_v & ~cov_v).bit_count() > active.bit_count():
+            return 0  # each unassigned vertex covers at most one more target vertex
+        key = None
+        if active.bit_count() >= _MEMO_MIN_ACTIVE:
+            key = self._key(active, doms, cov_v, cov_e)
+            hit = self.memo.get(key)
+            if hit is not None:
+                return hit
+        padj = self.cadj
+        v = (active & -active).bit_length() - 1
         rest = active & ~(1 << v)
         total = 0
+        if full_v is None:
+            # peel the neighbors of v left with no active neighbor: their
+            # domains are final and contribute independently
+            lone = [u for u in _bits(padj[v] & rest) if padj[u] & rest == 0]
+            left = rest
+            for u in lone:
+                left &= ~(1 << u)
+            for t, nd in self._extend(padj, v, rest, doms):
+                factor = 1
+                for u in lone:
+                    factor *= nd[u].bit_count()
+                    nd[u] = 0
+                total += factor * self._count(left, nd, 0, 0)
+        else:
+            ebit = self.ebit
+            image = self.image
+            assigned_nbrs = list(_bits(padj[v] & ~active)) if ebit else ()
+            for t, nd in self._extend(padj, v, rest, doms):
+                ce = cov_e
+                for u in assigned_nbrs:
+                    ce |= ebit[image[u]][t]
+                image[v] = t
+                total += self._count(rest, nd, cov_v | 1 << t, ce)
+        if key is not None:
+            self.memo[key] = total
+        return total
+
+    def _key(self, active: int, doms: list[int], cov_v: int, cov_e: int):
+        """The memo key: the domains, plus, when covering, what is covered
+        and, for edges, the images of assigned vertices next to the active
+        set (they decide which target edges the active vertices can still
+        realize)."""
+        if self.full_v is None:
+            return self._pack(doms)
+        front = 0
+        if self.ebit is not None:
+            for a in _bits(active):
+                front |= self.cadj[a]
+        return self._pack(doms + [cov_v, cov_e] + [self.image[u] for u in _bits(front & ~active)])
+
+    def _extend(
+        self, padj: list[int], v: int, rest: int, doms: list[int]
+    ) -> list[tuple[int, list[int]]]:
+        """(t, doms') for each value t of v that leaves every active neighbor
+        of v a non-empty domain; doms' is forward-checked, with v's entry 0."""
+        tadj = self.tadj
         nbrs = list(_bits(padj[v] & rest))
+        out = []
         for t in _bits(doms[v]):
             ta = tadj[t]
             nd = doms[:]
-            ok = True
+            nd[v] = 0
             for u in nbrs:
                 x = nd[u] & ta
                 if x == 0:
-                    ok = False
                     break
                 nd[u] = x
-            if ok:
-                total += self._count(rest, nd)
-        return factor * total
+            else:
+                out.append((t, nd))
+        return out
 
     def assignments(self) -> Iterator[dict[str, str]]:
         """All homomorphisms, as vertex->vertex dicts, deterministic order."""
@@ -115,24 +230,11 @@ class _Search:
                 self.pverts[i]: self.tverts[image[i]] for i in range(len(self.pverts))
             }
             return
-        padj = self.padj
-        tadj = self.tadj
         v = min(_bits(active), key=lambda i: (doms[i].bit_count(), i))
         rest = active & ~(1 << v)
-        nbrs = list(_bits(padj[v] & rest))
-        for t in _bits(doms[v]):
-            ta = tadj[t]
-            nd = doms[:]
-            ok = True
-            for u in nbrs:
-                x = nd[u] & ta
-                if x == 0:
-                    ok = False
-                    break
-                nd[u] = x
-            if ok:
-                image[v] = t
-                yield from self._enumerate(rest, nd, image)
+        for t, nd in self._extend(self.padj, v, rest, doms):
+            image[v] = t
+            yield from self._enumerate(rest, nd, image)
         image[v] = -1
 
 
@@ -210,80 +312,18 @@ def count_retraction(inst: ListedInstance, target: Graph) -> int:
 def _count_covering(
     inst: ListedInstance, target: Graph, need_edges: bool
 ) -> int:
-    """Enumerate-and-test: count homs surjective on V(H) (and, for
-    compactions, on the non-loop edges of H), pruning branches whose
-    uncovered requirements exceed what the unassigned vertices/edges can
-    still provide.
-    """
+    """Count homs surjective on V(H) (and, with `need_edges`, on the non-loop
+    edges of H): the memoised search with a coverage state."""
     _check_same_target(inst, target)
     search = _Search(inst.pattern, inst.lists, target)
-    n = len(search.pverts)
     tn = len(search.tverts)
-    if tn == 0:
-        return 1 if n == 0 else 0
-    full_t = (1 << tn) - 1
-    nl_edges = []  # non-loop target edges as index pairs
-    edge_bit = {}
-    for u, v in target.non_loop_edges():
-        i, j = target.index(u), target.index(v)
-        edge_bit[(i, j)] = edge_bit[(j, i)] = len(nl_edges)
-        nl_edges.append((i, j))
-    full_e = (1 << len(nl_edges)) - 1
-    if n == 0:
-        return 1 if full_t == 0 and full_e == 0 else 0
-    if any(d == 0 for d in search.domains):
-        return 0
-
-    padj = search.padj
-    tadj = search.tadj
-    count = 0
-
-    def rec(active: int, doms: list[int], covered_v: int, covered_e: int, image: list[int]) -> None:
-        nonlocal count
-        if active == 0:
-            if covered_v == full_t and (not need_edges or covered_e == full_e):
-                count += 1
-            return
-        unassigned = active.bit_count()
-        uncovered_v = (full_t & ~covered_v).bit_count()
-        if uncovered_v > unassigned:
-            return
-        if need_edges:
-            # each still-unassigned pattern edge can cover at most one target edge
-            open_edges = 0
-            for v in _bits(active):
-                open_edges += (padj[v]).bit_count()  # counts assigned-unassigned once, unassigned pairs twice
-            uncovered_e = (full_e & ~covered_e).bit_count()
-            if uncovered_e > open_edges:
-                return
-        v = min(_bits(active), key=lambda i: (doms[i].bit_count(), i))
-        rest = active & ~(1 << v)
-        nbrs = list(_bits(padj[v] & rest))
-        assigned_nbrs = [u for u in _bits(padj[v] & ~active)]
-        for t in _bits(doms[v]):
-            ta = tadj[t]
-            nd = doms[:]
-            ok = True
-            for u in nbrs:
-                x = nd[u] & ta
-                if x == 0:
-                    ok = False
-                    break
-                nd[u] = x
-            if not ok:
-                continue
-            ce = covered_e
-            if need_edges:
-                for u in assigned_nbrs:
-                    b = edge_bit.get((image[u], t))
-                    if b is not None:
-                        ce |= 1 << b
-            image[v] = t
-            rec(rest, nd, covered_v | (1 << t), ce, image)
-        image[v] = -1
-
-    rec((1 << n) - 1, list(search.domains), 0, 0, [-1] * n)
-    return count
+    ebit = None
+    if need_edges:
+        ebit = [[0] * tn for _ in range(tn)]
+        for b, (u, v) in enumerate(target.non_loop_edges()):
+            i, j = target.index(u), target.index(v)
+            ebit[i][j] = ebit[j][i] = 1 << b
+    return search.count((1 << tn) - 1, ebit)
 
 
 def _count_surjective_ie(inst: ListedInstance, target: Graph) -> int:

@@ -298,6 +298,8 @@ def connected_components(h: Graph) -> list[Graph]:
                 nxt |= h._adj[j] & ~comp
             comp |= nxt
             frontier = nxt
+        if comp == (1 << n) - 1:
+            return [h]  # connected; graphs are immutable, so h is its own component
         seen |= comp
         comps.append(h.induced(h._vertex_set(comp)))
     return comps

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from retraction_lab import csp, exact
 from retraction_lab.fixedgraphs import build_pbrp, build_two_wrench
-from retraction_lab.graphs import DiGraph, Graph
+from retraction_lab.graphs import DiGraph, Graph, connected_components
 from retraction_lab.instances import ListedInstance
 
 
@@ -94,7 +96,7 @@ def test_pbrp_fig2_structure():
     path, bristles = csp.pbrp_expected_labels(4, frozenset({1, 3, 4}))
     mapping = {name: f"c{i}" for i, name in path.items()}
     mapping.update({name: f"g{i}" for i, name in bristles.items()})
-    core = [c for c in __import__("retraction_lab.graphs", fromlist=["x"]).connected_components(built) if len(c) > 1]
+    core = [c for c in connected_components(built) if len(c) > 1]
     assert len(core) == 1
     assert core[0].relabel(mapping) == build_pbrp(4, {1, 3, 4})
 
@@ -137,10 +139,8 @@ def test_subtract_wrapper():
     assert csp.subtract_wrapper(7, 7) == 0
     with pytest.raises(ValueError):
         csp.subtract_wrapper(0, 1)
-    assert csp.required_oracle_precision(0.2, 0) == __import__("fractions").Fraction(1, 5)
-    assert csp.required_oracle_precision(0.16, 2) == __import__("fractions").Fraction(
-        0.16
-    ).limit_denominator(10**9) / 32
+    assert csp.required_oracle_precision(0.2, 0) == Fraction(1, 5)
+    assert csp.required_oracle_precision(0.16, 2) == Fraction(0.16).limit_denominator(10**9) / 32
 
 
 def test_pbrp_construction_output_strips_to_core():

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from retraction_lab import exact, reference
 from retraction_lab._seeds import pyrng
-from retraction_lab.fixedgraphs import build_path, build_two_wrench
+from retraction_lab.fixedgraphs import build_cycle, build_hk, build_path, build_two_wrench
 from retraction_lab.graphs import Graph
 from retraction_lab.instances import Block, BlockedInstance, Coupling, ListedInstance, expand_blocked
 
@@ -230,3 +232,101 @@ def test_degenerate_instances():
     assert exact.count_list_hom(ListedInstance(K2, {}, ()), empty_t) == 0
     assert exact.count_list_hom(ListedInstance(Graph(), {}, ()), empty_t) == 1
     assert exact.count_surjective(ListedInstance(Graph(), {}, ()), empty_t) == 1
+
+
+# -- the memoised counter --------------------------------------------------
+
+
+@st.composite
+def _small_instances(draw):
+    """A pattern on at most 6 vertices, a target on at most 4 with loops
+    allowed, random non-empty lists, and retraction-shaped lists."""
+    tv = [f"h{j}" for j in range(draw(st.integers(1, 4)))]
+    target = Graph(tv, [e for e in combinations_with_replacement(tv, 2) if draw(st.booleans())])
+    pv = [f"g{j}" for j in range(draw(st.integers(0, 6)))]
+    pattern = Graph(pv, [e for e in combinations(pv, 2) if draw(st.booleans())])
+    lists = {v: frozenset(draw(st.sets(st.sampled_from(tv), min_size=1))) for v in pv}
+    pins = {v: frozenset((draw(st.sampled_from(tv)),)) for v in pv if draw(st.booleans())}
+    return pattern, target, lists, pins
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_small_instances())
+def test_memoised_counter_matches_naive_all_modes(case):
+    pattern, target, lists, pins = case
+    listed = ListedInstance(pattern, lists, target.vertices)
+    full = ListedInstance.full(pattern, target)
+    pinned = ListedInstance(pattern, pins, target.vertices)
+    for mode, inst in (
+        ("hom", full), ("lhom", listed), ("ret", pinned), ("sur", listed), ("comp", listed),
+    ):
+        assert exact.count(inst, target, mode) == reference.naive_count(inst, target, mode), mode
+
+
+def _adjacency(h: Graph) -> list[list[int]]:
+    return [[int(h.has_edge(u, v)) for v in h.vertices] for u in h.vertices]
+
+
+def _path_homs(n: int, h: Graph) -> int:
+    """hom(P_n, H) = 1' A^(n-1) 1, by plain-integer vector products."""
+    a = _adjacency(h)
+    vec = [1] * len(a)
+    for _ in range(n - 1):
+        vec = [sum(x * y for x, y in zip(row, vec)) for row in a]
+    return sum(vec)
+
+
+def _cycle_homs(n: int, h: Graph) -> int:
+    """hom(C_n, H) = trace(A^n)."""
+    a = _adjacency(h)
+    total = 0
+    for s in range(len(a)):
+        vec = [int(i == s) for i in range(len(a))]
+        for _ in range(n):
+            vec = [sum(x * y for x, y in zip(row, vec)) for row in a]
+        total += vec[s]
+    return total
+
+
+def _ladder_homs(k: int, h: Graph) -> int:
+    """hom of the 2 x k grid by the row transfer: a column is an adjacent
+    pair (a, b), and consecutive columns need A[a][a'] and A[b][b']."""
+    a = _adjacency(h)
+    cols = [(x, y) for x in range(len(a)) for y in range(len(a)) if a[x][y]]
+    vec = {c: 1 for c in cols}
+    for _ in range(k - 1):
+        vec = {
+            (x, y): sum(w for (px, py), w in vec.items() if a[px][x] and a[py][y])
+            for x, y in cols
+        }
+    return sum(vec.values())
+
+
+def _ladder(k: int) -> Graph:
+    # unpadded names, so the sorted vertex order is not the grid order
+    name = lambda r, c: f"v{r}_{c}"  # noqa: E731
+    edges = [(name(r, c), name(r, c + 1)) for r in range(2) for c in range(k - 1)]
+    edges += [(name(0, c), name(1, c)) for c in range(k)]
+    return Graph([], edges)
+
+
+@pytest.mark.parametrize("target", [build_hk(1), TW], ids=["H1", "2-wrench"])
+def test_memoised_counter_long_paths_cycles_and_ladders(target):
+    assert exact.count_hom(build_path(40), target) == _path_homs(40, target)
+    assert exact.count_hom(build_cycle(40), target) == _cycle_homs(40, target)
+    for k in (2, 5, 12, 20):
+        assert exact.count_hom(_ladder(k), target) == _ladder_homs(k, target), k
+
+
+@pytest.mark.parametrize(
+    "target", [TW, build_path(3), build_cycle(4)], ids=["2-wrench", "P3", "C4"]
+)
+@pytest.mark.parametrize(
+    "pattern", [build_path(8), build_cycle(8), _ladder(4)], ids=["P8", "C8", "2x4"]
+)
+def test_covering_counts_match_inclusion_exclusion(pattern, target):
+    # in C4 two vertices share a neighborhood, so the domains and the covered
+    # sets alone do not tell apart which of them an assigned vertex took
+    inst = ListedInstance.full(pattern, target)
+    assert exact.count_surjective(inst, target) == exact.count_surjective(inst, target, "ie")
+    assert exact.count_compaction(inst, target) == exact.count_compaction(inst, target, "ie")
