@@ -5,6 +5,11 @@ from a pair (resp. triple) of Imp-only instances, the parsimonious
 translation of a retraction instance into a CSP instance, the bristled-path
 construction, trivial-component stripping and the subtraction wrapper.
 
+Counting runs on the search kernel of `exact`, the same one that counts
+undirected instances: a CSP instance is a list-homomorphism problem into
+the digraph 0->0, 0->1, 1->1 (Imp), and directed list homomorphisms are
+counted there too.
+
 Graph vertices built from CSP instances are named by the assignment's
 bitstring in variable order ("010" means x0=0, x1=1, x2=0).
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import _search, _Search, count_list_hom
 from .graphs import DiGraph, Graph, connected_components
 from .instances import ListedInstance
 
@@ -53,79 +59,38 @@ class CspInstance:
         return not self.pins
 
 
-def _propagate(inst: CspInstance, forced: dict[str, int]) -> dict[str, int] | None:
-    """Close ``forced`` under the Imp implications; None on conflict."""
-    succ: dict[str, list[str]] = {v: [] for v in inst.variables}
-    pred: dict[str, list[str]] = {v: [] for v in inst.variables}
+# Imp(x, y) as a digraph: value 0 may go to 0 or 1, value 1 only to 1
+_IMP_OUT = (0b11, 0b10)
+_IMP_IN = (0b01, 0b11)
+
+
+def _imp_search(inst: CspInstance, bound: int) -> _Search:
+    """The instance as list homomorphisms into the digraph 0->0, 0->1, 1->1:
+    one pattern arc x -> y per Imp(x, y) with x != y (Imp(x, x) always
+    holds), a pinned variable's list is its one value."""
+    if len(inst.variables) > bound:
+        raise ValueError(f"instance has {len(inst.variables)} > {bound} variables")
+    index = {x: i for i, x in enumerate(inst.variables)}
+    out = [0] * len(index)
+    inn = [0] * len(index)
     for x, y in inst.imps:
-        succ[x].append(y)
-        pred[y].append(x)
-    forced = dict(forced)
-    stack = list(forced)
-    while stack:
-        x = stack.pop()
-        if forced[x] == 1:
-            targets, val = succ[x], 1
-        else:
-            targets, val = pred[x], 0
-        for y in targets:
-            if y in forced:
-                if forced[y] != val:
-                    return None
-            else:
-                forced[y] = val
-                stack.append(y)
-    return forced
+        if x != y:
+            out[index[x]] |= 1 << index[y]
+            inn[index[y]] |= 1 << index[x]
+    doms = [0b11] * len(index)
+    for x, val in inst.pins:
+        doms[index[x]] = 1 << val
+    return _Search(out, inn, doms, _IMP_OUT, _IMP_IN)
 
 
 def satisfying_assignments(inst: CspInstance, bound: int = CSP_ENUM_BOUND) -> list[tuple[int, ...]]:
     """All satisfying assignments in variable order, lexicographic."""
-    if len(inst.variables) > bound:
-        raise ValueError(f"instance has {len(inst.variables)} > {bound} variables")
-    forced = _propagate(inst, inst.pin_map())
-    out: list[tuple[int, ...]] = []
-    if forced is None:
-        return out
-    order = inst.variables
-
-    def rec(assign: dict[str, int]) -> None:
-        pending = [v for v in order if v not in assign]
-        if not pending:
-            out.append(tuple(assign[v] for v in order))
-            return
-        v = pending[0]
-        for val in (0, 1):
-            nxt = _propagate(inst, {**assign, v: val})
-            if nxt is not None:
-                rec(nxt)
-
-    rec(forced)
-    out.sort()
-    return out
+    return sorted(_imp_search(inst, bound).assignments())
 
 
 def count_csp(inst: CspInstance, bound: int = CSP_ENUM_BOUND) -> int:
-    """Number of satisfying assignments (implication closure + branching)."""
-    if len(inst.variables) > bound:
-        raise ValueError(f"instance has {len(inst.variables)} > {bound} variables")
-    forced = _propagate(inst, inst.pin_map())
-    if forced is None:
-        return 0
-    order = inst.variables
-
-    def rec(assign: dict[str, int]) -> int:
-        pending = [v for v in order if v not in assign]
-        if not pending:
-            return 1
-        v = pending[0]
-        total = 0
-        for val in (0, 1):
-            nxt = _propagate(inst, {**assign, v: val})
-            if nxt is not None:
-                total += rec(nxt)
-        return total
-
-    return rec(forced)
+    """Number of satisfying assignments."""
+    return _imp_search(inst, bound).count()
 
 
 def _bitstring(assign: tuple[int, ...]) -> str:
@@ -314,8 +279,6 @@ class StrippedCore:
     stripped: tuple[Graph, ...] = ()
 
     def f_value(self, pattern: Graph, lists: dict[str, frozenset[str]] | None = None) -> int:
-        from .exact import count_list_hom  # local import avoids a cycle
-
         total = 0
         for comp in self.stripped:
             if lists is None:
@@ -364,62 +327,8 @@ def required_oracle_precision(epsilon: float, f_value: int) -> Fraction:
 def count_dir_list_hom(
     pattern: DiGraph, lists: dict[str, frozenset[str]], target: DiGraph
 ) -> int:
-    """Directed list-homomorphism counter (backtracking, arc consistency on
-    both arc directions).  Lives here because its only client is the
-    verification of the directed CSP constructions.
+    """Directed list-homomorphism count, on the search kernel.  Lives here
+    because its only client is the verification of the directed CSP
+    constructions.
     """
-    pv = pattern.vertices
-    tindex = {v: i for i, v in enumerate(target.vertices)}
-    n = len(pv)
-    if n == 0:
-        return 1
-    doms = []
-    for v in pv:
-        m = 0
-        for t in lists[v]:
-            m |= 1 << tindex[t]
-        doms.append(m)
-    out_p = [pattern._out[i] for i in range(n)]
-    in_p = [pattern._in[i] for i in range(n)]
-    out_t = [target._out[i] for i in range(len(target.vertices))]
-    in_t = [target._in[i] for i in range(len(target.vertices))]
-
-    def rec(active: int, doms: list[int]) -> int:
-        if active == 0:
-            return 1
-        best = None
-        for i in range(n):
-            if active >> i & 1:
-                key = (doms[i].bit_count(), i)
-                if best is None or key < best[0]:
-                    best = (key, i)
-        v = best[1]
-        rest = active & ~(1 << v)
-        total = 0
-        succ = [u for u in range(n) if rest >> u & 1 and out_p[v] >> u & 1]
-        pred = [u for u in range(n) if rest >> u & 1 and in_p[v] >> u & 1]
-        for t in range(len(target.vertices)):
-            if not doms[v] >> t & 1:
-                continue
-            nd = doms[:]
-            ok = True
-            for u in succ:
-                x = nd[u] & out_t[t]
-                if x == 0:
-                    ok = False
-                    break
-                nd[u] = x
-            if ok:
-                for u in pred:
-                    x = nd[u] & in_t[t]
-                    if x == 0:
-                        ok = False
-                        break
-                    nd[u] = x
-            if ok:
-                total += rec(rest, nd)
-        return total
-
-    if any(d == 0 for d in doms):
-        return 0
-    return rec((1 << n) - 1, doms)
+    return _search(pattern, lists, target).count()

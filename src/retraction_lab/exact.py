@@ -1,10 +1,13 @@
 """Exact counting of homomorphisms, list homomorphisms, retractions,
-surjective homomorphisms and compactions.
+surjective homomorphisms and compactions, and the search kernel behind every
+exact count in the library.
 
-All counts are exact Python integers.  The core search is backtracking with
-forward checking on pattern edges and a per-call memo on the residual state,
-so its time follows the number of distinct residual subproblems, not the
-count.  The memo key is
+All counts are exact Python integers.  One kernel, `_Search`, serves the
+undirected counts here, the directed and Boolean-CSP counts in `csp` and the
+blocked evaluation: backtracking with forward checking over out/in
+adjacency masks (an undirected graph is the symmetric case) and a per-call
+memo on the residual state, so its time follows the number of distinct
+residual subproblems, not the count.  The memo key is
   - hom, lhom, ret: the unassigned vertices' domain masks (assigned and
     peeled vertices hold 0);
   - sur: those, plus the target vertices already covered;
@@ -23,7 +26,7 @@ from array import array
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, _bits, connected_components
+from .graphs import DiGraph, Graph, _bits, connected_components
 from .instances import BlockedInstance, ListedInstance, expand_blocked
 
 COUNT_MODES = ("hom", "lhom", "ret", "sur", "comp")
@@ -57,7 +60,13 @@ def _packer(width: int):
 
 
 class _Search:
-    """Backtracking state shared by the counting and enumeration entry points.
+    """The backtracking search behind every counter and enumerator here.
+
+    The pattern and the target are out/in adjacency masks over vertex
+    indices; an undirected graph passes the same masks as out and in.  A
+    pattern arc u -> v needs a target arc from u's image to v's.  The
+    pattern masks are loop-free: a caller folds a pattern loop into the
+    vertex's domain (see `_search`).
 
     A search state is the active (unassigned) vertex set with the active
     vertices' domain masks, forward-checked against every assigned neighbor.
@@ -65,24 +74,23 @@ class _Search:
     residual subproblem, and `count` memoises on it for the length of one
     call.  `count` branches in a fixed order (see `_order`); `assignments`
     branches most-constrained-first.
+
+    `weights` (default all 1) makes vertex v stand for weights[v]
+    independent copies of itself: once peeled it contributes
+    |domain|^weight.  A vertex of weight > 1 and more than one value must
+    have neighbors, all of weight 1; `_order` then puts it after them, so it
+    is always peeled, never branched on.
     """
 
-    def __init__(self, pattern: Graph, lists: dict[str, frozenset[str]], target: Graph):
-        if not pattern.is_irreflexive():
-            raise ValueError("pattern graphs must be irreflexive")
-        self.pattern = pattern
-        self.target = target
-        self.pverts = pattern.vertices
-        self.tverts = target.vertices
-        tindex = {v: i for i, v in enumerate(self.tverts)}
-        self.padj = [pattern._adj[i] for i in range(len(self.pverts))]
-        self.tadj = [target._adj[i] for i in range(len(self.tverts))]
-        self.domains = []
-        for v in self.pverts:
-            mask = 0
-            for t in lists[v]:
-                mask |= 1 << tindex[t]
-            self.domains.append(mask)
+    def __init__(self, out, inn, domains: list[int], tout, tin, weights: list[int] | None = None):
+        self.out, self.inn, self.tout, self.tin = out, inn, tout, tin
+        self.adj = out if inn is out else [a | b for a, b in zip(out, inn)]
+        self.domains = domains
+        self.weights = weights
+        self.heavy = 0
+        for v, w in enumerate(weights or ()):
+            if w > 1 and domains[v].bit_count() > 1:
+                self.heavy |= 1 << v
 
     def count(self, full_v: int | None = None, ebit: list[list[int]] | None = None) -> int:
         """Number of homomorphisms.  With `full_v`, only those whose image
@@ -97,14 +105,24 @@ class _Search:
         for row in ebit or ():
             for b in row:
                 self.full_e |= b
-        self._pack = _packer(max(len(self.tverts), self.full_e.bit_length()))
+        self._pack = _packer(max(len(self.tout), self.full_e.bit_length()))
         order = self._order()
         pos = [0] * len(order)
         for k, v in enumerate(order):
             pos[v] = k
+
         # relabel the pattern so that `order` is the identity: the next vertex
         # to branch on is then the lowest active bit
-        self.cadj = [sum(1 << pos[u] for u in _bits(self.padj[v])) for v in order]
+        def relabel(masks):
+            return [sum(1 << pos[u] for u in _bits(masks[v])) for v in order]
+
+        self.cout = relabel(self.out)
+        if self.inn is self.out:
+            self.cin = self.cadj = self.cout
+        else:
+            self.cin = relabel(self.inn)
+            self.cadj = [a | b for a, b in zip(self.cout, self.cin)]
+        self.cw = None if self.weights is None else [self.weights[v] for v in order]
         self.image = [-1] * len(order)
         self.memo: dict = {}
         return self._count((1 << len(order)) - 1, [self.domains[v] for v in order], 0, 0)
@@ -113,25 +131,27 @@ class _Search:
         """The fixed branching order of `count`: single-value vertices first,
         then greedily the vertex, next to the assigned ones if any is, that
         leaves the fewest unassigned vertices next to assigned ones (ties: the
-        lowest index).  In a fixed order every branch reaches the same active
-        set after the same number of steps, so the memo separates states only
-        by the domains on that frontier: paths, cycles and 2 x k grids take
-        time linear in their length."""
-        padj = self.padj
+        lowest index), then the vertices of weight > 1.  In a fixed order
+        every branch reaches the same active set after the same number of
+        steps, so the memo separates states only by the domains on that
+        frontier: paths, cycles and 2 x k grids take time linear in their
+        length."""
+        adj = self.adj
         order = [v for v, d in enumerate(self.domains) if d.bit_count() == 1]
-        left = (1 << len(padj)) - 1
+        left = (1 << len(adj)) - 1 & ~self.heavy
         reach = 0
         for v in order:
             left &= ~(1 << v)
-            reach |= padj[v]
+            reach |= adj[v]
         while left:
             v = min(
                 _bits(reach & left or left),
-                key=lambda v: ((reach | padj[v]) & left & ~(1 << v)).bit_count(),
+                key=lambda v: ((reach | adj[v]) & left & ~(1 << v)).bit_count(),
             )
             order.append(v)
             left &= ~(1 << v)
-            reach |= padj[v]
+            reach |= adj[v]
+        order.extend(_bits(self.heavy))
         return order
 
     def _count(self, active: int, doms: list[int], cov_v: int, cov_e: int) -> int:
@@ -159,17 +179,18 @@ class _Search:
             left = rest
             for u in lone:
                 left &= ~(1 << u)
-            for t, nd in self._extend(padj, v, rest, doms):
+            cw = self.cw
+            for t, nd in self._extend(self.cout, self.cin, v, rest, doms):
                 factor = 1
                 for u in lone:
-                    factor *= nd[u].bit_count()
+                    factor *= nd[u].bit_count() if cw is None else nd[u].bit_count() ** cw[u]
                     nd[u] = 0
                 total += factor * self._count(left, nd, 0, 0)
         else:
             ebit = self.ebit
             image = self.image
             assigned_nbrs = list(_bits(padj[v] & ~active)) if ebit else ()
-            for t, nd in self._extend(padj, v, rest, doms):
+            for t, nd in self._extend(self.cout, self.cin, v, rest, doms):
                 ce = cov_e
                 for u in assigned_nbrs:
                     ce |= ebit[image[u]][t]
@@ -192,50 +213,86 @@ class _Search:
                 front |= self.cadj[a]
         return self._pack(doms + [cov_v, cov_e] + [self.image[u] for u in _bits(front & ~active)])
 
-    def _extend(
-        self, padj: list[int], v: int, rest: int, doms: list[int]
-    ) -> list[tuple[int, list[int]]]:
+    def _extend(self, out, inn, v: int, rest: int, doms: list[int]) -> list[tuple[int, list[int]]]:
         """(t, doms') for each value t of v that leaves every active neighbor
-        of v a non-empty domain; doms' is forward-checked, with v's entry 0."""
-        tadj = self.tadj
-        nbrs = list(_bits(padj[v] & rest))
-        out = []
+        of v a non-empty domain; doms' is forward-checked, with v's entry 0.
+        Out-neighbors must land in t's out-neighborhood, in-neighbors in its
+        in-neighborhood; with symmetric masks the first check is the whole
+        check, so the undirected loop stays as tight as it can be."""
+        succ = list(_bits(out[v] & rest))
+        pred = None if inn is out else list(_bits(inn[v] & rest))
+        tout = self.tout
+        res = []
         for t in _bits(doms[v]):
-            ta = tadj[t]
             nd = doms[:]
             nd[v] = 0
-            for u in nbrs:
+            ta = tout[t]
+            for u in succ:
                 x = nd[u] & ta
                 if x == 0:
                     break
                 nd[u] = x
             else:
-                out.append((t, nd))
-        return out
+                if pred is None or _narrow(nd, pred, self.tin[t]):
+                    res.append((t, nd))
+        return res
 
-    def assignments(self) -> Iterator[dict[str, str]]:
-        """All homomorphisms, as vertex->vertex dicts, deterministic order."""
-        n = len(self.pverts)
-        if n == 0:
-            yield {}
-            return
+    def assignments(self) -> Iterator[tuple[int, ...]]:
+        """All homomorphisms, each as the tuple of its images' target indices
+        in pattern vertex order; deterministic order."""
+        n = len(self.domains)
         if any(d == 0 for d in self.domains):
             return
-        image = [-1] * n
-        yield from self._enumerate((1 << n) - 1, list(self.domains), image)
+        yield from self._enumerate((1 << n) - 1, list(self.domains), [-1] * n)
 
-    def _enumerate(self, active: int, doms: list[int], image: list[int]) -> Iterator[dict[str, str]]:
+    def _enumerate(self, active: int, doms: list[int], image: list[int]) -> Iterator[tuple[int, ...]]:
         if active == 0:
-            yield {
-                self.pverts[i]: self.tverts[image[i]] for i in range(len(self.pverts))
-            }
+            yield tuple(image)
             return
         v = min(_bits(active), key=lambda i: (doms[i].bit_count(), i))
         rest = active & ~(1 << v)
-        for t, nd in self._extend(self.padj, v, rest, doms):
+        for t, nd in self._extend(self.out, self.inn, v, rest, doms):
             image[v] = t
             yield from self._enumerate(rest, nd, image)
         image[v] = -1
+
+
+def _narrow(doms: list[int], nbrs: list[int], mask: int) -> bool:
+    """Intersect the domains of `nbrs` with `mask`; False if one empties."""
+    for u in nbrs:
+        x = doms[u] & mask
+        if x == 0:
+            return False
+        doms[u] = x
+    return True
+
+
+def _domains(vertices, lists: dict[str, frozenset[str]], tindex: dict[str, int]) -> list[int]:
+    """Each vertex's list as a mask over the target indices."""
+    out = []
+    for v in vertices:
+        mask = 0
+        for t in lists[v]:
+            mask |= 1 << tindex[t]
+        out.append(mask)
+    return out
+
+
+def _search(pattern: Graph | DiGraph, lists: dict[str, frozenset[str]], target: Graph | DiGraph) -> _Search:
+    """The kernel on two graphs or on two digraphs.  A looped digraph vertex
+    needs a looped image: its loop becomes that restriction of its domain.
+    (Graph patterns are irreflexive, see `ListedInstance`.)"""
+    doms = _domains(pattern.vertices, lists, target._index)
+    if isinstance(pattern, Graph):
+        return _Search(pattern._adj, pattern._adj, doms, target._adj, target._adj)
+    out, inn = list(pattern._out), list(pattern._in)
+    tloops = sum(1 << t for t, m in enumerate(target._out) if m >> t & 1)
+    for v, m in enumerate(out):
+        if m >> v & 1:
+            doms[v] &= tloops
+            out[v] &= ~(1 << v)
+            inn[v] &= ~(1 << v)
+    return _Search(out, inn, doms, target._out, target._in)
 
 
 def _check_same_target(inst: ListedInstance, target: Graph) -> None:
@@ -245,14 +302,12 @@ def _check_same_target(inst: ListedInstance, target: Graph) -> None:
 
 def enumerate_homs(inst: ListedInstance, target: Graph) -> Iterator[dict[str, str]]:
     _check_same_target(inst, target)
-    return _Search(inst.pattern, inst.lists, target).assignments()
+    pv, tv = inst.pattern.vertices, target.vertices
+    search = _search(inst.pattern, inst.lists, target)
+    return ({v: tv[t] for v, t in zip(pv, image)} for image in search.assignments())
 
 
 # -- multiplicative modes --------------------------------------------------
-
-
-def _count_connected(pattern: Graph, lists: dict[str, frozenset[str]], target: Graph) -> int:
-    return _Search(pattern, lists, target).count()
 
 
 def decompose_and_count(inst: ListedInstance, target: Graph, mode: str = "lhom") -> int:
@@ -274,7 +329,7 @@ def decompose_and_count(inst: ListedInstance, target: Graph, mode: str = "lhom")
             clists = {v: sv & tcv for v, sv in lists.items()}
             if any(not sv for sv in clists.values()):
                 continue
-            sub += _count_connected(comp, clists, tc)
+            sub += _search(comp, clists, tc).count()
         result *= sub
         if result == 0:
             return 0
@@ -286,7 +341,7 @@ def count_list_hom(inst: ListedInstance, target: Graph, decompose: bool = True) 
     _check_same_target(inst, target)
     if decompose:
         return decompose_and_count(inst, target, "lhom")
-    return _count_connected(inst.pattern, inst.lists, target)
+    return _search(inst.pattern, inst.lists, target).count()
 
 
 def count_hom(pattern: Graph, target: Graph) -> int:
@@ -315,8 +370,8 @@ def _count_covering(
     """Count homs surjective on V(H) (and, with `need_edges`, on the non-loop
     edges of H): the memoised search with a coverage state."""
     _check_same_target(inst, target)
-    search = _Search(inst.pattern, inst.lists, target)
-    tn = len(search.tverts)
+    search = _search(inst.pattern, inst.lists, target)
+    tn = len(target.vertices)
     ebit = None
     if need_edges:
         ebit = [[0] * tn for _ in range(tn)]
@@ -411,26 +466,22 @@ def count_blocked(b: BlockedInstance, target: Graph, guard: int = EXPANSION_GUAR
     """Count list homomorphisms of the expansion without building it when the
     block structure allows.
 
-    Fast path: every block with multiplicity > 1 couples only to
-    multiplicity-1 blocks.  Then, for each assignment of the singleton
-    blocks, the vertices of a multi-block choose values independently from
-    the set of common neighbors of their singleton anchors, contributing
-    |choices|^multiplicity.  This covers the multiterminal-cut gadgets at
+    Fast path: no coupling joins two multi-blocks.  Then the block graph,
+    one vertex per block weighted by its multiplicity and one edge per
+    coupling, runs on the search kernel: once its singleton anchors are
+    assigned, the vertices of a multi-block choose values independently from
+    the common neighbors of the anchors' images, contributing
+    |choices|^multiplicity.  An uncoupled block contributes
+    |list|^multiplicity up front, and each component of the block graph is
+    counted on its own.  This covers the multiterminal-cut gadgets at
     astronomically large multiplicities.
 
-    Other coupling shapes fall back to expansion (guarded).
+    Coupled multi-blocks fall back to expansion (guarded).
     """
     if tuple(sorted(b.target_vertices)) != target.vertices:
         raise ValueError("blocked instance is over a different target vertex set")
-    singles = [blk for blk in b.blocks if blk.multiplicity == 1]
-    multis = [blk for blk in b.blocks if blk.multiplicity > 1]
-    multi_names = {blk.name for blk in multis}
-    fast = multis and all(
-        c.a not in multi_names or c.b not in multi_names for c in b.couplings
-    )
-    if not fast:
-        # all-singleton instances and coupled multi-blocks both go through
-        # the expansion (the real search orders variables properly)
+    multi = {blk.name for blk in b.blocks if blk.multiplicity > 1}
+    if any(c.a in multi and c.b in multi for c in b.couplings):
         if b.expansion_size() > guard:
             raise ValueError(
                 "blocked instance couples multi-blocks to each other and its "
@@ -438,73 +489,16 @@ def count_blocked(b: BlockedInstance, target: Graph, guard: int = EXPANSION_GUAR
             )
         return count_list_hom(expand_blocked(b), target)
 
-    tindex = {v: i for i, v in enumerate(target.vertices)}
-    full = (1 << len(target.vertices)) - 1
-    tadj = [target._adj[i] for i in range(len(target.vertices))]
-    pins = b.pin_map()
-
-    def base_mask(blk) -> int:
-        if blk.name in pins:
-            return 1 << tindex[pins[blk.name]]
-        if blk.list is None:
-            return full
-        m = 0
-        for t in blk.list:
-            m |= 1 << tindex[t]
-        return m
-
-    single_names = [blk.name for blk in singles]
-    single_pos = {n: i for i, n in enumerate(single_names)}
-    single_dom = [base_mask(blk) for blk in singles]
-    # adjacency among singles, and single anchors per multi-block
-    single_adj = [[] for _ in singles]
-    multi_anchors = {blk.name: [] for blk in multis}
-    for c in b.couplings:
-        a_multi, b_multi = c.a in multi_names, c.b in multi_names
-        if not a_multi and not b_multi:
-            single_adj[single_pos[c.a]].append(single_pos[c.b])
-            single_adj[single_pos[c.b]].append(single_pos[c.a])
-        elif a_multi:
-            multi_anchors[c.a].append(single_pos[c.b])
-        else:
-            multi_anchors[c.b].append(single_pos[c.a])
-    multi_dom = {blk.name: base_mask(blk) for blk in multis}
-    multi_mult = {blk.name: blk.multiplicity for blk in multis}
-
-    total = 0
-    k = len(singles)
-
-    def rec(i: int, doms: list[int], choice: list[int]) -> None:
-        nonlocal total
-        if i == k:
-            prod = 1
-            for blk in multis:
-                m = multi_dom[blk.name]
-                for s in multi_anchors[blk.name]:
-                    m &= tadj[choice[s]]
-                c = m.bit_count()
-                if c == 0:
-                    return
-                prod *= c ** multi_mult[blk.name]
-            total += prod
-            return
-        for t in _bits(doms[i]):
-            # forward propagation keeps later coupled singles consistent;
-            # earlier ones already restricted this domain when they chose
-            nd = doms[:]
-            ok = True
-            for j in single_adj[i]:
-                if j > i:
-                    x = nd[j] & tadj[t]
-                    if x == 0:
-                        ok = False
-                        break
-                    nd[j] = x
-            if not ok:
-                continue
-            choice.append(t)
-            rec(i + 1, nd, choice)
-            choice.pop()
-
-    rec(0, single_dom, [])
+    full = frozenset(target.vertices)
+    lists = {blk.name: full if blk.list is None else blk.list for blk in b.blocks}
+    lists.update((name, frozenset((t,))) for name, t in b.pins)
+    coupled = {name for c in b.couplings for name in (c.a, c.b)}
+    weight = {blk.name: blk.multiplicity for blk in b.blocks}
+    total = 1
+    for name in weight.keys() - coupled:
+        total *= len(lists[name]) ** weight[name]
+    for comp in connected_components(Graph(coupled, [(c.a, c.b) for c in b.couplings])):
+        doms = _domains(comp.vertices, lists, target._index)
+        weights = [weight[name] for name in comp.vertices]
+        total *= _Search(comp._adj, comp._adj, doms, target._adj, target._adj, weights).count()
     return total

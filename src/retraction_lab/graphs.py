@@ -301,7 +301,13 @@ def connected_components(h: Graph) -> list[Graph]:
         if comp == (1 << n) - 1:
             return [h]  # connected; graphs are immutable, so h is its own component
         seen |= comp
-        comps.append(h.induced(h._vertex_set(comp)))
+        # a component is closed under adjacency: its vertices' edges are all
+        # inside it, so there is no need to scan the edges of all of h
+        vs = h.vertices
+        comps.append(Graph(
+            [vs[i] for i in _bits(comp)],
+            [(vs[i], vs[j]) for i in _bits(comp) for j in _bits(h._adj[i]) if j >= i],
+        ))
     return comps
 
 

@@ -145,6 +145,8 @@ class BlockedInstance:
         for c in self.couplings:
             if c.a not in by_name or c.b not in by_name:
                 raise ValueError(f"coupling {c} references unknown block")
+            if c.a == c.b:
+                raise ValueError(f"coupling {c.a}-{c.b} joins a block to itself")
             if c.kind == "pm" and by_name[c.a].multiplicity != by_name[c.b].multiplicity:
                 raise ValueError(f"perfect matching {c.a}-{c.b} joins unequal multiplicities")
             if c.kind == "apex" and by_name[c.a].multiplicity != 1:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from .csp import CspInstance
 from .graphs import DiGraph, Graph
 from .instances import ListedInstance
 
@@ -62,6 +63,19 @@ def naive_count_digraph(
         if all(target.has_arc(img[u], img[v]) for u, v in arcs):
             total += 1
     return total
+
+
+def naive_csp_assignments(inst: CspInstance) -> list[tuple[int, ...]]:
+    """Satisfying assignments in variable order, lexicographic, by checking
+    every assignment in {0,1}^n."""
+    index = {x: i for i, x in enumerate(inst.variables)}
+    imps = [(index[x], index[y]) for x, y in inst.imps]
+    pins = [(index[x], val) for x, val in inst.pins]
+    return [
+        a
+        for a in product((0, 1), repeat=len(index))
+        if all(not a[x] or a[y] for x, y in imps) and all(a[x] == val for x, val in pins)
+    ]
 
 
 def enumerate_simple_cycles(h: Graph):

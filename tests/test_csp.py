@@ -1,8 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from retraction_lab import csp, exact
+from retraction_lab import csp, exact, reference
+from retraction_lab._seeds import pyrng
 from retraction_lab.fixedgraphs import build_pbrp, build_two_wrench
 from retraction_lab.graphs import DiGraph, Graph, connected_components
 from retraction_lab.instances import ListedInstance
@@ -102,9 +105,6 @@ def test_pbrp_fig2_structure():
 
 
 def test_directed_counter_matches_naive():
-    from retraction_lab import reference
-    from retraction_lab._seeds import pyrng
-
     for i in range(40):
         rng = pyrng("dircnt", i)
         nt = rng.randint(1, 3)
@@ -113,12 +113,54 @@ def test_directed_counter_matches_naive():
         target = DiGraph(tv, tarcs)
         np_ = rng.randint(0, 4)
         pv = [f"g{j}" for j in range(np_)]
-        parcs = [(a, b) for a in pv for b in pv if a != b and rng.random() < 0.3]
+        parcs = [(a, b) for a in pv for b in pv if rng.random() < 0.3]
         pattern = DiGraph(pv, parcs)
         lists = {v: frozenset(rng.sample(tv, rng.randint(1, nt))) for v in pv}
         assert csp.count_dir_list_hom(pattern, lists, target) == reference.naive_count_digraph(
             pattern, lists, target
         )
+
+
+@st.composite
+def _csp_instances(draw):
+    """At most 8 variables; Imp(x, x) and pins allowed."""
+    xs = tuple(f"x{i}" for i in range(draw(st.integers(0, 8))))
+    if not xs:
+        return csp.CspInstance(xs)
+    pairs = st.tuples(st.sampled_from(xs), st.sampled_from(xs))
+    imps = tuple(dict.fromkeys(draw(st.lists(pairs, max_size=12))))
+    pinned = draw(st.sets(st.sampled_from(xs)))
+    pins = tuple((x, draw(st.integers(0, 1))) for x in sorted(pinned))
+    return csp.CspInstance(xs, imps, pins)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_csp_instances())
+def test_csp_counters_match_naive(inst):
+    truth = reference.naive_csp_assignments(inst)
+    assert csp.satisfying_assignments(inst) == truth
+    assert csp.count_csp(inst) == len(truth)
+
+
+@st.composite
+def _digraph_instances(draw):
+    """A pattern on at most 5 vertices and a target on at most 3, both with
+    loops allowed, and random non-empty lists."""
+    tv = [f"h{j}" for j in range(draw(st.integers(1, 3)))]
+    target = DiGraph(tv, [a for a in product(tv, repeat=2) if draw(st.booleans())])
+    pv = [f"g{j}" for j in range(draw(st.integers(0, 5)))]
+    pattern = DiGraph(pv, [a for a in product(pv, repeat=2) if draw(st.integers(0, 3)) == 0])
+    lists = {v: frozenset(draw(st.sets(st.sampled_from(tv), min_size=1))) for v in pv}
+    return pattern, lists, target
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_digraph_instances())
+def test_directed_counter_matches_naive_with_loops(case):
+    pattern, lists, target = case
+    assert csp.count_dir_list_hom(pattern, lists, target) == reference.naive_count_digraph(
+        pattern, lists, target
+    )
 
 
 def test_strip_trivial_components():

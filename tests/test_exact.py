@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from retraction_lab import exact, reference
 from retraction_lab._seeds import pyrng
@@ -170,6 +170,68 @@ def test_backtracking_matches_naive_all_modes():
             )
 
 
+@st.composite
+def _blocked_instances(draw):
+    """Up to four blocks of multiplicity 1-3 (expansion at most 8 vertices)
+    into a target on at most 3 vertices with loops; random couplings, lists
+    and pins."""
+    tv = [f"h{j}" for j in range(draw(st.integers(1, 3)))]
+    target = Graph(tv, [e for e in combinations_with_replacement(tv, 2) if draw(st.booleans())])
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda ms: sum(ms) <= 8))
+    blocks = []
+    for i, m in enumerate(mults):
+        lst = draw(st.none() | st.frozensets(st.sampled_from(tv), min_size=1))
+        blocks.append(Block(f"B{i}", m, lst))
+    couplings = []
+    for a, b in combinations(blocks, 2):
+        kind = draw(st.sampled_from((None, "cb", "pm", "apex")))
+        if kind == "pm" and a.multiplicity == b.multiplicity:
+            couplings.append(Coupling(a.name, b.name, "pm"))
+        elif kind == "apex" and 1 in (a.multiplicity, b.multiplicity):
+            apex, other = (a, b) if a.multiplicity == 1 else (b, a)
+            couplings.append(Coupling(apex.name, other.name, "apex"))
+        elif kind == "cb":
+            couplings.append(Coupling(a.name, b.name, "cb"))
+    pins = tuple(
+        (blk.name, draw(st.sampled_from(tv)))
+        for blk in blocks
+        if blk.multiplicity == 1 and draw(st.integers(0, 3)) == 0
+    )
+    return BlockedInstance(tuple(blocks), tuple(couplings), pins, target.vertices), target
+
+
+# the path x - y - z with a loop at x
+_LOOPED_XYZ = Graph(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "x")])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_blocked_instances())
+@example((  # an uncoupled multi-block next to a coupled one
+    BlockedInstance(
+        (Block("s", 1), Block("M", 3), Block("N", 2, frozenset("xy"))),
+        (Coupling("s", "M", "apex"),), (), _LOOPED_XYZ.vertices,
+    ),
+    _LOOPED_XYZ,
+))
+@example((  # a multi-block with a one-value list, anchored to two singletons
+    BlockedInstance(
+        (Block("s", 1), Block("t", 1), Block("M", 3, frozenset("y"))),
+        (Coupling("s", "M", "apex"), Coupling("M", "t", "cb")), (("t", "z"),), _LOOPED_XYZ.vertices,
+    ),
+    _LOOPED_XYZ,
+))
+@example((  # coupled multi-blocks: the guarded expansion
+    BlockedInstance(
+        (Block("s", 1), Block("M", 2), Block("N", 2)),
+        (Coupling("M", "N", "pm"), Coupling("s", "N", "apex")), (), _LOOPED_XYZ.vertices,
+    ),
+    _LOOPED_XYZ,
+))
+def test_count_blocked_matches_naive(case):
+    b, target = case
+    assert exact.count_blocked(b, target) == reference.naive_count(expand_blocked(b), target)
+
+
 def test_blocked_fast_path_random_instances():
     # random anchored-block instances: the multiplicity-exponent evaluation
     # must match counting on the explicit expansion
@@ -220,6 +282,16 @@ def test_blocked_fast_path_large_multiplicity():
     )
     bi = BlockedInstance(blocks, couplings, (("u", "b"),), TW.vertices)
     assert exact.count_blocked(bi, TW) == exact.count_list_hom(expand_blocked(bi), TW)
+
+
+def test_blocked_many_components():
+    # each component of the block graph is its own search, so the recursion
+    # depth follows the largest component, not the number of components
+    pairs, lone = 1100, 800
+    blocks = tuple(Block(f"s{i}", 1) for i in range(2 * pairs + lone)) + (Block("M", 50),)
+    couplings = tuple(Coupling(f"s{i}", f"s{i + 1}", "cb") for i in range(0, 2 * pairs, 2))
+    bi = BlockedInstance(blocks, couplings, (), TW.vertices)
+    assert exact.count_blocked(bi, TW) == 9**pairs * 4**lone * 4**50
 
 
 def test_degenerate_instances():

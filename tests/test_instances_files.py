@@ -77,6 +77,27 @@ def test_blocked_files(tmp_path):
         files.parse_blocked("target h.hg\nb A 0 *\n", str(tmp_path))
 
 
+_K2 = Graph("xy", [("x", "y")])
+
+
+def test_blocked_rejects_self_coupling():
+    # a block coupled to itself would expand to a looped pattern vertex
+    with pytest.raises(ValueError):
+        BlockedInstance(
+            (Block("s", 1), Block("M", 2)),
+            (Coupling("s", "s", "cb"), Coupling("s", "M", "apex")),
+            (),
+            _K2.vertices,
+        )
+
+
+def test_blocked_file_rejects_self_coupling(tmp_path):
+    (tmp_path / "k2.hg").write_text(files.serialize_graph(_K2))
+    text = "target k2.hg\nb s 1 *\nb M 2 *\nc s s cb\nc s M apex\n"
+    with pytest.raises(files.ParseError):
+        files.parse_blocked(text, str(tmp_path))
+
+
 def test_csp_files():
     text = "x a\nx b\nimp a b\npin a 1\n"
     inst = files.parse_csp(text)
