@@ -7,7 +7,6 @@ from .graphs import (
     common_neighbors,
     connected_components,
     girth,
-    induced_subgraph,
     is_connected,
     neighbor_union,
     neighborhoods,
@@ -21,7 +20,6 @@ from .exact import (
     count_list_hom,
     count_retraction,
     count_surjective,
-    decompose_and_count,
     enumerate_homs,
     stirling_surjections,
 )
@@ -69,7 +67,6 @@ from .gadgets import (
     dirichlet_approx,
     estimate_multiterminal_cuts,
     find_J3_labels,
-    full_hom_count_by_cutsize,
     pin_neighborhood_instance,
 )
 from .homtypes import (

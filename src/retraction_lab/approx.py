@@ -121,6 +121,10 @@ def _weighted_index(rng, weights) -> int:
     raise AssertionError("unreachable")
 
 
+# candidates `sample_hom` draws before it gives up
+MAX_RESAMPLES = 100
+
+
 def sample_hom(
     oracle,
     inst: ListedInstance,
@@ -128,7 +132,6 @@ def sample_hom(
     eps: float,
     rng=None,
     seed: int | None = None,
-    max_resamples: int = 100,
 ):
     """One homomorphism of (G, S), sampled by sequentially pinning each
     multi-valued vertex with probability proportional to oracle counts.
@@ -143,7 +146,7 @@ def sample_hom(
     if total <= 0:
         raise ValueError("instance has no homomorphisms (oracle count is zero)")
     multi = [v for v in inst.pattern.vertices if len(inst.lists[v]) > 1]
-    for _ in range(max_resamples):
+    for _ in range(MAX_RESAMPLES):
         cur = inst
         dead = False
         for v in multi:
@@ -160,7 +163,7 @@ def sample_hom(
             target.has_edge(tau[u], tau[v]) for u, v in inst.pattern.non_loop_edges()
         ):
             return tau
-    raise ValueError(f"no homomorphism found after {max_resamples} resamples")
+    raise ValueError(f"no homomorphism found after {MAX_RESAMPLES} resamples")
 
 
 # -- the coverage estimator ---------------------------------------------------

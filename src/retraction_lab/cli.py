@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, approx, csp, exact, files, gadgets, homtypes, verify
+from . import __version__, approx, csp, exact, files, gadgets, homtypes, reference, verify
 from . import classifier
 from .fixedgraphs import build_fixed_graph, build_hk, build_j_blocked, rebind_target
 from .instances import ListedInstance
@@ -85,14 +85,12 @@ def _cmd_count(args) -> int:
         method = "bt"
     elif method == "ie":
         if mode == "sur":
-            value = exact.count_surjective(inst, target, "ie")
+            value = reference.count_surjective_ie(inst, target)
         elif mode == "comp":
-            value = exact.count_compaction(inst, target, "ie")
+            value = reference.count_compaction_ie(inst, target)
         else:
             raise ValueError("--method ie applies to sur/comp")
     elif method == "enum":
-        from . import reference
-
         value = reference.naive_count(inst, target, mode)
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .exact import _search, _Search, count_list_hom
 from .graphs import DiGraph, Graph, connected_components
-from .instances import ListedInstance
+from .instances import ListedInstance, check_retraction_lists
 
 PRODUCT_SEP = "::"  # reserved separator for (pattern vertex, variable) names
 
@@ -164,8 +164,7 @@ def translate_ret_to_csp(inst: ListedInstance, iv: CspInstance, ie: CspInstance)
     """
     if iv.variables != ie.variables:
         raise ValueError("iv and ie must share the variable set")
-    if not inst.is_retraction_shaped():
-        raise ValueError("instance violates the retraction list condition")
+    check_retraction_lists(inst)
     xs = iv.variables
     variables = tuple(_product_var(v, x) for v in inst.pattern.vertices for x in xs)
     imps: list[tuple[str, str]] = []

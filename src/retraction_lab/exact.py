@@ -14,24 +14,22 @@ residual subproblems, not the count.  The memo key is
   - comp: those, plus the covered target edges and the images of the
     assigned vertices next to an unassigned one.
 Counting branches in a fixed order chosen to keep few unassigned vertices
-next to assigned ones; enumeration branches most-constrained-first with
-lexicographic tie-break.  Both are deterministic.  Surjective/compaction
-counts also have an inclusion-exclusion route, which the test suite requires
-to agree.
+next to assigned ones, one pattern component after another; enumeration
+branches most-constrained-first with lexicographic tie-break.  Both are
+deterministic.  Each mode has this one route; the second routes through
+other identities (a product over components, inclusion-exclusion for
+surjective and compaction counts) are cross-checks in `reference`.
 """
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import combinations
 from typing import Iterator
 
-from .graphs import DiGraph, Graph, _bits, connected_components
-from .instances import BlockedInstance, ListedInstance, expand_blocked
+from .graphs import DiGraph, Graph, _bits
+from .instances import BlockedInstance, ListedInstance, check_retraction_lists, expand_blocked
 
 COUNT_MODES = ("hom", "lhom", "ret", "sur", "comp")
-
-MULTIPLICATIVE_MODES = ("hom", "lhom", "ret")
 
 
 def stirling_surjections(a: int, b: int) -> int:
@@ -78,8 +76,8 @@ class _Search:
     `weights` (default all 1) makes vertex v stand for weights[v]
     independent copies of itself: once peeled it contributes
     |domain|^weight.  A vertex of weight > 1 and more than one value must
-    have neighbors, all of weight 1; `_order` then puts it after them, so it
-    is always peeled, never branched on.
+    have no neighbor of weight > 1; `_order` puts it last in its component,
+    so it is always peeled, never branched on.
     """
 
     def __init__(self, out, inn, domains: list[int], tout, tin, weights: list[int] | None = None):
@@ -106,7 +104,8 @@ class _Search:
             for b in row:
                 self.full_e |= b
         self._pack = _packer(max(len(self.tout), self.full_e.bit_length()))
-        order = self._order()
+        runs = self._order()
+        order = [v for run in runs for v in run]
         pos = [0] * len(order)
         for k, v in enumerate(order):
             pos[v] = k
@@ -125,34 +124,66 @@ class _Search:
         self.cw = None if self.weights is None else [self.weights[v] for v in order]
         self.image = [-1] * len(order)
         self.memo: dict = {}
-        return self._count((1 << len(order)) - 1, [self.domains[v] for v in order], 0, 0)
+        n = len(order)
+        doms = [self.domains[v] for v in order]
+        if full_v is not None:
+            return self._count((1 << n) - 1, doms, 0, 0)
+        # without coverage each pattern component is a factor of its own, so
+        # the recursion is only as deep as one component; a lone vertex
+        # contributes |domain|^weight.  Runs cannot share memo keys: a key is
+        # 0 outside its run.
+        total, lo = 1, 0
+        for run in runs:
+            hi = lo + len(run)
+            if hi - lo == 1:
+                total *= doms[lo].bit_count() ** (1 if self.cw is None else self.cw[lo])
+            else:
+                run_doms = [0] * lo + doms[lo:hi] + [0] * (n - hi)
+                total *= self._count((1 << hi) - (1 << lo), run_doms, 0, 0)
+            if total == 0:
+                return 0
+            lo = hi
+        return total
 
-    def _order(self) -> list[int]:
-        """The fixed branching order of `count`: single-value vertices first,
-        then greedily the vertex, next to the assigned ones if any is, that
-        leaves the fewest unassigned vertices next to assigned ones (ties: the
-        lowest index), then the vertices of weight > 1.  In a fixed order
-        every branch reaches the same active set after the same number of
-        steps, so the memo separates states only by the domains on that
-        frontier: paths, cycles and 2 x k grids take time linear in their
-        length."""
+    def _order(self) -> list[list[int]]:
+        """The fixed branching order of `count`, one run per pattern
+        component (components by lowest vertex).  Within a run: the
+        single-value vertices first, then greedily the vertex, next to the
+        assigned ones if any is, that leaves the fewest unassigned vertices
+        next to assigned ones (ties: the lowest index), then the vertices of
+        weight > 1.  In a fixed order every branch reaches the same active
+        set after the same number of steps, so the memo separates states only
+        by the domains on that frontier: paths, cycles and 2 x k grids take
+        time linear in their length."""
         adj = self.adj
-        order = [v for v, d in enumerate(self.domains) if d.bit_count() == 1]
-        left = (1 << len(adj)) - 1 & ~self.heavy
-        reach = 0
-        for v in order:
-            left &= ~(1 << v)
-            reach |= adj[v]
-        while left:
-            v = min(
-                _bits(reach & left or left),
-                key=lambda v: ((reach | adj[v]) & left & ~(1 << v)).bit_count(),
-            )
-            order.append(v)
-            left &= ~(1 << v)
-            reach |= adj[v]
-        order.extend(_bits(self.heavy))
-        return order
+        runs = []
+        unseen = (1 << len(adj)) - 1
+        while unseen:
+            comp = frontier = unseen & -unseen
+            while frontier:
+                nxt = 0
+                for u in _bits(frontier):
+                    nxt |= adj[u]
+                frontier = nxt & ~comp
+                comp |= frontier
+            unseen &= ~comp
+            order = [v for v in _bits(comp) if self.domains[v].bit_count() == 1]
+            left = comp & ~self.heavy
+            reach = 0
+            for v in order:
+                left &= ~(1 << v)
+                reach |= adj[v]
+            while left:
+                v = min(
+                    _bits(reach & left or left),
+                    key=lambda v: ((reach | adj[v]) & left & ~(1 << v)).bit_count(),
+                )
+                order.append(v)
+                left &= ~(1 << v)
+                reach |= adj[v]
+            order.extend(_bits(comp & self.heavy))
+            runs.append(order)
+        return runs
 
     def _count(self, active: int, doms: list[int], cov_v: int, cov_e: int) -> int:
         """Completions of the state; `cov_v`/`cov_e` are the target vertices
@@ -307,40 +338,12 @@ def enumerate_homs(inst: ListedInstance, target: Graph) -> Iterator[dict[str, st
     return ({v: tv[t] for v, t in zip(pv, image)} for image in search.assignments())
 
 
-# -- multiplicative modes --------------------------------------------------
+# -- the five counting modes ------------------------------------------------
 
 
-def decompose_and_count(inst: ListedInstance, target: Graph, mode: str = "lhom") -> int:
-    """Product over pattern components; within each, sum over target
-    components with the lists restricted to that component.
-    """
-    if mode not in MULTIPLICATIVE_MODES:
-        raise ValueError(f"mode {mode!r} is not multiplicative-safe")
-    if mode == "ret" and not inst.is_retraction_shaped():
-        raise ValueError("instance violates the retraction list condition")
-    _check_same_target(inst, target)
-    tcomps = connected_components(target)
-    result = 1
-    for comp in connected_components(inst.pattern):
-        lists = {v: inst.lists[v] for v in comp.vertices}
-        sub = 0
-        for tc in tcomps:
-            tcv = frozenset(tc.vertices)
-            clists = {v: sv & tcv for v, sv in lists.items()}
-            if any(not sv for sv in clists.values()):
-                continue
-            sub += _search(comp, clists, tc).count()
-        result *= sub
-        if result == 0:
-            return 0
-    return result
-
-
-def count_list_hom(inst: ListedInstance, target: Graph, decompose: bool = True) -> int:
+def count_list_hom(inst: ListedInstance, target: Graph) -> int:
     """Exact number of list homomorphisms from (G, S) to the target."""
     _check_same_target(inst, target)
-    if decompose:
-        return decompose_and_count(inst, target, "lhom")
     return _search(inst.pattern, inst.lists, target).count()
 
 
@@ -351,22 +354,11 @@ def count_hom(pattern: Graph, target: Graph) -> int:
 
 def count_retraction(inst: ListedInstance, target: Graph) -> int:
     """List-homomorphism count under the one-or-all list condition."""
-    _check_same_target(inst, target)
-    n = len(target.vertices)
-    for v, sv in inst.lists.items():
-        if len(sv) not in (1, n):
-            raise ValueError(
-                f"retraction instance needs |S_v| in {{1, {n}}}; vertex {v!r} has {len(sv)}"
-            )
+    check_retraction_lists(inst)
     return count_list_hom(inst, target)
 
 
-# -- surjective homomorphisms and compactions ------------------------------
-
-
-def _count_covering(
-    inst: ListedInstance, target: Graph, need_edges: bool
-) -> int:
+def _count_covering(inst: ListedInstance, target: Graph, need_edges: bool) -> int:
     """Count homs surjective on V(H) (and, with `need_edges`, on the non-loop
     edges of H): the memoised search with a coverage state."""
     _check_same_target(inst, target)
@@ -381,79 +373,26 @@ def _count_covering(
     return search.count((1 << tn) - 1, ebit)
 
 
-def _count_surjective_ie(inst: ListedInstance, target: Graph) -> int:
-    """Inclusion-exclusion over the subset W of target vertices hit."""
-    _check_same_target(inst, target)
-    tn = len(target.vertices)
-    total = 0
-    for r in range(tn + 1):
-        for keep in combinations(target.vertices, r):
-            sub = inst.restrict_lists(frozenset(keep))
-            c = count_list_hom(sub, target)
-            total += (-1) ** (tn - r) * c
-    return total
-
-
-def _count_compaction_ie(inst: ListedInstance, target: Graph) -> int:
-    """Inclusion-exclusion over missed requirements (D, F): D the avoided
-    target vertices, F the unrealized non-loop target edges; homs land in
-    the structure (V \\ D, E(H[V \\ D]) \\ F).
-
-    F ranges over all non-loop edges of H (edges touching D are vacuously
-    unrealized; restricting F to H[W] breaks the alternating sum).
-    """
-    _check_same_target(inst, target)
-    tn = len(target.vertices)
-    nl_all = target.non_loop_edges()
-    total = 0
-    for r in range(tn + 1):
-        for keep in combinations(target.vertices, r):
-            keepset = frozenset(keep)
-            sub = target.induced(keep)
-            loops = [(v, v) for v in sub.looped_vertices()]
-            inside = sub.non_loop_edges()
-            sign_w = (-1) ** (tn - r)
-            lists = {v: inst.lists[v] & keepset for v in inst.pattern.vertices}
-            for k in range(len(nl_all) + 1):
-                for drop in combinations(nl_all, k):
-                    dropset = {frozenset(e) for e in drop}
-                    edges = loops + [e for e in inside if frozenset(e) not in dropset]
-                    struct = Graph(keep, edges)
-                    c = count_list_hom(
-                        ListedInstance(inst.pattern, lists, struct.vertices), struct
-                    )
-                    total += sign_w * (-1) ** k * c
-    return total
-
-
-def count_surjective(inst: ListedInstance, target: Graph, method: str = "enum") -> int:
+def count_surjective(inst: ListedInstance, target: Graph) -> int:
     """Exact sur((G,S),H): homomorphisms hitting every target vertex."""
-    if method == "enum":
-        return _count_covering(inst, target, need_edges=False)
-    if method == "ie":
-        return _count_surjective_ie(inst, target)
-    raise ValueError(f"unknown method {method!r}")
+    return _count_covering(inst, target, need_edges=False)
 
 
-def count_compaction(inst: ListedInstance, target: Graph, method: str = "enum") -> int:
+def count_compaction(inst: ListedInstance, target: Graph) -> int:
     """Exact comp((G,S),H): surjective and covering every non-loop target edge."""
-    if method == "enum":
-        return _count_covering(inst, target, need_edges=True)
-    if method == "ie":
-        return _count_compaction_ie(inst, target)
-    raise ValueError(f"unknown method {method!r}")
+    return _count_covering(inst, target, need_edges=True)
 
 
-def count(inst: ListedInstance, target: Graph, mode: str, method: str | None = None) -> int:
+def count(inst: ListedInstance, target: Graph, mode: str) -> int:
     """Mode dispatcher used by the CLI; mode in COUNT_MODES."""
     if mode in ("hom", "lhom"):
         return count_list_hom(inst, target)
     if mode == "ret":
         return count_retraction(inst, target)
     if mode == "sur":
-        return count_surjective(inst, target, method or "enum")
+        return count_surjective(inst, target)
     if mode == "comp":
-        return count_compaction(inst, target, method or "enum")
+        return count_compaction(inst, target)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -471,9 +410,8 @@ def count_blocked(b: BlockedInstance, target: Graph, guard: int = EXPANSION_GUAR
     coupling, runs on the search kernel: once its singleton anchors are
     assigned, the vertices of a multi-block choose values independently from
     the common neighbors of the anchors' images, contributing
-    |choices|^multiplicity.  An uncoupled block contributes
-    |list|^multiplicity up front, and each component of the block graph is
-    counted on its own.  This covers the multiterminal-cut gadgets at
+    |choices|^multiplicity; an uncoupled block contributes
+    |list|^multiplicity.  This covers the multiterminal-cut gadgets at
     astronomically large multiplicities.
 
     Coupled multi-blocks fall back to expansion (guarded).
@@ -492,13 +430,8 @@ def count_blocked(b: BlockedInstance, target: Graph, guard: int = EXPANSION_GUAR
     full = frozenset(target.vertices)
     lists = {blk.name: full if blk.list is None else blk.list for blk in b.blocks}
     lists.update((name, frozenset((t,))) for name, t in b.pins)
-    coupled = {name for c in b.couplings for name in (c.a, c.b)}
     weight = {blk.name: blk.multiplicity for blk in b.blocks}
-    total = 1
-    for name in weight.keys() - coupled:
-        total *= len(lists[name]) ** weight[name]
-    for comp in connected_components(Graph(coupled, [(c.a, c.b) for c in b.couplings])):
-        doms = _domains(comp.vertices, lists, target._index)
-        weights = [weight[name] for name in comp.vertices]
-        total *= _Search(comp._adj, comp._adj, doms, target._adj, target._adj, weights).count()
-    return total
+    blocks = Graph(weight, [(c.a, c.b) for c in b.couplings])
+    doms = _domains(blocks.vertices, lists, target._index)
+    weights = [weight[name] for name in blocks.vertices]
+    return _Search(blocks._adj, blocks._adj, doms, target._adj, target._adj, weights).count()

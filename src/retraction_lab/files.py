@@ -39,10 +39,12 @@ def _records(text: str):
             yield lineno, line.split()
 
 
-def parse_graph(text: str) -> Graph:
+def _graph(records) -> Graph:
+    """The graph of `v` and `e` records; `v x loop` and `e x x` alike give x
+    a loop."""
     verts: dict[str, bool] = {}
     edges: list[tuple[str, str]] = []
-    for lineno, rec in _records(text):
+    for lineno, rec in records:
         kind, args = rec[0], rec[1:]
         if kind == "v":
             if not args or len(args) > 2 or (len(args) == 2 and args[1] != "loop"):
@@ -66,6 +68,10 @@ def parse_graph(text: str) -> Graph:
         verts,
         edges + [(v, v) for v, looped in verts.items() if looped],
     )
+
+
+def parse_graph(text: str) -> Graph:
+    return _graph(_records(text))
 
 
 def serialize_graph(g: Graph) -> str:
@@ -97,55 +103,39 @@ def load_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def parse_instance(
-    text: str, base_dir: str = ".", retraction_mode: bool = False
-) -> tuple[ListedInstance, Graph]:
+def parse_instance(text: str, base_dir: str = ".") -> tuple[ListedInstance, Graph]:
     """Parse an instance file; the referenced target graph is loaded from
     disk relative to base_dir.  Returns (instance, target)."""
     target_path, body = _split_instance_text(text)
     target = load_graph(os.path.join(base_dir, target_path))
-    verts: dict[str, bool] = {}
-    edges: list[tuple[str, str]] = []
+    pattern = _graph((lineno, rec) for lineno, rec in body if rec[0] != "l")
     lists: dict[str, frozenset[str]] = {}
     for lineno, rec in body:
-        kind, args = rec[0], rec[1:]
-        if kind == "v":
-            if not args or len(args) > 2 or (len(args) == 2 and args[1] != "loop"):
-                raise ParseError(f"line {lineno}: malformed vertex record")
-            if args[0] in verts:
-                raise ParseError(f"line {lineno}: duplicate vertex {args[0]!r}")
-            verts[args[0]] = len(args) == 2
-        elif kind == "e":
-            if len(args) != 2:
-                raise ParseError(f"line {lineno}: malformed edge record")
-            edges.append((args[0], args[1]))
-        elif kind == "l":
-            if len(args) != 2:
-                raise ParseError(f"line {lineno}: malformed list record")
-            name = args[0]
-            if name in lists:
-                raise ParseError(f"line {lineno}: duplicate list for {name!r}")
-            if args[1] == "*":
-                lists[name] = frozenset(target.vertices)
-            else:
-                entries = frozenset(args[1].split(","))
-                unknown = entries - set(target.vertices)
-                if unknown:
-                    raise ParseError(
-                        f"line {lineno}: list mentions unknown target vertices {sorted(unknown)}"
-                    )
-                lists[name] = entries
+        if rec[0] != "l":
+            continue
+        args = rec[1:]
+        if len(args) != 2:
+            raise ParseError(f"line {lineno}: malformed list record")
+        name = args[0]
+        if name in lists:
+            raise ParseError(f"line {lineno}: duplicate list for {name!r}")
+        if args[1] == "*":
+            lists[name] = frozenset(target.vertices)
         else:
-            raise ParseError(f"line {lineno}: unknown record {kind!r}")
-    for u, v in edges:
-        for x in (u, v):
-            if x not in verts:
-                raise ParseError(f"edge endpoint {x!r} is not a declared vertex")
+            entries = frozenset(args[1].split(","))
+            unknown = entries - set(target.vertices)
+            if unknown:
+                raise ParseError(
+                    f"line {lineno}: list mentions unknown target vertices {sorted(unknown)}"
+                )
+            lists[name] = entries
     for name in lists:
-        if name not in verts:
+        if name not in pattern:
             raise ParseError(f"list for undeclared vertex {name!r}")
-    pattern = Graph(verts, edges)
-    inst = ListedInstance(pattern, lists, target.vertices, retraction_mode)
+    try:
+        inst = ListedInstance(pattern, lists, target.vertices)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     return inst, target
 
 

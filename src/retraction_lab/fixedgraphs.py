@@ -200,9 +200,6 @@ def rebind_target(b: BlockedInstance, target: Graph) -> BlockedInstance:
     return BlockedInstance(b.blocks, b.couplings, b.pins, target.vertices)
 
 
-FIXED_KINDS = ("J_q", "WR_q", "2-wrench", "H_k", "H'_k", "PBRP")
-
-
 def build_fixed_graph(kind: str, **params) -> Graph:
     """Dispatcher for the named fixed graphs: J_q(q), WR_q(q), 2-wrench,
     H_k(k), H'_k(k), PBRP(q, s)."""

@@ -144,6 +144,10 @@ def _edge_names(g: Graph) -> list[tuple[str, tuple[str, str]]]:
     return [(f"e{i}", e) for i, e in enumerate(sorted(g.non_loop_edges()))]
 
 
+# the cut gadget sizes come from the smallest Dirichlet r up to this bound
+CUT_R_MAX = 10**6
+
+
 def build_cut_instance(
     g: Graph,
     alpha: str,
@@ -151,20 +155,17 @@ def build_cut_instance(
     gamma: str,
     budget: int,
     h: Graph,
-    delta_prime=None,
-    epsilon: float | None = None,
-    r_max: int = 10**6,
-    check_budget: bool = True,
+    *,
+    delta_prime,
 ) -> CutReductionPlan:
     """The retraction instance of the multiterminal-cut reduction, in blocked
     form: per base edge {u, v} three blocks of sizes s_alpha, s_beta,
     s_gamma, each joined to u, v and its terminal; a pinned hub adjacent to
     all base vertices; terminals pinned to the J3 arms.
 
-    delta_prime is the Dirichlet error budget; by default it is derived from
-    epsilon as log_q(e^(eps/42)).  The gadget sizes come from the smallest r
-    with |r*log_{d}(2^s) - p| <= delta_prime/n^2 for the three terminal
-    degrees d.
+    delta_prime is the Dirichlet error budget.  The gadget sizes come from
+    the smallest r <= CUT_R_MAX with |r*log_{d}(2^s) - p| <= delta_prime/n^2
+    for the three terminal degrees d.
     """
     if not is_connected(g):
         raise ValueError("base graph must be connected")
@@ -178,17 +179,12 @@ def build_cut_instance(
     if not is_square_free(h):
         raise ValueError("target must be square-free")
     labels = find_J3_labels(h)
-    if delta_prime is None:
-        if epsilon is None:
-            raise ValueError("give delta_prime or epsilon")
-        q = len(h)
-        delta_prime = Fraction(math.log(math.exp(epsilon / 42), q)).limit_denominator(10**12)
     delta_prime = _as_fraction(delta_prime)
     if delta_prime <= 0:
         raise ValueError("delta_prime must be positive")
     n = len(g)
     edges = g.non_loop_edges()
-    if check_budget and len(edges) <= 20:
+    if len(edges) <= 20:
         mmc = min_multiterminal_cut(g, alpha, beta, gamma)
         if mmc is None or mmc < budget:
             raise ValueError(
@@ -199,7 +195,7 @@ def build_cut_instance(
     degs = [h.degree(labels[slot]) for slot in ("x0", "y0", "z0")]
     lams = [Fraction(s) / Fraction(math.log2(d)) for d in degs]
     err = delta_prime / n**2
-    (p1, p2, p3), r = dirichlet_for_error(lams, err, r_max)
+    (p1, p2, p3), r = dirichlet_for_error(lams, err, CUT_R_MAX)
 
     hub = "omega"
     vblock = {v: f"v:{v}" for v in g.vertices}
@@ -544,10 +540,6 @@ def full_hom_histogram_direct(plan: LargeCutPlan) -> dict[int, int]:
         cut = sum(1 for u, v in edges if side[u] != side[v])
         hist[cut] = hist.get(cut, 0) + 1
     return hist
-
-
-def full_hom_count_by_cutsize(plan: LargeCutPlan, cut_size: int) -> int:
-    return full_hom_histogram(plan).get(cut_size, 0)
 
 
 # -- neighborhood pinning -----------------------------------------------------

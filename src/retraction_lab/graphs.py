@@ -192,12 +192,6 @@ class DiGraph:
             raise ValueError(f"unknown vertex {v!r}")
         return self._index[v]
 
-    def out_mask(self, v: str) -> int:
-        return self._out[self.index(v)]
-
-    def in_mask(self, v: str) -> int:
-        return self._in[self.index(v)]
-
     def has_arc(self, u: str, v: str) -> bool:
         return bool(self._out[self.index(u)] >> self.index(v) & 1)
 
@@ -276,10 +270,6 @@ def neighbor_union(h: Graph, vs: Iterable[str]) -> frozenset[str]:
     for v in vs:
         mask |= h.adjacency_mask(v)
     return h._vertex_set(mask)
-
-
-def induced_subgraph(h: Graph, keep: Iterable[str]) -> Graph:
-    return h.induced(keep)
 
 
 def connected_components(h: Graph) -> list[Graph]:

@@ -121,7 +121,7 @@ def is_maximal_type(t: HomType, k: int) -> bool:
 _TABLE_ORDER = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 2), (1, 1), (2, 2), (1, 3), (2, 3), (3, 3)]
 
 
-def c_menu(k: int) -> list[frozenset[str]]:
+def c_menu() -> list[frozenset[str]]:
     """The four possible C / C' projections of a maximal type."""
     return [
         frozenset(("b",)),
@@ -148,34 +148,15 @@ def type_from_c_sets(k: int, c: frozenset[str], cp: frozenset[str]) -> HomType:
 def enumerate_maximal_types(k: int) -> list[tuple[str, HomType]]:
     """The maximal types up to symmetry, labeled T1..T10 in table order.
 
-    Constructive: all 16 C/C' menu combinations are derived and filtered by
-    the maximality test; symmetric partners collapse to the canonical
-    representative.
+    Constructive: each C/C' menu pair (i, j) with i <= j is derived and kept
+    if maximal; the pair (j, i) derives the symmetric partner of (i, j).
     """
-    menu = c_menu(k)
-    derived: dict[tuple[int, int], HomType] = {}
-    for i, c in enumerate(menu):
-        for j, cp in enumerate(menu):
-            t = type_from_c_sets(k, c, cp)
-            if is_maximal_type(t, k):
-                derived[(i, j)] = t
+    menu = c_menu()
     out: list[tuple[str, HomType]] = []
-    n = 0
-    for (i, j) in _TABLE_ORDER:
-        if (i, j) not in derived:
-            continue
-        n += 1
-        out.append((f"T{n}", derived[(i, j)]))
-    # anything the menu order missed (defensive; the table should be complete)
-    listed = {t.canonical() for _, t in out}
-    listed |= {symmetric_partner(t).canonical() for _, t in out}
-    for key in sorted(derived):
-        t = derived[key]
-        if t.canonical() not in listed:
-            n += 1
-            out.append((f"T{n}", t))
-            listed.add(t.canonical())
-            listed.add(symmetric_partner(t).canonical())
+    for i, j in _TABLE_ORDER:
+        t = type_from_c_sets(k, menu[i], menu[j])
+        if is_maximal_type(t, k):
+            out.append((f"T{len(out) + 1}", t))
     return out
 
 

@@ -23,17 +23,28 @@ from dataclasses import dataclass, field
 from .graphs import Graph
 
 
+def check_retraction_lists(inst: "ListedInstance") -> None:
+    """Raise ValueError, naming the first offending vertex, unless every
+    list holds one or all of the target vertices: the one-or-all list
+    condition of a retraction instance."""
+    n = inst.target_size
+    for v, sv in inst.lists.items():
+        if len(sv) not in (1, n):
+            raise ValueError(
+                f"retraction instance needs |S_v| in {{1, {n}}}; vertex {v!r} has {len(sv)}"
+            )
+
+
 class ListedInstance:
     """Irreflexive pattern + per-vertex lists over a fixed target vertex set."""
 
-    __slots__ = ("pattern", "lists", "target_vertices", "retraction_mode")
+    __slots__ = ("pattern", "lists", "target_vertices")
 
     def __init__(
         self,
         pattern: Graph,
         lists: dict[str, frozenset[str]],
         target_vertices: tuple[str, ...],
-        retraction_mode: bool = False,
     ):
         if not pattern.is_irreflexive():
             raise ValueError("pattern graphs must be irreflexive")
@@ -49,25 +60,17 @@ class ListedInstance:
         extra = set(lists) - set(pattern.vertices)
         if extra:
             raise ValueError(f"lists given for unknown pattern vertices {sorted(extra)}")
-        if retraction_mode:
-            n = len(target_vertices)
-            for v, sv in norm.items():
-                if len(sv) not in (1, n):
-                    raise ValueError(
-                        f"retraction instance needs |S_v| in {{1, {n}}}; vertex {v!r} has {len(sv)}"
-                    )
         self.pattern = pattern
         self.lists: dict[str, frozenset[str]] = norm
         self.target_vertices = tuple(sorted(target_vertices))
-        self.retraction_mode = retraction_mode
 
     @property
     def target_size(self) -> int:
         return len(self.target_vertices)
 
     @classmethod
-    def full(cls, pattern: Graph, target: Graph, retraction_mode: bool = False) -> "ListedInstance":
-        return cls(pattern, {}, target.vertices, retraction_mode)
+    def full(cls, pattern: Graph, target: Graph) -> "ListedInstance":
+        return cls(pattern, {}, target.vertices)
 
     def pin(self, v: str, t: str) -> "ListedInstance":
         """The instance with the list of v collapsed to {t}."""
@@ -75,15 +78,11 @@ class ListedInstance:
             raise ValueError(f"{t!r} is not in the list of {v!r}")
         lists = dict(self.lists)
         lists[v] = frozenset((t,))
-        return ListedInstance(self.pattern, lists, self.target_vertices, False)
+        return ListedInstance(self.pattern, lists, self.target_vertices)
 
     def restrict_lists(self, allowed: frozenset[str]) -> "ListedInstance":
         lists = {v: sv & allowed for v, sv in self.lists.items()}
-        return ListedInstance(self.pattern, lists, self.target_vertices, False)
-
-    def is_retraction_shaped(self) -> bool:
-        n = self.target_size
-        return all(len(sv) in (1, n) for sv in self.lists.values())
+        return ListedInstance(self.pattern, lists, self.target_vertices)
 
     def __eq__(self, other: object) -> bool:
         return (

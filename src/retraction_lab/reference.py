@@ -1,15 +1,23 @@
-"""Brute-force reference oracles.
+"""Reference oracles: the cross-checks the fast paths are tested against.
 
-Everything here is deliberately naive (full enumeration over |V(H)|^|V(G)|
-assignments, exhaustive cycle listing) and independent of the backtracking
-search paths it is used to check.  Only run these at desk scale.
+Two kinds:
+  - naive enumeration (all |V(H)|^|V(G)| assignments, exhaustive cycle
+    listing), independent of the search kernel;
+  - second routes through a different identity, built on the public
+    `exact.count_list_hom`: the product over pattern components of sums over
+    target components, and inclusion-exclusion for surjective and compaction
+    counts.  They share the kernel's list counts but not its coverage state
+    or its component handling.
+Only run these at desk scale: inclusion-exclusion for compactions makes
+2^(|V(H)| + |E(H)|) list counts.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
+from . import exact
 from .csp import CspInstance
-from .graphs import DiGraph, Graph
+from .graphs import DiGraph, Graph, connected_components
 from .instances import ListedInstance
 
 
@@ -76,6 +84,56 @@ def naive_csp_assignments(inst: CspInstance) -> list[tuple[int, ...]]:
         for a in product((0, 1), repeat=len(index))
         if all(not a[x] or a[y] for x, y in imps) and all(a[x] == val for x, val in pins)
     ]
+
+
+def count_by_components(inst: ListedInstance, target: Graph) -> int:
+    """List-homomorphism count as the product over pattern components of the
+    sum over target components, with the lists restricted to each."""
+    tcomps = connected_components(target)
+    result = 1
+    for comp in connected_components(inst.pattern):
+        sub = 0
+        for tc in tcomps:
+            tcv = frozenset(tc.vertices)
+            lists = {v: inst.lists[v] & tcv for v in comp.vertices}
+            if all(lists.values()):
+                sub += exact.count_list_hom(ListedInstance(comp, lists, tc.vertices), tc)
+        result *= sub
+    return result
+
+
+def count_surjective_ie(inst: ListedInstance, target: Graph) -> int:
+    """Inclusion-exclusion over the subset W of target vertices hit."""
+    tn = len(target.vertices)
+    total = 0
+    for r in range(tn + 1):
+        for keep in combinations(target.vertices, r):
+            sub = inst.restrict_lists(frozenset(keep))
+            total += (-1) ** (tn - r) * exact.count_list_hom(sub, target)
+    return total
+
+
+def count_compaction_ie(inst: ListedInstance, target: Graph) -> int:
+    """Inclusion-exclusion over missed requirements (D, F): D the avoided
+    target vertices, F the unrealized non-loop target edges; homs land in
+    the structure (V \\ D, E(H[V \\ D]) \\ F).
+
+    F ranges over all non-loop edges of H (edges touching D are vacuously
+    unrealized; restricting F to H[W] breaks the alternating sum).
+    """
+    tn = len(target.vertices)
+    nl_all = target.non_loop_edges()
+    total = 0
+    for r in range(tn + 1):
+        for keep in combinations(target.vertices, r):
+            inside = target.induced(keep).edges()
+            lists = inst.restrict_lists(frozenset(keep)).lists
+            for k in range(len(nl_all) + 1):
+                for drop in combinations(nl_all, k):
+                    struct = Graph(keep, [e for e in inside if e not in drop])
+                    sub = ListedInstance(inst.pattern, lists, struct.vertices)
+                    total += (-1) ** (tn - r + k) * exact.count_list_hom(sub, struct)
+    return total
 
 
 def enumerate_simple_cycles(h: Graph):

@@ -29,7 +29,7 @@ def test_retraction_examples():
     # the pinned copy of the target admits only the identity
     copy = Graph(TW.vertices, TW.non_loop_edges())
     pins = {v: frozenset((v,)) for v in TW.vertices}
-    inst = ListedInstance(copy, pins, TW.vertices, retraction_mode=True)
+    inst = ListedInstance(copy, pins, TW.vertices)
     assert exact.count_retraction(inst, TW) == 1
 
     p3 = build_path(3)
@@ -58,8 +58,8 @@ def test_compaction_ie_on_disconnected_target():
     # edges; a looped extra component used to push the sum negative
     h = Graph(["x", "y", "z"], [("x", "y"), ("z", "z")])
     inst = ListedInstance.full(K2, h)
-    assert exact.count_compaction(inst, h, "ie") == exact.count_compaction(inst, h) == 0
-    assert exact.count_surjective(inst, h, "ie") == exact.count_surjective(inst, h) == 0
+    assert reference.count_compaction_ie(inst, h) == exact.count_compaction(inst, h) == 0
+    assert reference.count_surjective_ie(inst, h) == exact.count_surjective(inst, h) == 0
 
 
 def test_decompose_examples():
@@ -67,11 +67,10 @@ def test_decompose_examples():
     assert exact.count_list_hom(ListedInstance.full(two_k2, K2), K2) == 4
     k2_plus_loop = Graph(["x", "y", "z"], [("x", "y"), ("z", "z")])
     inst = ListedInstance.full(K2, k2_plus_loop)
-    assert exact.decompose_and_count(inst, k2_plus_loop, "lhom") == 3
+    assert exact.count_list_hom(inst, k2_plus_loop) == 3
+    assert reference.count_by_components(inst, k2_plus_loop) == 3
     empty = ListedInstance.full(Graph(), K2)
     assert exact.count_list_hom(empty, K2) == 1
-    with pytest.raises(ValueError):
-        exact.decompose_and_count(inst, k2_plus_loop, "sur")
 
 
 def test_stirling_surjections():
@@ -285,13 +284,14 @@ def test_blocked_fast_path_large_multiplicity():
 
 
 def test_blocked_many_components():
-    # each component of the block graph is its own search, so the recursion
+    # each pattern component is its own run of the search, so the recursion
     # depth follows the largest component, not the number of components
     pairs, lone = 1100, 800
     blocks = tuple(Block(f"s{i}", 1) for i in range(2 * pairs + lone)) + (Block("M", 50),)
     couplings = tuple(Coupling(f"s{i}", f"s{i + 1}", "cb") for i in range(0, 2 * pairs, 2))
     bi = BlockedInstance(blocks, couplings, (), TW.vertices)
     assert exact.count_blocked(bi, TW) == 9**pairs * 4**lone * 4**50
+    assert exact.count_list_hom(expand_blocked(bi), TW) == 9**pairs * 4**lone * 4**50
 
 
 def test_degenerate_instances():
@@ -400,5 +400,5 @@ def test_covering_counts_match_inclusion_exclusion(pattern, target):
     # in C4 two vertices share a neighborhood, so the domains and the covered
     # sets alone do not tell apart which of them an assigned vertex took
     inst = ListedInstance.full(pattern, target)
-    assert exact.count_surjective(inst, target) == exact.count_surjective(inst, target, "ie")
-    assert exact.count_compaction(inst, target) == exact.count_compaction(inst, target, "ie")
+    assert exact.count_surjective(inst, target) == reference.count_surjective_ie(inst, target)
+    assert exact.count_compaction(inst, target) == reference.count_compaction_ie(inst, target)

@@ -16,7 +16,6 @@ from retraction_lab.graphs import (
     common_neighbors,
     connected_components,
     girth,
-    induced_subgraph,
     neighbor_union,
     neighborhoods,
 )
@@ -101,12 +100,12 @@ def test_gamma2_is_phi_of_gamma():
 
 def test_induced_subgraph():
     tw = build_two_wrench()
-    assert induced_subgraph(tw, tw.vertices) == tw
-    sub = induced_subgraph(tw, ["r1", "b"])
+    assert tw.induced(tw.vertices) == tw
+    sub = tw.induced(["r1", "b"])
     assert sub.edges() == [("b", "b"), ("b", "r1"), ("r1", "r1")]
-    assert induced_subgraph(tw, []) == Graph()
+    assert tw.induced([]) == Graph()
     with pytest.raises(ValueError):
-        induced_subgraph(tw, ["nope"])
+        tw.induced(["nope"])
 
 
 def test_connected_components():

@@ -98,6 +98,15 @@ def test_blocked_file_rejects_self_coupling(tmp_path):
         files.parse_blocked(text, str(tmp_path))
 
 
+def test_instance_file_rejects_looped_pattern_vertex(tmp_path):
+    # the pattern records parse as in a graph file, so both loop forms are
+    # seen, and the irreflexive-pattern error is a ParseError
+    (tmp_path / "k2.hg").write_text(files.serialize_graph(_K2))
+    for body in ("v x loop\nv y\ne x y\n", "v x\nv y\ne x y\ne x x\n"):
+        with pytest.raises(files.ParseError, match="irreflexive"):
+            files.parse_instance("target k2.hg\n" + body, str(tmp_path))
+
+
 def test_csp_files():
     text = "x a\nx b\nimp a b\npin a 1\n"
     inst = files.parse_csp(text)
