@@ -10,15 +10,10 @@ estimate concentrates tightly around the true count.
 import math
 
 from retraction_lab import ExactOracle, Graph, ListedInstance
-from retraction_lab.approx import (
-    closed_form_expectation,
-    coverage_mc,
-    enumerate_T,
-    lhom_padding,
-    sample_hom,
-)
+from retraction_lab.approx import coverage_mc, enumerate_T, lhom_padding, sample_hom
 from retraction_lab.exact import count_compaction, count_list_hom, count_surjective
 from retraction_lab.fixedgraphs import build_two_wrench
+from retraction_lab.reference import coverage_partition
 from retraction_lab._seeds import pyrng
 
 rng = pyrng("demo-graph")
@@ -32,7 +27,9 @@ for mode, counter in (("sur", count_surjective), ("comp", count_compaction)):
     truth = counter(inst, tw)
     witnesses = enumerate_T(inst, tw, mode)
     run = coverage_mc(inst, tw, mode, eps=0.2, delta=0.1, oracle=ExactOracle(), seed=2024)
-    ey = closed_form_expectation(inst, tw, mode)
+    # E[Y] = sum_i omega_i phat_i: each homomorphism of the union counted once,
+    # in the branch of the first witness it extends
+    ey = sum(coverage_partition(inst, tw, witnesses)[1])
     print(f"mode={mode}: truth={truth}, witnesses={len(witnesses)}, samples={run.m}")
     print(f"  estimate Y = {float(run.y):.3f}  (exact E[Y] = {ey}, "
           f"within e^+-0.2: {truth * math.exp(-0.2) <= run.y <= truth * math.exp(0.2)})")

@@ -86,7 +86,6 @@ from .approx import (
     CoverageRun,
     ExactOracle,
     NoisyOracle,
-    closed_form_expectation,
     coverage_mc,
     enumerate_T,
     lhom_padding,

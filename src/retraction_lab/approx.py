@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-import numpy as np
-
+from . import reference
 from ._seeds import nprng, pyrng
-from .exact import count_list_hom, enumerate_homs
+from .exact import count_compaction, count_list_hom, count_surjective, enumerate_homs
 from .graphs import Graph
 from .instances import ListedInstance
 
@@ -232,59 +231,11 @@ class CoverageRun:
     sampler: str
 
 
-class _CoverageTables:
-    """Exact enumeration tables for a (G, S, H, mode) triple: all
-    homomorphisms, the branch sizes |Omega_i|, and first-occurrence counts.
-    Shared by the fast sampler, the closed-form expectation, and tests."""
-
-    def __init__(self, inst: ListedInstance, target: Graph, mode: str):
-        self.inst = inst
-        self.target = target
-        self.mode = mode
-        self.T = enumerate_T(inst, target, mode)
-        pv = inst.pattern.vertices
-        vidx = {v: i for i, v in enumerate(pv)}
-        tidx = {t: i for i, t in enumerate(target.vertices)}
-        homs = list(enumerate_homs(inst, target))
-        self.n_homs = len(homs)
-        arr = np.zeros((len(homs), len(pv)), dtype=np.uint8)
-        for r, hom in enumerate(homs):
-            for v, t in hom.items():
-                arr[r, vidx[v]] = tidx[t]
-        self.omega_exact: list[int] = []
-        minmatch = np.full(len(homs), -1, dtype=np.int64)
-        for i, (us, tau) in enumerate(self.T):
-            cols = [vidx[u] for u in us]
-            vals = np.array([tidx[tau[u]] for u in us], dtype=np.uint8)
-            if len(homs):
-                match = (arr[:, cols] == vals).all(axis=1)
-            else:
-                match = np.zeros(0, dtype=bool)
-            self.omega_exact.append(int(match.sum()))
-            fresh = match & (minmatch < 0)
-            minmatch[fresh] = i
-        self.minmatch_counts = [
-            int((minmatch == i).sum()) for i in range(len(self.T))
-        ]
-
-    @property
-    def union_size(self) -> int:
-        return sum(self.minmatch_counts)
-
-    def phat(self, i: int) -> Fraction:
-        if self.omega_exact[i] == 0:
-            return Fraction(0)
-        return Fraction(self.minmatch_counts[i], self.omega_exact[i])
-
-
-_tables_cache: dict = {}
-
-
-def coverage_tables(inst: ListedInstance, target: Graph, mode: str) -> _CoverageTables:
-    key = (_instance_key(inst, target), mode)
-    if key not in _tables_cache:
-        _tables_cache[key] = _CoverageTables(inst, target, mode)
-    return _tables_cache[key]
+# perfbench/trace.py wraps this name as the table layer of the `estimate`
+# workload; nothing else calls it, and it can go once that layer is dropped
+def coverage_tables(inst: ListedInstance, target: Graph, mode: str):
+    """reference.coverage_partition over this instance's witnesses."""
+    return reference.coverage_partition(inst, target, enumerate_T(inst, target, mode))
 
 
 def algorithm_parameters(t: int, eps: float, delta: float) -> tuple[float, float, float, int]:
@@ -310,14 +261,16 @@ def coverage_mc(
     the branches by powered oracle counts, sample m homomorphisms from the
     weighted disjoint union and count first-occurrence hits.
 
-    With the exact oracle the per-sample JVV walk collapses: a sample lands in
+    With an exact oracle the per-sample JVV walk collapses: a sample lands in
     branch i with probability omega_i / Omega, is uniform there, and is a
     first-occurrence hit with probability phat_i.  So the m samples hit
     independently with probability sum_i omega_i phat_i / Omega = |union| /
     Omega, and x_total is one Binomial(m, |union| / Omega) draw (Karp, Luby
-    and Madras).  force_jvv runs the literal per-sample walk instead, which
-    is also what noisy oracles get.  Raises ValueError if an oracle that
-    claims to be exact disagrees with the enumeration tables.
+    and Madras).  |union| is the exact surjective (sur) or compaction (comp)
+    count, one call per run.  force_jvv runs the literal per-sample walk
+    instead, which is also what noisy oracles get.  Raises ValueError if an
+    oracle that claims to be exact, other than ExactOracle itself, gives some
+    omega_i other than the exact list count of its pinned instance.
     """
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -338,16 +291,19 @@ def coverage_mc(
         return CoverageRun(mode, t, tuple(omegas), omega, m, 0, Fraction(0), seed, eps, delta, "none")
 
     if getattr(oracle, "behavior", "") == "exact" and not force_jvv:
-        tables = coverage_tables(inst, target, mode)
-        # the binomial's success probability is only right for exact weights
-        if omegas != tables.omega_exact:
-            i = next(i for i, (a, b) in enumerate(zip(omegas, tables.omega_exact)) if a != b)
-            raise ValueError(
-                f"exact oracle disagrees with the enumeration tables at witness {i} "
-                f"of {t}: oracle count {omegas[i]}, table count {tables.omega_exact[i]}"
-            )
+        # the binomial's success probability is only right for exact weights;
+        # an ExactOracle answers with the very count this would compare against
+        if type(oracle) is not ExactOracle:
+            for i, (w, pi) in enumerate(zip(omegas, pinned)):
+                want = count_list_hom(pi, target)
+                if w != want:
+                    raise ValueError(
+                        f"exact oracle disagrees with the exact counter at witness {i} "
+                        f"of {t}: oracle count {w}, exact count {want}"
+                    )
+        union = count_surjective(inst, target) if mode == "sur" else count_compaction(inst, target)
         rng = nprng(seed, "coverage", mode)
-        x_total = int(rng.binomial(m, tables.union_size / float(omega)))
+        x_total = int(rng.binomial(m, union / float(omega)))
         sampler = "collapsed-exact"
     else:
         rng = pyrng(seed, "coverage-jvv", mode)
@@ -368,16 +324,6 @@ def coverage_mc(
         sampler = "jvv"
     y = Fraction(omega) * x_total / m
     return CoverageRun(mode, t, tuple(omegas), omega, m, x_total, y, seed, eps, delta, sampler)
-
-
-def closed_form_expectation(inst: ListedInstance, target: Graph, mode: str) -> Fraction:
-    """E[Y] under exact branch weights and an exactly uniform sampler:
-    sum_i omega_i * phat_i, all exact."""
-    tables = coverage_tables(inst, target, mode)
-    return sum(
-        (Fraction(w) * tables.phat(i) for i, w in enumerate(tables.omega_exact)),
-        start=Fraction(0),
-    )
 
 
 # -- padding -----------------------------------------------------------------

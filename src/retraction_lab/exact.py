@@ -16,13 +16,15 @@ residual subproblems, not the count.  The memo key is
 Counting branches in a fixed order chosen to keep few unassigned vertices
 next to assigned ones, one pattern component after another; enumeration
 branches most-constrained-first with lexicographic tie-break.  Both are
-deterministic.  Each mode has this one route; the second routes through
+deterministic, and both recurse once per vertex they branch on: a search
+deeper than Python's recursion limit raises ValueError.  Each mode has this one route; the second routes through
 other identities (a product over components, inclusion-exclusion for
 surjective and compaction counts) are cross-checks in `reference`.
 """
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from typing import Iterator
 
@@ -127,7 +129,10 @@ class _Search:
         n = len(order)
         doms = [self.domains[v] for v in order]
         if full_v is not None:
-            return self._count((1 << n) - 1, doms, 0, 0)
+            try:
+                return self._count((1 << n) - 1, doms, 0, 0)
+            except RecursionError:
+                raise _too_deep("compaction count" if ebit else "surjective count", n) from None
         # without coverage each pattern component is a factor of its own, so
         # the recursion is only as deep as one component; a lone vertex
         # contributes |domain|^weight.  Runs cannot share memo keys: a key is
@@ -139,7 +144,10 @@ class _Search:
                 total *= doms[lo].bit_count() ** (1 if self.cw is None else self.cw[lo])
             else:
                 run_doms = [0] * lo + doms[lo:hi] + [0] * (n - hi)
-                total *= self._count((1 << hi) - (1 << lo), run_doms, 0, 0)
+                try:
+                    total *= self._count((1 << hi) - (1 << lo), run_doms, 0, 0)
+                except RecursionError:
+                    raise _too_deep("list-homomorphism count", n) from None
             if total == 0:
                 return 0
             lo = hi
@@ -274,7 +282,10 @@ class _Search:
         n = len(self.domains)
         if any(d == 0 for d in self.domains):
             return
-        yield from self._enumerate((1 << n) - 1, list(self.domains), [-1] * n)
+        try:
+            yield from self._enumerate((1 << n) - 1, list(self.domains), [-1] * n)
+        except RecursionError:
+            raise _too_deep("enumeration", n) from None
 
     def _enumerate(self, active: int, doms: list[int], image: list[int]) -> Iterator[tuple[int, ...]]:
         if active == 0:
@@ -286,6 +297,13 @@ class _Search:
             image[v] = t
             yield from self._enumerate(rest, nd, image)
         image[v] = -1
+
+
+def _too_deep(what: str, n: int) -> ValueError:
+    return ValueError(
+        f"{what} on a {n}-vertex pattern: the search recurses once per vertex it "
+        f"branches on and went past Python's recursion limit ({sys.getrecursionlimit()})"
+    )
 
 
 def _narrow(doms: list[int], nbrs: list[int], mask: int) -> bool:

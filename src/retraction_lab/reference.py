@@ -2,7 +2,8 @@
 
 Two kinds:
   - naive enumeration (all |V(H)|^|V(G)| assignments, exhaustive cycle
-    listing), independent of the search kernel;
+    listing), independent of the search kernel: counts in every mode, CSP
+    assignments, and the coverage estimator's partition of the union;
   - second routes through a different identity, built on the public
     `exact.count_list_hom`: the product over pattern components of sums over
     target components, and inclusion-exclusion for surjective and compaction
@@ -56,6 +57,25 @@ def naive_count(inst: ListedInstance, target: Graph, mode: str = "lhom") -> int:
         if all((min(u, v), max(u, v)) in realized for u, v in nl_edges):
             total += 1
     return total
+
+
+def coverage_partition(inst: ListedInstance, target: Graph, witnesses):
+    """For witnesses (U_i, tau_i) in order: (the |Omega_i|, the first-occurrence
+    counts), i.e. how many homomorphisms extend tau_i, and how many extend
+    tau_i and no earlier witness.  The latter sum to the size of the union,
+    and omega_i * phat_i is the i-th of them."""
+    omegas = [0] * len(witnesses)
+    firsts = [0] * len(witnesses)
+    for img in naive_assignments(inst, target):
+        first = None
+        for i, (us, tau) in enumerate(witnesses):
+            if all(img[u] == tau[u] for u in us):
+                omegas[i] += 1
+                if first is None:
+                    first = i
+        if first is not None:
+            firsts[first] += 1
+    return omegas, firsts
 
 
 def naive_count_digraph(

@@ -1,10 +1,11 @@
 import math
 import statistics
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from retraction_lab import approx, exact
+from retraction_lab import approx, exact, reference, verify
 from retraction_lab._seeds import pyrng
 from retraction_lab.fixedgraphs import build_path, build_two_wrench
 from retraction_lab.graphs import Graph
@@ -64,19 +65,64 @@ def test_collapsed_hit_count_is_binomial():
     tw = build_two_wrench()
     inst = ListedInstance.full(build_path(5), tw)
     oracle = approx.ExactOracle()
-    for mode in ("sur", "comp"):  # hit probability 1/2 and 1
-        tables = approx.coverage_tables(inst, tw, mode)
-        omega = sum(tables.omega_exact)
-        p = Fraction(tables.union_size, omega)
-        assert p == sum(
-            Fraction(w) * tables.phat(i) for i, w in enumerate(tables.omega_exact)
-        ) / omega
+    for mode, counter in (("sur", exact.count_surjective), ("comp", exact.count_compaction)):
+        # hit probability 1/2 and 1
+        ts = approx.enumerate_T(inst, tw, mode)
+        omegas, firsts = reference.coverage_partition(inst, tw, ts)
+        omega = sum(omegas)
+        p = Fraction(counter(inst, tw), omega)
+        assert p == Fraction(sum(firsts), omega)
         runs = [approx.coverage_mc(inst, tw, mode, 0.5, 0.3, oracle, seed=s) for s in range(200)]
+        assert all(run.omega == omega for run in runs)
         xs = [run.x_total for run in runs]
         m = runs[0].m
         var = float(m * p * (1 - p))
         assert abs(statistics.fmean(xs) - float(m * p)) <= 4 * math.sqrt(var / len(xs))
         assert 0.5 * var <= statistics.pvariance(xs) <= 1.5 * var
+
+
+# (x_total, y) of seeded exact-oracle runs at eps 0.5, delta 0.3, seeds 0-4,
+# recorded while |union| still came from enumeration tables; every other case
+# of test_seeded_exact_oracle_runs_are_pinned draws x_total = y = 0
+_PINNED = {
+    ("P5", "2-wrench", "sur"): (
+        [53585, 53695, 53831, 53916, 53875],
+        ["53585/8952", "53695/8952", "53831/8952", "4493/746", "53875/8952"],
+    ),
+    ("P5", "2-wrench", "comp"): ([53712] * 5, ["6"] * 5),
+    ("acc1", "2-wrench", "sur"): (
+        [98957, 99133, 99350, 99486, 99420],
+        ["5145764/322271", "5154916/322271", "5166200/322271", "5173272/322271", "5169840/322271"],
+    ),
+    ("acc1", "2-wrench", "comp"): (
+        [107243, 107390, 107522, 107009, 107206],
+        ["3860748/322271", "3866040/322271", "3870792/322271", "3852324/322271", "3859416/322271"],
+    ),
+    ("acc2", "2-wrench", "sur"): (
+        [228442, 228727, 229081, 229301, 229192],
+        ["12335868/268559", "12351258/268559", "12370374/268559", "12382254/268559", "12376368/268559"],
+    ),
+    ("acc2", "2-wrench", "comp"): (
+        [304557, 304847, 305108, 304096, 304485],
+        ["79793934/1736681", "79869914/1736681", "79938296/1736681", "79673152/1736681", "79775070/1736681"],
+    ),
+}
+
+
+def test_seeded_exact_oracle_runs_are_pinned():
+    tw = build_two_wrench()
+    cases = [("P5", build_path(5), "2-wrench", tw)] + [
+        (f"acc{i}", verify.acceptance8_graph(i), tname, target)
+        for i in range(3)
+        for tname, target in verify._acceptance8_fixtures()
+    ]
+    for gname, g, tname, target in cases:
+        inst = ListedInstance.full(g, target)
+        for mode in ("sur", "comp"):
+            xs, ys = _PINNED.get((gname, tname, mode), ([0] * 5, ["0"] * 5))
+            for seed in range(5):
+                run = approx.coverage_mc(inst, target, mode, 0.5, 0.3, approx.ExactOracle(), seed)
+                assert (run.x_total, run.y) == (xs[seed], Fraction(ys[seed])), (gname, tname, mode, seed)
 
 
 def test_coverage_rejects_exact_oracle_that_disagrees_with_tables():
@@ -87,7 +133,7 @@ def test_coverage_rejects_exact_oracle_that_disagrees_with_tables():
             return exact.count_list_hom(inst, target) + 1
 
     inst = ListedInstance.full(build_path(4), K2)
-    with pytest.raises(ValueError, match="disagrees with the enumeration tables at witness 0"):
+    with pytest.raises(ValueError, match="disagrees with the exact counter at witness 0"):
         approx.coverage_mc(inst, K2, "sur", 0.2, 0.1, WrongExact(), seed=0)
 
 
@@ -96,17 +142,49 @@ def test_closed_form_expectation():
     for g in (build_path(4), build_path(5)):
         inst = ListedInstance.full(g, tw)
         for mode, counter in (("sur", exact.count_surjective), ("comp", exact.count_compaction)):
-            assert approx.closed_form_expectation(inst, tw, mode) == counter(inst, tw)
+            ts = approx.enumerate_T(inst, tw, mode)
+            # E[Y] = sum_i omega_i phat_i = the sum of the first-occurrence counts
+            assert sum(reference.coverage_partition(inst, tw, ts)[1]) == counter(inst, tw)
 
 
 def test_partition_and_eq9():
     tw = build_two_wrench()
     inst = ListedInstance.full(build_path(5), tw)
-    tables = approx.coverage_tables(inst, tw, "comp")
+    ts = approx.enumerate_T(inst, tw, "comp")
+    omegas, firsts = reference.coverage_partition(inst, tw, ts)
     truth = exact.count_compaction(inst, tw)
-    assert tables.union_size == truth
-    omega_plus = sum(tables.omega_exact)
-    assert truth >= Fraction(omega_plus, len(tables.T))
+    assert sum(firsts) == truth
+    assert truth >= Fraction(sum(omegas), len(ts))
+
+
+def _keep_first_witness(enumerate_T):
+    return lambda inst, target, mode: enumerate_T(inst, target, mode)[:1]
+
+
+def _comp_without_edge_filter(enumerate_T):
+    def mutant(inst, target, mode):
+        if mode == "sur":
+            return enumerate_T(inst, target, mode)
+        pv, tv = inst.pattern.vertices, target.vertices
+        out = []
+        for size in range(len(tv), min(len(pv), len(tv) + 2 * target.edge_count()) + 1):
+            for us in combinations(pv, size):
+                sub = ListedInstance(
+                    inst.pattern.induced(us), {u: inst.lists[u] for u in us}, inst.target_vertices
+                )
+                out.extend(
+                    (us, tau) for tau in exact.enumerate_homs(sub, target) if set(tau.values()) == set(tv)
+                )
+        return out
+
+    return mutant
+
+
+@pytest.mark.parametrize("mutate", [_keep_first_witness, _comp_without_edge_filter])
+def test_exact_expectation_catches_wrong_witnesses(monkeypatch, mutate):
+    assert verify.check_exact_expectation(quick=True).passed
+    monkeypatch.setattr(approx, "enumerate_T", mutate(approx.enumerate_T))
+    assert not verify.check_exact_expectation(quick=True).passed
 
 
 def test_sample_hom_unique_and_errors():
@@ -166,8 +244,6 @@ def test_noisy_oracle_window():
 
 
 def test_powered_count_noisy_statistics():
-    from retraction_lab import verify
-
     res = verify.check_powered_count(quick=False)
     assert res.passed, res.detail
 

@@ -5,6 +5,7 @@ import pytest
 
 from retraction_lab import cli, files
 from retraction_lab.fixedgraphs import build_two_wrench
+from retraction_lab.graphs import Graph
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -103,6 +104,16 @@ def test_usage_error_exit_2():
 def test_domain_error_exit_1(tmp_path, capsys):
     rc = cli.main(["classify", "-H", str(tmp_path / "missing.hg")])
     assert rc == 1
+
+
+def test_count_past_the_recursion_limit_exit_1(tmp_path, capsys):
+    pattern = Graph([], [(f"a{i}", f"b{i}") for i in range(1100)])
+    (tmp_path / "g.hg").write_text(files.serialize_graph(pattern))
+    rc = cli.main(
+        ["count", "--mode", "sur", "-G", str(tmp_path / "g.hg"), "-H", fixture("two_wrench.hg")]
+    )
+    assert rc == 1
+    assert "surjective count on a 2200-vertex pattern" in capsys.readouterr().err
 
 
 def test_verify_command(capsys):

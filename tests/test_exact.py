@@ -294,6 +294,26 @@ def test_blocked_many_components():
     assert exact.count_list_hom(expand_blocked(bi), TW) == 9**pairs * 4**lone * 4**50
 
 
+def test_search_past_the_recursion_limit_raises_value_error():
+    path = build_path(1500)
+    with pytest.raises(ValueError, match="list-homomorphism count on a 1500-vertex pattern"):
+        exact.count_hom(path, TW)
+    with pytest.raises(ValueError, match="enumeration on a 1500-vertex pattern"):
+        next(exact.enumerate_homs(ListedInstance.full(path, TW), TW))
+    # a covering count cannot split the pattern into components
+    edges = ListedInstance.full(Graph([], [(f"a{i}", f"b{i}") for i in range(1100)]), TW)
+    for mode, what in (("sur", "surjective"), ("comp", "compaction")):
+        with pytest.raises(ValueError, match=f"{what} count on a 2200-vertex pattern"):
+            exact.count(edges, TW, mode)
+
+
+def test_large_patterns_with_a_shallow_search_still_count():
+    # a star's leaves are peeled after its centre, one level deep (1 100
+    # disjoint edges count one component at a time: test_blocked_many_components)
+    star = Graph([], [("c", f"l{i}") for i in range(2000)])
+    assert exact.count_hom(star, TW) == 4**2000 + 2 * 2**2000 + 1
+
+
 def test_degenerate_instances():
     # an empty list forces zero in every mode
     inst = ListedInstance(K2, {"a": frozenset()}, K2.vertices)
