@@ -9,17 +9,15 @@ estimate concentrates tightly around the true count.
 """
 import math
 
-from retraction_lab import ExactOracle, Graph, ListedInstance
+from retraction_lab import ExactOracle, ListedInstance
 from retraction_lab.approx import coverage_mc, enumerate_T, lhom_padding, sample_hom
 from retraction_lab.exact import count_compaction, count_list_hom, count_surjective
-from retraction_lab.fixedgraphs import build_two_wrench
+from retraction_lab.fixedgraphs import build_path, build_two_wrench
 from retraction_lab.reference import coverage_partition
-from retraction_lab._seeds import pyrng
 
-rng = pyrng("demo-graph")
-verts = [f"g{i}" for i in range(6)]
-edges = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if rng.random() < 0.5]
-g = Graph(verts, edges)
+# the path on five vertices maps onto the 2-wrench both surjectively and as
+# a compaction, so both modes have witnesses to sample from
+g = build_path(5)
 tw = build_two_wrench()
 inst = ListedInstance.full(g, tw)
 

@@ -9,6 +9,7 @@ rationals (noisy oracle); the estimator's output Y is an exact rational.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -27,7 +28,9 @@ POWERING_TRIALS_PER_LOG = 72  # Chernoff: median of 8 ln(1/delta) quarter-fail
 
 
 def _instance_key(inst: ListedInstance, target: Graph):
-    return (inst.pattern, tuple(sorted(inst.lists.items())), target)
+    # a ListedInstance keeps its lists in pattern-vertex order, so equal
+    # instances give equal keys without a sort
+    return (inst.pattern, tuple(inst.lists.items()), target)
 
 
 class ExactOracle:
@@ -43,9 +46,10 @@ class ExactOracle:
     def count(self, inst: ListedInstance, target: Graph, eps: float | None = None):
         self.calls += 1
         key = _instance_key(inst, target)
-        if key not in self._cache:
-            self._cache[key] = count_list_hom(inst, target)
-        return self._cache[key]
+        n = self._cache.get(key)
+        if n is None:
+            n = self._cache[key] = count_list_hom(inst, target)
+        return n
 
 
 class NoisyOracle:
@@ -101,23 +105,27 @@ def powered_count(oracle, inst: ListedInstance, target: Graph, eps: float, delta
 # -- sampling ----------------------------------------------------------------
 
 
-def _weighted_index(rng, weights) -> int:
-    """Exact categorical draw proportional to non-negative rational weights."""
+def _prefix_sums(weights) -> list[int]:
+    """Running totals of non-negative rational weights, scaled by the least
+    common denominator to integers, for `_draw`."""
     denom = 1
     for w in weights:
         if isinstance(w, Fraction):
             denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    scaled = [int(w * denom) for w in weights]
-    total = sum(scaled)
-    if total <= 0:
+    acc, total = [], 0
+    for w in weights:
+        total += w.numerator * (denom // w.denominator)
+        acc.append(total)
+    return acc
+
+
+def _draw(rng, acc: list[int]) -> int:
+    """Exact categorical draw: index i with probability proportional to
+    acc[i] - acc[i - 1].  One `randrange` over the total; a zero weight is
+    never drawn."""
+    if not acc or acc[-1] <= 0:
         raise ValueError("all weights vanish")
-    r = rng.randrange(total)
-    acc = 0
-    for i, w in enumerate(scaled):
-        acc += w
-        if r < acc:
-            return i
-    raise AssertionError("unreachable")
+    return bisect_right(acc, rng.randrange(acc[-1]))
 
 
 # candidates `sample_hom` draws before it gives up
@@ -138,30 +146,31 @@ def sample_hom(
     With an exact oracle the output is exactly uniform.  The fully pinned
     candidate is verified to be a homomorphism and resampled on failure
     (rejection correction for noisy oracles).
+
+    A draw costs one oracle call per (multi-valued vertex, value) plus one
+    `randrange` per vertex; the pinned sub-instances are copied without
+    re-validation, and the vertex order and sorted values are fixed once
+    per call.
     """
     if rng is None:
         rng = pyrng(seed if seed is not None else 0, "sample-hom")
     total = oracle.count(inst, target, eps)
     if total <= 0:
         raise ValueError("instance has no homomorphisms (oracle count is zero)")
-    multi = [v for v in inst.pattern.vertices if len(inst.lists[v]) > 1]
+    choices = [(v, sorted(sv)) for v, sv in inst.lists.items() if len(sv) > 1]
+    edges = inst.pattern.non_loop_edges()
     for _ in range(MAX_RESAMPLES):
         cur = inst
-        dead = False
-        for v in multi:
-            choices = sorted(cur.lists[v])
-            weights = [oracle.count(cur.pin(v, s), target, eps) for s in choices]
-            if all(w <= 0 for w in weights):
-                dead = True
-                break
-            cur = cur.pin(v, choices[_weighted_index(rng, weights)])
-        if dead:
-            continue
-        tau = {v: next(iter(sv)) for v, sv in cur.lists.items()}
-        if all(
-            target.has_edge(tau[u], tau[v]) for u, v in inst.pattern.non_loop_edges()
-        ):
-            return tau
+        for v, values in choices:
+            pins = [cur.pin(v, s) for s in values]
+            acc = _prefix_sums([oracle.count(p, target, eps) for p in pins])
+            if acc[-1] <= 0:
+                break  # a dead end: resample
+            cur = pins[_draw(rng, acc)]
+        else:
+            tau = {v: next(iter(sv)) for v, sv in cur.lists.items()}
+            if all(target.has_edge(tau[u], tau[v]) for u, v in edges):
+                return tau
     raise ValueError(f"no homomorphism found after {MAX_RESAMPLES} resamples")
 
 
@@ -308,9 +317,10 @@ def coverage_mc(
     else:
         rng = pyrng(seed, "coverage-jvv", mode)
         sample_eps = eps1 / (2 * len(target.vertices) ** len(inst.pattern.vertices))
+        acc = _prefix_sums(omegas)
         x_total = 0
         for j in range(m):
-            i = _weighted_index(rng, omegas)
+            i = _draw(rng, acc)
             sigma = sample_hom(
                 oracle, pinned[i], target, sample_eps, rng=rng
             )

@@ -182,10 +182,18 @@ class _Search:
                 left &= ~(1 << v)
                 reach |= adj[v]
             while left:
-                v = min(
-                    _bits(reach & left or left),
-                    key=lambda v: ((reach | adj[v]) & left & ~(1 << v)).bit_count(),
-                )
+                # a frontier candidate leaves at least the rest of the frontier
+                # next to assigned vertices, so the first one that leaves no
+                # more is the minimum, and the scan stops there
+                cand = reach & left
+                floor = cand.bit_count() - 1 if cand else 0
+                best = left.bit_count()  # above every key
+                for u in _bits(cand or left):
+                    k = ((reach | adj[u]) & left & ~(1 << u)).bit_count()
+                    if k < best:
+                        v, best = u, k
+                        if k == floor:
+                            break
                 order.append(v)
                 left &= ~(1 << v)
                 reach |= adj[v]

@@ -4,7 +4,8 @@ by every other module.
 Vertex identifiers are opaque strings and the canonical vertex order is
 lexicographic.  Loops are ordinary edges {v, v}: they live in the adjacency
 bitmasks and in a separate looped-vertex mask so loop tests are O(1).
-Instances are immutable after construction.
+Instances are immutable after construction; a Graph computes its hash and
+its non-loop edge list on first use and keeps them.
 """
 from __future__ import annotations
 
@@ -23,9 +24,11 @@ def _bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable undirected graph over string vertex ids, loops allowed."""
 
-    __slots__ = ("vertices", "_index", "_adj", "_loops")
+    __slots__ = ("vertices", "_index", "_adj", "_loops", "_hash", "_nl_edges")
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[tuple[str, str]] = ()):
+        self._hash: int | None = None
+        self._nl_edges: tuple[tuple[str, str], ...] | None = None
         edges = list(edges)
         vset = {self._check_id(v) for v in vertices}
         for u, v in edges:
@@ -66,7 +69,15 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self._adj))
+        if self._hash is None:
+            self._hash = hash((self.vertices, self._adj))
+        return self._hash
+
+    def __getstate__(self):
+        # str hashes are salted per process, so a cached hash must not travel
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_hash"] = None
+        return None, state
 
     def __repr__(self) -> str:
         return f"Graph({len(self)} vertices, {self.edge_count()} edges)"
@@ -122,7 +133,10 @@ class Graph:
         return out
 
     def non_loop_edges(self) -> list[tuple[str, str]]:
-        return [(u, v) for u, v in self.edges() if u != v]
+        """`edges()` without the loops, as a fresh list."""
+        if self._nl_edges is None:
+            self._nl_edges = tuple((u, v) for u, v in self.edges() if u != v)
+        return list(self._nl_edges)
 
     def edge_count(self) -> int:
         return len(self.edges())

@@ -61,6 +61,7 @@ class ListedInstance:
         if extra:
             raise ValueError(f"lists given for unknown pattern vertices {sorted(extra)}")
         self.pattern = pattern
+        # in pattern-vertex order, whatever the order of `lists`
         self.lists: dict[str, frozenset[str]] = norm
         self.target_vertices = tuple(sorted(target_vertices))
 
@@ -73,12 +74,18 @@ class ListedInstance:
         return cls(pattern, {}, target.vertices)
 
     def pin(self, v: str, t: str) -> "ListedInstance":
-        """The instance with the list of v collapsed to {t}."""
+        """The instance with the list of v collapsed to {t}.  The copy is
+        valid because this instance is, so it skips the checks of
+        `__init__`, and its lists keep pattern-vertex order."""
         if t not in self.lists[v]:
             raise ValueError(f"{t!r} is not in the list of {v!r}")
         lists = dict(self.lists)
         lists[v] = frozenset((t,))
-        return ListedInstance(self.pattern, lists, self.target_vertices)
+        out = object.__new__(ListedInstance)
+        out.pattern = self.pattern
+        out.lists = lists
+        out.target_vertices = self.target_vertices
+        return out
 
     def restrict_lists(self, allowed: frozenset[str]) -> "ListedInstance":
         lists = {v: sv & allowed for v, sv in self.lists.items()}

@@ -1,13 +1,15 @@
 import math
+import random
 import statistics
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from retraction_lab import approx, exact, reference, verify
 from retraction_lab._seeds import pyrng
-from retraction_lab.fixedgraphs import build_path, build_two_wrench
+from retraction_lab.fixedgraphs import build_cycle, build_jq, build_path, build_two_wrench
 from retraction_lab.graphs import Graph
 from retraction_lab.instances import ListedInstance
 
@@ -269,3 +271,118 @@ def test_coverage_with_noisy_oracle_runs_jvv():
     run = approx.coverage_mc(inst, K2, "sur", 0.9, 0.35, oracle, seed=4)
     assert run.sampler == "jvv"
     assert truth * math.exp(-0.9) <= run.y <= truth * math.exp(0.9)
+
+
+# seeded sampler outputs, recorded before the per-draw fast paths: each draw
+# is the images of the pattern vertices in vertex order.  The optimisations
+# must consume the same random numbers and make the same choices.
+_PINNED_DRAWS = {
+    ("P3", 0): ["r1 b b", "g b r1", "r2 r2 b", "r1 b r2", "g b r1"],
+    ("P3", 1): ["r2 b r2", "r1 b b", "b b b", "r1 b b", "b r1 r1"],
+    ("P3", 2): ["b g b", "b b r1", "g b g", "r2 r2 r2", "b r1 r1"],
+    ("P5", 0): ["r1 b b r1 b", "r2 b g b b", "r1 r1 b r2 b", "b r2 b r2 r2", "g b r1 r1 b"],
+    ("P5", 1): ["b b r2 b r1", "r2 r2 b g b", "g b r1 r1 r1", "r2 b b r1 r1", "b r2 b b r2"],
+    ("P5", 2): ["b b r2 r2 b", "r1 b b b r1", "r2 b r1 r1 r1", "r1 b r2 r2 b", "r1 r1 b b r1"],
+    ("C6", 0): ["x0 x1 x0 w z0 w", "y0 w z0 w z0 w", "w y0 w y0 y1 y0", "w y0 y1 y0 w x0", "y0 w y0 w y0 y1"],
+    ("C6", 1): ["w x0 w z0 w z0", "y0 w y0 w x0 w", "z0 w z0 z1 z0 z1", "w y0 w x0 w y0", "y0 y1 y0 w y0 w"],
+    ("C6", 2): ["w y0 w y0 y1 y0", "x0 w y0 y1 y0 w", "x0 w y0 w x0 x1", "x0 w x0 x1 x0 w", "z0 z1 z0 w z0 w"],
+}
+
+
+def _draws(oracle, inst, target, rng, n):
+    draws = [approx.sample_hom(oracle, inst, target, 0.05, rng=rng) for _ in range(n)]
+    return [" ".join(tau[v] for v in inst.pattern.vertices) for tau in draws]
+
+
+def test_seeded_sample_hom_draws_are_pinned():
+    tw = build_two_wrench()
+    shapes = {"P3": (build_path(3), tw), "P5": (build_path(5), tw), "C6": (build_cycle(6), build_jq(3))}
+    for name, (g, target) in shapes.items():
+        inst = ListedInstance.full(g, target)
+        oracle = approx.ExactOracle()
+        for seed in range(3):
+            rng = pyrng(seed, "pinned-draws", name)
+            assert _draws(oracle, inst, target, rng, 5) == _PINNED_DRAWS[name, seed], (name, seed)
+    # Fraction weights: the noisy oracle's perturbed counts
+    inst = ListedInstance.full(build_path(3), tw)
+    oracle = approx.NoisyOracle(0.05, 0.05, seed=3)
+    assert _draws(oracle, inst, tw, pyrng("pinned-noisy-draws"), 8) == [
+        "r2 r2 r2", "r1 b b", "r1 r1 b", "r1 b r2", "g b g", "r1 b g", "b g b", "r1 b r1",
+    ]
+    assert oracle.calls == 104
+
+
+def test_seeded_jvv_and_noisy_runs_are_pinned():
+    p3, p4 = build_path(3), build_path(4)
+    for g, target in ((K2, K2), (p3, p3)):
+        for mode in ("sur", "comp"):
+            run = approx.coverage_mc(
+                ListedInstance.full(g, target), target, mode, 0.9, 0.3, approx.ExactOracle(), 5,
+                force_jvv=True,
+            )
+            assert (run.m, run.x_total, run.y) == (5526, 5526, 2), (g, mode)
+    # overlapping branches, so some samples miss
+    inst = ListedInstance.full(p4, K2)
+    for mode, want in (("sur", (4211, "33688/17137")), ("comp", (3627, "4464/2197"))):
+        run = approx.coverage_mc(inst, K2, mode, 0.95, 0.9, approx.ExactOracle(), 3, force_jvv=True)
+        assert (run.x_total, run.y) == (want[0], Fraction(want[1])), mode
+    run = approx.coverage_mc(
+        ListedInstance.full(K2, K2), K2, "sur", 0.9, 0.35, approx.NoisyOracle(0.05, 0.05, seed=17), 4
+    )
+    assert (run.x_total, run.y) == (5198, Fraction("2255050628962391/1125899906842624"))
+    pk = ListedInstance.full(p3, K2)
+    got = approx.powered_count(approx.NoisyOracle(0.1, 0.25, 11), pk, K2, 0.1, 1e-3)
+    assert got == Fraction("4494938011717683/2251799813685248")
+
+
+def test_equal_instances_share_one_oracle_entry():
+    tw = build_two_wrench()
+    p3 = build_path(3)
+    lists = {"c0": frozenset(("b", "g")), "c2": frozenset(("r1",)), "c1": frozenset(tw.vertices)}
+    forward = ListedInstance(p3, lists, tw.vertices)
+    backward = ListedInstance(p3, dict(reversed(list(lists.items()))), tw.vertices)
+    pinned = ListedInstance.full(p3, tw).pin("c2", "r1").pin("c0", "b")
+    oracle = approx.ExactOracle()
+    assert oracle.count(forward, tw) == oracle.count(backward, tw)
+    assert len(oracle._cache) == 1
+    assert oracle.count(pinned, tw) == exact.count_list_hom(pinned, tw)
+    assert oracle.count(pinned.pin("c0", "b"), tw) == oracle.count(pinned, tw)
+    assert len(oracle._cache) == 2
+
+
+def _linear_scan_index(rng, weights) -> int:
+    """The categorical draw as a linear scan over the scaled weights."""
+    denom = 1
+    for w in weights:
+        if isinstance(w, Fraction):
+            denom = denom * w.denominator // math.gcd(denom, w.denominator)
+    scaled = [int(w * denom) for w in weights]
+    r = rng.randrange(sum(scaled))
+    acc = 0
+    for i, w in enumerate(scaled):
+        acc += w
+        if r < acc:
+            return i
+
+
+_weights = st.lists(
+    st.one_of(st.integers(0, 50), st.fractions(0, 50, max_denominator=30)), min_size=1, max_size=8
+).filter(lambda ws: sum(ws) > 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_weights, st.integers(0, 2**32))
+def test_prefix_sum_draw_matches_linear_scan(weights, seed):
+    acc = approx._prefix_sums(weights)
+    a, b = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        i = approx._draw(a, acc)
+        assert i == _linear_scan_index(b, weights)
+        assert weights[i] > 0
+    assert a.random() == b.random()  # the same random numbers consumed
+
+
+def test_draw_rejects_vanishing_weights():
+    for weights in ([], [0], [0, Fraction(0)]):
+        with pytest.raises(ValueError, match="all weights vanish"):
+            approx._draw(random.Random(0), approx._prefix_sums(weights))

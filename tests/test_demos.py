@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,7 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+    if demo.stem == "06_monte_carlo":
+        # the estimator demo must have witnesses to sample from in both modes
+        witnesses = [int(n) for n in re.findall(r"witnesses=(\d+)", done.stdout)]
+        assert len(witnesses) == 2 and min(witnesses) > 0, done.stdout

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from retraction_lab import exact, reference
 from retraction_lab._seeds import pyrng
-from retraction_lab.fixedgraphs import build_cycle, build_hk, build_path, build_two_wrench
-from retraction_lab.graphs import Graph
+from retraction_lab.fixedgraphs import build_cycle, build_hk, build_path, build_star, build_two_wrench
+from retraction_lab.graphs import Graph, _bits
 from retraction_lab.instances import Block, BlockedInstance, Coupling, ListedInstance, expand_blocked
 
 
@@ -422,3 +422,68 @@ def test_covering_counts_match_inclusion_exclusion(pattern, target):
     inst = ListedInstance.full(pattern, target)
     assert exact.count_surjective(inst, target) == reference.count_surjective_ie(inst, target)
     assert exact.count_compaction(inst, target) == reference.count_compaction_ie(inst, target)
+
+
+def _plain_order(search) -> list[list[int]]:
+    """`_Search._order` written as a plain `min` over every candidate."""
+    adj = search.adj
+    runs = []
+    unseen = (1 << len(adj)) - 1
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            nxt = 0
+            for u in _bits(frontier):
+                nxt |= adj[u]
+            frontier = nxt & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        order = [v for v in _bits(comp) if search.domains[v].bit_count() == 1]
+        left = comp & ~search.heavy
+        reach = 0
+        for v in order:
+            left &= ~(1 << v)
+            reach |= adj[v]
+        while left:
+            v = min(
+                _bits(reach & left or left),
+                key=lambda v: ((reach | adj[v]) & left & ~(1 << v)).bit_count(),
+            )
+            order.append(v)
+            left &= ~(1 << v)
+            reach |= adj[v]
+        order.extend(_bits(comp & search.heavy))
+        runs.append(order)
+    return runs
+
+
+@st.composite
+def _order_cases(draw):
+    """Random graphs on up to 14 vertices with domains of 1-3 values and a
+    few weights > 1."""
+    n = draw(st.integers(0, 14))
+    adj = [0] * n
+    for i, j in combinations(range(n), 2):
+        if draw(st.integers(0, 3)) == 0:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    doms = [draw(st.integers(1, 7)) for _ in range(n)]
+    weights = [draw(st.sampled_from((1, 1, 1, 2))) for _ in range(n)]
+    return adj, doms, weights
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_order_cases())
+def test_order_matches_the_plain_min(case):
+    adj, doms, weights = case
+    tadj = [0b111, 0b111, 0b111]
+    search = exact._Search(adj, adj, doms, tadj, tadj, weights)
+    assert search._order() == _plain_order(search)
+
+
+def test_large_star_count():
+    # hom(K_{1,n}, H) = sum over the centre's image c of deg(c)^n; a greedy
+    # order that scores every candidate at every step spends seconds here
+    star = build_star(2000)
+    want = sum(TW.degree(c) ** 2000 for c in TW.vertices)
+    assert exact.count_hom(star, TW) == want

@@ -1,4 +1,9 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,9 @@ from retraction_lab.graphs import (
     neighbor_union,
     neighborhoods,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def complete_graph(n):
@@ -121,3 +129,39 @@ def test_loops_in_adjacency_and_flag():
     assert g.is_looped("a") and not g.is_looped("b")
     assert "a" in g.neighbors("a")
     assert g.degree("a") == 2
+
+
+def test_non_loop_edges_is_a_fresh_list():
+    g = Graph([], [("a", "a"), ("a", "b"), ("b", "c")])
+    edges = g.non_loop_edges()
+    assert edges == [("a", "b"), ("b", "c")]
+    edges.append(("a", "c"))
+    edges.clear()
+    assert g.non_loop_edges() == [("a", "b"), ("b", "c")]
+    assert not g.has_edge("a", "c")
+
+
+_UNPICKLE = """
+import pickle, sys
+from retraction_lab.fixedgraphs import build_hk
+g = pickle.loads(sys.stdin.buffer.read())
+fresh = build_hk(1)
+print(g == fresh, hash(g) == hash(fresh), len({g: 1, fresh: 2}))
+"""
+
+
+def test_pickled_graph_hashes_like_a_fresh_one():
+    g = build_hk(1)
+    hash(g)  # fill the cache before pickling
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g) == hash(build_hk(1))
+    # str hashes are salted per process: a hash that travelled with the
+    # pickle would differ from the one the receiving process computes
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _UNPICKLE], input=pickle.dumps(g), env=env,
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().split() == ["True", "True", "1"]

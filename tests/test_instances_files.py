@@ -176,3 +176,20 @@ def test_expand_blocked_wirings():
     assert all(g.has_edge("x", f"C#{j}") for j in (1, 2, 3))
     assert inst.lists["x"] == frozenset(("b",))
     assert inst.lists["A#1"] == frozenset(tw.vertices)
+
+
+def test_pin_equals_the_validated_instance():
+    tw = build_two_wrench()
+    pattern = Graph(["u", "v", "w"], [("u", "v"), ("v", "w")])
+    inst = ListedInstance(pattern, {"w": frozenset(("b", "g")), "u": frozenset(("r1",))}, tw.vertices)
+    before = dict(inst.lists)
+    for v in pattern.vertices:
+        for t in sorted(inst.lists[v]):
+            pinned = inst.pin(v, t)
+            assert pinned == ListedInstance(inst.pattern, {**inst.lists, v: {t}}, inst.target_vertices)
+            assert list(pinned.lists) == list(pattern.vertices)
+    assert inst.lists == before  # pinning copies
+    with pytest.raises(ValueError, match="not in the list"):
+        inst.pin("w", "r2")
+    with pytest.raises(ValueError, match="not in the list"):
+        inst.pin("u", "b")
