@@ -14,7 +14,7 @@ from .classifier import induced_j3_embeddings, is_square_free
 from .exact import count_blocked
 from .fixedgraphs import build_hk, j_gadget_parts
 from .graphs import Graph, connected_components, is_connected
-from .homtypes import enumerate_maximal_types, symmetric_partner, type_of_assignment
+from .homtypes import enumerate_maximal_types, j_matchings, symmetric_partner, type_of_assignment
 from .instances import Block, BlockedInstance, Coupling, ListedInstance, expand_blocked
 
 
@@ -25,17 +25,14 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _nearest_positive(x: Fraction) -> int:
-    return max(1, math.floor(x + Fraction(1, 2)))
-
-
 def dirichlet_approx(lambdas, n: int) -> tuple[list[int], int]:
     """Smallest r <= n with positive integers p_i such that
     |r*lambda_i - p_i| <= 1/n^(1/d); returns (p, r).
 
     The search prefers a strictly-smaller-than-bound solution and falls back
-    to the boundary.  Comparisons are exact: |r*lambda - p|^d * n vs 1 over
-    rationals, so no root is ever taken.
+    to the boundary.  Comparisons are exact over integers: with
+    lambda_i = a_i/b_i, |r*a_i - p_i*b_i|^d * n vs b_i^d, so no root is
+    ever taken.
     """
     lams = [_as_fraction(x) for x in lambdas]
     if not lams or any(x <= 0 for x in lams):
@@ -43,27 +40,43 @@ def dirichlet_approx(lambdas, n: int) -> tuple[list[int], int]:
     if n < 1:
         raise ValueError("n must be a positive integer")
     d = len(lams)
+    fracs = [(lam.numerator, lam.denominator, lam.denominator**d) for lam in lams]
     boundary: tuple[list[int], int] | None = None
     for r in range(1, n + 1):
-        ps = [_nearest_positive(r * lam) for lam in lams]
-        errs = [abs(r * lam - p) for lam, p in zip(lams, ps)]
-        scaled = [e**d * n for e in errs]
-        if all(s < 1 for s in scaled):
-            return ps, r
-        if boundary is None and all(s <= 1 for s in scaled):
-            boundary = (ps, r)
+        ps = []
+        strict = True
+        for a, b, bd in fracs:
+            # the nearest positive integer to r*a/b, ties rounded up
+            p = max(1, (2 * r * a + b) // (2 * b))
+            dev = abs(r * a - p * b) ** d * n
+            if dev > bd:
+                break
+            strict = strict and dev < bd
+            ps.append(p)
+        else:
+            if strict:
+                return ps, r
+            if boundary is None:
+                boundary = (ps, r)
     if boundary is not None:
         return boundary
     raise ValueError("no qualifying (p, r) with positive p; lambdas too small for this n")
 
 
 def dirichlet_for_error(lambdas, err_bound: Fraction, r_max: int) -> tuple[list[int], int]:
-    """Smallest r <= r_max with positive p_i and |r*lambda_i - p_i| <= err_bound."""
-    lams = [_as_fraction(x) for x in lambdas]
+    """Smallest r <= r_max with positive p_i and |r*lambda_i - p_i| <= err_bound
+    (over integers: |r*a_i - p_i*b_i| * e_den <= e_num * b_i)."""
     err_bound = _as_fraction(err_bound)
+    e_num, e_den = err_bound.numerator, err_bound.denominator
+    fracs = [(lam.numerator, lam.denominator) for lam in map(_as_fraction, lambdas)]
     for r in range(1, r_max + 1):
-        ps = [_nearest_positive(r * lam) for lam in lams]
-        if all(abs(r * lam - p) <= err_bound for lam, p in zip(lams, ps)):
+        ps = []
+        for a, b in fracs:
+            p = max(1, (2 * r * a + b) // (2 * b))
+            if abs(r * a - p * b) * e_den > e_num * b:
+                break
+            ps.append(p)
+        else:
             return ps, r
     raise ValueError(f"no r <= {r_max} achieves error {err_bound}")
 
@@ -523,11 +536,12 @@ def full_hom_histogram_direct(plan: LargeCutPlan) -> dict[int, int]:
     inst = expand_blocked(plan.blocked)
     hist: dict[int, int] = {}
     edges = plan.base.non_loop_edges()
+    matchings = {v: j_matchings(plan.p, plan.q, plan.t, f"{v}.") for v in plan.base.vertices}
     for hom in enumerate_homs(inst, plan.target):
         side = {}
         full = True
         for v in plan.base.vertices:
-            tv = type_of_assignment(hom, plan.p, plan.q, plan.t, prefix=f"{v}.")
+            tv = type_of_assignment(hom, matchings[v])
             if tv == t4:
                 side[v] = 0
             elif tv == t4s:

@@ -3,9 +3,11 @@ to the target H_k.
 
 The type of a homomorphism is the triple of ordered-pair sets it realizes on
 the three matchings of J (A-B, C-C', B'-A').  Maximal types are derived
-constructively from the four possible C/C' projections, checked for
-maximality by single-pair augmentation, and reported in the canonical
-ten-row order.  N(T) has the closed form
+constructively from the four possible C/C' projections and reported in the
+canonical ten-row order.  Maximality is tested by single-pair augmentation
+on the six projection masks (A, B, C, C', B', A') over the adjacency
+bitmasks of one H_k per census: a pair ORs two bits into the masks, and the
+non-emptiness conditions are integer tests.  N(T) has the closed form
 |surj(pt, |T1|)| * |surj(qt, |T2|)| * |surj(pt, |T3|)| and the crude upper
 bound Nhat(T) = |T1|^pt |T2|^qt |T3|^pt.
 """
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from .exact import enumerate_homs, stirling_surjections
 from .fixedgraphs import build_hk, build_j_blocked, rebind_target
-from .graphs import Graph, common_neighbors, neighbor_union
+from .graphs import Graph, _bits, common_neighbors, neighbor_union
 from .instances import block_vertex_names, expand_blocked
 
 Pair = tuple[str, str]
@@ -57,64 +59,87 @@ def e_pairs(h: Graph, xs, ys) -> frozenset[Pair]:
     return frozenset((x, y) for x in xs for y in ys if h.has_edge(x, y))
 
 
-def _gamma(h: Graph, v: str) -> frozenset[str]:
-    return h.neighbors(v)
+def _index_pairs(hk: Graph, k: int, t: HomType) -> list[set[tuple[int, int]]]:
+    """The three components as vertex-index pairs of H_k; raises ValueError
+    on a pair that is not an edge or names an unknown vertex."""
+    out = []
+    for part in (t.t1, t.t2, t.t3):
+        pairs = set()
+        for x, y in part:
+            i, j = hk.index(x), hk.index(y)
+            if not hk._adj[i] >> j & 1:
+                raise ValueError(f"pair {(x, y)} is not an edge of H_{k}")
+            pairs.add((i, j))
+        out.append(pairs)
+    return out
+
+
+def _projection_masks(parts: list[set[tuple[int, int]]]) -> list[int]:
+    """(A, B, C, C', B', A') as bitmasks over the vertex indices of H_k."""
+    masks = []
+    for pairs in parts:
+        xs = ys = 0
+        for i, j in pairs:
+            xs |= 1 << i
+            ys |= 1 << j
+        masks += (xs, ys)
+    return masks
+
+
+def _joined(adj: tuple[int, ...], xs: int, ys: int) -> bool:
+    """Every vertex of xs adjacent to every vertex of ys."""
+    for i in _bits(xs):
+        if ys & ~adj[i]:
+            return False
+    return True
+
+
+def _masks_nonempty(hk: Graph, a: int, b: int, c: int, cp: int, bp: int, ap: int) -> bool:
+    """The non-emptiness conditions on the projection masks of a type whose
+    components are non-empty: B/C/C'/B' inside Gamma(b), A/A' inside
+    Gamma(g), and the complete joins B-C and B'-C' realized."""
+    adj = hk._adj
+    if (b | c | cp | bp) & ~adj[hk._index["b"]] or (a | ap) & ~adj[hk._index["g"]]:
+        return False
+    return _joined(adj, b, c) and _joined(adj, bp, cp)
 
 
 def is_nonempty_type(t: HomType, k: int) -> bool:
     """Non-emptiness test: non-empty components, B/C/C'/B' inside Gamma(b),
     A/A' inside Gamma(g), and the two complete joins realized."""
     hk = build_hk(k)
-    for part in (t.t1, t.t2, t.t3):
-        for x, y in part:
-            if not hk.has_edge(x, y):
-                raise ValueError(f"pair {(x, y)} is not an edge of H_{k}")
-    if not (t.t1 and t.t2 and t.t3):
+    parts = _index_pairs(hk, k, t)
+    return all(parts) and _masks_nonempty(hk, *_projection_masks(parts))
+
+
+def _is_maximal(hk: Graph, k: int, t: HomType) -> bool:
+    parts = _index_pairs(hk, k, t)
+    if not all(parts):
         return False
-    a, b, c, cp, bp, ap = t.projections()
-    gb = _gamma(hk, "b")
-    gg = _gamma(hk, "g")
-    if not (b | c | cp | bp) <= gb:
+    masks = _projection_masks(parts)
+    if not _masks_nonempty(hk, *masks):
         return False
-    if not (a | ap) <= gg:
-        return False
-    for x in b:
-        for y in c:
-            if not hk.has_edge(x, y):
-                return False
-    for x in bp:
-        for y in cp:
-            if not hk.has_edge(x, y):
+    edges = [(i, j) for i, row in enumerate(hk._adj) for j in _bits(row)]
+    for comp, pairs in enumerate(parts):
+        x, y = 2 * comp, 2 * comp + 1
+        for i, j in edges:
+            if (i, j) in pairs:
+                continue
+            aug = masks.copy()
+            aug[x] |= 1 << i
+            aug[y] |= 1 << j
+            if _masks_nonempty(hk, *aug):
                 return False
     return True
-
-
-def _all_pairs(k: int) -> list[Pair]:
-    hk = build_hk(k)
-    return sorted(
-        (x, y) for x in hk.vertices for y in hk.vertices if hk.has_edge(x, y)
-    )
 
 
 def is_maximal_type(t: HomType, k: int) -> bool:
     """Non-empty, and no single-pair augmentation of any component is
     non-empty.  Single pairs suffice: the non-emptiness conditions are
     inherited by intermediate triples, so any non-empty strict superset
-    yields a non-empty one-pair extension."""
-    if not is_nonempty_type(t, k):
-        return False
-    pairs = _all_pairs(k)
-    parts = (t.t1, t.t2, t.t3)
-    for i in range(3):
-        for pair in pairs:
-            if pair in parts[i]:
-                continue
-            aug = [set(p) for p in parts]
-            aug[i].add(pair)
-            cand = HomType(*(frozenset(p) for p in aug))
-            if is_nonempty_type(cand, k):
-                return False
-    return True
+    yields a non-empty one-pair extension.  A pair only ORs two bits into
+    the projection masks, so each augmentation is tested on integers."""
+    return _is_maximal(build_hk(k), k, t)
 
 
 # menu-index pairs in the canonical ten-row presentation order
@@ -131,18 +156,20 @@ def c_menu() -> list[frozenset[str]]:
     ]
 
 
+def _type_from_c_sets(hk: Graph, c: frozenset[str], cp: frozenset[str]) -> HomType:
+    gb, gg = hk.neighbors("b"), hk.neighbors("g")
+    b = common_neighbors(hk, c) & gb
+    bp = common_neighbors(hk, cp) & gb
+    a = neighbor_union(hk, b) & gg
+    ap = neighbor_union(hk, bp) & gg
+    return HomType(e_pairs(hk, a, b), e_pairs(hk, c, cp), e_pairs(hk, bp, ap))
+
+
 def type_from_c_sets(k: int, c: frozenset[str], cp: frozenset[str]) -> HomType:
     """Derive the full type from the C and C' projections: B/B' are the
     common neighbors inside Gamma(b), A/A' the neighbor unions inside
     Gamma(g), and each component is the full pair set of its projections."""
-    hk = build_hk(k)
-    gb = _gamma(hk, "b")
-    gg = _gamma(hk, "g")
-    b = frozenset(common_neighbors(hk, c)) & gb
-    bp = frozenset(common_neighbors(hk, cp)) & gb
-    a = frozenset(neighbor_union(hk, b)) & gg
-    ap = frozenset(neighbor_union(hk, bp)) & gg
-    return HomType(e_pairs(hk, a, b), e_pairs(hk, c, cp), e_pairs(hk, bp, ap))
+    return _type_from_c_sets(build_hk(k), c, cp)
 
 
 def enumerate_maximal_types(k: int) -> list[tuple[str, HomType]]:
@@ -151,11 +178,12 @@ def enumerate_maximal_types(k: int) -> list[tuple[str, HomType]]:
     Constructive: each C/C' menu pair (i, j) with i <= j is derived and kept
     if maximal; the pair (j, i) derives the symmetric partner of (i, j).
     """
+    hk = build_hk(k)
     menu = c_menu()
     out: list[tuple[str, HomType]] = []
     for i, j in _TABLE_ORDER:
-        t = type_from_c_sets(k, menu[i], menu[j])
-        if is_maximal_type(t, k):
+        t = _type_from_c_sets(hk, menu[i], menu[j])
+        if _is_maximal(hk, k, t):
             out.append((f"T{len(out) + 1}", t))
     return out
 
@@ -189,10 +217,9 @@ def j_matchings(p: int, q: int, tt: int, prefix: str = "") -> tuple[list[tuple[s
     return m1, m2, m3
 
 
-def type_of_assignment(
-    hom: dict[str, str], p: int, q: int, tt: int, prefix: str = ""
-) -> HomType:
-    m1, m2, m3 = j_matchings(p, q, tt, prefix)
+def type_of_assignment(hom: dict[str, str], matchings) -> HomType:
+    """The type `hom` realizes on the matchings given by `j_matchings`."""
+    m1, m2, m3 = matchings
     return HomType(
         frozenset((hom[a], hom[b]) for a, b in m1),
         frozenset((hom[c], hom[cp]) for c, cp in m2),
@@ -214,9 +241,10 @@ def brute_count_by_type(p: int, q: int, tt: int, k: int) -> dict[HomType, int]:
             f"guard is {BRUTE_EXPANSION_GUARD}"
         )
     inst = expand_blocked(blocked)
+    matchings = j_matchings(p, q, tt)
     buckets: dict[HomType, int] = {}
     for hom in enumerate_homs(inst, hk):
-        t = type_of_assignment(hom, p, q, tt)
+        t = type_of_assignment(hom, matchings)
         buckets[t] = buckets.get(t, 0) + 1
     return buckets
 

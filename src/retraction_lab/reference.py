@@ -8,7 +8,10 @@ Two kinds:
     `exact.count_list_hom`: the product over pattern components of sums over
     target components, and inclusion-exclusion for surjective and compaction
     counts.  They share the kernel's list counts but not its coverage state
-    or its component handling.
+    or its component handling;
+  - the type census on sets: non-emptiness and single-pair augmentation of
+    homomorphism types over frozensets of named pairs, independent of the
+    projection masks `homtypes` tests them on.
 Only run these at desk scale: inclusion-exclusion for compactions makes
 2^(|V(H)| + |E(H)|) list counts.
 """
@@ -18,7 +21,9 @@ from itertools import combinations, product
 
 from . import exact
 from .csp import CspInstance
+from .fixedgraphs import build_hk
 from .graphs import DiGraph, Graph, connected_components
+from .homtypes import _TABLE_ORDER, HomType, c_menu, e_pairs
 from .instances import ListedInstance
 
 
@@ -192,3 +197,63 @@ def naive_girth(h: Graph) -> float:
     if not cycles:
         return float("inf")
     return min(len(c) for c in cycles)
+
+
+def is_nonempty_type_sets(t: HomType, k: int) -> bool:
+    """Non-emptiness of a type on sets: every pair an edge of H_k (else
+    ValueError), non-empty components, B/C/C'/B' inside Gamma(b), A/A'
+    inside Gamma(g), and the complete joins B-C and B'-C' realized."""
+    hk = build_hk(k)
+    for part in (t.t1, t.t2, t.t3):
+        for x, y in part:
+            if not hk.has_edge(x, y):
+                raise ValueError(f"pair {(x, y)} is not an edge of H_{k}")
+    if not (t.t1 and t.t2 and t.t3):
+        return False
+    a, b, c, cp, bp, ap = t.projections()
+    if not (b | c | cp | bp) <= hk.neighbors("b"):
+        return False
+    if not (a | ap) <= hk.neighbors("g"):
+        return False
+    return all(hk.has_edge(x, y) for x in b for y in c) and all(
+        hk.has_edge(x, y) for x in bp for y in cp
+    )
+
+
+def is_maximal_type_sets(t: HomType, k: int) -> bool:
+    """Maximality on sets: non-empty, and no type with one more pair in one
+    component is non-empty."""
+    if not is_nonempty_type_sets(t, k):
+        return False
+    hk = build_hk(k)
+    pairs = [(x, y) for x in hk.vertices for y in hk.vertices if hk.has_edge(x, y)]
+    parts = (t.t1, t.t2, t.t3)
+    for i in range(3):
+        for pair in pairs:
+            if pair in parts[i]:
+                continue
+            aug = [set(p) for p in parts]
+            aug[i].add(pair)
+            if is_nonempty_type_sets(HomType(*(frozenset(p) for p in aug)), k):
+                return False
+    return True
+
+
+def maximal_types_sets(k: int) -> list[tuple[str, HomType]]:
+    """The labeled maximal types derived on sets: B/B' the vertices of
+    Gamma(b) adjacent to all of C/C', A/A' the vertices of Gamma(g) adjacent
+    to some vertex of B/B', kept when `is_maximal_type_sets` holds."""
+    hk = build_hk(k)
+    gb, gg = hk.neighbors("b"), hk.neighbors("g")
+    menu = c_menu()
+    out = []
+    for i, j in _TABLE_ORDER:
+        c, cp = menu[i], menu[j]
+        b = frozenset(v for v in gb if all(hk.has_edge(v, x) for x in c))
+        bp = frozenset(v for v in gb if all(hk.has_edge(v, x) for x in cp))
+        a = frozenset(u for u in gg if any(hk.has_edge(u, v) for v in b))
+        ap = frozenset(u for u in gg if any(hk.has_edge(u, v) for v in bp))
+        t = HomType(e_pairs(hk, a, b), e_pairs(hk, c, cp), e_pairs(hk, bp, ap))
+        if is_maximal_type_sets(t, k):
+            out.append((f"T{len(out) + 1}", t))
+    return out

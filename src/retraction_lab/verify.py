@@ -427,7 +427,7 @@ def _check_table1_single(k: int) -> CheckResult:
         want = tuple(4 + k if b is None else b for b in _TABLE_BASES[label])
         if sizes != want:
             return CheckResult("types", name, False, f"{label}: sizes {sizes} != {want}")
-        if not homtypes.is_maximal_type(t, k):
+        if not reference.is_maximal_type_sets(t, k):
             return CheckResult("types", name, False, f"{label} not maximal")
     a1 = dict(rows)["T1"].projections()[0]
     if a1 != frozenset(("b",)) | ys:

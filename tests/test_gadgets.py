@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from retraction_lab import exact, gadgets
 from retraction_lab.fixedgraphs import build_cycle, build_hk, build_jq
@@ -20,6 +22,78 @@ def test_dirichlet_worked_examples():
 def test_dirichlet_needs_positive_p():
     with pytest.raises(ValueError):
         gadgets.dirichlet_approx([Fraction(1, 100)], 4)
+
+
+# the Dirichlet searches as loops over Fractions, the cross-check for the
+# integer comparisons in gadgets
+
+
+def _nearest_positive(x: Fraction) -> int:
+    return max(1, math.floor(x + Fraction(1, 2)))
+
+
+def _fraction_approx(lams, n):
+    if not lams or any(x <= 0 for x in lams):
+        raise ValueError("lambdas must be positive and non-empty")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    d = len(lams)
+    boundary = None
+    for r in range(1, n + 1):
+        ps = [_nearest_positive(r * lam) for lam in lams]
+        scaled = [abs(r * lam - p) ** d * n for lam, p in zip(lams, ps)]
+        if all(s < 1 for s in scaled):
+            return ps, r
+        if boundary is None and all(s <= 1 for s in scaled):
+            boundary = (ps, r)
+    if boundary is not None:
+        return boundary
+    raise ValueError("no qualifying (p, r)")
+
+
+def _fraction_for_error(lams, err_bound, r_max):
+    for r in range(1, r_max + 1):
+        ps = [_nearest_positive(r * lam) for lam in lams]
+        if all(abs(r * lam - p) <= err_bound for lam, p in zip(lams, ps)):
+            return ps, r
+    raise ValueError(f"no r <= {r_max}")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+_lambda = st.fractions(0, 5, max_denominator=10**6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_lambda, min_size=1, max_size=3), st.integers(1, 1000))
+@example([Fraction(1, 2)], 4)  # strict at r = 2
+@example([Fraction(1, 4)], 2)  # only the boundary qualifies (r = 2)
+@example([Fraction(3, 2)], 2)  # boundary at r = 1 before strict at r = 2
+@example([Fraction(3, 2)], 1)  # r * lambda on a half: rounds up to 2
+@example([Fraction(1, 100)], 4)  # no positive p qualifies
+@example([Fraction(1, 2), Fraction(0)], 10)  # non-positive lambda
+@example([Fraction(1, 2)], 0)  # n < 1
+def test_dirichlet_approx_matches_fraction_loop(lams, n):
+    assert _outcome(gadgets.dirichlet_approx, lams, n) == _outcome(_fraction_approx, lams, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(_lambda.filter(bool), min_size=1, max_size=3),
+    st.fractions(0, 1, max_denominator=10**6),
+    st.integers(1, 1000),
+)
+@example([Fraction(1, 2)], Fraction(1, 2), 1)  # error exactly on the bound
+@example([Fraction(1, 2)], Fraction(0), 1)  # no r reaches the error
+@example([Fraction(3, 2)], Fraction(1, 2), 1)  # rounds up to 2
+def test_dirichlet_for_error_matches_fraction_loop(lams, err, r_max):
+    got = _outcome(gadgets.dirichlet_for_error, lams, err, r_max)
+    assert got == _outcome(_fraction_for_error, lams, err, r_max)
 
 
 def test_find_j3_labels():

@@ -1,8 +1,10 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from retraction_lab import homtypes as ht
+from retraction_lab import homtypes as ht, reference
 from retraction_lab.fixedgraphs import build_hk, build_j_blocked, rebind_target
 from retraction_lab.gadgets import choose_pq
 from retraction_lab.instances import expand_blocked
@@ -66,6 +68,61 @@ def test_maximality():
         frozenset({("b", "b")}), frozenset({("b", "b")}), frozenset({("b", "b")})
     )
     assert not ht.is_maximal_type(constant_b, 1)
+
+
+@functools.cache
+def _census_bases(k):
+    hk = build_hk(k)
+    edges = sorted((x, y) for x in hk.vertices for y in hk.neighbors(x))
+    return edges, [t for _, t in reference.maximal_types_sets(k)]
+
+
+@st.composite
+def census_types(draw):
+    """A type over H_1..H_3: per component, a subset of a maximal type's
+    pairs (sometimes all of them) plus at most one random edge pair."""
+    k = draw(st.integers(1, 3))
+    edges, bases = _census_bases(k)
+    base = draw(st.sampled_from(bases))
+    parts = []
+    for part in (base.t1, base.t2, base.t3):
+        keep = part if draw(st.booleans()) else draw(st.sets(st.sampled_from(sorted(part))))
+        extra = draw(st.sets(st.sampled_from(edges), max_size=1))
+        parts.append(frozenset(keep) | extra)
+    return k, ht.HomType(*parts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(census_types())
+def test_mask_census_matches_set_route(case):
+    k, t = case
+    assert ht.is_nonempty_type(t, k) == reference.is_nonempty_type_sets(t, k)
+    assert ht.is_maximal_type(t, k) == reference.is_maximal_type_sets(t, k)
+
+
+def test_census_routes_reject_bad_pairs():
+    t4 = table()["T4"]
+    routes = (
+        ht.is_nonempty_type, ht.is_maximal_type,
+        reference.is_nonempty_type_sets, reference.is_maximal_type_sets,
+    )
+    bad = (
+        ht.HomType(t4.t1 | {("g", "r1")}, t4.t2, t4.t3),  # not an edge of H_1
+        ht.HomType(t4.t1, t4.t2 | {("b", "zz")}, t4.t3),  # unknown vertex
+        ht.HomType(t4.t1, t4.t2, t4.t3 | {("g", "y2")}),  # y2 is only in H_2
+        ht.HomType(frozenset(), frozenset(), frozenset({("g", "r1")})),
+    )
+    for route in routes:
+        for t in bad:
+            with pytest.raises(ValueError):
+                route(t, 1)
+
+
+def test_maximal_types_match_set_route():
+    for k in range(1, 6):
+        got = [(label, t.canonical()) for label, t in ht.enumerate_maximal_types(k)]
+        want = [(label, t.canonical()) for label, t in reference.maximal_types_sets(k)]
+        assert got == want, k
 
 
 def test_symmetry_involution():
