@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import reference
-from ._seeds import nprng, pyrng
+from ._seeds import nprng, pyrng, pyrng_family
 from .exact import count_compaction, count_list_hom, count_surjective, enumerate_homs
 from .graphs import Graph
 from .instances import ListedInstance
@@ -35,13 +35,16 @@ def _instance_key(inst: ListedInstance, target: Graph):
 
 class ExactOracle:
     """Retraction/list-homomorphism counting backed by the exact counter;
-    ignores the precision parameter.  Memoizes by instance."""
+    ignores the precision parameter.  Memoises counts and pinning trees by
+    instance, for as long as the oracle lives; `calls` counts the count
+    queries actually made, so a draw that walks known nodes adds none."""
 
     behavior = "exact"
 
     def __init__(self):
         self.calls = 0
         self._cache: dict = {}
+        self._trees: dict = {}
 
     def count(self, inst: ListedInstance, target: Graph, eps: float | None = None):
         self.calls += 1
@@ -51,13 +54,22 @@ class ExactOracle:
             n = self._cache[key] = count_list_hom(inst, target)
         return n
 
+    def pin_tree(self, inst: ListedInstance, target: Graph) -> "_PinTree":
+        """The pinning tree of (inst, target), built on first use and kept."""
+        key = _instance_key(inst, target)
+        tree = self._trees.get(key)
+        if tree is None:
+            tree = self._trees[key] = _PinTree(self, inst, target, None, keep=True)
+        return tree
+
 
 class NoisyOracle:
     """Exact count with a seeded multiplicative perturbation.
 
     With probability 1 - fail_prob the output is true * e^u for |u| < the
     requested precision (default eps0); with probability fail_prob it is
-    pushed outside the window.  Outputs are exact Fractions.
+    pushed outside the window.  Outputs are exact Fractions.  Call k draws
+    from `pyrng(seed, "noisy-call", k)`.
     """
 
     behavior = "noisy"
@@ -70,6 +82,7 @@ class NoisyOracle:
         self.seed = seed
         self.calls = 0
         self._exact = ExactOracle()
+        self._call_rng = pyrng_family(seed, "noisy-call")
 
     def count(self, inst: ListedInstance, target: Graph, eps: float | None = None):
         self.calls += 1
@@ -77,12 +90,13 @@ class NoisyOracle:
         if true == 0:
             return Fraction(0)
         eps_use = self.eps0 if eps is None else min(eps, self.eps0) if eps > 0 else self.eps0
-        rng = pyrng(self.seed, "noisy-call", self.calls)
+        rng = self._call_rng(self.calls)
         if rng.random() < self.fail_prob:
             u = (1.5 + rng.random()) * eps_use * rng.choice((-1, 1))
         else:
             u = rng.uniform(-eps_use, eps_use) * 0.999
-        return true * Fraction(math.exp(u))
+        num, den = math.exp(u).as_integer_ratio()
+        return Fraction(true * num, den)
 
 
 def powered_count(oracle, inst: ListedInstance, target: Graph, eps: float, delta: float):
@@ -132,6 +146,72 @@ def _draw(rng, acc: list[int]) -> int:
 MAX_RESAMPLES = 100
 
 
+class _PinNode:
+    """A node of a pinning tree: its instance, the prefix sums of its
+    children's counts (built on the first visit), the children drawn so far
+    (None where a child was never drawn), and at a leaf the assignment,
+    stored once it has passed the edge check."""
+
+    __slots__ = ("inst", "acc", "kids", "tau")
+
+    def __init__(self, inst: ListedInstance):
+        self.inst = inst
+        self.acc = None
+        self.kids = None
+        self.tau = None
+
+
+class _PinTree:
+    """Self-reducible sampling of one instance: depth d pins the d-th
+    multi-valued vertex, each value weighted by its oracle count.
+
+    With keep=True (an ExactOracle's tree) the nodes persist across draws,
+    so a draw asks the oracle only at nodes it visits for the first time.
+    Otherwise every attempt starts from a fresh root, which makes exactly
+    the calls of the plain walk, in the same order."""
+
+    __slots__ = ("target", "eps", "keep", "choices", "edges", "root")
+
+    def __init__(self, oracle, inst: ListedInstance, target: Graph, eps, keep: bool):
+        if oracle.count(inst, target, eps) <= 0:
+            raise ValueError("instance has no homomorphisms (oracle count is zero)")
+        self.target = target
+        self.eps = eps
+        self.keep = keep
+        self.choices = [(v, sorted(sv)) for v, sv in inst.lists.items() if len(sv) > 1]
+        self.edges = inst.pattern.non_loop_edges()
+        self.root = _PinNode(inst)
+
+    def draw(self, oracle, rng) -> _PinNode:
+        """A leaf whose assignment is a homomorphism, drawn by walking from
+        the root; raises ValueError after MAX_RESAMPLES failed attempts."""
+        target, eps = self.target, self.eps
+        for _ in range(MAX_RESAMPLES):
+            node = self.root if self.keep else _PinNode(self.root.inst)
+            for v, values in self.choices:
+                pins = None
+                if node.acc is None:
+                    pins = [node.inst.pin(v, s) for s in values]
+                    node.acc = _prefix_sums([oracle.count(p, target, eps) for p in pins])
+                    node.kids = [None] * len(values)
+                if node.acc[-1] <= 0:
+                    break  # a dead end: resample
+                i = _draw(rng, node.acc)
+                kid = node.kids[i]
+                if kid is None:
+                    # the undrawn pins are not kept; a later draw pins again
+                    kid = node.kids[i] = _PinNode(pins[i] if pins else node.inst.pin(v, values[i]))
+                node = kid
+            else:
+                if node.tau is None:
+                    tau = {v: next(iter(sv)) for v, sv in node.inst.lists.items()}
+                    if not all(target.has_edge(tau[u], tau[v]) for u, v in self.edges):
+                        continue
+                    node.tau = tau
+                return node
+        raise ValueError(f"no homomorphism found after {MAX_RESAMPLES} resamples")
+
+
 def sample_hom(
     oracle,
     inst: ListedInstance,
@@ -142,36 +222,30 @@ def sample_hom(
 ):
     """One homomorphism of (G, S), sampled by sequentially pinning each
     multi-valued vertex with probability proportional to oracle counts.
+    Draws from `rng`, or from a stream derived from `seed` (default 0);
+    giving both raises ValueError.  Returns a new dict.
 
     With an exact oracle the output is exactly uniform.  The fully pinned
     candidate is verified to be a homomorphism and resampled on failure
     (rejection correction for noisy oracles).
 
-    A draw costs one oracle call per (multi-valued vertex, value) plus one
-    `randrange` per vertex; the pinned sub-instances are copied without
-    re-validation, and the vertex order and sorted values are fixed once
-    per call.
+    A draw costs one `randrange` per multi-valued vertex.  With an
+    ExactOracle it walks the oracle's pinning tree of the instance, so it
+    asks the oracle only at nodes no earlier draw reached: a node's first
+    visit asks once per value of its vertex and pins each, and later draws
+    reuse the node's prefix sums.  Any other oracle is asked once for the
+    instance per call and once per (multi-valued vertex, value) per attempt,
+    since its answers may vary from call to call.
     """
+    if rng is not None and seed is not None:
+        raise ValueError("give sample_hom a seed or an rng, not both")
     if rng is None:
         rng = pyrng(seed if seed is not None else 0, "sample-hom")
-    total = oracle.count(inst, target, eps)
-    if total <= 0:
-        raise ValueError("instance has no homomorphisms (oracle count is zero)")
-    choices = [(v, sorted(sv)) for v, sv in inst.lists.items() if len(sv) > 1]
-    edges = inst.pattern.non_loop_edges()
-    for _ in range(MAX_RESAMPLES):
-        cur = inst
-        for v, values in choices:
-            pins = [cur.pin(v, s) for s in values]
-            acc = _prefix_sums([oracle.count(p, target, eps) for p in pins])
-            if acc[-1] <= 0:
-                break  # a dead end: resample
-            cur = pins[_draw(rng, acc)]
-        else:
-            tau = {v: next(iter(sv)) for v, sv in cur.lists.items()}
-            if all(target.has_edge(tau[u], tau[v]) for u, v in edges):
-                return tau
-    raise ValueError(f"no homomorphism found after {MAX_RESAMPLES} resamples")
+    if type(oracle) is ExactOracle:
+        tree = oracle.pin_tree(inst, target)
+    else:
+        tree = _PinTree(oracle, inst, target, eps, keep=False)
+    return dict(tree.draw(oracle, rng).tau)
 
 
 # -- the coverage estimator ---------------------------------------------------
@@ -240,6 +314,11 @@ class CoverageRun:
     sampler: str
 
 
+def _first_occurrence(ts, i: int, sigma: dict) -> bool:
+    """Whether sigma, drawn in branch i, extends no earlier witness."""
+    return not any(all(sigma[u] == tau[u] for u in us) for us, tau in ts[:i])
+
+
 # perfbench/trace.py wraps this name as the table layer of the `estimate`
 # workload; nothing else calls it, and it can go once that layer is dropped
 def coverage_tables(inst: ListedInstance, target: Graph, mode: str):
@@ -277,7 +356,11 @@ def coverage_mc(
     Omega, and x_total is one Binomial(m, |union| / Omega) draw (Karp, Luby
     and Madras).  |union| is the exact surjective (sur) or compaction (comp)
     count, one call per run.  force_jvv runs the literal per-sample walk
-    instead, which is also what noisy oracles get.  Raises ValueError if an
+    instead, which is also what noisy oracles get.  With an ExactOracle that
+    walk draws from the oracle's pinning trees (see `sample_hom`): it looks
+    up each witness's tree once per run and decides the first-occurrence
+    verdict once per (witness index, leaf); other oracles get one
+    `sample_hom` call per draw.  Raises ValueError if an
     oracle that claims to be exact, other than ExactOracle itself, gives some
     omega_i other than the exact list count of its pinned instance.
     """
@@ -318,19 +401,28 @@ def coverage_mc(
         rng = pyrng(seed, "coverage-jvv", mode)
         sample_eps = eps1 / (2 * len(target.vertices) ** len(inst.pattern.vertices))
         acc = _prefix_sums(omegas)
-        x_total = 0
-        for j in range(m):
-            i = _draw(rng, acc)
-            sigma = sample_hom(
-                oracle, pinned[i], target, sample_eps, rng=rng
-            )
-            hit = True
-            for k in range(i):
-                us, tau = ts[k]
-                if all(sigma[u] == tau[u] for u in us):
-                    hit = False
-                    break
-            x_total += 1 if hit else 0
+        if type(oracle) is ExactOracle:
+            # per-run state: each witness's tree is looked up on its first draw,
+            # and the verdict of a (witness index, leaf) is decided once; two
+            # witnesses may pin to the same instance, hence the same leaves
+            trees: dict = {}
+            verdicts: dict = {}
+
+            def hit(i):
+                tree = trees.get(i)
+                if tree is None:
+                    tree = trees[i] = oracle.pin_tree(pinned[i], target)
+                leaf = tree.draw(oracle, rng)
+                verdict = verdicts.get((i, leaf))
+                if verdict is None:
+                    verdict = verdicts[i, leaf] = _first_occurrence(ts, i, leaf.tau)
+                return verdict
+        else:
+
+            def hit(i):
+                return _first_occurrence(ts, i, sample_hom(oracle, pinned[i], target, sample_eps, rng=rng))
+
+        x_total = sum(hit(_draw(rng, acc)) for _ in range(m))
         sampler = "jvv"
     y = Fraction(omega) * x_total / m
     return CoverageRun(mode, t, tuple(omegas), omega, m, x_total, y, seed, eps, delta, sampler)

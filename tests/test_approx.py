@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from retraction_lab import approx, exact, reference, verify
-from retraction_lab._seeds import pyrng
-from retraction_lab.fixedgraphs import build_cycle, build_jq, build_path, build_two_wrench
+from retraction_lab._seeds import pyrng, pyrng_family
+from retraction_lab.fixedgraphs import build_cycle, build_hk, build_jq, build_path, build_two_wrench
 from retraction_lab.graphs import Graph
 from retraction_lab.instances import ListedInstance
 
@@ -386,3 +386,125 @@ def test_draw_rejects_vanishing_weights():
     for weights in ([], [0], [0, Fraction(0)]):
         with pytest.raises(ValueError, match="all weights vanish"):
             approx._draw(random.Random(0), approx._prefix_sums(weights))
+
+
+class _FreshRootExact:
+    """Exact counts from an oracle that is not an ExactOracle, so sample_hom
+    walks a fresh pinning root on every attempt, as the plain walk does."""
+
+    behavior = "exact"
+
+    def __init__(self):
+        self._memo = {}
+
+    def count(self, inst, target, eps=None):
+        key = approx._instance_key(inst, target)
+        if key not in self._memo:
+            self._memo[key] = exact.count_list_hom(inst, target)
+        return self._memo[key]
+
+
+def _owned_draws(oracle, inst, target, rng, n):
+    """n draws as strings; each returned dict is then cleared, since the
+    caller owns it and a later draw must not see the change."""
+    out = []
+    for _ in range(n):
+        tau = approx.sample_hom(oracle, inst, target, 0.05, rng=rng)
+        out.append(" ".join(tau[v] for v in inst.pattern.vertices))
+        tau.clear()
+    return out
+
+
+def _random_lists(r, g, target, retraction):
+    tv = target.vertices
+    if retraction:
+        return {v: frozenset((r.choice(tv),)) for v in g.vertices if r.random() < 0.3}
+    return {v: frozenset(r.sample(tv, r.randint(1, len(tv)))) for v in g.vertices}
+
+
+def test_pinning_tree_matches_fresh_root_walk():
+    tw, j3, h1 = build_two_wrench(), build_jq(3), build_hk(1)
+    tree7 = Graph("abcdefg", [("a", "b"), ("b", "c"), ("b", "d"), ("d", "e"), ("e", "f"), ("e", "g")])
+    shapes = [(build_path(3), tw), (build_path(5), tw), (build_cycle(6), j3), (tree7, h1)]
+    for k, (g, target) in enumerate(shapes):
+        inst = ListedInstance.full(g, target)
+        a = _owned_draws(approx.ExactOracle(), inst, target, pyrng("tree-vs-fresh", k), 60)
+        b = _owned_draws(_FreshRootExact(), inst, target, pyrng("tree-vs-fresh", k), 60)
+        assert a == b, (k, g.vertices)
+    # random and one-or-all lists on one pattern, all through one ExactOracle,
+    # with some values of zero weight
+    r = random.Random(7)
+    g = build_path(5)
+    oracle, zero_branches, checked = approx.ExactOracle(), 0, 0
+    for k in range(40):
+        inst = ListedInstance(g, _random_lists(r, g, tw, retraction=k % 2 == 1), tw.vertices)
+        if exact.count_list_hom(inst, tw) == 0:
+            with pytest.raises(ValueError, match="no homomorphisms"):
+                approx.sample_hom(oracle, inst, tw, 0.05, rng=pyrng("lists", k))
+            continue
+        a = _owned_draws(oracle, inst, tw, pyrng("lists", k), 30)
+        assert a == _owned_draws(_FreshRootExact(), inst, tw, pyrng("lists", k), 30), k
+        tree = oracle.pin_tree(inst, tw)
+        zero_branches += sum(
+            x == y for x, y in zip([0] + tree.root.acc, tree.root.acc)
+        )
+        checked += 1
+    assert checked >= 20 and zero_branches > 0
+    # the literal walk: overlapping witnesses on P4 -> K2
+    inst = ListedInstance.full(build_path(4), K2)
+    for mode in ("sur", "comp"):
+        runs = [
+            approx.coverage_mc(inst, K2, mode, 0.95, 0.9, oracle, 8, force_jvv=True)
+            for oracle in (approx.ExactOracle(), _FreshRootExact())
+        ]
+        assert (runs[0].m, runs[0].x_total, runs[0].y) == (runs[1].m, runs[1].x_total, runs[1].y), mode
+    # witnesses ({x, y}, x->a y->b) and ({y, z}, y->b z->a) pin to the same
+    # instance, so they share the tree's leaves while their draws get
+    # different verdicts
+    g = Graph(["x", "y", "z", "w"], [("x", "y"), ("y", "z"), ("z", "w")])
+    inst = ListedInstance(g, {"x": frozenset("a"), "z": frozenset("a")}, K2.vertices)
+    ts = approx.enumerate_T(inst, K2, "sur")
+    pinned = [inst.pin(us[0], tau[us[0]]).pin(us[1], tau[us[1]]) for us, tau in ts]
+    assert pinned[ts.index((("x", "y"), {"x": "a", "y": "b"}))] == pinned[
+        ts.index((("y", "z"), {"y": "b", "z": "a"}))
+    ]
+    runs = [
+        approx.coverage_mc(inst, K2, "sur", 0.9, 0.5, oracle, 11, force_jvv=True)
+        for oracle in (approx.ExactOracle(), _FreshRootExact())
+    ]
+    assert (runs[0].x_total, runs[0].y) == (runs[1].x_total, runs[1].y)
+
+
+def test_exact_sampler_work_does_not_grow_with_draws(monkeypatch):
+    counted = []
+
+    def counting(inst, target):
+        counted.append(1)
+        return exact.count_list_hom(inst, target)
+
+    monkeypatch.setattr(approx, "count_list_hom", counting)
+    tw = build_two_wrench()
+    inst = ListedInstance.full(build_path(3), tw)
+    oracle, rng = approx.ExactOracle(), pyrng("work")
+    calls = []
+    for n in (200, 1800):
+        for _ in range(n):
+            approx.sample_hom(oracle, inst, tw, 0.05, rng=rng)
+        calls.append(oracle.calls)
+    assert calls[0] == calls[1]
+    # one count per distinct instance met, as in the per-draw walk
+    assert len(counted) == len(oracle._cache) == 57
+
+
+def test_noisy_call_streams_match_pyrng():
+    for seed in (0, 3, 17):
+        family = pyrng_family(seed, "noisy-call")
+        for k in range(1, 1001):
+            assert family(k).getstate() == pyrng(seed, "noisy-call", k).getstate(), (seed, k)
+    assert pyrng_family()(5).getstate() == pyrng(5).getstate()
+
+
+def test_sample_hom_rejects_seed_with_rng():
+    inst = ListedInstance.full(K2, K2)
+    with pytest.raises(ValueError, match="not both"):
+        approx.sample_hom(approx.ExactOracle(), inst, K2, 0.1, rng=pyrng("x"), seed=3)
