@@ -8,7 +8,7 @@ accounting is exact, so the estimator recovers the cut count exactly.
 """
 from fractions import Fraction
 
-from retraction_lab import Graph, count_blocked
+from retraction_lab import ExactOracle, Graph, count_blocked
 from retraction_lab.fixedgraphs import build_jq
 from retraction_lab.gadgets import (
     build_cut_instance,
@@ -16,7 +16,6 @@ from retraction_lab.gadgets import (
     cut_accounting,
     dirichlet_approx,
     estimate_multiterminal_cuts,
-    exact_blocked_oracle,
 )
 
 # Dirichlet's lemma in action: approximate 1/2 and 3/2 by p/r with r <= N.
@@ -43,7 +42,7 @@ acc = cut_accounting(plan)
 print("window check: T <= Z/Z* <= T + 1/4:",
       acc.t_count, "<=", Fraction(acc.z_value, plan.zstar), "<=", acc.t_count + Fraction(1, 4))
 
-est = estimate_multiterminal_cuts(plan, exact_blocked_oracle, epsilon=0.2)
+est = estimate_multiterminal_cuts(plan, ExactOracle().count, epsilon=0.2)
 print("estimator returns:", est, "(bruteforce:", t_true, ")")
 
 print("\nper-cut accounting:")

@@ -3,8 +3,10 @@ self-partitioning, the coverage estimator for surjective homomorphisms and
 compactions, and the padding translation from plain list-homomorphism
 counting.
 
-Counts flowing through oracles are exact integers (exact oracle) or exact
-rationals (noisy oracle); the estimator's output Y is an exact rational.
+An oracle is an `ExactOracle` or a `NoisyOracle`; both count listed and
+blocked instances, and only an `ExactOracle` is treated as exact.  Its counts
+are exact integers, a noisy oracle's exact rationals; the estimator's output
+Y is an exact rational.
 """
 from __future__ import annotations
 
@@ -16,9 +18,9 @@ from itertools import combinations, permutations
 
 from . import reference
 from ._seeds import nprng, pyrng, pyrng_family
-from .exact import count_compaction, count_list_hom, count_surjective, enumerate_homs
+from .exact import count_blocked, count_compaction, count_list_hom, count_surjective, enumerate_homs
 from .graphs import Graph
-from .instances import ListedInstance
+from .instances import BlockedInstance, ListedInstance
 
 POWERING_TRIALS_PER_LOG = 72  # Chernoff: median of 8 ln(1/delta) quarter-fail
 # trials already suffices; 72 is comfortable
@@ -34,24 +36,26 @@ def _instance_key(inst: ListedInstance, target: Graph):
 
 
 class ExactOracle:
-    """Retraction/list-homomorphism counting backed by the exact counter;
-    ignores the precision parameter.  Memoises counts and pinning trees by
-    instance, for as long as the oracle lives; `calls` counts the count
-    queries actually made, so a draw that walks known nodes adds none."""
-
-    behavior = "exact"
+    """Retraction/list-homomorphism counting backed by the exact counter:
+    `count_list_hom` for a ListedInstance, `count_blocked` for a
+    BlockedInstance; ignores the precision parameter.  Memoises counts and
+    pinning trees by instance, for as long as the oracle lives; `calls`
+    counts the count queries actually made, so a draw that walks known nodes
+    adds none."""
 
     def __init__(self):
         self.calls = 0
         self._cache: dict = {}
         self._trees: dict = {}
 
-    def count(self, inst: ListedInstance, target: Graph, eps: float | None = None):
+    def count(self, inst: ListedInstance | BlockedInstance, target: Graph, eps: float | None = None):
         self.calls += 1
-        key = _instance_key(inst, target)
+        blocked = type(inst) is BlockedInstance
+        # a BlockedInstance is a frozen dataclass, so it is its own key
+        key = (inst, target) if blocked else _instance_key(inst, target)
         n = self._cache.get(key)
         if n is None:
-            n = self._cache[key] = count_list_hom(inst, target)
+            n = self._cache[key] = (count_blocked if blocked else count_list_hom)(inst, target)
         return n
 
     def pin_tree(self, inst: ListedInstance, target: Graph) -> "_PinTree":
@@ -64,15 +68,13 @@ class ExactOracle:
 
 
 class NoisyOracle:
-    """Exact count with a seeded multiplicative perturbation.
+    """An ExactOracle's count with a seeded multiplicative perturbation.
 
     With probability 1 - fail_prob the output is true * e^u for |u| < the
     requested precision (default eps0); with probability fail_prob it is
     pushed outside the window.  Outputs are exact Fractions.  Call k draws
     from `pyrng(seed, "noisy-call", k)`.
     """
-
-    behavior = "noisy"
 
     def __init__(self, eps0: float, fail_prob: float, seed: int):
         if not 0 < eps0 < 1 or not 0 <= fail_prob < 1:
@@ -84,7 +86,7 @@ class NoisyOracle:
         self._exact = ExactOracle()
         self._call_rng = pyrng_family(seed, "noisy-call")
 
-    def count(self, inst: ListedInstance, target: Graph, eps: float | None = None):
+    def count(self, inst: ListedInstance | BlockedInstance, target: Graph, eps: float | None = None):
         self.calls += 1
         true = self._exact.count(inst, target)
         if true == 0:
@@ -101,11 +103,11 @@ class NoisyOracle:
 
 def powered_count(oracle, inst: ListedInstance, target: Graph, eps: float, delta: float):
     """Boost a quarter-failure oracle to failure probability delta by taking
-    the median of independent calls at precision eps.  An exact oracle is
+    the median of independent calls at precision eps.  An ExactOracle is
     asked once."""
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise ValueError("eps and delta must lie in (0, 1)")
-    if delta >= 0.25 or getattr(oracle, "behavior", "") == "exact":
+    if delta >= 0.25 or type(oracle) is ExactOracle:
         # a deterministic oracle's median of identical answers is its one answer
         return oracle.count(inst, target, eps)
     m = math.ceil(POWERING_TRIALS_PER_LOG * math.log(1 / delta))
@@ -349,20 +351,18 @@ def coverage_mc(
     the branches by powered oracle counts, sample m homomorphisms from the
     weighted disjoint union and count first-occurrence hits.
 
-    With an exact oracle the per-sample JVV walk collapses: a sample lands in
+    With an ExactOracle the per-sample JVV walk collapses: a sample lands in
     branch i with probability omega_i / Omega, is uniform there, and is a
     first-occurrence hit with probability phat_i.  So the m samples hit
     independently with probability sum_i omega_i phat_i / Omega = |union| /
     Omega, and x_total is one Binomial(m, |union| / Omega) draw (Karp, Luby
     and Madras).  |union| is the exact surjective (sur) or compaction (comp)
     count, one call per run.  force_jvv runs the literal per-sample walk
-    instead, which is also what noisy oracles get.  With an ExactOracle that
-    walk draws from the oracle's pinning trees (see `sample_hom`): it looks
-    up each witness's tree once per run and decides the first-occurrence
-    verdict once per (witness index, leaf); other oracles get one
-    `sample_hom` call per draw.  Raises ValueError if an
-    oracle that claims to be exact, other than ExactOracle itself, gives some
-    omega_i other than the exact list count of its pinned instance.
+    instead, which is also what every oracle other than an ExactOracle
+    gets.  With an ExactOracle that walk draws from the oracle's pinning
+    trees (see `sample_hom`): it looks up each witness's tree once per run
+    and decides the first-occurrence verdict once per (witness index, leaf);
+    other oracles get one `sample_hom` call per draw.
     """
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -382,17 +382,9 @@ def coverage_mc(
     if omega <= 0:
         return CoverageRun(mode, t, tuple(omegas), omega, m, 0, Fraction(0), seed, eps, delta, "none")
 
-    if getattr(oracle, "behavior", "") == "exact" and not force_jvv:
-        # the binomial's success probability is only right for exact weights;
-        # an ExactOracle answers with the very count this would compare against
-        if type(oracle) is not ExactOracle:
-            for i, (w, pi) in enumerate(zip(omegas, pinned)):
-                want = count_list_hom(pi, target)
-                if w != want:
-                    raise ValueError(
-                        f"exact oracle disagrees with the exact counter at witness {i} "
-                        f"of {t}: oracle count {w}, exact count {want}"
-                    )
+    if type(oracle) is ExactOracle and not force_jvv:
+        # the binomial's success probability is only right for exact weights,
+        # which an ExactOracle's omegas are by construction
         union = count_surjective(inst, target) if mode == "sur" else count_compaction(inst, target)
         rng = nprng(seed, "coverage", mode)
         x_total = int(rng.binomial(m, union / float(omega)))

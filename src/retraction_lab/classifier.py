@@ -348,14 +348,17 @@ def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
     return out
 
 
-def check_kelk_condition(h: Graph, bound: int = 12) -> bool:
+KELK_BOUND = 12  # check_kelk_condition walks every vertex subset
+
+
+def check_kelk_condition(h: Graph) -> bool:
     """The biclique-pair condition: F(H) is a proper non-empty subset of
     V(H) and every cross-complete pair (S, T) has S = F, T = F or
     |S||T| < |F||V|.
     """
     n = len(h)
-    if n > bound:
-        raise ValueError(f"check_kelk_condition is exponential; {n} > bound {bound}")
+    if n > KELK_BOUND:
+        raise ValueError(f"check_kelk_condition is exponential; {n} > bound {KELK_BOUND}")
     full = (1 << n) - 1
     adj = [h._adj[i] for i in range(n)]
     fmask = 0

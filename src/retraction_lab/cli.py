@@ -98,19 +98,18 @@ def _cmd_count(args) -> int:
     return 0
 
 
+ORACLE_HELP = "exact, or noisy:<eps0>,<delta0>[,<seed>] (seed 0 by default)"
+
+
 def _make_oracle(spec: str):
+    """The oracle of an --oracle spec, for both `approx` and `estimate cuts`."""
     if spec == "exact":
         return approx.ExactOracle()
-    if spec.startswith("noisy:"):
-        parts = spec.split(":", 1)[1].split(",")
-        if len(parts) == 3:
-            eps0, delta0, seed = float(parts[0]), float(parts[1]), int(parts[2])
-        elif len(parts) == 2:
-            eps0, delta0, seed = float(parts[0]), float(parts[1]), 0
-        else:
-            raise ValueError("noisy oracle spec: noisy:<eps0>,<delta0>[,<seed>]")
-        return approx.NoisyOracle(eps0, delta0, seed)
-    raise ValueError(f"unknown oracle {spec!r}")
+    parts = spec.removeprefix("noisy:").split(",") if spec.startswith("noisy:") else []
+    if len(parts) not in (2, 3):
+        raise ValueError(f"unknown oracle {spec!r}; use {ORACLE_HELP}")
+    seed = int(parts[2]) if len(parts) == 3 else 0
+    return approx.NoisyOracle(float(parts[0]), float(parts[1]), seed)
 
 
 def _cmd_approx(args) -> int:
@@ -199,24 +198,14 @@ def _cmd_gadget(args) -> int:
 
 def _cmd_estimate(args) -> int:
     if args.what == "cuts":
+        oracle = _make_oracle(args.oracle)
         g = files.load_graph(args.base)
         h = files.load_graph(args.target)
         plan = gadgets.build_cut_instance(
             g, args.alpha, args.beta, args.gamma, args.budget, h,
             delta_prime=Fraction(args.delta_prime).limit_denominator(10**9),
         )
-        if args.oracle in ("exact", "exact-blocked"):
-            oracle = gadgets.exact_blocked_oracle
-        elif args.oracle.startswith("noisy:"):
-            parts = args.oracle.split(":", 1)[1].split(",")
-            eps0 = float(parts[0])
-            seed = int(parts[1]) if len(parts) > 1 else 0
-            oracle = gadgets.noisy_blocked_oracle(eps0, seed)
-        else:
-            raise ValueError(
-                "cut estimation supports --oracle exact|exact-blocked|noisy:<eps0>[,<seed>]"
-            )
-        est = gadgets.estimate_multiterminal_cuts(plan, oracle, args.epsilon)
+        est = gadgets.estimate_multiterminal_cuts(plan, oracle.count, args.epsilon)
         brute = None
         if len(g.non_loop_edges()) <= 20:
             brute = gadgets.count_multiterminal_cuts_bruteforce(
@@ -246,12 +235,12 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_csp(args) -> int:
     if args.action == "count":
-        inst = files.parse_csp(open(args.csp, encoding="utf-8").read())
+        inst = files.load_csp(args.csp)
         _emit(args, {"count": _json_count(csp.count_csp(inst))})
         return 0
     if args.action == "build-graph":
-        iv = files.parse_csp(open(args.iv, encoding="utf-8").read())
-        ie = files.parse_csp(open(args.ie, encoding="utf-8").read())
+        iv = files.load_csp(args.iv)
+        ie = files.load_csp(args.ie)
         g = csp.build_graph_from_csp(iv, ie)
         sys.stdout.write(files.serialize_graph(g))
         return 0
@@ -265,8 +254,8 @@ def _cmd_csp(args) -> int:
             inst, _target = files.parse_instance(
                 fh.read(), os.path.dirname(os.path.abspath(args.instance))
             )
-        iv = files.parse_csp(open(args.iv, encoding="utf-8").read())
-        ie = files.parse_csp(open(args.ie, encoding="utf-8").read())
+        iv = files.load_csp(args.iv)
+        ie = files.load_csp(args.ie)
         out = csp.translate_ret_to_csp(inst, iv, ie)
         sys.stdout.write(files.serialize_csp(out))
         return 0
@@ -363,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle", default="exact")
+    p.add_argument("--oracle", default="exact", help=ORACLE_HELP)
     p.set_defaults(fn=_cmd_approx)
 
     p = sub.add_parser("gadget", help="gadget builders")
@@ -411,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("-B", "--budget", type=int, required=True)
     e.add_argument("--delta-prime", type=float, default=0.02)
     e.add_argument("--epsilon", type=float, default=0.2)
-    e.add_argument("--oracle", default="exact-blocked")
+    e.add_argument("--oracle", default="exact", help=ORACLE_HELP)
     e = esub.add_parser("largecut")
     e.add_argument("-G", "--base", required=True)
     e.add_argument("-K", type=int, required=True)

@@ -64,12 +64,12 @@ _IMP_OUT = (0b11, 0b10)
 _IMP_IN = (0b01, 0b11)
 
 
-def _imp_search(inst: CspInstance, bound: int) -> _Search:
+def _imp_search(inst: CspInstance) -> _Search:
     """The instance as list homomorphisms into the digraph 0->0, 0->1, 1->1:
     one pattern arc x -> y per Imp(x, y) with x != y (Imp(x, x) always
     holds), a pinned variable's list is its one value."""
-    if len(inst.variables) > bound:
-        raise ValueError(f"instance has {len(inst.variables)} > {bound} variables")
+    if len(inst.variables) > CSP_ENUM_BOUND:
+        raise ValueError(f"instance has {len(inst.variables)} > {CSP_ENUM_BOUND} variables")
     index = {x: i for i, x in enumerate(inst.variables)}
     out = [0] * len(index)
     inn = [0] * len(index)
@@ -83,14 +83,14 @@ def _imp_search(inst: CspInstance, bound: int) -> _Search:
     return _Search(out, inn, doms, _IMP_OUT, _IMP_IN)
 
 
-def satisfying_assignments(inst: CspInstance, bound: int = CSP_ENUM_BOUND) -> list[tuple[int, ...]]:
+def satisfying_assignments(inst: CspInstance) -> list[tuple[int, ...]]:
     """All satisfying assignments in variable order, lexicographic."""
-    return sorted(_imp_search(inst, bound).assignments())
+    return sorted(_imp_search(inst).assignments())
 
 
-def count_csp(inst: CspInstance, bound: int = CSP_ENUM_BOUND) -> int:
+def count_csp(inst: CspInstance) -> int:
     """Number of satisfying assignments."""
-    return _imp_search(inst, bound).count()
+    return _imp_search(inst).count()
 
 
 def _bitstring(assign: tuple[int, ...]) -> str:

@@ -427,7 +427,7 @@ def count(inst: ListedInstance, target: Graph, mode: str) -> int:
 EXPANSION_GUARD = 10_000
 
 
-def count_blocked(b: BlockedInstance, target: Graph, guard: int = EXPANSION_GUARD) -> int:
+def count_blocked(b: BlockedInstance, target: Graph) -> int:
     """Count list homomorphisms of the expansion without building it when the
     block structure allows.
 
@@ -440,16 +440,17 @@ def count_blocked(b: BlockedInstance, target: Graph, guard: int = EXPANSION_GUAR
     |list|^multiplicity.  This covers the multiterminal-cut gadgets at
     astronomically large multiplicities.
 
-    Coupled multi-blocks fall back to expansion (guarded).
+    Coupled multi-blocks fall back to expansion, up to EXPANSION_GUARD
+    vertices.
     """
     if tuple(sorted(b.target_vertices)) != target.vertices:
         raise ValueError("blocked instance is over a different target vertex set")
     multi = {blk.name for blk in b.blocks if blk.multiplicity > 1}
     if any(c.a in multi and c.b in multi for c in b.couplings):
-        if b.expansion_size() > guard:
+        if b.expansion_size() > EXPANSION_GUARD:
             raise ValueError(
                 "blocked instance couples multi-blocks to each other and its "
-                f"expansion exceeds the guard ({b.expansion_size()} > {guard})"
+                f"expansion exceeds the guard ({b.expansion_size()} > {EXPANSION_GUARD})"
             )
         return count_list_hom(expand_blocked(b), target)
 

@@ -103,6 +103,11 @@ def load_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
+def load_csp(path: str) -> CspInstance:
+    with open(path, encoding="utf-8") as fh:
+        return parse_csp(fh.read())
+
+
 def parse_instance(text: str, base_dir: str = ".") -> tuple[ListedInstance, Graph]:
     """Parse an instance file; the referenced target graph is loaded from
     disk relative to base_dir.  Returns (instance, target)."""

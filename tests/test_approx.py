@@ -127,16 +127,23 @@ def test_seeded_exact_oracle_runs_are_pinned():
                 assert (run.x_total, run.y) == (xs[seed], Fraction(ys[seed])), (gname, tname, mode, seed)
 
 
-def test_coverage_rejects_exact_oracle_that_disagrees_with_tables():
-    class WrongExact:
-        behavior = "exact"
+def test_only_an_exact_oracle_gets_the_exact_shortcuts():
+    class ClaimsExact:
+        behavior = "exact"  # exactness is the type, so this claim is not read
+
+        def __init__(self):
+            self.calls = 0
 
         def count(self, inst, target, eps=None):
+            self.calls += 1
             return exact.count_list_hom(inst, target) + 1
 
-    inst = ListedInstance.full(build_path(4), K2)
-    with pytest.raises(ValueError, match="disagrees with the exact counter at witness 0"):
-        approx.coverage_mc(inst, K2, "sur", 0.2, 0.1, WrongExact(), seed=0)
+    inst = ListedInstance.full(K2, K2)
+    run = approx.coverage_mc(inst, K2, "sur", 0.9, 0.9, ClaimsExact(), seed=0)
+    assert run.sampler == "jvv" and run.omegas == (2, 2)
+    stub = ClaimsExact()
+    assert approx.powered_count(stub, inst, K2, 0.1, 0.2) == 3
+    assert stub.calls > 1
 
 
 def test_closed_form_expectation():
@@ -391,8 +398,6 @@ def test_draw_rejects_vanishing_weights():
 class _FreshRootExact:
     """Exact counts from an oracle that is not an ExactOracle, so sample_hom
     walks a fresh pinning root on every attempt, as the plain walk does."""
-
-    behavior = "exact"
 
     def __init__(self):
         self._memo = {}

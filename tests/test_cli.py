@@ -1,9 +1,12 @@
+import gc
 import json
 import os
+import sys
+import warnings
 
 import pytest
 
-from retraction_lab import cli, files
+from retraction_lab import cli, csp, files
 from retraction_lab.fixedgraphs import build_two_wrench
 from retraction_lab.graphs import Graph
 
@@ -72,6 +75,20 @@ def test_estimate_cuts_command(capsys):
     assert doc["estimate"] == 3 and doc["bruteforce"] == 3
 
 
+CUTS = ["estimate", "cuts", "-G", fixture("terminal_star.hg"), "-H", fixture("j3.hg"),
+        "--alpha", "a", "--beta", "b", "--gamma", "c", "-B", "2"]
+
+
+def test_estimate_cuts_takes_the_approx_oracle_spec(capsys):
+    for spec in ("noisy:0.05,0,3", "noisy:0.05,0.1,3", "noisy:0.05,0"):
+        rc, doc = run_json(capsys, ["--no-meta", *CUTS, "--oracle", spec])
+        assert rc == 0 and doc["estimate"] == 3, spec
+    # the retired spellings fail instead of changing meaning
+    for spec in ("noisy:0.05,3", "noisy:0.05", "exact-blocked"):
+        assert cli.main([*CUTS, "--oracle", spec]) == 1, spec
+        assert "error:" in capsys.readouterr().err
+
+
 def test_types_table_command(capsys):
     rc, doc = run_json(capsys, ["--no-meta", "types", "table", "-k", "1"])
     assert rc == 0
@@ -86,6 +103,27 @@ def test_csp_commands(tmp_path, capsys):
     assert rc == 0 and doc["count"] == "3"
     rc = cli.main(["--no-meta", "csp", "pbrp", "-Q", "1", "-S", "1"])
     assert rc == 0
+
+
+def test_file_commands_close_their_files(tmp_path, monkeypatch, capsys):
+    iv, ie = csp.pbrp_csp(1, {1})
+    (tmp_path / "iv.csp").write_text(files.serialize_csp(iv))
+    (tmp_path / "ie.csp").write_text(files.serialize_csp(ie))
+    (tmp_path / "h.hg").write_text(files.serialize_graph(csp.build_graph_from_csp(iv, ie)))
+    (tmp_path / "g.inst").write_text("target h.hg\nv u\nv w\ne u w\nl u 00\nl w *\n")
+    pair = ["--iv", str(tmp_path / "iv.csp"), "--ie", str(tmp_path / "ie.csp")]
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for argv in (
+            ["csp", "count", str(tmp_path / "iv.csp")],
+            ["csp", "build-graph", *pair],
+            ["csp", "translate", "--instance", str(tmp_path / "g.inst"), *pair],
+        ):
+            assert cli.main(["--no-meta", *argv]) == 0, argv
+        gc.collect()
+    assert not unraisable, [str(u.exc_value) for u in unraisable]
 
 
 def test_gadget_fixed_outputs_graph(capsys):

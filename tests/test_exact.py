@@ -108,11 +108,14 @@ def test_blocked_simple_and_roundtrip():
     assert exact.count_blocked(bi2, TW) == expected
 
 
-def test_blocked_guard():
-    blocks = (Block("A", 60), Block("B", 60))
+def test_blocked_guard(monkeypatch):
+    # coupled multi-blocks whose expansion crosses EXPANSION_GUARD: the guard
+    # fires before anything is expanded
+    blocks = (Block("A", 6000), Block("B", 6000))
     bi = BlockedInstance(blocks, (Coupling("A", "B", "pm"),), (), TW.vertices)
-    with pytest.raises(ValueError):
-        exact.count_blocked(bi, TW, guard=100)
+    monkeypatch.setattr(exact, "expand_blocked", lambda b: pytest.fail("expanded past the guard"))
+    with pytest.raises(ValueError, match=r"exceeds the guard \(12000 > 10000\)"):
+        exact.count_blocked(bi, TW)
 
 
 def test_monotonicity_under_list_shrink():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from retraction_lab import exact, gadgets
+from retraction_lab import approx, exact, gadgets
 from retraction_lab.fixedgraphs import build_cycle, build_hk, build_jq
 from retraction_lab.graphs import Graph
 from retraction_lab.instances import expand_blocked
@@ -174,6 +174,55 @@ def test_cut_window_and_estimator():
     assert acc.z_by_edge_factors == acc.z_value
     assert exact.count_blocked(plan.blocked, plan.target) == acc.z_value
     assert gadgets.estimate_multiterminal_cuts(plan, gadgets.exact_blocked_oracle, 0.2) == 3
+    assert gadgets.estimate_multiterminal_cuts(plan, approx.ExactOracle().count, 0.2) == 3
+    noisy = approx.NoisyOracle(0.05, 0.1, seed=3)
+    assert gadgets.estimate_multiterminal_cuts(plan, noisy.count, 0.2) == 3
+
+
+def _cut_plans():
+    """The cut plans of verify.check_cut_window and verify.check_cut_psi."""
+    j3 = build_jq(3)
+    path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    tri = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    return [
+        gadgets.build_cut_instance(star_fixture(), "a", "b", "c", 2, j3, delta_prime=Fraction(1, 50)),
+        gadgets.build_cut_instance(path, "a", "b", "c", 2, j3, delta_prime=Fraction(1, 20)),
+        gadgets.build_cut_instance(tri, "a", "b", "c", 3, j3, delta_prime=Fraction(1, 20)),
+    ]
+
+
+def test_exact_oracle_counts_each_blocked_instance_once(monkeypatch):
+    want = [exact.count_blocked(plan.blocked, plan.target) for plan in _cut_plans()]
+    counted = []
+
+    def counting(blocked, target):
+        counted.append(blocked)
+        return exact.count_blocked(blocked, target)
+
+    monkeypatch.setattr(approx, "count_blocked", counting)
+    oracle = approx.ExactOracle()
+    # plans built anew are equal instances, so they share the memo entries
+    for _ in range(3):
+        plans = _cut_plans()
+        assert [oracle.count(plan.blocked, plan.target, 0.1) for plan in plans] == want
+    assert counted == [plan.blocked for plan in plans]
+    assert oracle.calls == 9
+
+
+def test_noisy_oracle_on_blocked_instances():
+    plans = _cut_plans()
+    eps0 = 0.05
+    lo, hi = Fraction(math.exp(-eps0)), Fraction(math.exp(eps0))
+    for seed in (0, 3, 17):
+        runs = []
+        for _ in range(2):
+            oracle = approx.NoisyOracle(eps0, 0, seed)
+            runs.append([oracle.count(plan.blocked, plan.target) for plan in plans for _ in range(20)])
+        assert [str(x) for x in runs[0]] == [str(x) for x in runs[1]]
+        for i, got in enumerate(runs[0]):
+            plan = plans[i // 20]
+            assert lo < got / exact.count_blocked(plan.blocked, plan.target) < hi
+        assert len(set(runs[0])) == len(runs[0])  # every call draws afresh
 
 
 def test_psi_identity_and_kappa4_counterexample():
