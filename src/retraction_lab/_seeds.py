@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _seed_of(digest: bytes) -> int:
@@ -36,4 +37,7 @@ def pyrng_family(*parts) -> Callable[[object], random.Random]:
 
 
 def nprng(*parts) -> np.random.Generator:
+    # imported here: numpy costs more to import than the rest of the package
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(derive(*parts)))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import __version__, approx, csp, exact, files, gadgets, homtypes, reference, verify
 from . import classifier
 from .fixedgraphs import build_fixed_graph, build_hk, build_j_blocked, rebind_target
-from .instances import ListedInstance
+from .instances import ListedInstance, check_retraction_blocks
 
 
 def _json_count(x) -> str:
@@ -76,6 +76,8 @@ def _cmd_count(args) -> int:
             blocked, target = files.parse_blocked(
                 fh.read(), os.path.dirname(os.path.abspath(args.lists))
             )
+        if mode == "ret":
+            check_retraction_blocks(blocked)
         value = exact.count_blocked(blocked, target)
         _emit(args, {"count": _json_count(value), "mode": mode, "method": "blocked"})
         return 0
@@ -150,7 +152,6 @@ def _cmd_gadget(args) -> int:
             params["k"] = args.k
         if args.S is not None:
             params["s"] = frozenset(int(x) for x in args.S.split(",") if x)
-            params["q"] = args.q
         g = build_fixed_graph(args.name, **params)
         sys.stdout.write(files.serialize_graph(g))
         return 0

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .exact import _search, _Search, count_list_hom
 from .graphs import DiGraph, Graph, connected_components
@@ -54,9 +56,6 @@ class CspInstance:
 
     def pin_map(self) -> dict[str, int]:
         return dict(self.pins)
-
-    def is_imp_only(self) -> bool:
-        return not self.pins
 
 
 # Imp(x, y) as a digraph: value 0 may go to 0 or 1, value 1 only to 1
@@ -103,49 +102,52 @@ def assignment_of_name(name: str, variables: tuple[str, ...]) -> dict[str, int]:
     return {x: int(c) for x, c in zip(variables, name)}
 
 
+def _csp_arcs(
+    iv: CspInstance, fwd: CspInstance, bwd: CspInstance
+) -> tuple[list[str], list[tuple[str, str]]]:
+    """iv's satisfying assignments, by name, and the arcs (s, s') over them
+    such that every Imp(x,y) of fwd holds from s to s' (s(x) => s'(y)) and
+    every one of bwd from s' to s (s'(x) => s(y)).
+
+    With an assignment as a bitmask, the values that Imp-constraints force on
+    the other end are a mask too, so each pair costs two integer tests.
+    """
+    if not (iv.variables == fwd.variables == bwd.variables):
+        raise ValueError("instances must share the variable set")
+    if iv.pins or fwd.pins or bwd.pins:
+        raise ValueError("instances must be Imp-only")
+    sols = satisfying_assignments(iv)
+    idx = {x: i for i, x in enumerate(iv.variables)}
+    masks = [sum(b << i for i, b in enumerate(s)) for s in sols]
+    # per assignment, the variables that fwd (bwd) forces to 1 at the other end
+    need_f, need_b = (
+        [reduce(or_, (1 << idx[y] for x, y in inst.imps if s[idx[x]]), 0) for s in sols]
+        for inst in (fwd, bwd)
+    )
+    names = [_bitstring(s) for s in sols]
+    arcs = [
+        (names[i], names[j])
+        for i, m in enumerate(masks)
+        for j, mp in enumerate(masks)
+        if not (need_f[i] & ~mp or need_b[j] & ~m)
+    ]
+    return names, arcs
+
+
 def build_graph_from_csp(iv: CspInstance, ie: CspInstance) -> Graph:
     """The undirected graph whose vertices are iv's satisfying assignments,
     with {s, s'} an edge iff every Imp(x,y) of ie holds in both directions
-    (s(x) => s'(y) and s'(x) => s(y)); loops allowed.
+    (s(x) => s'(y) and s'(x) => s(y)); loops allowed.  This is the digraph
+    of (iv, ie, ie), whose arc condition is symmetric.
     """
-    if iv.variables != ie.variables:
-        raise ValueError("iv and ie must share the variable set")
-    if not iv.is_imp_only() or not ie.is_imp_only():
-        raise ValueError("iv and ie must be Imp-only instances")
-    sols = satisfying_assignments(iv)
-    idx = {x: i for i, x in enumerate(iv.variables)}
-    pairs = [(idx[x], idx[y]) for x, y in ie.imps]
-    names = [_bitstring(s) for s in sols]
-    edges = []
-    for i, s in enumerate(sols):
-        for j in range(i, len(sols)):
-            sp = sols[j]
-            if all((not s[x] or sp[y]) and (not sp[x] or s[y]) for x, y in pairs):
-                edges.append((names[i], names[j]))
-    return Graph(names, edges)
+    return Graph(*_csp_arcs(iv, ie, ie))
 
 
 def build_digraph_from_csp(iv: CspInstance, if_: CspInstance, ib: CspInstance) -> DiGraph:
     """Directed variant: arc (s, s') iff forward constraints hold from s to s'
     and backward constraints from s' to s.
     """
-    if not (iv.variables == if_.variables == ib.variables):
-        raise ValueError("instances must share the variable set")
-    if not (iv.is_imp_only() and if_.is_imp_only() and ib.is_imp_only()):
-        raise ValueError("instances must be Imp-only")
-    sols = satisfying_assignments(iv)
-    idx = {x: i for i, x in enumerate(iv.variables)}
-    fwd = [(idx[x], idx[y]) for x, y in if_.imps]
-    bwd = [(idx[x], idx[y]) for x, y in ib.imps]
-    names = [_bitstring(s) for s in sols]
-    arcs = []
-    for i, s in enumerate(sols):
-        for j, sp in enumerate(sols):
-            if all(not s[x] or sp[y] for x, y in fwd) and all(
-                not sp[x] or s[y] for x, y in bwd
-            ):
-                arcs.append((names[i], names[j]))
-    return DiGraph(names, arcs)
+    return DiGraph(*_csp_arcs(iv, if_, ib))
 
 
 def _product_var(v: str, x: str) -> str:
@@ -154,36 +156,43 @@ def _product_var(v: str, x: str) -> str:
     return f"{v}{PRODUCT_SEP}{x}"
 
 
+def _translate(
+    vertices: tuple[str, ...],
+    arcs: list[tuple[str, str]],
+    lists: dict[str, frozenset[str]],
+    iv: CspInstance,
+    fwd: CspInstance,
+    bwd: CspInstance,
+) -> CspInstance:
+    """The CSP instance on vertices x X: per vertex a copy of iv's
+    constraints; per arc (u, v) fwd's constraints from u to v and bwd's from
+    v to u; per vertex with a one-element list, delta pins matching that
+    assignment."""
+    if not (iv.variables == fwd.variables == bwd.variables):
+        raise ValueError("instances must share the variable set")
+    xs = iv.variables
+    variables = tuple(_product_var(v, x) for v in vertices for x in xs)
+    imps = [(_product_var(v, x), _product_var(v, y)) for v in vertices for x, y in iv.imps]
+    for u, v in arcs:
+        imps += [(_product_var(u, x), _product_var(v, y)) for x, y in fwd.imps]
+        imps += [(_product_var(v, x), _product_var(u, y)) for x, y in bwd.imps]
+    pins = []
+    for v in vertices:
+        if len(lists[v]) == 1:
+            (name,) = lists[v]
+            tau = assignment_of_name(name, xs)
+            pins += [(_product_var(v, x), tau[x]) for x in xs]
+    return CspInstance(variables, tuple(imps), tuple(pins))
+
+
 def translate_ret_to_csp(inst: ListedInstance, iv: CspInstance, ie: CspInstance) -> CspInstance:
     """Parsimonious translation of a retraction instance over the graph built
-    from (iv, ie) into a CSP instance on V(G) x X.
-
-    Per pattern vertex: a copy of iv's constraints.  Per pattern edge and
-    Imp(x,y) of ie: both cross constraints.  Per pinned vertex: delta pins
-    matching the pinned assignment.
+    from (iv, ie) into a CSP instance on V(G) x X: the directed translation
+    with each pattern edge one arc and ie both forward and backward.
     """
-    if iv.variables != ie.variables:
-        raise ValueError("iv and ie must share the variable set")
     check_retraction_lists(inst)
-    xs = iv.variables
-    variables = tuple(_product_var(v, x) for v in inst.pattern.vertices for x in xs)
-    imps: list[tuple[str, str]] = []
-    for v in inst.pattern.vertices:
-        for x, y in iv.imps:
-            imps.append((_product_var(v, x), _product_var(v, y)))
-    for u, v in inst.pattern.non_loop_edges():
-        for x, y in ie.imps:
-            imps.append((_product_var(u, x), _product_var(v, y)))
-            imps.append((_product_var(v, x), _product_var(u, y)))
-    pins: list[tuple[str, int]] = []
-    for v in inst.pattern.vertices:
-        sv = inst.lists[v]
-        if len(sv) == 1:
-            (name,) = sv
-            tau = assignment_of_name(name, xs)
-            for x in xs:
-                pins.append((_product_var(v, x), tau[x]))
-    return CspInstance(variables, tuple(imps), tuple(pins))
+    pattern = inst.pattern
+    return _translate(pattern.vertices, pattern.non_loop_edges(), inst.lists, iv, ie, ie)
 
 
 def translate_dirret_to_csp(
@@ -196,28 +205,7 @@ def translate_dirret_to_csp(
     """Directed variant: forward constraints go with the arc, backward ones
     against it.
     """
-    if not (iv.variables == if_.variables == ib.variables):
-        raise ValueError("instances must share the variable set")
-    xs = iv.variables
-    variables = tuple(_product_var(v, x) for v in pattern.vertices for x in xs)
-    imps: list[tuple[str, str]] = []
-    for v in pattern.vertices:
-        for x, y in iv.imps:
-            imps.append((_product_var(v, x), _product_var(v, y)))
-    for u, v in pattern.arcs():
-        for x, y in if_.imps:
-            imps.append((_product_var(u, x), _product_var(v, y)))
-        for x, y in ib.imps:
-            imps.append((_product_var(v, x), _product_var(u, y)))
-    pins: list[tuple[str, int]] = []
-    for v in pattern.vertices:
-        sv = lists[v]
-        if len(sv) == 1:
-            (name,) = sv
-            tau = assignment_of_name(name, xs)
-            for x in xs:
-                pins.append((_product_var(v, x), tau[x]))
-    return CspInstance(variables, tuple(imps), tuple(pins))
+    return _translate(pattern.vertices, pattern.arcs(), lists, iv, if_, ib)
 
 
 def pbrp_csp(q: int, s: set[int] | frozenset[int]) -> tuple[CspInstance, CspInstance]:

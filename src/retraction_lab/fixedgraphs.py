@@ -204,16 +204,22 @@ def build_fixed_graph(kind: str, **params) -> Graph:
     """Dispatcher for the named fixed graphs: J_q(q), WR_q(q), 2-wrench,
     H_k(k), H'_k(k), PBRP(q, s)."""
     kind_l = kind.lower()
+
+    def need(name: str):
+        if params.get(name) is None:
+            raise ValueError(f"fixed graph {kind!r} needs parameter {name!r}")
+        return params[name]
+
     if kind_l in ("j_q", "jq"):
-        return build_jq(params["q"])
+        return build_jq(need("q"))
     if kind_l in ("wr_q", "wr"):
-        return build_wr(params["q"])
+        return build_wr(need("q"))
     if kind_l in ("2-wrench", "two-wrench", "two_wrench"):
         return build_two_wrench()
     if kind_l in ("h_k", "hk"):
-        return build_hk(params["k"])
+        return build_hk(need("k"))
     if kind_l in ("h'_k", "hk_prime", "h'k"):
-        return build_hk_prime(params["k"])
+        return build_hk_prime(need("k"))
     if kind_l == "pbrp":
-        return build_pbrp(params["q"], params.get("s", frozenset()))
+        return build_pbrp(need("q"), params.get("s", frozenset()))
     raise ValueError(f"unknown fixed graph kind {kind!r}")

@@ -11,10 +11,16 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .classifier import induced_j3_embeddings, is_square_free
-from .exact import count_blocked
+from .exact import count_blocked, enumerate_homs
 from .fixedgraphs import build_hk, j_gadget_parts
 from .graphs import Graph, connected_components, is_connected
-from .homtypes import enumerate_maximal_types, j_matchings, symmetric_partner, type_of_assignment
+from .homtypes import (
+    brute_count_by_type,
+    enumerate_maximal_types,
+    j_matchings,
+    symmetric_partner,
+    type_of_assignment,
+)
 from .instances import Block, BlockedInstance, Coupling, ListedInstance, expand_blocked
 
 
@@ -84,38 +90,35 @@ def dirichlet_for_error(lambdas, err_bound: Fraction, r_max: int) -> tuple[list[
 # -- multiterminal cuts -------------------------------------------------------
 
 
-def _components_after_removal(g: Graph, removed: frozenset[frozenset[str]]) -> list[frozenset[str]]:
-    left = [
-        (u, v) for u, v in g.non_loop_edges() if frozenset((u, v)) not in removed
-    ]
-    return [frozenset(c.vertices) for c in connected_components(Graph(g.vertices, left))]
-
-
-def is_multiterminal_cut(g: Graph, a: str, b: str, c: str, edges) -> bool:
-    removed = frozenset(frozenset(e) for e in edges)
-    comps = _components_after_removal(g, removed)
-    homes = [next(i for i, comp in enumerate(comps) if t in comp) for t in (a, b, c)]
-    return len(set(homes)) == 3
+def _multiterminal_cuts(g: Graph, terminals, sizes):
+    """Each edge set that separates the terminals pairwise, with the vertex
+    sets of the components left after removing it (ordered by smallest
+    vertex): size by size over `sizes`, and within a size in combination
+    order of the sorted non-loop edges."""
+    for t in terminals:
+        g.index(t)
+    edges = g.non_loop_edges()
+    for size in sizes:
+        for sel in combinations(edges, size):
+            removed = set(sel)
+            left = Graph(g.vertices, [e for e in edges if e not in removed])
+            comps = [frozenset(c.vertices) for c in connected_components(left)]
+            homes = {i for i, comp in enumerate(comps) for t in terminals if t in comp}
+            if len(homes) == len(terminals):
+                yield sel, comps
 
 
 def count_multiterminal_cuts_bruteforce(g: Graph, a: str, b: str, c: str, budget: int) -> int:
     """Number of size-`budget` edge sets disconnecting the three terminals
     pairwise (exhaustive; |E| <= 20)."""
-    edges = g.non_loop_edges()
-    if len(edges) > 20:
+    if len(g.non_loop_edges()) > 20:
         raise ValueError("brute force bounded to 20 edges")
-    return sum(
-        1 for sel in combinations(edges, budget) if is_multiterminal_cut(g, a, b, c, sel)
-    )
+    return sum(1 for _ in _multiterminal_cuts(g, (a, b, c), (budget,)))
 
 
 def min_multiterminal_cut(g: Graph, a: str, b: str, c: str) -> int | None:
-    edges = g.non_loop_edges()
-    for size in range(len(edges) + 1):
-        for sel in combinations(edges, size):
-            if is_multiterminal_cut(g, a, b, c, sel):
-                return size
-    return None
+    sizes = range(len(g.non_loop_edges()) + 1)
+    return next((len(sel) for sel, _ in _multiterminal_cuts(g, (a, b, c), sizes)), None)
 
 
 def find_J3_labels(h: Graph) -> dict[str, str]:
@@ -262,9 +265,6 @@ class CutAccounting:
     z_value: int  # T Z* + sum over larger cuts of the 2^(sr ...) terms
     z_by_edge_factors: int  # sum over all cuts of the exact per-psi products
 
-    def window(self, zstar: int) -> tuple[Fraction, Fraction]:
-        return Fraction(self.z_value, zstar), Fraction(self.t_count)
-
 
 def cut_accounting(plan: CutReductionPlan) -> CutAccounting:
     """Exact enumeration of every multiterminal cut, its component-colorings
@@ -279,51 +279,36 @@ def cut_accounting(plan: CutReductionPlan) -> CutAccounting:
     x0, y0, z0 = labels["x0"], labels["y0"], labels["z0"]
     dx, dy, dz = h.degree(x0), h.degree(y0), h.degree(z0)
     p1, p2, p3 = plan.s_alpha, plan.s_beta, plan.s_gamma
-    edges = sorted(g.non_loop_edges())
+    edges = g.non_loop_edges()
     records = []
     t_count = 0
-    z_small = 0
     z_large = 0
     z_exact = 0
-    for size in range(len(edges) + 1):
-        for sel in combinations(edges, size):
-            if not is_multiterminal_cut(g, a, b, c, sel):
+    for sel, comps in _multiterminal_cuts(g, plan.terminals, range(len(edges) + 1)):
+        kappa = len(comps)
+        fixed: dict[int, str] = {}
+        for term, col in ((a, x0), (b, y0), (c, z0)):
+            i = next(j for j, comp in enumerate(comps) if term in comp)
+            fixed[i] = col
+        free = [i for i in range(kappa) if i not in fixed]
+        xyz = []
+        zc = 0
+        for colors in product(gw, repeat=len(free)):
+            coloring = {**fixed, **dict(zip(free, colors))}
+            vcol = {v: coloring[i] for i, comp in enumerate(comps) for v in comp}
+            if {(u, v) for u, v in edges if vcol[u] != vcol[v]} != set(sel):
                 continue
-            removed = frozenset(frozenset(e) for e in sel)
-            comps = _components_after_removal(g, removed)
-            kappa = len(comps)
-            fixed: dict[int, str] = {}
-            for term, col in ((a, x0), (b, y0), (c, z0)):
-                i = next(j for j, comp in enumerate(comps) if term in comp)
-                fixed[i] = col
-            free = [i for i in range(kappa) if i not in fixed]
-            xyz = []
-            zc = 0
-            for colors in product(gw, repeat=len(free)):
-                coloring = dict(fixed)
-                coloring.update(dict(zip(free, colors)))
-                vcol = {}
-                for i, comp in enumerate(comps):
-                    for v in comp:
-                        vcol[v] = coloring[i]
-                bichromatic = {
-                    frozenset((u, v)) for u, v in edges if vcol[u] != vcol[v]
-                }
-                if bichromatic != removed:
-                    continue
-                x = sum(1 for u, v in edges if vcol[u] == vcol[v] == x0)
-                y = sum(1 for u, v in edges if vcol[u] == vcol[v] == y0)
-                z = sum(1 for u, v in edges if vcol[u] == vcol[v] == z0)
-                xyz.append((x, y, z))
-                zc += dx ** (p1 * x) * dy ** (p2 * y) * dz ** (p3 * z)
-            records.append(CutRecord(tuple(sel), kappa, len(xyz), tuple(xyz), zc))
-            z_exact += zc
-            if size == plan.budget:
-                t_count += 1
-            elif size > plan.budget:
-                z_large += sum(
-                    2 ** (plan.s * plan.r * (x + y + z)) for x, y, z in xyz
-                )
+            x, y, z = (
+                sum(1 for u, v in edges if vcol[u] == vcol[v] == col) for col in (x0, y0, z0)
+            )
+            xyz.append((x, y, z))
+            zc += dx ** (p1 * x) * dy ** (p2 * y) * dz ** (p3 * z)
+        records.append(CutRecord(tuple(sel), kappa, len(xyz), tuple(xyz), zc))
+        z_exact += zc
+        if len(sel) == plan.budget:
+            t_count += 1
+        elif len(sel) > plan.budget:
+            z_large += sum(2 ** (plan.s * plan.r * (x + y + z)) for x, y, z in xyz)
     z_value = t_count * plan.zstar + z_large
     return CutAccounting(tuple(records), t_count, z_value, z_exact)
 
@@ -474,10 +459,6 @@ def full_hom_histogram(plan: LargeCutPlan) -> dict[int, int]:
     so the factor depends on the type pair alone.  Per-gadget counts come
     from genuine enumeration (brute_count_by_type), not the closed form.
     """
-    from itertools import product as iproduct
-
-    from .homtypes import brute_count_by_type
-
     buckets = brute_count_by_type(plan.p, plan.q, plan.t, plan.k)
     types = dict(enumerate_maximal_types(plan.k))
     t4 = types["T4"]
@@ -487,7 +468,7 @@ def full_hom_histogram(plan: LargeCutPlan) -> dict[int, int]:
     verts = plan.base.vertices
     edges = plan.base.non_loop_edges()
     hist: dict[int, int] = {}
-    for sides in iproduct((0, 1), repeat=len(verts)):
+    for sides in product((0, 1), repeat=len(verts)):
         side = dict(zip(verts, sides))
         weight = 1
         for b in sides:
@@ -507,8 +488,6 @@ def full_hom_histogram(plan: LargeCutPlan) -> dict[int, int]:
 def full_hom_histogram_direct(plan: LargeCutPlan) -> dict[int, int]:
     """Reference implementation: walk every homomorphism of the expanded
     instance and extract per-gadget types; guarded to tiny plans."""
-    from .exact import enumerate_homs
-
     if plan.blocked.expansion_size() > FULL_EXPANSION_GUARD:
         raise ValueError(
             f"plan expands to {plan.blocked.expansion_size()} vertices; "

@@ -216,11 +216,6 @@ class DiGraph:
                 out.append((v, self.vertices[j]))
         return out
 
-    def underlying_graph(self) -> Graph:
-        """Undirected shadow: edge {u,v} iff both arcs (u,v) and (v,u) exist."""
-        edges = [(u, v) for u, v in self.arcs() if self.has_arc(v, u)]
-        return Graph(self.vertices, edges)
-
 
 # -- structural queries ----------------------------------------------------
 

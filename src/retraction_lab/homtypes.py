@@ -19,7 +19,7 @@ from fractions import Fraction
 from .exact import enumerate_homs, stirling_surjections
 from .fixedgraphs import build_hk, build_j_blocked, rebind_target
 from .graphs import Graph, _bits, common_neighbors, neighbor_union
-from .instances import block_vertex_names, expand_blocked
+from .instances import Block, block_vertex_names, expand_blocked
 
 Pair = tuple[str, str]
 
@@ -206,8 +206,6 @@ def n_exact(t: HomType, p: int, q: int, tt: int) -> int:
 
 def j_matchings(p: int, q: int, tt: int, prefix: str = "") -> tuple[list[tuple[str, str]], ...]:
     """The expanded vertex name pairs of the three matchings of J(p,q,t)."""
-    from .instances import Block
-
     def names(base: str, mult: int) -> list[str]:
         return block_vertex_names(Block(prefix + base, mult))
 

@@ -35,6 +35,19 @@ def check_retraction_lists(inst: "ListedInstance") -> None:
             )
 
 
+def check_retraction_blocks(b: "BlockedInstance") -> None:
+    """The one-or-all list condition on every block of a blocked instance:
+    a pinned block has one value, a block with no list has all of them."""
+    n = len(b.target_vertices)
+    pins = b.pin_map()
+    for blk in b.blocks:
+        size = 1 if blk.name in pins else n if blk.list is None else len(blk.list)
+        if size not in (1, n):
+            raise ValueError(
+                f"retraction instance needs |S_b| in {{1, {n}}}; block {blk.name!r} has {size}"
+            )
+
+
 class ListedInstance:
     """Irreflexive pattern + per-vertex lists over a fixed target vertex set."""
 

@@ -263,7 +263,10 @@ def check_parse_roundtrip(quick: bool) -> CheckResult:
 # -- csp suite -------------------------------------------------------------------
 
 
-def _csp_parsimony_case(i: int) -> tuple[bool, str]:
+def csp_parsimony_case(i: int):
+    """Case i of the parsimony corpus: an undirected retraction instance with
+    its (iv, ie) and the graph they build, and a directed one with its
+    (iv, if_, ib) and the digraph they build."""
     rng = pyrng("pars", i)
     nx = rng.randint(1, 4)
     xs = tuple(f"x{j}" for j in range(nx))
@@ -278,10 +281,6 @@ def _csp_parsimony_case(i: int) -> tuple[bool, str]:
         else:
             lists[v] = frozenset(h.vertices)
     inst = ListedInstance(pattern, lists, h.vertices)
-    lhs = csp.count_csp(csp.translate_ret_to_csp(inst, iv, ie))
-    rhs = exact.count_retraction(inst, h)
-    if lhs != rhs:
-        return False, f"case {i} undirected: {lhs} != {rhs}"
     if_ = random_imp_instance(("pars-if", i), xs)
     ib = random_imp_instance(("pars-ib", i), xs)
     dh = csp.build_digraph_from_csp(iv, if_, ib)
@@ -295,19 +294,21 @@ def _csp_parsimony_case(i: int) -> tuple[bool, str]:
         v: (frozenset((rng.choice(dh.vertices),)) if rng.random() < 0.4 else frozenset(dh.vertices))
         for v in dpattern.vertices
     }
-    lhsd = csp.count_csp(csp.translate_dirret_to_csp(dpattern, dlists, iv, if_, ib))
-    rhsd = csp.count_dir_list_hom(dpattern, dlists, dh)
-    if lhsd != rhsd:
-        return False, f"case {i} directed: {lhsd} != {rhsd}"
-    return True, ""
+    return (inst, iv, ie, h), (dpattern, dlists, iv, if_, ib, dh)
 
 
 def check_csp_parsimony(quick: bool) -> CheckResult:
     cases = 20 if quick else 100
     for i in range(cases):
-        ok, detail = _csp_parsimony_case(i)
-        if not ok:
-            return CheckResult("csp", "parsimony", False, detail)
+        (inst, iv, ie, h), (dpattern, dlists, _, if_, ib, dh) = csp_parsimony_case(i)
+        lhs = csp.count_csp(csp.translate_ret_to_csp(inst, iv, ie))
+        rhs = exact.count_retraction(inst, h)
+        if lhs != rhs:
+            return CheckResult("csp", "parsimony", False, f"case {i} undirected: {lhs} != {rhs}")
+        lhs = csp.count_csp(csp.translate_dirret_to_csp(dpattern, dlists, iv, if_, ib))
+        rhs = csp.count_dir_list_hom(dpattern, dlists, dh)
+        if lhs != rhs:
+            return CheckResult("csp", "parsimony", False, f"case {i} directed: {lhs} != {rhs}")
     return CheckResult("csp", "parsimony", True, f"{cases} cases, undirected + directed")
 
 

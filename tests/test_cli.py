@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import subprocess
 import sys
 import warnings
 
@@ -131,6 +132,45 @@ def test_gadget_fixed_outputs_graph(capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert files.parse_graph(text) == build_two_wrench()
+
+
+@pytest.mark.parametrize("argv", (["pbrp", "-S", "1"], ["jq"], ["hk"]))
+def test_gadget_fixed_missing_parameter_exit_1(argv, capsys):
+    rc = cli.main(["gadget", "fixed", *argv])
+    assert rc == 1
+    needed = "'k'" if argv == ["hk"] else "'q'"
+    assert f"needs parameter {needed}" in capsys.readouterr().err
+
+
+def test_count_blocked_ret_checks_one_or_all(tmp_path, capsys):
+    (tmp_path / "h.hg").write_text(files.serialize_graph(build_two_wrench()))
+    # a one-value list (Q) passes, a pinned block (P) counts as one value
+    # whatever its list, and * (A) is all four
+    good = "target h.hg\nb A 3 *\nb P 1 b,g\nb Q 2 g\nc P A cb\np P b\n"
+    (tmp_path / "good.blk").write_text(good)
+    rc, doc = run_json(
+        capsys, ["--no-meta", "count", "--mode", "ret", "--method", "blocked", "-L", str(tmp_path / "good.blk")]
+    )
+    assert rc == 0 and doc["count"] == "64"
+    (tmp_path / "bad.blk").write_text("target h.hg\nb A 3 b,g\n")
+    argv = ["count", "--method", "blocked", "-L", str(tmp_path / "bad.blk"), "--mode"]
+    assert cli.main([*argv, "ret"]) == 1
+    assert "block 'A' has 2" in capsys.readouterr().err
+    # the condition is the retraction mode's: list homomorphisms take any list
+    rc, doc = run_json(capsys, ["--no-meta", *argv, "lhom"])
+    assert rc == 0 and doc["count"] == "8"
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, retraction_lab.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_usage_error_exit_2():

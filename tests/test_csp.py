@@ -1,10 +1,11 @@
+import hashlib
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retraction_lab import csp, exact, reference
+from retraction_lab import csp, exact, files, reference, verify
 from retraction_lab._seeds import pyrng
 from retraction_lab.fixedgraphs import build_pbrp, build_two_wrench
 from retraction_lab.graphs import DiGraph, Graph, connected_components
@@ -53,7 +54,8 @@ def test_build_digraph_examples():
     assert sorted(dg.arcs()) == [("0", "0"), ("0", "1"), ("1", "1")]
     both = csp.build_digraph_from_csp(one, fwd, fwd)
     undirected = csp.build_graph_from_csp(one, fwd)
-    assert both.underlying_graph() == undirected
+    # the undirected bridge is the directed one with ie both ways: one arc per orientation
+    assert set(both.arcs()) == {a for u, v in undirected.edges() for a in ((u, v), (v, u))}
     full = csp.build_digraph_from_csp(one, empty, empty)
     assert len(full.arcs()) == 4
 
@@ -191,3 +193,43 @@ def test_pbrp_construction_output_strips_to_core():
     stripped = csp.strip_trivial_components(built)
     assert stripped.stripped == ()
     assert len(stripped.core) == 4
+
+
+def _digest(texts):
+    h = hashlib.sha256()
+    for t in texts:
+        h.update(t.encode() + b"\0")
+    return h.hexdigest()[:16]
+
+
+def test_bridge_outputs_are_pinned():
+    # every bristled-path shape with q <= 4, then 300 cases of the parsimony
+    # corpus; the translations' imps are sorted, since only their multiset
+    # is part of the construction
+    shapes = [
+        (q, frozenset(s)) for q in range(1, 5) for r in range(1, q + 1)
+        for s in combinations(range(1, q + 1), r)
+    ]
+    cases = [verify.csp_parsimony_case(i) for i in range(300)]
+    graphs = [csp.build_graph_from_csp(*csp.pbrp_csp(q, s)) for q, s in shapes]
+    graphs += [h for (_, _, _, h), _ in cases]
+
+    def csp_text(c):
+        return repr((c.variables, sorted(c.imps), c.pins))
+
+    digests = {
+        "graphs": _digest(files.serialize_graph(g) for g in graphs),
+        "digraphs": _digest(repr((dh.vertices, sorted(dh.arcs()))) for _, (*_, dh) in cases),
+        "translate_ret": _digest(
+            csp_text(csp.translate_ret_to_csp(inst, iv, ie)) for (inst, iv, ie, _), _ in cases
+        ),
+        "translate_dirret": _digest(
+            csp_text(csp.translate_dirret_to_csp(*d[:5])) for _, d in cases
+        ),
+    }
+    assert digests == {
+        "graphs": "0a5cf460541d3c2e",
+        "digraphs": "f267e5a4b6aeea8b",
+        "translate_ret": "80ffb7f2a2d6d325",
+        "translate_dirret": "a3389fd52e92e5c1",
+    }

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -321,3 +322,25 @@ def test_pin_neighborhood_examples():
     assert exact.count_retraction(
         gadgets.pin_neighborhood_instance(Graph(), h1, "b"), h1
     ) == 1
+
+
+def test_cut_accounting_is_pinned():
+    # the cut plans of verify's cut-window and cut-psi checks
+    path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    tri = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    plans = ((star_fixture(), 2, Fraction(1, 50)), (path, 2, Fraction(1, 20)), (tri, 3, Fraction(1, 20)))
+    h = hashlib.sha256()
+    summary = []
+    for g, budget, dp in plans:
+        plan = gadgets.build_cut_instance(g, "a", "b", "c", budget, build_jq(3), delta_prime=dp)
+        acc = gadgets.cut_accounting(plan)
+        mmc = gadgets.min_multiterminal_cut(g, "a", "b", "c")
+        counts = [
+            gadgets.count_multiterminal_cuts_bruteforce(g, "a", "b", "c", k)
+            for k in range(len(g.non_loop_edges()) + 1)
+        ]
+        for x in ((acc.records, acc.t_count, acc.z_value, acc.z_by_edge_factors), mmc, counts):
+            h.update(repr(x).encode() + b"\0")
+        summary.append((acc.t_count, len(acc.records), mmc, counts))
+    assert summary == [(3, 4, 2, [0, 0, 3, 1]), (1, 1, 2, [0, 0, 1]), (1, 1, 3, [0, 0, 0, 1])]
+    assert h.hexdigest()[:16] == "9cf3fcca4e8c89b5"
