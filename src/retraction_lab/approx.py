@@ -14,11 +14,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from . import reference
 from ._seeds import nprng, pyrng, pyrng_family
-from .exact import count_blocked, count_compaction, count_list_hom, count_surjective, enumerate_homs
+from .exact import _covering, count_blocked, count_compaction, count_list_hom, count_surjective
 from .graphs import Graph
 from .instances import BlockedInstance, ListedInstance
 
@@ -257,44 +257,22 @@ def enumerate_T(inst: ListedInstance, target: Graph, mode: str):
     """The index set of the union: list-respecting witnesses (U, tau).
 
     surjective mode: |U| = |V(H)| and tau a surjective (hence bijective)
-    homomorphism from G[U]; compaction mode: |U| <= |V(H)| + 2|E(H)| and tau
-    a compaction from G[U].  Deterministic order.
+    homomorphism from G[U]; compaction mode: |V(H)| <= |U| <= |V(H)| + 2|E(H)|
+    and tau a compaction from G[U].  The subsets U of each size come in
+    `combinations` order, and for each the maps tau in the order of the
+    covering kernel's assignments of G[U], which prunes a branch as soon as
+    it can no longer cover.  Deterministic order.
     """
     if mode not in ("sur", "comp"):
         raise ValueError("mode must be 'sur' or 'comp'")
-    pv = inst.pattern.vertices
-    tv = target.vertices
+    pv, tv = inst.pattern.vertices, target.vertices
+    top = len(tv) if mode == "sur" else len(tv) + 2 * target.edge_count()
+    search = _covering(inst, target, need_edges=mode == "comp")
     out: list[tuple[tuple[str, ...], dict[str, str]]] = []
-    if mode == "sur":
-        if len(pv) < len(tv):
-            return out
-        for us in combinations(pv, len(tv)):
-            sub = inst.pattern.induced(us)
-            for perm in permutations(tv):
-                tau = dict(zip(us, perm))
-                if any(tau[u] not in inst.lists[u] for u in us):
-                    continue
-                if all(target.has_edge(tau[a], tau[b]) for a, b in sub.non_loop_edges()):
-                    out.append((us, tau))
-        return out
-    bound = min(len(pv), len(tv) + 2 * target.edge_count())
-    nl_target = {frozenset(e) for e in target.non_loop_edges()}
-    for size in range(len(tv), bound + 1):
-        for us in combinations(pv, size):
-            sub = inst.pattern.induced(us)
-            sub_inst = ListedInstance(
-                sub, {u: inst.lists[u] for u in us}, inst.target_vertices
-            )
-            for tau in enumerate_homs(sub_inst, target):
-                if set(tau.values()) != set(tv):
-                    continue
-                realized = {
-                    frozenset((tau[a], tau[b]))
-                    for a, b in sub.non_loop_edges()
-                    if tau[a] != tau[b]
-                }
-                if nl_target <= realized:
-                    out.append((us, tau))
+    for size in range(len(tv), min(len(pv), top) + 1):
+        for us in combinations(range(len(pv)), size):
+            for image in search.assignments(sum(1 << i for i in us)):
+                out.append((tuple(pv[i] for i in us), {pv[i]: tv[image[i]] for i in us}))
     return out
 
 

@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, approx, csp, exact, files, gadgets, homtypes, reference, verify
+from . import __version__, approx, csp, exact, files, gadgets, homtypes, reference
 from . import classifier
 from .fixedgraphs import build_fixed_graph, build_hk, build_j_blocked, rebind_target
 from .instances import ListedInstance, check_retraction_blocks
@@ -306,7 +306,22 @@ def _cmd_types(args) -> int:
     raise ValueError(f"unknown types action {args.action!r}")
 
 
+class _Suites:
+    """`verify`'s suite names and "all", read on first use, so that the
+    other commands do not import `verify`."""
+
+    def __iter__(self):
+        from . import verify
+
+        return iter(sorted(verify.SUITES) + ["all"])
+
+    def __contains__(self, name) -> bool:
+        return name in list(self)
+
+
 def _cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_suite(args.suite, quick=args.quick)
     for res in results:
         print(res.line())
@@ -320,17 +335,31 @@ def _cmd_verify(args) -> int:
         ],
         "passed": not failures,
     }
-    if args.out:
+    if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if not failures else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """The parser of the command line and of each (sub)command: each takes
+    the output options, so they go before or after the command.  They
+    default to absent, so that a subcommand keeps what was given before it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.add_argument(
+            "--no-meta", action="store_true", default=argparse.SUPPRESS,
+            help="omit timestamp metadata (byte-stable output)",
+        )
+        self.add_argument(
+            "--out", default=argparse.SUPPRESS, help="write the JSON report here instead of stdout"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="retraction-lab")
-    ap.add_argument("--no-meta", action="store_true", help="omit timestamp metadata (byte-stable output)")
-    ap.add_argument("--out", help="write the JSON report here instead of stdout")
+    ap = _Parser(prog="retraction-lab")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="trichotomy verdict for a target graph")
@@ -442,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_types)
 
     p = sub.add_parser("verify", help="run named property suites")
-    p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
+    p.add_argument("suite", choices=_Suites(), metavar="suite")
     p.add_argument("--quick", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 

@@ -15,11 +15,13 @@ residual subproblems, not the count.  The memo key is
     assigned vertices next to an unassigned one.
 Counting branches in a fixed order chosen to keep few unassigned vertices
 next to assigned ones, one pattern component after another; enumeration
-branches most-constrained-first with lexicographic tie-break.  Both are
-deterministic, and both recurse once per vertex they branch on: a search
-deeper than Python's recursion limit raises ValueError.  Each mode has this one route; the second routes through
-other identities (a product over components, inclusion-exclusion for
-surjective and compaction counts) are cross-checks in `reference`.
+branches most-constrained-first with lexicographic tie-break, and prunes on
+the same coverage state as counting.  Both are deterministic, and both
+recurse once per vertex they branch on: a search deeper than Python's
+recursion limit raises ValueError.  Each mode has this one route; the second
+routes through other identities (a product over components,
+inclusion-exclusion for surjective and compaction counts) are cross-checks
+in `reference`.
 """
 from __future__ import annotations
 
@@ -91,20 +93,26 @@ class _Search:
         for v, w in enumerate(weights or ()):
             if w > 1 and domains[v].bit_count() > 1:
                 self.heavy |= 1 << v
+        self.cover(None)
 
-    def count(self, full_v: int | None = None, ebit: list[list[int]] | None = None) -> int:
-        """Number of homomorphisms.  With `full_v`, only those whose image
-        covers that target-vertex mask; with `ebit` as well (``ebit[i][j]`` is
-        the bit of the non-loop target edge ij, 0 for a non-edge or a loop),
-        only those that also realize every such edge."""
-        if any(d == 0 for d in self.domains):
-            return 0
+    def cover(self, full_v: int | None, ebit: list[list[int]] | None = None) -> "_Search":
+        """Set the goal `count` and `assignments` read: with `full_v`, only
+        homomorphisms whose image covers that target-vertex mask; with `ebit`
+        as well (``ebit[i][j]`` is the bit of the non-loop target edge ij, 0
+        for a non-edge or a loop), only those that also realize every one."""
         self.full_v = full_v
         self.ebit = ebit
         self.full_e = 0
         for row in ebit or ():
             for b in row:
                 self.full_e |= b
+        return self
+
+    def count(self) -> int:
+        """Number of homomorphisms that meet the coverage goal."""
+        if any(d == 0 for d in self.domains):
+            return 0
+        full_v = self.full_v
         self._pack = _packer(max(len(self.tout), self.full_e.bit_length()))
         runs = self._order()
         order = [v for run in runs for v in run]
@@ -132,7 +140,7 @@ class _Search:
             try:
                 return self._count((1 << n) - 1, doms, 0, 0)
             except RecursionError:
-                raise _too_deep("compaction count" if ebit else "surjective count", n) from None
+                raise _too_deep("compaction count" if self.ebit else "surjective count", n) from None
         # without coverage each pattern component is a factor of its own, so
         # the recursion is only as deep as one component; a lone vertex
         # contributes |domain|^weight.  Runs cannot share memo keys: a key is
@@ -284,26 +292,42 @@ class _Search:
                     res.append((t, nd))
         return res
 
-    def assignments(self) -> Iterator[tuple[int, ...]]:
-        """All homomorphisms, each as the tuple of its images' target indices
-        in pattern vertex order; deterministic order."""
+    def assignments(self, keep: int | None = None) -> Iterator[tuple[int, ...]]:
+        """The homomorphisms that meet the coverage goal, each as the tuple
+        of its images' target indices in pattern vertex order; deterministic
+        order.  With `keep`, those of the pattern induced on that vertex
+        mask, with -1 for the vertices outside it."""
         n = len(self.domains)
-        if any(d == 0 for d in self.domains):
+        active = (1 << n) - 1 if keep is None else keep
+        if any(self.domains[v] == 0 for v in _bits(active)):
             return
         try:
-            yield from self._enumerate((1 << n) - 1, list(self.domains), [-1] * n)
+            yield from self._enumerate(active, list(self.domains), [-1] * n, 0, 0)
         except RecursionError:
             raise _too_deep("enumeration", n) from None
 
-    def _enumerate(self, active: int, doms: list[int], image: list[int]) -> Iterator[tuple[int, ...]]:
+    def _enumerate(
+        self, active: int, doms: list[int], image: list[int], cov_v: int, cov_e: int
+    ) -> Iterator[tuple[int, ...]]:
+        """The completions of the state that meet the goal, pruned as in
+        `_count`; ``image`` holds -1 at every vertex not assigned."""
+        full_v = self.full_v
         if active == 0:
-            yield tuple(image)
+            if full_v is None or cov_v == full_v and cov_e == self.full_e:
+                yield tuple(image)
+            return
+        if full_v is not None and (full_v & ~cov_v).bit_count() > active.bit_count():
             return
         v = min(_bits(active), key=lambda i: (doms[i].bit_count(), i))
         rest = active & ~(1 << v)
+        ebit = self.ebit
+        assigned_nbrs = [u for u in _bits(self.adj[v]) if image[u] >= 0] if ebit else ()
         for t, nd in self._extend(self.out, self.inn, v, rest, doms):
+            ce = cov_e
+            for u in assigned_nbrs:
+                ce |= ebit[image[u]][t]
             image[v] = t
-            yield from self._enumerate(rest, nd, image)
+            yield from self._enumerate(rest, nd, image, cov_v | 1 << t, ce)
         image[v] = -1
 
 
@@ -384,11 +408,10 @@ def count_retraction(inst: ListedInstance, target: Graph) -> int:
     return count_list_hom(inst, target)
 
 
-def _count_covering(inst: ListedInstance, target: Graph, need_edges: bool) -> int:
-    """Count homs surjective on V(H) (and, with `need_edges`, on the non-loop
-    edges of H): the memoised search with a coverage state."""
+def _covering(inst: ListedInstance, target: Graph, need_edges: bool) -> _Search:
+    """The kernel on (inst, target) with the goal of covering every target
+    vertex and, with `need_edges`, every non-loop target edge."""
     _check_same_target(inst, target)
-    search = _search(inst.pattern, inst.lists, target)
     tn = len(target.vertices)
     ebit = None
     if need_edges:
@@ -396,17 +419,17 @@ def _count_covering(inst: ListedInstance, target: Graph, need_edges: bool) -> in
         for b, (u, v) in enumerate(target.non_loop_edges()):
             i, j = target.index(u), target.index(v)
             ebit[i][j] = ebit[j][i] = 1 << b
-    return search.count((1 << tn) - 1, ebit)
+    return _search(inst.pattern, inst.lists, target).cover((1 << tn) - 1, ebit)
 
 
 def count_surjective(inst: ListedInstance, target: Graph) -> int:
     """Exact sur((G,S),H): homomorphisms hitting every target vertex."""
-    return _count_covering(inst, target, need_edges=False)
+    return _covering(inst, target, need_edges=False).count()
 
 
 def count_compaction(inst: ListedInstance, target: Graph) -> int:
     """Exact comp((G,S),H): surjective and covering every non-loop target edge."""
-    return _count_covering(inst, target, need_edges=True)
+    return _covering(inst, target, need_edges=True).count()
 
 
 def count(inst: ListedInstance, target: Graph, mode: str) -> int:

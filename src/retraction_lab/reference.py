@@ -1,9 +1,10 @@
 """Reference oracles: the cross-checks the fast paths are tested against.
 
-Two kinds:
+Three kinds:
   - naive enumeration (all |V(H)|^|V(G)| assignments, exhaustive cycle
     listing), independent of the search kernel: counts in every mode, CSP
-    assignments, and the coverage estimator's partition of the union;
+    assignments, and the coverage estimator's witnesses and its partition of
+    the union;
   - second routes through a different identity, built on the public
     `exact.count_list_hom`: the product over pattern components of sums over
     target components, and inclusion-exclusion for surjective and compaction
@@ -38,30 +39,46 @@ def naive_assignments(inst: ListedInstance, target: Graph):
             yield img
 
 
+def _meets(img: dict[str, str], pattern: Graph, target: Graph, mode: str) -> bool:
+    """Whether the homomorphism `img` of `pattern` counts in `mode`: always
+    for hom, lhom and ret; when onto the target's vertices for sur; when
+    also realizing every non-loop target edge for comp."""
+    if mode in ("hom", "lhom", "ret"):
+        return True
+    if set(img.values()) != set(target.vertices):
+        return False
+    if mode == "sur":
+        return True
+    realized = set()
+    for u, v in pattern.non_loop_edges():
+        a, b = img[u], img[v]
+        if a != b:
+            realized.add((min(a, b), max(a, b)))
+    return all((min(u, v), max(u, v)) in realized for u, v in target.non_loop_edges())
+
+
 def naive_count(inst: ListedInstance, target: Graph, mode: str = "lhom") -> int:
     """Exact count by full enumeration, any of the five modes."""
-    tset = set(target.vertices)
-    nl_edges = target.non_loop_edges()
-    total = 0
-    for img in naive_assignments(inst, target):
-        if mode in ("hom", "lhom", "ret"):
-            total += 1
-            continue
-        hit = set(img.values())
-        if hit != tset:
-            continue
-        if mode == "sur":
-            total += 1
-            continue
-        # compaction: every non-loop target edge realized by some pattern edge
-        realized = set()
-        for u, v in inst.pattern.non_loop_edges():
-            a, b = img[u], img[v]
-            if a != b:
-                realized.add((min(a, b), max(a, b)))
-        if all((min(u, v), max(u, v)) in realized for u, v in nl_edges):
-            total += 1
-    return total
+    return sum(_meets(img, inst.pattern, target, mode) for img in naive_assignments(inst, target))
+
+
+def naive_witnesses(inst: ListedInstance, target: Graph, mode: str) -> list:
+    """The coverage estimator's witnesses (U, tau) by full enumeration: U over
+    the pattern-vertex subsets of size |V(H)| (sur) or |V(H)| to
+    |V(H)| + 2|E(H)| (comp), tau over `naive_assignments` on G[U], kept when
+    it counts in `mode`."""
+    pv, tv = inst.pattern.vertices, target.vertices
+    top = len(tv) if mode == "sur" else len(tv) + 2 * target.edge_count()
+    out = []
+    for size in range(len(tv), min(len(pv), top) + 1):
+        for us in combinations(pv, size):
+            sub = ListedInstance(
+                inst.pattern.induced(us), {u: inst.lists[u] for u in us}, inst.target_vertices
+            )
+            for img in naive_assignments(sub, target):
+                if _meets(img, sub.pattern, target, mode):
+                    out.append((us, img))
+    return out
 
 
 def coverage_partition(inst: ListedInstance, target: Graph, witnesses):

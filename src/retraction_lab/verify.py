@@ -694,11 +694,7 @@ def _battery_task(args) -> tuple[str, int, bool]:
     target = files.parse_graph(fixture_text)
     g = acceptance8_graph(gi)
     inst = ListedInstance.full(g, target)
-    truth = (
-        exact.count_surjective(inst, target)
-        if mode == "sur"
-        else exact.count_compaction(inst, target)
-    )
+    truth = exact.count(inst, target, mode)
     run = approx.coverage_mc(inst, target, mode, eps, delta, approx.ExactOracle(), seed)
     if truth == 0:
         ok = run.y == 0
@@ -751,24 +747,30 @@ def check_algorithm1_statistics(quick: bool) -> CheckResult:
     return CheckResult("approx", "algorithm1-statistics", True, detail)
 
 
+def _witness_key(witness) -> tuple:
+    us, tau = witness
+    return us, tuple(sorted(tau.items()))
+
+
 def check_exact_expectation(quick: bool) -> CheckResult:
-    """Under exact weights E[Y] = sum_i omega_i phat_i, the sum of the
-    witnesses' first-occurrence counts, which must be the exact sur/comp
-    count; each |Omega_i| must be the exact list count of its pinned
-    instance; and eq. 9 bounds Omega / t by the count.  The partition is
-    counted naively, apart from the kernel."""
+    """The witnesses must be `reference.naive_witnesses`, each once.  Under
+    exact weights E[Y] = sum_i omega_i phat_i, the sum of the witnesses'
+    first-occurrence counts, which must be the exact sur/comp count; each
+    |Omega_i| must be the exact list count of its pinned instance; and eq. 9
+    bounds Omega / t by the count.  The witnesses and the partition are
+    found naively, apart from the kernel."""
     for fname, target in _acceptance8_fixtures():
         for gi in range(2 if quick else 6):
             g = acceptance8_graph(gi)
             inst = ListedInstance.full(g, target)
             for mode in ("sur", "comp"):
                 where = f"{fname} graph {gi} {mode}"
-                truth = (
-                    exact.count_surjective(inst, target)
-                    if mode == "sur"
-                    else exact.count_compaction(inst, target)
-                )
+                truth = exact.count(inst, target, mode)
                 ts = approx.enumerate_T(inst, target, mode)
+                if sorted(map(_witness_key, ts)) != sorted(
+                    map(_witness_key, reference.naive_witnesses(inst, target, mode))
+                ):
+                    return CheckResult("approx", "exact-expectation", False, f"{where}: witnesses")
                 omegas, firsts = reference.coverage_partition(inst, target, ts)
                 if sum(firsts) != truth:
                     return CheckResult(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import statistics
@@ -9,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from retraction_lab import approx, exact, reference, verify
 from retraction_lab._seeds import pyrng, pyrng_family
-from retraction_lab.fixedgraphs import build_cycle, build_hk, build_jq, build_path, build_two_wrench
+from retraction_lab.fixedgraphs import (
+    build_cycle,
+    build_hk,
+    build_jq,
+    build_path,
+    build_reflexive_path,
+    build_two_wrench,
+)
 from retraction_lab.graphs import Graph
 from retraction_lab.instances import ListedInstance
 
@@ -30,6 +38,50 @@ def test_enumerate_T_respects_lists():
     inst = ListedInstance(K2, {"a": frozenset(("a",))}, K2.vertices)
     ts = approx.enumerate_T(inst, K2, "sur")
     assert all(tau["a"] == "a" for us, tau in ts if "a" in dict(tau))
+
+
+def _witness_corpus():
+    """(target name, instance, target): `verify.acceptance8_graph` 0-2 and
+    eight seeded random patterns on at most 7 vertices, onto five targets,
+    with full lists and with `verify.random_lists`."""
+    targets = [
+        ("K2", K2), ("2-wrench", build_two_wrench()), ("P3", build_path(3)),
+        ("C4", build_cycle(4)), ("reflexive P3", build_reflexive_path(3)),
+    ]
+    graphs = [verify.acceptance8_graph(i) for i in range(3)]
+    graphs += [verify.random_pattern(("witness-pin", i), max_n=7) for i in range(8)]
+    for tname, target in targets:
+        for gi, g in enumerate(graphs):
+            for listed in (False, True):
+                lists = verify.random_lists(("witness-pin", tname, gi), g, target) if listed else {}
+                yield tname, ListedInstance(g, lists, target.vertices), target
+
+
+def _witness_digests():
+    """Per mode, a digest of every case's witnesses (comp: in order; sur:
+    sorted) and the total t per target."""
+    h = {"sur": hashlib.sha256(), "comp": hashlib.sha256()}
+    ts_per_target: dict = {}
+    for tname, inst, target in _witness_corpus():
+        for mode in ("sur", "comp"):
+            ts = [(us, sorted(tau.items())) for us, tau in approx.enumerate_T(inst, target, mode)]
+            h[mode].update(repr(ts if mode == "comp" else sorted(ts)).encode() + b"\0")
+            ts_per_target[tname, mode] = ts_per_target.get((tname, mode), 0) + len(ts)
+    return {mode: x.hexdigest()[:16] for mode, x in h.items()}, ts_per_target
+
+
+def test_witness_lists_are_pinned():
+    # computed with the enumerators the covering kernel replaced: the comp
+    # order is unchanged, and in sur mode only the order within a U may move
+    digests, ts_per_target = _witness_digests()
+    assert digests == {"sur": "c36a9551522dca76", "comp": "849a224a50d9d75f"}
+    assert ts_per_target == {
+        ("K2", "sur"): 305, ("K2", "comp"): 1070,
+        ("2-wrench", "sur"): 596, ("2-wrench", "comp"): 560,
+        ("P3", "sur"): 593, ("P3", "comp"): 897,
+        ("C4", "sur"): 1153, ("C4", "comp"): 360,
+        ("reflexive P3", "sur"): 638, ("reflexive P3", "comp"): 3914,
+    }
 
 
 def test_coverage_zero_shortcircuit():
@@ -189,7 +241,24 @@ def _comp_without_edge_filter(enumerate_T):
     return mutant
 
 
-@pytest.mark.parametrize("mutate", [_keep_first_witness, _comp_without_edge_filter])
+def _drop_an_extending_witness(enumerate_T):
+    """Drops the first witness that extends an earlier one.  Every
+    homomorphism extending it extends the earlier one too, so the union, the
+    first-occurrence counts and every other |Omega_i| stay as they were."""
+
+    def mutant(inst, target, mode):
+        ts = enumerate_T(inst, target, mode)
+        for j, (us, tau) in enumerate(ts):
+            if any(set(ui) < set(us) and all(ti[u] == tau[u] for u in ui) for ui, ti in ts[:j]):
+                return ts[:j] + ts[j + 1 :]
+        return ts
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "mutate", [_keep_first_witness, _comp_without_edge_filter, _drop_an_extending_witness]
+)
 def test_exact_expectation_catches_wrong_witnesses(monkeypatch, mutate):
     assert verify.check_exact_expectation(quick=True).passed
     monkeypatch.setattr(approx, "enumerate_T", mutate(approx.enumerate_T))

@@ -166,11 +166,40 @@ def test_cli_import_leaves_numpy_out():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, retraction_lab.cli; print('numpy' in sys.modules)"],
+        [
+            sys.executable, "-c",
+            "import sys, retraction_lab.cli; "
+            "print([m in sys.modules for m in ('numpy', 'retraction_lab.verify', 'concurrent.futures')])",
+        ],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.strip() == "[False, False, False]"
+
+
+def test_verify_unknown_suite_exit_2_names_the_suites(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "nosuch"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'nosuch'" in err and all(repr(name) in err for name in ("approx", "csp", "oracles", "all"))
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        (["verify", "csp", "--quick"], []),
+        (["count", "--mode", "sur", "-G", fixture("k2.hg"), "-H", fixture("k2.hg")], ["--no-meta"]),
+    ],
+    ids=["verify", "count"],
+)
+def test_output_options_before_or_after_the_command(tmp_path, capsys, command, options):
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert cli.main(options + ["--out", str(before)] + command) == 0
+    assert cli.main(command + options + ["--out", str(after)]) == 0
+    capsys.readouterr()
+    assert before.read_bytes() == after.read_bytes()
+    assert "meta" not in json.loads(after.read_text())
 
 
 def test_usage_error_exit_2():

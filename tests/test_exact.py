@@ -356,6 +356,15 @@ def test_memoised_counter_matches_naive_all_modes(case):
         ("hom", full), ("lhom", listed), ("ret", pinned), ("sur", listed), ("comp", listed),
     ):
         assert exact.count(inst, target, mode) == reference.naive_count(inst, target, mode), mode
+    # the covering kernel enumerates what it counts, each map once, and each
+    # is a covering homomorphism by the naive check
+    tv = target.vertices
+    for mode in ("sur", "comp"):
+        images = list(exact._covering(listed, target, need_edges=mode == "comp").assignments())
+        assert len(set(images)) == len(images) == exact.count(listed, target, mode), mode
+        for image in images:
+            lists = {v: frozenset((tv[t],)) for v, t in zip(pattern.vertices, image)}
+            assert reference.naive_count(ListedInstance(pattern, lists, tv), target, mode) == 1, mode
 
 
 def _adjacency(h: Graph) -> list[list[int]]:
