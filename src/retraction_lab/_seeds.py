@@ -5,35 +5,19 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-def _seed_of(digest: bytes) -> int:
-    return int.from_bytes(digest[:16], "big")
-
-
 def derive(*parts) -> int:
     material = "\x1f".join(str(p) for p in parts).encode()
-    return _seed_of(hashlib.sha256(material).digest())
+    return int.from_bytes(hashlib.sha256(material).digest()[:16], "big")
 
 
 def pyrng(*parts) -> random.Random:
     return random.Random(derive(*parts))
-
-
-def pyrng_family(*parts) -> Callable[[object], random.Random]:
-    """k -> pyrng(*parts, k), with the constant parts hashed once."""
-    head = hashlib.sha256("".join(f"{p}\x1f" for p in parts).encode())
-
-    def member(k) -> random.Random:
-        h = head.copy()
-        h.update(str(k).encode())
-        return random.Random(_seed_of(h.digest()))
-
-    return member
 
 
 def nprng(*parts) -> np.random.Generator:

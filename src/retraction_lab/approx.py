@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import reference
-from ._seeds import nprng, pyrng, pyrng_family
+from ._seeds import nprng, pyrng
 from .exact import _covering, count_blocked, count_compaction, count_list_hom, count_surjective
 from .graphs import Graph
 from .instances import BlockedInstance, ListedInstance
@@ -72,8 +72,8 @@ class NoisyOracle:
 
     With probability 1 - fail_prob the output is true * e^u for |u| < the
     requested precision (default eps0); with probability fail_prob it is
-    pushed outside the window.  Outputs are exact Fractions.  Call k draws
-    from `pyrng(seed, "noisy-call", k)`.
+    pushed outside the window.  Outputs are exact Fractions.  The calls draw,
+    in call order, from one stream per oracle, `pyrng(seed, "noisy")`.
     """
 
     def __init__(self, eps0: float, fail_prob: float, seed: int):
@@ -84,7 +84,7 @@ class NoisyOracle:
         self.seed = seed
         self.calls = 0
         self._exact = ExactOracle()
-        self._call_rng = pyrng_family(seed, "noisy-call")
+        self._rng = pyrng(seed, "noisy")
 
     def count(self, inst: ListedInstance | BlockedInstance, target: Graph, eps: float | None = None):
         self.calls += 1
@@ -92,7 +92,7 @@ class NoisyOracle:
         if true == 0:
             return Fraction(0)
         eps_use = self.eps0 if eps is None else min(eps, self.eps0) if eps > 0 else self.eps0
-        rng = self._call_rng(self.calls)
+        rng = self._rng
         if rng.random() < self.fail_prob:
             u = (1.5 + rng.random()) * eps_use * rng.choice((-1, 1))
         else:

@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Commands: classify, count, approx, gadget, estimate, csp, types, verify.
-Every run writes a single JSON document to stdout (or --out); counts that
-can exceed 2^53 are emitted as decimal strings.  Exit codes: 0 success,
-1 domain error, 2 usage error.
+The parser binds each leaf command to one handler, which returns its report;
+one writer sends the report to stdout, or to the file given by --out, which
+every command takes.  A report is a JSON document, with a "meta" block unless
+--no-meta; counts that can exceed 2^53 are decimal strings.  Four commands
+print a text format instead: `gadget fixed` and `csp build-graph` a graph,
+`gadget j-block` a blocked instance, `csp translate` a CSP.  `verify` prints
+one line per check and writes its JSON report, without meta, only to --out.
+Exit codes: 0 success, 1 domain error or a failed check, 2 usage error.
 """
 from __future__ import annotations
 
@@ -20,16 +25,28 @@ from .fixedgraphs import build_fixed_graph, build_hk, build_j_blocked, rebind_ta
 from .instances import ListedInstance, check_retraction_blocks
 
 
-def _json_count(x) -> str:
-    return str(x)
-
-
 def _fraction_json(x: Fraction) -> dict:
     return {
         "numerator": str(x.numerator),
         "denominator": str(x.denominator),
         "decimal": f"{float(x):.12g}",
     }
+
+
+def _write(report: dict | str, out: str | None = None, meta: bool = False) -> None:
+    """The one writer: a report goes to the file `out`, or else to stdout.
+    A dict is written as indented JSON with sorted keys, plus a "meta" block
+    when `meta` is true; a str is written as it is."""
+    if isinstance(report, dict):
+        if meta:
+            stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+            report = {**report, "meta": {"tool": "retraction-lab", "version": __version__, "time": stamp}}
+        report = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(report)
+    else:
+        sys.stdout.write(report)
 
 
 def _load_instance(args) -> tuple[ListedInstance, "object"]:
@@ -46,27 +63,12 @@ def _load_instance(args) -> tuple[ListedInstance, "object"]:
     return ListedInstance.full(pattern, target), target
 
 
-def _emit(args, payload: dict) -> None:
-    if not getattr(args, "no_meta", False):
-        payload = {**payload, "meta": {"tool": "retraction-lab", "version": __version__, "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _cmd_classify(args) -> dict:
+    return classifier.classify(files.load_graph(args.target)).to_json()
 
 
-def _cmd_classify(args) -> int:
-    h = files.load_graph(args.target)
-    verdict = classifier.classify(h)
-    _emit(args, verdict.to_json())
-    return 0
-
-
-def _cmd_count(args) -> int:
-    mode = args.mode
-    method = args.method
+def _cmd_count(args) -> dict:
+    mode, method = args.mode, args.method
     if method == "blocked":
         if not args.lists:
             raise ValueError("--method blocked needs a blocked-instance file via -L")
@@ -79,25 +81,19 @@ def _cmd_count(args) -> int:
         if mode == "ret":
             check_retraction_blocks(blocked)
         value = exact.count_blocked(blocked, target)
-        _emit(args, {"count": _json_count(value), "mode": mode, "method": "blocked"})
-        return 0
-    inst, target = _load_instance(args)
-    if method in (None, "bt"):
-        value = exact.count(inst, target, mode)
-        method = "bt"
-    elif method == "ie":
-        if mode == "sur":
+    else:
+        inst, target = _load_instance(args)
+        if method == "bt":
+            value = exact.count(inst, target, mode)
+        elif method == "enum":
+            value = reference.naive_count(inst, target, mode)
+        elif mode == "sur":
             value = reference.count_surjective_ie(inst, target)
         elif mode == "comp":
             value = reference.count_compaction_ie(inst, target)
         else:
             raise ValueError("--method ie applies to sur/comp")
-    elif method == "enum":
-        value = reference.naive_count(inst, target, mode)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    _emit(args, {"count": _json_count(value), "mode": mode, "method": method})
-    return 0
+    return {"count": str(value), "mode": mode, "method": method}
 
 
 ORACLE_HELP = "exact, or noisy:<eps0>,<delta0>[,<seed>] (seed 0 by default)"
@@ -114,196 +110,175 @@ def _make_oracle(spec: str):
     return approx.NoisyOracle(float(parts[0]), float(parts[1]), seed)
 
 
-def _cmd_approx(args) -> int:
+def _cmd_approx(args) -> dict:
     inst, target = _load_instance(args)
     oracle = _make_oracle(args.oracle)
     run = approx.coverage_mc(
         inst, target, args.mode, args.epsilon, args.delta, oracle, args.seed
     )
-    _emit(
-        args,
-        {
-            "mode": run.mode,
-            "epsilon": run.epsilon,
-            "delta": run.delta,
-            "seed": run.seed,
-            "t": run.t,
-            "m": run.m,
-            "omega": _json_count(run.omega),
-            "x_total": run.x_total,
-            "Y": _fraction_json(run.y),
-            "sampler": run.sampler,
-        },
+    return {
+        "mode": run.mode,
+        "epsilon": run.epsilon,
+        "delta": run.delta,
+        "seed": run.seed,
+        "t": run.t,
+        "m": run.m,
+        "omega": str(run.omega),
+        "x_total": run.x_total,
+        "Y": _fraction_json(run.y),
+        "sampler": run.sampler,
+    }
+
+
+def _cut_plan(args) -> gadgets.CutReductionPlan:
+    return gadgets.build_cut_instance(
+        files.load_graph(args.base), args.alpha, args.beta, args.gamma, args.budget,
+        files.load_graph(args.target),
+        delta_prime=Fraction(args.delta_prime).limit_denominator(10**9),
     )
-    return 0
 
 
-def _cmd_gadget(args) -> int:
-    if args.kind == "dirichlet":
-        lams = [Fraction(x).limit_denominator(10**9) for x in args.lambdas]
-        ps, r = gadgets.dirichlet_approx(lams, args.N)
-        _emit(args, {"p": ps, "r": r, "N": args.N})
-        return 0
-    if args.kind == "fixed":
-        params = {}
-        if args.q is not None:
-            params["q"] = args.q
-        if args.k is not None:
-            params["k"] = args.k
-        if args.S is not None:
-            params["s"] = frozenset(int(x) for x in args.S.split(",") if x)
-        g = build_fixed_graph(args.name, **params)
-        sys.stdout.write(files.serialize_graph(g))
-        return 0
-    if args.kind == "j-block":
-        blocked = rebind_target(build_j_blocked(args.p, args.q, args.t), build_hk(args.k))
-        sys.stdout.write(files.serialize_blocked(blocked, args.target_path))
-        return 0
-    if args.kind == "cut-instance":
-        g = files.load_graph(args.base)
-        h = files.load_graph(args.target)
-        plan = gadgets.build_cut_instance(
-            g, args.alpha, args.beta, args.gamma, args.budget, h,
-            delta_prime=Fraction(args.delta_prime).limit_denominator(10**9),
+def _largecut_plan(args) -> gadgets.LargeCutPlan:
+    return gadgets.build_largecut_instance(
+        files.load_graph(args.base), args.K, args.k, p=args.p, q=args.q, t=args.t, s=args.s
+    )
+
+
+def _cmd_gadget_dirichlet(args) -> dict:
+    lams = [Fraction(x).limit_denominator(10**9) for x in args.lambdas]
+    ps, r = gadgets.dirichlet_approx(lams, args.N)
+    return {"p": ps, "r": r, "N": args.N}
+
+
+def _cmd_gadget_fixed(args) -> str:
+    params = {}
+    if args.q is not None:
+        params["q"] = args.q
+    if args.k is not None:
+        params["k"] = args.k
+    if args.S is not None:
+        params["s"] = frozenset(int(x) for x in args.S.split(",") if x)
+    return files.serialize_graph(build_fixed_graph(args.name, **params))
+
+
+def _cmd_gadget_j_block(args) -> str:
+    blocked = rebind_target(build_j_blocked(args.p, args.q, args.t), build_hk(args.k))
+    return files.serialize_blocked(blocked, args.target_path)
+
+
+def _cmd_gadget_cut_instance(args) -> dict:
+    plan = _cut_plan(args)
+    return {
+        "s": plan.s,
+        "r": plan.r,
+        "s_alpha": plan.s_alpha,
+        "s_beta": plan.s_beta,
+        "s_gamma": plan.s_gamma,
+        "zstar": str(plan.zstar),
+        "blocked": files.serialize_blocked(plan.blocked, os.path.basename(args.target)),
+    }
+
+
+def _cmd_gadget_largecut_instance(args) -> dict:
+    plan = _largecut_plan(args)
+    return {
+        "p": plan.p,
+        "q": plan.q,
+        "t": plan.t,
+        "s": plan.s,
+        "expansion": plan.blocked.expansion_size(),
+        "blocked": files.serialize_blocked(plan.blocked, f"H_{plan.k}.hg"),
+    }
+
+
+def _cmd_estimate_cuts(args) -> dict:
+    oracle = _make_oracle(args.oracle)
+    plan = _cut_plan(args)
+    est = gadgets.estimate_multiterminal_cuts(plan, oracle.count, args.epsilon)
+    brute = None
+    if len(plan.base.non_loop_edges()) <= 20:
+        brute = gadgets.count_multiterminal_cuts_bruteforce(
+            plan.base, args.alpha, args.beta, args.gamma, args.budget
         )
-        payload = {
-            "s": plan.s,
-            "r": plan.r,
-            "s_alpha": plan.s_alpha,
-            "s_beta": plan.s_beta,
-            "s_gamma": plan.s_gamma,
-            "zstar": _json_count(plan.zstar),
-            "blocked": files.serialize_blocked(plan.blocked, os.path.basename(args.target)),
-        }
-        _emit(args, payload)
-        return 0
-    if args.kind == "largecut-instance":
-        g = files.load_graph(args.base)
-        plan = gadgets.build_largecut_instance(
-            g, args.K, args.k, p=args.p, q=args.q, t=args.t, s=args.s
+    return {"estimate": est, "bruteforce": brute, "zstar": str(plan.zstar)}
+
+
+def _cmd_estimate_largecut(args) -> dict:
+    plan = _largecut_plan(args)
+    hist = gadgets.full_hom_histogram(plan)
+    return {
+        "full_hom_histogram": {str(k): str(v) for k, v in sorted(hist.items())},
+        "cuts": {
+            str(ell): gadgets.count_large_cuts_bruteforce(plan.base, ell)
+            for ell in range(len(plan.base.non_loop_edges()) + 1)
+        },
+    }
+
+
+def _cmd_csp_count(args) -> dict:
+    return {"count": str(csp.count_csp(files.load_csp(args.csp)))}
+
+
+def _cmd_csp_build_graph(args) -> str:
+    return files.serialize_graph(csp.build_graph_from_csp(files.load_csp(args.iv), files.load_csp(args.ie)))
+
+
+def _cmd_csp_pbrp(args) -> dict:
+    iv, ie = csp.pbrp_csp(args.Q, frozenset(int(x) for x in args.S.split(",") if x))
+    return {"iv": files.serialize_csp(iv), "ie": files.serialize_csp(ie)}
+
+
+def _cmd_csp_translate(args) -> str:
+    with open(args.instance, encoding="utf-8") as fh:
+        inst, _target = files.parse_instance(
+            fh.read(), os.path.dirname(os.path.abspath(args.instance))
         )
-        _emit(
-            args,
+    out = csp.translate_ret_to_csp(inst, files.load_csp(args.iv), files.load_csp(args.ie))
+    return files.serialize_csp(out)
+
+
+def _cmd_types_table(args) -> dict:
+    rows = []
+    for label, t in homtypes.enumerate_maximal_types(args.k):
+        a, b, c, cp, bp, ap = (sorted(x) for x in t.projections())
+        rows.append(
             {
-                "p": plan.p,
-                "q": plan.q,
-                "t": plan.t,
-                "s": plan.s,
-                "expansion": plan.blocked.expansion_size(),
-                "blocked": files.serialize_blocked(plan.blocked, f"H_{plan.k}.hg"),
-            },
+                "label": label,
+                "A": a, "B": b, "C": c, "C'": cp, "B'": bp, "A'": ap,
+                "sizes": list(t.sizes()),
+            }
         )
-        return 0
-    raise ValueError(f"unknown gadget kind {args.kind!r}")
+    return {"k": args.k, "rows": rows}
 
 
-def _cmd_estimate(args) -> int:
-    if args.what == "cuts":
-        oracle = _make_oracle(args.oracle)
-        g = files.load_graph(args.base)
-        h = files.load_graph(args.target)
-        plan = gadgets.build_cut_instance(
-            g, args.alpha, args.beta, args.gamma, args.budget, h,
-            delta_prime=Fraction(args.delta_prime).limit_denominator(10**9),
+def _cmd_types_verify(args) -> dict:
+    grid = [tuple(int(x) for x in g.split(",")) for g in args.grid.split(";")]
+    results = []
+    for p, q, t in grid:
+        buckets = homtypes.brute_count_by_type(p, q, t, args.k)
+        ok = all(
+            homtypes.n_exact(typ, p, q, t) == cnt for typ, cnt in buckets.items()
         )
-        est = gadgets.estimate_multiterminal_cuts(plan, oracle.count, args.epsilon)
-        brute = None
-        if len(g.non_loop_edges()) <= 20:
-            brute = gadgets.count_multiterminal_cuts_bruteforce(
-                g, args.alpha, args.beta, args.gamma, args.budget
-            )
-        _emit(args, {"estimate": est, "bruteforce": brute, "zstar": _json_count(plan.zstar)})
-        return 0
-    if args.what == "largecut":
-        g = files.load_graph(args.base)
-        plan = gadgets.build_largecut_instance(
-            g, args.K, args.k, p=args.p, q=args.q, t=args.t, s=args.s
-        )
-        hist = gadgets.full_hom_histogram(plan)
-        _emit(
-            args,
-            {
-                "full_hom_histogram": {str(k): _json_count(v) for k, v in sorted(hist.items())},
-                "cuts": {
-                    str(ell): gadgets.count_large_cuts_bruteforce(g, ell)
-                    for ell in range(len(g.non_loop_edges()) + 1)
-                },
-            },
-        )
-        return 0
-    raise ValueError(f"unknown estimate target {args.what!r}")
+        results.append({"p": p, "q": q, "t": t, "types": len(buckets), "match": ok})
+    return {"k": args.k, "grid": results}
 
 
-def _cmd_csp(args) -> int:
-    if args.action == "count":
-        inst = files.load_csp(args.csp)
-        _emit(args, {"count": _json_count(csp.count_csp(inst))})
-        return 0
-    if args.action == "build-graph":
-        iv = files.load_csp(args.iv)
-        ie = files.load_csp(args.ie)
-        g = csp.build_graph_from_csp(iv, ie)
-        sys.stdout.write(files.serialize_graph(g))
-        return 0
-    if args.action == "pbrp":
-        s = frozenset(int(x) for x in args.S.split(",") if x)
-        iv, ie = csp.pbrp_csp(args.Q, s)
-        _emit(args, {"iv": files.serialize_csp(iv), "ie": files.serialize_csp(ie)})
-        return 0
-    if args.action == "translate":
-        with open(args.instance, encoding="utf-8") as fh:
-            inst, _target = files.parse_instance(
-                fh.read(), os.path.dirname(os.path.abspath(args.instance))
-            )
-        iv = files.load_csp(args.iv)
-        ie = files.load_csp(args.ie)
-        out = csp.translate_ret_to_csp(inst, iv, ie)
-        sys.stdout.write(files.serialize_csp(out))
-        return 0
-    raise ValueError(f"unknown csp action {args.action!r}")
-
-
-def _cmd_types(args) -> int:
-    if args.action == "table":
-        rows = []
-        for label, t in homtypes.enumerate_maximal_types(args.k):
-            a, b, c, cp, bp, ap = (sorted(x) for x in t.projections())
-            rows.append(
-                {
-                    "label": label,
-                    "A": a, "B": b, "C": c, "C'": cp, "B'": bp, "A'": ap,
-                    "sizes": list(t.sizes()),
-                }
-            )
-        _emit(args, {"k": args.k, "rows": rows})
-        return 0
-    if args.action == "verify":
-        grid = [tuple(int(x) for x in g.split(",")) for g in args.grid.split(";")]
-        results = []
-        for p, q, t in grid:
-            buckets = homtypes.brute_count_by_type(p, q, t, args.k)
-            ok = all(
-                homtypes.n_exact(typ, p, q, t) == cnt for typ, cnt in buckets.items()
-            )
-            results.append({"p": p, "q": q, "t": t, "types": len(buckets), "match": ok})
-        _emit(args, {"k": args.k, "grid": results})
-        return 0
-    if args.action == "dominance":
-        p, q = (args.p, args.q) if args.p and args.q else gadgets.choose_pq(args.k)
-        rep = homtypes.dominance_report(args.k, p, q)
-        _emit(
-            args,
-            {
-                "k": args.k,
-                "p": p,
-                "q": q,
-                "window_ok": rep.window_ok,
-                "gamma": _fraction_json(rep.gamma),
-                "per_step": {label: _fraction_json(r) for label, r in rep.per_step},
-            },
-        )
-        return 0
-    raise ValueError(f"unknown types action {args.action!r}")
+def _cmd_types_dominance(args) -> dict:
+    # the large-cut plan's rule: p and q are overridden together, and positive
+    if (args.p is None) != (args.q is None):
+        raise ValueError("override p and q together")
+    p, q = gadgets.choose_pq(args.k) if args.p is None else (args.p, args.q)
+    if min(p, q) < 1:
+        raise ValueError("p and q must be positive")
+    rep = homtypes.dominance_report(args.k, p, q)
+    return {
+        "k": args.k,
+        "p": p,
+        "q": q,
+        "window_ok": rep.window_ok,
+        "gamma": _fraction_json(rep.gamma),
+        "per_step": {label: _fraction_json(r) for label, r in rep.per_step},
+    }
 
 
 class _Suites:
@@ -320,26 +295,19 @@ class _Suites:
 
 
 def _cmd_verify(args) -> int:
+    """Writes its own two outputs, so returns its exit status, not a report."""
     from . import verify
 
     results = verify.run_suite(args.suite, quick=args.quick)
-    for res in results:
-        print(res.line())
-    failures = [r for r in results if not r.passed]
-    payload = {
-        "suite": args.suite,
-        "quick": args.quick,
-        "checks": [
+    _write("".join(f"{res.line()}\n" for res in results))
+    passed = all(r.passed for r in results)
+    if getattr(args, "out", None):
+        checks = [
             {"suite": r.suite, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
-        ],
-        "passed": not failures,
-    }
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return 0 if not failures else 1
+        ]
+        _write({"suite": args.suite, "quick": args.quick, "checks": checks, "passed": passed}, args.out)
+    return 0 if passed else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -354,126 +322,110 @@ class _Parser(argparse.ArgumentParser):
             help="omit timestamp metadata (byte-stable output)",
         )
         self.add_argument(
-            "--out", default=argparse.SUPPRESS, help="write the JSON report here instead of stdout"
+            "--out", default=argparse.SUPPRESS, help="write the report here instead of stdout"
         )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the option sets that several commands share, each declared once
+    graphs = argparse.ArgumentParser(add_help=False)
+    graphs.add_argument("-G", "--pattern")
+    graphs.add_argument("-H", "--target")
+    graphs.add_argument("-L", "--lists", help="instance file (overrides -G/-H)")
+    cut = argparse.ArgumentParser(add_help=False)
+    cut.add_argument("-G", "--base", required=True)
+    cut.add_argument("-H", "--target", required=True)
+    cut.add_argument("--alpha", required=True)
+    cut.add_argument("--beta", required=True)
+    cut.add_argument("--gamma", required=True)
+    cut.add_argument("-B", "--budget", type=int, required=True)
+    large = argparse.ArgumentParser(add_help=False)
+    large.add_argument("-G", "--base", required=True)
+    large.add_argument("-K", type=int, required=True)
+    large.add_argument("-k", type=int, default=1)
+    for name in "pqts":
+        large.add_argument(f"-{name}", type=int)
+
+    def leaf(group, name, fn, *parents, **kwargs) -> argparse.ArgumentParser:
+        p = group.add_parser(name, parents=parents, **kwargs)
+        p.set_defaults(fn=fn)
+        return p
+
     ap = _Parser(prog="retraction-lab")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="trichotomy verdict for a target graph")
+    p = leaf(sub, "classify", _cmd_classify, help="trichotomy verdict for a target graph")
     p.add_argument("-H", "--target", required=True)
-    p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("count", help="exact counting")
+    p = leaf(sub, "count", _cmd_count, graphs, help="exact counting")
     p.add_argument("--mode", choices=sorted(exact.COUNT_MODES), required=True)
-    p.add_argument("-G", "--pattern")
-    p.add_argument("-H", "--target")
-    p.add_argument("-L", "--lists", help="instance file (overrides -G/-H)")
-    p.add_argument("--method", choices=["bt", "ie", "enum", "blocked"])
-    p.set_defaults(fn=_cmd_count)
+    p.add_argument("--method", choices=["bt", "ie", "enum", "blocked"], default="bt")
 
-    p = sub.add_parser("approx", help="coverage Monte Carlo estimator")
+    p = leaf(sub, "approx", _cmd_approx, graphs, help="coverage Monte Carlo estimator")
     p.add_argument("--mode", choices=["sur", "comp"], required=True)
-    p.add_argument("-G", "--pattern")
-    p.add_argument("-H", "--target")
-    p.add_argument("-L", "--lists")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", default="exact", help=ORACLE_HELP)
-    p.set_defaults(fn=_cmd_approx)
 
-    p = sub.add_parser("gadget", help="gadget builders")
-    gsub = p.add_subparsers(dest="kind", required=True)
-    g = gsub.add_parser("dirichlet")
+    gsub = sub.add_parser("gadget", help="gadget builders").add_subparsers(dest="kind", required=True)
+    g = leaf(gsub, "dirichlet", _cmd_gadget_dirichlet)
     g.add_argument("lambdas", nargs="+", type=float)
     g.add_argument("-N", type=int, required=True)
-    g = gsub.add_parser("fixed")
+    g = leaf(gsub, "fixed", _cmd_gadget_fixed)
     g.add_argument("name")
     g.add_argument("-q", type=int)
     g.add_argument("-k", type=int)
     g.add_argument("-S", help="bristle positions, comma separated")
-    g = gsub.add_parser("j-block")
+    g = leaf(gsub, "j-block", _cmd_gadget_j_block)
     g.add_argument("-p", type=int, required=True)
     g.add_argument("-q", type=int, required=True)
     g.add_argument("-t", type=int, required=True)
     g.add_argument("-k", type=int, default=1)
     g.add_argument("--target-path", default="H_1.hg")
-    g = gsub.add_parser("cut-instance")
-    g.add_argument("-G", "--base", required=True)
-    g.add_argument("-H", "--target", required=True)
-    g.add_argument("--alpha", required=True)
-    g.add_argument("--beta", required=True)
-    g.add_argument("--gamma", required=True)
-    g.add_argument("-B", "--budget", type=int, required=True)
+    g = leaf(gsub, "cut-instance", _cmd_gadget_cut_instance, cut)
     g.add_argument("--delta-prime", type=float, default=0.05)
-    g = gsub.add_parser("largecut-instance")
-    g.add_argument("-G", "--base", required=True)
-    g.add_argument("-K", type=int, required=True)
-    g.add_argument("-k", type=int, default=1)
-    g.add_argument("-p", type=int)
-    g.add_argument("-q", type=int)
-    g.add_argument("-t", type=int)
-    g.add_argument("-s", type=int)
-    p.set_defaults(fn=_cmd_gadget)
+    leaf(gsub, "largecut-instance", _cmd_gadget_largecut_instance, large)
 
-    p = sub.add_parser("estimate", help="run the reduction estimators")
-    esub = p.add_subparsers(dest="what", required=True)
-    e = esub.add_parser("cuts")
-    e.add_argument("-G", "--base", required=True)
-    e.add_argument("-H", "--target", required=True)
-    e.add_argument("--alpha", required=True)
-    e.add_argument("--beta", required=True)
-    e.add_argument("--gamma", required=True)
-    e.add_argument("-B", "--budget", type=int, required=True)
+    esub = sub.add_parser("estimate", help="run the reduction estimators").add_subparsers(
+        dest="what", required=True
+    )
+    e = leaf(esub, "cuts", _cmd_estimate_cuts, cut)
     e.add_argument("--delta-prime", type=float, default=0.02)
     e.add_argument("--epsilon", type=float, default=0.2)
     e.add_argument("--oracle", default="exact", help=ORACLE_HELP)
-    e = esub.add_parser("largecut")
-    e.add_argument("-G", "--base", required=True)
-    e.add_argument("-K", type=int, required=True)
-    e.add_argument("-k", type=int, default=1)
-    e.add_argument("-p", type=int)
-    e.add_argument("-q", type=int)
-    e.add_argument("-t", type=int)
-    e.add_argument("-s", type=int)
-    p.set_defaults(fn=_cmd_estimate)
+    leaf(esub, "largecut", _cmd_estimate_largecut, large)
 
-    p = sub.add_parser("csp", help="CSP machinery")
-    csub = p.add_subparsers(dest="action", required=True)
-    c = csub.add_parser("count")
+    csub = sub.add_parser("csp", help="CSP machinery").add_subparsers(dest="action", required=True)
+    c = leaf(csub, "count", _cmd_csp_count)
     c.add_argument("csp")
-    c = csub.add_parser("build-graph")
+    c = leaf(csub, "build-graph", _cmd_csp_build_graph)
     c.add_argument("--iv", required=True)
     c.add_argument("--ie", required=True)
-    c = csub.add_parser("pbrp")
+    c = leaf(csub, "pbrp", _cmd_csp_pbrp)
     c.add_argument("-Q", type=int, required=True)
     c.add_argument("-S", required=True)
-    c = csub.add_parser("translate")
+    c = leaf(csub, "translate", _cmd_csp_translate)
     c.add_argument("--instance", required=True)
     c.add_argument("--iv", required=True)
     c.add_argument("--ie", required=True)
-    p.set_defaults(fn=_cmd_csp)
 
-    p = sub.add_parser("types", help="type analysis over the H_k targets")
-    tsub = p.add_subparsers(dest="action", required=True)
-    t = tsub.add_parser("table")
+    tsub = sub.add_parser("types", help="type analysis over the H_k targets").add_subparsers(
+        dest="action", required=True
+    )
+    t = leaf(tsub, "table", _cmd_types_table)
     t.add_argument("-k", type=int, default=1)
-    t = tsub.add_parser("verify")
+    t = leaf(tsub, "verify", _cmd_types_verify)
     t.add_argument("-k", type=int, default=1)
     t.add_argument("--grid", default="1,1,1;2,2,1;1,2,1;2,1,1")
-    t = tsub.add_parser("dominance")
+    t = leaf(tsub, "dominance", _cmd_types_dominance)
     t.add_argument("-k", type=int, default=1)
     t.add_argument("-p", type=int)
     t.add_argument("-q", type=int)
-    p.set_defaults(fn=_cmd_types)
 
-    p = sub.add_parser("verify", help="run named property suites")
+    p = leaf(sub, "verify", _cmd_verify, help="run named property suites")
     p.add_argument("suite", choices=_Suites(), metavar="suite")
     p.add_argument("--quick", action="store_true")
-    p.set_defaults(fn=_cmd_verify)
 
     return ap
 
@@ -482,10 +434,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        report = args.fn(args)
+        if isinstance(report, int):  # verify's exit status; it wrote its outputs
+            return report
+        _write(report, getattr(args, "out", None), meta=not getattr(args, "no_meta", False))
     except (ValueError, OSError, files.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

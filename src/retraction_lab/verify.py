@@ -1,9 +1,16 @@
 """Named property suites: every module's invariants, runnable as machine
 checks.  The CLI `verify` command and the acceptance tests share these
 implementations; `quick` shrinks corpus sizes, never tolerances.
+
+A check is declared once, where it is defined: `@_check(suite, name)` above
+a function of `quick` that returns the detail of a pass (or None) and raises
+`_Failed(detail)` on a failure.  The declaration adds the check to
+SUITES[suite], in definition order, and makes it a function of `quick` that
+returns a CheckResult.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +51,45 @@ class CheckResult:
         status = "pass" if self.passed else "FAIL"
         extra = f" ({self.detail})" if self.detail else ""
         return f"{self.suite}/{self.name}: {status}{extra}"
+
+
+class _Failed(Exception):
+    """A check's failure; its one argument, if any, is the detail."""
+
+
+# suite -> its checks, in the order they are declared below
+SUITES: dict[str, list] = {}
+
+
+def _run(suite: str, name: str, fn, arg) -> CheckResult:
+    """fn(arg) as the result of check suite/name: the one place a
+    CheckResult is built."""
+    try:
+        passed, detail = True, fn(arg)
+    except _Failed as failure:
+        passed, detail = False, str(failure)
+    return CheckResult(suite, name, passed, detail or "")
+
+
+def _check(suite: str, name: str, per=None):
+    """Declare the check suite/name and add it to SUITES[suite].  The
+    decorated function takes `quick`, returns a pass's detail (or None) and
+    raises _Failed(detail) on a failure; the declared check is a function of
+    `quick` that returns its CheckResult.  With `per`, a function of `quick`
+    giving the values x to check one at a time, the decorated function takes
+    x, and the check returns one result per x, named name.format(x)."""
+
+    def declare(fn):
+        @functools.wraps(fn)
+        def check(quick: bool) -> CheckResult | list[CheckResult]:
+            if per is None:
+                return _run(suite, name, fn, quick)
+            return [_run(suite, name.format(x), fn, x) for x in per(quick)]
+
+        SUITES.setdefault(suite, []).append(check)
+        return check
+
+    return declare
 
 
 def worker_count() -> int:
@@ -116,7 +162,8 @@ def random_imp_instance(seed, xs: tuple[str, ...], max_constraints: int = 5) -> 
 # -- oracles suite --------------------------------------------------------------
 
 
-def check_oracle_equivalence(quick: bool) -> CheckResult:
+@_check("oracles", "oracle-equivalence")
+def check_oracle_equivalence(quick: bool) -> str:
     cases = 40 if quick else 200
     for i in range(cases):
         target = random_target(("oe", i))
@@ -127,27 +174,25 @@ def check_oracle_equivalence(quick: bool) -> CheckResult:
             fast = exact.count(inst, target, mode)
             slow = reference.naive_count(inst, target, mode)
             if fast != slow:
-                return CheckResult(
-                    "oracles", "oracle-equivalence", False,
-                    f"case {i} mode {mode}: {fast} != {slow}",
-                )
+                raise _Failed(f"case {i} mode {mode}: {fast} != {slow}")
         if reference.count_surjective_ie(inst, target) != exact.count_surjective(inst, target):
-            return CheckResult("oracles", "oracle-equivalence", False, f"case {i}: sur ie mismatch")
+            raise _Failed(f"case {i}: sur ie mismatch")
         if reference.count_compaction_ie(inst, target) != exact.count_compaction(inst, target):
-            return CheckResult("oracles", "oracle-equivalence", False, f"case {i}: comp ie mismatch")
+            raise _Failed(f"case {i}: comp ie mismatch")
         # hom and retraction modes on their own shaped instances
         full = ListedInstance.full(pattern, target)
         if exact.count(full, target, "hom") != reference.naive_count(full, target, "hom"):
-            return CheckResult("oracles", "oracle-equivalence", False, f"case {i}: hom mismatch")
+            raise _Failed(f"case {i}: hom mismatch")
         rinst = ListedInstance(
             pattern, random_retraction_lists(("oe", i), pattern, target), target.vertices
         )
         if exact.count(rinst, target, "ret") != reference.naive_count(rinst, target, "ret"):
-            return CheckResult("oracles", "oracle-equivalence", False, f"case {i}: ret mismatch")
-    return CheckResult("oracles", "oracle-equivalence", True, f"{cases} cases x 5 modes")
+            raise _Failed(f"case {i}: ret mismatch")
+    return f"{cases} cases x 5 modes"
 
 
-def check_decomposition(quick: bool) -> CheckResult:
+@_check("oracles", "decomposition")
+def check_decomposition(quick: bool) -> str:
     cases = 20 if quick else 100
     done = 0
     i = 0
@@ -162,12 +207,13 @@ def check_decomposition(quick: bool) -> CheckResult:
         dec = reference.count_by_components(inst, target)
         raw = exact.count_list_hom(inst, target)
         if dec != raw:
-            return CheckResult("oracles", "decomposition", False, f"case {i}: {dec} != {raw}")
+            raise _Failed(f"case {i}: {dec} != {raw}")
         done += 1
-    return CheckResult("oracles", "decomposition", True, f"{cases} multi-component cases")
+    return f"{cases} multi-component cases"
 
 
-def check_monotonicity(quick: bool) -> CheckResult:
+@_check("oracles", "monotonicity")
+def check_monotonicity(quick: bool) -> None:
     cases = 15 if quick else 60
     for i in range(cases):
         target = random_target(("mono", i))
@@ -186,11 +232,11 @@ def check_monotonicity(quick: bool) -> CheckResult:
         sinst = ListedInstance(pattern, shrunk, target.vertices)
         for mode in ("lhom", "sur", "comp"):
             if exact.count(sinst, target, mode) > exact.count(inst, target, mode):
-                return CheckResult("oracles", "monotonicity", False, f"case {i} mode {mode}")
-    return CheckResult("oracles", "monotonicity", True)
+                raise _Failed(f"case {i} mode {mode}")
 
 
-def check_lemma19_bounds(quick: bool) -> CheckResult:
+@_check("oracles", "lemma19-bounds")
+def check_lemma19_bounds(quick: bool) -> str:
     a_max = 80 if quick else 200
     for b in range(1, 11):
         lo = max(1, math.ceil(2 * b * math.log(b)) if b > 1 else 1)
@@ -199,11 +245,12 @@ def check_lemma19_bounds(quick: bool) -> CheckResult:
             upper = b**a
             lower = Fraction(b**a) * (1 - Fraction(math.exp(-a / (2 * b))))
             if not (lower <= s <= upper):
-                return CheckResult("oracles", "lemma19-bounds", False, f"a={a} b={b}")
-    return CheckResult("oracles", "lemma19-bounds", True, f"b<=10, a<={a_max}")
+                raise _Failed(f"a={a} b={b}")
+    return f"b<=10, a<={a_max}"
 
 
-def check_blocked_roundtrip(quick: bool) -> CheckResult:
+@_check("oracles", "blocked-roundtrip")
+def check_blocked_roundtrip(quick: bool) -> str:
     hk = build_hk(1)
     tw = build_two_wrench()
     fixtures = [
@@ -224,40 +271,41 @@ def check_blocked_roundtrip(quick: bool) -> CheckResult:
         fast = exact.count_blocked(blocked, target)
         slow = exact.count_list_hom(expand_blocked(blocked), target)
         if fast != slow:
-            return CheckResult("oracles", "blocked-roundtrip", False, f"fixture {i}: {fast} != {slow}")
-    return CheckResult("oracles", "blocked-roundtrip", True, f"{len(fixtures)} fixtures")
+            raise _Failed(f"fixture {i}: {fast} != {slow}")
+    return f"{len(fixtures)} fixtures"
 
 
-def check_girth_crosscheck(quick: bool) -> CheckResult:
+@_check("oracles", "girth-crosscheck")
+def check_girth_crosscheck(quick: bool) -> str:
     cases = 60 if quick else 200
     for i in range(cases):
         rng = pyrng("girth", i)
         h = random_graph(rng, rng.randint(1, 8), 0.35, "v", loop_p=0.3)
         if girth(h) != reference.naive_girth(h):
-            return CheckResult("oracles", "girth-crosscheck", False, f"case {i}")
-    return CheckResult("oracles", "girth-crosscheck", True, f"{cases} graphs <= 8 vertices")
+            raise _Failed(f"case {i}")
+    return f"{cases} graphs <= 8 vertices"
 
 
-def check_gamma2_phi(quick: bool) -> CheckResult:
+@_check("oracles", "gamma2-phi")
+def check_gamma2_phi(quick: bool) -> None:
     cases = 40 if quick else 120
     for i in range(cases):
         h = random_target(("g2", i), max_n=6)
         for u in h.vertices:
             g1, g2 = neighborhoods(h, u)
             if g2 != neighbor_union(h, g1):
-                return CheckResult("oracles", "gamma2-phi", False, f"case {i} vertex {u}")
-    return CheckResult("oracles", "gamma2-phi", True)
+                raise _Failed(f"case {i} vertex {u}")
 
 
-def check_parse_roundtrip(quick: bool) -> CheckResult:
+@_check("oracles", "parse-roundtrip")
+def check_parse_roundtrip(quick: bool) -> None:
     cases = 30 if quick else 100
     for i in range(cases):
         h = random_target(("io", i), max_n=6)
         text = files.serialize_graph(h)
         again = files.parse_graph(text)
         if again != h or files.serialize_graph(again) != text:
-            return CheckResult("oracles", "parse-roundtrip", False, f"case {i}")
-    return CheckResult("oracles", "parse-roundtrip", True)
+            raise _Failed(f"case {i}")
 
 
 # -- csp suite -------------------------------------------------------------------
@@ -297,22 +345,24 @@ def csp_parsimony_case(i: int):
     return (inst, iv, ie, h), (dpattern, dlists, iv, if_, ib, dh)
 
 
-def check_csp_parsimony(quick: bool) -> CheckResult:
+@_check("csp", "parsimony")
+def check_csp_parsimony(quick: bool) -> str:
     cases = 20 if quick else 100
     for i in range(cases):
         (inst, iv, ie, h), (dpattern, dlists, _, if_, ib, dh) = csp_parsimony_case(i)
         lhs = csp.count_csp(csp.translate_ret_to_csp(inst, iv, ie))
         rhs = exact.count_retraction(inst, h)
         if lhs != rhs:
-            return CheckResult("csp", "parsimony", False, f"case {i} undirected: {lhs} != {rhs}")
+            raise _Failed(f"case {i} undirected: {lhs} != {rhs}")
         lhs = csp.count_csp(csp.translate_dirret_to_csp(dpattern, dlists, iv, if_, ib))
         rhs = csp.count_dir_list_hom(dpattern, dlists, dh)
         if lhs != rhs:
-            return CheckResult("csp", "parsimony", False, f"case {i} directed: {lhs} != {rhs}")
-    return CheckResult("csp", "parsimony", True, f"{cases} cases, undirected + directed")
+            raise _Failed(f"case {i} directed: {lhs} != {rhs}")
+    return f"{cases} cases, undirected + directed"
 
 
-def check_lemma33_structure(quick: bool) -> CheckResult:
+@_check("csp", "lemma33-structure")
+def check_lemma33_structure(quick: bool) -> str:
     qs = range(1, 3) if quick else range(1, 5)
     cases = 0
     for q in qs:
@@ -326,23 +376,24 @@ def check_lemma33_structure(quick: bool) -> CheckResult:
                 comps = connected_components(built)
                 core = [c for c in comps if len(c) > 1]
                 if len(core) != 1:
-                    return CheckResult("csp", "lemma33-structure", False, f"(q={q}, s={set(s)}): {len(core)} cores")
+                    raise _Failed(f"(q={q}, s={set(s)}): {len(core)} cores")
                 if set(core[0].vertices) != expected:
-                    return CheckResult("csp", "lemma33-structure", False, f"(q={q}, s={set(s)}): wrong core")
+                    raise _Failed(f"(q={q}, s={set(s)}): wrong core")
                 for c in comps:
                     if len(c) == 1 and c.loop_mask():
-                        return CheckResult("csp", "lemma33-structure", False, f"(q={q}, s={set(s)}): looped singleton")
+                        raise _Failed(f"(q={q}, s={set(s)}): looped singleton")
                 # exact edge match under the sigma labeling
                 mapping = {path[i]: f"c{i}" for i in path}
                 mapping.update({bristles[i]: f"g{i}" for i in bristles})
                 relabeled = core[0].relabel(mapping)
                 if relabeled != build_pbrp(q, s):
-                    return CheckResult("csp", "lemma33-structure", False, f"(q={q}, s={set(s)}): not the bristled path")
+                    raise _Failed(f"(q={q}, s={set(s)}): not the bristled path")
                 cases += 1
-    return CheckResult("csp", "lemma33-structure", True, f"{cases} (q, s) cases")
+    return f"{cases} (q, s) cases"
 
 
-def check_extreme_assignments(quick: bool) -> CheckResult:
+@_check("csp", "extreme-assignments")
+def check_extreme_assignments(quick: bool) -> None:
     cases = 20 if quick else 60
     for i in range(cases):
         nx = pyrng("ext", i).randint(1, 4)
@@ -352,11 +403,11 @@ def check_extreme_assignments(quick: bool) -> CheckResult:
         h = csp.build_graph_from_csp(iv, ie)
         for name in ("0" * nx, "1" * nx):
             if name in h and not h.is_looped(name):
-                return CheckResult("csp", "extreme-assignments", False, f"case {i}: {name} unlooped")
-    return CheckResult("csp", "extreme-assignments", True)
+                raise _Failed(f"case {i}: {name} unlooped")
 
 
-def check_strip_and_subtract(quick: bool) -> CheckResult:
+@_check("csp", "strip-subtract")
+def check_strip_and_subtract(quick: bool) -> None:
     tw = build_two_wrench()
     h = Graph(
         list(tw.vertices) + ["s1", "s2", "t1", "t2"],
@@ -364,21 +415,21 @@ def check_strip_and_subtract(quick: bool) -> CheckResult:
     )
     core = csp.strip_trivial_components(h)
     if core.core != tw or len(core.stripped) != 3:
-        return CheckResult("csp", "strip-subtract", False, "core extraction")
+        raise _Failed("core extraction")
     pattern = build_path(3)
     f = core.f_value(pattern)
     whole = exact.count_list_hom(ListedInstance.full(pattern, h), h)
     part = exact.count_list_hom(ListedInstance.full(pattern, tw), tw)
     if csp.subtract_wrapper(whole, f) != part:
-        return CheckResult("csp", "strip-subtract", False, "subtract identity")
+        raise _Failed("subtract identity")
     if csp.subtract_wrapper(5, 5) != 0:
-        return CheckResult("csp", "strip-subtract", False, "k == count branch")
+        raise _Failed("k == count branch")
     try:
         csp.subtract_wrapper(0, 1)
-        return CheckResult("csp", "strip-subtract", False, "negative accepted")
     except ValueError:
         pass
-    return CheckResult("csp", "strip-subtract", True)
+    else:
+        raise _Failed("negative accepted")
 
 
 # -- types suite -------------------------------------------------------------------
@@ -399,63 +450,57 @@ _TABLE_BASES = {
 }
 
 
-def check_table1(quick: bool) -> list[CheckResult]:
-    ks = (1,) if quick else (1, 2, 3)
-    out = []
-    for k in ks:
-        out.append(_check_table1_single(k))
-    return out
-
-
-def _check_table1_single(k: int) -> CheckResult:
-    name = f"table1-k{k}"
+@_check("types", "table1-k{}", per=lambda quick: (1,) if quick else (1, 2, 3))
+def check_table1(k: int) -> str:
     rows = homtypes.enumerate_maximal_types(k)
     if len(rows) != 10:
-        return CheckResult("types", name, False, f"{len(rows)} rows")
+        raise _Failed(f"{len(rows)} rows")
     ys = frozenset(f"y{i}" for i in range(1, k + 1))
     for label, t in rows:
         sizes = t.sizes()
         want = tuple(4 + k if b is None else b for b in _TABLE_BASES[label])
         if sizes != want:
-            return CheckResult("types", name, False, f"{label}: sizes {sizes} != {want}")
+            raise _Failed(f"{label}: sizes {sizes} != {want}")
         if not reference.is_maximal_type_sets(t, k):
-            return CheckResult("types", name, False, f"{label} not maximal")
+            raise _Failed(f"{label} not maximal")
     a1 = dict(rows)["T1"].projections()[0]
     if a1 != frozenset(("b",)) | ys:
-        return CheckResult("types", name, False, "T1 A-projection")
-    return CheckResult("types", name, True, "10 rows, projections and size triples")
+        raise _Failed("T1 A-projection")
+    return "10 rows, projections and size triples"
 
 
-def check_eq4_grid(quick: bool) -> CheckResult:
+@_check("types", "eq4-grid")
+def check_eq4_grid(quick: bool) -> str:
     grid = [(1, 1, 1)] if quick else [(1, 1, 1), (2, 2, 1), (1, 2, 1), (2, 1, 1)]
     for p, q, t in grid:
         buckets = homtypes.brute_count_by_type(p, q, t, 1)
         for typ, cnt in buckets.items():
             if homtypes.n_exact(typ, p, q, t) != cnt:
-                return CheckResult("types", "eq4-grid", False, f"(p,q,t)=({p},{q},{t})")
+                raise _Failed(f"(p,q,t)=({p},{q},{t})")
             if not homtypes.is_nonempty_type(typ, 1):
-                return CheckResult("types", "eq4-grid", False, f"empty realized type at ({p},{q},{t})")
+                raise _Failed(f"empty realized type at ({p},{q},{t})")
         # zero cases: every maximal type absent from the buckets has N = 0
         for label, typ in homtypes.enumerate_maximal_types(1):
             if typ not in buckets and homtypes.n_exact(typ, p, q, t) != 0:
-                return CheckResult("types", "eq4-grid", False, f"{label} should be zero at ({p},{q},{t})")
+                raise _Failed(f"{label} should be zero at ({p},{q},{t})")
         total = sum(buckets.values())
         hk = build_hk(1)
         inst = expand_blocked(rebind_target(build_j_blocked(p, q, t), hk))
         if total != exact.count_retraction(inst, hk):
-            return CheckResult("types", "eq4-grid", False, f"partition total at ({p},{q},{t})")
-    return CheckResult("types", "eq4-grid", True, f"grid {grid}")
+            raise _Failed(f"partition total at ({p},{q},{t})")
+    return f"grid {grid}"
 
 
-def check_type_symmetry(quick: bool) -> CheckResult:
+@_check("types", "symmetry")
+def check_type_symmetry(quick: bool) -> None:
     buckets = homtypes.brute_count_by_type(1, 1, 1, 1)
     for typ, cnt in buckets.items():
         if buckets.get(homtypes.symmetric_partner(typ), 0) != cnt:
-            return CheckResult("types", "symmetry", False, str(typ.sizes()))
-    return CheckResult("types", "symmetry", True)
+            raise _Failed(str(typ.sizes()))
 
 
-def check_lemma45_fixed_points(quick: bool) -> CheckResult:
+@_check("types", "lemma45-fixed-points")
+def check_lemma45_fixed_points(quick: bool) -> None:
     from .graphs import common_neighbors
 
     for k in (1, 2):
@@ -467,40 +512,42 @@ def check_lemma45_fixed_points(quick: bool) -> CheckResult:
                 inner = frozenset(common_neighbors(hk, cset)) & gb
                 outer = frozenset(common_neighbors(hk, inner)) & gb
                 if outer != cset:
-                    return CheckResult("types", "lemma45-fixed-points", False, f"k={k} {label}")
-    return CheckResult("types", "lemma45-fixed-points", True)
+                    raise _Failed(f"k={k} {label}")
 
 
-def check_lemma43(quick: bool) -> CheckResult:
+@_check("types", "lemma43-sandwich")
+def check_lemma43(quick: bool) -> str:
     p, q = gadgets.choose_pq(1)
     t0 = homtypes.lemma43_scan(1, p, q, 8)
     if t0 is None:
-        return CheckResult("types", "lemma43-sandwich", False, "no t0 <= 8")
+        raise _Failed("no t0 <= 8")
     for t in range(t0, t0 + (2 if quick else 4)):
         if not homtypes.lemma43_check(1, p, q, t):
-            return CheckResult("types", "lemma43-sandwich", False, f"not monotone at t={t}")
-    return CheckResult("types", "lemma43-sandwich", True, f"(p,q)=({p},{q}), least t0={t0}")
+            raise _Failed(f"not monotone at t={t}")
+    return f"(p,q)=({p},{q}), least t0={t0}"
 
 
-def check_lemma47(quick: bool) -> CheckResult:
+@_check("types", "lemma47-dominance")
+def check_lemma47(quick: bool) -> str:
     p, q = gadgets.choose_pq(1)
     rep = homtypes.dominance_report(1, p, q)
     if not rep.window_ok:
-        return CheckResult("types", "lemma47-dominance", False, "window")
+        raise _Failed("window")
     if len(rep.per_step) != 9:
-        return CheckResult("types", "lemma47-dominance", False, f"{len(rep.per_step)} ratios")
+        raise _Failed(f"{len(rep.per_step)} ratios")
     if not all(r < 1 for _, r in rep.per_step) or not rep.gamma < 1:
-        return CheckResult("types", "lemma47-dominance", False, "ratio >= 1")
+        raise _Failed("ratio >= 1")
     t1 = dict(rep.per_step)["T1"]
     if t1 != Fraction(4 + 1) ** p / Fraction(4) ** q:
-        return CheckResult("types", "lemma47-dominance", False, "T1 closed form")
-    return CheckResult("types", "lemma47-dominance", True, f"gamma={float(rep.gamma):.4f}")
+        raise _Failed("T1 closed form")
+    return f"gamma={float(rep.gamma):.4f}"
 
 
 # -- gadgets suite -----------------------------------------------------------------
 
 
-def check_dirichlet(quick: bool) -> CheckResult:
+@_check("gadgets", "dirichlet-property")
+def check_dirichlet(quick: bool) -> str:
     cases = 100 if quick else 500
     for i in range(cases):
         rng = pyrng("dirichlet", i)
@@ -509,11 +556,11 @@ def check_dirichlet(quick: bool) -> CheckResult:
         n = rng.choice((10, 100, 1000))
         ps, r = gadgets.dirichlet_approx(lams, n)
         if not (1 <= r <= n) or any(p < 1 for p in ps):
-            return CheckResult("gadgets", "dirichlet-property", False, f"case {i}: bad (p, r)")
+            raise _Failed(f"case {i}: bad (p, r)")
         for lam, p in zip(lams, ps):
             if abs(r * lam - p) ** d * n > 1:
-                return CheckResult("gadgets", "dirichlet-property", False, f"case {i}: bound")
-    return CheckResult("gadgets", "dirichlet-property", True, f"{cases} cases")
+                raise _Failed(f"case {i}: bound")
+    return f"{cases} cases"
 
 
 def _star_fixture():
@@ -521,28 +568,30 @@ def _star_fixture():
     return g, ("a", "b", "c")
 
 
-def check_cut_window(quick: bool) -> CheckResult:
+@_check("gadgets", "cut-window")
+def check_cut_window(quick: bool) -> str:
     g, (a, b, c) = _star_fixture()
     plan = gadgets.build_cut_instance(g, a, b, c, 2, build_jq(3), delta_prime=Fraction(1, 50))
     acc = gadgets.cut_accounting(plan)
     t_true = gadgets.count_multiterminal_cuts_bruteforce(g, a, b, c, 2)
     if acc.t_count != t_true:
-        return CheckResult("gadgets", "cut-window", False, "T mismatch")
+        raise _Failed("T mismatch")
     ratio = Fraction(acc.z_value, plan.zstar)
     if not (t_true <= ratio <= t_true + Fraction(1, 4)):
-        return CheckResult("gadgets", "cut-window", False, f"Z/Z* = {ratio}")
+        raise _Failed(f"Z/Z* = {ratio}")
     hom = exact.count_blocked(plan.blocked, plan.target)
     if hom != acc.z_by_edge_factors:
-        return CheckResult("gadgets", "cut-window", False, "blocked count != edge-factor sum")
+        raise _Failed("blocked count != edge-factor sum")
     est = gadgets.estimate_multiterminal_cuts(plan, gadgets.exact_blocked_oracle, 0.2)
     # the oracle class and the bare exact function must give the same estimate
     est2 = gadgets.estimate_multiterminal_cuts(plan, approx.ExactOracle().count, 0.2)
     if est != t_true or est2 != est:
-        return CheckResult("gadgets", "cut-window", False, f"estimates {est}, {est2}")
-    return CheckResult("gadgets", "cut-window", True, f"T={t_true}, Z/Z*={ratio}")
+        raise _Failed(f"estimates {est}, {est2}")
+    return f"T={t_true}, Z/Z*={ratio}"
 
 
-def check_cut_psi(quick: bool) -> CheckResult:
+@_check("gadgets", "cut-psi")
+def check_cut_psi(quick: bool) -> None:
     j3 = build_jq(3)
     path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     tri = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
@@ -552,7 +601,7 @@ def check_cut_psi(quick: bool) -> CheckResult:
         dw = j3.degree("w")
         for rec in acc.records:
             if rec.psi_size != dw ** (rec.kappa - 3):
-                return CheckResult("gadgets", "cut-psi", False, f"{rec.edges}")
+                raise _Failed(f"{rec.edges}")
     # the bound direction on a fixture with a kappa-4 cut
     g, (a, b, c) = _star_fixture()
     plan = gadgets.build_cut_instance(g, a, b, c, 2, j3, delta_prime=Fraction(1, 50))
@@ -560,11 +609,11 @@ def check_cut_psi(quick: bool) -> CheckResult:
     dw = j3.degree("w")
     for rec in acc.records:
         if rec.psi_size > dw ** (rec.kappa - 3):
-            return CheckResult("gadgets", "cut-psi", False, "upper bound violated")
-    return CheckResult("gadgets", "cut-psi", True)
+            raise _Failed("upper bound violated")
 
 
-def check_bichromatic_forcing(quick: bool) -> CheckResult:
+@_check("gadgets", "bichromatic-forcing")
+def check_bichromatic_forcing(quick: bool) -> None:
     # one edge gadget with bichromatically pinned endpoints collapses to a
     # single homomorphism (all auxiliary vertices forced onto the hub)
     j3 = build_jq(3)
@@ -583,35 +632,36 @@ def check_bichromatic_forcing(quick: bool) -> CheckResult:
     blocked = BlockedInstance(tuple(blocks), tuple(couplings), tuple(pins), j3.vertices)
     cnt = exact.count_blocked(blocked, j3)
     if cnt != 1:
-        return CheckResult("gadgets", "bichromatic-forcing", False, f"count {cnt}")
+        raise _Failed(f"count {cnt}")
     inst = expand_blocked(blocked)
     for hom in exact.enumerate_homs(inst, j3):
         if any(hom[x] != "w" for x in inst.pattern.vertices if x.startswith("blk:")):
-            return CheckResult("gadgets", "bichromatic-forcing", False, "non-hub image")
-    return CheckResult("gadgets", "bichromatic-forcing", True)
+            raise _Failed("non-hub image")
 
 
-def check_largecut_roundtrip(quick: bool) -> CheckResult:
+@_check("gadgets", "largecut-roundtrip")
+def check_largecut_roundtrip(quick: bool) -> None:
     k2 = Graph(["u", "v"], [("u", "v")])
     plan = gadgets.build_largecut_instance(k2, 1, 1, p=1, q=1, t=1, s=1)
     if plan.blocked.expansion_size() != 17:
-        return CheckResult("gadgets", "largecut-roundtrip", False, "expansion size")
+        raise _Failed("expansion size")
     via_blocked = exact.count_blocked(plan.blocked, plan.target)
     via_expand = exact.count_list_hom(expand_blocked(plan.blocked), plan.target)
     if via_blocked != via_expand:
-        return CheckResult("gadgets", "largecut-roundtrip", False, "count mismatch")
+        raise _Failed("count mismatch")
     big = gadgets.build_largecut_instance(build_cycle(3), 2, 1)
     if big.t != 81 or big.s != 4:
-        return CheckResult("gadgets", "largecut-roundtrip", False, "default parameters")
+        raise _Failed("default parameters")
     try:
         exact.count_blocked(big.blocked, big.target)
-        return CheckResult("gadgets", "largecut-roundtrip", False, "guard not enforced")
     except ValueError:
         pass
-    return CheckResult("gadgets", "largecut-roundtrip", True)
+    else:
+        raise _Failed("guard not enforced")
 
 
-def check_largecut_identity(quick: bool) -> CheckResult:
+@_check("gadgets", "largecut-identity")
+def check_largecut_identity(quick: bool) -> None:
     types = dict(homtypes.enumerate_maximal_types(1))
     p3 = Graph(["u", "v", "w"], [("u", "v"), ("v", "w")])
     k2 = Graph(["u", "v"], [("u", "v")])
@@ -624,17 +674,14 @@ def check_largecut_identity(quick: bool) -> CheckResult:
             cuts = gadgets.count_large_cuts_bruteforce(g, ell)
             expected = cuts * 2 * nt4**n * 4 ** (plan.s * ell)
             if hist.get(ell, 0) != expected:
-                return CheckResult(
-                    "gadgets", "largecut-identity", False,
-                    f"{len(g)}-vertex base, l={ell}: {hist.get(ell, 0)} != {expected}",
-                )
+                raise _Failed(f"{len(g)}-vertex base, l={ell}: {hist.get(ell, 0)} != {expected}")
         # the factored histogram agrees with the direct walk on the K2 plan
         if len(g) == 2 and gadgets.full_hom_histogram_direct(plan) != hist:
-            return CheckResult("gadgets", "largecut-identity", False, "factored != direct")
-    return CheckResult("gadgets", "largecut-identity", True)
+            raise _Failed("factored != direct")
 
 
-def check_pin_neighborhood(quick: bool) -> CheckResult:
+@_check("gadgets", "pin-neighborhood")
+def check_pin_neighborhood(quick: bool) -> str:
     cases = 15 if quick else 50
     for i in range(cases):
         h = random_target(("pinn", i), max_n=4)
@@ -650,28 +697,28 @@ def check_pin_neighborhood(quick: bool) -> CheckResult:
         inst = gadgets.pin_neighborhood_instance(pattern, h, u)
         rhs = exact.count_retraction(inst, h)
         if lhs != rhs:
-            return CheckResult("gadgets", "pin-neighborhood", False, f"case {i}: {lhs} != {rhs}")
-    return CheckResult("gadgets", "pin-neighborhood", True, f"{cases} cases")
+            raise _Failed(f"case {i}: {lhs} != {rhs}")
+    return f"{cases} cases"
 
 
-def check_j_shapes(quick: bool) -> CheckResult:
+@_check("gadgets", "j-shapes")
+def check_j_shapes(quick: bool) -> None:
     hk = build_hk(1)
     j = rebind_target(build_j_blocked(1, 1, 1), hk)
     if expand_blocked(j).pattern.vertices.__len__() != 9:
-        return CheckResult("gadgets", "j-shapes", False, "J(1,1,1) size")
+        raise _Failed("J(1,1,1) size")
     j2 = rebind_target(build_j_blocked(2, 3, 1), hk)
     if j2.expansion_size() != 17:
-        return CheckResult("gadgets", "j-shapes", False, "J(2,3,1) size")
+        raise _Failed("J(2,3,1) size")
     if gadgets.choose_pq(1) != (44, 52):
-        return CheckResult("gadgets", "j-shapes", False, "choose_pq(1)")
+        raise _Failed("choose_pq(1)")
     hkp = build_hk_prime(1)
     if len(hkp) != 5 or len(hkp.looped_vertices()) != 3 or len(hkp.non_loop_edges()) != 4:
-        return CheckResult("gadgets", "j-shapes", False, "H'_1 shape")
+        raise _Failed("H'_1 shape")
     if len(hk) != 9 or len(hk.looped_vertices()) != 6 or len(hk.non_loop_edges()) != 16:
-        return CheckResult("gadgets", "j-shapes", False, "H_1 shape")
+        raise _Failed("H_1 shape")
     if 2 * hk.edge_count() != 32 + 12 * 1:
-        return CheckResult("gadgets", "j-shapes", False, "edge budget")
-    return CheckResult("gadgets", "j-shapes", True)
+        raise _Failed("edge budget")
 
 
 # -- approx suite ------------------------------------------------------------------
@@ -737,22 +784,13 @@ def algorithm1_battery(
     return out
 
 
-def check_algorithm1_statistics(quick: bool) -> CheckResult:
-    runs = 3 if quick else 50
-    res = algorithm1_battery(runs_per_mode=runs)
-    bad = {f: (h, t) for f, (h, t) in res.items() if h < math.ceil(0.85 * t)}
-    detail = "; ".join(f"{f}: {h}/{t}" for f, (h, t) in sorted(res.items()))
-    if bad:
-        return CheckResult("approx", "algorithm1-statistics", False, detail)
-    return CheckResult("approx", "algorithm1-statistics", True, detail)
-
-
 def _witness_key(witness) -> tuple:
     us, tau = witness
     return us, tuple(sorted(tau.items()))
 
 
-def check_exact_expectation(quick: bool) -> CheckResult:
+@_check("approx", "exact-expectation")
+def check_exact_expectation(quick: bool) -> None:
     """The witnesses must be `reference.naive_witnesses`, each once.  Under
     exact weights E[Y] = sum_i omega_i phat_i, the sum of the witnesses'
     first-occurrence counts, which must be the exact sur/comp count; each
@@ -770,27 +808,22 @@ def check_exact_expectation(quick: bool) -> CheckResult:
                 if sorted(map(_witness_key, ts)) != sorted(
                     map(_witness_key, reference.naive_witnesses(inst, target, mode))
                 ):
-                    return CheckResult("approx", "exact-expectation", False, f"{where}: witnesses")
+                    raise _Failed(f"{where}: witnesses")
                 omegas, firsts = reference.coverage_partition(inst, target, ts)
                 if sum(firsts) != truth:
-                    return CheckResult(
-                        "approx", "exact-expectation", False,
-                        f"{where}: E[Y] = {sum(firsts)} != {truth}",
-                    )
+                    raise _Failed(f"{where}: E[Y] = {sum(firsts)} != {truth}")
                 for i, ((us, tau), w) in enumerate(zip(ts, omegas)):
                     pinned = inst
                     for u in us:
                         pinned = pinned.pin(u, tau[u])
                     if w != exact.count_list_hom(pinned, target):
-                        return CheckResult(
-                            "approx", "exact-expectation", False, f"{where}: |Omega_{i}|"
-                        )
+                        raise _Failed(f"{where}: |Omega_{i}|")
                 if ts and Fraction(sum(omegas), len(ts)) > truth:
-                    return CheckResult("approx", "exact-expectation", False, f"{where}: eq9 lower bound")
-    return CheckResult("approx", "exact-expectation", True)
+                    raise _Failed(f"{where}: eq9 lower bound")
 
 
-def check_jvv_uniformity(quick: bool) -> CheckResult:
+@_check("approx", "jvv-uniformity")
+def check_jvv_uniformity(quick: bool) -> str:
     target = build_two_wrench()
     g = build_path(3)
     inst = ListedInstance.full(g, target)
@@ -805,17 +838,18 @@ def check_jvv_uniformity(quick: bool) -> CheckResult:
         key = tuple(sorted(tau.items()))
         counts[key] = counts.get(key, 0) + 1
     if set(counts) - set(homs):
-        return CheckResult("approx", "jvv-uniformity", False, "non-homomorphism sampled")
+        raise _Failed("non-homomorphism sampled")
     tv = Fraction(1, 2) * sum(
         abs(Fraction(counts.get(h, 0), samples) - Fraction(1, n)) for h in homs
     )
     bound = Fraction(1, 10) if quick else Fraction(1, 20)
     if tv > bound:
-        return CheckResult("approx", "jvv-uniformity", False, f"TV = {float(tv):.4f}")
-    return CheckResult("approx", "jvv-uniformity", True, f"TV = {float(tv):.4f} over {samples} samples")
+        raise _Failed(f"TV = {float(tv):.4f}")
+    return f"TV = {float(tv):.4f} over {samples} samples"
 
 
-def check_padding(quick: bool) -> CheckResult:
+@_check("approx", "padding-identity")
+def check_padding(quick: bool) -> str:
     cases = 15 if quick else 50
     for i in range(cases):
         target = random_target(("pad", i), max_n=4)
@@ -825,13 +859,14 @@ def check_padding(quick: bool) -> CheckResult:
         padded = approx.lhom_padding(inst, target)
         want = exact.count_list_hom(inst, target)
         if exact.count_surjective(padded, target) != want:
-            return CheckResult("approx", "padding-identity", False, f"case {i} sur")
+            raise _Failed(f"case {i} sur")
         if exact.count_compaction(padded, target) != want:
-            return CheckResult("approx", "padding-identity", False, f"case {i} comp")
-    return CheckResult("approx", "padding-identity", True, f"{cases} cases")
+            raise _Failed(f"case {i} comp")
+    return f"{cases} cases"
 
 
-def check_powered_count(quick: bool) -> CheckResult:
+@_check("approx", "powered-count")
+def check_powered_count(quick: bool) -> str:
     k2 = Graph(["a", "b"], [("a", "b")])
     inst = ListedInstance.full(build_path(3), k2)
     true = exact.count_list_hom(inst, k2)
@@ -844,22 +879,23 @@ def check_powered_count(quick: bool) -> CheckResult:
         if not (lo <= x <= hi):
             fails += 1
     if fails > max(1, math.ceil(0.002 * trials)):
-        return CheckResult("approx", "powered-count", False, f"{fails}/{trials} failures")
+        raise _Failed(f"{fails}/{trials} failures")
     # delta >= 1/4 means a single call
     oracle = approx.ExactOracle()
     approx.powered_count(oracle, inst, k2, 0.5, 0.25)
     if oracle.calls != 1:
-        return CheckResult("approx", "powered-count", False, "powering at delta = 1/4")
-    return CheckResult("approx", "powered-count", True, f"{fails}/{trials} failures")
+        raise _Failed("powering at delta = 1/4")
+    return f"{fails}/{trials} failures"
 
 
-def check_coverage_determinism(quick: bool) -> CheckResult:
+@_check("approx", "seed-determinism")
+def check_coverage_determinism(quick: bool) -> None:
     k2 = Graph(["a", "b"], [("a", "b")])
     inst = ListedInstance.full(acceptance8_graph(0), k2)
     r1 = approx.coverage_mc(inst, k2, "sur", 0.3, 0.2, approx.ExactOracle(), seed=42)
     r2 = approx.coverage_mc(inst, k2, "sur", 0.3, 0.2, approx.ExactOracle(), seed=42)
     if r1.y != r2.y or r1.x_total != r2.x_total:
-        return CheckResult("approx", "seed-determinism", False)
+        raise _Failed()
     # the collapsed sampler and the literal walk agree within the guarantee
     tiny = ListedInstance.full(k2, k2)
     truth = exact.count_compaction(tiny, k2)
@@ -867,8 +903,18 @@ def check_coverage_determinism(quick: bool) -> CheckResult:
     rf = approx.coverage_mc(tiny, k2, "comp", 0.5, 0.3, approx.ExactOracle(), seed=1)
     for run in (rj, rf):
         if not (truth * math.exp(-0.5) <= run.y <= truth * math.exp(0.5)):
-            return CheckResult("approx", "seed-determinism", False, f"{run.sampler} off-window")
-    return CheckResult("approx", "seed-determinism", True)
+            raise _Failed(f"{run.sampler} off-window")
+
+
+@_check("approx", "algorithm1-statistics")
+def check_algorithm1_statistics(quick: bool) -> str:
+    runs = 3 if quick else 50
+    res = algorithm1_battery(runs_per_mode=runs)
+    bad = {f: (h, t) for f, (h, t) in res.items() if h < math.ceil(0.85 * t)}
+    detail = "; ".join(f"{f}: {h}/{t}" for f, (h, t) in sorted(res.items()))
+    if bad:
+        raise _Failed(detail)
+    return detail
 
 
 # -- classify suite ----------------------------------------------------------------
@@ -899,15 +945,13 @@ def classifier_fixture_rows() -> list[tuple[str, Graph, str, str]]:
     ]
 
 
-def check_classifier_table(quick: bool) -> CheckResult:
+@_check("classify", "fixture-table")
+def check_classifier_table(quick: bool) -> str:
     for name, h, want_cls, want_clause in classifier_fixture_rows():
         v = classify.classify(h)
         if v.cls != want_cls or v.clause != want_clause:
-            return CheckResult(
-                "classify", "fixture-table", False,
-                f"{name}: got ({v.cls}, {v.clause}), want ({want_cls}, {want_clause})",
-            )
-    return CheckResult("classify", "fixture-table", True, "12 fixtures")
+            raise _Failed(f"{name}: got ({v.cls}, {v.clause}), want ({want_cls}, {want_clause})")
+    return "12 fixtures"
 
 
 def _random_girth5_graph(seed, allow_loops: bool) -> Graph:
@@ -990,21 +1034,20 @@ def _random_tree_like(seed) -> Graph:
             return h
 
 
-def check_theorem1_partition(quick: bool) -> CheckResult:
+@_check("classify", "theorem1-partition")
+def check_theorem1_partition(quick: bool) -> str:
     cases = 150 if quick else 600
     for i in range(cases):
         h = _random_tree_like(i)
         cv = classify.classify_component(h)
         want = _theorem1_clause(h)
         if (cv.cls, cv.clause) != want:
-            return CheckResult(
-                "classify", "theorem1-partition", False,
-                f"case {i}: classifier ({cv.cls}, {cv.clause}), definitions {want}",
-            )
-    return CheckResult("classify", "theorem1-partition", True, f"{cases} random girth->=5 components")
+            raise _Failed(f"case {i}: classifier ({cv.cls}, {cv.clause}), definitions {want}")
+    return f"{cases} random girth->=5 components"
 
 
-def check_caterpillar_harary(quick: bool) -> CheckResult:
+@_check("classify", "caterpillar-harary")
+def check_caterpillar_harary(quick: bool) -> str:
     cases = 60 if quick else 200
     for i in range(cases):
         h = _random_girth5_graph(("cat", i), allow_loops=False)
@@ -1012,14 +1055,15 @@ def check_caterpillar_harary(quick: bool) -> CheckResult:
         lhs = classify.is_caterpillar(h)
         rhs = is_tree and classify.has_induced_J3(h) is None
         if lhs != rhs:
-            return CheckResult("classify", "caterpillar-harary", False, f"case {i}")
+            raise _Failed(f"case {i}")
     spider = Graph([], [("c", "a0"), ("a0", "a1"), ("c", "b0"), ("b0", "b1"), ("c", "d0")])
     if classify.has_induced_J3(spider) is not None or not classify.is_caterpillar(spider):
-        return CheckResult("classify", "caterpillar-harary", False, "legs-2-2-1 spider")
-    return CheckResult("classify", "caterpillar-harary", True, f"{cases} cases")
+        raise _Failed("legs-2-2-1 spider")
+    return f"{cases} cases"
 
 
-def check_pbrp_implies_bis(quick: bool) -> CheckResult:
+@_check("classify", "pbrp-implies-bis")
+def check_pbrp_implies_bis(quick: bool) -> None:
     shapes = [(1, frozenset({1}))]
     for q in (1, 2, 3, 4):
         shapes += [
@@ -1030,18 +1074,18 @@ def check_pbrp_implies_bis(quick: bool) -> CheckResult:
     for q, s in shapes:
         h = build_pbrp(q, s)
         if classify.is_pbrp(h) is None:
-            return CheckResult("classify", "pbrp-implies-bis", False, f"({q}, {set(s)}) unrecognized")
+            raise _Failed(f"({q}, {set(s)}) unrecognized")
         v = classify.classify(h)
         if v.cls != classify.CLASS_BIS:
-            return CheckResult("classify", "pbrp-implies-bis", False, f"({q}, {set(s)}): {v.cls}")
+            raise _Failed(f"({q}, {set(s)}): {v.cls}")
     for n, want in ((1, classify.CLASS_FP), (2, classify.CLASS_FP), (3, classify.CLASS_BIS)):
         h = build_reflexive_path(n)
         if classify.is_pbrp(h) is None or classify.classify(h).cls != want:
-            return CheckResult("classify", "pbrp-implies-bis", False, f"reflexive path {n}")
-    return CheckResult("classify", "pbrp-implies-bis", True)
+            raise _Failed(f"reflexive path {n}")
 
 
-def check_sat_witnesses(quick: bool) -> CheckResult:
+@_check("classify", "sat-witnesses")
+def check_sat_witnesses(quick: bool) -> str:
     cases = 60 if quick else 200
     seen_sat = 0
     for i in range(cases):
@@ -1054,18 +1098,15 @@ def check_sat_witnesses(quick: bool) -> CheckResult:
         seen_sat += 1
         labels = {w[0] for w in cv.witnesses}
         if not labels or labels == {classify.WITNESS_FALLBACK}:
-            return CheckResult("classify", "sat-witnesses", False, f"case {i}: no structural witness")
+            raise _Failed(f"case {i}: no structural witness")
         all_pendant = all(h.degree(v) == 1 for v in h.unlooped_vertices())
         if all_pendant:
             allowed = {classify.WITNESS_WR, classify.WITNESS_NON_2WRENCH, classify.WITNESS_REFL_CYCLE}
         else:
             allowed = {classify.WITNESS_WR, classify.WITNESS_NON_2WRENCH, classify.WITNESS_DIST2}
         if not labels & allowed:
-            return CheckResult(
-                "classify", "sat-witnesses", False,
-                f"case {i}: labels {labels} outside proof dichotomy",
-            )
-    return CheckResult("classify", "sat-witnesses", True, f"{seen_sat} SAT components examined")
+            raise _Failed(f"case {i}: labels {labels} outside proof dichotomy")
+    return f"{seen_sat} SAT components examined"
 
 
 def _kelk_bruteforce(h: Graph) -> bool:
@@ -1085,20 +1126,22 @@ def _kelk_bruteforce(h: Graph) -> bool:
     return True
 
 
-def check_kelk(quick: bool) -> CheckResult:
+@_check("classify", "kelk-crosscheck")
+def check_kelk(quick: bool) -> str:
     cases = 30 if quick else 80
     for i in range(cases):
         h = random_target(("kelk", i), max_n=5)
         if classify.check_kelk_condition(h) != _kelk_bruteforce(h):
-            return CheckResult("classify", "kelk-crosscheck", False, f"case {i}")
+            raise _Failed(f"case {i}")
     if not classify.check_kelk_condition(build_wr(4)):
-        return CheckResult("classify", "kelk-crosscheck", False, "WR4")
+        raise _Failed("WR4")
     if classify.check_kelk_condition(build_wr(3)):
-        return CheckResult("classify", "kelk-crosscheck", False, "WR3")
-    return CheckResult("classify", "kelk-crosscheck", True, f"{cases} cases + WR3/WR4")
+        raise _Failed("WR3")
+    return f"{cases} cases + WR3/WR4"
 
 
-def check_component_order(quick: bool) -> CheckResult:
+@_check("classify", "component-order")
+def check_component_order(quick: bool) -> None:
     rows = classifier_fixture_rows()
     for i in range(0, len(rows) - 1, 2):
         _, h1, _, _ = rows[i]
@@ -1115,65 +1158,7 @@ def check_component_order(quick: bool) -> CheckResult:
         )
         va, vb = classify.classify(a), classify.classify(b)
         if va.cls != vb.cls:
-            return CheckResult("classify", "component-order", False, f"pair {i}")
-    return CheckResult("classify", "component-order", True)
-
-
-# -- registry ----------------------------------------------------------------------
-
-SUITES = {
-    "oracles": [
-        check_oracle_equivalence,
-        check_decomposition,
-        check_monotonicity,
-        check_lemma19_bounds,
-        check_blocked_roundtrip,
-        check_girth_crosscheck,
-        check_gamma2_phi,
-        check_parse_roundtrip,
-    ],
-    "csp": [
-        check_csp_parsimony,
-        check_lemma33_structure,
-        check_extreme_assignments,
-        check_strip_and_subtract,
-    ],
-    "types": [
-        check_table1,
-        check_eq4_grid,
-        check_type_symmetry,
-        check_lemma45_fixed_points,
-        check_lemma43,
-        check_lemma47,
-    ],
-    "gadgets": [
-        check_dirichlet,
-        check_cut_window,
-        check_cut_psi,
-        check_bichromatic_forcing,
-        check_largecut_roundtrip,
-        check_largecut_identity,
-        check_pin_neighborhood,
-        check_j_shapes,
-    ],
-    "approx": [
-        check_exact_expectation,
-        check_jvv_uniformity,
-        check_padding,
-        check_powered_count,
-        check_coverage_determinism,
-        check_algorithm1_statistics,
-    ],
-    "classify": [
-        check_classifier_table,
-        check_theorem1_partition,
-        check_caterpillar_harary,
-        check_pbrp_implies_bis,
-        check_sat_witnesses,
-        check_kelk,
-        check_component_order,
-    ],
-}
+            raise _Failed(f"pair {i}")
 
 
 def run_suite(name: str, quick: bool = False) -> list[CheckResult]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from retraction_lab import approx, exact, reference, verify
-from retraction_lab._seeds import pyrng, pyrng_family
+from retraction_lab._seeds import pyrng
 from retraction_lab.fixedgraphs import (
     build_cycle,
     build_hk,
@@ -383,7 +383,7 @@ def test_seeded_sample_hom_draws_are_pinned():
     inst = ListedInstance.full(build_path(3), tw)
     oracle = approx.NoisyOracle(0.05, 0.05, seed=3)
     assert _draws(oracle, inst, tw, pyrng("pinned-noisy-draws"), 8) == [
-        "r2 r2 r2", "r1 b b", "r1 r1 b", "r1 b r2", "g b g", "r1 b g", "b g b", "r1 b r1",
+        "r2 r2 r2", "r1 b b", "r1 r1 b", "r1 b r1", "g b r2", "b r2 b", "r2 b g", "b b r2",
     ]
     assert oracle.calls == 104
 
@@ -405,10 +405,10 @@ def test_seeded_jvv_and_noisy_runs_are_pinned():
     run = approx.coverage_mc(
         ListedInstance.full(K2, K2), K2, "sur", 0.9, 0.35, approx.NoisyOracle(0.05, 0.05, seed=17), 4
     )
-    assert (run.x_total, run.y) == (5198, Fraction("2255050628962391/1125899906842624"))
+    assert (run.x_total, run.y) == (5198, Fraction("9065994472003405/4503599627370496"))
     pk = ListedInstance.full(p3, K2)
     got = approx.powered_count(approx.NoisyOracle(0.1, 0.25, 11), pk, K2, 0.1, 1e-3)
-    assert got == Fraction("4494938011717683/2251799813685248")
+    assert got == Fraction("4507815932407919/2251799813685248")
 
 
 def test_equal_instances_share_one_oracle_entry():
@@ -568,14 +568,6 @@ def test_exact_sampler_work_does_not_grow_with_draws(monkeypatch):
     assert calls[0] == calls[1]
     # one count per distinct instance met, as in the per-draw walk
     assert len(counted) == len(oracle._cache) == 57
-
-
-def test_noisy_call_streams_match_pyrng():
-    for seed in (0, 3, 17):
-        family = pyrng_family(seed, "noisy-call")
-        for k in range(1, 1001):
-            assert family(k).getstate() == pyrng(seed, "noisy-call", k).getstate(), (seed, k)
-    assert pyrng_family()(5).getstate() == pyrng(5).getstate()
 
 
 def test_sample_hom_rejects_seed_with_rng():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import warnings
 import pytest
 
 from retraction_lab import cli, csp, files
-from retraction_lab.fixedgraphs import build_two_wrench
+from retraction_lab.fixedgraphs import build_hk, build_j_blocked, build_two_wrench, rebind_target
 from retraction_lab.graphs import Graph
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -235,3 +236,131 @@ def test_types_verify_command(capsys):
     rc, doc = run_json(capsys, ["--no-meta", "types", "verify", "-k", "1", "--grid", "1,1,1"])
     assert rc == 0
     assert doc["grid"][0]["match"] is True
+
+
+def _command_files(tmp_path):
+    """Inputs for the commands that read a CSP or blocked file: the CSP pair
+    of the bristled path PBRP(1, {1}), the graph it builds, an instance on
+    that graph, and J(1, 1, 1) over H_1 as a blocked file."""
+    iv, ie = csp.pbrp_csp(1, {1})
+    (tmp_path / "iv.csp").write_text(files.serialize_csp(iv))
+    (tmp_path / "ie.csp").write_text(files.serialize_csp(ie))
+    (tmp_path / "h.hg").write_text(files.serialize_graph(csp.build_graph_from_csp(iv, ie)))
+    (tmp_path / "g.inst").write_text("target h.hg\nv u\nv w\ne u w\nl u 00\nl w *\n")
+    blocked = rebind_target(build_j_blocked(1, 1, 1), build_hk(1))
+    (tmp_path / "j.blk").write_text(files.serialize_blocked(blocked, os.path.abspath(fixture("h1.hg"))))
+    return {name.split(".")[0]: str(tmp_path / name) for name in ("iv.csp", "ie.csp", "g.inst", "j.blk")}
+
+
+def _leaf_commands(paths):
+    """(id, argv) of every leaf command on the fixtures, exact oracles only."""
+    pair = ["--iv", paths["iv"], "--ie", paths["ie"]]
+    cuts = ["-G", fixture("terminal_star.hg"), "-H", fixture("j3.hg"),
+            "--alpha", "a", "--beta", "b", "--gamma", "c", "-B", "2"]
+    large = ["-G", fixture("k2.hg"), "-K", "1", "-p", "1", "-q", "1", "-t", "1", "-s", "1"]
+    inst = ["-L", fixture("p3_center_pinned.inst")]
+    return [
+        ("classify-2-wrench", ["classify", "-H", fixture("two_wrench.hg")]),
+        ("classify-c4", ["classify", "-H", fixture("c4.hg")]),
+        ("classify-reflexive-c5", ["classify", "-H", fixture("reflexive_c5.hg")]),
+        ("count-hom", ["count", "--mode", "hom", "-G", fixture("p3.hg"), "-H", fixture("two_wrench.hg")]),
+        ("count-lhom", ["count", "--mode", "lhom", *inst]),
+        ("count-ret", ["count", "--mode", "ret", *inst]),
+        ("count-sur-ie", ["count", "--mode", "sur", "--method", "ie", "-G", fixture("c4.hg"), "-H", fixture("p3.hg")]),
+        ("count-comp-enum", ["count", "--mode", "comp", "--method", "enum", "-G", fixture("c4.hg"), "-H", fixture("k2.hg")]),
+        ("count-blocked", ["count", "--mode", "ret", "--method", "blocked", "-L", paths["j"]]),
+        ("approx-sur", ["approx", "--mode", "sur", "-G", fixture("p3.hg"), "-H", fixture("k2.hg"),
+                        "--epsilon", "0.4", "--delta", "0.2", "--seed", "11"]),
+        ("approx-comp", ["approx", "--mode", "comp", "-G", fixture("c4.hg"), "-H", fixture("k2.hg"),
+                         "--epsilon", "0.5", "--delta", "0.3", "--seed", "3"]),
+        ("gadget-dirichlet", ["gadget", "dirichlet", "0.5", "1.7", "-N", "100"]),
+        ("gadget-fixed", ["gadget", "fixed", "2-wrench"]),
+        ("gadget-fixed-pbrp", ["gadget", "fixed", "pbrp", "-q", "4", "-S", "1,3,4"]),
+        ("gadget-j-block", ["gadget", "j-block", "-p", "2", "-q", "1", "-t", "1"]),
+        ("gadget-cut-instance", ["gadget", "cut-instance", *cuts]),
+        ("gadget-largecut-instance", ["gadget", "largecut-instance", *large]),
+        ("estimate-cuts", ["estimate", "cuts", *cuts, "--delta-prime", "0.02"]),
+        ("estimate-largecut", ["estimate", "largecut", *large]),
+        ("csp-count", ["csp", "count", paths["iv"]]),
+        ("csp-build-graph", ["csp", "build-graph", *pair]),
+        ("csp-pbrp", ["csp", "pbrp", "-Q", "4", "-S", "1,3,4"]),
+        ("csp-translate", ["csp", "translate", "--instance", paths["g"], *pair]),
+        ("types-table", ["types", "table", "-k", "1"]),
+        ("types-verify", ["types", "verify", "-k", "1", "--grid", "1,1,1;1,2,1"]),
+        ("types-dominance", ["types", "dominance", "-k", "1"]),
+        ("verify-csp", ["verify", "csp", "--quick"]),
+    ]
+
+
+# the --no-meta stdout of each command, digested at the commit before the
+# CLI bound one handler per command
+_PINNED_REPORTS = {
+    "classify-2-wrench": "dda941b9ecfe27a4",
+    "classify-c4": "f157483f8e5be51c",
+    "classify-reflexive-c5": "23d7faaca9cdee43",
+    "count-hom": "67d4d8e9fb1f4a18",
+    "count-lhom": "512cfdbac57a6e87",
+    "count-ret": "9ba3feddbae5a2d4",
+    "count-sur-ie": "76b9dbfb65a70f3c",
+    "count-comp-enum": "5fc68908ebaad901",
+    "count-blocked": "caa4dec8e957a889",
+    "approx-sur": "908b668c7a5e8215",
+    "approx-comp": "e60cf5b6457b4de0",
+    "gadget-dirichlet": "7b45c9eeb0dbcced",
+    "gadget-fixed": "d6f199a3ba457987",
+    "gadget-fixed-pbrp": "fefa8521b2d507f7",
+    "gadget-j-block": "ae69fee077c3f968",
+    "gadget-cut-instance": "4d3703c0bb95a6ff",
+    "gadget-largecut-instance": "2d3e52c343744353",
+    "estimate-cuts": "a65fc23b725b20f8",
+    "estimate-largecut": "c8c08ec83d74f505",
+    "csp-count": "ce07e2b6b8f63400",
+    "csp-build-graph": "10ee1403140f0b8b",
+    "csp-pbrp": "9aa1d10b9ca95bf4",
+    "csp-translate": "16087612fce4786b",
+    "types-table": "76c60719df6b1d29",
+    "types-verify": "9193e9a1a03fb476",
+    "types-dominance": "3e73c7e5709fc469",
+    "verify-csp": "4b2de6d24df88765",
+}
+
+
+def test_leaf_command_reports_are_pinned(tmp_path, capsys):
+    digests = {}
+    for name, argv in _leaf_commands(_command_files(tmp_path)):
+        assert cli.main(["--no-meta", *argv]) == 0, name
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert digests == _PINNED_REPORTS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gadget", "fixed", "2-wrench"],
+        ["gadget", "j-block", "-p", "1", "-q", "1", "-t", "1"],
+        ["csp", "build-graph", "--iv", "{iv}", "--ie", "{ie}"],
+        ["csp", "translate", "--instance", "{g}", "--iv", "{iv}", "--ie", "{ie}"],
+    ],
+    ids=["gadget-fixed", "gadget-j-block", "csp-build-graph", "csp-translate"],
+)
+def test_text_reports_honour_out(tmp_path, capsys, argv):
+    argv = [a.format(**_command_files(tmp_path)) for a in argv]
+    assert cli.main(argv) == 0
+    shown = capsys.readouterr().out
+    out = tmp_path / "report.txt"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert shown and out.read_text() == shown
+
+
+@pytest.mark.parametrize("pq", (["-p", "10"], ["-q", "10"], ["-p", "0", "-q", "0"], ["-p", "44", "-q", "-1"]))
+def test_types_dominance_overrides_p_and_q_together(capsys, pq):
+    assert cli.main(["types", "dominance", "-k", "1", *pq]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_types_dominance_default_is_the_chosen_p_and_q(capsys):
+    assert cli.main(["--no-meta", "types", "dominance", "-k", "1"]) == 0
+    default = capsys.readouterr().out
+    assert cli.main(["--no-meta", "types", "dominance", "-k", "1", "-p", "44", "-q", "52"]) == 0
+    assert capsys.readouterr().out == default

@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import pytest
 
 from retraction_lab import files
@@ -193,3 +196,15 @@ def test_pin_equals_the_validated_instance():
         inst.pin("w", "r2")
     with pytest.raises(ValueError, match="not in the list"):
         inst.pin("u", "b")
+
+
+def test_checked_in_fixtures_match_their_generator():
+    fixdir = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    spec = importlib.util.spec_from_file_location("regenerate", os.path.join(fixdir, "regenerate.py"))
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    hg = sorted(name for name in os.listdir(fixdir) if name.endswith(".hg"))
+    assert hg == sorted(regenerate.FIXTURES)
+    for name, graph in regenerate.FIXTURES.items():
+        with open(os.path.join(fixdir, name), encoding="utf-8", newline="") as fh:
+            assert fh.read() == files.serialize_graph(graph), name
