@@ -6,8 +6,11 @@ one writer sends the report to stdout, or to the file given by --out, which
 every command takes.  A report is a JSON document, with a "meta" block unless
 --no-meta; counts that can exceed 2^53 are decimal strings.  Four commands
 print a text format instead: `gadget fixed` and `csp build-graph` a graph,
-`gadget j-block` a blocked instance, `csp translate` a CSP.  `verify` prints
-one line per check and writes its JSON report, without meta, only to --out.
+`gadget j-block` a blocked instance, `csp translate` a CSP.  `verify` runs
+each check of a suite once, at its acceptance size, prints one line per check
+and writes its JSON report, without meta, only to --out.  An --out path that
+cannot be written is refused before the command runs, and a command that
+fails leaves it as it was.
 Exit codes: 0 success, 1 domain error or a failed check, 2 usage error.
 """
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from . import __version__, approx, csp, exact, files, gadgets, homtypes, reference
 from . import classifier
-from .fixedgraphs import build_fixed_graph, build_hk, build_j_blocked, rebind_target
+from .fixedgraphs import build_fixed_graph, build_j_blocked
 from .instances import ListedInstance, check_retraction_blocks
 
 
@@ -162,7 +165,7 @@ def _cmd_gadget_fixed(args) -> str:
 
 
 def _cmd_gadget_j_block(args) -> str:
-    blocked = rebind_target(build_j_blocked(args.p, args.q, args.t), build_hk(args.k))
+    blocked = build_j_blocked(args.p, args.q, args.t, args.k)
     return files.serialize_blocked(blocked, args.target_path)
 
 
@@ -251,8 +254,19 @@ def _cmd_types_table(args) -> dict:
     return {"k": args.k, "rows": rows}
 
 
+def _parse_grid(text: str) -> list[tuple[int, int, int]]:
+    """The (p, q, t) triples of a --grid value "p,q,t;p,q,t;..."."""
+    try:
+        grid = [tuple(int(x) for x in g.split(",")) for g in text.split(";")]
+    except ValueError:
+        grid = []
+    if not grid or any(len(g) != 3 for g in grid):
+        raise ValueError(f"--grid {text!r}: give integer triples as p,q,t;p,q,t;...")
+    return grid
+
+
 def _cmd_types_verify(args) -> dict:
-    grid = [tuple(int(x) for x in g.split(",")) for g in args.grid.split(";")]
+    grid = _parse_grid(args.grid)
     results = []
     for p, q, t in grid:
         buckets = homtypes.brute_count_by_type(p, q, t, args.k)
@@ -298,7 +312,7 @@ def _cmd_verify(args) -> int:
     """Writes its own two outputs, so returns its exit status, not a report."""
     from . import verify
 
-    results = verify.run_suite(args.suite, quick=args.quick)
+    results = verify.run_suite(args.suite)
     _write("".join(f"{res.line()}\n" for res in results))
     passed = all(r.passed for r in results)
     if getattr(args, "out", None):
@@ -306,7 +320,7 @@ def _cmd_verify(args) -> int:
             {"suite": r.suite, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
         ]
-        _write({"suite": args.suite, "quick": args.quick, "checks": checks, "passed": passed}, args.out)
+        _write({"suite": args.suite, "checks": checks, "passed": passed}, args.out)
     return 0 if passed else 1
 
 
@@ -425,19 +439,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "verify", _cmd_verify, help="run named property suites")
     p.add_argument("suite", choices=_Suites(), metavar="suite")
-    p.add_argument("--quick", action="store_true")
 
     return ap
+
+
+def _check_writable(out: str) -> None:
+    """Refuse an --out path that cannot be written, before any work is done
+    and without touching the file."""
+    if os.path.isdir(out) or not os.access(
+        out if os.path.exists(out) else os.path.dirname(os.path.abspath(out)), os.W_OK
+    ):
+        raise ValueError(f"cannot write --out {out!r}")
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
+        if out:
+            _check_writable(out)
         report = args.fn(args)
         if isinstance(report, int):  # verify's exit status; it wrote its outputs
             return report
-        _write(report, getattr(args, "out", None), meta=not getattr(args, "no_meta", False))
+        _write(report, out, meta=not getattr(args, "no_meta", False))
     except (ValueError, OSError, files.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -178,26 +178,18 @@ def j_gadget_parts(
     return blocks, couplings
 
 
-def build_j_blocked(p: int, q: int, t: int, prefix: str = "") -> BlockedInstance:
-    """The vertex gadget J with parameters (p, q, t) in blocked form, pinned
-    for the H_k experiments: blocks A, B, B', A' of multiplicity p*t and
-    C, C' of multiplicity q*t; matchings A-B, C-C', A'-B'; complete joins
-    B-C and B'-C'; apexes alpha->A, alpha'->A', beta->B,C,C',B'; pins
-    alpha, alpha' -> g and beta -> b.
-
-    The target vertex set defaults to H_1's; use rebind_target for larger k
-    (the pinned vertices g and b exist in every H_k).
+def build_j_blocked(p: int, q: int, t: int, k: int = 1) -> BlockedInstance:
+    """The vertex gadget J with parameters (p, q, t) in blocked form over
+    H_k's vertex set, pinned for the H_k experiments: blocks A, B, B', A' of
+    multiplicity p*t and C, C' of multiplicity q*t; matchings A-B, C-C',
+    A'-B'; complete joins B-C and B'-C'; apexes alpha->A, alpha'->A',
+    beta->B,C,C',B'; pins alpha, alpha' -> g and beta -> b (vertices of
+    every H_k).
     """
-    alpha, alpha2, beta = prefix + "alpha", prefix + "alpha'", prefix + "beta"
-    blocks, couplings = j_gadget_parts(p, q, t, prefix, alpha, alpha2, beta)
-    blocks += [Block(alpha, 1), Block(alpha2, 1), Block(beta, 1)]
-    pins = ((alpha, "g"), (alpha2, "g"), (beta, "b"))
-    return BlockedInstance(tuple(blocks), tuple(couplings), pins, build_hk(1).vertices)
-
-
-def rebind_target(b: BlockedInstance, target: Graph) -> BlockedInstance:
-    """Same blocked structure over another target vertex set."""
-    return BlockedInstance(b.blocks, b.couplings, b.pins, target.vertices)
+    blocks, couplings = j_gadget_parts(p, q, t, "", "alpha", "alpha'", "beta")
+    blocks += [Block("alpha", 1), Block("alpha'", 1), Block("beta", 1)]
+    pins = (("alpha", "g"), ("alpha'", "g"), ("beta", "b"))
+    return BlockedInstance(tuple(blocks), tuple(couplings), pins, build_hk(k).vertices)
 
 
 def build_fixed_graph(kind: str, **params) -> Graph:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import enumerate_homs, stirling_surjections
-from .fixedgraphs import build_hk, build_j_blocked, rebind_target
+from .fixedgraphs import build_hk, build_j_blocked
 from .graphs import Graph, _bits, common_neighbors, neighbor_union
 from .instances import Block, block_vertex_names, expand_blocked
 
@@ -232,7 +232,7 @@ def brute_count_by_type(p: int, q: int, tt: int, k: int) -> dict[HomType, int]:
     """Enumerate every homomorphism from the expanded (J, S_J) to H_k and
     bucket by extracted type."""
     hk = build_hk(k)
-    blocked = rebind_target(build_j_blocked(p, q, tt), hk)
+    blocked = build_j_blocked(p, q, tt, k)
     if blocked.expansion_size() > BRUTE_EXPANSION_GUARD:
         raise ValueError(
             f"expansion of J({p},{q},{tt}) has {blocked.expansion_size()} vertices; "

@@ -1,19 +1,17 @@
 """Named property suites: every module's invariants, runnable as machine
 checks.  The CLI `verify` command and the acceptance tests share these
-implementations; `quick` shrinks corpus sizes, never tolerances.
+implementations, and each check runs at one size, its acceptance size.
 
 A check is declared once, where it is defined: `@_check(suite, name)` above
-a function of `quick` that returns the detail of a pass (or None) and raises
+a function that returns the detail of a pass (or None) and raises
 `_Failed(detail)` on a failure.  The declaration adds the check to
-SUITES[suite], in definition order, and makes it a function of `quick` that
-returns a CheckResult.
+SUITES[suite], in definition order, and makes it a function of no arguments
+that returns a CheckResult.
 """
 from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -34,7 +32,6 @@ from .fixedgraphs import (
     build_star,
     build_two_wrench,
     build_wr,
-    rebind_target,
 )
 from .graphs import DiGraph, Graph, connected_components, girth, neighbor_union, neighborhoods
 from .instances import Block, BlockedInstance, Coupling, ListedInstance, expand_blocked
@@ -61,11 +58,11 @@ class _Failed(Exception):
 SUITES: dict[str, list] = {}
 
 
-def _run(suite: str, name: str, fn, arg) -> CheckResult:
-    """fn(arg) as the result of check suite/name: the one place a
+def _run(suite: str, name: str, fn, *args) -> CheckResult:
+    """fn(*args) as the result of check suite/name: the one place a
     CheckResult is built."""
     try:
-        passed, detail = True, fn(arg)
+        passed, detail = True, fn(*args)
     except _Failed as failure:
         passed, detail = False, str(failure)
     return CheckResult(suite, name, passed, detail or "")
@@ -73,30 +70,23 @@ def _run(suite: str, name: str, fn, arg) -> CheckResult:
 
 def _check(suite: str, name: str, per=None):
     """Declare the check suite/name and add it to SUITES[suite].  The
-    decorated function takes `quick`, returns a pass's detail (or None) and
-    raises _Failed(detail) on a failure; the declared check is a function of
-    `quick` that returns its CheckResult.  With `per`, a function of `quick`
-    giving the values x to check one at a time, the decorated function takes
-    x, and the check returns one result per x, named name.format(x)."""
+    decorated function returns a pass's detail (or None) and raises
+    _Failed(detail) on a failure; the declared check is a function of no
+    arguments that returns its CheckResult.  With `per`, the values x to
+    check one at a time, the decorated function takes x, and the check
+    returns one result per x, named name.format(x)."""
 
     def declare(fn):
         @functools.wraps(fn)
-        def check(quick: bool) -> CheckResult | list[CheckResult]:
+        def check() -> CheckResult | list[CheckResult]:
             if per is None:
-                return _run(suite, name, fn, quick)
-            return [_run(suite, name.format(x), fn, x) for x in per(quick)]
+                return _run(suite, name, fn)
+            return [_run(suite, name.format(x), fn, x) for x in per]
 
         SUITES.setdefault(suite, []).append(check)
         return check
 
     return declare
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("RETRACTION_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- seeded corpora ------------------------------------------------------------
@@ -163,8 +153,8 @@ def random_imp_instance(seed, xs: tuple[str, ...], max_constraints: int = 5) -> 
 
 
 @_check("oracles", "oracle-equivalence")
-def check_oracle_equivalence(quick: bool) -> str:
-    cases = 40 if quick else 200
+def check_oracle_equivalence() -> str:
+    cases = 200
     for i in range(cases):
         target = random_target(("oe", i))
         pattern = random_pattern(("oe", i))
@@ -192,8 +182,8 @@ def check_oracle_equivalence(quick: bool) -> str:
 
 
 @_check("oracles", "decomposition")
-def check_decomposition(quick: bool) -> str:
-    cases = 20 if quick else 100
+def check_decomposition() -> str:
+    cases = 100
     done = 0
     i = 0
     while done < cases:
@@ -213,8 +203,8 @@ def check_decomposition(quick: bool) -> str:
 
 
 @_check("oracles", "monotonicity")
-def check_monotonicity(quick: bool) -> None:
-    cases = 15 if quick else 60
+def check_monotonicity() -> None:
+    cases = 60
     for i in range(cases):
         target = random_target(("mono", i))
         pattern = random_pattern(("mono", i), max_n=5)
@@ -236,8 +226,8 @@ def check_monotonicity(quick: bool) -> None:
 
 
 @_check("oracles", "lemma19-bounds")
-def check_lemma19_bounds(quick: bool) -> str:
-    a_max = 80 if quick else 200
+def check_lemma19_bounds() -> str:
+    a_max = 200
     for b in range(1, 11):
         lo = max(1, math.ceil(2 * b * math.log(b)) if b > 1 else 1)
         for a in range(lo, a_max + 1):
@@ -250,12 +240,12 @@ def check_lemma19_bounds(quick: bool) -> str:
 
 
 @_check("oracles", "blocked-roundtrip")
-def check_blocked_roundtrip(quick: bool) -> str:
+def check_blocked_roundtrip() -> str:
     hk = build_hk(1)
     tw = build_two_wrench()
     fixtures = [
-        (rebind_target(build_j_blocked(1, 1, 1), hk), hk),
-        (rebind_target(build_j_blocked(2, 1, 1), hk), hk),
+        (build_j_blocked(1, 1, 1), hk),
+        (build_j_blocked(2, 1, 1), hk),
         (
             BlockedInstance(
                 (Block("A", 3), Block("u", 1), Block("v", 1)),
@@ -276,8 +266,8 @@ def check_blocked_roundtrip(quick: bool) -> str:
 
 
 @_check("oracles", "girth-crosscheck")
-def check_girth_crosscheck(quick: bool) -> str:
-    cases = 60 if quick else 200
+def check_girth_crosscheck() -> str:
+    cases = 200
     for i in range(cases):
         rng = pyrng("girth", i)
         h = random_graph(rng, rng.randint(1, 8), 0.35, "v", loop_p=0.3)
@@ -287,8 +277,8 @@ def check_girth_crosscheck(quick: bool) -> str:
 
 
 @_check("oracles", "gamma2-phi")
-def check_gamma2_phi(quick: bool) -> None:
-    cases = 40 if quick else 120
+def check_gamma2_phi() -> None:
+    cases = 120
     for i in range(cases):
         h = random_target(("g2", i), max_n=6)
         for u in h.vertices:
@@ -298,8 +288,8 @@ def check_gamma2_phi(quick: bool) -> None:
 
 
 @_check("oracles", "parse-roundtrip")
-def check_parse_roundtrip(quick: bool) -> None:
-    cases = 30 if quick else 100
+def check_parse_roundtrip() -> None:
+    cases = 100
     for i in range(cases):
         h = random_target(("io", i), max_n=6)
         text = files.serialize_graph(h)
@@ -346,8 +336,8 @@ def csp_parsimony_case(i: int):
 
 
 @_check("csp", "parsimony")
-def check_csp_parsimony(quick: bool) -> str:
-    cases = 20 if quick else 100
+def check_csp_parsimony() -> str:
+    cases = 100
     for i in range(cases):
         (inst, iv, ie, h), (dpattern, dlists, _, if_, ib, dh) = csp_parsimony_case(i)
         lhs = csp.count_csp(csp.translate_ret_to_csp(inst, iv, ie))
@@ -362,10 +352,9 @@ def check_csp_parsimony(quick: bool) -> str:
 
 
 @_check("csp", "lemma33-structure")
-def check_lemma33_structure(quick: bool) -> str:
-    qs = range(1, 3) if quick else range(1, 5)
+def check_lemma33_structure() -> str:
     cases = 0
-    for q in qs:
+    for q in range(1, 5):
         for r in range(1, q + 1):
             for s_tuple in combinations(range(1, q + 1), r):
                 s = frozenset(s_tuple)
@@ -393,8 +382,8 @@ def check_lemma33_structure(quick: bool) -> str:
 
 
 @_check("csp", "extreme-assignments")
-def check_extreme_assignments(quick: bool) -> None:
-    cases = 20 if quick else 60
+def check_extreme_assignments() -> None:
+    cases = 60
     for i in range(cases):
         nx = pyrng("ext", i).randint(1, 4)
         xs = tuple(f"x{j}" for j in range(nx))
@@ -407,7 +396,7 @@ def check_extreme_assignments(quick: bool) -> None:
 
 
 @_check("csp", "strip-subtract")
-def check_strip_and_subtract(quick: bool) -> None:
+def check_strip_and_subtract() -> None:
     tw = build_two_wrench()
     h = Graph(
         list(tw.vertices) + ["s1", "s2", "t1", "t2"],
@@ -450,7 +439,7 @@ _TABLE_BASES = {
 }
 
 
-@_check("types", "table1-k{}", per=lambda quick: (1,) if quick else (1, 2, 3))
+@_check("types", "table1-k{}", per=(1, 2, 3))
 def check_table1(k: int) -> str:
     rows = homtypes.enumerate_maximal_types(k)
     if len(rows) != 10:
@@ -470,8 +459,8 @@ def check_table1(k: int) -> str:
 
 
 @_check("types", "eq4-grid")
-def check_eq4_grid(quick: bool) -> str:
-    grid = [(1, 1, 1)] if quick else [(1, 1, 1), (2, 2, 1), (1, 2, 1), (2, 1, 1)]
+def check_eq4_grid() -> str:
+    grid = [(1, 1, 1), (2, 2, 1), (1, 2, 1), (2, 1, 1)]
     for p, q, t in grid:
         buckets = homtypes.brute_count_by_type(p, q, t, 1)
         for typ, cnt in buckets.items():
@@ -485,14 +474,14 @@ def check_eq4_grid(quick: bool) -> str:
                 raise _Failed(f"{label} should be zero at ({p},{q},{t})")
         total = sum(buckets.values())
         hk = build_hk(1)
-        inst = expand_blocked(rebind_target(build_j_blocked(p, q, t), hk))
+        inst = expand_blocked(build_j_blocked(p, q, t))
         if total != exact.count_retraction(inst, hk):
             raise _Failed(f"partition total at ({p},{q},{t})")
     return f"grid {grid}"
 
 
 @_check("types", "symmetry")
-def check_type_symmetry(quick: bool) -> None:
+def check_type_symmetry() -> None:
     buckets = homtypes.brute_count_by_type(1, 1, 1, 1)
     for typ, cnt in buckets.items():
         if buckets.get(homtypes.symmetric_partner(typ), 0) != cnt:
@@ -500,7 +489,7 @@ def check_type_symmetry(quick: bool) -> None:
 
 
 @_check("types", "lemma45-fixed-points")
-def check_lemma45_fixed_points(quick: bool) -> None:
+def check_lemma45_fixed_points() -> None:
     from .graphs import common_neighbors
 
     for k in (1, 2):
@@ -516,19 +505,19 @@ def check_lemma45_fixed_points(quick: bool) -> None:
 
 
 @_check("types", "lemma43-sandwich")
-def check_lemma43(quick: bool) -> str:
+def check_lemma43() -> str:
     p, q = gadgets.choose_pq(1)
     t0 = homtypes.lemma43_scan(1, p, q, 8)
     if t0 is None:
         raise _Failed("no t0 <= 8")
-    for t in range(t0, t0 + (2 if quick else 4)):
+    for t in range(t0, t0 + 4):
         if not homtypes.lemma43_check(1, p, q, t):
             raise _Failed(f"not monotone at t={t}")
     return f"(p,q)=({p},{q}), least t0={t0}"
 
 
 @_check("types", "lemma47-dominance")
-def check_lemma47(quick: bool) -> str:
+def check_lemma47() -> str:
     p, q = gadgets.choose_pq(1)
     rep = homtypes.dominance_report(1, p, q)
     if not rep.window_ok:
@@ -547,8 +536,8 @@ def check_lemma47(quick: bool) -> str:
 
 
 @_check("gadgets", "dirichlet-property")
-def check_dirichlet(quick: bool) -> str:
-    cases = 100 if quick else 500
+def check_dirichlet() -> str:
+    cases = 500
     for i in range(cases):
         rng = pyrng("dirichlet", i)
         d = rng.randint(1, 3)
@@ -569,7 +558,7 @@ def _star_fixture():
 
 
 @_check("gadgets", "cut-window")
-def check_cut_window(quick: bool) -> str:
+def check_cut_window() -> str:
     g, (a, b, c) = _star_fixture()
     plan = gadgets.build_cut_instance(g, a, b, c, 2, build_jq(3), delta_prime=Fraction(1, 50))
     acc = gadgets.cut_accounting(plan)
@@ -591,7 +580,7 @@ def check_cut_window(quick: bool) -> str:
 
 
 @_check("gadgets", "cut-psi")
-def check_cut_psi(quick: bool) -> None:
+def check_cut_psi() -> None:
     j3 = build_jq(3)
     path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     tri = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
@@ -613,7 +602,7 @@ def check_cut_psi(quick: bool) -> None:
 
 
 @_check("gadgets", "bichromatic-forcing")
-def check_bichromatic_forcing(quick: bool) -> None:
+def check_bichromatic_forcing() -> None:
     # one edge gadget with bichromatically pinned endpoints collapses to a
     # single homomorphism (all auxiliary vertices forced onto the hub)
     j3 = build_jq(3)
@@ -640,7 +629,7 @@ def check_bichromatic_forcing(quick: bool) -> None:
 
 
 @_check("gadgets", "largecut-roundtrip")
-def check_largecut_roundtrip(quick: bool) -> None:
+def check_largecut_roundtrip() -> None:
     k2 = Graph(["u", "v"], [("u", "v")])
     plan = gadgets.build_largecut_instance(k2, 1, 1, p=1, q=1, t=1, s=1)
     if plan.blocked.expansion_size() != 17:
@@ -661,11 +650,11 @@ def check_largecut_roundtrip(quick: bool) -> None:
 
 
 @_check("gadgets", "largecut-identity")
-def check_largecut_identity(quick: bool) -> None:
+def check_largecut_identity() -> None:
     types = dict(homtypes.enumerate_maximal_types(1))
     p3 = Graph(["u", "v", "w"], [("u", "v"), ("v", "w")])
     k2 = Graph(["u", "v"], [("u", "v")])
-    for g in ((k2,) if quick else (k2, p3)):
+    for g in (k2, p3):
         plan = gadgets.build_largecut_instance(g, 1, 1, p=1, q=1, t=1, s=1)
         nt4 = homtypes.n_exact(types["T4"], 1, 1, 1)
         n = len(g)
@@ -681,8 +670,8 @@ def check_largecut_identity(quick: bool) -> None:
 
 
 @_check("gadgets", "pin-neighborhood")
-def check_pin_neighborhood(quick: bool) -> str:
-    cases = 15 if quick else 50
+def check_pin_neighborhood() -> str:
+    cases = 50
     for i in range(cases):
         h = random_target(("pinn", i), max_n=4)
         rng = pyrng("pinn-u", i)
@@ -702,12 +691,12 @@ def check_pin_neighborhood(quick: bool) -> str:
 
 
 @_check("gadgets", "j-shapes")
-def check_j_shapes(quick: bool) -> None:
+def check_j_shapes() -> None:
     hk = build_hk(1)
-    j = rebind_target(build_j_blocked(1, 1, 1), hk)
+    j = build_j_blocked(1, 1, 1)
     if expand_blocked(j).pattern.vertices.__len__() != 9:
         raise _Failed("J(1,1,1) size")
-    j2 = rebind_target(build_j_blocked(2, 3, 1), hk)
+    j2 = build_j_blocked(2, 3, 1)
     if j2.expansion_size() != 17:
         raise _Failed("J(2,3,1) size")
     if gadgets.choose_pq(1) != (44, 52):
@@ -736,61 +725,13 @@ def acceptance8_graph(i: int) -> Graph:
     return random_graph(pyrng("acc8-graph", i), 5 + i % 3, 0.5, "g")
 
 
-def _battery_task(args) -> tuple[str, int, bool]:
-    fname, fixture_text, mode, gi, seed, eps, delta = args
-    target = files.parse_graph(fixture_text)
-    g = acceptance8_graph(gi)
-    inst = ListedInstance.full(g, target)
-    truth = exact.count(inst, target, mode)
-    run = approx.coverage_mc(inst, target, mode, eps, delta, approx.ExactOracle(), seed)
-    if truth == 0:
-        ok = run.y == 0
-    else:
-        ok = (
-            Fraction(truth) * Fraction(math.exp(-eps)).limit_denominator(10**12)
-            <= run.y
-            <= Fraction(truth) * Fraction(math.exp(eps)).limit_denominator(10**12)
-        )
-    return fname, seed, ok
-
-
-def algorithm1_battery(
-    runs_per_mode: int = 50,
-    eps: float = 0.2,
-    delta: float = 0.1,
-    graphs: int = 20,
-) -> dict[str, tuple[int, int]]:
-    """Seeded estimator runs per fixture; returns fixture -> (hits, runs).
-    Runs split evenly between surjective and compaction mode over the
-    seeded graph corpus."""
-    tasks = []
-    for fname, target in _acceptance8_fixtures():
-        text = files.serialize_graph(target)
-        for mode_i, mode in enumerate(("sur", "comp")):
-            for r in range(runs_per_mode):
-                gi = r % graphs
-                seed = derive("acc8", fname, mode, r)
-                tasks.append((fname, text, mode, gi, seed, eps, delta))
-    workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_battery_task, tasks, chunksize=4))
-    else:
-        results = [_battery_task(t) for t in tasks]
-    out: dict[str, tuple[int, int]] = {}
-    for fname, _, ok in results:
-        hits, total = out.get(fname, (0, 0))
-        out[fname] = (hits + (1 if ok else 0), total + 1)
-    return out
-
-
 def _witness_key(witness) -> tuple:
     us, tau = witness
     return us, tuple(sorted(tau.items()))
 
 
 @_check("approx", "exact-expectation")
-def check_exact_expectation(quick: bool) -> None:
+def check_exact_expectation() -> None:
     """The witnesses must be `reference.naive_witnesses`, each once.  Under
     exact weights E[Y] = sum_i omega_i phat_i, the sum of the witnesses'
     first-occurrence counts, which must be the exact sur/comp count; each
@@ -798,7 +739,7 @@ def check_exact_expectation(quick: bool) -> None:
     bounds Omega / t by the count.  The witnesses and the partition are
     found naively, apart from the kernel."""
     for fname, target in _acceptance8_fixtures():
-        for gi in range(2 if quick else 6):
+        for gi in range(6):
             g = acceptance8_graph(gi)
             inst = ListedInstance.full(g, target)
             for mode in ("sur", "comp"):
@@ -823,13 +764,13 @@ def check_exact_expectation(quick: bool) -> None:
 
 
 @_check("approx", "jvv-uniformity")
-def check_jvv_uniformity(quick: bool) -> str:
+def check_jvv_uniformity() -> str:
     target = build_two_wrench()
     g = build_path(3)
     inst = ListedInstance.full(g, target)
     homs = [tuple(sorted(h.items())) for h in exact.enumerate_homs(inst, target)]
     n = len(homs)
-    samples = 2000 if quick else 10_000
+    samples = 10_000
     oracle = approx.ExactOracle()
     rng = pyrng("jvv-uniformity")
     counts: dict = {}
@@ -842,15 +783,14 @@ def check_jvv_uniformity(quick: bool) -> str:
     tv = Fraction(1, 2) * sum(
         abs(Fraction(counts.get(h, 0), samples) - Fraction(1, n)) for h in homs
     )
-    bound = Fraction(1, 10) if quick else Fraction(1, 20)
-    if tv > bound:
+    if tv > Fraction(1, 20):
         raise _Failed(f"TV = {float(tv):.4f}")
     return f"TV = {float(tv):.4f} over {samples} samples"
 
 
 @_check("approx", "padding-identity")
-def check_padding(quick: bool) -> str:
-    cases = 15 if quick else 50
+def check_padding() -> str:
+    cases = 50
     for i in range(cases):
         target = random_target(("pad", i), max_n=4)
         pattern = random_pattern(("pad", i), max_n=4)
@@ -866,11 +806,11 @@ def check_padding(quick: bool) -> str:
 
 
 @_check("approx", "powered-count")
-def check_powered_count(quick: bool) -> str:
+def check_powered_count() -> str:
     k2 = Graph(["a", "b"], [("a", "b")])
     inst = ListedInstance.full(build_path(3), k2)
     true = exact.count_list_hom(inst, k2)
-    trials = 100 if quick else 1000
+    trials = 1000
     fails = 0
     lo, hi = true * math.exp(-0.1), true * math.exp(0.1)
     for i in range(trials):
@@ -889,7 +829,7 @@ def check_powered_count(quick: bool) -> str:
 
 
 @_check("approx", "seed-determinism")
-def check_coverage_determinism(quick: bool) -> None:
+def check_coverage_determinism() -> None:
     k2 = Graph(["a", "b"], [("a", "b")])
     inst = ListedInstance.full(acceptance8_graph(0), k2)
     r1 = approx.coverage_mc(inst, k2, "sur", 0.3, 0.2, approx.ExactOracle(), seed=42)
@@ -907,12 +847,25 @@ def check_coverage_determinism(quick: bool) -> None:
 
 
 @_check("approx", "algorithm1-statistics")
-def check_algorithm1_statistics(quick: bool) -> str:
-    runs = 3 if quick else 50
-    res = algorithm1_battery(runs_per_mode=runs)
-    bad = {f: (h, t) for f, (h, t) in res.items() if h < math.ceil(0.85 * t)}
-    detail = "; ".join(f"{f}: {h}/{t}" for f, (h, t) in sorted(res.items()))
-    if bad:
+def check_algorithm1_statistics() -> str:
+    """Algorithm 1's (eps, delta) guarantee at eps = 0.2, delta = 0.1, with
+    an exact oracle: per fixture, 50 seeded runs in surjective and 50 in
+    compaction mode over the first 20 corpus graphs, of which at least 85 of
+    the 100 must land within e^(+-eps) of the exact count."""
+    eps, delta = 0.2, 0.1
+    lo, hi = (Fraction(math.exp(x)).limit_denominator(10**12) for x in (-eps, eps))
+    hits = {}
+    for fname, target in _acceptance8_fixtures():
+        hits[fname] = 0
+        for mode in ("sur", "comp"):
+            for r in range(50):
+                inst = ListedInstance.full(acceptance8_graph(r % 20), target)
+                truth = exact.count(inst, target, mode)
+                seed = derive("acc8", fname, mode, r)
+                run = approx.coverage_mc(inst, target, mode, eps, delta, approx.ExactOracle(), seed)
+                hits[fname] += truth * lo <= run.y <= truth * hi
+    detail = "; ".join(f"{f}: {h}/100" for f, h in sorted(hits.items()))
+    if min(hits.values()) < 85:
         raise _Failed(detail)
     return detail
 
@@ -946,7 +899,7 @@ def classifier_fixture_rows() -> list[tuple[str, Graph, str, str]]:
 
 
 @_check("classify", "fixture-table")
-def check_classifier_table(quick: bool) -> str:
+def check_classifier_table() -> str:
     for name, h, want_cls, want_clause in classifier_fixture_rows():
         v = classify.classify(h)
         if v.cls != want_cls or v.clause != want_clause:
@@ -1035,8 +988,8 @@ def _random_tree_like(seed) -> Graph:
 
 
 @_check("classify", "theorem1-partition")
-def check_theorem1_partition(quick: bool) -> str:
-    cases = 150 if quick else 600
+def check_theorem1_partition() -> str:
+    cases = 600
     for i in range(cases):
         h = _random_tree_like(i)
         cv = classify.classify_component(h)
@@ -1047,8 +1000,8 @@ def check_theorem1_partition(quick: bool) -> str:
 
 
 @_check("classify", "caterpillar-harary")
-def check_caterpillar_harary(quick: bool) -> str:
-    cases = 60 if quick else 200
+def check_caterpillar_harary() -> str:
+    cases = 200
     for i in range(cases):
         h = _random_girth5_graph(("cat", i), allow_loops=False)
         is_tree = girth(h) == math.inf
@@ -1063,7 +1016,7 @@ def check_caterpillar_harary(quick: bool) -> str:
 
 
 @_check("classify", "pbrp-implies-bis")
-def check_pbrp_implies_bis(quick: bool) -> None:
+def check_pbrp_implies_bis() -> None:
     shapes = [(1, frozenset({1}))]
     for q in (1, 2, 3, 4):
         shapes += [
@@ -1085,8 +1038,8 @@ def check_pbrp_implies_bis(quick: bool) -> None:
 
 
 @_check("classify", "sat-witnesses")
-def check_sat_witnesses(quick: bool) -> str:
-    cases = 60 if quick else 200
+def check_sat_witnesses() -> str:
+    cases = 200
     seen_sat = 0
     for i in range(cases):
         h = _random_girth5_graph(("satw", i), allow_loops=True)
@@ -1127,8 +1080,8 @@ def _kelk_bruteforce(h: Graph) -> bool:
 
 
 @_check("classify", "kelk-crosscheck")
-def check_kelk(quick: bool) -> str:
-    cases = 30 if quick else 80
+def check_kelk() -> str:
+    cases = 80
     for i in range(cases):
         h = random_target(("kelk", i), max_n=5)
         if classify.check_kelk_condition(h) != _kelk_bruteforce(h):
@@ -1141,7 +1094,7 @@ def check_kelk(quick: bool) -> str:
 
 
 @_check("classify", "component-order")
-def check_component_order(quick: bool) -> None:
+def check_component_order() -> None:
     rows = classifier_fixture_rows()
     for i in range(0, len(rows) - 1, 2):
         _, h1, _, _ = rows[i]
@@ -1161,16 +1114,16 @@ def check_component_order(quick: bool) -> None:
             raise _Failed(f"pair {i}")
 
 
-def run_suite(name: str, quick: bool = False) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
         out = []
         for suite in SUITES:
-            out += run_suite(suite, quick)
+            out += run_suite(suite)
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     out = []
     for fn in SUITES[name]:
-        res = fn(quick)
+        res = fn()
         out += res if isinstance(res, list) else [res]
     return out

@@ -259,10 +259,10 @@ def _drop_an_extending_witness(enumerate_T):
 @pytest.mark.parametrize(
     "mutate", [_keep_first_witness, _comp_without_edge_filter, _drop_an_extending_witness]
 )
-def test_exact_expectation_catches_wrong_witnesses(monkeypatch, mutate):
-    assert verify.check_exact_expectation(quick=True).passed
+def test_exact_expectation_catches_wrong_witnesses(verify_results, monkeypatch, mutate):
+    assert verify_results["approx/exact-expectation"].passed
     monkeypatch.setattr(approx, "enumerate_T", mutate(approx.enumerate_T))
-    assert not verify.check_exact_expectation(quick=True).passed
+    assert not verify.check_exact_expectation().passed
 
 
 def test_sample_hom_unique_and_errors():
@@ -321,8 +321,8 @@ def test_noisy_oracle_window():
     assert good >= 280 and bad >= 30  # both behaviors actually exercised
 
 
-def test_powered_count_noisy_statistics():
-    res = verify.check_powered_count(quick=False)
+def test_powered_count_noisy_statistics(verify_results):
+    res = verify_results["approx/powered-count"]
     assert res.passed, res.detail
 
 

@@ -8,8 +8,8 @@ import warnings
 
 import pytest
 
-from retraction_lab import cli, csp, files
-from retraction_lab.fixedgraphs import build_hk, build_j_blocked, build_two_wrench, rebind_target
+from retraction_lab import cli, csp, files, verify
+from retraction_lab.fixedgraphs import build_j_blocked, build_two_wrench
 from retraction_lab.graphs import Graph
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -189,12 +189,12 @@ def test_verify_unknown_suite_exit_2_names_the_suites(capsys):
 @pytest.mark.parametrize(
     "command, options",
     [
-        (["verify", "csp", "--quick"], []),
+        (["verify", "csp"], []),
         (["count", "--mode", "sur", "-G", fixture("k2.hg"), "-H", fixture("k2.hg")], ["--no-meta"]),
     ],
     ids=["verify", "count"],
 )
-def test_output_options_before_or_after_the_command(tmp_path, capsys, command, options):
+def test_output_options_before_or_after_the_command(tmp_path, capsys, verify_run_once, command, options):
     before, after = tmp_path / "before.json", tmp_path / "after.json"
     assert cli.main(options + ["--out", str(before)] + command) == 0
     assert cli.main(command + options + ["--out", str(after)]) == 0
@@ -207,6 +207,36 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--mode", "bogus"])
     assert exc.value.code == 2
+    # verify has one size, so no --quick
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "csp", "--quick"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "csp"], ["count", "--mode", "hom", "-G", fixture("k2.hg"), "-H", fixture("k2.hg")]],
+    ids=["verify", "count"],
+)
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch, command):
+    ran = []
+    monkeypatch.setattr(verify, "run_suite", lambda name: ran.append(name) or [])
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert cli.main([*command, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot write --out" in captured.err
+    assert not ran
+
+
+def test_failed_command_leaves_out_as_it_was(tmp_path, capsys):
+    failing = ["classify", "-H", str(tmp_path / "missing.hg"), "--out"]
+    old = tmp_path / "old.json"
+    old.write_text("kept\n")
+    assert cli.main([*failing, str(old)]) == 1
+    assert old.read_text() == "kept\n"
+    new = tmp_path / "new.json"
+    assert cli.main([*failing, str(new)]) == 1
+    assert not new.exists()
 
 
 def test_domain_error_exit_1(tmp_path, capsys):
@@ -224,8 +254,8 @@ def test_count_past_the_recursion_limit_exit_1(tmp_path, capsys):
     assert "surjective count on a 2200-vertex pattern" in capsys.readouterr().err
 
 
-def test_verify_command(capsys):
-    rc = cli.main(["verify", "csp", "--quick"])
+def test_verify_command(capsys, verify_run_once):
+    rc = cli.main(["verify", "csp"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "csp/parsimony: pass" in out
@@ -238,6 +268,13 @@ def test_types_verify_command(capsys):
     assert doc["grid"][0]["match"] is True
 
 
+@pytest.mark.parametrize("grid", ["1,1", "1,x,1"])
+def test_types_verify_malformed_grid_names_the_option(capsys, grid):
+    assert cli.main(["types", "verify", "--grid", grid]) == 1
+    err = capsys.readouterr().err
+    assert "--grid" in err and "p,q,t;p,q,t" in err
+
+
 def _command_files(tmp_path):
     """Inputs for the commands that read a CSP or blocked file: the CSP pair
     of the bristled path PBRP(1, {1}), the graph it builds, an instance on
@@ -247,7 +284,7 @@ def _command_files(tmp_path):
     (tmp_path / "ie.csp").write_text(files.serialize_csp(ie))
     (tmp_path / "h.hg").write_text(files.serialize_graph(csp.build_graph_from_csp(iv, ie)))
     (tmp_path / "g.inst").write_text("target h.hg\nv u\nv w\ne u w\nl u 00\nl w *\n")
-    blocked = rebind_target(build_j_blocked(1, 1, 1), build_hk(1))
+    blocked = build_j_blocked(1, 1, 1)
     (tmp_path / "j.blk").write_text(files.serialize_blocked(blocked, os.path.abspath(fixture("h1.hg"))))
     return {name.split(".")[0]: str(tmp_path / name) for name in ("iv.csp", "ie.csp", "g.inst", "j.blk")}
 
@@ -288,12 +325,13 @@ def _leaf_commands(paths):
         ("types-table", ["types", "table", "-k", "1"]),
         ("types-verify", ["types", "verify", "-k", "1", "--grid", "1,1,1;1,2,1"]),
         ("types-dominance", ["types", "dominance", "-k", "1"]),
-        ("verify-csp", ["verify", "csp", "--quick"]),
+        ("verify-csp", ["verify", "csp"]),
     ]
 
 
 # the --no-meta stdout of each command, digested at the commit before the
-# CLI bound one handler per command
+# CLI bound one handler per command; verify-csp's, the full-size run, at the
+# commit before each verify check ran at one size
 _PINNED_REPORTS = {
     "classify-2-wrench": "dda941b9ecfe27a4",
     "classify-c4": "f157483f8e5be51c",
@@ -321,11 +359,11 @@ _PINNED_REPORTS = {
     "types-table": "76c60719df6b1d29",
     "types-verify": "9193e9a1a03fb476",
     "types-dominance": "3e73c7e5709fc469",
-    "verify-csp": "4b2de6d24df88765",
+    "verify-csp": "78feac8753b641f4",
 }
 
 
-def test_leaf_command_reports_are_pinned(tmp_path, capsys):
+def test_leaf_command_reports_are_pinned(tmp_path, capsys, verify_run_once):
     digests = {}
     for name, argv in _leaf_commands(_command_files(tmp_path)):
         assert cli.main(["--no-meta", *argv]) == 0, name

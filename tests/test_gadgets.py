@@ -253,17 +253,19 @@ def test_choose_pq():
 
 
 def test_j_blocked_sizes():
-    from retraction_lab.fixedgraphs import build_j_blocked, rebind_target
+    from retraction_lab.fixedgraphs import build_j_blocked
 
-    hk = build_hk(1)
-    j111 = rebind_target(build_j_blocked(1, 1, 1), hk)
+    j111 = build_j_blocked(1, 1, 1)
     expanded = expand_blocked(j111)
     assert len(expanded.pattern) == 9
     # wiring at unit sizes: three matching edges, two join edges, and the
     # six apex edges (one per A-side, four from the hub)
     assert len(expanded.pattern.non_loop_edges()) == 3 + 2 + 2 + 4
-    j231 = rebind_target(build_j_blocked(2, 3, 1), hk)
+    j231 = build_j_blocked(2, 3, 1)
     assert j231.expansion_size() == 3 + 4 * 2 + 2 * 3
+    # over H_k's vertex set, H_1's by default
+    assert j111.target_vertices == tuple(build_hk(1).vertices)
+    assert build_j_blocked(1, 1, 1, 3).target_vertices == tuple(build_hk(3).vertices)
 
 
 def test_largecut_plan():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from retraction_lab import homtypes as ht, reference
-from retraction_lab.fixedgraphs import build_hk, build_j_blocked, rebind_target
+from retraction_lab.fixedgraphs import build_hk, build_j_blocked
 from retraction_lab.gadgets import choose_pq
 from retraction_lab.instances import expand_blocked
 
@@ -147,7 +147,7 @@ def test_brute_force_grid_matches_formula():
     for p, q, t in ((1, 1, 1), (2, 1, 1)):
         buckets = ht.brute_count_by_type(p, q, t, 1)
         hk = build_hk(1)
-        inst = expand_blocked(rebind_target(build_j_blocked(p, q, t), hk))
+        inst = expand_blocked(build_j_blocked(p, q, t))
         from retraction_lab import exact
 
         assert sum(buckets.values()) == exact.count_retraction(inst, hk)

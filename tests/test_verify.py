@@ -1,24 +1,7 @@
 import hashlib
 
-import pytest
-
 from retraction_lab import files, verify
 from retraction_lab._seeds import pyrng
-
-
-@pytest.mark.parametrize("suite", sorted(verify.SUITES))
-def test_suite_passes_quick(suite):
-    results = verify.run_suite(suite, quick=True)
-    failed = [r.line() for r in results if not r.passed]
-    assert results and not failed, failed
-
-
-def test_algorithm1_battery_independent_of_workers(monkeypatch):
-    monkeypatch.delenv("RETRACTION_LAB_THREADS", raising=False)
-    sequential = verify.algorithm1_battery(runs_per_mode=2)
-    monkeypatch.setenv("RETRACTION_LAB_THREADS", "2")
-    assert verify.worker_count() == 2
-    assert verify.algorithm1_battery(runs_per_mode=2) == sequential
 
 
 def _digest(graphs):
@@ -60,49 +43,52 @@ def test_seeded_corpora_are_pinned():
     }
 
 
-# recorded before each check declared its suite and name once
-_PINNED_QUICK_LINES = [
-    'oracles/oracle-equivalence: pass (40 cases x 5 modes)',
-    'oracles/decomposition: pass (20 multi-component cases)',
+# the lines of `retraction-lab verify all`, recorded at the commit before
+# each check ran at one size
+_PINNED_LINES = [
+    'oracles/oracle-equivalence: pass (200 cases x 5 modes)',
+    'oracles/decomposition: pass (100 multi-component cases)',
     'oracles/monotonicity: pass',
-    'oracles/lemma19-bounds: pass (b<=10, a<=80)',
+    'oracles/lemma19-bounds: pass (b<=10, a<=200)',
     'oracles/blocked-roundtrip: pass (4 fixtures)',
-    'oracles/girth-crosscheck: pass (60 graphs <= 8 vertices)',
+    'oracles/girth-crosscheck: pass (200 graphs <= 8 vertices)',
     'oracles/gamma2-phi: pass',
     'oracles/parse-roundtrip: pass',
-    'csp/parsimony: pass (20 cases, undirected + directed)',
-    'csp/lemma33-structure: pass (4 (q, s) cases)',
+    'csp/parsimony: pass (100 cases, undirected + directed)',
+    'csp/lemma33-structure: pass (26 (q, s) cases)',
     'csp/extreme-assignments: pass',
     'csp/strip-subtract: pass',
     'types/table1-k1: pass (10 rows, projections and size triples)',
-    'types/eq4-grid: pass (grid [(1, 1, 1)])',
+    'types/table1-k2: pass (10 rows, projections and size triples)',
+    'types/table1-k3: pass (10 rows, projections and size triples)',
+    'types/eq4-grid: pass (grid [(1, 1, 1), (2, 2, 1), (1, 2, 1), (2, 1, 1)])',
     'types/symmetry: pass',
     'types/lemma45-fixed-points: pass',
     'types/lemma43-sandwich: pass ((p,q)=(44,52), least t0=1)',
     'types/lemma47-dominance: pass (gamma=0.2803)',
-    'gadgets/dirichlet-property: pass (100 cases)',
+    'gadgets/dirichlet-property: pass (500 cases)',
     'gadgets/cut-window: pass (T=3, Z/Z*=3)',
     'gadgets/cut-psi: pass',
     'gadgets/bichromatic-forcing: pass',
     'gadgets/largecut-roundtrip: pass',
     'gadgets/largecut-identity: pass',
-    'gadgets/pin-neighborhood: pass (15 cases)',
+    'gadgets/pin-neighborhood: pass (50 cases)',
     'gadgets/j-shapes: pass',
     'approx/exact-expectation: pass',
-    'approx/jvv-uniformity: pass (TV = 0.0515 over 2000 samples)',
-    'approx/padding-identity: pass (15 cases)',
-    'approx/powered-count: pass (0/100 failures)',
+    'approx/jvv-uniformity: pass (TV = 0.0156 over 10000 samples)',
+    'approx/padding-identity: pass (50 cases)',
+    'approx/powered-count: pass (0/1000 failures)',
     'approx/seed-determinism: pass',
-    'approx/algorithm1-statistics: pass (2-wrench: 6/6; K2: 6/6; P3: 6/6)',
+    'approx/algorithm1-statistics: pass (2-wrench: 100/100; K2: 100/100; P3: 100/100)',
     'classify/fixture-table: pass (12 fixtures)',
-    'classify/theorem1-partition: pass (150 random girth->=5 components)',
-    'classify/caterpillar-harary: pass (60 cases)',
+    'classify/theorem1-partition: pass (600 random girth->=5 components)',
+    'classify/caterpillar-harary: pass (200 cases)',
     'classify/pbrp-implies-bis: pass',
-    'classify/sat-witnesses: pass (14 SAT components examined)',
-    'classify/kelk-crosscheck: pass (30 cases + WR3/WR4)',
+    'classify/sat-witnesses: pass (48 SAT components examined)',
+    'classify/kelk-crosscheck: pass (80 cases + WR3/WR4)',
     'classify/component-order: pass',
 ]
 
 
-def test_quick_run_lines_are_pinned():
-    assert [r.line() for r in verify.run_suite("all", quick=True)] == _PINNED_QUICK_LINES
+def test_run_lines_are_pinned(verify_results):
+    assert [r.line() for r in verify_results.values()] == _PINNED_LINES
