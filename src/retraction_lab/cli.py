@@ -4,13 +4,14 @@ Commands: classify, count, approx, gadget, estimate, csp, types, verify.
 The parser binds each leaf command to one handler, which returns its report;
 one writer sends the report to stdout, or to the file given by --out, which
 every command takes.  A report is a JSON document, with a "meta" block unless
---no-meta; counts that can exceed 2^53 are decimal strings.  Four commands
-print a text format instead: `gadget fixed` and `csp build-graph` a graph,
-`gadget j-block` a blocked instance, `csp translate` a CSP.  `verify` runs
-each check of a suite once, at its acceptance size, prints one line per check
-and writes its JSON report, without meta, only to --out.  An --out path that
-cannot be written is refused before the command runs, and a command that
-fails leaves it as it was.
+--no-meta; counts that can exceed 2^53 are decimal strings, printed in full
+at any length.  Four commands print a text format instead: `gadget fixed`
+and `csp build-graph` a graph, `gadget j-block` a blocked instance,
+`csp translate` a CSP.  `verify` runs each check of a suite once, at its
+acceptance size, prints one line per check and writes its JSON report,
+without meta, only to --out.  An --out path that cannot be written is
+refused before the command runs, and a command that fails leaves it as it
+was.
 Exit codes: 0 success, 1 domain error or a failed check, 2 usage error.
 """
 from __future__ import annotations
@@ -456,9 +457,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     out = getattr(args, "out", None)
+    # reports print counts in full: lift Python's cap on int-to-str digits
+    # (4300 by default; no cap and no setter before 3.10.7) while they are made
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         if out:
             _check_writable(out)
+        if limit:
+            sys.set_int_max_str_digits(0)
         report = args.fn(args)
         if isinstance(report, int):  # verify's exit status; it wrote its outputs
             return report
@@ -466,6 +472,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, files.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

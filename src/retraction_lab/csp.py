@@ -67,8 +67,6 @@ def _imp_search(inst: CspInstance) -> _Search:
     """The instance as list homomorphisms into the digraph 0->0, 0->1, 1->1:
     one pattern arc x -> y per Imp(x, y) with x != y (Imp(x, x) always
     holds), a pinned variable's list is its one value."""
-    if len(inst.variables) > CSP_ENUM_BOUND:
-        raise ValueError(f"instance has {len(inst.variables)} > {CSP_ENUM_BOUND} variables")
     index = {x: i for i, x in enumerate(inst.variables)}
     out = [0] * len(index)
     inn = [0] * len(index)
@@ -83,7 +81,10 @@ def _imp_search(inst: CspInstance) -> _Search:
 
 
 def satisfying_assignments(inst: CspInstance) -> list[tuple[int, ...]]:
-    """All satisfying assignments in variable order, lexicographic."""
+    """All satisfying assignments in variable order, lexicographic; refused
+    above CSP_ENUM_BOUND variables, where the list can run to 2^n entries."""
+    if len(inst.variables) > CSP_ENUM_BOUND:
+        raise ValueError(f"instance has {len(inst.variables)} > {CSP_ENUM_BOUND} variables to list")
     return sorted(_imp_search(inst).assignments())
 
 

@@ -11,17 +11,11 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .classifier import induced_j3_embeddings, is_square_free
-from .exact import count_blocked, enumerate_homs
+from .exact import count_blocked
 from .fixedgraphs import build_hk, j_gadget_parts
 from .graphs import Graph, connected_components, is_connected
-from .homtypes import (
-    brute_count_by_type,
-    enumerate_maximal_types,
-    j_matchings,
-    symmetric_partner,
-    type_of_assignment,
-)
-from .instances import Block, BlockedInstance, Coupling, ListedInstance, expand_blocked
+from .homtypes import enumerate_maximal_types, n_exact, symmetric_partner
+from .instances import Block, BlockedInstance, Coupling, ListedInstance
 
 
 # -- Dirichlet approximation -------------------------------------------------
@@ -435,9 +429,6 @@ def count_large_cuts_bruteforce(g: Graph, cut_size: int) -> int:
     return count
 
 
-FULL_EXPANSION_GUARD = 20
-
-
 def _edge_block_factor(plan: LargeCutPlan, anchors: frozenset[str]) -> int:
     """Choices for one size-s edge block whose expanded vertices are joined to
     beta (pinned b) and to gadget vertices realizing exactly `anchors`."""
@@ -452,71 +443,35 @@ def full_hom_histogram(plan: LargeCutPlan) -> dict[int, int]:
     """Histogram cut-size -> number of full homomorphisms (every vertex
     gadget of type T4 or its symmetric partner).
 
-    The enumeration is factored losslessly: the edge blocks are independent
-    sets anchored to the C-blocks of the endpoint gadgets and to beta, so
-    given per-gadget assignments their choices multiply; per-gadget
-    assignments of a full type realize exactly that type's C/C' projections,
-    so the factor depends on the type pair alone.  Per-gadget counts come
-    from genuine enumeration (brute_count_by_type), not the closed form.
+    The count is factored losslessly: the edge blocks are independent sets
+    anchored to the C-blocks of the endpoint gadgets and to beta, so given
+    per-gadget assignments their choices multiply; per-gadget assignments of
+    a full type realize exactly that type's C/C' projections, so the factor
+    depends on the side pair alone.  Each gadget contributes N(T4) from the
+    closed form n_exact, which the partner shares: its sizes are T4's
+    mirrored, and the two ends of J have the same multiplicity.
     """
-    buckets = brute_count_by_type(plan.p, plan.q, plan.t, plan.k)
-    types = dict(enumerate_maximal_types(plan.k))
-    t4 = types["T4"]
-    t4s = symmetric_partner(t4)
-    n_by_side = (buckets.get(t4, 0), buckets.get(t4s, 0))
-    proj = {0: t4.projections(), 1: t4s.projections()}
+    t4 = dict(enumerate_maximal_types(plan.k))["T4"]
+    weight = n_exact(t4, plan.p, plan.q, plan.t) ** len(plan.base)
+    # (C, C') of each side, and the two edge blocks of an edge whose ends
+    # sit on sides a and b
+    cs = [t.projections()[2:4] for t in (t4, symmetric_partner(t4))]
+    edge_factor = {
+        (a, b): _edge_block_factor(plan, cs[a][0] | cs[b][1])
+        * _edge_block_factor(plan, cs[a][1] | cs[b][0])
+        for a, b in product((0, 1), repeat=2)
+    }
     verts = plan.base.vertices
     edges = plan.base.non_loop_edges()
     hist: dict[int, int] = {}
     for sides in product((0, 1), repeat=len(verts)):
         side = dict(zip(verts, sides))
-        weight = 1
-        for b in sides:
-            weight *= n_by_side[b]
-        if weight == 0:
-            continue
+        w = weight
         for u, v in edges:
-            cu, cpu = proj[side[u]][2], proj[side[u]][3]
-            cv, cpv = proj[side[v]][2], proj[side[v]][3]
-            weight *= _edge_block_factor(plan, cu | cpv)
-            weight *= _edge_block_factor(plan, cpu | cv)
+            w *= edge_factor[side[u], side[v]]
         cut = sum(1 for u, v in edges if side[u] != side[v])
-        hist[cut] = hist.get(cut, 0) + weight
+        hist[cut] = hist.get(cut, 0) + w
     return {k: v for k, v in hist.items() if v}
-
-
-def full_hom_histogram_direct(plan: LargeCutPlan) -> dict[int, int]:
-    """Reference implementation: walk every homomorphism of the expanded
-    instance and extract per-gadget types; guarded to tiny plans."""
-    if plan.blocked.expansion_size() > FULL_EXPANSION_GUARD:
-        raise ValueError(
-            f"plan expands to {plan.blocked.expansion_size()} vertices; "
-            f"enumeration guard is {FULL_EXPANSION_GUARD}"
-        )
-    types = dict(enumerate_maximal_types(plan.k))
-    t4 = types["T4"]
-    t4s = symmetric_partner(t4)
-    inst = expand_blocked(plan.blocked)
-    hist: dict[int, int] = {}
-    edges = plan.base.non_loop_edges()
-    matchings = {v: j_matchings(plan.p, plan.q, plan.t, f"{v}.") for v in plan.base.vertices}
-    for hom in enumerate_homs(inst, plan.target):
-        side = {}
-        full = True
-        for v in plan.base.vertices:
-            tv = type_of_assignment(hom, matchings[v])
-            if tv == t4:
-                side[v] = 0
-            elif tv == t4s:
-                side[v] = 1
-            else:
-                full = False
-                break
-        if not full:
-            continue
-        cut = sum(1 for u, v in edges if side[u] != side[v])
-        hist[cut] = hist.get(cut, 0) + 1
-    return hist
 
 
 # -- neighborhood pinning -----------------------------------------------------

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from . import approx, csp, exact, files, gadgets, homtypes, reference
 from . import classifier as classify
@@ -480,6 +480,42 @@ def check_eq4_grid() -> str:
     return f"grid {grid}"
 
 
+@_check("types", "n-exact-total")
+def check_n_exact_total() -> str:
+    """Each homomorphism of J(5, 4, 1), where N(T4) > 0, has exactly one
+    type, so N summed over the non-empty types is the kernel's count of J.
+    A non-empty type has a non-empty pair set on each matching, A and A'
+    inside Gamma(g), B, C, C' and B' inside Gamma(b), B joined to all of C
+    and B' to all of C'."""
+    p, q, t = 5, 4, 1
+
+    def subsets(pairs):
+        pairs = sorted(pairs)
+        return [frozenset(c) for r in range(1, len(pairs) + 1) for c in combinations(pairs, r)]
+
+    totals = []
+    for k in (1, 2):
+        hk = build_hk(k)
+        gb, gg = hk.neighbors("b"), hk.neighbors("g")
+
+        def joined(cs):
+            return gb.intersection(*(hk.neighbors(c) for c in cs))
+
+        total = sum(
+            homtypes.n_exact(homtypes.HomType(t1, t2, t3), p, q, t)
+            for t2 in subsets(homtypes.e_pairs(hk, gb, gb))
+            for t1, t3 in product(
+                subsets(homtypes.e_pairs(hk, gg, joined({c for c, _ in t2}))),
+                subsets(homtypes.e_pairs(hk, joined({c for _, c in t2}), gg)),
+            )
+        )
+        want = exact.count_blocked(build_j_blocked(p, q, t, k), hk)
+        if total != want:
+            raise _Failed(f"J({p},{q},{t}) into H_{k}: {total} != {want}")
+        totals.append(f"H_{k}: {total}")
+    return f"J({p},{q},{t}) into " + ", ".join(totals)
+
+
 @_check("types", "symmetry")
 def check_type_symmetry() -> None:
     buckets = homtypes.brute_count_by_type(1, 1, 1, 1)
@@ -650,23 +686,28 @@ def check_largecut_roundtrip() -> None:
 
 
 @_check("gadgets", "largecut-identity")
-def check_largecut_identity() -> None:
-    types = dict(homtypes.enumerate_maximal_types(1))
-    p3 = Graph(["u", "v", "w"], [("u", "v"), ("v", "w")])
+def check_largecut_identity() -> str:
+    """Criterion 11 where N(T4) > 0: 2 cuts(l) N(T4)^n 4^(s l) full
+    homomorphisms have cut size l."""
+    t4 = dict(homtypes.enumerate_maximal_types(1))["T4"]
     k2 = Graph(["u", "v"], [("u", "v")])
-    for g in (k2, p3):
-        plan = gadgets.build_largecut_instance(g, 1, 1, p=1, q=1, t=1, s=1)
-        nt4 = homtypes.n_exact(types["T4"], 1, 1, 1)
-        n = len(g)
+    plans = [
+        gadgets.build_largecut_instance(g, 1, 1, p=5, q=4, t=1, s=s)
+        for g in (k2, build_path(3))
+        for s in (1, 2)
+    ]
+    plans.append(gadgets.build_largecut_instance(build_cycle(3), 2, 1))
+    for plan in plans:
+        g = plan.base
+        nt4 = homtypes.n_exact(t4, plan.p, plan.q, plan.t)
         hist = gadgets.full_hom_histogram(plan)
-        for ell in range(1, len(g.non_loop_edges()) + 1):
+        if not hist:
+            raise _Failed(f"{len(g)}-vertex base at s={plan.s}: empty histogram")
+        for ell in range(len(g.non_loop_edges()) + 1):
             cuts = gadgets.count_large_cuts_bruteforce(g, ell)
-            expected = cuts * 2 * nt4**n * 4 ** (plan.s * ell)
-            if hist.get(ell, 0) != expected:
-                raise _Failed(f"{len(g)}-vertex base, l={ell}: {hist.get(ell, 0)} != {expected}")
-        # the factored histogram agrees with the direct walk on the K2 plan
-        if len(g) == 2 and gadgets.full_hom_histogram_direct(plan) != hist:
-            raise _Failed("factored != direct")
+            if hist.get(ell, 0) != cuts * 2 * nt4 ** len(g) * 4 ** (plan.s * ell):
+                raise _Failed(f"{len(g)}-vertex base at s={plan.s}, l={ell}")
+    return "K2, P3 at (5,4,1,1) and (5,4,1,2); C3 at (44,52,81,4)"
 
 
 @_check("gadgets", "pin-neighborhood")

@@ -8,8 +8,8 @@ import warnings
 
 import pytest
 
-from retraction_lab import cli, csp, files, verify
-from retraction_lab.fixedgraphs import build_j_blocked, build_two_wrench
+from retraction_lab import cli, csp, files, homtypes, verify
+from retraction_lab.fixedgraphs import build_cycle, build_j_blocked, build_two_wrench
 from retraction_lab.graphs import Graph
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -273,6 +273,49 @@ def test_types_verify_malformed_grid_names_the_option(capsys, grid):
     assert cli.main(["types", "verify", "--grid", grid]) == 1
     err = capsys.readouterr().err
     assert "--grid" in err and "p,q,t;p,q,t" in err
+
+
+@pytest.fixture
+def read_all_digits():
+    """int() of a decimal string of any length; the test's own conversions
+    run under Python's default cap, which the CLI lifts only while it runs."""
+    limit = sys.get_int_max_str_digits()
+
+    def read(text: str) -> int:
+        sys.set_int_max_str_digits(0)
+        try:
+            return int(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return read
+
+
+def test_estimate_largecut_at_the_defaults(tmp_path, capsys, read_all_digits):
+    c3 = tmp_path / "c3.hg"
+    c3.write_text(files.serialize_graph(build_cycle(3)))
+    rc, doc = run_json(capsys, ["--no-meta", "estimate", "largecut", "-G", str(c3), "-K", "2"])
+    assert rc == 0
+    nt4 = homtypes.n_exact(dict(homtypes.enumerate_maximal_types(1))["T4"], 44, 52, 81)
+    hist = {int(ell): read_all_digits(v) for ell, v in doc["full_hom_histogram"].items()}
+    assert len(doc["full_hom_histogram"]["0"]) > 15000
+    cuts = {int(ell): n for ell, n in doc["cuts"].items()}
+    assert cuts == {0: 1, 1: 0, 2: 3, 3: 0}
+    # the large-cut identity at (p, q, t, s) = (44, 52, 81, 4)
+    assert hist == {ell: n * 2 * nt4**3 * 4 ** (4 * ell) for ell, n in cuts.items() if n}
+
+
+def test_cut_instance_prints_zstar_in_full(tmp_path, capsys, read_all_digits):
+    c70 = tmp_path / "c70.hg"
+    c70.write_text(files.serialize_graph(build_cycle(70)))
+    rc, doc = run_json(
+        capsys,
+        ["--no-meta", "gadget", "cut-instance", "-G", str(c70), "-H", fixture("j3.hg"),
+         "--alpha", "c0", "--beta", "c20", "--gamma", "c40", "-B", "3"],
+    )
+    assert rc == 0
+    assert len(doc["zstar"]) > 4300
+    assert read_all_digits(doc["zstar"]) == 2 ** (doc["s"] * doc["r"] * (70 - 3))
 
 
 def _command_files(tmp_path):

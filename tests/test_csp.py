@@ -20,10 +20,18 @@ def test_count_csp_examples():
     assert csp.count_csp(pinned) == 1
 
 
-def test_count_csp_bound():
+def test_count_csp_counts_past_the_enumeration_bound():
     xs = tuple(f"x{i}" for i in range(30))
-    with pytest.raises(ValueError):
-        csp.count_csp(csp.CspInstance(xs))
+    assert len(xs) > csp.CSP_ENUM_BOUND
+    assert csp.count_csp(csp.CspInstance(xs)) == 2**30
+    # a chain x0 => x1 => ... => x29 holds on the 31 monotone assignments
+    assert csp.count_csp(csp.CspInstance(xs, tuple(zip(xs, xs[1:])))) == 31
+
+
+def test_satisfying_assignments_bound():
+    xs = tuple(f"x{i}" for i in range(30))
+    with pytest.raises(ValueError, match="24 variables to list"):
+        csp.satisfying_assignments(csp.CspInstance(xs))
 
 
 def test_build_graph_two_wrench():

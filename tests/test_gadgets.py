@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from retraction_lab import approx, exact, gadgets
+from retraction_lab import approx, exact, gadgets, verify
 from retraction_lab.fixedgraphs import build_cycle, build_hk, build_jq
 from retraction_lab.graphs import Graph
 from retraction_lab.instances import expand_blocked
@@ -293,19 +294,47 @@ def test_count_large_cuts():
     assert gadgets.count_large_cuts_bruteforce(p3, 3) == 0
 
 
-def test_full_hom_histogram_matches_direct_and_formula():
+def test_full_hom_histogram_formula():
     from retraction_lab import homtypes
 
-    types = dict(homtypes.enumerate_maximal_types(1))
-    nt4 = homtypes.n_exact(types["T4"], 1, 1, 1)
-    assert nt4 == 0
+    t4 = dict(homtypes.enumerate_maximal_types(1))["T4"]
+    nt4 = homtypes.n_exact(t4, 5, 4, 1)
+    assert nt4 == 2880  # 5! 4! 1!, the fewest multiplicities with N(T4) > 0
     k2 = Graph(["u", "v"], [("u", "v")])
-    plan = gadgets.build_largecut_instance(k2, 1, 1, p=1, q=1, t=1, s=1)
-    hist = gadgets.full_hom_histogram(plan)
-    assert hist == gadgets.full_hom_histogram_direct(plan)
-    for ell in (1,):
-        expected = gadgets.count_large_cuts_bruteforce(k2, ell) * 2 * nt4**2 * 4 ** (plan.s * ell)
-        assert hist.get(ell, 0) == expected
+    plan = gadgets.build_largecut_instance(k2, 1, 1, p=5, q=4, t=1, s=1)
+    # 2 N(T4)^2 with both ends on one side; one on each side leaves 4
+    # choices for the edge-block vertex
+    assert gadgets.full_hom_histogram(plan) == {0: 16588800, 1: 66355200}
+    # at p = q = t = 1 there is no T4 gadget, hence no full homomorphism
+    assert gadgets.full_hom_histogram(gadgets.build_largecut_instance(k2, 1, 1, p=1, q=1, t=1, s=1)) == {}
+
+
+def test_full_hom_histogram_enumerates_nothing(monkeypatch):
+    from retraction_lab import homtypes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(exact, "enumerate_homs", refuse)
+    monkeypatch.setattr(homtypes, "enumerate_homs", refuse)
+    monkeypatch.setattr(homtypes, "brute_count_by_type", refuse)
+    tri = build_cycle(3)
+    plan = gadgets.build_largecut_instance(tri, 2, 1)
+    assert (plan.p, plan.q, plan.t, plan.s) == (44, 52, 81, 4)
+    nt4 = homtypes.n_exact(dict(homtypes.enumerate_maximal_types(1))["T4"], 44, 52, 81)
+    # a triangle's cuts: one of size 0, three of size 2
+    assert gadgets.full_hom_histogram(plan) == {0: 2 * nt4**3, 2: 3 * 2 * nt4**3 * 4 ** (4 * 2)}
+
+
+def _edge_block_factor_one_more(real):
+    """The mutant with exponent s + 1."""
+    return lambda plan, anchors: real(dataclasses.replace(plan, s=plan.s + 1), anchors)
+
+
+def test_largecut_identity_catches_a_wrong_edge_block_factor(verify_results, monkeypatch):
+    assert verify_results["gadgets/largecut-identity"].passed
+    monkeypatch.setattr(gadgets, "_edge_block_factor", _edge_block_factor_one_more(gadgets._edge_block_factor))
+    assert not verify.check_largecut_identity().passed
 
 
 def test_pin_neighborhood_examples():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retraction_lab import homtypes as ht, reference
+from retraction_lab import homtypes as ht, reference, verify
 from retraction_lab.fixedgraphs import build_hk, build_j_blocked
 from retraction_lab.gadgets import choose_pq
 from retraction_lab.instances import expand_blocked
@@ -154,6 +154,36 @@ def test_brute_force_grid_matches_formula():
         for typ, cnt in buckets.items():
             assert ht.n_exact(typ, p, q, t) == cnt
             assert ht.is_nonempty_type(typ, 1)
+
+
+def test_brute_count_by_type_refuses_before_enumerating(monkeypatch):
+    from retraction_lab import exact
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(exact, "enumerate_homs", refuse)
+    monkeypatch.setattr(ht, "enumerate_homs", refuse)
+    assert build_j_blocked(5, 4, 1).expansion_size() == 31
+    with pytest.raises(ValueError, match="guard is 17"):
+        ht.brute_count_by_type(5, 4, 1, 1)
+
+
+def test_brute_count_guard_admits_the_grids_in_use():
+    # the eq-4 grid (the demo's J(2, 2, 1) among them) and the benchmark's two k = 2 points
+    for p, q, t, k in ((1, 1, 1, 1), (2, 2, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 2)):
+        assert build_j_blocked(p, q, t, k).expansion_size() <= ht.BRUTE_EXPANSION_GUARD
+
+
+def _p_and_q_swapped(real):
+    return lambda t, p, q, tt: real(t, q, p, tt)
+
+
+def test_n_exact_total_catches_a_wrong_n_exact(verify_results, monkeypatch):
+    assert verify_results["types/n-exact-total"].passed
+    assert ht.n_exact(table()["T4"], 5, 4, 1) > 0
+    monkeypatch.setattr(ht, "n_exact", _p_and_q_swapped(ht.n_exact))
+    assert not verify.check_n_exact_total().passed
 
 
 def test_dominance_and_sandwich():

@@ -44,7 +44,8 @@ def test_seeded_corpora_are_pinned():
 
 
 # the lines of `retraction-lab verify all`, recorded at the commit before
-# each check ran at one size
+# each check ran at one size; the n-exact-total totals are the kernel's
+# counts of J(5, 4, 1), taken at the commit before that check was added
 _PINNED_LINES = [
     'oracles/oracle-equivalence: pass (200 cases x 5 modes)',
     'oracles/decomposition: pass (100 multi-component cases)',
@@ -62,6 +63,7 @@ _PINNED_LINES = [
     'types/table1-k2: pass (10 rows, projections and size triples)',
     'types/table1-k3: pass (10 rows, projections and size triples)',
     'types/eq4-grid: pass (grid [(1, 1, 1), (2, 2, 1), (1, 2, 1), (2, 1, 1)])',
+    'types/n-exact-total: pass (J(5,4,1) into H_1: 17833575, H_2: 79556996)',
     'types/symmetry: pass',
     'types/lemma45-fixed-points: pass',
     'types/lemma43-sandwich: pass ((p,q)=(44,52), least t0=1)',
@@ -71,7 +73,7 @@ _PINNED_LINES = [
     'gadgets/cut-psi: pass',
     'gadgets/bichromatic-forcing: pass',
     'gadgets/largecut-roundtrip: pass',
-    'gadgets/largecut-identity: pass',
+    'gadgets/largecut-identity: pass (K2, P3 at (5,4,1,1) and (5,4,1,2); C3 at (44,52,81,4))',
     'gadgets/pin-neighborhood: pass (50 cases)',
     'gadgets/j-shapes: pass',
     'approx/exact-expectation: pass',
