@@ -7,6 +7,11 @@ An oracle is an `ExactOracle` or a `NoisyOracle`; both count listed and
 blocked instances, and only an `ExactOracle` is treated as exact.  Its counts
 are exact integers, a noisy oracle's exact rationals; the estimator's output
 Y is an exact rational.
+
+With an `ExactOracle` the coverage estimator costs three kernel counts: the
+number t of witnesses, their total weight Omega and the union |union|; it
+lists no witness and asks the oracle nothing.  Any other oracle, and a run
+with force_jvv, lists the witnesses with `enumerate_T` and weighs each one.
 """
 from __future__ import annotations
 
@@ -18,7 +23,14 @@ from itertools import combinations
 
 from . import reference
 from ._seeds import nprng, pyrng
-from .exact import _covering, count_blocked, count_compaction, count_list_hom, count_surjective
+from .exact import (
+    _covering,
+    _witness_search,
+    count_blocked,
+    count_compaction,
+    count_list_hom,
+    count_surjective,
+)
 from .graphs import Graph
 from .instances import BlockedInstance, ListedInstance
 
@@ -263,8 +275,7 @@ def enumerate_T(inst: ListedInstance, target: Graph, mode: str):
     covering kernel's assignments of G[U], which prunes a branch as soon as
     it can no longer cover.  Deterministic order.
     """
-    if mode not in ("sur", "comp"):
-        raise ValueError("mode must be 'sur' or 'comp'")
+    _check_mode(mode)
     pv, tv = inst.pattern.vertices, target.vertices
     top = len(tv) if mode == "sur" else len(tv) + 2 * target.edge_count()
     search = _covering(inst, target, need_edges=mode == "comp")
@@ -276,9 +287,31 @@ def enumerate_T(inst: ListedInstance, target: Graph, mode: str):
     return out
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("sur", "comp"):
+        raise ValueError("mode must be 'sur' or 'comp'")
+
+
+def count_witnesses(inst: ListedInstance, target: Graph, mode: str) -> int:
+    """t, the number of witnesses `enumerate_T` lists, as one covering count
+    of the kernel (see `exact._witness_search`); no witness is listed."""
+    _check_mode(mode)
+    return _witness_search(inst, target, mode, weighted=False).count()
+
+
+def count_witness_extensions(inst: ListedInstance, target: Graph, mode: str) -> int:
+    """Omega, the sum over the witnesses (U, tau) of the list-homomorphism
+    counts of (G, S) pinned to tau on U, as one covering count of the kernel:
+    the number of pairs (U, sigma) with sigma a list homomorphism of (G, S)
+    whose restriction to U is a witness."""
+    _check_mode(mode)
+    return _witness_search(inst, target, mode, weighted=True).count()
+
+
 @dataclass(frozen=True)
 class CoverageRun:
-    """One run of the coverage estimator: the branch weights, sample budget,
+    """One run of the coverage estimator: the branch weights (() on a
+    collapsed exact-oracle run, which never computes them), sample budget,
     number of successes and the exact rational estimate."""
 
     mode: str
@@ -334,35 +367,46 @@ def coverage_mc(
     first-occurrence hit with probability phat_i.  So the m samples hit
     independently with probability sum_i omega_i phat_i / Omega = |union| /
     Omega, and x_total is one Binomial(m, |union| / Omega) draw (Karp, Luby
-    and Madras).  |union| is the exact surjective (sur) or compaction (comp)
-    count, one call per run.  force_jvv runs the literal per-sample walk
-    instead, which is also what every oracle other than an ExactOracle
-    gets.  With an ExactOracle that walk draws from the oracle's pinning
-    trees (see `sample_hom`): it looks up each witness's tree once per run
-    and decides the first-occurrence verdict once per (witness index, leaf);
-    other oracles get one `sample_hom` call per draw.
+    and Madras).  That needs no witness and no omega_i, only three kernel
+    counts: t (`count_witnesses`, which fixes m), Omega
+    (`count_witness_extensions`) and |union|, the exact surjective (sur) or
+    compaction (comp) count; `omegas` is then ().  force_jvv runs the
+    literal per-sample walk instead, which is also what every oracle other
+    than an ExactOracle gets: it lists the witnesses with `enumerate_T` and
+    weighs each by `powered_count`.  With an ExactOracle that walk draws
+    from the oracle's pinning trees (see `sample_hom`): it looks up each
+    witness's tree once per run and decides the first-occurrence verdict
+    once per (witness index, leaf); other oracles get one `sample_hom` call
+    per draw.
     """
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise ValueError("eps and delta must lie in (0, 1)")
-    ts = enumerate_T(inst, target, mode)
-    t = len(ts)
+    # the binomial's success probability is only right for exact weights
+    collapsed = type(oracle) is ExactOracle and not force_jvv
+    if collapsed:
+        t = count_witnesses(inst, target, mode)
+    else:
+        ts = enumerate_T(inst, target, mode)
+        t = len(ts)
     if t == 0:
         return CoverageRun(mode, 0, (), 0, 0, 0, Fraction(0), seed, eps, delta, "none")
     eps1, delta1, delta2, m = algorithm_parameters(t, eps, delta)
-    pinned = []
-    for us, tau in ts:
-        cur = inst
-        for u in us:
-            cur = cur.pin(u, tau[u])
-        pinned.append(cur)
-    omegas = [powered_count(oracle, pi, target, eps1, delta2) for pi in pinned]
-    omega = sum(omegas)
+    if collapsed:
+        omegas = ()
+        omega = count_witness_extensions(inst, target, mode)
+    else:
+        pinned = []
+        for us, tau in ts:
+            cur = inst
+            for u in us:
+                cur = cur.pin(u, tau[u])
+            pinned.append(cur)
+        omegas = tuple(powered_count(oracle, pi, target, eps1, delta2) for pi in pinned)
+        omega = sum(omegas)
     if omega <= 0:
-        return CoverageRun(mode, t, tuple(omegas), omega, m, 0, Fraction(0), seed, eps, delta, "none")
+        return CoverageRun(mode, t, omegas, omega, m, 0, Fraction(0), seed, eps, delta, "none")
 
-    if type(oracle) is ExactOracle and not force_jvv:
-        # the binomial's success probability is only right for exact weights,
-        # which an ExactOracle's omegas are by construction
+    if collapsed:
         union = count_surjective(inst, target) if mode == "sur" else count_compaction(inst, target)
         rng = nprng(seed, "coverage", mode)
         x_total = int(rng.binomial(m, union / float(omega)))
@@ -395,7 +439,7 @@ def coverage_mc(
         x_total = sum(hit(_draw(rng, acc)) for _ in range(m))
         sampler = "jvv"
     y = Fraction(omega) * x_total / m
-    return CoverageRun(mode, t, tuple(omegas), omega, m, x_total, y, seed, eps, delta, sampler)
+    return CoverageRun(mode, t, omegas, omega, m, x_total, y, seed, eps, delta, sampler)
 
 
 # -- padding -----------------------------------------------------------------

@@ -16,7 +16,6 @@ bitstring in variable order ("010" means x0=0, x1=1, x2=0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -301,15 +300,6 @@ def subtract_wrapper(count_big: int, f_value: int) -> int:
     if f_value > count_big:
         raise ValueError(f"inconsistent inputs: f={f_value} exceeds count={count_big}")
     return count_big - f_value
-
-
-def required_oracle_precision(epsilon: float, f_value: int) -> Fraction:
-    """Oracle precision that makes the subtraction safe: eps/(16 k), and for
-    k = 0 the plain eps.
-    """
-    if f_value == 0:
-        return Fraction(epsilon).limit_denominator(10**9)
-    return Fraction(epsilon).limit_denominator(10**9) / (16 * f_value)
 
 
 def count_dir_list_hom(

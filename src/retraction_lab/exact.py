@@ -12,7 +12,9 @@ residual subproblems, not the count.  The memo key is
     peeled vertices hold 0);
   - sur: those, plus the target vertices already covered;
   - comp: those, plus the covered target edges and the images of the
-    assigned vertices next to an unassigned one.
+    assigned vertices next to an unassigned one;
+  - under a cap on the vertices with a covering value (the coverage
+    estimator's witness counts, `_witness_search`): also that number.
 Counting branches in a fixed order chosen to keep few unassigned vertices
 next to assigned ones, one pattern component after another; enumeration
 branches most-constrained-first with lexicographic tie-break, and prunes on
@@ -95,13 +97,24 @@ class _Search:
                 self.heavy |= 1 << v
         self.cover(None)
 
-    def cover(self, full_v: int | None, ebit: list[list[int]] | None = None) -> "_Search":
+    def cover(
+        self,
+        full_v: int | None,
+        ebit: list[list[int]] | None = None,
+        vbit: list[int] | None = None,
+        top: int | None = None,
+    ) -> "_Search":
         """Set the goal `count` and `assignments` read: with `full_v`, only
-        homomorphisms whose image covers that target-vertex mask; with `ebit`
-        as well (``ebit[i][j]`` is the bit of the non-loop target edge ij, 0
-        for a non-edge or a loop), only those that also realize every one."""
+        maps whose values cover that target-vertex mask; with `ebit` as well
+        (``ebit[i][j]`` is the bit of the non-loop target edge that values i
+        and j realize on a pattern edge, 0 if none), only those that also
+        realize every one.  ``vbit[t]`` is the target-vertex bit value t
+        covers, or 0 if it covers none (default: value t covers bit t); with
+        `top`, at most `top` pattern vertices take a covering value."""
         self.full_v = full_v
         self.ebit = ebit
+        self.vbit = vbit if vbit is not None else [1 << t for t in range(len(self.tout))]
+        self.top = top
         self.full_e = 0
         for row in ebit or ():
             for b in row:
@@ -113,7 +126,10 @@ class _Search:
         if any(d == 0 for d in self.domains):
             return 0
         full_v = self.full_v
-        self._pack = _packer(max(len(self.tout), self.full_e.bit_length()))
+        n = len(self.domains)
+        # a cap no assignment can reach stays out of the search and its keys
+        self.cap = self.top if self.top is not None and self.top < n else None
+        self._pack = _packer(max(len(self.tout), self.full_e.bit_length(), (self.cap or 0).bit_length()))
         runs = self._order()
         order = [v for run in runs for v in run]
         pos = [0] * len(order)
@@ -134,11 +150,10 @@ class _Search:
         self.cw = None if self.weights is None else [self.weights[v] for v in order]
         self.image = [-1] * len(order)
         self.memo: dict = {}
-        n = len(order)
         doms = [self.domains[v] for v in order]
         if full_v is not None:
             try:
-                return self._count((1 << n) - 1, doms, 0, 0)
+                return self._count((1 << n) - 1, doms, 0, 0, 0)
             except RecursionError:
                 raise _too_deep("compaction count" if self.ebit else "surjective count", n) from None
         # without coverage each pattern component is a factor of its own, so
@@ -153,7 +168,7 @@ class _Search:
             else:
                 run_doms = [0] * lo + doms[lo:hi] + [0] * (n - hi)
                 try:
-                    total *= self._count((1 << hi) - (1 << lo), run_doms, 0, 0)
+                    total *= self._count((1 << hi) - (1 << lo), run_doms, 0, 0, 0)
                 except RecursionError:
                     raise _too_deep("list-homomorphism count", n) from None
             if total == 0:
@@ -209,17 +224,24 @@ class _Search:
             runs.append(order)
         return runs
 
-    def _count(self, active: int, doms: list[int], cov_v: int, cov_e: int) -> int:
+    def _count(self, active: int, doms: list[int], cov_v: int, cov_e: int, used: int) -> int:
         """Completions of the state; `cov_v`/`cov_e` are the target vertices
-        and edges the assigned vertices already cover (0 unless covering)."""
+        and edges the assigned vertices already cover and `used` the number
+        of them with a covering value (all 0 unless covering)."""
         full_v = self.full_v
         if active == 0:
             return 1 if full_v is None else int(cov_v == full_v and cov_e == self.full_e)
-        if full_v is not None and (full_v & ~cov_v).bit_count() > active.bit_count():
-            return 0  # each unassigned vertex covers at most one more target vertex
+        if full_v is not None:
+            # each vertex still to assign covers at most one more target
+            # vertex, and at most cap - used of them may
+            room = active.bit_count()
+            if self.cap is not None:
+                room = min(room, self.cap - used)
+            if (full_v & ~cov_v).bit_count() > room:
+                return 0
         key = None
         if active.bit_count() >= _MEMO_MIN_ACTIVE:
-            key = self._key(active, doms, cov_v, cov_e)
+            key = self._key(active, doms, cov_v, cov_e, used)
             hit = self.memo.get(key)
             if hit is not None:
                 return hit
@@ -240,33 +262,36 @@ class _Search:
                 for u in lone:
                     factor *= nd[u].bit_count() if cw is None else nd[u].bit_count() ** cw[u]
                     nd[u] = 0
-                total += factor * self._count(left, nd, 0, 0)
+                total += factor * self._count(left, nd, 0, 0, 0)
         else:
-            ebit = self.ebit
-            image = self.image
+            ebit, vbit, image, cap = self.ebit, self.vbit, self.image, self.cap
             assigned_nbrs = list(_bits(padj[v] & ~active)) if ebit else ()
             for t, nd in self._extend(self.cout, self.cin, v, rest, doms):
+                b = vbit[t]
+                if b and used == cap:
+                    continue  # a covering value past the cap
                 ce = cov_e
                 for u in assigned_nbrs:
                     ce |= ebit[image[u]][t]
                 image[v] = t
-                total += self._count(rest, nd, cov_v | 1 << t, ce)
+                total += self._count(rest, nd, cov_v | b, ce, used + (b != 0))
         if key is not None:
             self.memo[key] = total
         return total
 
-    def _key(self, active: int, doms: list[int], cov_v: int, cov_e: int):
-        """The memo key: the domains, plus, when covering, what is covered
-        and, for edges, the images of assigned vertices next to the active
-        set (they decide which target edges the active vertices can still
-        realize)."""
+    def _key(self, active: int, doms: list[int], cov_v: int, cov_e: int, used: int):
+        """The memo key: the domains, plus, when covering, what is covered,
+        under a cap the covering-valued vertex count, and, for edges, the
+        images of assigned vertices next to the active set (they decide which
+        target edges the active vertices can still realize)."""
         if self.full_v is None:
             return self._pack(doms)
+        cover = [cov_v, cov_e] if self.cap is None else [cov_v, cov_e, used]
         front = 0
         if self.ebit is not None:
             for a in _bits(active):
                 front |= self.cadj[a]
-        return self._pack(doms + [cov_v, cov_e] + [self.image[u] for u in _bits(front & ~active)])
+        return self._pack(doms + cover + [self.image[u] for u in _bits(front & ~active)])
 
     def _extend(self, out, inn, v: int, rest: int, doms: list[int]) -> list[tuple[int, list[int]]]:
         """(t, doms') for each value t of v that leaves every active neighbor
@@ -302,32 +327,39 @@ class _Search:
         if any(self.domains[v] == 0 for v in _bits(active)):
             return
         try:
-            yield from self._enumerate(active, list(self.domains), [-1] * n, 0, 0)
+            yield from self._enumerate(active, list(self.domains), [-1] * n, 0, 0, 0)
         except RecursionError:
             raise _too_deep("enumeration", n) from None
 
     def _enumerate(
-        self, active: int, doms: list[int], image: list[int], cov_v: int, cov_e: int
+        self, active: int, doms: list[int], image: list[int], cov_v: int, cov_e: int, used: int
     ) -> Iterator[tuple[int, ...]]:
         """The completions of the state that meet the goal, pruned as in
         `_count`; ``image`` holds -1 at every vertex not assigned."""
-        full_v = self.full_v
+        full_v, top = self.full_v, self.top
         if active == 0:
             if full_v is None or cov_v == full_v and cov_e == self.full_e:
                 yield tuple(image)
             return
-        if full_v is not None and (full_v & ~cov_v).bit_count() > active.bit_count():
-            return
+        if full_v is not None:
+            room = active.bit_count()
+            if top is not None:
+                room = min(room, top - used)
+            if (full_v & ~cov_v).bit_count() > room:
+                return
         v = min(_bits(active), key=lambda i: (doms[i].bit_count(), i))
         rest = active & ~(1 << v)
-        ebit = self.ebit
+        ebit, vbit = self.ebit, self.vbit
         assigned_nbrs = [u for u in _bits(self.adj[v]) if image[u] >= 0] if ebit else ()
         for t, nd in self._extend(self.out, self.inn, v, rest, doms):
+            b = vbit[t]
+            if b and used == top:
+                continue
             ce = cov_e
             for u in assigned_nbrs:
                 ce |= ebit[image[u]][t]
             image[v] = t
-            yield from self._enumerate(rest, nd, image, cov_v | 1 << t, ce)
+            yield from self._enumerate(rest, nd, image, cov_v | b, ce, used + (b != 0))
         image[v] = -1
 
 
@@ -408,18 +440,52 @@ def count_retraction(inst: ListedInstance, target: Graph) -> int:
     return count_list_hom(inst, target)
 
 
+def _edge_bits(target: Graph, width: int) -> list[list[int]]:
+    """The `ebit` table of `_Search.cover` over `width` values, of which the
+    first |V(H)| are the target's vertices and the rest realize no edge."""
+    ebit = [[0] * width for _ in range(width)]
+    for b, (u, v) in enumerate(target.non_loop_edges()):
+        i, j = target.index(u), target.index(v)
+        ebit[i][j] = ebit[j][i] = 1 << b
+    return ebit
+
+
 def _covering(inst: ListedInstance, target: Graph, need_edges: bool) -> _Search:
     """The kernel on (inst, target) with the goal of covering every target
     vertex and, with `need_edges`, every non-loop target edge."""
     _check_same_target(inst, target)
     tn = len(target.vertices)
-    ebit = None
-    if need_edges:
-        ebit = [[0] * tn for _ in range(tn)]
-        for b, (u, v) in enumerate(target.non_loop_edges()):
-            i, j = target.index(u), target.index(v)
-            ebit[i][j] = ebit[j][i] = 1 << b
+    ebit = _edge_bits(target, tn) if need_edges else None
     return _search(inst.pattern, inst.lists, target).cover((1 << tn) - 1, ebit)
+
+
+def _witness_search(inst: ListedInstance, target: Graph, mode: str, weighted: bool) -> _Search:
+    """The covering kernel over an augmented target whose count is the number
+    of coverage witnesses (U, tau) of G in `mode` or, `weighted`, the number
+    of pairs (witness, list homomorphism of G extending it), which is Omega.
+
+    Unweighted, the values are V(H) plus a value _|_ (index |V(H)|) adjacent
+    to every value and to itself and added to every list: the vertices
+    outside U take _|_.  Weighted, value h is (h, in) and |V(H)| + h is
+    (h, out), adjacent to (h', in or out) when h ~ h', on lists
+    S x {in, out}: the vertices in U take an "in" value.  Either way only the
+    values of the vertices in U cover a target vertex (and, in comp mode, a
+    target edge, through a pattern edge with both ends in U), and at most
+    |V(H)| (sur) or |V(H)| + 2|E(H)| (comp) vertices are in U."""
+    _check_same_target(inst, target)
+    k = len(target.vertices)
+    doms = _domains(inst.pattern.vertices, inst.lists, target._index)
+    if weighted:
+        tadj = [a | a << k for a in target._adj] * 2
+        doms = [d | d << k for d in doms]
+    else:
+        tadj = [a | 1 << k for a in target._adj] + [(1 << k + 1) - 1]
+        doms = [d | 1 << k for d in doms]
+    vbit = [1 << h for h in range(k)] + [0] * (len(tadj) - k)
+    ebit = _edge_bits(target, len(tadj)) if mode == "comp" else None
+    top = k if mode == "sur" else k + 2 * target.edge_count()
+    adj = inst.pattern._adj
+    return _Search(adj, adj, doms, tadj, tadj).cover((1 << k) - 1, ebit, vbit, top)
 
 
 def count_surjective(inst: ListedInstance, target: Graph) -> int:

@@ -144,22 +144,6 @@ def parse_instance(text: str, base_dir: str = ".") -> tuple[ListedInstance, Grap
     return inst, target
 
 
-def serialize_instance(inst: ListedInstance, target_path: str) -> str:
-    lines = [f"target {target_path}"]
-    for v in inst.pattern.vertices:
-        lines.append(f"v {v}")
-    for u, v in inst.pattern.non_loop_edges():
-        lines.append(f"e {u} {v}")
-    full = frozenset(inst.target_vertices)
-    for v in inst.pattern.vertices:
-        sv = inst.lists[v]
-        if sv == full:
-            lines.append(f"l {v} *")
-        else:
-            lines.append(f"l {v} {','.join(sorted(sv))}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_blocked(text: str, base_dir: str = ".") -> tuple[BlockedInstance, Graph]:
     target_path, body = _split_instance_text(text)
     target = load_graph(os.path.join(base_dir, target_path))

@@ -157,19 +157,15 @@ def c_menu() -> list[frozenset[str]]:
 
 
 def _type_from_c_sets(hk: Graph, c: frozenset[str], cp: frozenset[str]) -> HomType:
+    """Derive the full type from the C and C' projections: B/B' are the
+    common neighbors inside Gamma(b), A/A' the neighbor unions inside
+    Gamma(g), and each component is the full pair set of its projections."""
     gb, gg = hk.neighbors("b"), hk.neighbors("g")
     b = common_neighbors(hk, c) & gb
     bp = common_neighbors(hk, cp) & gb
     a = neighbor_union(hk, b) & gg
     ap = neighbor_union(hk, bp) & gg
     return HomType(e_pairs(hk, a, b), e_pairs(hk, c, cp), e_pairs(hk, bp, ap))
-
-
-def type_from_c_sets(k: int, c: frozenset[str], cp: frozenset[str]) -> HomType:
-    """Derive the full type from the C and C' projections: B/B' are the
-    common neighbors inside Gamma(b), A/A' the neighbor unions inside
-    Gamma(g), and each component is the full pair set of its projections."""
-    return _type_from_c_sets(build_hk(k), c, cp)
 
 
 def enumerate_maximal_types(k: int) -> list[tuple[str, HomType]]:

@@ -776,9 +776,11 @@ def check_exact_expectation() -> None:
     """The witnesses must be `reference.naive_witnesses`, each once.  Under
     exact weights E[Y] = sum_i omega_i phat_i, the sum of the witnesses'
     first-occurrence counts, which must be the exact sur/comp count; each
-    |Omega_i| must be the exact list count of its pinned instance; and eq. 9
-    bounds Omega / t by the count.  The witnesses and the partition are
-    found naively, apart from the kernel."""
+    |Omega_i| must be the exact list count of its pinned instance; the
+    kernel's t and Omega (`count_witnesses`, `count_witness_extensions`)
+    must be the number of witnesses and the sum of those list counts; and
+    eq. 9 bounds Omega / t by the count.  The witnesses and the partition
+    are found naively, apart from the kernel."""
     for fname, target in _acceptance8_fixtures():
         for gi in range(6):
             g = acceptance8_graph(gi)
@@ -800,6 +802,10 @@ def check_exact_expectation() -> None:
                         pinned = pinned.pin(u, tau[u])
                     if w != exact.count_list_hom(pinned, target):
                         raise _Failed(f"{where}: |Omega_{i}|")
+                if approx.count_witnesses(inst, target, mode) != len(ts):
+                    raise _Failed(f"{where}: kernel t")
+                if approx.count_witness_extensions(inst, target, mode) != sum(omegas):
+                    raise _Failed(f"{where}: kernel Omega")
                 if ts and Fraction(sum(omegas), len(ts)) > truth:
                     raise _Failed(f"{where}: eq9 lower bound")
 

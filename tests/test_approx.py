@@ -84,6 +84,62 @@ def test_witness_lists_are_pinned():
     }
 
 
+def _pinned_total(inst, target, ts):
+    """Omega by the listing route: the sum of the pinned witnesses' counts."""
+    total = 0
+    for us, tau in ts:
+        pinned = inst
+        for u in us:
+            pinned = pinned.pin(u, tau[u])
+        total += exact.count_list_hom(pinned, target)
+    return total
+
+
+def test_witness_counts_match_the_listing():
+    # seeded G(n, 0.3) patterns with |V(H)| - 1 <= n <= |V(H)| + 3 and random
+    # lists, so that n > |V(H)| often and the sur cap binds
+    targets = [("K2", K2), ("2-wrench", build_two_wrench()), ("P3", build_path(3)), ("J3", build_jq(3))]
+    for tname, target in targets:
+        k = len(target.vertices)
+        for i in range(20):
+            rng = pyrng("witness-count", tname, i)
+            g = verify.random_graph(rng, rng.randint(k - 1, k + 3), 0.3, "g")
+            inst = ListedInstance(g, verify.random_lists(("witness-count", tname, i), g, target), target.vertices)
+            for mode in ("sur", "comp"):
+                where = (tname, i, mode)
+                ts = approx.enumerate_T(inst, target, mode)
+                assert approx.count_witnesses(inst, target, mode) == len(ts), where
+                assert approx.count_witness_extensions(inst, target, mode) == _pinned_total(inst, target, ts), where
+                for weighted in (False, True) if i < 5 else ():
+                    # the capped search enumerates what it counts
+                    search = exact._witness_search(inst, target, mode, weighted)
+                    assert sum(1 for _ in search.assignments()) == search.count(), (where, weighted)
+
+
+def test_witness_counts_examples():
+    tw = build_two_wrench()
+    # the sur cap binds: only |V(H)| = 4 of the six vertices may cover
+    p6 = ListedInstance.full(build_path(6), tw)
+    assert approx.count_witnesses(p6, tw, "sur") == len(approx.enumerate_T(p6, tw, "sur")) == 72
+    assert approx.count_witness_extensions(p6, tw, "sur") == 120
+    # the comp cap (4 onto K2) binds: after the two isolated vertices, the
+    # states (a, a) and (a, _|_) cover the same and differ only in the count
+    # of covering vertices, which the memo key must tell apart
+    two_and_p3 = ListedInstance.full(Graph(["u", "v", "x", "y", "z"], [("x", "y"), ("y", "z")]), K2)
+    ts = approx.enumerate_T(two_and_p3, K2, "comp")
+    assert approx.count_witnesses(two_and_p3, K2, "comp") == len(ts) == 46
+    assert approx.count_witness_extensions(two_and_p3, K2, "comp") == _pinned_total(two_and_p3, K2, ts) == 88
+    # fewer pattern vertices than target vertices: no witness, t = Omega = 0
+    for g, target in ((build_path(2), build_path(3)), (build_path(3), tw), (build_path(6), build_jq(3))):
+        inst = ListedInstance.full(g, target)
+        for mode in ("sur", "comp"):
+            assert approx.enumerate_T(inst, target, mode) == []
+            assert approx.count_witnesses(inst, target, mode) == 0
+            assert approx.count_witness_extensions(inst, target, mode) == 0
+    with pytest.raises(ValueError):
+        approx.count_witnesses(p6, tw, "hom")
+
+
 def test_coverage_zero_shortcircuit():
     single = ListedInstance.full(Graph(["z"]), K2)
     run = approx.coverage_mc(single, K2, "sur", 0.2, 0.1, approx.ExactOracle(), seed=0)
@@ -263,6 +319,17 @@ def test_exact_expectation_catches_wrong_witnesses(verify_results, monkeypatch, 
     assert verify_results["approx/exact-expectation"].passed
     monkeypatch.setattr(approx, "enumerate_T", mutate(approx.enumerate_T))
     assert not verify.check_exact_expectation().passed
+
+
+@pytest.mark.parametrize(
+    "name, detail", [("count_witnesses", "kernel t"), ("count_witness_extensions", "kernel Omega")]
+)
+def test_exact_expectation_catches_a_wrong_kernel_count(verify_results, monkeypatch, name, detail):
+    assert verify_results["approx/exact-expectation"].passed
+    right = getattr(approx, name)
+    monkeypatch.setattr(approx, name, lambda inst, target, mode: right(inst, target, mode) + 1)
+    result = verify.check_exact_expectation()
+    assert not result.passed and result.detail.endswith(detail)
 
 
 def test_sample_hom_unique_and_errors():

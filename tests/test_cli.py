@@ -66,6 +66,21 @@ def test_byte_identical_reports(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_approx_exact_on_the_2x5_ladder(tmp_path, capsys):
+    rungs = [(f"a{i}", f"b{i}") for i in range(5)]
+    rails = [(f"{r}{i}", f"{r}{i + 1}") for r in "ab" for i in range(4)]
+    ladder = Graph([v for rung in rungs for v in rung], rungs + rails)
+    (tmp_path / "ladder.hg").write_text(files.serialize_graph(ladder))
+    rc, doc = run_json(
+        capsys,
+        ["--no-meta", "approx", "--oracle", "exact", "--mode", "comp",
+         "--epsilon", "0.2", "--delta", "0.1",
+         "-G", str(tmp_path / "ladder.hg"), "-H", fixture("two_wrench.hg")],
+    )
+    assert rc == 0
+    assert (doc["t"], doc["omega"], doc["sampler"]) == (72676, "264692", "collapsed-exact")
+
+
 def test_estimate_cuts_command(capsys):
     rc, doc = run_json(
         capsys,

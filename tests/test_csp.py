@@ -1,5 +1,4 @@
 import hashlib
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -191,8 +190,6 @@ def test_subtract_wrapper():
     assert csp.subtract_wrapper(7, 7) == 0
     with pytest.raises(ValueError):
         csp.subtract_wrapper(0, 1)
-    assert csp.required_oracle_precision(0.2, 0) == Fraction(1, 5)
-    assert csp.required_oracle_precision(0.16, 2) == Fraction(0.16).limit_denominator(10**9) / 32
 
 
 def test_pbrp_construction_output_strips_to_core():

@@ -269,21 +269,6 @@ def test_j_blocked_sizes():
     assert build_j_blocked(1, 1, 1, 3).target_vertices == tuple(build_hk(3).vertices)
 
 
-def test_largecut_plan():
-    k2 = Graph(["u", "v"], [("u", "v")])
-    plan = gadgets.build_largecut_instance(k2, 1, 1, p=1, q=1, t=1, s=1)
-    assert plan.blocked.expansion_size() == 17
-    assert exact.count_blocked(plan.blocked, plan.target) == exact.count_list_hom(
-        expand_blocked(plan.blocked), plan.target
-    )
-    tri = build_cycle(3)
-    defaults = gadgets.build_largecut_instance(tri, 2, 1)
-    assert (defaults.t, defaults.s) == (81, 4)
-    assert (defaults.p, defaults.q) == (44, 52)
-    with pytest.raises(ValueError):
-        exact.count_blocked(defaults.blocked, defaults.target)
-
-
 def test_count_large_cuts():
     k2 = Graph(["u", "v"], [("u", "v")])
     assert gadgets.count_large_cuts_bruteforce(k2, 1) == 1

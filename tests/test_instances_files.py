@@ -50,10 +50,6 @@ def test_instance_files(tmp_path):
     # omitted list record defaults to the full list
     inst2, _ = files.parse_instance("target h.hg\nv x\n", str(tmp_path))
     assert inst2.lists["x"] == frozenset(target.vertices)
-    out = files.serialize_instance(inst, "h.hg")
-    again, _ = files.parse_instance(out, str(tmp_path))
-    assert again == inst
-    assert files.serialize_instance(again, "h.hg") == out
     with pytest.raises(files.ParseError):
         files.parse_instance("target h.hg\nv x\nl x b,zzz\n", str(tmp_path))
     with pytest.raises(files.ParseError):

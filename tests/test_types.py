@@ -127,8 +127,8 @@ def test_maximal_types_match_set_route():
 
 def test_symmetry_involution():
     rows = table()
-    assert ht.symmetric_partner(rows["T2"]) == ht.type_from_c_sets(
-        1, frozenset({"r1", "b"}), frozenset({"b"})
+    assert ht.symmetric_partner(rows["T2"]) == ht._type_from_c_sets(
+        build_hk(1), frozenset({"r1", "b"}), frozenset({"b"})
     )
     for label, t in rows.items():
         assert ht.symmetric_partner(ht.symmetric_partner(t)) == t
