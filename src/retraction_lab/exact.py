@@ -4,10 +4,14 @@ exact count in the library.
 
 All counts are exact Python integers.  One kernel, `_Search`, serves the
 undirected counts here, the directed and Boolean-CSP counts in `csp` and the
-blocked evaluation: backtracking with forward checking over out/in
-adjacency masks (an undirected graph is the symmetric case) and a per-call
-memo on the residual state, so its time follows the number of distinct
-residual subproblems, not the count.  The memo key is
+blocked evaluation: forward checking over out/in adjacency masks (an
+undirected graph is the symmetric case).  Counting is one sweep along a
+fixed vertex order chosen to keep few unassigned vertices next to assigned
+ones, one pattern component after another.  Each step extends every
+partial map by the next vertex, and partial maps that leave the same
+residual state merge into one, their numbers added (the path-decomposition
+count of Diaz, Serna and Thilikos), so its time follows the number of
+distinct residual states, not the count.  A state is
   - hom, lhom, ret: the unassigned vertices' domain masks (assigned and
     peeled vertices hold 0);
   - sur: those, plus the target vertices already covered;
@@ -15,12 +19,11 @@ residual subproblems, not the count.  The memo key is
     assigned vertices next to an unassigned one;
   - under a cap on the vertices with a covering value (the coverage
     estimator's witness counts, `_witness_search`): also that number.
-Counting branches in a fixed order chosen to keep few unassigned vertices
-next to assigned ones, one pattern component after another; enumeration
-branches most-constrained-first with lexicographic tie-break, and prunes on
-the same coverage state as counting.  Both are deterministic, and both
-recurse once per vertex they branch on: a search deeper than Python's
-recursion limit raises ValueError.  Each mode has this one route; the second
+Enumeration backtracks most-constrained-first with lexicographic tie-break,
+and prunes on the same coverage state as counting.  Both are
+deterministic.  Enumeration recurses once per vertex it branches on, so one
+deeper than Python's recursion limit raises ValueError; the library lists
+only small patterns.  Each mode has this one route; the second
 routes through other identities (a product over components,
 inclusion-exclusion for surjective and compaction counts) are cross-checks
 in `reference`.
@@ -28,7 +31,6 @@ in `reference`.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from typing import Iterator
 
@@ -47,12 +49,8 @@ def stirling_surjections(a: int, b: int) -> int:
 
 # -- search kernel ---------------------------------------------------------
 
-# below this many active vertices a memo lookup costs more than the search
-_MEMO_MIN_ACTIVE = 3
-
-
 def _packer(width: int):
-    """A function packing a list of `width`-bit masks into a compact memo key:
+    """A function packing a list of `width`-bit masks into a compact key:
     one or two bytes per mask instead of a pointer (and, above 256, an int
     object) each; the packing is injective."""
     if width <= 8:
@@ -75,9 +73,9 @@ class _Search:
     A search state is the active (unassigned) vertex set with the active
     vertices' domain masks, forward-checked against every assigned neighbor.
     Assigned and peeled vertices get domain 0, so ``doms`` alone fixes the
-    residual subproblem, and `count` memoises on it for the length of one
-    call.  `count` branches in a fixed order (see `_order`); `assignments`
-    branches most-constrained-first.
+    residual subproblem.  `count` sweeps a fixed order (see `_order`) and
+    merges the partial maps that reach equal states; `assignments` branches
+    most-constrained-first.
 
     `weights` (default all 1) makes vertex v stand for weights[v]
     independent copies of itself: once peeled it contributes
@@ -122,59 +120,108 @@ class _Search:
         return self
 
     def count(self) -> int:
-        """Number of homomorphisms that meet the coverage goal."""
+        """Number of homomorphisms that meet the coverage goal.
+
+        One sweep along the fixed order (see `_order`): each step extends
+        every state by the next vertex, and children that leave the same
+        residual subproblem merge into one state whose number of partial
+        maps is the sum of theirs.  The key is the domains, plus, covering,
+        the covered vertices and edges, under a cap the number of vertices
+        with a covering value, and with edges the images of the assigned
+        vertices next to an unassigned one."""
         if any(d == 0 for d in self.domains):
             return 0
-        full_v = self.full_v
+        full_v, full_e, ebit, vbit = self.full_v, self.full_e, self.ebit, self.vbit
         n = len(self.domains)
         # a cap no assignment can reach stays out of the search and its keys
-        self.cap = self.top if self.top is not None and self.top < n else None
-        self._pack = _packer(max(len(self.tout), self.full_e.bit_length(), (self.cap or 0).bit_length()))
-        runs = self._order()
-        order = [v for run in runs for v in run]
-        pos = [0] * len(order)
+        cap = self.top if self.top is not None and self.top < n else None
+        pack = _packer(max(len(self.tout), full_e.bit_length(), (cap or 0).bit_length()))
+        order = [v for run in self._order() for v in run]
+        pos = [0] * n
         for k, v in enumerate(order):
             pos[v] = k
 
-        # relabel the pattern so that `order` is the identity: the next vertex
-        # to branch on is then the lowest active bit
+        # relabel the pattern so that `order` is the identity
         def relabel(masks):
             return [sum(1 << pos[u] for u in _bits(masks[v])) for v in order]
 
-        self.cout = relabel(self.out)
+        cout = relabel(self.out)
         if self.inn is self.out:
-            self.cin = self.cadj = self.cout
+            cin = cadj = cout
         else:
-            self.cin = relabel(self.inn)
-            self.cadj = [a | b for a, b in zip(self.cout, self.cin)]
-        self.cw = None if self.weights is None else [self.weights[v] for v in order]
-        self.image = [-1] * len(order)
-        self.memo: dict = {}
+            cin = relabel(self.inn)
+            cadj = [a | b for a, b in zip(cout, cin)]
+        cw = None if self.weights is None else [self.weights[v] for v in order]
         doms = [self.domains[v] for v in order]
-        if full_v is not None:
-            try:
-                return self._count((1 << n) - 1, doms, 0, 0, 0)
-            except RecursionError:
-                raise _too_deep("compaction count" if self.ebit else "surjective count", n) from None
-        # without coverage each pattern component is a factor of its own, so
-        # the recursion is only as deep as one component; a lone vertex
-        # contributes |domain|^weight.  Runs cannot share memo keys: a key is
-        # 0 outside its run.
-        total, lo = 1, 0
-        for run in runs:
-            hi = lo + len(run)
-            if hi - lo == 1:
-                total *= doms[lo].bit_count() ** (1 if self.cw is None else self.cw[lo])
+        # key -> [domains, number of partial maps]; covering, key ->
+        # [domains, covered vertices, covered edges, used, images of `front`,
+        # number of partial maps]
+        states = {None: [doms, 1] if full_v is None else [doms, 0, 0, 0, (), 1]}
+        front: list[int] = []  # the assigned vertices next to an unassigned one
+        active = (1 << n) - 1
+        for v in range(n):
+            if not active >> v & 1:
+                continue  # peeled
+            active ^= 1 << v
+            rest = active
+            nxt: dict = {}
+            if full_v is None:
+                # v's neighbors left with no unassigned neighbor, or v itself
+                # if it has none: their domains are final and each contributes
+                # |domain|^weight
+                nbrs = cadj[v] & rest
+                lone = [u for u in _bits(nbrs) if not cadj[u] & rest] if nbrs else [v]
+                for u in lone:
+                    active &= ~(1 << u)
+                for doms, c in states.values():
+                    for _, nd in self._extend(cout, cin, v, rest, doms) if nbrs else ((0, doms),):
+                        f = c
+                        for u in lone:
+                            f *= nd[u].bit_count() if cw is None else nd[u].bit_count() ** cw[u]
+                            nd[u] = 0
+                        key = pack(nd)
+                        state = nxt.get(key)
+                        if state is None:
+                            nxt[key] = [nd, f]
+                        else:
+                            state[1] += f
             else:
-                run_doms = [0] * lo + doms[lo:hi] + [0] * (n - hi)
-                try:
-                    total *= self._count((1 << hi) - (1 << lo), run_doms, 0, 0, 0)
-                except RecursionError:
-                    raise _too_deep("list-homomorphism count", n) from None
-            if total == 0:
+                # each vertex still to assign covers at most one more target
+                # vertex, and at most cap - used of them may
+                room = rest.bit_count()
+                if ebit is not None:
+                    # where v's assigned neighbors sit in `front`, and which
+                    # of front + [v] stay next to an unassigned vertex
+                    seen = [front.index(u) for u in _bits(cadj[v] & ~rest)]
+                    grown = front + [v]
+                    keep = [i for i, u in enumerate(grown) if cadj[u] & rest]
+                    front = [grown[i] for i in keep]
+                for doms, cov_v, cov_e, used, image, c in states.values():
+                    for t, nd in self._extend(cout, cin, v, rest, doms):
+                        b = vbit[t]
+                        if b and used == cap:
+                            continue  # a covering value past the cap
+                        cv, nu = cov_v | b, used + (b != 0)
+                        if (full_v & ~cv).bit_count() > (room if cap is None else min(room, cap - nu)):
+                            continue
+                        ce, im = cov_e, ()
+                        if ebit is not None:
+                            for i in seen:
+                                ce |= ebit[image[i]][t]
+                            grown = image + (t,)
+                            im = tuple([grown[i] for i in keep])
+                        key = pack(nd + [cv, ce, *im] if cap is None else nd + [cv, ce, nu, *im])
+                        state = nxt.get(key)
+                        if state is None:
+                            nxt[key] = [nd, cv, ce, nu, im, c]
+                        else:
+                            state[5] += c
+            if not nxt:
                 return 0
-            lo = hi
-        return total
+            states = nxt
+        if full_v is None:
+            return sum(c for _, c in states.values())
+        return sum(s[5] for s in states.values() if s[1] == full_v and s[2] == full_e)
 
     def _order(self) -> list[list[int]]:
         """The fixed branching order of `count`, one run per pattern
@@ -183,9 +230,9 @@ class _Search:
         assigned ones if any is, that leaves the fewest unassigned vertices
         next to assigned ones (ties: the lowest index), then the vertices of
         weight > 1.  In a fixed order every branch reaches the same active
-        set after the same number of steps, so the memo separates states only
-        by the domains on that frontier: paths, cycles and 2 x k grids take
-        time linear in their length."""
+        set after the same number of steps, so `count`'s states differ only
+        in the domains on that frontier: paths, cycles and 2 x k grids keep
+        a bounded number of states per step."""
         adj = self.adj
         runs = []
         unseen = (1 << len(adj)) - 1
@@ -224,75 +271,6 @@ class _Search:
             runs.append(order)
         return runs
 
-    def _count(self, active: int, doms: list[int], cov_v: int, cov_e: int, used: int) -> int:
-        """Completions of the state; `cov_v`/`cov_e` are the target vertices
-        and edges the assigned vertices already cover and `used` the number
-        of them with a covering value (all 0 unless covering)."""
-        full_v = self.full_v
-        if active == 0:
-            return 1 if full_v is None else int(cov_v == full_v and cov_e == self.full_e)
-        if full_v is not None:
-            # each vertex still to assign covers at most one more target
-            # vertex, and at most cap - used of them may
-            room = active.bit_count()
-            if self.cap is not None:
-                room = min(room, self.cap - used)
-            if (full_v & ~cov_v).bit_count() > room:
-                return 0
-        key = None
-        if active.bit_count() >= _MEMO_MIN_ACTIVE:
-            key = self._key(active, doms, cov_v, cov_e, used)
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-        padj = self.cadj
-        v = (active & -active).bit_length() - 1
-        rest = active & ~(1 << v)
-        total = 0
-        if full_v is None:
-            # peel the neighbors of v left with no active neighbor: their
-            # domains are final and contribute independently
-            lone = [u for u in _bits(padj[v] & rest) if padj[u] & rest == 0]
-            left = rest
-            for u in lone:
-                left &= ~(1 << u)
-            cw = self.cw
-            for t, nd in self._extend(self.cout, self.cin, v, rest, doms):
-                factor = 1
-                for u in lone:
-                    factor *= nd[u].bit_count() if cw is None else nd[u].bit_count() ** cw[u]
-                    nd[u] = 0
-                total += factor * self._count(left, nd, 0, 0, 0)
-        else:
-            ebit, vbit, image, cap = self.ebit, self.vbit, self.image, self.cap
-            assigned_nbrs = list(_bits(padj[v] & ~active)) if ebit else ()
-            for t, nd in self._extend(self.cout, self.cin, v, rest, doms):
-                b = vbit[t]
-                if b and used == cap:
-                    continue  # a covering value past the cap
-                ce = cov_e
-                for u in assigned_nbrs:
-                    ce |= ebit[image[u]][t]
-                image[v] = t
-                total += self._count(rest, nd, cov_v | b, ce, used + (b != 0))
-        if key is not None:
-            self.memo[key] = total
-        return total
-
-    def _key(self, active: int, doms: list[int], cov_v: int, cov_e: int, used: int):
-        """The memo key: the domains, plus, when covering, what is covered,
-        under a cap the covering-valued vertex count, and, for edges, the
-        images of assigned vertices next to the active set (they decide which
-        target edges the active vertices can still realize)."""
-        if self.full_v is None:
-            return self._pack(doms)
-        cover = [cov_v, cov_e] if self.cap is None else [cov_v, cov_e, used]
-        front = 0
-        if self.ebit is not None:
-            for a in _bits(active):
-                front |= self.cadj[a]
-        return self._pack(doms + cover + [self.image[u] for u in _bits(front & ~active)])
-
     def _extend(self, out, inn, v: int, rest: int, doms: list[int]) -> list[tuple[int, list[int]]]:
         """(t, doms') for each value t of v that leaves every active neighbor
         of v a non-empty domain; doms' is forward-checked, with v's entry 0.
@@ -329,13 +307,16 @@ class _Search:
         try:
             yield from self._enumerate(active, list(self.domains), [-1] * n, 0, 0, 0)
         except RecursionError:
-            raise _too_deep("enumeration", n) from None
+            raise ValueError(
+                f"enumeration on a {n}-vertex pattern: the search recurses once per vertex it "
+                "branches on and went past Python's recursion limit"
+            ) from None
 
     def _enumerate(
         self, active: int, doms: list[int], image: list[int], cov_v: int, cov_e: int, used: int
     ) -> Iterator[tuple[int, ...]]:
         """The completions of the state that meet the goal, pruned as in
-        `_count`; ``image`` holds -1 at every vertex not assigned."""
+        `count`; ``image`` holds -1 at every vertex not assigned."""
         full_v, top = self.full_v, self.top
         if active == 0:
             if full_v is None or cov_v == full_v and cov_e == self.full_e:
@@ -361,13 +342,6 @@ class _Search:
             image[v] = t
             yield from self._enumerate(rest, nd, image, cov_v | b, ce, used + (b != 0))
         image[v] = -1
-
-
-def _too_deep(what: str, n: int) -> ValueError:
-    return ValueError(
-        f"{what} on a {n}-vertex pattern: the search recurses once per vertex it "
-        f"branches on and went past Python's recursion limit ({sys.getrecursionlimit()})"
-    )
 
 
 def _narrow(doms: list[int], nbrs: list[int], mask: int) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import enumerate_homs, stirling_surjections
+from .exact import count_list_hom, enumerate_homs, stirling_surjections
 from .fixedgraphs import build_hk, build_j_blocked
 from .graphs import Graph, _bits, common_neighbors, neighbor_union
 from .instances import block_vertex_names, expand_blocked
@@ -200,26 +200,39 @@ def n_exact(t: HomType, p: int, q: int, tt: int) -> int:
     )
 
 
-# J expands to 3 + 4pt + 2qt vertices; the slowest J admitted for k <= 3,
-# J(3, 1, 1) into H_3, enumerates in about 1.6 s (2-core Xeon, Python 3.11)
-BRUTE_EXPANSION_GUARD = 17
+# the most homomorphisms brute_count_by_type enumerates; the J in use with
+# the most, J(3, 1, 1) into H_3, has 129 439 and takes about 2 s (2-core VM,
+# Python 3.11)
+BRUTE_HOM_GUARD = 200_000
 
 
 def brute_count_by_type(p: int, q: int, tt: int, k: int) -> dict[HomType, int]:
     """Enumerate every homomorphism from the expanded (J, S_J) to H_k and
     bucket by extracted type: the reference that n_exact is checked against,
-    so it refuses a J whose enumeration would run for more than seconds."""
+    so it refuses a J with more than BRUTE_HOM_GUARD homomorphisms.
+
+    J(p, q, t) has blocks of multiplicity pt and qt only, and one more
+    vertex in each of A, B, B', A' (or in C and C') extends every
+    homomorphism by copying the images of the first ones, so the count never
+    falls along the chain J(min(i, pt), min(i, qt), 1), i = 1, 2, ...  The
+    guard counts up that chain and refuses at the first J past it, so it
+    never counts a J far past the guard."""
     hk = build_hk(k)
     blocked = build_j_blocked(p, q, tt, k)
-    if blocked.expansion_size() > BRUTE_EXPANSION_GUARD:
-        raise ValueError(
-            f"expansion of J({p},{q},{tt}) has {blocked.expansion_size()} vertices; "
-            f"guard is {BRUTE_EXPANSION_GUARD}"
-        )
+    a, c = p * tt, q * tt
+    for i in range(1, max(a, c) + 1):
+        # the last step expands J(pt, qt, 1), which is J(p, q, t)
+        inst = expand_blocked(build_j_blocked(min(i, a), min(i, c), 1, k))
+        homs = count_list_hom(inst, hk)
+        if homs > BRUTE_HOM_GUARD:
+            raise ValueError(
+                f"J({p},{q},{tt}) has at least {homs} homomorphisms into H_{k}; "
+                f"guard is {BRUTE_HOM_GUARD}"
+            )
     names = {blk.name: block_vertex_names(blk) for blk in blocked.blocks}
     matchings = [list(zip(names[x], names[y])) for x, y in (("A", "B"), ("C", "C'"), ("B'", "A'"))]
     buckets: dict[HomType, int] = {}
-    for hom in enumerate_homs(expand_blocked(blocked), hk):
+    for hom in enumerate_homs(inst, hk):
         t = HomType(*(frozenset((hom[x], hom[y]) for x, y in m) for m in matchings))
         buckets[t] = buckets.get(t, 0) + 1
     return buckets

@@ -124,7 +124,7 @@ def test_witness_counts_examples():
     assert approx.count_witness_extensions(p6, tw, "sur") == 120
     # the comp cap (4 onto K2) binds: after the two isolated vertices, the
     # states (a, a) and (a, _|_) cover the same and differ only in the count
-    # of covering vertices, which the memo key must tell apart
+    # of covering vertices, which the count's state key must tell apart
     two_and_p3 = ListedInstance.full(Graph(["u", "v", "x", "y", "z"], [("x", "y"), ("y", "z")]), K2)
     ts = approx.enumerate_T(two_and_p3, K2, "comp")
     assert approx.count_witnesses(two_and_p3, K2, "comp") == len(ts) == 46

@@ -8,9 +8,10 @@ import warnings
 
 import pytest
 
-from retraction_lab import cli, csp, files, homtypes, verify
+from retraction_lab import cli, csp, files, homtypes, reference, verify
 from retraction_lab.fixedgraphs import build_cycle, build_j_blocked, build_two_wrench
 from retraction_lab.graphs import Graph
+from retraction_lab.instances import ListedInstance
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -259,14 +260,14 @@ def test_domain_error_exit_1(tmp_path, capsys):
     assert rc == 1
 
 
-def test_count_past_the_recursion_limit_exit_1(tmp_path, capsys):
-    pattern = Graph([], [(f"a{i}", f"b{i}") for i in range(1100)])
+def test_count_past_the_recursion_limit(tmp_path, capsys):
+    pattern = Graph([], [(f"a{i}", f"b{i}") for i in range(520)])
     (tmp_path / "g.hg").write_text(files.serialize_graph(pattern))
-    rc = cli.main(
-        ["count", "--mode", "sur", "-G", str(tmp_path / "g.hg"), "-H", fixture("two_wrench.hg")]
-    )
-    assert rc == 1
-    assert "surjective count on a 2200-vertex pattern" in capsys.readouterr().err
+    argv = ["--no-meta", "count", "--mode", "sur", "-G", str(tmp_path / "g.hg"), "-H", fixture("two_wrench.hg")]
+    rc, doc = run_json(capsys, argv)
+    assert rc == 0
+    tw = files.load_graph(fixture("two_wrench.hg"))
+    assert doc["count"] == str(reference.count_surjective_ie(ListedInstance.full(pattern, tw), tw))
 
 
 def test_verify_command(capsys, verify_run_once):
@@ -281,6 +282,12 @@ def test_types_verify_command(capsys):
     rc, doc = run_json(capsys, ["--no-meta", "types", "verify", "-k", "1", "--grid", "1,1,1"])
     assert rc == 0
     assert doc["grid"][0]["match"] is True
+
+
+def test_types_verify_refuses_a_j_with_too_many_homomorphisms(capsys):
+    # J(3, 1, 1) has 16 916 608 homomorphisms into H_12: refused by its count
+    assert cli.main(["types", "verify", "-k", "12", "--grid", "3,1,1"]) == 1
+    assert "guard is 200000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["1,1", "1,x,1"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retraction_lab import homtypes as ht, reference, verify
+from retraction_lab import exact, homtypes as ht, reference, verify
 from retraction_lab.fixedgraphs import build_hk, build_j_blocked
 from retraction_lab.gadgets import choose_pq
 from retraction_lab.instances import expand_blocked
@@ -157,22 +157,31 @@ def test_brute_force_grid_matches_formula():
 
 
 def test_brute_count_by_type_refuses_before_enumerating(monkeypatch):
-    from retraction_lab import exact
-
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated")
 
     monkeypatch.setattr(exact, "enumerate_homs", refuse)
     monkeypatch.setattr(ht, "enumerate_homs", refuse)
-    assert build_j_blocked(5, 4, 1).expansion_size() == 31
-    with pytest.raises(ValueError, match="guard is 17"):
-        ht.brute_count_by_type(5, 4, 1, 1)
+    # few vertices, many homomorphisms: J(3, 1, 1) has 17 vertices and
+    # 16 916 608 homomorphisms into H_12
+    assert build_j_blocked(3, 1, 1, 12).expansion_size() == 17
+    with pytest.raises(ValueError, match="guard is 200000"):
+        ht.brute_count_by_type(3, 1, 1, 12)
+    # a J far past the guard is refused as fast, at a small J of its chain
+    with pytest.raises(ValueError, match="J\\(40,40,40\\) has at least 1463175 homomorphisms"):
+        ht.brute_count_by_type(40, 40, 40, 1)
 
 
 def test_brute_count_guard_admits_the_grids_in_use():
-    # the eq-4 grid (the demo's J(2, 2, 1) among them) and the benchmark's two k = 2 points
-    for p, q, t, k in ((1, 1, 1, 1), (2, 2, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 2)):
-        assert build_j_blocked(p, q, t, k).expansion_size() <= ht.BRUTE_EXPANSION_GUARD
+    # the eq-4 grid (the demo's J(2, 2, 1) among them), the benchmark's two
+    # k = 2 points and J(3, 1, 1) into H_3, the J in use with the most
+    # homomorphisms
+    for p, q, t, k in (
+        (1, 1, 1, 1), (2, 2, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 2), (3, 1, 1, 3)
+    ):
+        homs = exact.count_list_hom(expand_blocked(build_j_blocked(p, q, t, k)), build_hk(k))
+        assert 0 < homs <= ht.BRUTE_HOM_GUARD
+    assert homs == 129_439
 
 
 def _p_and_q_swapped(real):
