@@ -12,9 +12,17 @@ partial map by the next vertex, and partial maps that leave the same
 residual state merge into one, their numbers added (the path-decomposition
 count of Diaz, Serna and Thilikos), so its time follows the number of
 distinct residual states, not the count.  A state is
-  - hom, lhom, ret: the unassigned vertices' domain masks (assigned and
-    peeled vertices hold 0);
-  - sur: those, plus the target vertices already covered;
+  - hom, lhom, ret: one int packing every vertex's domain, field i (k + 1
+    bits for a k-vertex target) for the i-th vertex of the order, with a
+    spare top bit that stays 0; assigned and peeled vertices hold 0.  A
+    child narrows every unassigned neighbor of the vertex it assigns with
+    one multiply (bit 0 of each neighbor's field times the values not next
+    to the chosen one, so no field carries into the next), and a
+    neighbor's domain emptied exactly when subtracting 1 from each
+    neighbor field, its spare bit set, leaves that spare bit clear
+    (Lamport's multiple-byte test).  Each child costs a few big-int
+    operations over n (k + 1) bits;
+  - sur: that int, plus the target vertices already covered;
   - comp: those, plus the covered target edges and the images of the
     assigned vertices next to an unassigned one;
   - under a cap on the vertices with a covering value (the coverage
@@ -31,7 +39,6 @@ in `reference`.
 from __future__ import annotations
 
 import math
-from array import array
 from typing import Iterator
 
 from .graphs import DiGraph, Graph, _bits
@@ -49,18 +56,6 @@ def stirling_surjections(a: int, b: int) -> int:
 
 # -- search kernel ---------------------------------------------------------
 
-def _packer(width: int):
-    """A function packing a list of `width`-bit masks into a compact key:
-    one or two bytes per mask instead of a pointer (and, above 256, an int
-    object) each; the packing is injective."""
-    if width <= 8:
-        return bytes
-    if width <= 64:
-        code = "H" if width <= 16 else "Q"
-        return lambda masks: array(code, masks).tobytes()
-    return tuple
-
-
 class _Search:
     """The backtracking search behind every counter and enumerator here.
 
@@ -70,12 +65,13 @@ class _Search:
     pattern masks are loop-free: a caller folds a pattern loop into the
     vertex's domain (see `_search`).
 
-    A search state is the active (unassigned) vertex set with the active
-    vertices' domain masks, forward-checked against every assigned neighbor.
-    Assigned and peeled vertices get domain 0, so ``doms`` alone fixes the
-    residual subproblem.  `count` sweeps a fixed order (see `_order`) and
-    merges the partial maps that reach equal states; `assignments` branches
-    most-constrained-first.
+    A search state holds the unassigned vertices' domain masks,
+    forward-checked against every assigned neighbor; assigned and peeled
+    vertices get domain 0, so the domains alone fix the residual
+    subproblem.  `count` sweeps a fixed order (see `_order`), packs a
+    state's domains into one int of (k + 1)-bit fields and merges the
+    partial maps that reach equal ints; `assignments` keeps them as a list
+    and branches most-constrained-first.
 
     `weights` (default all 1) makes vertex v stand for weights[v]
     independent copies of itself: once peeled it contributes
@@ -125,38 +121,52 @@ class _Search:
         One sweep along the fixed order (see `_order`): each step extends
         every state by the next vertex, and children that leave the same
         residual subproblem merge into one state whose number of partial
-        maps is the sum of theirs.  The key is the domains, plus, covering,
+        maps is the sum of theirs.  The key is the domains packed into one
+        int of (k + 1)-bit fields (see the module docstring), plus, covering,
         the covered vertices and edges, under a cap the number of vertices
-        with a covering value, and with edges the images of the assigned
-        vertices next to an unassigned one."""
+        with a covering value (0 without one), and with edges the images of
+        the assigned vertices next to an unassigned one."""
         if any(d == 0 for d in self.domains):
             return 0
         full_v, full_e, ebit, vbit = self.full_v, self.full_e, self.ebit, self.vbit
-        n = len(self.domains)
+        n, k = len(self.domains), len(self.tout)
+        w, vmask = k + 1, (1 << k) - 1
         # a cap no assignment can reach stays out of the search and its keys
         cap = self.top if self.top is not None and self.top < n else None
-        pack = _packer(max(len(self.tout), full_e.bit_length(), (cap or 0).bit_length()))
         order = [v for run in self._order() for v in run]
         pos = [0] * n
-        for k, v in enumerate(order):
-            pos[v] = k
-
-        # relabel the pattern so that `order` is the identity
-        def relabel(masks):
-            return [sum(1 << pos[u] for u in _bits(masks[v])) for v in order]
-
-        cout = relabel(self.out)
-        if self.inn is self.out:
-            cin = cadj = cout
-        else:
-            cin = relabel(self.inn)
-            cadj = [a | b for a, b in zip(cout, cin)]
+        for i, v in enumerate(order):
+            pos[v] = i
+        # the pattern relabelled so that `order` is the identity: cadj[i] the
+        # positions of i's neighbors, low_out[i] (low_in[i]) bit 0 of the
+        # field of each out- (in-) neighbor, off_out[t] (off_in[t]) the
+        # values not in t's out- (in-) neighborhood
+        digraph = self.inn is not self.out
+        cadj, low_out, low_in = [0] * n, [0] * n, [0] * n
+        sides = ((self.out, low_out), (self.inn, low_in)) if digraph else ((self.out, low_out),)
+        for masks, lows in sides:
+            for i, v in enumerate(order):
+                m = masks[v]
+                a = lo = 0
+                while m:
+                    b = m & -m
+                    p = pos[b.bit_length() - 1]
+                    a |= 1 << p
+                    lo |= 1 << p * w
+                    m ^= b
+                cadj[i] |= a
+                lows[i] = lo
+        off_out = [vmask & ~a for a in self.tout]
+        off_in = [vmask & ~a for a in self.tin] if digraph else off_out
         cw = None if self.weights is None else [self.weights[v] for v in order]
-        doms = [self.domains[v] for v in order]
-        # key -> [domains, number of partial maps]; covering, key ->
-        # [domains, covered vertices, covered edges, used, images of `front`,
-        # number of partial maps]
-        states = {None: [doms, 1] if full_v is None else [doms, 0, 0, 0, (), 1]}
+        x = 0
+        for i, v in enumerate(order):
+            x |= self.domains[v] << i * w
+        # bit 0 of every field of an unassigned, unpeeled vertex
+        low_rest = ((1 << n * w) - 1) // ((1 << w) - 1)
+        # state -> number of partial maps; covering, (state, covered vertices,
+        # covered edges, used, images of `front`) -> number of partial maps
+        states: dict = {x: 1} if full_v is None else {(x, 0, 0, 0, ()): 1}
         front: list[int] = []  # the assigned vertices next to an unassigned one
         active = (1 << n) - 1
         for v in range(n):
@@ -164,6 +174,13 @@ class _Search:
                 continue  # peeled
             active ^= 1 << v
             rest = active
+            sv = v * w
+            low_rest ^= 1 << sv
+            clear = ~(vmask << sv)
+            s_low = low_out[v] & low_rest
+            p_low = low_in[v] & low_rest if digraph else 0
+            nb_low = s_low | p_low
+            nb_high = nb_low << k
             nxt: dict = {}
             if full_v is None:
                 # v's neighbors left with no unassigned neighbor, or v itself
@@ -171,20 +188,33 @@ class _Search:
                 # |domain|^weight
                 nbrs = cadj[v] & rest
                 lone = [u for u in _bits(nbrs) if not cadj[u] & rest] if nbrs else [v]
+                peel = [(u * w, 1 if cw is None else cw[u]) for u in lone]
                 for u in lone:
                     active &= ~(1 << u)
-                for doms, c in states.values():
-                    for _, nd in self._extend(cout, cin, v, rest, doms) if nbrs else ((0, doms),):
-                        f = c
-                        for u in lone:
-                            f *= nd[u].bit_count() if cw is None else nd[u].bit_count() ** cw[u]
-                            nd[u] = 0
-                        key = pack(nd)
-                        state = nxt.get(key)
-                        if state is None:
-                            nxt[key] = [nd, f]
-                        else:
-                            state[1] += f
+                    low_rest &= ~(1 << u * w)
+                    clear &= ~(vmask << u * w)
+                if not nbrs:
+                    for x, c in states.items():
+                        y = x & clear
+                        nxt[y] = nxt.get(y, 0) + c * (x >> sv & vmask).bit_count() ** peel[0][1]
+                else:
+                    for x, c in states.items():
+                        d = x >> sv & vmask
+                        while d:
+                            b = d & -d
+                            d ^= b
+                            t = b.bit_length() - 1
+                            y = x & ~(s_low * off_out[t])
+                            if digraph:
+                                y &= ~(p_low * off_in[t])
+                            # a neighbor's field of 0, minus 1, borrows its spare bit
+                            if (y | nb_high) - nb_low & nb_high != nb_high:
+                                continue  # that neighbor's domain emptied
+                            f = c
+                            for su, wu in peel:
+                                f *= (y >> su & vmask).bit_count() ** wu
+                            y &= clear
+                            nxt[y] = nxt.get(y, 0) + f
             else:
                 # each vertex still to assign covers at most one more target
                 # vertex, and at most cap - used of them may
@@ -196,32 +226,39 @@ class _Search:
                     grown = front + [v]
                     keep = [i for i, u in enumerate(grown) if cadj[u] & rest]
                     front = [grown[i] for i in keep]
-                for doms, cov_v, cov_e, used, image, c in states.values():
-                    for t, nd in self._extend(cout, cin, v, rest, doms):
-                        b = vbit[t]
-                        if b and used == cap:
+                for (x, cov_v, cov_e, used, image), c in states.items():
+                    d = x >> sv & vmask
+                    x &= clear
+                    while d:
+                        b = d & -d
+                        d ^= b
+                        t = b.bit_length() - 1
+                        cb = vbit[t]
+                        if cb and used == cap:
                             continue  # a covering value past the cap
-                        cv, nu = cov_v | b, used + (b != 0)
+                        cv = cov_v | cb
+                        nu = 0 if cap is None else used + (cb != 0)
                         if (full_v & ~cv).bit_count() > (room if cap is None else min(room, cap - nu)):
                             continue
+                        y = x & ~(s_low * off_out[t])
+                        if digraph:
+                            y &= ~(p_low * off_in[t])
+                        if (y | nb_high) - nb_low & nb_high != nb_high:
+                            continue  # a neighbor's domain emptied
                         ce, im = cov_e, ()
                         if ebit is not None:
                             for i in seen:
                                 ce |= ebit[image[i]][t]
                             grown = image + (t,)
                             im = tuple([grown[i] for i in keep])
-                        key = pack(nd + [cv, ce, *im] if cap is None else nd + [cv, ce, nu, *im])
-                        state = nxt.get(key)
-                        if state is None:
-                            nxt[key] = [nd, cv, ce, nu, im, c]
-                        else:
-                            state[5] += c
+                        key = (y, cv, ce, nu, im)
+                        nxt[key] = nxt.get(key, 0) + c
             if not nxt:
                 return 0
             states = nxt
         if full_v is None:
-            return sum(c for _, c in states.values())
-        return sum(s[5] for s in states.values() if s[1] == full_v and s[2] == full_e)
+            return sum(states.values())
+        return sum(c for (_, cv, ce, _, _), c in states.items() if cv == full_v and ce == full_e)
 
     def _order(self) -> list[list[int]]:
         """The fixed branching order of `count`, one run per pattern
@@ -271,12 +308,13 @@ class _Search:
             runs.append(order)
         return runs
 
-    def _extend(self, out, inn, v: int, rest: int, doms: list[int]) -> list[tuple[int, list[int]]]:
+    def _extend(self, v: int, rest: int, doms: list[int]) -> list[tuple[int, list[int]]]:
         """(t, doms') for each value t of v that leaves every active neighbor
         of v a non-empty domain; doms' is forward-checked, with v's entry 0.
         Out-neighbors must land in t's out-neighborhood, in-neighbors in its
         in-neighborhood; with symmetric masks the first check is the whole
         check, so the undirected loop stays as tight as it can be."""
+        out, inn = self.out, self.inn
         succ = list(_bits(out[v] & rest))
         pred = None if inn is out else list(_bits(inn[v] & rest))
         tout = self.tout
@@ -332,7 +370,7 @@ class _Search:
         rest = active & ~(1 << v)
         ebit, vbit = self.ebit, self.vbit
         assigned_nbrs = [u for u in _bits(self.adj[v]) if image[u] >= 0] if ebit else ()
-        for t, nd in self._extend(self.out, self.inn, v, rest, doms):
+        for t, nd in self._extend(v, rest, doms):
             b = vbit[t]
             if b and used == top:
                 continue

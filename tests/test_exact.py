@@ -1,15 +1,15 @@
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from retraction_lab import exact, reference
+from retraction_lab import csp, exact, reference
 from retraction_lab._seeds import pyrng
 from retraction_lab.fixedgraphs import build_cycle, build_hk, build_path, build_star, build_two_wrench
-from retraction_lab.graphs import Graph, _bits
+from retraction_lab.graphs import DiGraph, Graph, _bits
 from retraction_lab.instances import Block, BlockedInstance, Coupling, ListedInstance, expand_blocked
 
 
@@ -368,6 +368,107 @@ def test_memoised_counter_matches_naive_all_modes(case):
         for image in images:
             lists = {v: frozenset((tv[t],)) for v, t in zip(pattern.vertices, image)}
             assert reference.naive_count(ListedInstance(pattern, lists, tv), target, mode) == 1, mode
+
+
+# Target sizes k whose state fields (k + 1 bits each) sit on either side of
+# 8, 16 and 64 bits, and the one-vertex target, whose fields are 2 bits.
+_FIELD_SIZES = (1, 7, 8, 9, 15, 16, 17, 63, 64, 65)
+
+
+def _boundary_targets(directed: bool):
+    """(k, loops, target vertices, palette, arcs or edges) per size in
+    _FIELD_SIZES, with and without loops.  Vertices are named in index order,
+    and the palette of at most 4 vertices holds the highest-index one; pairs
+    in the palette are joined often, the other pairs rarely, and with
+    `loops` the palette vertices and a few others are looped."""
+    for k in _FIELD_SIZES:
+        for loops in (False, True):
+            rng = pyrng("field-boundary", directed, k, loops)
+            tv = [f"h{j:02d}" for j in range(k)]
+            palette = sorted({tv[-1], tv[0], *rng.sample(tv, min(k, 2))})
+            pairs = list(permutations(tv, 2) if directed else combinations(tv, 2))
+            arcs = [e for e in pairs if rng.random() < (0.7 if set(e) <= set(palette) else 0.05)]
+            if loops:
+                arcs += [(h, h) for h in tv if rng.random() < (0.7 if h in palette else 0.1)]
+            yield k, loops, tv, palette, arcs
+
+
+def _boundary_lists(rng, pv, tv, palette):
+    """Lists of 1 to 3 palette values, each holding the highest-index vertex."""
+    return {v: frozenset((tv[-1], *rng.sample(palette, rng.randint(0, min(2, len(palette)))))) for v in pv}
+
+
+def test_packed_fields_at_word_boundaries_match_naive():
+    for k, loops, tv, palette, edges in _boundary_targets(directed=False):
+        target = Graph(tv, edges)
+        rng = pyrng("field-boundary-patterns", k, loops)
+        for _ in range(8):
+            pv = [f"g{i}" for i in range(rng.randint(1, 4))]
+            pattern = Graph(pv, [e for e in combinations(pv, 2) if rng.random() < 0.6])
+            listed = ListedInstance(pattern, _boundary_lists(rng, pv, tv, palette), target.vertices)
+            # one-or-all lists: a full list on at most one vertex
+            free = rng.choice(pv)
+            pins = {v: frozenset((tv[-1] if rng.random() < 0.5 else rng.choice(palette),)) for v in pv}
+            pins[free] = frozenset(tv)
+            pinned = ListedInstance(pattern, pins, target.vertices)
+            for mode, inst in (
+                ("hom", listed), ("lhom", listed), ("ret", pinned), ("sur", listed), ("comp", listed),
+            ):
+                assert exact.count(inst, target, mode) == reference.naive_count(inst, target, mode), (
+                    k, loops, mode,
+                )
+            # a covering goal the pattern can reach: the highest palette
+            # vertices, at most one per pattern vertex
+            goal = sum(1 << target.index(h) for h in palette[-len(pv):])
+            vbit = [1 << t if goal >> t & 1 else 0 for t in range(k)]
+            search = exact._search(pattern, listed.lists, target).cover(goal, vbit=vbit)
+            want = sum(
+                1
+                for img in reference.naive_assignments(listed, target)
+                if all(goal >> target.index(h) & 1 == 0 or h in img.values() for h in tv)
+            )
+            assert search.count() == want, (k, loops, "cover")
+
+
+def test_packed_fields_at_word_boundaries_match_naive_digraphs():
+    for k, loops, tv, palette, arcs in _boundary_targets(directed=True):
+        target = DiGraph(tv, arcs)
+        rng = pyrng("field-boundary-digraphs", k, loops)
+        for _ in range(8):
+            pv = [f"g{i}" for i in range(rng.randint(1, 4))]
+            parcs = [(u, v) for u, v in permutations(pv, 2) if rng.random() < 0.4]
+            u, v = rng.sample(pv, 2) if len(pv) > 1 else (pv[0], pv[0])
+            parcs += [(u, v), (v, u)]  # a 2-cycle, or a loop on a 1-vertex pattern
+            parcs += [(w, w) for w in pv if rng.random() < 0.3]
+            pattern = DiGraph(pv, parcs)
+            lists = _boundary_lists(rng, pv, tv, palette)
+            assert csp.count_dir_list_hom(pattern, lists, target) == reference.naive_count_digraph(
+                pattern, lists, target
+            ), (k, loops)
+
+
+def test_blocked_weighted_peel_on_a_wide_target():
+    # the multi-blocks are peeled, each contributing |domain|^multiplicity,
+    # from the fields of a 9-vertex target (H_1) and of a 17-vertex one
+    for target in (build_hk(1), Graph([f"h{j:02d}" for j in range(17)], [
+        (f"h{i:02d}", f"h{j:02d}") for i, j in combinations(range(17), 2) if (i * j + i + j) % 3 == 0
+    ])):
+        tv = target.vertices
+        rng = pyrng("field-boundary-blocked", len(tv))
+        for _ in range(10):
+            top = tv[-1]
+            lists = [frozenset((top, *rng.sample(tv, 2))) for _ in range(4)]
+            blocks = (
+                Block("u", 1, lists[0]), Block("v", 1, lists[1]),
+                Block("M", rng.randint(2, 3), lists[2]), Block("N", 2, lists[3]),
+            )
+            couplings = (
+                Coupling("u", "M", "apex"), Coupling("v", "M", "apex"),
+                Coupling("u", "v", "cb"), Coupling("v", "N", "apex"),
+            )
+            bi = BlockedInstance(blocks, couplings, (), tv)
+            want = reference.naive_count(expand_blocked(bi), target)
+            assert exact.count_blocked(bi, target) == want
 
 
 def _adjacency(h: Graph) -> list[list[int]]:
