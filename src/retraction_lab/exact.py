@@ -12,9 +12,10 @@ partial map by the next vertex, and partial maps that leave the same
 residual state merge into one, their numbers added (the path-decomposition
 count of Diaz, Serna and Thilikos), so its time follows the number of
 distinct residual states, not the count.  A state is
-  - hom, lhom, ret: one int packing every vertex's domain, field i (k + 1
-    bits for a k-vertex target) for the i-th vertex of the order, with a
-    spare top bit that stays 0; assigned and peeled vertices hold 0.  A
+  - hom, lhom, ret: one int packing every vertex's domain, field v (k + 1
+    bits for a k-vertex target) for pattern vertex v, whatever its place in
+    the order, with a spare top bit that stays 0; assigned and peeled
+    vertices hold 0.  A
     child narrows every unassigned neighbor of the vertex it assigns with
     one multiply (bit 0 of each neighbor's field times the values not next
     to the chosen one, so no field carries into the next), and a
@@ -69,9 +70,9 @@ class _Search:
     forward-checked against every assigned neighbor; assigned and peeled
     vertices get domain 0, so the domains alone fix the residual
     subproblem.  `count` sweeps a fixed order (see `_order`), packs a
-    state's domains into one int of (k + 1)-bit fields and merges the
-    partial maps that reach equal ints; `assignments` keeps them as a list
-    and branches most-constrained-first.
+    state's domains into one int of (k + 1)-bit fields, field v for pattern
+    vertex v, and merges the partial maps that reach equal ints;
+    `assignments` keeps them as a list and branches most-constrained-first.
 
     `weights` (default all 1) makes vertex v stand for weights[v]
     independent copies of itself: once peeled it contributes
@@ -133,35 +134,30 @@ class _Search:
         w, vmask = k + 1, (1 << k) - 1
         # a cap no assignment can reach stays out of the search and its keys
         cap = self.top if self.top is not None and self.top < n else None
-        order = [v for run in self._order() for v in run]
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        # the pattern relabelled so that `order` is the identity: cadj[i] the
-        # positions of i's neighbors, low_out[i] (low_in[i]) bit 0 of the
-        # field of each out- (in-) neighbor, off_out[t] (off_in[t]) the
-        # values not in t's out- (in-) neighborhood
+        order = self._order()
+        # field v of a state holds pattern vertex v's domain: low_out[v]
+        # (low_in[v]) is bit 0 of the field of each out- (in-) neighbor of v,
+        # off_out[t] (off_in[t]) the values not in t's out- (in-) neighborhood
         digraph = self.inn is not self.out
-        cadj, low_out, low_in = [0] * n, [0] * n, [0] * n
-        sides = ((self.out, low_out), (self.inn, low_in)) if digraph else ((self.out, low_out),)
-        for masks, lows in sides:
-            for i, v in enumerate(order):
-                m = masks[v]
-                a = lo = 0
+        adj = self.adj
+        lows = []
+        for masks in (self.out, self.inn) if digraph else (self.out,):
+            row = []
+            for m in masks:
+                lo = 0
                 while m:
                     b = m & -m
-                    p = pos[b.bit_length() - 1]
-                    a |= 1 << p
-                    lo |= 1 << p * w
+                    lo |= 1 << (b.bit_length() - 1) * w
                     m ^= b
-                cadj[i] |= a
-                lows[i] = lo
+                row.append(lo)
+            lows.append(row)
+        low_out, low_in = lows[0], lows[-1]
         off_out = [vmask & ~a for a in self.tout]
         off_in = [vmask & ~a for a in self.tin] if digraph else off_out
-        cw = None if self.weights is None else [self.weights[v] for v in order]
+        cw = self.weights
         x = 0
-        for i, v in enumerate(order):
-            x |= self.domains[v] << i * w
+        for v, d in enumerate(self.domains):
+            x |= d << v * w
         # bit 0 of every field of an unassigned, unpeeled vertex
         low_rest = ((1 << n * w) - 1) // ((1 << w) - 1)
         # state -> number of partial maps; covering, (state, covered vertices,
@@ -169,7 +165,7 @@ class _Search:
         states: dict = {x: 1} if full_v is None else {(x, 0, 0, 0, ()): 1}
         front: list[int] = []  # the assigned vertices next to an unassigned one
         active = (1 << n) - 1
-        for v in range(n):
+        for v in order:
             if not active >> v & 1:
                 continue  # peeled
             active ^= 1 << v
@@ -186,8 +182,8 @@ class _Search:
                 # v's neighbors left with no unassigned neighbor, or v itself
                 # if it has none: their domains are final and each contributes
                 # |domain|^weight
-                nbrs = cadj[v] & rest
-                lone = [u for u in _bits(nbrs) if not cadj[u] & rest] if nbrs else [v]
+                nbrs = adj[v] & rest
+                lone = [u for u in _bits(nbrs) if not adj[u] & rest] if nbrs else [v]
                 peel = [(u * w, 1 if cw is None else cw[u]) for u in lone]
                 for u in lone:
                     active &= ~(1 << u)
@@ -222,9 +218,9 @@ class _Search:
                 if ebit is not None:
                     # where v's assigned neighbors sit in `front`, and which
                     # of front + [v] stay next to an unassigned vertex
-                    seen = [front.index(u) for u in _bits(cadj[v] & ~rest)]
+                    seen = [front.index(u) for u in _bits(adj[v] & ~rest)]
                     grown = front + [v]
-                    keep = [i for i, u in enumerate(grown) if cadj[u] & rest]
+                    keep = [i for i, u in enumerate(grown) if adj[u] & rest]
                     front = [grown[i] for i in keep]
                 for (x, cov_v, cov_e, used, image), c in states.items():
                     d = x >> sv & vmask
@@ -260,53 +256,65 @@ class _Search:
             return sum(states.values())
         return sum(c for (_, cv, ce, _, _), c in states.items() if cv == full_v and ce == full_e)
 
-    def _order(self) -> list[list[int]]:
-        """The fixed branching order of `count`, one run per pattern
-        component (components by lowest vertex).  Within a run: the
-        single-value vertices first, then greedily the vertex, next to the
-        assigned ones if any is, that leaves the fewest unassigned vertices
-        next to assigned ones (ties: the lowest index), then the vertices of
-        weight > 1.  In a fixed order every branch reaches the same active
-        set after the same number of steps, so `count`'s states differ only
-        in the domains on that frontier: paths, cycles and 2 x k grids keep
-        a bounded number of states per step."""
-        adj = self.adj
-        runs = []
+    def _order(self) -> list[int]:
+        """The fixed branching order of `count`: the pattern components one
+        after another (components by lowest vertex).  Within a component:
+        the single-value vertices first, then greedily the vertex, next to
+        the assigned ones if any is, that leaves the fewest unassigned
+        vertices next to assigned ones (ties: the lowest index), then the
+        vertices of weight > 1.  In a fixed order every branch reaches the
+        same active set after the same number of steps, so `count`'s states
+        differ only in the domains on that frontier: paths, cycles and
+        2 x k grids keep a bounded number of states per step."""
+        adj, heavy = self.adj, self.heavy
+        single = 0
+        for v, d in enumerate(self.domains):
+            if d.bit_count() == 1:
+                single |= 1 << v
+        order = []
         unseen = (1 << len(adj)) - 1
         while unseen:
             comp = frontier = unseen & -unseen
             while frontier:
                 nxt = 0
-                for u in _bits(frontier):
-                    nxt |= adj[u]
+                while frontier:
+                    b = frontier & -frontier
+                    nxt |= adj[b.bit_length() - 1]
+                    frontier ^= b
                 frontier = nxt & ~comp
                 comp |= frontier
             unseen &= ~comp
-            order = [v for v in _bits(comp) if self.domains[v].bit_count() == 1]
-            left = comp & ~self.heavy
             reach = 0
-            for v in order:
-                left &= ~(1 << v)
+            m = comp & single
+            while m:
+                b = m & -m
+                v = b.bit_length() - 1
+                order.append(v)
                 reach |= adj[v]
+                m ^= b
+            left = comp & ~single & ~heavy
             while left:
                 # a frontier candidate leaves at least the rest of the frontier
                 # next to assigned vertices, so the first one that leaves no
                 # more is the minimum, and the scan stops there
                 cand = reach & left
                 floor = cand.bit_count() - 1 if cand else 0
+                m = cand or left
                 best = left.bit_count()  # above every key
-                for u in _bits(cand or left):
-                    k = ((reach | adj[u]) & left & ~(1 << u)).bit_count()
+                while m:
+                    b = m & -m
+                    u = b.bit_length() - 1
+                    k = ((reach | adj[u]) & left & ~b).bit_count()
                     if k < best:
-                        v, best = u, k
+                        v, vb, best = u, b, k
                         if k == floor:
                             break
+                    m ^= b
                 order.append(v)
-                left &= ~(1 << v)
+                left ^= vb
                 reach |= adj[v]
-            order.extend(_bits(comp & self.heavy))
-            runs.append(order)
-        return runs
+            order.extend(_bits(comp & heavy))
+        return order
 
     def _extend(self, v: int, rest: int, doms: list[int]) -> list[tuple[int, list[int]]]:
         """(t, doms') for each value t of v that leaves every active neighbor
@@ -393,11 +401,18 @@ def _narrow(doms: list[int], nbrs: list[int], mask: int) -> bool:
 
 
 def _domains(vertices, lists: dict[str, frozenset[str]], tindex: dict[str, int]) -> list[int]:
-    """Each vertex's list as a mask over the target indices."""
+    """Each vertex's list, a subset of the target's vertices, as a mask over
+    the target indices: a list of every target vertex is the full mask."""
+    k = len(tindex)
+    full = (1 << k) - 1
     out = []
     for v in vertices:
+        s = lists[v]
+        if len(s) == k:
+            out.append(full)
+            continue
         mask = 0
-        for t in lists[v]:
+        for t in s:
             mask |= 1 << tindex[t]
         out.append(mask)
     return out
@@ -559,7 +574,14 @@ def count_blocked(b: BlockedInstance, target: Graph) -> int:
     lists = {blk.name: full if blk.list is None else blk.list for blk in b.blocks}
     lists.update((name, frozenset((t,))) for name, t in b.pins)
     weight = {blk.name: blk.multiplicity for blk in b.blocks}
-    blocks = Graph(weight, [(c.a, c.b) for c in b.couplings])
-    doms = _domains(blocks.vertices, lists, target._index)
-    weights = [weight[name] for name in blocks.vertices]
-    return _Search(blocks._adj, blocks._adj, doms, target._adj, target._adj, weights).count()
+    # the block graph, its vertices numbered by sorted block name
+    names = sorted(weight)
+    index = {name: i for i, name in enumerate(names)}
+    adj = [0] * len(names)
+    for c in b.couplings:
+        i, j = index[c.a], index[c.b]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    doms = _domains(names, lists, target._index)
+    weights = [weight[name] for name in names]
+    return _Search(adj, adj, doms, target._adj, target._adj, weights).count()

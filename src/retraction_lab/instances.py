@@ -154,6 +154,7 @@ class BlockedInstance:
     def __post_init__(self):
         by_name = {}
         for blk in self.blocks:
+            Graph._check_id(blk.name)  # a block name is a vertex of the expansion
             if blk.name in by_name:
                 raise ValueError(f"duplicate block {blk.name!r}")
             by_name[blk.name] = blk

@@ -471,6 +471,56 @@ def test_blocked_weighted_peel_on_a_wide_target():
             assert exact.count_blocked(bi, target) == want
 
 
+def test_fields_keyed_by_pattern_index_match_naive():
+    # field v holds pattern vertex v's domain whatever v's place in the
+    # order: a path and a 2 x 3 grid under scrambled vertex names, and a star
+    # whose centre has the highest index, are each swept far from index order
+    rng = pyrng("far-from-index-order")
+    names = [f"n{j}" for j in rng.sample(range(100), 7)]
+    g = names[:6]
+    patterns = (
+        Graph(names, zip(names, names[1:])),
+        Graph(g, [(g[i], g[i + 1]) for i in (0, 1, 3, 4)] + [(g[i], g[i + 3]) for i in range(3)]),
+        Graph([], [(f"a{i}", "z") for i in range(6)]),
+    )
+    for target in (TW, build_cycle(5)):
+        tv = target.vertices
+        for pattern in patterns:
+            pv = pattern.vertices
+            full = ListedInstance.full(pattern, target)
+            order = exact._search(pattern, full.lists, target)._order()
+            assert order != sorted(order), pattern
+            assert exact.count(full, target, "hom") == reference.naive_count(full, target, "hom"), pattern
+            for _ in range(3):
+                lists = {v: frozenset(rng.sample(tv, rng.choice((1, 2, len(tv))))) for v in pv}
+                listed = ListedInstance(pattern, lists, tv)
+                # the free vertex, lowest in index, goes after the pinned ones
+                pins = {v: frozenset((rng.choice(tv),)) for v in pv[1:]}
+                pinned = ListedInstance(pattern, pins, tv)
+                for mode, inst in (("lhom", listed), ("ret", pinned), ("sur", listed), ("comp", listed)):
+                    assert exact.count(inst, target, mode) == reference.naive_count(inst, target, mode), (
+                        pattern, mode,
+                    )
+    # a digraph with 2-cycles under scrambled names, into a looped digraph
+    names = [f"d{j}" for j in rng.sample(range(100), 6)]
+    arcs = [(names[i], names[i + 1]) for i in range(5)] + [(names[3], names[1]), (names[5], names[2])]
+    arcs += [(names[2], names[0]), (names[0], names[2]), (names[5], names[4])]
+    pattern = DiGraph(names, arcs)
+    target = DiGraph("abcd", [
+        ("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"), ("c", "d"),
+        ("d", "a"), ("a", "c"), ("b", "d"), ("c", "c"), ("d", "d"),
+    ])
+    full = {v: frozenset("abcd") for v in names}
+    order = exact._search(pattern, full, target)._order()
+    assert order != sorted(order)
+    for lists in [full] + [
+        {v: frozenset(rng.sample("abcd", rng.randint(1, 4))) for v in names} for _ in range(6)
+    ]:
+        assert csp.count_dir_list_hom(pattern, lists, target) == reference.naive_count_digraph(
+            pattern, lists, target
+        )
+
+
 def _adjacency(h: Graph) -> list[list[int]]:
     return [[int(h.has_edge(u, v)) for v in h.vertices] for u in h.vertices]
 
@@ -594,7 +644,7 @@ def test_order_matches_the_plain_min(case):
     adj, doms, weights = case
     tadj = [0b111, 0b111, 0b111]
     search = exact._Search(adj, adj, doms, tadj, tadj, weights)
-    assert search._order() == _plain_order(search)
+    assert search._order() == [v for run in _plain_order(search) for v in run]
 
 
 def test_large_star_count():

@@ -153,6 +153,9 @@ def test_blocked_validation():
         BlockedInstance((Block("A", 2),), (), (("A", "b"),), tw.vertices)
     with pytest.raises(ValueError):
         BlockedInstance((Block("A", 1),), (), (("A", "nope"),), tw.vertices)
+    # a block name becomes a vertex name of the expansion
+    with pytest.raises(ValueError):
+        BlockedInstance((Block("", 1),), (), (), tw.vertices)
 
 
 def test_expand_blocked_wirings():
