@@ -74,7 +74,6 @@ from .homtypes import (
     brute_count_by_type,
     dominance_report,
     enumerate_maximal_types,
-    is_maximal_type,
     is_nonempty_type,
     lemma43_check,
     lemma43_scan,

@@ -12,6 +12,13 @@ With an `ExactOracle` the coverage estimator costs three kernel counts: the
 number t of witnesses, their total weight Omega and the union |union|; it
 lists no witness and asks the oracle nothing.  Any other oracle, and a run
 with force_jvv, lists the witnesses with `enumerate_T` and weighs each one.
+
+The sampler pins one multi-valued vertex per step, each value weighted by
+the count of the instance pinned to it (self-reducibility, as in Jerrum,
+Valiant and Vazirani).  With an `ExactOracle` the weights of a node's
+values come from one split sweep of the kernel (`exact._pin_counts`), the
+first time any draw reaches the node; any other oracle is asked once per
+value, since its answers may vary from call to call.
 """
 from __future__ import annotations
 
@@ -25,6 +32,7 @@ from . import reference
 from ._seeds import nprng, pyrng
 from .exact import (
     _covering,
+    _pin_counts,
     _witness_search,
     count_blocked,
     count_compaction,
@@ -51,9 +59,10 @@ class ExactOracle:
     """Retraction/list-homomorphism counting backed by the exact counter:
     `count_list_hom` for a ListedInstance, `count_blocked` for a
     BlockedInstance; ignores the precision parameter.  Memoises counts and
-    pinning trees by instance, for as long as the oracle lives; `calls`
-    counts the count queries actually made, so a draw that walks known nodes
-    adds none."""
+    pinning trees by instance, for as long as the oracle lives.  `calls`
+    counts the queries actually made: each `count` call, memoised or not,
+    and each split sweep that weighs the values of a new pinning-tree node
+    (see `_PinTree`), so a draw that walks known nodes adds none."""
 
     def __init__(self):
         self.calls = 0
@@ -180,21 +189,35 @@ class _PinTree:
     multi-valued vertex, each value weighted by its oracle count.
 
     With keep=True (an ExactOracle's tree) the nodes persist across draws,
-    so a draw asks the oracle only at nodes it visits for the first time.
-    Otherwise every attempt starts from a fresh root, which makes exactly
-    the calls of the plain walk, in the same order."""
+    and a node's children's counts come from one split sweep of the kernel
+    (`exact._pin_counts`) on its first visit, the root's in the
+    constructor; the sweep adds one to the oracle's `calls`.  Otherwise
+    every attempt starts from a fresh root and asks the oracle once per
+    child, which makes exactly the calls of the plain walk, in the same
+    order."""
 
     __slots__ = ("target", "eps", "keep", "choices", "edges", "root")
 
     def __init__(self, oracle, inst: ListedInstance, target: Graph, eps, keep: bool):
-        if oracle.count(inst, target, eps) <= 0:
-            raise ValueError("instance has no homomorphisms (oracle count is zero)")
         self.target = target
         self.eps = eps
         self.keep = keep
         self.choices = [(v, sorted(sv)) for v, sv in inst.lists.items() if len(sv) > 1]
         self.edges = inst.pattern.non_loop_edges()
-        self.root = _PinNode(inst)
+        self.root = root = _PinNode(inst)
+        if keep and self.choices:
+            self._split(oracle, root, *self.choices[0])
+            total = root.acc[-1]
+        else:
+            total = oracle.count(inst, target, eps)
+        if total <= 0:
+            raise ValueError("instance has no homomorphisms (oracle count is zero)")
+
+    def _split(self, oracle, node: _PinNode, v: str, values: list[str]) -> None:
+        """Fill a kept node's prefix sums from one sweep over its vertex v."""
+        oracle.calls += 1
+        node.acc = _prefix_sums(_pin_counts(node.inst, self.target, v))
+        node.kids = [None] * len(values)
 
     def draw(self, oracle, rng) -> _PinNode:
         """A leaf whose assignment is a homomorphism, drawn by walking from
@@ -205,15 +228,18 @@ class _PinTree:
             for v, values in self.choices:
                 pins = None
                 if node.acc is None:
-                    pins = [node.inst.pin(v, s) for s in values]
-                    node.acc = _prefix_sums([oracle.count(p, target, eps) for p in pins])
-                    node.kids = [None] * len(values)
+                    if self.keep:
+                        self._split(oracle, node, v, values)
+                    else:
+                        pins = [node.inst.pin(v, s) for s in values]
+                        node.acc = _prefix_sums([oracle.count(p, target, eps) for p in pins])
+                        node.kids = [None] * len(values)
                 if node.acc[-1] <= 0:
                     break  # a dead end: resample
                 i = _draw(rng, node.acc)
                 kid = node.kids[i]
                 if kid is None:
-                    # the undrawn pins are not kept; a later draw pins again
+                    # a kept node pins only the children drawn from it
                     kid = node.kids[i] = _PinNode(pins[i] if pins else node.inst.pin(v, values[i]))
                 node = kid
             else:
@@ -245,11 +271,13 @@ def sample_hom(
 
     A draw costs one `randrange` per multi-valued vertex.  With an
     ExactOracle it walks the oracle's pinning tree of the instance, so it
-    asks the oracle only at nodes no earlier draw reached: a node's first
-    visit asks once per value of its vertex and pins each, and later draws
-    reuse the node's prefix sums.  Any other oracle is asked once for the
-    instance per call and once per (multi-valued vertex, value) per attempt,
-    since its answers may vary from call to call.
+    does kernel work only at nodes no earlier draw reached: a node's first
+    visit weighs every value of its vertex with one split sweep of the
+    kernel (one unit of the oracle's `calls`) and pins only the value it
+    draws, and later draws reuse the node's prefix sums.  Any other oracle
+    is asked once for the instance per call and once per (multi-valued
+    vertex, value) per attempt, since its answers may vary from call to
+    call.
     """
     if rng is not None and seed is not None:
         raise ValueError("give sample_hom a seed or an rng, not both")
@@ -373,11 +401,13 @@ def coverage_mc(
     compaction (comp) count; `omegas` is then ().  force_jvv runs the
     literal per-sample walk instead, which is also what every oracle other
     than an ExactOracle gets: it lists the witnesses with `enumerate_T` and
-    weighs each by `powered_count`.  With an ExactOracle that walk draws
-    from the oracle's pinning trees (see `sample_hom`): it looks up each
-    witness's tree once per run and decides the first-occurrence verdict
-    once per (witness index, leaf); other oracles get one `sample_hom` call
-    per draw.
+    weighs each by `powered_count`.  With an ExactOracle that walk is one
+    loop over the m draws from the oracle's pinning trees (see
+    `sample_hom`): it looks up each witness's tree once per run and decides
+    the first-occurrence verdict once per (witness index, leaf); a witness
+    whose pinned instance has one leaf (no multi-valued vertex) draws no
+    random number past its branch, so its verdict is decided once per run.
+    Other oracles get one `sample_hom` call per draw.
     """
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -416,27 +446,35 @@ def coverage_mc(
         sample_eps = eps1 / (2 * len(target.vertices) ** len(inst.pattern.vertices))
         acc = _prefix_sums(omegas)
         if type(oracle) is ExactOracle:
-            # per-run state: each witness's tree is looked up on its first draw,
-            # and the verdict of a (witness index, leaf) is decided once; two
-            # witnesses may pin to the same instance, hence the same leaves
-            trees: dict = {}
+            # per-run state, by witness index: its tree, looked up on its first
+            # draw, and the verdict of its one leaf if it has no choice to make
+            # (its walk draws no random number); the verdict of a (witness
+            # index, leaf) of a larger tree is decided once.  Two witnesses
+            # may pin to the same instance, hence the same leaves.
+            randrange, total = rng.randrange, acc[-1]
+            trees: list = [None] * t
+            fixed: list = [None] * t
             verdicts: dict = {}
-
-            def hit(i):
-                tree = trees.get(i)
+            x_total = 0
+            for _ in range(m):
+                i = bisect_right(acc, randrange(total))
+                tree = trees[i]
                 if tree is None:
                     tree = trees[i] = oracle.pin_tree(pinned[i], target)
-                leaf = tree.draw(oracle, rng)
-                verdict = verdicts.get((i, leaf))
+                    if not tree.choices:
+                        fixed[i] = _first_occurrence(ts, i, tree.draw(oracle, rng).tau)
+                verdict = fixed[i]
                 if verdict is None:
-                    verdict = verdicts[i, leaf] = _first_occurrence(ts, i, leaf.tau)
-                return verdict
+                    leaf = tree.draw(oracle, rng)
+                    verdict = verdicts.get((i, leaf))
+                    if verdict is None:
+                        verdict = verdicts[i, leaf] = _first_occurrence(ts, i, leaf.tau)
+                x_total += verdict
         else:
-
-            def hit(i):
-                return _first_occurrence(ts, i, sample_hom(oracle, pinned[i], target, sample_eps, rng=rng))
-
-        x_total = sum(hit(_draw(rng, acc)) for _ in range(m))
+            x_total = 0
+            for _ in range(m):
+                i = _draw(rng, acc)
+                x_total += _first_occurrence(ts, i, sample_hom(oracle, pinned[i], target, sample_eps, rng=rng))
         sampler = "jvv"
     y = Fraction(omega) * x_total / m
     return CoverageRun(mode, t, omegas, omega, m, x_total, y, seed, eps, delta, sampler)

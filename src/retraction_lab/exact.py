@@ -28,6 +28,10 @@ distinct residual states, not the count.  A state is
     assigned vertices next to an unassigned one;
   - under a cap on the vertices with a covering value (the coverage
     estimator's witness counts, `_witness_search`): also that number.
+A split count (`_pin_counts`, the exact sampler's pinning step) runs the
+same sweep from one state per value t of a chosen vertex and keeps every
+number of partial maps as one int with a field per value, so one sweep
+returns the count of the instance pinned to each value.
 Enumeration backtracks most-constrained-first with lexicographic tie-break,
 and prunes on the same coverage state as counting.  Both are
 deterministic.  Enumeration recurses once per vertex it branches on, so one
@@ -90,7 +94,9 @@ class _Search:
         for v, w in enumerate(weights or ()):
             if w > 1 and domains[v].bit_count() > 1:
                 self.heavy |= 1 << v
-        self.cover(None)
+        # no coverage goal until `cover` sets one
+        self.full_v = self.ebit = self.vbit = self.top = None
+        self.full_e = 0
 
     def cover(
         self,
@@ -116,7 +122,7 @@ class _Search:
                 self.full_e |= b
         return self
 
-    def count(self) -> int:
+    def count(self, split: int | None = None) -> int:
         """Number of homomorphisms that meet the coverage goal.
 
         One sweep along the fixed order (see `_order`): each step extends
@@ -126,7 +132,18 @@ class _Search:
         int of (k + 1)-bit fields (see the module docstring), plus, covering,
         the covered vertices and edges, under a cap the number of vertices
         with a covering value (0 without one), and with edges the images of
-        the assigned vertices next to an unassigned one."""
+        the assigned vertices next to an unassigned one.
+
+        With `split`, a vertex, the counts with that vertex pinned to each
+        of its values, from the same one sweep: it starts from one state per
+        value t, the vertex's domain {t} and its number of partial maps
+        1 << t * `_split_bits` (domains), so that field t of every number,
+        and of the returned int, counts the maps with the vertex at t (no
+        field can carry into the next).  The order is the one each pinned
+        instance gets on its own.  A split takes no weights and no coverage
+        goal."""
+        if split is not None and (self.weights is not None or self.full_v is not None):
+            raise ValueError("a split count takes no weights and no coverage goal")
         if any(d == 0 for d in self.domains):
             return 0
         full_v, full_e, ebit, vbit = self.full_v, self.full_e, self.ebit, self.vbit
@@ -134,7 +151,7 @@ class _Search:
         w, vmask = k + 1, (1 << k) - 1
         # a cap no assignment can reach stays out of the search and its keys
         cap = self.top if self.top is not None and self.top < n else None
-        order = self._order()
+        order = self._order(split)
         # field v of a state holds pattern vertex v's domain: low_out[v]
         # (low_in[v]) is bit 0 of the field of each out- (in-) neighbor of v,
         # off_out[t] (off_in[t]) the values not in t's out- (in-) neighborhood
@@ -162,7 +179,12 @@ class _Search:
         low_rest = ((1 << n * w) - 1) // ((1 << w) - 1)
         # state -> number of partial maps; covering, (state, covered vertices,
         # covered edges, used, images of `front`) -> number of partial maps
-        states: dict = {x: 1} if full_v is None else {(x, 0, 0, 0, ()): 1}
+        if split is None:
+            states: dict = {x: 1} if full_v is None else {(x, 0, 0, 0, ()): 1}
+        else:
+            sb, ss = _split_bits(self.domains), split * w
+            x &= ~(vmask << ss)
+            states = {x | 1 << ss + t: 1 << t * sb for t in _bits(self.domains[split])}
         front: list[int] = []  # the assigned vertices next to an unassigned one
         active = (1 << n) - 1
         for v in order:
@@ -256,13 +278,13 @@ class _Search:
             return sum(states.values())
         return sum(c for (_, cv, ce, _, _), c in states.items() if cv == full_v and ce == full_e)
 
-    def _order(self) -> list[int]:
+    def _order(self, split: int | None = None) -> list[int]:
         """The fixed branching order of `count`: the pattern components one
         after another (components by lowest vertex).  Within a component:
-        the single-value vertices first, then greedily the vertex, next to
-        the assigned ones if any is, that leaves the fewest unassigned
-        vertices next to assigned ones (ties: the lowest index), then the
-        vertices of weight > 1.  In a fixed order every branch reaches the
+        the single-value vertices first (`split` counts as one), then
+        greedily the vertex, next to the assigned ones if any is, that
+        leaves the fewest unassigned vertices next to assigned ones (ties:
+        the lowest index), then the vertices of weight > 1.  In a fixed order every branch reaches the
         same active set after the same number of steps, so `count`'s states
         differ only in the domains on that frontier: paths, cycles and
         2 x k grids keep a bounded number of states per step."""
@@ -271,6 +293,8 @@ class _Search:
         for v, d in enumerate(self.domains):
             if d.bit_count() == 1:
                 single |= 1 << v
+        if split is not None:
+            single |= 1 << split
         order = []
         unseen = (1 << len(adj)) - 1
         while unseen:
@@ -379,7 +403,7 @@ class _Search:
         ebit, vbit = self.ebit, self.vbit
         assigned_nbrs = [u for u in _bits(self.adj[v]) if image[u] >= 0] if ebit else ()
         for t, nd in self._extend(v, rest, doms):
-            b = vbit[t]
+            b = vbit[t] if vbit else 0
             if b and used == top:
                 continue
             ce = cov_e
@@ -388,6 +412,13 @@ class _Search:
             image[v] = t
             yield from self._enumerate(rest, nd, image, cov_v | b, ce, used + (b != 0))
         image[v] = -1
+
+
+def _split_bits(domains: list[int]) -> int:
+    """The width of a field of a split count (see `_Search.count`): above the
+    bit length of the product of the domain sizes, which bounds every
+    number of partial maps of the sweep."""
+    return 1 + sum(d.bit_count().bit_length() for d in domains)
 
 
 def _narrow(doms: list[int], nbrs: list[int], mask: int) -> bool:
@@ -454,6 +485,18 @@ def count_list_hom(inst: ListedInstance, target: Graph) -> int:
     """Exact number of list homomorphisms from (G, S) to the target."""
     _check_same_target(inst, target)
     return _search(inst.pattern, inst.lists, target).count()
+
+
+def _pin_counts(inst: ListedInstance, target: Graph, v: str) -> list[int]:
+    """count_list_hom(inst.pin(v, t), target) for each t in v's list, in
+    sorted order (the target's index order), from one split sweep of the
+    kernel (see `_Search.count`) instead of one count per value."""
+    _check_same_target(inst, target)
+    search = _search(inst.pattern, inst.lists, target)
+    i = inst.pattern.index(v)
+    width = _split_bits(search.domains)
+    packed, mask = search.count(i), (1 << width) - 1
+    return [packed >> t * width & mask for t in _bits(search.domains[i])]
 
 
 def count_hom(pattern: Graph, target: Graph) -> int:

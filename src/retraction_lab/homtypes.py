@@ -113,6 +113,11 @@ def is_nonempty_type(t: HomType, k: int) -> bool:
 
 
 def _is_maximal(hk: Graph, k: int, t: HomType) -> bool:
+    """Non-empty, and no single-pair augmentation of any component is
+    non-empty.  Single pairs suffice: the non-emptiness conditions are
+    inherited by intermediate triples, so any non-empty strict superset
+    yields a non-empty one-pair extension.  A pair only ORs two bits into
+    the projection masks, so each augmentation is tested on integers."""
     parts = _index_pairs(hk, k, t)
     if not all(parts):
         return False
@@ -131,15 +136,6 @@ def _is_maximal(hk: Graph, k: int, t: HomType) -> bool:
             if _masks_nonempty(hk, *aug):
                 return False
     return True
-
-
-def is_maximal_type(t: HomType, k: int) -> bool:
-    """Non-empty, and no single-pair augmentation of any component is
-    non-empty.  Single pairs suffice: the non-emptiness conditions are
-    inherited by intermediate triples, so any non-empty strict superset
-    yields a non-empty one-pair extension.  A pair only ORs two bits into
-    the projection masks, so each augmentation is tested on integers."""
-    return _is_maximal(build_hk(k), k, t)
 
 
 # menu-index pairs in the canonical ten-row presentation order

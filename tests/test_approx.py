@@ -591,14 +591,26 @@ def test_pinning_tree_matches_fresh_root_walk():
         )
         checked += 1
     assert checked >= 20 and zero_branches > 0
-    # the literal walk: overlapping witnesses on P4 -> K2
-    inst = ListedInstance.full(build_path(4), K2)
-    for mode in ("sur", "comp"):
+    # the literal walk: overlapping witnesses on P4 -> K2; on K2 -> K2 and
+    # P3 -> P3 every witness pins the whole pattern, so each tree is one leaf;
+    # on P3 -> K2 in comp mode the |U| = 3 witnesses have one leaf and the
+    # |U| = 2 ones do not
+    p3 = build_path(3)
+    walks = [(build_path(4), K2, mode, 0.95, 0.9, 8) for mode in ("sur", "comp")]
+    walks += [(g, g, mode, 0.9, 0.3, 5) for g in (K2, p3) for mode in ("sur", "comp")]
+    walks.append((p3, K2, "comp", 0.9, 0.5, 6))
+    one_leaf = []  # per walk, whether each witness pins the whole pattern
+    for g, target, mode, eps, delta, seed in walks:
+        inst = ListedInstance.full(g, target)
+        one_leaf.append({len(us) == len(g) for us, _ in approx.enumerate_T(inst, target, mode)})
         runs = [
-            approx.coverage_mc(inst, K2, mode, 0.95, 0.9, oracle, 8, force_jvv=True)
+            approx.coverage_mc(inst, target, mode, eps, delta, oracle, seed, force_jvv=True)
             for oracle in (approx.ExactOracle(), _FreshRootExact())
         ]
-        assert (runs[0].m, runs[0].x_total, runs[0].y) == (runs[1].m, runs[1].x_total, runs[1].y), mode
+        assert (runs[0].m, runs[0].x_total, runs[0].y) == (runs[1].m, runs[1].x_total, runs[1].y), (
+            g.vertices, target.vertices, mode,
+        )
+    assert one_leaf[2:] == [{True}] * 4 + [{True, False}]
     # witnesses ({x, y}, x->a y->b) and ({y, z}, y->b z->a) pin to the same
     # instance, so they share the tree's leaves while their draws get
     # different verdicts
@@ -617,13 +629,14 @@ def test_pinning_tree_matches_fresh_root_walk():
 
 
 def test_exact_sampler_work_does_not_grow_with_draws(monkeypatch):
-    counted = []
+    sweeps = []
+    count = exact._Search.count
 
-    def counting(inst, target):
-        counted.append(1)
-        return exact.count_list_hom(inst, target)
+    def counting(search, *args):
+        sweeps.append(args)
+        return count(search, *args)
 
-    monkeypatch.setattr(approx, "count_list_hom", counting)
+    monkeypatch.setattr(exact._Search, "count", counting)
     tw = build_two_wrench()
     inst = ListedInstance.full(build_path(3), tw)
     oracle, rng = approx.ExactOracle(), pyrng("work")
@@ -633,8 +646,15 @@ def test_exact_sampler_work_does_not_grow_with_draws(monkeypatch):
             approx.sample_hom(oracle, inst, tw, 0.05, rng=rng)
         calls.append(oracle.calls)
     assert calls[0] == calls[1]
-    # one count per distinct instance met, as in the per-draw walk
-    assert len(counted) == len(oracle._cache) == 57
+    # one split sweep per node with a vertex left to pin, and no other count
+    nodes, stack = 0, [oracle.pin_tree(inst, tw).root]
+    while stack:
+        node = stack.pop()
+        if node.acc is not None:
+            nodes += 1
+            stack += [kid for kid in node.kids if kid is not None]
+    assert len(sweeps) == nodes == calls[-1] == 14  # the root, 4 nodes with c0 pinned, 9 with c0 and c1
+    assert all(sweeps) and not oracle._cache
 
 
 def test_sample_hom_rejects_seed_with_rng():

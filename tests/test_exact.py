@@ -447,6 +447,86 @@ def test_packed_fields_at_word_boundaries_match_naive_digraphs():
             ), (k, loops)
 
 
+# -- split counts ------------------------------------------------------------
+
+
+def _per_pin(inst, target, v):
+    """count_list_hom and the naive count of inst pinned at v to each value."""
+    pins = [inst.pin(v, t) for t in sorted(inst.lists[v])]
+    counts = [exact.count_list_hom(p, target) for p in pins]
+    assert counts == [reference.naive_count(p, target) for p in pins]
+    return counts
+
+
+def _check_split(inst, target):
+    """_pin_counts equals the per-pin counts at every vertex; returns how many
+    zero counts and singleton lists the splits met."""
+    zeros = singles = 0
+    for v in inst.pattern.vertices:
+        got = exact._pin_counts(inst, target, v)
+        assert got == _per_pin(inst, target, v), v
+        zeros += got.count(0)
+        singles += len(inst.lists[v]) == 1
+    return zeros, singles
+
+
+def test_split_counts_match_per_pin_counts():
+    # random patterns and lists, some values of zero count, some singleton lists
+    tw, h1 = TW, build_hk(1)
+    rng = pyrng("split-random")
+    zeros = singles = 0
+    for i in range(120):
+        target = (tw, h1)[i % 2]
+        tv = target.vertices
+        pv = [f"g{j}" for j in range(rng.randint(1, 6))]
+        pattern = Graph(pv, [e for e in combinations(pv, 2) if rng.random() < 0.4])
+        lists = {v: frozenset(rng.sample(tv, rng.randint(1, 3))) for v in pv}
+        z, s = _check_split(ListedInstance(pattern, lists, tv), target)
+        zeros, singles = zeros + z, singles + s
+    assert zeros > 0 and singles > 0
+    # an isolated split vertex, peeled at its own step
+    iso = Graph(["a", "b", "c"], [("a", "b")])
+    inst = ListedInstance(iso, {"a": frozenset(("r1", "b"))}, tw.vertices)
+    assert exact._pin_counts(inst, tw, "c") == [6, 6, 6, 6] == _per_pin(inst, tw, "c")
+    # a split vertex peeled as the lone neighbour of a pinned vertex before it
+    star = Graph(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    inst = ListedInstance(star, {"a": frozenset(("r1",)), "c": frozenset(("b", "g"))}, tw.vertices)
+    assert exact._pin_counts(inst, tw, "b") == [1, 0, 1, 0] == _per_pin(inst, tw, "b")
+    # targets of 1 to 65 vertices, fields on either side of 8, 16 and 64 bits
+    for k, loops, tv, palette, edges in _boundary_targets(directed=False):
+        target = Graph(tv, edges)
+        rng = pyrng("split-boundary", k, loops)
+        for _ in range(4):
+            pv = [f"g{i}" for i in range(rng.randint(1, 4))]
+            pattern = Graph(pv, [e for e in combinations(pv, 2) if rng.random() < 0.6])
+            _check_split(ListedInstance(pattern, _boundary_lists(rng, pv, tv, palette), tv), target)
+
+
+def test_split_counts_above_64_bits():
+    # hom(P40 -> H_1) with vertex i at t is the number of walks of length i
+    # ending at t times the number of length 39 - i starting there
+    h1 = build_hk(1)
+    n, k = 40, len(h1.vertices)
+    adj = [[1 if h1.has_edge(a, b) else 0 for b in h1.vertices] for a in h1.vertices]
+    walks = [[1] * k]
+    for _ in range(n - 1):
+        walks.append([sum(walks[-1][a] * adj[a][b] for a in range(k)) for b in range(k)])
+    inst = ListedInstance.full(build_path(n), h1)
+    for i in (0, 1, 17, n - 1):
+        got = exact._pin_counts(inst, h1, f"c{i}")
+        assert got == [walks[i][t] * walks[n - 1 - i][t] for t in range(k)]
+        assert max(got) > 2**64
+        assert got == [exact.count_list_hom(inst.pin(f"c{i}", t), h1) for t in h1.vertices]
+
+
+def test_split_count_refuses_weights_and_covering():
+    weighted = exact._Search([0, 0], [0, 0], [3, 3], [3, 3], [3, 3], [2, 1])
+    inst = ListedInstance.full(build_path(3), TW)
+    for search in (weighted, exact._covering(inst, TW, need_edges=False)):
+        with pytest.raises(ValueError, match="no weights and no coverage goal"):
+            search.count(0)
+
+
 def test_blocked_weighted_peel_on_a_wide_target():
     # the multi-blocks are peeled, each contributing |domain|^multiplicity,
     # from the fields of a 9-vertex target (H_1) and of a 17-vertex one
