@@ -18,7 +18,11 @@ the count of the instance pinned to it (self-reducibility, as in Jerrum,
 Valiant and Vazirani).  With an `ExactOracle` the weights of a node's
 values come from one split sweep of the kernel (`exact._pin_counts`), the
 first time any draw reaches the node; any other oracle is asked once per
-value, since its answers may vary from call to call.
+value, since its answers may vary from call to call.  A `NoisyOracle`
+answers those calls, and the m calls of a powered median, as memoised exact
+counts times fresh factors e^u, so powering and pinning over it cost little
+more than the random numbers they draw, with the calls, order and random
+numbers of asking it one call at a time.
 """
 from __future__ import annotations
 
@@ -80,11 +84,17 @@ class ExactOracle:
         return n
 
     def pin_tree(self, inst: ListedInstance, target: Graph) -> "_PinTree":
-        """The pinning tree of (inst, target), built on first use and kept."""
+        """The pinning tree of (inst, target), built on first use and kept,
+        with the root's prefix sums (or, with no multi-valued vertex, the
+        count) in place; raises ValueError if the count is zero."""
         key = _instance_key(inst, target)
         tree = self._trees.get(key)
         if tree is None:
-            tree = self._trees[key] = _PinTree(self, inst, target, None, keep=True)
+            tree = _PinTree(self, inst, target)
+            total = tree.split(tree.root, *tree.choices[0])[-1] if tree.choices else self.count(inst, target)
+            if total <= 0:
+                raise ValueError(_NO_HOMS)
+            self._trees[key] = tree
         return tree
 
 
@@ -94,7 +104,15 @@ class NoisyOracle:
     With probability 1 - fail_prob the output is true * e^u for |u| < the
     requested precision (default eps0); with probability fail_prob it is
     pushed outside the window.  Outputs are exact Fractions.  The calls draw,
-    in call order, from one stream per oracle, `pyrng(seed, "noisy")`.
+    in call order, from one stream per oracle, `pyrng(seed, "noisy")`; a
+    zero count draws nothing.
+
+    Every answer is the memoised exact count times one factor e^u from
+    `_factors`.  `median` answers the m calls of `powered_count` with one
+    exact count and one Fraction; the sampler walks the inner ExactOracle's
+    pinning tree and perturbs a node's exact counts afresh on every visit
+    (`_perturbed`).  Both make the calls of `count`, in order, drawing the
+    same random numbers.
     """
 
     def __init__(self, eps0: float, fail_prob: float, seed: int):
@@ -112,26 +130,71 @@ class NoisyOracle:
         true = self._exact.count(inst, target)
         if true == 0:
             return Fraction(0)
+        return _times(true, self._factors(eps, 1)[0])
+
+    def median(self, inst: ListedInstance, target: Graph, eps: float, m: int) -> Fraction:
+        """The median of m calls of `count` at precision eps, as
+        `powered_count` takes it over any oracle: the same value, `calls`
+        and random numbers, from one exact count and one Fraction.  Sorting
+        the m factors e^u orders the m answers true * e^u the same way, since
+        true > 0 is a common factor, each float's `as_integer_ratio` is
+        exact, and equal floats give equal answers."""
+        self.calls += m
+        true = self._exact.count(inst, target)
+        if true == 0:
+            return Fraction(0)
+        factors = self._factors(eps, m)
+        factors.sort()
+        return _times(true, factors[m // 2])
+
+    def _perturbed(self, acc: list[int], eps) -> list[int]:
+        """One fresh answer per child of a pinning node whose exact counts
+        have prefix sums acc, as `_prefix_sums` of the answers: len(acc)
+        calls of `count`."""
+        self.calls += len(acc)
+        trues = [b - a for a, b in zip([0, *acc], acc)]
+        factors = iter(self._factors(eps, len(trues) - trues.count(0)))
+        return _prefix_sums([_times(true, next(factors)) if true else 0 for true in trues])
+
+    def _factors(self, eps, n: int) -> list[float]:
+        """The factors e^u of n answers at precision eps (eps0 when eps is
+        None, not positive or above eps0), drawn in order: per answer a
+        uniform coin against fail_prob, then a magnitude in [1.5, 2.5) times
+        the precision and a sign on a failure, else u uniform in
+        (-precision, precision) times 0.999."""
         eps_use = self.eps0 if eps is None else min(eps, self.eps0) if eps > 0 else self.eps0
-        rng = self._rng
-        if rng.random() < self.fail_prob:
-            u = (1.5 + rng.random()) * eps_use * rng.choice((-1, 1))
-        else:
-            u = rng.uniform(-eps_use, eps_use) * 0.999
-        num, den = math.exp(u).as_integer_ratio()
-        return Fraction(true * num, den)
+        rng, fail, exp = self._rng, self.fail_prob, math.exp
+        random, lo = rng.random, -eps_use
+        width = eps_use - lo
+        out = []
+        for _ in range(n):
+            if random() < fail:
+                u = (1.5 + random()) * eps_use * rng.choice((-1, 1))
+            else:
+                u = (lo + width * random()) * 0.999  # rng.uniform(lo, eps_use), inlined
+            out.append(exp(u))
+        return out
+
+
+def _times(true: int, factor: float) -> Fraction:
+    """true * factor, exactly."""
+    num, den = factor.as_integer_ratio()
+    return Fraction(true * num, den)
 
 
 def powered_count(oracle, inst: ListedInstance, target: Graph, eps: float, delta: float):
     """Boost a quarter-failure oracle to failure probability delta by taking
-    the median of independent calls at precision eps.  An ExactOracle is
-    asked once."""
+    the median of m = ceil(72 ln(1/delta)) independent calls at precision
+    eps.  An ExactOracle is asked once, and a NoisyOracle answers the m
+    calls at once (`NoisyOracle.median`)."""
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise ValueError("eps and delta must lie in (0, 1)")
     if delta >= 0.25 or type(oracle) is ExactOracle:
         # a deterministic oracle's median of identical answers is its one answer
         return oracle.count(inst, target, eps)
     m = math.ceil(POWERING_TRIALS_PER_LOG * math.log(1 / delta))
+    if type(oracle) is NoisyOracle:
+        return oracle.median(inst, target, eps, m)
     # float() of a Fraction is correctly rounded, so monotone: the float
     # orders all but near-ties, and the exact value breaks those
     vals = [oracle.count(inst, target, eps) for _ in range(m)]
@@ -158,22 +221,30 @@ def _prefix_sums(weights) -> list[int]:
 
 def _draw(rng, acc: list[int]) -> int:
     """Exact categorical draw: index i with probability proportional to
-    acc[i] - acc[i - 1].  One `randrange` over the total; a zero weight is
-    never drawn."""
+    acc[i] - acc[i - 1].  r is drawn below the total as
+    `random.Random.randrange` draws it, from `getrandbits` of the total's
+    bit length until it falls below, so it uses the same random numbers
+    without randrange's Python layers; a zero weight is never drawn."""
     if not acc or acc[-1] <= 0:
         raise ValueError("all weights vanish")
-    return bisect_right(acc, rng.randrange(acc[-1]))
+    total = acc[-1]
+    k = total.bit_length()
+    r = rng.getrandbits(k)
+    while r >= total:
+        r = rng.getrandbits(k)
+    return bisect_right(acc, r)
 
 
 # candidates `sample_hom` draws before it gives up
 MAX_RESAMPLES = 100
+_NO_HOMS = "instance has no homomorphisms (oracle count is zero)"
 
 
 class _PinNode:
     """A node of a pinning tree: its instance, the prefix sums of its
-    children's counts (built on the first visit), the children drawn so far
-    (None where a child was never drawn), and at a leaf the assignment,
-    stored once it has passed the edge check."""
+    children's exact counts (in an ExactOracle's tree, from the first visit
+    on), its children (None where a child was never pinned), and at a leaf
+    the assignment, stored once it has passed the edge check."""
 
     __slots__ = ("inst", "acc", "kids", "tau")
 
@@ -186,61 +257,57 @@ class _PinNode:
 
 class _PinTree:
     """Self-reducible sampling of one instance: depth d pins the d-th
-    multi-valued vertex, each value weighted by its oracle count.
+    multi-valued vertex, each value weighted by a count of the instance
+    pinned to it.
 
-    With keep=True (an ExactOracle's tree) the nodes persist across draws,
-    and a node's children's counts come from one split sweep of the kernel
-    (`exact._pin_counts`) on its first visit, the root's in the
-    constructor; the sweep adds one to the oracle's `calls`.  Otherwise
-    every attempt starts from a fresh root and asks the oracle once per
-    child, which makes exactly the calls of the plain walk, in the same
-    order."""
+    The tree keeps its structure: its nodes and their pinned instances
+    persist across draws.  An ExactOracle's tree (owner) also keeps the
+    exact counts: a node's prefix sums come from one split sweep of the
+    kernel (`exact._pin_counts`) on its first visit, which adds one to the
+    owner's `calls`, and the node pins only the children drawn from it.  A
+    NoisyOracle walks its inner ExactOracle's tree and perturbs those counts
+    afresh on every visit.  Any other oracle gets a tree with no owner, kept
+    for one `sample_hom` call or one coverage run, whose nodes pin every
+    child on their first visit and ask the oracle for each child's count on
+    every visit: the calls of a walk from a fresh root, in the same order."""
 
-    __slots__ = ("target", "eps", "keep", "choices", "edges", "root")
+    __slots__ = ("owner", "target", "choices", "edges", "root")
 
-    def __init__(self, oracle, inst: ListedInstance, target: Graph, eps, keep: bool):
+    def __init__(self, owner, inst: ListedInstance, target: Graph):
+        self.owner = owner
         self.target = target
-        self.eps = eps
-        self.keep = keep
         self.choices = [(v, sorted(sv)) for v, sv in inst.lists.items() if len(sv) > 1]
         self.edges = inst.pattern.non_loop_edges()
-        self.root = root = _PinNode(inst)
-        if keep and self.choices:
-            self._split(oracle, root, *self.choices[0])
-            total = root.acc[-1]
-        else:
-            total = oracle.count(inst, target, eps)
-        if total <= 0:
-            raise ValueError("instance has no homomorphisms (oracle count is zero)")
+        self.root = _PinNode(inst)
 
-    def _split(self, oracle, node: _PinNode, v: str, values: list[str]) -> None:
-        """Fill a kept node's prefix sums from one sweep over its vertex v."""
-        oracle.calls += 1
-        node.acc = _prefix_sums(_pin_counts(node.inst, self.target, v))
-        node.kids = [None] * len(values)
+    def split(self, node: _PinNode, v: str, values: list[str]) -> list[int]:
+        """node's exact prefix sums, filled on its first visit from one
+        sweep over its vertex v."""
+        if node.acc is None:
+            self.owner.calls += 1
+            node.acc = _prefix_sums(_pin_counts(node.inst, self.target, v))
+            node.kids = [None] * len(values)
+        return node.acc
 
-    def draw(self, oracle, rng) -> _PinNode:
+    def draw(self, rng, weigh=None) -> _PinNode:
         """A leaf whose assignment is a homomorphism, drawn by walking from
-        the root; raises ValueError after MAX_RESAMPLES failed attempts."""
-        target, eps = self.target, self.eps
+        the root, each node's children weighted by the prefix sums
+        weigh(self, node, v, values), by default the exact ones (`split`);
+        raises ValueError after MAX_RESAMPLES failed attempts."""
+        target = self.target
         for _ in range(MAX_RESAMPLES):
-            node = self.root if self.keep else _PinNode(self.root.inst)
+            node = self.root
             for v, values in self.choices:
-                pins = None
-                if node.acc is None:
-                    if self.keep:
-                        self._split(oracle, node, v, values)
-                    else:
-                        pins = [node.inst.pin(v, s) for s in values]
-                        node.acc = _prefix_sums([oracle.count(p, target, eps) for p in pins])
-                        node.kids = [None] * len(values)
-                if node.acc[-1] <= 0:
+                if weigh is None:
+                    acc = node.acc or self.split(node, v, values)
+                else:
+                    acc = weigh(self, node, v, values)
+                if acc[-1] <= 0:
                     break  # a dead end: resample
-                i = _draw(rng, node.acc)
+                i = _draw(rng, acc)
                 kid = node.kids[i]
                 if kid is None:
-                    # a kept node pins only the children drawn from it
-                    kid = node.kids[i] = _PinNode(pins[i] if pins else node.inst.pin(v, values[i]))
+                    kid = node.kids[i] = _PinNode(node.inst.pin(v, values[i]))
                 node = kid
             else:
                 if node.tau is None:
@@ -250,6 +317,46 @@ class _PinTree:
                     node.tau = tau
                 return node
         raise ValueError(f"no homomorphism found after {MAX_RESAMPLES} resamples")
+
+
+def _walk(oracle, target: Graph, eps):
+    """The pinning walk over an oracle's answers at precision eps, as
+    (tree_of, ask, weigh): tree_of(inst) is the pinning tree of inst,
+    ask(tree) asks the oracle for the count of the tree's instance once per
+    draw, as a walk from a fresh root does (None for an ExactOracle, whose
+    counts do not vary), and weigh is `_PinTree.draw`'s."""
+    if type(oracle) is ExactOracle:
+        return (lambda inst: oracle.pin_tree(inst, target)), None, None
+    if type(oracle) is NoisyOracle:
+        inner = oracle._exact
+
+        def tree_of(inst):
+            try:
+                return inner.pin_tree(inst, target)
+            except ValueError:
+                oracle.calls += 1  # the ask that finds the count zero
+                raise
+
+        def ask(tree):
+            # the tree exists, so the count is positive and draws a factor
+            oracle.calls += 1
+            oracle._factors(eps, 1)
+
+        def weigh(tree, node, v, values):
+            return oracle._perturbed(node.acc or tree.split(node, v, values), eps)
+
+        return tree_of, ask, weigh
+
+    def ask(tree):
+        if oracle.count(tree.root.inst, target, eps) <= 0:
+            raise ValueError(_NO_HOMS)
+
+    def weigh(tree, node, v, values):
+        if node.kids is None:
+            node.kids = [_PinNode(node.inst.pin(v, s)) for s in values]
+        return _prefix_sums([oracle.count(kid.inst, target, eps) for kid in node.kids])
+
+    return (lambda inst: _PinTree(None, inst, target)), ask, weigh
 
 
 def sample_hom(
@@ -262,32 +369,34 @@ def sample_hom(
 ):
     """One homomorphism of (G, S), sampled by sequentially pinning each
     multi-valued vertex with probability proportional to oracle counts.
-    Draws from `rng`, or from a stream derived from `seed` (default 0);
-    giving both raises ValueError.  Returns a new dict.
+    Draws from `rng`, a `random.Random`, or from a stream derived from
+    `seed` (default 0); giving both raises ValueError.  Returns a new dict.
 
     With an exact oracle the output is exactly uniform.  The fully pinned
     candidate is verified to be a homomorphism and resampled on failure
     (rejection correction for noisy oracles).
 
-    A draw costs one `randrange` per multi-valued vertex.  With an
-    ExactOracle it walks the oracle's pinning tree of the instance, so it
-    does kernel work only at nodes no earlier draw reached: a node's first
-    visit weighs every value of its vertex with one split sweep of the
+    A draw uses one categorical draw (`_draw`) per multi-valued vertex.
+    With an ExactOracle it walks the oracle's pinning tree of the instance,
+    so it does kernel work only at nodes no earlier draw reached: a node's
+    first visit weighs every value of its vertex with one split sweep of the
     kernel (one unit of the oracle's `calls`) and pins only the value it
     draws, and later draws reuse the node's prefix sums.  Any other oracle
     is asked once for the instance per call and once per (multi-valued
     vertex, value) per attempt, since its answers may vary from call to
-    call.
+    call; a NoisyOracle answers from the exact counts on its inner
+    ExactOracle's tree (see `_PinTree`).
     """
     if rng is not None and seed is not None:
         raise ValueError("give sample_hom a seed or an rng, not both")
     if rng is None:
         rng = pyrng(seed if seed is not None else 0, "sample-hom")
     if type(oracle) is ExactOracle:
-        tree = oracle.pin_tree(inst, target)
-    else:
-        tree = _PinTree(oracle, inst, target, eps, keep=False)
-    return dict(tree.draw(oracle, rng).tau)
+        return dict(oracle.pin_tree(inst, target).draw(rng).tau)
+    tree_of, ask, weigh = _walk(oracle, target, eps)
+    tree = tree_of(inst)
+    ask(tree)
+    return dict(tree.draw(rng, weigh).tau)
 
 
 # -- the coverage estimator ---------------------------------------------------
@@ -401,13 +510,14 @@ def coverage_mc(
     compaction (comp) count; `omegas` is then ().  force_jvv runs the
     literal per-sample walk instead, which is also what every oracle other
     than an ExactOracle gets: it lists the witnesses with `enumerate_T` and
-    weighs each by `powered_count`.  With an ExactOracle that walk is one
-    loop over the m draws from the oracle's pinning trees (see
-    `sample_hom`): it looks up each witness's tree once per run and decides
-    the first-occurrence verdict once per (witness index, leaf); a witness
-    whose pinned instance has one leaf (no multi-valued vertex) draws no
-    random number past its branch, so its verdict is decided once per run.
-    Other oracles get one `sample_hom` call per draw.
+    weighs each by `powered_count`.  That walk is one loop over the m draws
+    from the pinning trees of `sample_hom` (see `_PinTree`): it looks up
+    each witness's tree once per run and decides the first-occurrence
+    verdict once per (witness index, leaf); a witness whose pinned instance
+    has one leaf (no multi-valued vertex) draws no random number past its
+    branch, so its verdict is decided once per run.  An oracle other than an
+    ExactOracle is still asked, per draw, the calls of one `sample_hom`
+    call, in the same order.
     """
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -445,36 +555,37 @@ def coverage_mc(
         rng = pyrng(seed, "coverage-jvv", mode)
         sample_eps = eps1 / (2 * len(target.vertices) ** len(inst.pattern.vertices))
         acc = _prefix_sums(omegas)
-        if type(oracle) is ExactOracle:
-            # per-run state, by witness index: its tree, looked up on its first
-            # draw, and the verdict of its one leaf if it has no choice to make
-            # (its walk draws no random number); the verdict of a (witness
-            # index, leaf) of a larger tree is decided once.  Two witnesses
-            # may pin to the same instance, hence the same leaves.
-            randrange, total = rng.randrange, acc[-1]
-            trees: list = [None] * t
-            fixed: list = [None] * t
-            verdicts: dict = {}
-            x_total = 0
-            for _ in range(m):
-                i = bisect_right(acc, randrange(total))
-                tree = trees[i]
-                if tree is None:
-                    tree = trees[i] = oracle.pin_tree(pinned[i], target)
-                    if not tree.choices:
-                        fixed[i] = _first_occurrence(ts, i, tree.draw(oracle, rng).tau)
-                verdict = fixed[i]
+        tree_of, ask, weigh = _walk(oracle, target, sample_eps)
+        # per-run state, by witness index: its tree, looked up on its first
+        # draw, and the verdict of its one leaf if it has no choice to make
+        # (its walk draws no random number); the verdict of a (witness
+        # index, leaf) of a larger tree is decided once.  Two witnesses may
+        # pin to the same instance, hence the same leaves.
+        getrandbits, total = rng.getrandbits, acc[-1]
+        k = total.bit_length()
+        trees: list = [None] * t
+        fixed: list = [None] * t
+        verdicts: dict = {}
+        x_total = 0
+        for _ in range(m):
+            r = getrandbits(k)  # _draw(rng, acc), inlined
+            while r >= total:
+                r = getrandbits(k)
+            i = bisect_right(acc, r)
+            tree = trees[i]
+            if tree is None:
+                tree = trees[i] = tree_of(pinned[i])
+            if ask is not None:
+                ask(tree)
+            verdict = fixed[i]
+            if verdict is None:
+                leaf = tree.draw(rng, weigh)
+                verdict = verdicts.get((i, leaf))
                 if verdict is None:
-                    leaf = tree.draw(oracle, rng)
-                    verdict = verdicts.get((i, leaf))
-                    if verdict is None:
-                        verdict = verdicts[i, leaf] = _first_occurrence(ts, i, leaf.tau)
-                x_total += verdict
-        else:
-            x_total = 0
-            for _ in range(m):
-                i = _draw(rng, acc)
-                x_total += _first_occurrence(ts, i, sample_hom(oracle, pinned[i], target, sample_eps, rng=rng))
+                    verdict = verdicts[i, leaf] = _first_occurrence(ts, i, leaf.tau)
+                    if not tree.choices:
+                        fixed[i] = verdict
+            x_total += verdict
         sampler = "jvv"
     y = Fraction(omega) * x_total / m
     return CoverageRun(mode, t, omegas, omega, m, x_total, y, seed, eps, delta, sampler)

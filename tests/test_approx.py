@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import statistics
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -393,6 +394,90 @@ def test_powered_count_noisy_statistics(verify_results):
     assert res.passed, res.detail
 
 
+def test_powered_count_check_can_fail(verify_results, monkeypatch):
+    assert verify_results["approx/powered-count"].passed
+    # powering with one trial: a quarter of the answers fall outside
+    monkeypatch.setattr(approx, "POWERING_TRIALS_PER_LOG", 0.1)
+    assert not verify.check_powered_count().passed
+    monkeypatch.undo()
+
+    # the smallest of the m answers instead of their median
+    def smallest(oracle, inst, target, eps, m):
+        oracle.calls += m
+        return oracle._exact.count(inst, target) * Fraction(min(oracle._factors(eps, m)))
+
+    monkeypatch.setattr(approx.NoisyOracle, "median", smallest)
+    result = verify.check_powered_count()
+    assert not result.passed and "failures" in result.detail
+
+
+class _PerCall:
+    """An oracle with only count(), answering through a NoisyOracle's count,
+    so that powering and sampling take the per-call route."""
+
+    def __init__(self, noisy):
+        self.noisy = noisy
+
+    def count(self, inst, target, eps=None):
+        return self.noisy.count(inst, target, eps)
+
+
+def _noisy_twins(fail_prob, seed):
+    """Two NoisyOracles on the same stream: one as it is, one behind _PerCall."""
+    return approx.NoisyOracle(0.1, fail_prob, seed), _PerCall(approx.NoisyOracle(0.1, fail_prob, seed))
+
+
+def _same_state(a, b):
+    return a.calls == b.noisy.calls and a._rng.getstate() == b.noisy._rng.getstate()
+
+
+@pytest.mark.parametrize("fail_prob", [0, 0.25, 0.9])
+def test_batched_noisy_median_matches_per_call_route(fail_prob):
+    tw = build_two_wrench()
+    cases = [
+        (ListedInstance.full(build_path(3), K2), K2),
+        (ListedInstance.full(build_cycle(3), K2), K2),  # no homomorphism: Fraction(0), no draw
+        (ListedInstance.full(build_path(4), tw), tw),
+    ]
+    for eps in (0.05, 0.3):  # below and above eps0 = 0.1
+        for delta in (0.2499, 1e-3):  # m = 100 and m = 498
+            for k, (inst, target) in enumerate(cases):
+                a, b = _noisy_twins(fail_prob, k)
+                for _ in range(3):
+                    got = approx.powered_count(a, inst, target, eps, delta)
+                    assert type(got) is Fraction
+                    assert got == approx.powered_count(b, inst, target, eps, delta), (eps, delta, k)
+                    assert _same_state(a, b)
+                assert (got == 0) == (k == 1)
+
+
+def test_noisy_sampler_matches_per_call_route():
+    tw = build_two_wrench()
+    r = random.Random(5)
+    g = build_path(4)
+    for k in range(12):
+        # random lists, so some values weigh zero and some nodes are dead ends
+        inst = ListedInstance(g, _random_lists(r, g, tw, retraction=False), tw.vertices)
+        a, b = _noisy_twins(0.25, k)
+        if exact.count_list_hom(inst, tw) == 0:
+            for oracle in (a, b):
+                with pytest.raises(ValueError, match="no homomorphisms"):
+                    approx.sample_hom(oracle, inst, tw, 0.05, rng=pyrng("noisy-walk", k))
+            assert _same_state(a, b)
+            continue
+        draws = [_owned_draws(oracle, inst, tw, pyrng("noisy-walk", k), 20) for oracle in (a, b)]
+        assert draws[0] == draws[1], k
+        assert _same_state(a, b)
+    for g, target, mode, seed in ((K2, K2, "sur", 1), (build_path(3), K2, "comp", 2)):
+        a, b = _noisy_twins(0.25, seed)
+        runs = [
+            approx.coverage_mc(ListedInstance.full(g, target), target, mode, 0.9, 0.9, oracle, seed)
+            for oracle in (a, b)
+        ]
+        assert (runs[0].omegas, runs[0].x_total, runs[0].y) == (runs[1].omegas, runs[1].x_total, runs[1].y)
+        assert _same_state(a, b)
+
+
 def test_padding_identities():
     tw = build_two_wrench()
     inst = ListedInstance.full(K2, tw)
@@ -525,6 +610,17 @@ def test_prefix_sum_draw_matches_linear_scan(weights, seed):
     assert a.random() == b.random()  # the same random numbers consumed
 
 
+@pytest.mark.parametrize(
+    "total", [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 2**64 - 1, 2**64, 2**64 + 1, 3**50]
+)
+def test_draw_consumes_the_randrange_stream(total):
+    acc = sorted({total // 3, total // 2, total})
+    a, b = random.Random(total), random.Random(total)
+    for _ in range(200):
+        assert approx._draw(a, acc) == bisect_right(acc, b.randrange(acc[-1]))
+    assert a.getstate() == b.getstate()
+
+
 def test_draw_rejects_vanishing_weights():
     for weights in ([], [0], [0, Fraction(0)]):
         with pytest.raises(ValueError, match="all weights vanish"):
@@ -533,7 +629,8 @@ def test_draw_rejects_vanishing_weights():
 
 class _FreshRootExact:
     """Exact counts from an oracle that is not an ExactOracle, so sample_hom
-    walks a fresh pinning root on every attempt, as the plain walk does."""
+    asks it every count of a walk from a fresh root on every attempt, as
+    the plain walk does."""
 
     def __init__(self):
         self._memo = {}
@@ -561,6 +658,48 @@ def _random_lists(r, g, target, retraction):
     if retraction:
         return {v: frozenset((r.choice(tv),)) for v in g.vertices if r.random() < 0.3}
     return {v: frozenset(r.sample(tv, r.randint(1, len(tv)))) for v in g.vertices}
+
+
+class _Recorder:
+    """An oracle with only count(): exact counts, each call recorded as (the
+    lists of the instance, a vertex's list written * when it is the whole
+    target, eps)."""
+
+    def __init__(self):
+        self.seen = []
+        self._memo = {}
+
+    def count(self, inst, target, eps=None):
+        lists = " ".join("*" if len(s) == len(target) else "|".join(sorted(s)) for s in inst.lists.values())
+        self.seen.append((lists, eps))
+        if lists not in self._memo:
+            self._memo[lists] = exact.count_list_hom(inst, target)
+        return self._memo[lists]
+
+
+def test_a_third_party_oracle_sees_the_same_calls():
+    # recorded before the pinning trees of non-exact oracles kept their nodes
+    tw = build_two_wrench()
+    oracle, rng = _Recorder(), pyrng("recorded-calls")
+    for _ in range(2):
+        approx.sample_hom(oracle, ListedInstance.full(build_path(3), tw), tw, 0.05, rng=rng)
+    assert {eps for _, eps in oracle.seen} == {0.05}
+    assert [lists for lists, _ in oracle.seen] == [
+        "* * *", "b * *", "g * *", "r1 * *", "r2 * *",
+        "r1 b *", "r1 g *", "r1 r1 *", "r1 r2 *", "r1 b b", "r1 b g", "r1 b r1", "r1 b r2",
+        "* * *", "b * *", "g * *", "r1 * *", "r2 * *",
+        "b b *", "b g *", "b r1 *", "b r2 *", "b b b", "b b g", "b b r1", "b b r2",
+    ]
+    # powering asks each witness's instance at eps', then every draw asks the
+    # calls of one sample_hom call at the sampling precision
+    for g, mode, want in (
+        (K2, "sur", (3183, 3183, 3399, "aa105936e78e9f98")),
+        (build_path(3), "comp", (9547, 3208, 23481, "dddc569b0acb0b62")),
+    ):
+        oracle = _Recorder()
+        run = approx.coverage_mc(ListedInstance.full(g, K2), K2, mode, 0.9, 0.9, oracle, seed=2)
+        digest = hashlib.sha256(repr(oracle.seen).encode()).hexdigest()[:16]
+        assert (run.m, run.x_total, len(oracle.seen), digest) == want, mode
 
 
 def test_pinning_tree_matches_fresh_root_walk():
