@@ -25,7 +25,6 @@ from .exact import (
 )
 from .classifier import (
     Verdict,
-    check_kelk_condition,
     classify,
     has_induced_J3,
     is_caterpillar,

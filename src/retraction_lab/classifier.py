@@ -348,41 +348,6 @@ def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
     return out
 
 
-KELK_BOUND = 12  # check_kelk_condition walks every vertex subset
-
-
-def check_kelk_condition(h: Graph) -> bool:
-    """The biclique-pair condition: F(H) is a proper non-empty subset of
-    V(H) and every cross-complete pair (S, T) has S = F, T = F or
-    |S||T| < |F||V|.
-    """
-    n = len(h)
-    if n > KELK_BOUND:
-        raise ValueError(f"check_kelk_condition is exponential; {n} > bound {KELK_BOUND}")
-    full = (1 << n) - 1
-    adj = [h._adj[i] for i in range(n)]
-    fmask = 0
-    for i in range(n):
-        if adj[i] == full:
-            fmask |= 1 << i
-    if fmask == 0 or fmask == full:
-        return False
-    fv = fmask.bit_count() * n
-    for tmask in range(full + 1):
-        if tmask == fmask:
-            continue
-        m = full
-        t = tmask
-        while t:
-            low = t & -t
-            m &= adj[low.bit_length() - 1]
-            t ^= low
-        cap = m.bit_count() - (1 if m == fmask else 0)
-        if cap * tmask.bit_count() >= fv:
-            return False
-    return True
-
-
 # -- cycle witnesses ----------------------------------------------------------
 
 

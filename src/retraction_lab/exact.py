@@ -32,8 +32,10 @@ A split count (`_pin_counts`, the exact sampler's pinning step) runs the
 same sweep from one state per value t of a chosen vertex and keeps every
 number of partial maps as one int with a field per value, so one sweep
 returns the count of the instance pinned to each value.
-Enumeration backtracks most-constrained-first with lexicographic tie-break,
-and prunes on the same coverage state as counting.  Both are
+Enumeration backtracks on the same packed int, with the same child step
+and borrow test (an assigned vertex's field is left as it is and no longer
+read), branching most-constrained-first (fewest values, then the lowest
+index), and prunes on the same coverage state as counting.  Both are
 deterministic.  Enumeration recurses once per vertex it branches on, so one
 deeper than Python's recursion limit raises ValueError; the library lists
 only small patterns.  Each mode has this one route; the second
@@ -71,12 +73,13 @@ class _Search:
     vertex's domain (see `_search`).
 
     A search state holds the unassigned vertices' domain masks,
-    forward-checked against every assigned neighbor; assigned and peeled
-    vertices get domain 0, so the domains alone fix the residual
-    subproblem.  `count` sweeps a fixed order (see `_order`), packs a
-    state's domains into one int of (k + 1)-bit fields, field v for pattern
-    vertex v, and merges the partial maps that reach equal ints;
-    `assignments` keeps them as a list and branches most-constrained-first.
+    forward-checked against every assigned neighbor, packed into one int of
+    (k + 1)-bit fields, field v for pattern vertex v; the constructor builds
+    that layout once for `count` and `assignments` both.  `count` sweeps a
+    fixed order (see `_order`), clears assigned and peeled vertices' fields,
+    so the int alone fixes the residual subproblem, and merges the partial
+    maps that reach equal ints; `assignments` backtracks on the int and
+    branches most-constrained-first.
 
     `weights` (default all 1) makes vertex v stand for weights[v]
     independent copies of itself: once peeled it contributes
@@ -86,8 +89,8 @@ class _Search:
     """
 
     def __init__(self, out, inn, domains: list[int], tout, tin, weights: list[int] | None = None):
-        self.out, self.inn, self.tout, self.tin = out, inn, tout, tin
-        self.adj = out if inn is out else [a | b for a, b in zip(out, inn)]
+        self.digraph = inn is not out
+        self.adj = [a | b for a, b in zip(out, inn)] if self.digraph else out
         self.domains = domains
         self.weights = weights
         self.heavy = 0
@@ -97,6 +100,30 @@ class _Search:
         # no coverage goal until `cover` sets one
         self.full_v = self.ebit = self.vbit = self.top = None
         self.full_e = 0
+        # the packed layout: field v, w = k + 1 bits, holds pattern vertex
+        # v's domain; low_out[v] (low_in[v]) is bit 0 of the field of each
+        # out- (in-) neighbor of v, off_out[t] (off_in[t]) the values not in
+        # t's out- (in-) neighborhood
+        k = len(tout)
+        self.w, self.vmask = w, vmask = k + 1, (1 << k) - 1
+        lows = []
+        for masks in (out, inn) if self.digraph else (out,):
+            row = []
+            for m in masks:
+                lo = 0
+                while m:
+                    b = m & -m
+                    lo |= 1 << (b.bit_length() - 1) * w
+                    m ^= b
+                row.append(lo)
+            lows.append(row)
+        self.low_out, self.low_in = lows[0], lows[-1]
+        self.off_out = [vmask & ~a for a in tout]
+        self.off_in = [vmask & ~a for a in tin] if self.digraph else self.off_out
+        x = 0
+        for v, d in enumerate(domains):
+            x |= d << v * w
+        self.packed = x
 
     def cover(
         self,
@@ -114,7 +141,7 @@ class _Search:
         `top`, at most `top` pattern vertices take a covering value."""
         self.full_v = full_v
         self.ebit = ebit
-        self.vbit = vbit if vbit is not None else [1 << t for t in range(len(self.tout))]
+        self.vbit = vbit if vbit is not None else [1 << t for t in range(self.w - 1)]
         self.top = top
         self.full_e = 0
         for row in ebit or ():
@@ -147,34 +174,12 @@ class _Search:
         if any(d == 0 for d in self.domains):
             return 0
         full_v, full_e, ebit, vbit = self.full_v, self.full_e, self.ebit, self.vbit
-        n, k = len(self.domains), len(self.tout)
-        w, vmask = k + 1, (1 << k) - 1
+        n, k, w, vmask = len(self.domains), self.w - 1, self.w, self.vmask
         # a cap no assignment can reach stays out of the search and its keys
         cap = self.top if self.top is not None and self.top < n else None
         order = self._order(split)
-        # field v of a state holds pattern vertex v's domain: low_out[v]
-        # (low_in[v]) is bit 0 of the field of each out- (in-) neighbor of v,
-        # off_out[t] (off_in[t]) the values not in t's out- (in-) neighborhood
-        digraph = self.inn is not self.out
-        adj = self.adj
-        lows = []
-        for masks in (self.out, self.inn) if digraph else (self.out,):
-            row = []
-            for m in masks:
-                lo = 0
-                while m:
-                    b = m & -m
-                    lo |= 1 << (b.bit_length() - 1) * w
-                    m ^= b
-                row.append(lo)
-            lows.append(row)
-        low_out, low_in = lows[0], lows[-1]
-        off_out = [vmask & ~a for a in self.tout]
-        off_in = [vmask & ~a for a in self.tin] if digraph else off_out
-        cw = self.weights
-        x = 0
-        for v, d in enumerate(self.domains):
-            x |= d << v * w
+        digraph, adj, cw, x = self.digraph, self.adj, self.weights, self.packed
+        low_out, low_in, off_out, off_in = self.low_out, self.low_in, self.off_out, self.off_in
         # bit 0 of every field of an unassigned, unpeeled vertex
         low_rest = ((1 << n * w) - 1) // ((1 << w) - 1)
         # state -> number of partial maps; covering, (state, covered vertices,
@@ -340,42 +345,20 @@ class _Search:
             order.extend(_bits(comp & heavy))
         return order
 
-    def _extend(self, v: int, rest: int, doms: list[int]) -> list[tuple[int, list[int]]]:
-        """(t, doms') for each value t of v that leaves every active neighbor
-        of v a non-empty domain; doms' is forward-checked, with v's entry 0.
-        Out-neighbors must land in t's out-neighborhood, in-neighbors in its
-        in-neighborhood; with symmetric masks the first check is the whole
-        check, so the undirected loop stays as tight as it can be."""
-        out, inn = self.out, self.inn
-        succ = list(_bits(out[v] & rest))
-        pred = None if inn is out else list(_bits(inn[v] & rest))
-        tout = self.tout
-        res = []
-        for t in _bits(doms[v]):
-            nd = doms[:]
-            nd[v] = 0
-            ta = tout[t]
-            for u in succ:
-                x = nd[u] & ta
-                if x == 0:
-                    break
-                nd[u] = x
-            else:
-                if pred is None or _narrow(nd, pred, self.tin[t]):
-                    res.append((t, nd))
-        return res
-
     def assignments(self, keep: int | None = None) -> Iterator[tuple[int, ...]]:
         """The homomorphisms that meet the coverage goal, each as the tuple
         of its images' target indices in pattern vertex order; deterministic
         order.  With `keep`, those of the pattern induced on that vertex
         mask, with -1 for the vertices outside it."""
-        n = len(self.domains)
+        n, w = len(self.domains), self.w
         active = (1 << n) - 1 if keep is None else keep
         if any(self.domains[v] == 0 for v in _bits(active)):
             return
+        low = 0
+        for v in _bits(active):
+            low |= 1 << v * w
         try:
-            yield from self._enumerate(active, list(self.domains), [-1] * n, 0, 0, 0)
+            yield from self._enumerate(active, low, self.packed, [-1] * n, 0, 0, 0)
         except RecursionError:
             raise ValueError(
                 f"enumeration on a {n}-vertex pattern: the search recurses once per vertex it "
@@ -383,10 +366,13 @@ class _Search:
             ) from None
 
     def _enumerate(
-        self, active: int, doms: list[int], image: list[int], cov_v: int, cov_e: int, used: int
+        self, active: int, low: int, x: int, image: list[int], cov_v: int, cov_e: int, used: int
     ) -> Iterator[tuple[int, ...]]:
-        """The completions of the state that meet the goal, pruned as in
-        `count`; ``image`` holds -1 at every vertex not assigned."""
+        """The completions of packed state `x` that meet the goal, pruned as
+        in `count`; `low` is bit 0 of the field of every vertex in `active`,
+        and ``image`` holds -1 at every vertex not assigned.  The branch
+        vertex is the active one of fewest values (ties: the lowest index),
+        and its values go in ascending order."""
         full_v, top = self.full_v, self.top
         if active == 0:
             if full_v is None or cov_v == full_v and cov_e == self.full_e:
@@ -398,19 +384,36 @@ class _Search:
                 room = min(room, top - used)
             if (full_v & ~cov_v).bit_count() > room:
                 return
-        v = min(_bits(active), key=lambda i: (doms[i].bit_count(), i))
+        w, vmask = self.w, self.vmask
+        v = min(_bits(active), key=lambda i: ((x >> i * w & vmask).bit_count(), i))
         rest = active & ~(1 << v)
+        low ^= 1 << v * w
+        # the child step and borrow test of `count`
+        s_low = self.low_out[v] & low
+        p_low = self.low_in[v] & low if self.digraph else 0
+        nb_low = s_low | p_low
+        nb_high = nb_low << w - 1
+        off_out, off_in = self.off_out, self.off_in
         ebit, vbit = self.ebit, self.vbit
         assigned_nbrs = [u for u in _bits(self.adj[v]) if image[u] >= 0] if ebit else ()
-        for t, nd in self._extend(v, rest, doms):
-            b = vbit[t] if vbit else 0
-            if b and used == top:
+        d = x >> v * w & vmask
+        while d:
+            b = d & -d
+            d ^= b
+            t = b.bit_length() - 1
+            y = x & ~(s_low * off_out[t])
+            if p_low:
+                y &= ~(p_low * off_in[t])
+            if (y | nb_high) - nb_low & nb_high != nb_high:
+                continue  # a neighbor's domain emptied
+            cb = vbit[t] if vbit else 0
+            if cb and used == top:
                 continue
             ce = cov_e
             for u in assigned_nbrs:
                 ce |= ebit[image[u]][t]
             image[v] = t
-            yield from self._enumerate(rest, nd, image, cov_v | b, ce, used + (b != 0))
+            yield from self._enumerate(rest, low, y, image, cov_v | cb, ce, used + (cb != 0))
         image[v] = -1
 
 
@@ -419,16 +422,6 @@ def _split_bits(domains: list[int]) -> int:
     bit length of the product of the domain sizes, which bounds every
     number of partial maps of the sweep."""
     return 1 + sum(d.bit_count().bit_length() for d in domains)
-
-
-def _narrow(doms: list[int], nbrs: list[int], mask: int) -> bool:
-    """Intersect the domains of `nbrs` with `mask`; False if one empties."""
-    for u in nbrs:
-        x = doms[u] & mask
-        if x == 0:
-            return False
-        doms[u] = x
-    return True
 
 
 def _domains(vertices, lists: dict[str, frozenset[str]], tindex: dict[str, int]) -> list[int]:

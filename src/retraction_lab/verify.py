@@ -1109,37 +1109,6 @@ def check_sat_witnesses() -> str:
     return f"{seen_sat} SAT components examined"
 
 
-def _kelk_bruteforce(h: Graph) -> bool:
-    n = len(h)
-    universal = frozenset(v for v in h.vertices if h.neighbors(v) == frozenset(h.vertices))
-    if not universal or universal == frozenset(h.vertices):
-        return False
-    fv = len(universal) * n
-    subsets = []
-    for r in range(n + 1):
-        subsets += [frozenset(c) for c in combinations(h.vertices, r)]
-    for s in subsets:
-        for t in subsets:
-            if all(h.has_edge(a, b) for a in s for b in t):
-                if s != universal and t != universal and len(s) * len(t) >= fv:
-                    return False
-    return True
-
-
-@_check("classify", "kelk-crosscheck")
-def check_kelk() -> str:
-    cases = 80
-    for i in range(cases):
-        h = random_target(("kelk", i), max_n=5)
-        if classify.check_kelk_condition(h) != _kelk_bruteforce(h):
-            raise _Failed(f"case {i}")
-    if not classify.check_kelk_condition(build_wr(4)):
-        raise _Failed("WR4")
-    if classify.check_kelk_condition(build_wr(3)):
-        raise _Failed("WR3")
-    return f"{cases} cases + WR3/WR4"
-
-
 @_check("classify", "component-order")
 def check_component_order() -> None:
     rows = classifier_fixture_rows()

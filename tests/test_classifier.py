@@ -90,18 +90,6 @@ def test_distance2_labeling_on_hk():
     assert cl.distance2_labeling(hk, "r1") is None
 
 
-def test_kelk_condition():
-    assert not cl.check_kelk_condition(Graph("ab", [("a", "b")]))
-    assert cl.check_kelk_condition(build_wr(4))
-    assert not cl.check_kelk_condition(build_wr(3))
-    refl_k3 = Graph(
-        [], [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("a", "c")]
-    )
-    assert not cl.check_kelk_condition(refl_k3)
-    with pytest.raises(ValueError):
-        cl.check_kelk_condition(build_wr(13))
-
-
 def test_classify_fixture_rows():
     from retraction_lab.verify import classifier_fixture_rows
 

@@ -15,3 +15,61 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(node: ast.AST) -> list[str]:
+    """The names `node` reads: a bare name, an attribute or an imported name."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_every_private_definition_is_used():
+    """A module-private function or class, or a private method, that nothing
+    in the library names outside its own body is dead code."""
+    modules = _modules()
+    defs = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            inner = node.body if isinstance(node, ast.ClassDef) else ()
+            for d in (node, *inner):
+                if not isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                if d.name.startswith("_") and not d.name.endswith("__"):
+                    defs.append((name, d))
+    used: dict[str, list[ast.AST]] = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            for n in _names(node):
+                used.setdefault(n, []).append(node)
+    dead = []
+    for name, d in defs:
+        own = {id(node) for node in ast.walk(d)}
+        if not any(id(node) not in own for node in used.get(d.name, ())):
+            dead.append(f"{name}:{d.lineno} {d.name}")
+    assert not dead, dead
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {n}" for n, line in bound.items() if n not in read]
+    assert not unused, unused
