@@ -373,8 +373,11 @@ def sample_hom(
     `seed` (default 0); giving both raises ValueError.  Returns a new dict.
 
     With an exact oracle the output is exactly uniform.  The fully pinned
-    candidate is verified to be a homomorphism and resampled on failure
-    (rejection correction for noisy oracles).
+    candidate is verified to be a homomorphism and resampled on failure, as
+    is a walk that reaches a node whose values all weigh 0 (ValueError after
+    MAX_RESAMPLES attempts).  An ExactOracle or a NoisyOracle weighs an
+    instance with no homomorphism 0, so neither happens with them; only
+    another oracle, whose count may be positive there, needs the rejection.
 
     A draw uses one categorical draw (`_draw`) per multi-valued vertex.
     With an ExactOracle it walks the oracle's pinning tree of the instance,

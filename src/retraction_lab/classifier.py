@@ -351,12 +351,14 @@ def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
 # -- cycle witnesses ----------------------------------------------------------
 
 
-def _find_odd_cycle(h: Graph) -> tuple[str, ...] | None:
-    """Vertex set of an odd closed walk's cycle (loops ignored), via BFS
-    2-coloring: a same-color edge closes an odd cycle through the two
-    ancestries cut at their meeting point."""
+def _cycle_witness(h: Graph) -> tuple[str, tuple[str, ...]] | None:
+    """An odd cycle's witness if h has an odd cycle, else an even cycle's,
+    else None; the vertex set of a cycle (loops ignored) closed by a
+    non-tree edge of a BFS 2-coloring through the two ancestries cut at
+    their meeting point, odd when the edge's ends share a color."""
     color: dict[str, int] = {}
     parent: dict[str, str | None] = {}
+    even = None
     for root in h.vertices:
         if root in color:
             continue
@@ -370,7 +372,7 @@ def _find_odd_cycle(h: Graph) -> tuple[str, ...] | None:
                     color[w] = 1 - color[u]
                     parent[w] = u
                     queue.append(w)
-                elif color[w] == color[u]:
+                elif color[w] == color[u] or even is None and w != parent[u]:
                     anc_u = [u]
                     while parent[anc_u[-1]] is not None:
                         anc_u.append(parent[anc_u[-1]])
@@ -381,36 +383,11 @@ def _find_odd_cycle(h: Graph) -> tuple[str, ...] | None:
                     lca = next(x for x in anc_w if x in set_u)
                     path_u = anc_u[: anc_u.index(lca) + 1]
                     path_w = anc_w[: anc_w.index(lca)]
-                    return tuple(sorted(set(path_u) | set(path_w)))
-    return None
-
-
-def _find_any_cycle(h: Graph) -> tuple[str, ...] | None:
-    """Vertex set of some simple cycle (loops ignored), via DFS back edge."""
-    parent: dict[str, str | None] = {}
-    for root in h.vertices:
-        if root in parent:
-            continue
-        parent[root] = None
-        stack = [(root, iter(sorted(h.neighbors(root) - {root})))]
-        onpath = [root]
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in parent:
-                    parent[w] = u
-                    stack.append((w, iter(sorted(h.neighbors(w) - {w}))))
-                    onpath.append(w)
-                    advanced = True
-                    break
-                if w != parent[u] and w in onpath:
-                    i = onpath.index(w)
-                    return tuple(sorted(onpath[i:]))
-            if not advanced:
-                stack.pop()
-                onpath.pop()
-    return None
+                    cycle = tuple(sorted(set(path_u) | set(path_w)))
+                    if color[w] == color[u]:
+                        return WITNESS_ODD_CYCLE, cycle
+                    even = WITNESS_EVEN_PSEUDOTREE, cycle
+    return even
 
 
 def has_square(h: Graph) -> bool:
@@ -454,13 +431,9 @@ def _irreflexive_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
     j3 = has_induced_J3(c)
     if j3 is not None:
         wits.append((WITNESS_J3, tuple(sorted(j3))))
-    odd = _find_odd_cycle(c)
-    if odd is not None:
-        wits.append((WITNESS_ODD_CYCLE, odd))
-    if not wits:
-        cyc = _find_any_cycle(c)
-        if cyc is not None:
-            wits.append((WITNESS_EVEN_PSEUDOTREE, cyc))
+    cycle = _cycle_witness(c)
+    if cycle is not None and (cycle[0] == WITNESS_ODD_CYCLE or not wits):
+        wits.append(cycle)
     if not wits:
         wits.append((WITNESS_FALLBACK, ()))
     return wits

@@ -200,7 +200,7 @@ def _cmd_estimate_cuts(args) -> dict:
     plan = _cut_plan(args)
     est = gadgets.estimate_multiterminal_cuts(plan, oracle.count, args.epsilon)
     brute = None
-    if len(plan.base.non_loop_edges()) <= 20:
+    if len(plan.base.non_loop_edges()) <= gadgets.BRUTE_CUT_EDGES:
         brute = gadgets.count_multiterminal_cuts_bruteforce(
             plan.base, args.alpha, args.beta, args.gamma, args.budget
         )

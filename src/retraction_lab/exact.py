@@ -24,8 +24,9 @@ distinct residual states, not the count.  A state is
     (Lamport's multiple-byte test).  Each child costs a few big-int
     operations over n (k + 1) bits;
   - sur: that int, plus the target vertices already covered;
-  - comp: those, plus the covered target edges and the images of the
-    assigned vertices next to an unassigned one;
+  - comp: those, plus the covered target edges, and in the int an assigned
+    vertex next to an unassigned one keeps its value (one bit) in its own
+    field, cleared once its last neighbor is assigned;
   - under a cap on the vertices with a covering value (the coverage
     estimator's witness counts, `_witness_search`): also that number.
 A split count (`_pin_counts`, the exact sampler's pinning step) runs the
@@ -76,8 +77,9 @@ class _Search:
     forward-checked against every assigned neighbor, packed into one int of
     (k + 1)-bit fields, field v for pattern vertex v; the constructor builds
     that layout once for `count` and `assignments` both.  `count` sweeps a
-    fixed order (see `_order`), clears assigned and peeled vertices' fields,
-    so the int alone fixes the residual subproblem, and merges the partial
+    fixed order (see `_order`), clears a vertex's field once it is assigned
+    or peeled (covering edges, once it also has no unassigned neighbor), so
+    the int alone fixes the residual subproblem, and merges the partial
     maps that reach equal ints; `assignments` backtracks on the int and
     branches most-constrained-first.
 
@@ -98,7 +100,7 @@ class _Search:
             if w > 1 and domains[v].bit_count() > 1:
                 self.heavy |= 1 << v
         # no coverage goal until `cover` sets one
-        self.full_v = self.ebit = self.vbit = self.top = None
+        self.full_v = self.ebit = self.top = None
         self.full_e = 0
         # the packed layout: field v, w = k + 1 bits, holds pattern vertex
         # v's domain; low_out[v] (low_in[v]) is bit 0 of the field of each
@@ -125,28 +127,25 @@ class _Search:
             x |= d << v * w
         self.packed = x
 
-    def cover(
-        self,
-        full_v: int | None,
-        ebit: list[list[int]] | None = None,
-        vbit: list[int] | None = None,
-        top: int | None = None,
-    ) -> "_Search":
-        """Set the goal `count` and `assignments` read: with `full_v`, only
-        maps whose values cover that target-vertex mask; with `ebit` as well
-        (``ebit[i][j]`` is the bit of the non-loop target edge that values i
-        and j realize on a pattern edge, 0 if none), only those that also
-        realize every one.  ``vbit[t]`` is the target-vertex bit value t
-        covers, or 0 if it covers none (default: value t covers bit t); with
-        `top`, at most `top` pattern vertices take a covering value."""
-        self.full_v = full_v
-        self.ebit = ebit
-        self.vbit = vbit if vbit is not None else [1 << t for t in range(self.w - 1)]
-        self.top = top
-        self.full_e = 0
-        for row in ebit or ():
-            for b in row:
-                self.full_e |= b
+    def cover(self, full_v: int, edges: bool = False, top: int | None = None) -> "_Search":
+        """Set the goal `count` and `assignments` read: only maps whose
+        values cover the target-vertex mask `full_v` (value t covers
+        ``(1 << t) & full_v``); with `edges`, only those that also realize
+        every non-loop target edge between two vertices of `full_v` on a
+        pattern edge; with `top`, at most `top` pattern vertices take a
+        covering value.  The edges are numbered in index order into
+        ``ebit[i][j]``, the bit of the edge that values i and j realize (0 if
+        none)."""
+        self.full_v, self.top, self.ebit, self.full_e = full_v, top, None, 0
+        if edges:
+            k, e = self.w - 1, 0
+            self.ebit = ebit = [[0] * k for _ in range(k)]
+            for i in _bits(full_v):
+                # the goal vertices above i next to i
+                for j in _bits(full_v & ~self.off_out[i] & ~((2 << i) - 1)):
+                    ebit[i][j] = ebit[j][i] = 1 << e
+                    e += 1
+            self.full_e = (1 << e) - 1
         return self
 
     def count(self, split: int | None = None) -> int:
@@ -157,9 +156,13 @@ class _Search:
         residual subproblem merge into one state whose number of partial
         maps is the sum of theirs.  The key is the domains packed into one
         int of (k + 1)-bit fields (see the module docstring), plus, covering,
-        the covered vertices and edges, under a cap the number of vertices
-        with a covering value (0 without one), and with edges the images of
-        the assigned vertices next to an unassigned one.
+        the covered vertices and edges and, under a cap, the number of
+        vertices with a covering value (0 without one).  With edges to
+        cover, an assigned vertex keeps its value (one bit) in its own field
+        while it has an unassigned neighbor: a step reads the values of the
+        assigned neighbors of the vertex it assigns, for the edges its value
+        realizes, then clears the fields of those whose last unassigned
+        neighbor it was.
 
         With `split`, a vertex, the counts with that vertex pinned to each
         of its values, from the same one sweep: it starts from one state per
@@ -173,7 +176,7 @@ class _Search:
             raise ValueError("a split count takes no weights and no coverage goal")
         if any(d == 0 for d in self.domains):
             return 0
-        full_v, full_e, ebit, vbit = self.full_v, self.full_e, self.ebit, self.vbit
+        full_v, full_e, ebit = self.full_v, self.full_e, self.ebit
         n, k, w, vmask = len(self.domains), self.w - 1, self.w, self.vmask
         # a cap no assignment can reach stays out of the search and its keys
         cap = self.top if self.top is not None and self.top < n else None
@@ -183,14 +186,13 @@ class _Search:
         # bit 0 of every field of an unassigned, unpeeled vertex
         low_rest = ((1 << n * w) - 1) // ((1 << w) - 1)
         # state -> number of partial maps; covering, (state, covered vertices,
-        # covered edges, used, images of `front`) -> number of partial maps
+        # covered edges, used) -> number of partial maps
         if split is None:
-            states: dict = {x: 1} if full_v is None else {(x, 0, 0, 0, ()): 1}
+            states: dict = {x: 1} if full_v is None else {(x, 0, 0, 0): 1}
         else:
             sb, ss = _split_bits(self.domains), split * w
             x &= ~(vmask << ss)
             states = {x | 1 << ss + t: 1 << t * sb for t in _bits(self.domains[split])}
-        front: list[int] = []  # the assigned vertices next to an unassigned one
         active = (1 << n) - 1
         for v in order:
             if not active >> v & 1:
@@ -242,21 +244,27 @@ class _Search:
                 # each vertex still to assign covers at most one more target
                 # vertex, and at most cap - used of them may
                 room = rest.bit_count()
+                # with edges: the fields of v's assigned neighbors, which
+                # hold their values; v keeps its value if it has an
+                # unassigned neighbor, and a neighbor whose last one v is
+                # has its field cleared
+                back, keep = [], 0
                 if ebit is not None:
-                    # where v's assigned neighbors sit in `front`, and which
-                    # of front + [v] stay next to an unassigned vertex
-                    seen = [front.index(u) for u in _bits(adj[v] & ~rest)]
-                    grown = front + [v]
-                    keep = [i for i, u in enumerate(grown) if adj[u] & rest]
-                    front = [grown[i] for i in keep]
-                for (x, cov_v, cov_e, used, image), c in states.items():
+                    keep = adj[v] & rest
+                    for u in _bits(adj[v] & ~rest):
+                        back.append(u * w)
+                        if not adj[u] & rest:
+                            clear &= ~(vmask << u * w)
+                for (x, cov_v, cov_e, used), c in states.items():
                     d = x >> sv & vmask
+                    # the edge bits of each assigned neighbor's value
+                    rows = [ebit[(x >> su & vmask).bit_length() - 1] for su in back]
                     x &= clear
                     while d:
                         b = d & -d
                         d ^= b
                         t = b.bit_length() - 1
-                        cb = vbit[t]
+                        cb = b & full_v
                         if cb and used == cap:
                             continue  # a covering value past the cap
                         cv = cov_v | cb
@@ -268,20 +276,19 @@ class _Search:
                             y &= ~(p_low * off_in[t])
                         if (y | nb_high) - nb_low & nb_high != nb_high:
                             continue  # a neighbor's domain emptied
-                        ce, im = cov_e, ()
-                        if ebit is not None:
-                            for i in seen:
-                                ce |= ebit[image[i]][t]
-                            grown = image + (t,)
-                            im = tuple([grown[i] for i in keep])
-                        key = (y, cv, ce, nu, im)
+                        ce = cov_e
+                        for row in rows:
+                            ce |= row[t]
+                        if keep:
+                            y |= b << sv
+                        key = (y, cv, ce, nu)
                         nxt[key] = nxt.get(key, 0) + c
             if not nxt:
                 return 0
             states = nxt
         if full_v is None:
             return sum(states.values())
-        return sum(c for (_, cv, ce, _, _), c in states.items() if cv == full_v and ce == full_e)
+        return sum(c for (_, cv, ce, _), c in states.items() if cv == full_v and ce == full_e)
 
     def _order(self, split: int | None = None) -> list[int]:
         """The fixed branching order of `count`: the pattern components one
@@ -394,7 +401,7 @@ class _Search:
         nb_low = s_low | p_low
         nb_high = nb_low << w - 1
         off_out, off_in = self.off_out, self.off_in
-        ebit, vbit = self.ebit, self.vbit
+        ebit, goal = self.ebit, full_v or 0
         assigned_nbrs = [u for u in _bits(self.adj[v]) if image[u] >= 0] if ebit else ()
         d = x >> v * w & vmask
         while d:
@@ -406,7 +413,7 @@ class _Search:
                 y &= ~(p_low * off_in[t])
             if (y | nb_high) - nb_low & nb_high != nb_high:
                 continue  # a neighbor's domain emptied
-            cb = vbit[t] if vbit else 0
+            cb = b & goal
             if cb and used == top:
                 continue
             ce = cov_e
@@ -503,23 +510,11 @@ def count_retraction(inst: ListedInstance, target: Graph) -> int:
     return count_list_hom(inst, target)
 
 
-def _edge_bits(target: Graph, width: int) -> list[list[int]]:
-    """The `ebit` table of `_Search.cover` over `width` values, of which the
-    first |V(H)| are the target's vertices and the rest realize no edge."""
-    ebit = [[0] * width for _ in range(width)]
-    for b, (u, v) in enumerate(target.non_loop_edges()):
-        i, j = target.index(u), target.index(v)
-        ebit[i][j] = ebit[j][i] = 1 << b
-    return ebit
-
-
 def _covering(inst: ListedInstance, target: Graph, need_edges: bool) -> _Search:
     """The kernel on (inst, target) with the goal of covering every target
     vertex and, with `need_edges`, every non-loop target edge."""
     _check_same_target(inst, target)
-    tn = len(target.vertices)
-    ebit = _edge_bits(target, tn) if need_edges else None
-    return _search(inst.pattern, inst.lists, target).cover((1 << tn) - 1, ebit)
+    return _search(inst.pattern, inst.lists, target).cover((1 << len(target.vertices)) - 1, need_edges)
 
 
 def _witness_search(inst: ListedInstance, target: Graph, mode: str, weighted: bool) -> _Search:
@@ -544,11 +539,9 @@ def _witness_search(inst: ListedInstance, target: Graph, mode: str, weighted: bo
     else:
         tadj = [a | 1 << k for a in target._adj] + [(1 << k + 1) - 1]
         doms = [d | 1 << k for d in doms]
-    vbit = [1 << h for h in range(k)] + [0] * (len(tadj) - k)
-    ebit = _edge_bits(target, len(tadj)) if mode == "comp" else None
     top = k if mode == "sur" else k + 2 * target.edge_count()
     adj = inst.pattern._adj
-    return _Search(adj, adj, doms, tadj, tadj).cover((1 << k) - 1, ebit, vbit, top)
+    return _Search(adj, adj, doms, tadj, tadj).cover((1 << k) - 1, mode == "comp", top)
 
 
 def count_surjective(inst: ListedInstance, target: Graph) -> int:

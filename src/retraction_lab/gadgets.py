@@ -102,11 +102,15 @@ def _multiterminal_cuts(g: Graph, terminals, sizes):
                 yield sel, comps
 
 
+# the most edges a multiterminal cut is searched for exhaustively
+BRUTE_CUT_EDGES = 20
+
+
 def count_multiterminal_cuts_bruteforce(g: Graph, a: str, b: str, c: str, budget: int) -> int:
     """Number of size-`budget` edge sets disconnecting the three terminals
-    pairwise (exhaustive; |E| <= 20)."""
-    if len(g.non_loop_edges()) > 20:
-        raise ValueError("brute force bounded to 20 edges")
+    pairwise (exhaustive; |E| <= BRUTE_CUT_EDGES)."""
+    if len(g.non_loop_edges()) > BRUTE_CUT_EDGES:
+        raise ValueError(f"brute force bounded to {BRUTE_CUT_EDGES} edges")
     return sum(1 for _ in _multiterminal_cuts(g, (a, b, c), (budget,)))
 
 
@@ -194,7 +198,7 @@ def build_cut_instance(
         raise ValueError("delta_prime must be positive")
     n = len(g)
     edges = g.non_loop_edges()
-    if len(edges) <= 20:
+    if len(edges) <= BRUTE_CUT_EDGES:
         mmc = min_multiterminal_cut(g, alpha, beta, gamma)
         if mmc is None or mmc < budget:
             raise ValueError(

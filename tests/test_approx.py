@@ -349,6 +349,40 @@ def test_sample_hom_unique_and_errors():
         approx.sample_hom(oracle, bad, K2, 0.1, seed=3)
 
 
+class _Counts:
+    """An oracle with only count(), answering f(inst, target) and counting
+    its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def count(self, inst, target, eps=None):
+        self.calls += 1
+        return self.f(inst, target)
+
+
+def test_sample_hom_rejects_what_a_third_party_oracle_overcounts():
+    # ExactOracle and NoisyOracle weigh an instance with no homomorphism 0,
+    # so only another oracle's answers reach a leaf that is not one, or a
+    # node whose children all weigh 0
+    p3 = ListedInstance.full(build_path(3), K2)
+    oracle = _Counts(lambda inst, target: exact.count_list_hom(inst, target) + 1)
+    rng = pyrng("rejections")
+    for _ in range(20):
+        tau = approx.sample_hom(oracle, p3, K2, 0.1, rng=rng)
+        assert tau["c0"] == tau["c2"] != tau["c1"]
+    # one walk asks the root once and each of three vertices' two values
+    assert oracle.calls > 20 * 7
+    apart = Graph(["x", "y"])
+    with pytest.raises(ValueError, match=f"after {approx.MAX_RESAMPLES} resamples"):
+        approx.sample_hom(_Counts(lambda inst, target: 1), ListedInstance.full(K2, apart), apart, 0.1, seed=1)
+    k2 = ListedInstance.full(K2, K2)
+    only_root = _Counts(lambda inst, target: int(inst.lists == k2.lists))
+    with pytest.raises(ValueError, match=f"after {approx.MAX_RESAMPLES} resamples"):
+        approx.sample_hom(only_root, k2, K2, 0.1, seed=1)
+    assert only_root.calls == 1 + 2 * approx.MAX_RESAMPLES
+
+
 def test_sample_hom_uniformity_small():
     tw = build_two_wrench()
     inst = ListedInstance.full(build_path(3), tw)

@@ -110,6 +110,24 @@ def test_classify_witness_payloads():
     assert v.witnesses[0][0] == cl.WITNESS_REFL_CYCLE
 
 
+def test_even_cycle_witnesses():
+    for n in (6, 8):
+        c = build_cycle(n)
+        assert cl.classify(c).witnesses == ((cl.WITNESS_EVEN_PSEUDOTREE, c.vertices),)
+    c6 = build_cycle(6)
+    pendant = Graph([], c6.edges() + [("c0", "p")])
+    assert cl.classify(pendant).witnesses == ((cl.WITNESS_EVEN_PSEUDOTREE, c6.vertices),)
+    # a pendant path of length 2 makes an induced J3, and no cycle witness
+    path = Graph([], c6.edges() + [("c0", "p"), ("p", "q")])
+    assert [label for label, _ in cl.classify(path).witnesses] == [cl.WITNESS_J3]
+    # the BFS from c0 closes the 6-cycle before the 5-cycle, and the odd
+    # cycle still wins
+    c5 = [("c3", "d0")] + [(f"d{i}", f"d{(i + 1) % 5}") for i in range(5)]
+    v = cl.classify(Graph([], c6.edges() + c5))
+    assert [label for label, _ in v.witnesses] == [cl.WITNESS_J3, cl.WITNESS_ODD_CYCLE]
+    assert v.witnesses[1][1] == ("d0", "d1", "d2", "d3", "d4")
+
+
 def test_classify_combines_components():
     tw = build_two_wrench()
     j3 = build_jq(3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from retraction_lab import csp, exact, files, reference, verify
 from retraction_lab._seeds import pyrng
-from retraction_lab.fixedgraphs import build_pbrp, build_two_wrench
+from retraction_lab.fixedgraphs import build_path, build_pbrp, build_two_wrench
 from retraction_lab.graphs import DiGraph, Graph, connected_components
 from retraction_lab.instances import ListedInstance
 
@@ -183,6 +183,33 @@ def test_strip_trivial_components():
     two_cores = Graph([], tw.edges() + [(f"z{v}", f"z{v}") for v in "ab"] + [("za", "zb")])
     with pytest.raises(ValueError):
         csp.strip_trivial_components(two_cores)
+    # with no non-trivial component, the first component stands in for the core
+    trivial = csp.strip_trivial_components(Graph(["s"], [("u", "w"), ("t", "t")]))
+    assert trivial.core == Graph(["s"])
+    assert trivial.stripped == (Graph([], [("t", "t")]), Graph([], [("u", "w")]))
+    with pytest.raises(ValueError, match="empty graph has no core"):
+        csp.strip_trivial_components(Graph())
+
+
+def test_f_value_counts_the_stripped_components():
+    # a connected pattern maps into one component: the core's count with the
+    # lists cut to the core, plus f_value over the stripped components
+    tw = build_two_wrench()
+    h = Graph(list(tw.vertices) + ["s"], tw.edges() + [("t", "t"), ("u", "w")])
+    sc = csp.strip_trivial_components(h)
+    assert sc.core == tw and len(sc.stripped) == 3
+    core_v = frozenset(tw.vertices)
+    seen = set()
+    for i in range(200):
+        rng = pyrng("f-value", i)
+        g = build_path(rng.randint(1, 6))
+        lists = {v: frozenset(rng.sample(h.vertices, rng.randint(1, len(h)))) for v in g.vertices}
+        f = sc.f_value(g, lists)
+        cut = ListedInstance(g, {v: sv & core_v for v, sv in lists.items()}, tw.vertices)
+        total = exact.count_list_hom(ListedInstance(g, lists, h.vertices), h)
+        assert total == exact.count_list_hom(cut, tw) + f, i
+        seen.add(f > 0)
+    assert seen == {False, True}
 
 
 def test_subtract_wrapper():

@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from retraction_lab import csp, exact, reference
+from retraction_lab import approx, csp, exact, reference
 from retraction_lab._seeds import pyrng
 from retraction_lab.fixedgraphs import build_cycle, build_hk, build_path, build_star, build_two_wrench
 from retraction_lab.graphs import DiGraph, Graph, _bits
@@ -357,6 +357,39 @@ def test_enumeration_order_is_pinned():
     assert (maps, h.hexdigest()[:16]) == (10993, "9240ff6a2d4bac8a")
 
 
+def _covering_counts(listed, target, listing=True):
+    """sur and comp, then per mode t, Omega and (with `listing`) the number
+    of witnesses `enumerate_T` lists."""
+    out = [exact.count_surjective(listed, target), exact.count_compaction(listed, target)]
+    for mode in ("sur", "comp"):
+        out.append(approx.count_witnesses(listed, target, mode))
+        out.append(approx.count_witness_extensions(listed, target, mode))
+        if listing:
+            out.append(len(approx.enumerate_T(listed, target, mode)))
+    return out
+
+
+def test_covering_counts_are_pinned():
+    # recorded before the covering state kept the front's values in the
+    # packed int: seeded list instances, then comp counts whose front stays
+    # wide (a 3 x 5 grid) or long-lived (P40) into the 2-wrench
+    h = hashlib.sha256()
+    for i in range(1000):
+        rng = pyrng("covering-counts", i)
+        tv = [f"h{j}" for j in range(rng.randint(1, 4))]
+        target = Graph(tv, [e for e in combinations_with_replacement(tv, 2) if rng.random() < 0.5])
+        pv = [f"g{j}" for j in range(rng.randint(1, 7))]
+        pattern = Graph(pv, [e for e in combinations(pv, 2) if rng.random() < 0.4])
+        lists = {v: frozenset(rng.sample(tv, rng.randint(1, len(tv)))) for v in pv}
+        h.update(repr(_covering_counts(ListedInstance(pattern, lists, target.vertices), target)).encode())
+    cells = [(r, c) for r in range(3) for c in range(5)]
+    grid = Graph([], [(f"x{r}{c}", f"x{r + dr}{c + dc}") for r, c in cells for dr, dc in ((0, 1), (1, 0))
+                      if r + dr < 3 and c + dc < 5])
+    for pattern in (grid, build_path(40)):
+        h.update(repr(_covering_counts(ListedInstance.full(pattern, TW), TW, listing=False)).encode())
+    assert h.hexdigest()[:16] == "6e2d006b8af18697"
+
+
 def test_large_patterns_with_a_shallow_search_still_count():
     # a star's leaves are peeled after its centre, one level deep (1 100
     # disjoint edges count one component at a time: test_blocked_many_components)
@@ -464,8 +497,7 @@ def test_packed_fields_at_word_boundaries_match_naive():
             # a covering goal the pattern can reach: the highest palette
             # vertices, at most one per pattern vertex
             goal = sum(1 << target.index(h) for h in palette[-len(pv):])
-            vbit = [1 << t if goal >> t & 1 else 0 for t in range(k)]
-            search = exact._search(pattern, listed.lists, target).cover(goal, vbit=vbit)
+            search = exact._search(pattern, listed.lists, target).cover(goal)
             want = sum(
                 1
                 for img in reference.naive_assignments(listed, target)

@@ -17,6 +17,7 @@ from retraction_lab.fixedgraphs import (
     build_two_wrench,
 )
 from retraction_lab.graphs import (
+    DiGraph,
     Graph,
     common_neighbors,
     connected_components,
@@ -139,6 +140,21 @@ def test_non_loop_edges_is_a_fresh_list():
     edges.clear()
     assert g.non_loop_edges() == [("a", "b"), ("b", "c")]
     assert not g.has_edge("a", "c")
+
+
+
+def test_digraph_equality_hash_repr_and_len():
+    d = DiGraph(["c"], [("a", "b"), ("b", "a"), ("b", "b")])
+    no_c = DiGraph([], [("b", "b"), ("b", "a"), ("a", "b")])
+    assert len(d) == 3 and len(no_c) == 2
+    again = DiGraph(["c", "a"], [("b", "b"), ("b", "a"), ("a", "b")])
+    assert d == again and hash(d) == hash(again) and len({d, again}) == 1
+    assert d != no_c
+    assert d != DiGraph(["c"], [("a", "b"), ("b", "a")])  # no loop at b
+    assert d != DiGraph(["c"], [("a", "b"), ("b", "b")])  # no arc b -> a
+    assert d != Graph(["c"], [("a", "b"), ("b", "b")])
+    assert repr(d) == "DiGraph(3 vertices, 3 arcs)"
+    assert repr(DiGraph()) == "DiGraph(0 vertices, 0 arcs)" and len(DiGraph()) == 0
 
 
 _UNPICKLE = """
