@@ -97,19 +97,31 @@ def _require_connected(h: Graph, op: str) -> None:
 def is_irreflexive_star(h: Graph) -> bool:
     """K_{1,n} for n >= 0 (includes K1 and K2), no loops."""
     _require_connected(h, "is_irreflexive_star")
-    if not h.is_irreflexive():
-        return False
-    heavy = sum(1 for v in h.vertices if h.degree(v) >= 2)
-    return heavy <= 1
+    return _is_star(h)
 
 
 def is_single_looped_vertex(h: Graph) -> bool:
     _require_connected(h, "is_single_looped_vertex")
-    return len(h) == 1 and not h.is_irreflexive()
+    return _is_single_looped_vertex(h)
 
 
 def is_double_looped_edge(h: Graph) -> bool:
     _require_connected(h, "is_double_looped_edge")
+    return _is_double_looped_edge(h)
+
+
+# the recognizers on a graph known to be connected (and, given g, of girth g)
+
+
+def _is_star(h: Graph) -> bool:
+    return h.is_irreflexive() and sum(1 for v in h.vertices if h.degree(v) >= 2) <= 1
+
+
+def _is_single_looped_vertex(h: Graph) -> bool:
+    return len(h) == 1 and not h.is_irreflexive()
+
+
+def _is_double_looped_edge(h: Graph) -> bool:
     return len(h) == 2 and h.is_reflexive() and len(h.non_loop_edges()) == 1
 
 
@@ -142,9 +154,12 @@ def _path_order(h: Graph) -> list[str] | None:
 
 def is_caterpillar(h: Graph) -> bool:
     """Irreflexive tree whose non-leaf core is a path (possibly empty)."""
-    if not is_connected(h) or not h.is_irreflexive():
-        return False
-    if girth(h) != math.inf:
+    return is_connected(h) and h.is_irreflexive() and _is_caterpillar(h, girth(h))
+
+
+def _is_caterpillar(h: Graph, g: float) -> bool:
+    """`is_caterpillar` of a connected irreflexive h of girth g."""
+    if g != math.inf:
         return False
     spine = [v for v in h.vertices if h.degree(v) >= 2]
     if not spine:
@@ -173,7 +188,12 @@ def is_pbrp(h: Graph) -> PbrpShape | None:
     """Partially bristled reflexive path: a reflexive path, or a reflexive
     path with unlooped degree-1 bristles at distinct internal positions.
     """
-    if not is_connected(h) or girth(h) != math.inf:
+    return _pbrp(h, girth(h)) if is_connected(h) else None
+
+
+def _pbrp(h: Graph, g: float) -> PbrpShape | None:
+    """`is_pbrp` of a connected h of girth g."""
+    if g != math.inf:
         return None
     looped = set(h.looped_vertices())
     unlooped = [v for v in h.vertices if v not in looped]
@@ -328,7 +348,12 @@ def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
     lemmas: WR_q neighborhoods, non-2-Wrench neighborhoods (in triangle-free
     graphs), and the distance-2 sandwich.
     """
-    triangle_free = girth(h) != 3
+    return _neighborhood_witnesses(h, girth(h))
+
+
+def _neighborhood_witnesses(h: Graph, g: float) -> list[tuple[str, str]]:
+    """`neighborhood_witnesses` of an h of girth g."""
+    triangle_free = g != 3
     out: list[tuple[str, str]] = []
     for b in h.looped_vertices():
         gb = sorted(h.neighbors(b))
@@ -439,9 +464,9 @@ def _irreflexive_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
     return wits
 
 
-def _looped_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
+def _looped_sat_witnesses(c: Graph, g: float) -> list[tuple[str, tuple[str, ...]]]:
     wits: list[tuple[str, tuple[str, ...]]] = [
-        (label, (v,)) for label, v in neighborhood_witnesses(c)
+        (label, (v,)) for label, v in _neighborhood_witnesses(c, g)
     ]
     rc = reflexive_cycle_core(c)
     if rc is not None:
@@ -452,24 +477,26 @@ def _looped_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def classify_component(c: Graph) -> ComponentVerdict:
+    """The verdict on a connected component c; girth is computed once and
+    handed to the recognizers, which skip their connectivity checks."""
     verts = c.vertices
     g = girth(c)
     irr = c.is_irreflexive()
     if g >= 5:  # includes math.inf
         if irr:
-            if is_irreflexive_star(c):
+            if _is_star(c):
                 return ComponentVerdict(verts, CLASS_FP, "Thm1.i")
-            if is_caterpillar(c):
+            if _is_caterpillar(c, g):
                 return ComponentVerdict(verts, CLASS_BIS, "Thm1.ii")
             return ComponentVerdict(
                 verts, CLASS_SAT, "Thm5.iii", tuple(_irreflexive_sat_witnesses(c))
             )
-        if is_single_looped_vertex(c) or is_double_looped_edge(c):
+        if _is_single_looped_vertex(c) or _is_double_looped_edge(c):
             return ComponentVerdict(verts, CLASS_FP, "Thm1.i")
-        if is_pbrp(c) is not None:
+        if _pbrp(c, g) is not None:
             return ComponentVerdict(verts, CLASS_BIS, "Thm1.ii")
         return ComponentVerdict(
-            verts, CLASS_SAT, "Thm1.iii", tuple(_looped_sat_witnesses(c))
+            verts, CLASS_SAT, "Thm1.iii", tuple(_looped_sat_witnesses(c, g))
         )
     if irr and is_square_free(c):
         # girth 3 and square-free: never a star or caterpillar
@@ -477,7 +504,7 @@ def classify_component(c: Graph) -> ComponentVerdict:
             verts, CLASS_SAT, "Thm5.iii", tuple(_irreflexive_sat_witnesses(c))
         )
     if not irr:
-        wits = [(label, (v,)) for label, v in neighborhood_witnesses(c)]
+        wits = [(label, (v,)) for label, v in _neighborhood_witnesses(c, g)]
         if wits:
             return ComponentVerdict(
                 verts, CLASS_SAT, _WITNESS_CLAUSE[wits[0][0]], tuple(wits)

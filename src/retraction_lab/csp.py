@@ -171,17 +171,25 @@ def _translate(
     if not (iv.variables == fwd.variables == bwd.variables):
         raise ValueError("instances must share the variable set")
     xs = iv.variables
-    variables = tuple(_product_var(v, x) for v in vertices for x in xs)
-    imps = [(_product_var(v, x), _product_var(v, y)) for v in vertices for x, y in iv.imps]
+    # each (vertex, variable) name built and checked once, by variable position
+    names = {v: [_product_var(v, x) for x in xs] for v in vertices}
+    pos = {x: i for i, x in enumerate(xs)}
+    iv_ij, fwd_ij, bwd_ij = ([(pos[x], pos[y]) for x, y in inst.imps] for inst in (iv, fwd, bwd))
+    variables = tuple(nx for v in vertices for nx in names[v])
+    imps = []
+    for v in vertices:
+        nv = names[v]
+        imps += [(nv[i], nv[j]) for i, j in iv_ij]
     for u, v in arcs:
-        imps += [(_product_var(u, x), _product_var(v, y)) for x, y in fwd.imps]
-        imps += [(_product_var(v, x), _product_var(u, y)) for x, y in bwd.imps]
+        nu, nv = names[u], names[v]
+        imps += [(nu[i], nv[j]) for i, j in fwd_ij]
+        imps += [(nv[i], nu[j]) for i, j in bwd_ij]
     pins = []
     for v in vertices:
         if len(lists[v]) == 1:
             (name,) = lists[v]
             tau = assignment_of_name(name, xs)
-            pins += [(_product_var(v, x), tau[x]) for x in xs]
+            pins += [(nx, tau[x]) for nx, x in zip(names[v], xs)]
     return CspInstance(variables, tuple(imps), tuple(pins))
 
 

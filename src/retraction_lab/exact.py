@@ -36,10 +36,12 @@ returns the count of the instance pinned to each value.
 Enumeration backtracks on the same packed int, with the same child step
 and borrow test (an assigned vertex's field is left as it is and no longer
 read), branching most-constrained-first (fewest values, then the lowest
-index), and prunes on the same coverage state as counting.  Both are
-deterministic.  Enumeration recurses once per vertex it branches on, so one
-deeper than Python's recursion limit raises ValueError; the library lists
-only small patterns.  Each mode has this one route; the second
+index), and prunes on the same coverage state as counting; the step that
+assigns the last vertex yields each completed map itself, a covering one
+once it meets the goal.  Both are deterministic.  Enumeration recurses once
+per vertex it branches on but the last, so one deeper than Python's
+recursion limit raises ValueError; the library lists only small
+patterns.  Each mode has this one route; the second
 routes through other identities (a product over components,
 inclusion-exclusion for surjective and compaction counts) are cross-checks
 in `reference`.
@@ -80,8 +82,9 @@ class _Search:
     fixed order (see `_order`), clears a vertex's field once it is assigned
     or peeled (covering edges, once it also has no unassigned neighbor), so
     the int alone fixes the residual subproblem, and merges the partial
-    maps that reach equal ints; `assignments` backtracks on the int and
-    branches most-constrained-first.
+    maps that reach equal ints; `assignments` backtracks on the int,
+    branches most-constrained-first and yields each map at the step that
+    assigns its last vertex.
 
     `weights` (default all 1) makes vertex v stand for weights[v]
     independent copies of itself: once peeled it contributes
@@ -361,6 +364,11 @@ class _Search:
         active = (1 << n) - 1 if keep is None else keep
         if any(self.domains[v] == 0 for v in _bits(active)):
             return
+        if not active:
+            # the one empty map, which covers an empty goal only
+            if not self.full_v:
+                yield (-1,) * n
+            return
         low = 0
         for v in _bits(active):
             low |= 1 << v * w
@@ -376,15 +384,13 @@ class _Search:
         self, active: int, low: int, x: int, image: list[int], cov_v: int, cov_e: int, used: int
     ) -> Iterator[tuple[int, ...]]:
         """The completions of packed state `x` that meet the goal, pruned as
-        in `count`; `low` is bit 0 of the field of every vertex in `active`,
-        and ``image`` holds -1 at every vertex not assigned.  The branch
-        vertex is the active one of fewest values (ties: the lowest index),
-        and its values go in ascending order."""
+        in `count`; `active` is not empty, `low` is bit 0 of the field of
+        every vertex in `active`, and ``image`` holds -1 at every vertex not
+        assigned.  The branch vertex is the active one of fewest values
+        (ties: the lowest index), and its values go in ascending order.  When
+        it is the last active vertex, each of its values completes a map,
+        yielded here once it meets the goal, with no child generator."""
         full_v, top = self.full_v, self.top
-        if active == 0:
-            if full_v is None or cov_v == full_v and cov_e == self.full_e:
-                yield tuple(image)
-            return
         if full_v is not None:
             room = active.bit_count()
             if top is not None:
@@ -392,7 +398,18 @@ class _Search:
             if (full_v & ~cov_v).bit_count() > room:
                 return
         w, vmask = self.w, self.vmask
-        v = min(_bits(active), key=lambda i: ((x >> i * w & vmask).bit_count(), i))
+        # the first field of fewest values; no active field is empty, so
+        # one of one value ends the scan
+        m, fewest = active, w
+        while m:
+            b = m & -m
+            i = b.bit_length() - 1
+            c = (x >> i * w & vmask).bit_count()
+            if c < fewest:
+                v, fewest = i, c
+                if c == 1:
+                    break
+            m ^= b
         rest = active & ~(1 << v)
         low ^= 1 << v * w
         # the child step and borrow test of `count`
@@ -401,7 +418,7 @@ class _Search:
         nb_low = s_low | p_low
         nb_high = nb_low << w - 1
         off_out, off_in = self.off_out, self.off_in
-        ebit, goal = self.ebit, full_v or 0
+        ebit, goal, full_e = self.ebit, full_v or 0, self.full_e
         assigned_nbrs = [u for u in _bits(self.adj[v]) if image[u] >= 0] if ebit else ()
         d = x >> v * w & vmask
         while d:
@@ -420,7 +437,10 @@ class _Search:
             for u in assigned_nbrs:
                 ce |= ebit[image[u]][t]
             image[v] = t
-            yield from self._enumerate(rest, low, y, image, cov_v | cb, ce, used + (cb != 0))
+            if rest:
+                yield from self._enumerate(rest, low, y, image, cov_v | cb, ce, used + (cb != 0))
+            elif full_v is None or cov_v | cb == full_v and ce == full_e:
+                yield tuple(image)
         image[v] = -1
 
 

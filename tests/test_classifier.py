@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from retraction_lab import classifier as cl
+from retraction_lab._seeds import pyrng
 from retraction_lab.fixedgraphs import (
     build_cycle,
     build_hk,
@@ -13,7 +17,7 @@ from retraction_lab.fixedgraphs import (
     build_two_wrench,
     build_wr,
 )
-from retraction_lab.graphs import Graph
+from retraction_lab.graphs import Graph, connected_components, girth
 
 
 def test_trivial_recognizers():
@@ -248,3 +252,45 @@ def test_hk_itself_is_sat_despite_short_cycles():
     assert cls == cl.CLASS_SAT
     assert clause == "Lem48"
     assert cl.WITNESS_DIST2 in labels
+
+
+def _classify_corpus():
+    """The benchmark's girth-5 shape (up to 8 vertices, loops with
+    probability 1/2, edges 0.3, girth at least 5, the component of v0), then
+    small graphs with loops and no girth filter, then the fixture rows, H_k,
+    H'_k and cycles."""
+    from retraction_lab.verify import classifier_fixture_rows
+
+    for i in range(1500):
+        rng = pyrng("classify-girth5", i)
+        while True:
+            vs = [f"v{j}" for j in range(rng.randint(2, 8))]
+            edges = [(v, v) for v in vs if rng.random() < 0.5]
+            edges += [(a, b) for j, a in enumerate(vs) for b in vs[j + 1 :] if rng.random() < 0.3]
+            h = Graph(vs, edges)
+            if girth(h) >= 5:
+                yield connected_components(h)[0]
+                break
+    for i in range(1500):
+        rng = pyrng("classify-small", i)
+        vs = [f"v{j}" for j in range(rng.randint(1, 7))]
+        edges = [(v, v) for v in vs if rng.random() < 0.3]
+        edges += [(a, b) for j, a in enumerate(vs) for b in vs[j + 1 :] if rng.random() < 0.35]
+        yield Graph(vs, edges)
+    for _, h, _, _ in classifier_fixture_rows():
+        yield h
+    for k in (1, 2, 3):
+        yield build_hk(k)
+        yield build_hk_prime(k)
+    for n in range(3, 13):
+        yield build_cycle(n)
+
+
+def test_classify_verdicts_are_pinned():
+    # recorded before the classifier computed girth once per component
+    h = hashlib.sha256()
+    graphs = 0
+    for g in _classify_corpus():
+        h.update(json.dumps(cl.classify(g).to_json(), sort_keys=True).encode())
+        graphs += 1
+    assert (graphs, h.hexdigest()[:16]) == (3028, "c9716aec4de0b7ec")

@@ -92,6 +92,25 @@ def test_translate_rejects_general_lists():
         csp.translate_ret_to_csp(inst, iv, ie)
 
 
+def test_translate_names_and_the_reserved_separator():
+    iv, ie = csp.pbrp_csp(1, {1})
+    h = csp.build_graph_from_csp(iv, ie)
+    inst = ListedInstance(Graph(["w"]), {"w": frozenset(("10",))}, h.vertices)
+    out = csp.translate_ret_to_csp(inst, iv, ie)
+    assert out.variables == ("w::x0", "w::x1")
+    assert out.pins == (("w::x0", 1), ("w::x1", 0))
+    # the separator in a vertex or a variable name is refused; names that
+    # only form it once joined ("a:" and ":b") are not
+    for bad, variables in (("w::1", ("x0", "x1")), ("w", ("x0", "x::1"))):
+        iv_bad = csp.CspInstance(variables, ((variables[1], variables[0]),))
+        lists = {v: frozenset(("00", "01", "11")) for v in (bad, "u")}
+        with pytest.raises(ValueError, match="reserved separator"):
+            csp.translate_dirret_to_csp(DiGraph([bad, "u"], [(bad, "u")]), lists, iv_bad, iv_bad, iv_bad)
+    joined = csp.CspInstance((":b",))
+    out = csp.translate_dirret_to_csp(DiGraph(["a:"]), {"a:": frozenset(("0", "1"))}, joined, joined, joined)
+    assert out.variables == ("a::::b",)
+
+
 def test_pbrp_csp_construction():
     iv, ie = csp.pbrp_csp(2, {1})
     assert iv.imps == (("x2", "x1"),)

@@ -357,6 +357,77 @@ def test_enumeration_order_is_pinned():
     assert (maps, h.hexdigest()[:16]) == (10993, "9240ff6a2d4bac8a")
 
 
+def _naive_images(pattern, lists, target, mode="lhom"):
+    """`reference.naive_assignments` that count in `mode`, as sorted tuples of
+    target indices."""
+    listed = ListedInstance(pattern, lists, target.vertices)
+    return sorted(
+        tuple(target.index(img[v]) for v in pattern.vertices)
+        for img in reference.naive_assignments(listed, target)
+        if reference._meets(img, pattern, target, mode)
+    )
+
+
+def test_enumeration_leaf_steps_match_naive():
+    # the last vertex's values complete maps in place: no vertex (one empty
+    # map), one vertex, a second-to-last vertex whose every value empties
+    # the last one's domain, covering maps that miss the goal only at the
+    # last vertex, and a digraph
+    tri, k3 = build_cycle(3), Graph("xyz", [("x", "y"), ("y", "z"), ("x", "z")])
+    refl_p3 = Graph("012", [("0", "1"), ("1", "2"), ("0", "0"), ("1", "1"), ("2", "2")])
+    two = Graph("uv")
+    cases = [
+        (Graph(), {}, K2, "lhom"),
+        (Graph(), {}, K2, "sur"),
+        (Graph(), {}, Graph(), "comp"),
+        (Graph(["z"]), {"z": frozenset("bg")}, TW, "lhom"),
+        (Graph(["z"]), {"z": frozenset("bg")}, TW, "sur"),
+        (Graph(["z"]), {"z": frozenset("a")}, Graph("a"), "sur"),
+        (tri, {v: frozenset("ab") for v in tri.vertices}, K2, "lhom"),
+        (tri, {v: frozenset("xyz") for v in tri.vertices}, k3, "sur"),
+    ]
+    # u -> a, then v -> a covers no b; with d -> 2 every vertex is covered
+    # but not the edge 1-2: one of the two maps of each misses the goal at
+    # its last vertex
+    misses = [
+        (two, {"u": frozenset("a"), "v": frozenset("ab")}, K2, "sur"),
+        (
+            Graph("abcd", [("a", "b"), ("c", "d")]),
+            {"a": frozenset("0"), "b": frozenset("1"), "c": frozenset("2"), "d": frozenset("12")},
+            refl_p3,
+            "comp",
+        ),
+    ]
+    for pattern, lists, target, mode in misses:
+        assert len(_naive_images(pattern, lists, target)) == 2
+        assert len(_naive_images(pattern, lists, target, mode)) == 1
+    for pattern, lists, target, mode in cases + misses:
+        listed = ListedInstance(pattern, lists, target.vertices)
+        if mode == "lhom":
+            search = exact._search(pattern, lists, target)
+        else:
+            search = exact._covering(listed, target, need_edges=mode == "comp")
+        got = list(search.assignments())
+        assert sorted(got) == _naive_images(pattern, lists, target, mode), (pattern, mode)
+        assert len(got) == search.count()
+    # keep = 0: the empty map of the pattern induced on no vertex, which
+    # covers no goal
+    search = exact._search(tri, {v: frozenset("ab") for v in tri.vertices}, K2)
+    assert list(search.assignments(0)) == [(-1, -1, -1)]
+    assert list(search.cover(0b11).assignments(0)) == []
+    # a digraph with loops: a 3-cycle of arcs, a looped vertex on it, into a
+    # digraph with one loop
+    pattern = DiGraph("abc", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "c")])
+    target = DiGraph("xyz", [("x", "y"), ("y", "z"), ("z", "x"), ("y", "x"), ("z", "z"), ("x", "z")])
+    lists = {v: frozenset(target.vertices) for v in pattern.vertices}
+    naive = sorted(
+        tuple(target.index(t) for t in img)
+        for img in product(target.vertices, repeat=3)
+        if all(target.has_arc(img[pattern.index(u)], img[pattern.index(v)]) for u, v in pattern.arcs())
+    )
+    assert sorted(exact._search(pattern, lists, target).assignments()) == naive != []
+
+
 def _covering_counts(listed, target, listing=True):
     """sur and comp, then per mode t, Omega and (with `listing`) the number
     of witnesses `enumerate_T` lists."""

@@ -300,8 +300,7 @@ def test_full_hom_histogram_enumerates_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated")
 
-    monkeypatch.setattr(exact, "enumerate_homs", refuse)
-    monkeypatch.setattr(homtypes, "enumerate_homs", refuse)
+    monkeypatch.setattr(exact._Search, "assignments", refuse)
     monkeypatch.setattr(homtypes, "brute_count_by_type", refuse)
     tri = build_cycle(3)
     plan = gadgets.build_largecut_instance(tri, 2, 1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from retraction_lab import exact, homtypes as ht, reference, verify
 from retraction_lab.fixedgraphs import build_hk, build_j_blocked
 from retraction_lab.gadgets import choose_pq
-from retraction_lab.instances import expand_blocked
+from retraction_lab.instances import block_vertex_names, expand_blocked
 
 
 def table(k=1):
@@ -161,12 +161,31 @@ def test_brute_force_grid_matches_formula():
             assert ht.is_nonempty_type(typ, 1)
 
 
+def _census_per_map(p, q, tt, k):
+    """The type census with one dict of images per map (`enumerate_homs`)
+    and one HomType per map."""
+    hk = build_hk(k)
+    blocked = build_j_blocked(p, q, tt, k)
+    names = {blk.name: block_vertex_names(blk) for blk in blocked.blocks}
+    matchings = [list(zip(names[x], names[y])) for x, y in (("A", "B"), ("C", "C'"), ("B'", "A'"))]
+    buckets = {}
+    for hom in exact.enumerate_homs(expand_blocked(blocked), hk):
+        t = ht.HomType(*(frozenset((hom[x], hom[y]) for x, y in m) for m in matchings))
+        buckets[t] = buckets.get(t, 0) + 1
+    return buckets
+
+
+def test_brute_count_by_type_matches_the_per_map_census():
+    # the grid the benchmark runs: the same types, counts and order
+    for p, q, tt, k in ((1, 1, 1, 1), (2, 2, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 2)):
+        assert list(ht.brute_count_by_type(p, q, tt, k).items()) == list(_census_per_map(p, q, tt, k).items())
+
+
 def test_brute_count_by_type_refuses_before_enumerating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated")
 
-    monkeypatch.setattr(exact, "enumerate_homs", refuse)
-    monkeypatch.setattr(ht, "enumerate_homs", refuse)
+    monkeypatch.setattr(exact._Search, "assignments", refuse)
     # few vertices, many homomorphisms: J(3, 1, 1) has 17 vertices and
     # 16 916 608 homomorphisms into H_12
     assert build_j_blocked(3, 1, 1, 12).expansion_size() == 17
