@@ -6,18 +6,20 @@ components get the full trichotomy, irreflexive square-free components get
 the irreflexive classification, and looped components with 3- or 4-cycles
 are UNCLASSIFIED unless one of the girth-independent neighborhood witnesses
 fires (those lemmas need no girth assumption, or only triangle-freeness).
+Girth is computed once per component, only to choose among these.  There is
+one recognizer per shape; each reads the adjacency masks and answers for any
+graph, so none needs the girth or a connectivity check first.
 
 Classes: FP < BIS_EQUIVALENT < SAT_EQUIVALENT, with UNCLASSIFIED absorbing
 anything that is not already SAT.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
 from .fixedgraphs import build_hk
-from .graphs import Graph, connected_components, girth, is_connected
+from .graphs import Graph, _bits, connected_components, girth
 
 CLASS_FP = "FP"
 CLASS_BIS = "BIS_EQUIVALENT"
@@ -86,85 +88,72 @@ class Verdict:
         }
 
 
-# -- simple recognizers -----------------------------------------------------
+# -- recognizers --------------------------------------------------------------
 
 
-def _require_connected(h: Graph, op: str) -> None:
-    if not is_connected(h):
-        raise ValueError(f"{op} expects a connected graph")
+def _walk(adj: tuple[int, ...], mask: int, i: int) -> list[int]:
+    """Vertex indices met inside mask from i, each step to the lowest
+    unvisited neighbor, until there is none."""
+    order = [i]
+    seen = 1 << i
+    nxt = adj[i] & mask & ~seen
+    while nxt:
+        low = nxt & -nxt
+        seen |= low
+        i = low.bit_length() - 1
+        order.append(i)
+        nxt = adj[i] & mask & ~seen
+    return order
+
+
+def _path_order(adj: tuple[int, ...], mask: int) -> list[int] | None:
+    """The indices of mask in order along the path it induces (loops
+    ignored), from its lower-index end; None if it induces no path."""
+    start = None
+    for i in _bits(mask):
+        d = (adj[i] & mask & ~(1 << i)).bit_count()
+        if d > 2:
+            return None
+        if d < 2 and start is None:
+            start = i
+    if start is None:  # empty, or every degree is 2: a cycle
+        return None
+    order = _walk(adj, mask, start)
+    return order if len(order) == mask.bit_count() else None
 
 
 def is_irreflexive_star(h: Graph) -> bool:
     """K_{1,n} for n >= 0 (includes K1 and K2), no loops."""
-    _require_connected(h, "is_irreflexive_star")
-    return _is_star(h)
+    n = len(h)
+    full = (1 << n) - 1
+    return not h._loops and (
+        n <= 1 or h.edge_count() == n - 1 and any(a | 1 << i == full for i, a in enumerate(h._adj))
+    )
 
 
 def is_single_looped_vertex(h: Graph) -> bool:
-    _require_connected(h, "is_single_looped_vertex")
-    return _is_single_looped_vertex(h)
+    return h._adj == (1,)
 
 
 def is_double_looped_edge(h: Graph) -> bool:
-    _require_connected(h, "is_double_looped_edge")
-    return _is_double_looped_edge(h)
-
-
-# the recognizers on a graph known to be connected (and, given g, of girth g)
-
-
-def _is_star(h: Graph) -> bool:
-    return h.is_irreflexive() and sum(1 for v in h.vertices if h.degree(v) >= 2) <= 1
-
-
-def _is_single_looped_vertex(h: Graph) -> bool:
-    return len(h) == 1 and not h.is_irreflexive()
-
-
-def _is_double_looped_edge(h: Graph) -> bool:
-    return len(h) == 2 and h.is_reflexive() and len(h.non_loop_edges()) == 1
-
-
-def _path_order(h: Graph) -> list[str] | None:
-    """Vertex order of h as a simple path (loops ignored); None otherwise."""
-    n = len(h)
-    if n == 0:
-        return None
-    if n == 1:
-        return [h.vertices[0]]
-    deg = {v: len(h.neighbors(v) - {v}) for v in h.vertices}
-    if any(d > 2 for d in deg.values()):
-        return None
-    ends = sorted(v for v in h.vertices if deg[v] == 1)
-    if len(ends) != 2:
-        return None
-    order = [ends[0]]
-    prev: str | None = None
-    cur = ends[0]
-    while True:
-        nxt = [w for w in h.neighbors(cur) - {cur} if w != prev]
-        if not nxt:
-            break
-        if len(nxt) > 1:
-            return None
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order if len(order) == n else None
+    return h._adj == (3, 3)
 
 
 def is_caterpillar(h: Graph) -> bool:
-    """Irreflexive tree whose non-leaf core is a path (possibly empty)."""
-    return is_connected(h) and h.is_irreflexive() and _is_caterpillar(h, girth(h))
+    """Irreflexive tree whose non-leaf core is a path (possibly empty).
 
-
-def _is_caterpillar(h: Graph, g: float) -> bool:
-    """`is_caterpillar` of a connected irreflexive h of girth g."""
-    if g != math.inf:
+    A cycle lies inside the spine (the vertices of degree >= 2), so a spine
+    that induces a path leaves none; every leaf on the spine then makes the
+    graph connected."""
+    if h._loops:
         return False
-    spine = [v for v in h.vertices if h.degree(v) >= 2]
-    if not spine:
-        return True
-    return _path_order(h.induced(spine)) is not None
+    adj = h._adj
+    spine = sum(1 << i for i, a in enumerate(adj) if a.bit_count() >= 2)
+    if not spine:  # every degree is 0 or 1: connected only as K1 or K2
+        return len(h) <= 1 or adj == (2, 1)
+    return _path_order(adj, spine) is not None and all(
+        a & spine for i, a in enumerate(adj) if not spine >> i & 1
+    )
 
 
 @dataclass(frozen=True)
@@ -187,79 +176,55 @@ class PbrpShape:
 def is_pbrp(h: Graph) -> PbrpShape | None:
     """Partially bristled reflexive path: a reflexive path, or a reflexive
     path with unlooped degree-1 bristles at distinct internal positions.
+    The path starts at its lower-index end.  A path of looped vertices with
+    every unlooped vertex a pendant on it is a connected tree already.
     """
-    return _pbrp(h, girth(h)) if is_connected(h) else None
-
-
-def _pbrp(h: Graph, g: float) -> PbrpShape | None:
-    """`is_pbrp` of a connected h of girth g."""
-    if g != math.inf:
-        return None
-    looped = set(h.looped_vertices())
-    unlooped = [v for v in h.vertices if v not in looped]
-    if not looped:
-        return None
-    core = h.induced(looped)
-    order = _path_order(core)
+    adj, vs = h._adj, h.vertices
+    order = _path_order(adj, h._loops)
     if order is None:
         return None
-    if not unlooped:
-        return PbrpShape(tuple(order))
-    if len(order) < 3:
-        return None
-    # orientation: _path_order starts from the lexicographically smaller end
-    pos = {v: i for i, v in enumerate(order)}
+    path = tuple(vs[i] for i in order)
+    # an unlooped vertex's mask is the one bit of its internal anchor
+    position = {1 << i: p for p, i in enumerate(order[1:-1], 1)}
     bristles: dict[int, str] = {}
-    for u in unlooped:
-        nbrs = h.neighbors(u)
-        if len(nbrs) != 1:
+    for u in _bits((1 << len(h)) - 1 & ~h._loops):
+        p = position.get(adj[u])
+        if p is None or p in bristles:
             return None
-        (c,) = nbrs
-        if c not in pos:
-            return None
-        i = pos[c]
-        if i == 0 or i == len(order) - 1:
-            return None
-        if i in bristles:
-            return None
-        bristles[i] = u
-    return PbrpShape(tuple(order), tuple(sorted(bristles.items())))
+        bristles[p] = vs[u]
+    return PbrpShape(path, tuple(sorted(bristles.items())))
 
 
-# -- induced J3 -------------------------------------------------------------
-
-_J3_EDGES = frozenset(
-    {
-        frozenset(("w", "x0")), frozenset(("x0", "x1")),
-        frozenset(("w", "y0")), frozenset(("y0", "y1")),
-        frozenset(("w", "z0")), frozenset(("z0", "z1")),
-    }
-)
+_J3_SLOTS = ("w", "x0", "x1", "y0", "y1", "z0", "z1")
 
 
 def induced_j3_embeddings(h: Graph):
     """Yield labelings {w, x0, x1, y0, y1, z0, z1} of induced J3 subgraphs in
     deterministic (lexicographically increasing) order, arms sorted by their
-    middle vertex.
+    middle vertex.  Each vertex added must see exactly its J3 neighbors among
+    those chosen so far, itself included, which rules out loops and chords.
     """
-    for w in h.vertices:
-        if h.is_looped(w):
+    adj, vs = h._adj, h.vertices
+    for w, aw in enumerate(adj):
+        bw = 1 << w
+        if aw & bw:
             continue
-        nbrs = sorted(h.neighbors(w))
-        for x0, y0, z0 in combinations(nbrs, 3):
-            base = {w, x0, y0, z0}
-            for x1 in sorted(h.neighbors(x0) - base):
-                for y1 in sorted(h.neighbors(y0) - base - {x1}):
-                    for z1 in sorted(h.neighbors(z0) - base - {x1, y1}):
-                        seven = (w, x0, x1, y0, y1, z0, z1)
-                        sub = h.induced(seven)
-                        if not sub.is_irreflexive():
-                            continue
-                        edges = {frozenset(e) for e in sub.edges()}
-                        label = dict(zip(("w", "x0", "x1", "y0", "y1", "z0", "z1"), seven))
-                        rename = {v: k for k, v in label.items()}
-                        if {frozenset((rename[a], rename[b])) for a, b in sub.edges()} == _J3_EDGES:
-                            yield label
+        for x0, y0, z0 in combinations(list(_bits(aw)), 3):
+            base = bw | 1 << x0 | 1 << y0 | 1 << z0
+            if adj[x0] & base != bw or adj[y0] & base != bw or adj[z0] & base != bw:
+                continue
+            for x1 in _bits(adj[x0] & ~base):
+                bx = base | 1 << x1
+                if adj[x1] & bx != 1 << x0:
+                    continue
+                for y1 in _bits(adj[y0] & ~bx):
+                    by = bx | 1 << y1
+                    if adj[y1] & by != 1 << y0:
+                        continue
+                    for z1 in _bits(adj[z0] & ~by):
+                        if adj[z1] & (by | 1 << z1) == 1 << z0:
+                            seven = (w, x0, x1, y0, y1, z0, z1)
+                            yield dict(zip(_J3_SLOTS, (vs[i] for i in seven)))
 
 
 def has_induced_J3(h: Graph) -> frozenset[str] | None:
@@ -269,39 +234,32 @@ def has_induced_J3(h: Graph) -> frozenset[str] | None:
     return None
 
 
-# -- neighborhood witnesses ---------------------------------------------------
+def _is_wr(adj: tuple[int, ...], loops: int, b: int) -> bool:
+    """True iff Γ(b) induces the reflexive star WR_q centered at b, q >= 3."""
+    nb = adj[b]
+    bb = 1 << b
+    return (
+        nb & ~loops == 0
+        and nb.bit_count() >= 4
+        and all(adj[v] & nb == 1 << v | bb for v in _bits(nb & ~bb))
+    )
 
 
-def _wr_leaf_count(hb: Graph, b: str) -> int | None:
-    """q if hb is the reflexive star WR_q centered at b, else None."""
-    if not hb.is_reflexive() or len(hb) < 2:
+def _two_wrench(adj: tuple[int, ...], loops: int, b: int) -> tuple[int, int, int] | None:
+    """(r1, r2, g) if the looped b's neighborhood induces a 2-Wrench centered
+    at b, else None."""
+    nb = adj[b]
+    bb = 1 << b
+    rs = nb & loops & ~bb
+    if nb.bit_count() != 4 or rs.bit_count() != 2:
         return None
-    for v in hb.vertices:
-        if v == b:
-            if hb.neighbors(v) != frozenset(hb.vertices):
-                return None
-        elif hb.neighbors(v) != frozenset((v, b)):
-            return None
-    return len(hb) - 1
-
-
-def _two_wrench_labels(hb: Graph, b: str) -> tuple[str, str, str] | None:
-    """(r1, r2, g) if hb is a 2-Wrench centered at b, else None."""
-    if len(hb) != 4 or not hb.is_looped(b):
+    g = (nb & ~loops).bit_length() - 1
+    if adj[g] & nb != bb:
         return None
-    looped = set(hb.looped_vertices())
-    if len(looped) != 3 or b not in looped:
+    r1, r2 = _bits(rs)
+    if adj[r1] & nb != 1 << r1 | bb or adj[r2] & nb != 1 << r2 | bb:
         return None
-    (g,) = set(hb.vertices) - looped
-    rs = sorted(looped - {b})
-    if hb.neighbors(g) != frozenset((b,)):
-        return None
-    for r in rs:
-        if hb.neighbors(r) != frozenset((r, b)):
-            return None
-    if hb.neighbors(b) != frozenset(hb.vertices):
-        return None
-    return rs[0], rs[1], g
+    return r1, r2, g
 
 
 def distance2_labeling(h: Graph, b: str) -> dict[str, str] | None:
@@ -309,38 +267,47 @@ def distance2_labeling(h: Graph, b: str) -> dict[str, str] | None:
     vertex b, with k = deg(g) - 1 read off the graph.  Returns the
     vertex -> H_k-slot map, or None.
     """
-    if not h.is_looped(b):
+    adj, loops = h._adj, h._loops
+    bi = h.index(b)
+    if not loops >> bi & 1:
         return None
-    gb = sorted(h.neighbors(b))
-    tw = _two_wrench_labels(h.induced(gb), b)
+    tw = _two_wrench(adj, loops, bi)
     if tw is None:
         return None
     r1, r2, g = tw
-    ys = sorted(h.neighbors(g) - {b})
-    k = len(ys)
-    if k < 1:
+    ys = adj[g] & ~(1 << bi)
+    if not ys:
         return None
-    labels = {b: "b", r1: "r1", r2: "r2", g: "g"}
-    for i, y in enumerate(ys, 1):
-        if y in labels:
-            return None
-        labels[y] = f"y{i}"
+    # g sees only b in b's neighborhood, so no y is b, r1, r2 or g
+    slots = {bi: "b", r1: "r1", r2: "r2", g: "g"}
+    slots.update((y, f"y{j}") for j, y in enumerate(_bits(ys), 1))
     for idx, r in ((1, r1), (2, r2)):
-        others = h.neighbors(r) - {r, b}
-        ws = sorted(v for v in others if h.is_looped(v))
-        ds = sorted(v for v in others if not h.is_looped(v))
-        if len(ws) > 1 or len(ds) > 1:
+        others = adj[r] & ~(1 << r | 1 << bi)
+        ws, ds = others & loops, others & ~loops
+        if ws.bit_count() > 1 or ds.bit_count() > 1:
             return None
-        for v, slot in list(zip(ws, (f"w{idx}",))) + list(zip(ds, (f"d{idx}",))):
-            if v in labels:
-                return None
-            labels[v] = slot
-    hk = build_hk(k)
-    sub = h.induced(labels)
-    for u, v in sub.edges():
-        if not hk.has_edge(labels[u], labels[v]):
-            return None
-    return labels
+        for m, slot in ((ws, f"w{idx}"), (ds, f"d{idx}")):
+            if m:
+                v = m.bit_length() - 1
+                if v in slots:
+                    return None
+                slots[v] = slot
+    # every edge among the labeled vertices, loops included, is one of H_k's
+    hk = build_hk(ys.bit_count())
+    within = sum(1 << i for i in slots)
+    if any(not hk.has_edge(slots[i], slots[j]) for i in slots for j in _bits(adj[i] & within)):
+        return None
+    return {h.vertices[i]: slot for i, slot in slots.items()}
+
+
+def _has_triangle(adj: tuple[int, ...]) -> bool:
+    """True iff two adjacent vertices have a common neighbor besides
+    themselves."""
+    return any(
+        adj[i] & adj[j] & ~(1 << i | 1 << j)
+        for i, a in enumerate(adj)
+        for j in _bits(a >> i + 1 << i + 1)
+    )
 
 
 def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
@@ -348,28 +315,21 @@ def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
     lemmas: WR_q neighborhoods, non-2-Wrench neighborhoods (in triangle-free
     graphs), and the distance-2 sandwich.
     """
-    return _neighborhood_witnesses(h, girth(h))
-
-
-def _neighborhood_witnesses(h: Graph, g: float) -> list[tuple[str, str]]:
-    """`neighborhood_witnesses` of an h of girth g."""
-    triangle_free = g != 3
+    adj, loops = h._adj, h._loops
+    triangle_free = None  # worked out on first need
     out: list[tuple[str, str]] = []
-    for b in h.looped_vertices():
-        gb = sorted(h.neighbors(b))
-        hb = h.induced(gb)
-        q = _wr_leaf_count(hb, b)
-        if q is not None and q >= 3:
-            out.append((WITNESS_WR, b))
-            continue
-        tw = _two_wrench_labels(hb, b)
-        has_unlooped_nbr = any(v != b and not h.is_looped(v) for v in gb)
-        if tw is None:
-            if triangle_free and has_unlooped_nbr:
-                out.append((WITNESS_NON_2WRENCH, b))
-            continue
-        if distance2_labeling(h, b) is not None:
-            out.append((WITNESS_DIST2, b))
+    for b in _bits(loops):
+        v = h.vertices[b]
+        if _is_wr(adj, loops, b):
+            out.append((WITNESS_WR, v))
+        elif _two_wrench(adj, loops, b) is not None:
+            if distance2_labeling(h, v) is not None:
+                out.append((WITNESS_DIST2, v))
+        elif adj[b] & ~loops:
+            if triangle_free is None:
+                triangle_free = not _has_triangle(adj)
+            if triangle_free:
+                out.append((WITNESS_NON_2WRENCH, v))
     return out
 
 
@@ -415,37 +375,34 @@ def _cycle_witness(h: Graph) -> tuple[str, tuple[str, ...]] | None:
     return even
 
 
-def has_square(h: Graph) -> bool:
-    """True iff some 4-cycle exists: two vertices with two common neighbors
+def is_square_free(h: Graph) -> bool:
+    """True iff no 4-cycle exists: no two vertices with two common neighbors
     besides themselves."""
-    n = len(h)
+    adj = h._adj
+    n = len(adj)
     for i in range(n):
         for j in range(i + 1, n):
-            m = h._adj[i] & h._adj[j] & ~(1 << i) & ~(1 << j)
-            if m.bit_count() >= 2:
-                return True
-    return False
-
-
-def is_square_free(h: Graph) -> bool:
-    return not has_square(h)
+            if (adj[i] & adj[j] & ~(1 << i | 1 << j)).bit_count() >= 2:
+                return False
+    return True
 
 
 def reflexive_cycle_core(h: Graph) -> tuple[str, ...] | None:
     """If every unlooped vertex is a pendant and the looped core is a
     reflexive cycle of length >= 5, its vertex set; else None."""
-    looped = set(h.looped_vertices())
-    if len(looped) < 5:
+    adj, loops = h._adj, h._loops
+    if loops.bit_count() < 5:
         return None
-    for v in h.vertices:
-        if v not in looped and h.degree(v) != 1:
+    for i, a in enumerate(adj):
+        if not loops >> i & 1:
+            if a.bit_count() != 1:
+                return None
+        elif (a & loops & ~(1 << i)).bit_count() != 2:
             return None
-    core = h.induced(looped)
-    if not is_connected(core):
+    # the core is 2-regular: a cycle iff one walk goes all the way round
+    if len(_walk(adj, loops, (loops & -loops).bit_length() - 1)) != loops.bit_count():
         return None
-    if any(len(core.neighbors(v) - {v}) != 2 for v in core.vertices):
-        return None
-    return tuple(sorted(looped))
+    return tuple(h.vertices[i] for i in _bits(loops))
 
 
 # -- classification -----------------------------------------------------------
@@ -464,9 +421,9 @@ def _irreflexive_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
     return wits
 
 
-def _looped_sat_witnesses(c: Graph, g: float) -> list[tuple[str, tuple[str, ...]]]:
+def _looped_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
     wits: list[tuple[str, tuple[str, ...]]] = [
-        (label, (v,)) for label, v in _neighborhood_witnesses(c, g)
+        (label, (v,)) for label, v in neighborhood_witnesses(c)
     ]
     rc = reflexive_cycle_core(c)
     if rc is not None:
@@ -477,26 +434,26 @@ def _looped_sat_witnesses(c: Graph, g: float) -> list[tuple[str, tuple[str, ...]
 
 
 def classify_component(c: Graph) -> ComponentVerdict:
-    """The verdict on a connected component c; girth is computed once and
-    handed to the recognizers, which skip their connectivity checks."""
+    """The verdict on a connected component c; girth is computed once, to
+    choose between the girth >= 5 trichotomy and the other classifications."""
     verts = c.vertices
     g = girth(c)
     irr = c.is_irreflexive()
     if g >= 5:  # includes math.inf
         if irr:
-            if _is_star(c):
+            if is_irreflexive_star(c):
                 return ComponentVerdict(verts, CLASS_FP, "Thm1.i")
-            if _is_caterpillar(c, g):
+            if is_caterpillar(c):
                 return ComponentVerdict(verts, CLASS_BIS, "Thm1.ii")
             return ComponentVerdict(
                 verts, CLASS_SAT, "Thm5.iii", tuple(_irreflexive_sat_witnesses(c))
             )
-        if _is_single_looped_vertex(c) or _is_double_looped_edge(c):
+        if is_single_looped_vertex(c) or is_double_looped_edge(c):
             return ComponentVerdict(verts, CLASS_FP, "Thm1.i")
-        if _pbrp(c, g) is not None:
+        if is_pbrp(c) is not None:
             return ComponentVerdict(verts, CLASS_BIS, "Thm1.ii")
         return ComponentVerdict(
-            verts, CLASS_SAT, "Thm1.iii", tuple(_looped_sat_witnesses(c, g))
+            verts, CLASS_SAT, "Thm1.iii", tuple(_looped_sat_witnesses(c))
         )
     if irr and is_square_free(c):
         # girth 3 and square-free: never a star or caterpillar
@@ -504,7 +461,7 @@ def classify_component(c: Graph) -> ComponentVerdict:
             verts, CLASS_SAT, "Thm5.iii", tuple(_irreflexive_sat_witnesses(c))
         )
     if not irr:
-        wits = [(label, (v,)) for label, v in _neighborhood_witnesses(c, g)]
+        wits = [(label, (v,)) for label, v in neighborhood_witnesses(c)]
         if wits:
             return ComponentVerdict(
                 verts, CLASS_SAT, _WITNESS_CLAUSE[wits[0][0]], tuple(wits)

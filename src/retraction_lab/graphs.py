@@ -139,7 +139,8 @@ class Graph:
         return list(self._nl_edges)
 
     def edge_count(self) -> int:
-        return len(self.edges())
+        """len(edges()): a non-loop edge is in two masks, a loop in one."""
+        return (sum(a.bit_count() for a in self._adj) + self._loops.bit_count()) // 2
 
     # -- derived graphs ---------------------------------------------------
 

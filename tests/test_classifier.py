@@ -31,8 +31,30 @@ def test_trivial_recognizers():
     assert not cl.is_irreflexive_star(tw)
     assert not cl.is_single_looped_vertex(tw)
     assert not cl.is_double_looped_edge(tw)
-    with pytest.raises(ValueError):
-        cl.is_irreflexive_star(Graph(["a", "b"]))
+
+
+def _two_copies(h):
+    return Graph(
+        [f"{s}.{v}" for s in "ab" for v in h.vertices],
+        [(f"{s}.{u}", f"{s}.{v}") for s in "ab" for u, v in h.edges()],
+    )
+
+
+@pytest.mark.parametrize(
+    "one",
+    [Graph(["v"]), Graph([], [("v", "v")]), build_reflexive_path(2), build_path(3),
+     build_reflexive_path(3)],
+    ids=["K1", "looped K1", "reflexive K2", "path", "reflexive path"],
+)
+def test_recognizers_reject_disconnected_graphs(one):
+    # each copy alone is a star, a looped vertex, a double-looped edge, a
+    # caterpillar or a bristled path; two disjoint copies are none of these
+    h = _two_copies(one)
+    assert not cl.is_irreflexive_star(h)
+    assert not cl.is_single_looped_vertex(h)
+    assert not cl.is_double_looped_edge(h)
+    assert not cl.is_caterpillar(h)
+    assert cl.is_pbrp(h) is None
 
 
 def test_caterpillar():
@@ -173,11 +195,11 @@ def test_unclassified_note():
 
 
 def test_square_detection():
-    assert cl.has_square(build_cycle(4))
-    assert not cl.has_square(build_cycle(5))
-    assert not cl.has_square(build_jq(3))
+    assert not cl.is_square_free(build_cycle(4))
+    assert cl.is_square_free(build_cycle(5))
+    assert cl.is_square_free(build_jq(3))
     k4 = Graph("abcd", [(a, b) for i, a in enumerate("abcd") for b in "abcd"[i + 1 :]])
-    assert cl.has_square(k4)
+    assert not cl.is_square_free(k4)
     # girth-3 but square-free stays classifiable
     tri = build_cycle(3)
     assert cl.classify(tri).cls == cl.CLASS_SAT
@@ -294,3 +316,65 @@ def test_classify_verdicts_are_pinned():
         h.update(json.dumps(cl.classify(g).to_json(), sort_keys=True).encode())
         graphs += 1
     assert (graphs, h.hexdigest()[:16]) == (3028, "c9716aec4de0b7ec")
+
+
+def _recognizer_corpus():
+    """H_k and H'_k (k = 1..3), J_q (q = 3..5), then 3 200 seeded graphs with
+    loops on 7 to 11 vertices in four shapes, so that every recognizer both
+    fires and misses: sparse G(n, p), random trees, reflexive paths or
+    cycles with pendants placed anywhere, and trees with one extra edge."""
+    for k in (1, 2, 3):
+        yield build_hk(k)
+        yield build_hk_prime(k)
+    for q in (3, 4, 5):
+        yield build_jq(q)
+    for i in range(3200):
+        rng = pyrng("recognizers", i)
+        n = rng.randint(7, 11)
+        vs = [f"v{j:02d}" for j in range(n)]
+        rng.shuffle(vs)
+        style = i % 4
+        loop_p = rng.choice((0.0, 0.3, 0.6, 1.0))
+        if style == 0:
+            p = rng.choice((0.15, 0.25, 0.35))
+            edges = [(a, b) for j, a in enumerate(vs) for b in vs[j + 1 :] if rng.random() < p]
+        elif style == 2:
+            spine = rng.randint(1, n)
+            edges = [(vs[j], vs[j + 1]) for j in range(spine - 1)]
+            if spine >= 3 and rng.random() < 0.4:
+                edges.append((vs[spine - 1], vs[0]))
+            edges += [(vs[rng.randrange(spine)], vs[j]) for j in range(spine, n)]
+            edges += [(v, v) for v in vs[:spine]]
+            loop_p = 0.1
+        else:
+            edges = [(vs[rng.randrange(j)], vs[j]) for j in range(1, n)]
+            if style == 3:
+                edges.append(tuple(rng.sample(vs, 2)))
+        edges += [(v, v) for v in vs if rng.random() < loop_p]
+        yield Graph(vs, edges)
+
+
+def _recognizer_outputs(h):
+    pbrp = cl.is_pbrp(h)
+    return [
+        [list(label.items()) for label in cl.induced_j3_embeddings(h)],
+        [
+            None if (d2 := cl.distance2_labeling(h, v)) is None else list(d2.items())
+            for v in h.vertices
+        ],
+        None if pbrp is None else [pbrp.path, pbrp.bristles],
+        cl.is_caterpillar(h),
+        cl.reflexive_cycle_core(h),
+        cl.neighborhood_witnesses(h),
+    ]
+
+
+def test_recognizer_outputs_are_pinned():
+    # the ordered J3 listing matters: gadgets.find_J3_labels labels the cut
+    # reduction by the first embedding, which the verdict digest does not pin
+    h = hashlib.sha256()
+    graphs = 0
+    for g in _recognizer_corpus():
+        h.update(json.dumps(_recognizer_outputs(g)).encode())
+        graphs += 1
+    assert (graphs, h.hexdigest()[:16]) == (3209, "e65353f48415f017")

@@ -142,6 +142,15 @@ def test_non_loop_edges_is_a_fresh_list():
     assert not g.has_edge("a", "c")
 
 
+def test_edge_count_matches_the_edge_list():
+    assert Graph().edge_count() == 0
+    for i in range(300):
+        rng = pyrng("edge-count", i)
+        vs = [f"v{j}" for j in range(rng.randint(1, 12))]
+        p = rng.random()
+        edges = [(a, b) for j, a in enumerate(vs) for b in vs[j:] if rng.random() < p]
+        g = Graph(vs, edges)
+        assert g.edge_count() == len(g.edges()), i
 
 def test_digraph_equality_hash_repr_and_len():
     d = DiGraph(["c"], [("a", "b"), ("b", "a"), ("b", "b")])
