@@ -12,6 +12,8 @@ With an `ExactOracle` the coverage estimator costs three kernel counts: the
 number t of witnesses, their total weight Omega and the union |union|; it
 lists no witness and asks the oracle nothing.  Any other oracle, and a run
 with force_jvv, lists the witnesses with `enumerate_T` and weighs each one.
+One capped covering search (`exact._witness_search`) defines the witnesses:
+`count_witnesses` counts its maps and `enumerate_T` lists them.
 
 The sampler pins one multi-valued vertex per step, each value weighted by
 the count of the instance pinned to it (self-reducibility, as in Jerrum,
@@ -30,12 +32,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import reference
 from ._seeds import nprng, pyrng
 from .exact import (
-    _covering,
     _pin_counts,
     _witness_search,
     count_blocked,
@@ -410,21 +410,21 @@ def enumerate_T(inst: ListedInstance, target: Graph, mode: str):
 
     surjective mode: |U| = |V(H)| and tau a surjective (hence bijective)
     homomorphism from G[U]; compaction mode: |V(H)| <= |U| <= |V(H)| + 2|E(H)|
-    and tau a compaction from G[U].  The subsets U of each size come in
-    `combinations` order, and for each the maps tau in the order of the
-    covering kernel's assignments of G[U], which prunes a branch as soon as
-    it can no longer cover.  Deterministic order.
+    and tau a compaction from G[U].  They are the maps of the search that
+    `count_witnesses` counts, U the vertices not at _|_, sorted by |U| and
+    then U; for one U they keep the kernel's order, which is its order on
+    G[U] (_|_ narrows nothing).  The search recurses once per pattern
+    vertex: a pattern deeper than Python's recursion limit raises ValueError.
     """
     _check_mode(mode)
     pv, tv = inst.pattern.vertices, target.vertices
-    top = len(tv) if mode == "sur" else len(tv) + 2 * target.edge_count()
-    search = _covering(inst, target, need_edges=mode == "comp")
-    out: list[tuple[tuple[str, ...], dict[str, str]]] = []
-    for size in range(len(tv), min(len(pv), top) + 1):
-        for us in combinations(range(len(pv)), size):
-            for image in search.assignments(sum(1 << i for i in us)):
-                out.append((tuple(pv[i] for i in us), {pv[i]: tv[image[i]] for i in us}))
-    return out
+    k = len(tv)
+    found = []
+    for image in _witness_search(inst, target, mode, weighted=False).assignments():
+        found.append((tuple(i for i, t in enumerate(image) if t < k), image))
+    # stable: within one U, the kernel's order
+    found.sort(key=lambda f: (len(f[0]), f[0]))
+    return [(tuple(pv[i] for i in us), {pv[i]: tv[image[i]] for i in us}) for us, image in found]
 
 
 def _check_mode(mode: str) -> None:
@@ -433,8 +433,8 @@ def _check_mode(mode: str) -> None:
 
 
 def count_witnesses(inst: ListedInstance, target: Graph, mode: str) -> int:
-    """t, the number of witnesses `enumerate_T` lists, as one covering count
-    of the kernel (see `exact._witness_search`); no witness is listed."""
+    """t, the number of witnesses, as one count of the search whose maps
+    `enumerate_T` lists (see `exact._witness_search`); no witness is listed."""
     _check_mode(mode)
     return _witness_search(inst, target, mode, weighted=False).count()
 

@@ -6,7 +6,7 @@ components get the full trichotomy, irreflexive square-free components get
 the irreflexive classification, and looped components with 3- or 4-cycles
 are UNCLASSIFIED unless one of the girth-independent neighborhood witnesses
 fires (those lemmas need no girth assumption, or only triangle-freeness).
-Girth is computed once per component, only to choose among these.  There is
+Girth >= 5 is tested as no triangle and no 4-cycle, loops ignored.  There is
 one recognizer per shape; each reads the adjacency masks and answers for any
 graph, so none needs the girth or a connectivity check first.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fixedgraphs import build_hk
-from .graphs import Graph, _bits, connected_components, girth
+from .graphs import Graph, _bits, connected_components
 
 CLASS_FP = "FP"
 CLASS_BIS = "BIS_EQUIVALENT"
@@ -434,12 +434,12 @@ def _looped_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def classify_component(c: Graph) -> ComponentVerdict:
-    """The verdict on a connected component c; girth is computed once, to
-    choose between the girth >= 5 trichotomy and the other classifications."""
+    """The verdict on a connected component c; two mask loops (no 4-cycle, no
+    triangle) choose between the girth >= 5 trichotomy and the others."""
     verts = c.vertices
-    g = girth(c)
+    square_free = is_square_free(c)
     irr = c.is_irreflexive()
-    if g >= 5:  # includes math.inf
+    if square_free and not _has_triangle(c._adj):  # girth >= 5
         if irr:
             if is_irreflexive_star(c):
                 return ComponentVerdict(verts, CLASS_FP, "Thm1.i")
@@ -455,7 +455,7 @@ def classify_component(c: Graph) -> ComponentVerdict:
         return ComponentVerdict(
             verts, CLASS_SAT, "Thm1.iii", tuple(_looped_sat_witnesses(c))
         )
-    if irr and is_square_free(c):
+    if irr and square_free:
         # girth 3 and square-free: never a star or caterpillar
         return ComponentVerdict(
             verts, CLASS_SAT, "Thm5.iii", tuple(_irreflexive_sat_witnesses(c))

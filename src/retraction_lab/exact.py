@@ -355,25 +355,22 @@ class _Search:
             order.extend(_bits(comp & heavy))
         return order
 
-    def assignments(self, keep: int | None = None) -> Iterator[tuple[int, ...]]:
+    def assignments(self) -> Iterator[tuple[int, ...]]:
         """The homomorphisms that meet the coverage goal, each as the tuple
         of its images' target indices in pattern vertex order; deterministic
-        order.  With `keep`, those of the pattern induced on that vertex
-        mask, with -1 for the vertices outside it."""
+        order."""
         n, w = len(self.domains), self.w
-        active = (1 << n) - 1 if keep is None else keep
-        if any(self.domains[v] == 0 for v in _bits(active)):
+        if any(d == 0 for d in self.domains):
             return
-        if not active:
+        if not n:
             # the one empty map, which covers an empty goal only
             if not self.full_v:
-                yield (-1,) * n
+                yield ()
             return
-        low = 0
-        for v in _bits(active):
-            low |= 1 << v * w
+        # bit 0 of every field
+        low = ((1 << n * w) - 1) // ((1 << w) - 1)
         try:
-            yield from self._enumerate(active, low, self.packed, [-1] * n, 0, 0, 0)
+            yield from self._enumerate((1 << n) - 1, low, self.packed, [0] * n, 0, 0, 0)
         except RecursionError:
             raise ValueError(
                 f"enumeration on a {n}-vertex pattern: the search recurses once per vertex it "
@@ -384,12 +381,12 @@ class _Search:
         self, active: int, low: int, x: int, image: list[int], cov_v: int, cov_e: int, used: int
     ) -> Iterator[tuple[int, ...]]:
         """The completions of packed state `x` that meet the goal, pruned as
-        in `count`; `active` is not empty, `low` is bit 0 of the field of
-        every vertex in `active`, and ``image`` holds -1 at every vertex not
-        assigned.  The branch vertex is the active one of fewest values
-        (ties: the lowest index), and its values go in ascending order.  When
-        it is the last active vertex, each of its values completes a map,
-        yielded here once it meets the goal, with no child generator."""
+        in `count`; `active`, the unassigned vertices, is not empty, `low` is
+        bit 0 of each of their fields, and ``image`` holds the others' values.
+        The branch vertex is the active one of fewest values (ties: the lowest
+        index), and its values go in ascending order.  When it is the last
+        active vertex, each of its values completes a map, yielded here once
+        it meets the goal, with no child generator."""
         full_v, top = self.full_v, self.top
         if full_v is not None:
             room = active.bit_count()
@@ -419,7 +416,7 @@ class _Search:
         nb_high = nb_low << w - 1
         off_out, off_in = self.off_out, self.off_in
         ebit, goal, full_e = self.ebit, full_v or 0, self.full_e
-        assigned_nbrs = [u for u in _bits(self.adj[v]) if image[u] >= 0] if ebit else ()
+        assigned_nbrs = list(_bits(self.adj[v] & ~active)) if ebit else ()
         d = x >> v * w & vmask
         while d:
             b = d & -d
@@ -441,7 +438,6 @@ class _Search:
                 yield from self._enumerate(rest, low, y, image, cov_v | cb, ce, used + (cb != 0))
             elif full_v is None or cov_v | cb == full_v and ce == full_e:
                 yield tuple(image)
-        image[v] = -1
 
 
 def _split_bits(domains: list[int]) -> int:
@@ -492,6 +488,10 @@ def _check_same_target(inst: ListedInstance, target: Graph) -> None:
 
 
 def enumerate_homs(inst: ListedInstance, target: Graph) -> Iterator[dict[str, str]]:
+    """The list homomorphisms of (G, S) as dicts, in the kernel's order: the
+    public listing API, kept for callers outside the library's own listings
+    (`verify`'s bichromatic-forcing and jvv-uniformity checks) and timed as
+    a layer by `perfbench`."""
     _check_same_target(inst, target)
     pv, tv = inst.pattern.vertices, target.vertices
     search = _search(inst.pattern, inst.lists, target)

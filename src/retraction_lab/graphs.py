@@ -120,9 +120,6 @@ class Graph:
     def is_irreflexive(self) -> bool:
         return self._loops == 0
 
-    def is_reflexive(self) -> bool:
-        return self._loops == (1 << len(self)) - 1
-
     def edges(self) -> list[tuple[str, str]]:
         """All edges, loops included, as sorted pairs (u <= v), sorted."""
         out = []

@@ -33,6 +33,9 @@ def test_enumerate_T_examples():
     assert approx.enumerate_T(single, K2, "sur") == []
     with pytest.raises(ValueError):
         approx.enumerate_T(inst, K2, "hom")
+    # the witness search recurses once per pattern vertex, not per vertex of U
+    with pytest.raises(ValueError, match="enumeration on a 1500-vertex pattern"):
+        approx.enumerate_T(ListedInstance.full(build_path(1500), K2), K2, "sur")
 
 
 def test_enumerate_T_respects_lists():
@@ -83,6 +86,44 @@ def test_witness_lists_are_pinned():
         ("C4", "sur"): 1153, ("C4", "comp"): 360,
         ("reflexive P3", "sur"): 638, ("reflexive P3", "comp"): 3914,
     }
+
+
+def _per_subset_witnesses(inst, target, mode):
+    """The witnesses by a second route, the one `enumerate_T` took before it
+    listed the capped witness search: each U of |V(H)| up to the cap
+    vertices in `combinations` order, and for each the covering kernel's
+    maps of G[U] in its order."""
+    pv, tv = inst.pattern.vertices, target.vertices
+    top = len(tv) if mode == "sur" else len(tv) + 2 * target.edge_count()
+    out = []
+    for size in range(len(tv), min(len(pv), top) + 1):
+        for us in combinations(pv, size):
+            sub = ListedInstance(inst.pattern.induced(us), {u: inst.lists[u] for u in us}, tv)
+            for image in exact._covering(sub, target, need_edges=mode == "comp").assignments():
+                out.append((us, {u: tv[t] for u, t in zip(us, image)}))
+    return out
+
+
+def test_enumerate_T_matches_the_per_subset_route():
+    # in order and in both modes, which also pins the sur order that
+    # test_witness_lists_are_pinned sorts away; seeded patterns of 0-7
+    # vertices with random lists onto targets of 1-4 vertices with loops,
+    # so that both caps bind, then the pinned witness corpus
+    cases = [(inst, target) for _, inst, target in _witness_corpus()]
+    for i in range(300):
+        rng = pyrng("witness-route", i)
+        target = verify.random_graph(rng, rng.randint(1, 4), 0.5, "h", loop_p=0.5)
+        tv = target.vertices
+        g = verify.random_graph(rng, rng.randint(0, 7), 0.4, "g")
+        lists = {v: frozenset(rng.sample(tv, rng.randint(1, len(tv)))) for v in g.vertices}
+        cases.append((ListedInstance(g, lists, target.vertices), target))
+    listed = 0
+    for inst, target in cases:
+        for mode in ("sur", "comp"):
+            ts = approx.enumerate_T(inst, target, mode)
+            assert ts == _per_subset_witnesses(inst, target, mode), (inst.pattern, target, mode)
+            listed += len(ts)
+    assert listed > 10_000
 
 
 def _pinned_total(inst, target, ts):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -18,6 +19,7 @@ from retraction_lab.fixedgraphs import (
     build_wr,
 )
 from retraction_lab.graphs import Graph, connected_components, girth
+from retraction_lab.verify import random_graph
 
 
 def test_trivial_recognizers():
@@ -204,6 +206,27 @@ def test_square_detection():
     tri = build_cycle(3)
     assert cl.classify(tri).cls == cl.CLASS_SAT
     assert cl.classify(tri).clause == "Thm5.iii"
+
+
+def test_girth_five_branch_is_two_mask_loops():
+    # classify_component takes its girth >= 5 branch on "square-free and no
+    # triangle"; a loop is not a cycle to either, so a looped triangle-free
+    # graph, the reflexive P3, has no short cycle
+    def branch(h):
+        return cl.is_square_free(h) and not cl._has_triangle(h._adj)
+
+    refl_p3 = build_reflexive_path(3)
+    assert branch(refl_p3) and girth(refl_p3) == math.inf
+    seen = set()
+    for i in range(2000):
+        rng = pyrng("girth-branch", i)
+        n = rng.randint(0, 9)
+        h = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)), "v", loop_p=rng.random())
+        assert branch(h) == (girth(h) >= 5), h
+        seen.add((branch(h), h.is_irreflexive(), girth(h)))
+    # both outcomes, with and without loops, and every short girth
+    assert {(b, irr) for b, irr, _ in seen} == {(b, irr) for b in (False, True) for irr in (False, True)}
+    assert {3, 4, 5, 6, math.inf} <= {g for _, _, g in seen}
 
 
 def _cls(h):

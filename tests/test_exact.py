@@ -314,11 +314,21 @@ def test_search_past_the_recursion_limit_raises_value_error():
         next(exact.enumerate_homs(ListedInstance.full(path, TW), TW))
 
 
+def _padded(listing, keep: int, n: int):
+    """The maps of a listing on the pattern induced on vertex mask `keep`, as
+    n-tuples with -1 at the vertices outside it."""
+    for image in listing:
+        out = [-1] * n
+        for i, t in zip(_bits(keep), image):
+            out[i] = t
+        yield tuple(out)
+
+
 def _listings():
     """Every kernel listing of a seeded corpus, in the kernel's order: list
-    instances, covering listings of induced subpatterns (`keep`) with and
-    without edges, unweighted witness listings under their cap, and
-    digraphs whose patterns and targets have loops."""
+    instances, covering listings of induced subpatterns with and without
+    edges (padded with -1), unweighted witness listings under their cap,
+    and digraphs whose patterns and targets have loops."""
     for i in range(250):
         rng = pyrng("enumeration-order", i)
         tv = [f"h{j}" for j in range(rng.randint(1, 4))]
@@ -329,9 +339,11 @@ def _listings():
         listed = ListedInstance(pattern, lists, target.vertices)
         yield exact._search(pattern, lists, target).assignments()
         for need_edges in (False, True):
-            search = exact._covering(listed, target, need_edges)
             for _ in range(3):
-                yield search.assignments(rng.getrandbits(len(pv)))
+                keep = rng.getrandbits(len(pv))
+                sub = pattern.induced(pv[i] for i in _bits(keep))
+                on_sub = ListedInstance(sub, {v: lists[v] for v in sub.vertices}, target.vertices)
+                yield _padded(exact._covering(on_sub, target, need_edges).assignments(), keep, len(pv))
         for mode in ("sur", "comp"):
             yield exact._witness_search(listed, target, mode, weighted=False).assignments()
     for i in range(250):
@@ -410,11 +422,6 @@ def test_enumeration_leaf_steps_match_naive():
         got = list(search.assignments())
         assert sorted(got) == _naive_images(pattern, lists, target, mode), (pattern, mode)
         assert len(got) == search.count()
-    # keep = 0: the empty map of the pattern induced on no vertex, which
-    # covers no goal
-    search = exact._search(tri, {v: frozenset("ab") for v in tri.vertices}, K2)
-    assert list(search.assignments(0)) == [(-1, -1, -1)]
-    assert list(search.cover(0b11).assignments(0)) == []
     # a digraph with loops: a 3-cycle of arcs, a looped vertex on it, into a
     # digraph with one loop
     pattern = DiGraph("abc", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "c")])
