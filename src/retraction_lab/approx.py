@@ -3,10 +3,12 @@ self-partitioning, the coverage estimator for surjective homomorphisms and
 compactions, and the padding translation from plain list-homomorphism
 counting.
 
-An oracle is an `ExactOracle` or a `NoisyOracle`; both count listed and
-blocked instances, and only an `ExactOracle` is treated as exact.  Its counts
-are exact integers, a noisy oracle's exact rationals; the estimator's output
-Y is an exact rational.
+An oracle is any object with a method `count(inst, target, eps)`, and every
+entry point that asks one (`powered_count`, `sample_hom`, `coverage_mc`)
+takes any such object.  The module has two: an `ExactOracle` and a
+`NoisyOracle` both count listed and blocked instances, and only an
+`ExactOracle` is treated as exact.  Its counts are exact integers, a noisy
+oracle's exact rationals; the estimator's output Y is an exact rational.
 
 With an `ExactOracle` the coverage estimator costs three kernel counts: the
 number t of witnesses, their total weight Omega and the union |union|; it
@@ -126,19 +128,17 @@ class NoisyOracle:
         self._rng = pyrng(seed, "noisy")
 
     def count(self, inst: ListedInstance | BlockedInstance, target: Graph, eps: float | None = None):
-        self.calls += 1
-        true = self._exact.count(inst, target)
-        if true == 0:
-            return Fraction(0)
-        return _times(true, self._factors(eps, 1)[0])
+        return self.median(inst, target, eps, 1)
 
-    def median(self, inst: ListedInstance, target: Graph, eps: float, m: int) -> Fraction:
-        """The median of m calls of `count` at precision eps, as
-        `powered_count` takes it over any oracle: the same value, `calls`
-        and random numbers, from one exact count and one Fraction.  Sorting
-        the m factors e^u orders the m answers true * e^u the same way, since
-        true > 0 is a common factor, each float's `as_integer_ratio` is
-        exact, and equal floats give equal answers."""
+    def median(
+        self, inst: ListedInstance | BlockedInstance, target: Graph, eps: float | None, m: int
+    ) -> Fraction:
+        """The median of m calls of `count` (which is the case m = 1) at
+        precision eps, as `powered_count` takes it over any oracle: the same
+        value, `calls` and random numbers, from one exact count and one
+        Fraction.  Sorting the m factors e^u orders the m answers true * e^u
+        the same way, since true > 0 is a common factor, each float's
+        `as_integer_ratio` is exact, and equal floats give equal answers."""
         self.calls += m
         true = self._exact.count(inst, target)
         if true == 0:

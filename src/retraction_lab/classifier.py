@@ -339,37 +339,30 @@ def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
 def _cycle_witness(h: Graph) -> tuple[str, tuple[str, ...]] | None:
     """An odd cycle's witness if h has an odd cycle, else an even cycle's,
     else None; the vertex set of a cycle (loops ignored) closed by a
-    non-tree edge of a BFS 2-coloring through the two ancestries cut at
-    their meeting point, odd when the edge's ends share a color."""
-    color: dict[str, int] = {}
-    parent: dict[str, str | None] = {}
+    non-tree edge of a BFS, odd when the edge's ends lie at the same depth.
+    up[v] is the mask of v and its BFS ancestors, so the cycle closed by
+    (u, w) is up[u] ^ up[w] plus their deepest common ancestor."""
+    adj = h._adj
+    up = [0] * len(adj)
+    depth = [0] * len(adj)
     even = None
-    for root in h.vertices:
-        if root in color:
+    for root in range(len(adj)):
+        if up[root]:
             continue
-        color[root] = 0
-        parent[root] = None
+        up[root] = 1 << root
         queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in sorted(h.neighbors(u) - {u}):
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    parent[w] = u
+        for u in queue:
+            for w in _bits(adj[u] & ~(1 << u)):
+                if not up[w]:
+                    up[w] = up[u] | 1 << w
+                    depth[w] = depth[u] + 1
                     queue.append(w)
-                elif color[w] == color[u] or even is None and w != parent[u]:
-                    anc_u = [u]
-                    while parent[anc_u[-1]] is not None:
-                        anc_u.append(parent[anc_u[-1]])
-                    anc_w = [w]
-                    while parent[anc_w[-1]] is not None:
-                        anc_w.append(parent[anc_w[-1]])
-                    set_u = set(anc_u)
-                    lca = next(x for x in anc_w if x in set_u)
-                    path_u = anc_u[: anc_u.index(lca) + 1]
-                    path_w = anc_w[: anc_w.index(lca)]
-                    cycle = tuple(sorted(set(path_u) | set(path_w)))
-                    if color[w] == color[u]:
+                # a BFS edge joins equal or adjacent depths, and the only
+                # ancestor adjacent to u is its parent
+                elif depth[w] == depth[u] or even is None and not up[u] >> w & 1:
+                    top = max(_bits(up[u] & up[w]), key=depth.__getitem__)
+                    cycle = tuple(h.vertices[i] for i in _bits(up[u] ^ up[w] | 1 << top))
+                    if depth[w] == depth[u]:
                         return WITNESS_ODD_CYCLE, cycle
                     even = WITNESS_EVEN_PSEUDOTREE, cycle
     return even

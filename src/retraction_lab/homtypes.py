@@ -2,14 +2,15 @@
 to the target H_k.
 
 The type of a homomorphism is the triple of ordered-pair sets it realizes on
-the three matchings of J (A-B, C-C', B'-A').  Maximal types are derived
-constructively from the four possible C/C' projections and reported in the
-canonical ten-row order.  Maximality is tested by single-pair augmentation
-on the six projection masks (A, B, C, C', B', A') over the adjacency
-bitmasks of one H_k per census: a pair ORs two bits into the masks, and the
-non-emptiness conditions are integer tests.  N(T) has the closed form
-|surj(pt, |T1|)| * |surj(qt, |T2|)| * |surj(pt, |T3|)| and the crude upper
-bound Nhat(T) = |T1|^pt |T2|^qt |T3|^pt.
+the three matchings of J (A-B, C-C', B'-A').  The ten maximal types are
+derived from the C/C' projections that Lemma 45's fixed points allow: B/B'
+and A/A' follow from C/C', and each component is the full pair set of its
+projections.  They are reported in the canonical ten-row order with no
+search; `reference.is_maximal_type_sets` checks each row's maximality by
+single-pair augmentation in the tests and in `verify`.  Non-emptiness is a
+test on the projections, as sets of H_k's vertex names.  N(T) has the
+closed form |surj(pt, |T1|)| * |surj(qt, |T2|)| * |surj(pt, |T3|)| and the
+crude upper bound Nhat(T) = |T1|^pt |T2|^qt |T3|^pt.
 """
 from __future__ import annotations
 
@@ -59,83 +60,24 @@ def e_pairs(h: Graph, xs, ys) -> frozenset[Pair]:
     return frozenset((x, y) for x in xs for y in ys if h.has_edge(x, y))
 
 
-def _index_pairs(hk: Graph, k: int, t: HomType) -> list[set[tuple[int, int]]]:
-    """The three components as vertex-index pairs of H_k; raises ValueError
-    on a pair that is not an edge or names an unknown vertex."""
-    out = []
-    for part in (t.t1, t.t2, t.t3):
-        pairs = set()
-        for x, y in part:
-            i, j = hk.index(x), hk.index(y)
-            if not hk._adj[i] >> j & 1:
-                raise ValueError(f"pair {(x, y)} is not an edge of H_{k}")
-            pairs.add((i, j))
-        out.append(pairs)
-    return out
-
-
-def _projection_masks(parts: list[set[tuple[int, int]]]) -> list[int]:
-    """(A, B, C, C', B', A') as bitmasks over the vertex indices of H_k."""
-    masks = []
-    for pairs in parts:
-        xs = ys = 0
-        for i, j in pairs:
-            xs |= 1 << i
-            ys |= 1 << j
-        masks += (xs, ys)
-    return masks
-
-
-def _joined(adj: tuple[int, ...], xs: int, ys: int) -> bool:
-    """Every vertex of xs adjacent to every vertex of ys."""
-    for i in _bits(xs):
-        if ys & ~adj[i]:
-            return False
-    return True
-
-
-def _masks_nonempty(hk: Graph, a: int, b: int, c: int, cp: int, bp: int, ap: int) -> bool:
-    """The non-emptiness conditions on the projection masks of a type whose
-    components are non-empty: B/C/C'/B' inside Gamma(b), A/A' inside
-    Gamma(g), and the complete joins B-C and B'-C' realized."""
-    adj = hk._adj
-    if (b | c | cp | bp) & ~adj[hk._index["b"]] or (a | ap) & ~adj[hk._index["g"]]:
-        return False
-    return _joined(adj, b, c) and _joined(adj, bp, cp)
-
-
 def is_nonempty_type(t: HomType, k: int) -> bool:
-    """Non-emptiness test: non-empty components, B/C/C'/B' inside Gamma(b),
-    A/A' inside Gamma(g), and the two complete joins realized."""
+    """Non-emptiness of a type: every pair an edge of H_k (else ValueError),
+    non-empty components, B/C/C'/B' inside Gamma(b), A/A' inside Gamma(g),
+    and the complete joins B-C and B'-C' realized."""
     hk = build_hk(k)
-    parts = _index_pairs(hk, k, t)
-    return all(parts) and _masks_nonempty(hk, *_projection_masks(parts))
-
-
-def _is_maximal(hk: Graph, k: int, t: HomType) -> bool:
-    """Non-empty, and no single-pair augmentation of any component is
-    non-empty.  Single pairs suffice: the non-emptiness conditions are
-    inherited by intermediate triples, so any non-empty strict superset
-    yields a non-empty one-pair extension.  A pair only ORs two bits into
-    the projection masks, so each augmentation is tested on integers."""
-    parts = _index_pairs(hk, k, t)
-    if not all(parts):
+    for part in (t.t1, t.t2, t.t3):
+        for x, y in part:
+            if not hk.has_edge(x, y):
+                raise ValueError(f"pair {(x, y)} is not an edge of H_{k}")
+    if not (t.t1 and t.t2 and t.t3):
         return False
-    masks = _projection_masks(parts)
-    if not _masks_nonempty(hk, *masks):
-        return False
-    edges = [(i, j) for i, row in enumerate(hk._adj) for j in _bits(row)]
-    for comp, pairs in enumerate(parts):
-        x, y = 2 * comp, 2 * comp + 1
-        for i, j in edges:
-            if (i, j) in pairs:
-                continue
-            aug = masks.copy()
-            aug[x] |= 1 << i
-            aug[y] |= 1 << j
-            if _masks_nonempty(hk, *aug):
-                return False
-    return True
+    a, b, c, cp, bp, ap = t.projections()
+    return (
+        (b | c | cp | bp) <= hk.neighbors("b")
+        and (a | ap) <= hk.neighbors("g")
+        and all(hk.has_edge(x, y) for x in b for y in c)
+        and all(hk.has_edge(x, y) for x in bp for y in cp)
+    )
 
 
 # menu-index pairs in the canonical ten-row presentation order
@@ -165,19 +107,12 @@ def _type_from_c_sets(hk: Graph, c: frozenset[str], cp: frozenset[str]) -> HomTy
 
 
 def enumerate_maximal_types(k: int) -> list[tuple[str, HomType]]:
-    """The maximal types up to symmetry, labeled T1..T10 in table order.
-
-    Constructive: each C/C' menu pair (i, j) with i <= j is derived and kept
-    if maximal; the pair (j, i) derives the symmetric partner of (i, j).
-    """
+    """The maximal types up to symmetry, labeled T1..T10 in table order:
+    the type derived from each C/C' menu pair (i, j) with i <= j; the pair
+    (j, i) derives the symmetric partner of (i, j)."""
     hk = build_hk(k)
     menu = c_menu()
-    out: list[tuple[str, HomType]] = []
-    for i, j in _TABLE_ORDER:
-        t = _type_from_c_sets(hk, menu[i], menu[j])
-        if _is_maximal(hk, k, t):
-            out.append((f"T{len(out) + 1}", t))
-    return out
+    return [(f"T{n}", _type_from_c_sets(hk, menu[i], menu[j])) for n, (i, j) in enumerate(_TABLE_ORDER, 1)]
 
 
 def nhat(t: HomType, p: int, q: int, tt: int) -> int:

@@ -10,9 +10,11 @@ Three kinds:
     target components, and inclusion-exclusion for surjective and compaction
     counts.  They share the kernel's list counts but not its coverage state
     or its component handling;
-  - the type census on sets: non-emptiness and single-pair augmentation of
-    homomorphism types over frozensets of named pairs, independent of the
-    projection masks `homtypes` tests them on.
+  - the maximality check of the type table: single-pair augmentation of
+    homomorphism types over frozensets of named pairs, with
+    `homtypes.is_nonempty_type` as its non-emptiness test, and the ten rows
+    derived again by set comprehensions and kept only when maximal
+    (`homtypes.enumerate_maximal_types` keeps all ten with no test).
 Only run these at desk scale: inclusion-exclusion for compactions makes
 2^(|V(H)| + |E(H)|) list counts.
 """
@@ -24,7 +26,7 @@ from . import exact
 from .csp import CspInstance
 from .fixedgraphs import build_hk
 from .graphs import DiGraph, Graph, connected_components
-from .homtypes import _TABLE_ORDER, HomType, c_menu, e_pairs
+from .homtypes import _TABLE_ORDER, HomType, c_menu, e_pairs, is_nonempty_type
 from .instances import ListedInstance
 
 
@@ -216,31 +218,12 @@ def naive_girth(h: Graph) -> float:
     return min(len(c) for c in cycles)
 
 
-def is_nonempty_type_sets(t: HomType, k: int) -> bool:
-    """Non-emptiness of a type on sets: every pair an edge of H_k (else
-    ValueError), non-empty components, B/C/C'/B' inside Gamma(b), A/A'
-    inside Gamma(g), and the complete joins B-C and B'-C' realized."""
-    hk = build_hk(k)
-    for part in (t.t1, t.t2, t.t3):
-        for x, y in part:
-            if not hk.has_edge(x, y):
-                raise ValueError(f"pair {(x, y)} is not an edge of H_{k}")
-    if not (t.t1 and t.t2 and t.t3):
-        return False
-    a, b, c, cp, bp, ap = t.projections()
-    if not (b | c | cp | bp) <= hk.neighbors("b"):
-        return False
-    if not (a | ap) <= hk.neighbors("g"):
-        return False
-    return all(hk.has_edge(x, y) for x in b for y in c) and all(
-        hk.has_edge(x, y) for x in bp for y in cp
-    )
-
-
 def is_maximal_type_sets(t: HomType, k: int) -> bool:
     """Maximality on sets: non-empty, and no type with one more pair in one
-    component is non-empty."""
-    if not is_nonempty_type_sets(t, k):
+    component is non-empty.  Single pairs suffice because non-emptiness
+    survives dropping pairs from a component that stays non-empty (a
+    property test in `tests/test_types.py`)."""
+    if not is_nonempty_type(t, k):
         return False
     hk = build_hk(k)
     pairs = [(x, y) for x in hk.vertices for y in hk.vertices if hk.has_edge(x, y)]
@@ -251,7 +234,7 @@ def is_maximal_type_sets(t: HomType, k: int) -> bool:
                 continue
             aug = [set(p) for p in parts]
             aug[i].add(pair)
-            if is_nonempty_type_sets(HomType(*(frozenset(p) for p in aug)), k):
+            if is_nonempty_type(HomType(*(frozenset(p) for p in aug)), k):
                 return False
     return True
 

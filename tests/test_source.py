@@ -73,3 +73,19 @@ def test_no_module_imports_a_name_it_never_uses():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{name}:{line} {n}" for n, line in bound.items() if n not in read]
     assert not unused, unused
+
+
+def test_only_the_checkers_import_reference():
+    """`reference` holds the cross-checks the library is tested against: it
+    may call the library, but the library must not lean on it.  Only `cli`
+    and `verify`, which run the checks, and `approx`, for the perfbench shim
+    `coverage_tables`, may import it."""
+    allowed = {"cli.py", "verify.py", "approx.py"}
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and name not in allowed:
+                names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+                if any(n.split(".")[-1] == "reference" for n in names):
+                    found.append(f"{name}:{node.lineno}")
+    assert not found, found

@@ -57,8 +57,8 @@ def test_nonempty_type_conditions():
 
 
 def _maximal(t, k):
-    """The maximality test the census runs on H_k."""
-    return ht._is_maximal(build_hk(k), k, t)
+    """The maximality check that verify's table lines run."""
+    return reference.is_maximal_type_sets(t, k)
 
 
 def test_maximality():
@@ -98,19 +98,26 @@ def census_types(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(census_types())
-def test_mask_census_matches_set_route(case):
+@given(census_types(), st.data())
+def test_dropping_pairs_keeps_a_type_nonempty(case, data):
+    """Non-emptiness is inherited: dropping pairs from a component of a
+    non-empty type, while the component stays non-empty, leaves the type
+    non-empty.  This is why single pairs suffice in
+    `reference.is_maximal_type_sets`: a non-empty strict superset of a type
+    contains a one-pair extension of it, and that extension is non-empty."""
     k, t = case
-    assert ht.is_nonempty_type(t, k) == reference.is_nonempty_type_sets(t, k)
-    assert _maximal(t, k) == reference.is_maximal_type_sets(t, k)
+    if not ht.is_nonempty_type(t, k):
+        return
+    parts = [t.t1, t.t2, t.t3]
+    i = data.draw(st.integers(0, 2))
+    keep = data.draw(st.sets(st.sampled_from(sorted(parts[i])), min_size=1))
+    parts[i] = frozenset(keep)
+    assert ht.is_nonempty_type(ht.HomType(*parts), k)
 
 
 def test_census_routes_reject_bad_pairs():
     t4 = table()["T4"]
-    routes = (
-        ht.is_nonempty_type, _maximal,
-        reference.is_nonempty_type_sets, reference.is_maximal_type_sets,
-    )
+    routes = (ht.is_nonempty_type, reference.is_maximal_type_sets)
     bad = (
         ht.HomType(t4.t1 | {("g", "r1")}, t4.t2, t4.t3),  # not an edge of H_1
         ht.HomType(t4.t1, t4.t2 | {("b", "zz")}, t4.t3),  # unknown vertex
@@ -124,7 +131,7 @@ def test_census_routes_reject_bad_pairs():
 
 
 def test_maximal_types_match_set_route():
-    for k in range(1, 6):
+    for k in range(1, 7):
         got = [(label, t.canonical()) for label, t in ht.enumerate_maximal_types(k)]
         want = [(label, t.canonical()) for label, t in reference.maximal_types_sets(k)]
         assert got == want, k
@@ -179,6 +186,18 @@ def test_brute_count_by_type_matches_the_per_map_census():
     # the grid the benchmark runs: the same types, counts and order
     for p, q, tt, k in ((1, 1, 1, 1), (2, 2, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 2)):
         assert list(ht.brute_count_by_type(p, q, tt, k).items()) == list(_census_per_map(p, q, tt, k).items())
+
+
+def test_realized_types_lie_under_the_table():
+    """Table 1 is complete: on the benchmark's census grid, every realized
+    type is non-empty and lies, component by component, under a row or under
+    that row's symmetric partner."""
+    for p, q, tt, k in ((1, 1, 1, 1), (2, 2, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 2)):
+        rows = [t for _, t in ht.enumerate_maximal_types(k)]
+        tops = rows + [ht.symmetric_partner(t) for t in rows]
+        for typ in ht.brute_count_by_type(p, q, tt, k):
+            assert ht.is_nonempty_type(typ, k)
+            assert any(typ.t1 <= m.t1 and typ.t2 <= m.t2 and typ.t3 <= m.t3 for m in tops), (p, q, tt, k, typ)
 
 
 def test_brute_count_by_type_refuses_before_enumerating(monkeypatch):
