@@ -1,14 +1,10 @@
 """Deterministic stream derivation: every random decision draws from a
-generator keyed by (seed, *labels), so runs are reproducible and independent
-trials never share state."""
+`random.Random` keyed by (seed, *labels), so runs are reproducible and
+independent trials never share state."""
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def derive(*parts) -> int:
@@ -18,10 +14,3 @@ def derive(*parts) -> int:
 
 def pyrng(*parts) -> random.Random:
     return random.Random(derive(*parts))
-
-
-def nprng(*parts) -> np.random.Generator:
-    # imported here: numpy costs more to import than the rest of the package
-    import numpy as np
-
-    return np.random.Generator(np.random.PCG64(derive(*parts)))

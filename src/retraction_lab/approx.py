@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import reference
-from ._seeds import nprng, pyrng
+from ._seeds import pyrng
 from .exact import (
     _pin_counts,
     _witness_search,
@@ -488,6 +488,27 @@ def algorithm_parameters(t: int, eps: float, delta: float) -> tuple[float, float
     return eps1, delta1, delta2, m
 
 
+def _binomial(rng, n: int, p: float) -> int:
+    """One Binomial(n, p) draw from `rng`, a `random.Random` (Knuth, TAOCP
+    vol. 2, 3.4.1).  While more than 64 trials remain, the median X of their
+    uniforms is a Beta(j, n - j + 1) draw with j = ceil(n / 2): if X >= p,
+    only the j - 1 uniforms below X, uniform on [0, X), can fall below p;
+    otherwise those j all do, and the n - j above X are uniform on (X, 1).
+    The last trials, unless p is 0 or 1, are drawn one by one."""
+    hits = 0
+    while n > 64 and 0 < p < 1:
+        j = (n + 1) // 2
+        x = rng.betavariate(j, n - j + 1)
+        if x >= p:
+            n, p = j - 1, p / x
+        else:
+            hits, n, p = hits + j, n - j, (p - x) / (1 - x)
+    if not 0 < p < 1:
+        return hits + n * (p >= 1)
+    random = rng.random
+    return hits + sum(random() < p for _ in range(n))
+
+
 def coverage_mc(
     inst: ListedInstance,
     target: Graph,
@@ -507,10 +528,12 @@ def coverage_mc(
     first-occurrence hit with probability phat_i.  So the m samples hit
     independently with probability sum_i omega_i phat_i / Omega = |union| /
     Omega, and x_total is one Binomial(m, |union| / Omega) draw (Karp, Luby
-    and Madras).  That needs no witness and no omega_i, only three kernel
-    counts: t (`count_witnesses`, which fixes m), Omega
-    (`count_witness_extensions`) and |union|, the exact surjective (sur) or
-    compaction (comp) count; `omegas` is then ().  force_jvv runs the
+    and Madras), made by `_binomial` from the stream
+    `pyrng(seed, "coverage", mode)` at the correctly rounded float of that
+    ratio, which exists however large Omega is.  That needs no witness and
+    no omega_i, only three kernel counts: t (`count_witnesses`, which fixes
+    m), Omega (`count_witness_extensions`) and |union|, the exact surjective
+    (sur) or compaction (comp) count; `omegas` is then ().  force_jvv runs the
     literal per-sample walk instead, which is also what every oracle other
     than an ExactOracle gets: it lists the witnesses with `enumerate_T` and
     weighs each by `powered_count`.  That walk is one loop over the m draws
@@ -551,8 +574,7 @@ def coverage_mc(
 
     if collapsed:
         union = count_surjective(inst, target) if mode == "sur" else count_compaction(inst, target)
-        rng = nprng(seed, "coverage", mode)
-        x_total = int(rng.binomial(m, union / float(omega)))
+        x_total = _binomial(pyrng(seed, "coverage", mode), m, union / omega)
         sampler = "collapsed-exact"
     else:
         rng = pyrng(seed, "coverage-jvv", mode)

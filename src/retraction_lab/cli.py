@@ -33,8 +33,26 @@ def _fraction_json(x: Fraction) -> dict:
     return {
         "numerator": str(x.numerator),
         "denominator": str(x.denominator),
-        "decimal": f"{float(x):.12g}",
+        "decimal": _decimal(x),
     }
+
+
+def _decimal(x: Fraction) -> str:
+    """x as float's `.12g` writes it.  Past the float range (|x| >= 2^1024)
+    the same 12 significant digits, rounded half to even, come from the
+    integers."""
+    try:
+        return f"{float(x):.12g}"
+    except OverflowError:
+        pass
+    a = abs(x)
+    e = len(str(a.numerator // a.denominator)) - 1
+    digits = round(a / 10 ** (e - 11))
+    if digits == 10**12:
+        digits, e = digits // 10, e + 1
+    lead, rest = divmod(digits, 10**11)
+    mantissa = f"{lead}.{rest:011d}".rstrip("0").rstrip(".")
+    return f"{'-' if x < 0 else ''}{mantissa}e+{e}"
 
 
 def _write(report: dict | str, out: str | None = None, meta: bool = False) -> None:

@@ -16,10 +16,14 @@ Three kinds:
     derived again by set comprehensions and kept only when maximal
     (`homtypes.enumerate_maximal_types` keeps all ten with no test).
 Only run these at desk scale: inclusion-exclusion for compactions makes
-2^(|V(H)| + |E(H)|) list counts.
+2^(|V(H)| + |E(H)|) list counts.  The routes that `retraction-lab count`
+offers refuse a larger instance with a ValueError before they start:
+`naive_assignments` past NAIVE_ASSIGNMENT_BOUND assignments, the two
+inclusion-exclusions past IE_TERM_BOUND terms.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 from . import exact
@@ -29,12 +33,23 @@ from .graphs import DiGraph, Graph, connected_components
 from .homtypes import _TABLE_ORDER, HomType, c_menu, e_pairs, is_nonempty_type
 from .instances import ListedInstance
 
+# each far above the largest use by the tests, `verify all` and perfbench
+# (78 125 assignments, 512 terms), far below a minutes-long run
+NAIVE_ASSIGNMENT_BOUND = 10**6
+IE_TERM_BOUND = 2**16
+
+
+def _check_bound(size: int, bound: int, what: str) -> None:
+    if size > bound:
+        raise ValueError(f"{what}: {size} is past the bound of {bound}")
+
 
 def naive_assignments(inst: ListedInstance, target: Graph):
     """Yield every list-respecting homomorphism by checking all assignments."""
     pv = inst.pattern.vertices
     pedges = inst.pattern.non_loop_edges()
     domains = [sorted(inst.lists[v]) for v in pv]
+    _check_bound(math.prod(map(len, domains)), NAIVE_ASSIGNMENT_BOUND, "assignments to enumerate")
     for combo in product(*domains):
         img = dict(zip(pv, combo))
         if all(target.has_edge(img[u], img[v]) for u, v in pedges):
@@ -149,6 +164,7 @@ def count_by_components(inst: ListedInstance, target: Graph) -> int:
 def count_surjective_ie(inst: ListedInstance, target: Graph) -> int:
     """Inclusion-exclusion over the subset W of target vertices hit."""
     tn = len(target.vertices)
+    _check_bound(2**tn, IE_TERM_BOUND, "inclusion-exclusion terms")
     total = 0
     for r in range(tn + 1):
         for keep in combinations(target.vertices, r):
@@ -167,6 +183,7 @@ def count_compaction_ie(inst: ListedInstance, target: Graph) -> int:
     """
     tn = len(target.vertices)
     nl_all = target.non_loop_edges()
+    _check_bound(2 ** (tn + len(nl_all)), IE_TERM_BOUND, "inclusion-exclusion terms")
     total = 0
     for r in range(tn + 1):
         for keep in combinations(target.vertices, r):

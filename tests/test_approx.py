@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -233,30 +234,85 @@ def test_collapsed_hit_count_is_binomial():
         assert 0.5 * var <= statistics.pvariance(xs) <= 1.5 * var
 
 
+def test_estimator_runs_past_the_float_range():
+    """520 isolated vertices plus P3 into the 2-wrench: Omega and Y pass
+    2^1024.  The draw's ratio |union| / Omega is a correctly rounded int
+    division, so it needs no float of Omega."""
+    tw = build_two_wrench()
+    pattern = Graph([f"i{k:03d}" for k in range(520)] + ["a", "b", "c"], [("a", "b"), ("b", "c")])
+    inst = ListedInstance.full(pattern, tw)
+    run = approx.coverage_mc(inst, tw, "sur", 0.5, 0.5, approx.ExactOracle(), seed=0)
+    assert run.sampler == "collapsed-exact" and run.omega >= 2**1024 and run.y >= 2**1024
+    assert math.exp(-0.5) <= run.y / exact.count_surjective(inst, tw) <= math.exp(0.5)
+
+
+def test_binomial_draw_matches_the_exact_pmf():
+    """A chi-squared test of `approx._binomial` against the exact pmf: 0.3
+    and 0.002 keep the lower side of the median split, 0.93 the upper side,
+    and n = 64 and 65 straddle the switch to single trials.  Bins merge
+    until each expects at least 5 draws; the bound is the chi-squared
+    quantile at z = 4 (Wilson-Hilferty), 56-101 here, far below a wrong
+    draw's statistic: one that keeps j trials on the lower side reads 196,
+    409, 239, 36 and 915."""
+    rng = random.Random(28)
+    draws = 8000
+    for n, p in ((100, Fraction(3, 10)), (1000, Fraction(93, 100)), (5000, Fraction(1, 500)),
+                 (64, Fraction(1, 2)), (65, Fraction(1, 2))):
+        a, b = p.numerator, p.denominator
+        mean, sd = float(n * p), math.sqrt(n * p * (1 - p))
+        ks = range(max(0, math.floor(mean - 10 * sd)), min(n, math.ceil(mean + 10 * sd)) + 1)
+        want = [draws * math.comb(n, k) * a**k * (b - a) ** (n - k) / b**n for k in ks]
+        seen = Counter(approx._binomial(rng, n, float(p)) for _ in range(draws))
+        bins, e, o = [], 0.0, 0
+        for k, w in zip(ks, want):
+            e, o = e + w, o + seen.pop(k, 0)
+            if e >= 5:
+                bins.append([e, o])
+                e, o = 0.0, 0
+        bins[-1][0] += e
+        bins[-1][1] += o
+        assert not seen, (n, p, seen)  # no draw outside mean +- 10 sd
+        chi2 = sum((o - e) ** 2 / e for e, o in bins)
+        dof = len(bins) - 1
+        assert chi2 < dof * (1 - 2 / (9 * dof) + 4 * math.sqrt(2 / (9 * dof))) ** 3, (n, p, chi2, dof)
+
+
+def test_binomial_draw_edges():
+    rng = random.Random(0)
+    assert approx._binomial(rng, 0, 0.5) == 0
+    for n in (1, 64, 65, 10**9):
+        assert approx._binomial(rng, n, 0.0) == 0
+        assert approx._binomial(rng, n, 1.0) == n
+    for n in (64, 65):
+        assert all(0 <= approx._binomial(rng, n, p) <= n for p in (1e-300, 0.5, 1 - 2**-53) for _ in range(50))
+
+
 # (x_total, y) of seeded exact-oracle runs at eps 0.5, delta 0.3, seeds 0-4,
-# recorded while |union| still came from enumeration tables; every other case
-# of test_seeded_exact_oracle_runs_are_pinned draws x_total = y = 0
+# recorded when the collapsed draw became `approx._binomial` on the
+# `pyrng(seed, "coverage", mode)` stream (a new random stream, not a looser
+# check); every other case of test_seeded_exact_oracle_runs_are_pinned draws
+# x_total = y = 0
 _PINNED = {
     ("P5", "2-wrench", "sur"): (
-        [53585, 53695, 53831, 53916, 53875],
-        ["53585/8952", "53695/8952", "53831/8952", "4493/746", "53875/8952"],
+        [53433, 53609, 53441, 54001, 53766],
+        ["17811/2984", "53609/8952", "53441/8952", "54001/8952", "8961/1492"],
     ),
     ("P5", "2-wrench", "comp"): ([53712] * 5, ["6"] * 5),
     ("acc1", "2-wrench", "sur"): (
-        [98957, 99133, 99350, 99486, 99420],
-        ["5145764/322271", "5154916/322271", "5166200/322271", "5173272/322271", "5169840/322271"],
+        [98662, 99204, 98459, 99586, 99149],
+        ["5130424/322271", "5158608/322271", "5119868/322271", "5178472/322271", "5155748/322271"],
     ),
     ("acc1", "2-wrench", "comp"): (
-        [107243, 107390, 107522, 107009, 107206],
-        ["3860748/322271", "3866040/322271", "3870792/322271", "3852324/322271", "3859416/322271"],
+        [107287, 107604, 107295, 107160, 107331],
+        ["3862332/322271", "3873744/322271", "3862620/322271", "3857760/322271", "3863916/322271"],
     ),
     ("acc2", "2-wrench", "sur"): (
-        [228442, 228727, 229081, 229301, 229192],
-        ["12335868/268559", "12351258/268559", "12370374/268559", "12382254/268559", "12376368/268559"],
+        [227968, 228925, 227594, 229386, 228600],
+        ["12310272/268559", "12361950/268559", "12290076/268559", "12386844/268559", "12344400/268559"],
     ),
     ("acc2", "2-wrench", "comp"): (
-        [304557, 304847, 305108, 304096, 304485],
-        ["79793934/1736681", "79869914/1736681", "79938296/1736681", "79673152/1736681", "79775070/1736681"],
+        [305671, 305586, 304968, 304572, 305122],
+        ["80085802/1736681", "80063532/1736681", "79901616/1736681", "79797864/1736681", "79941964/1736681"],
     ),
 }
 

@@ -1,9 +1,11 @@
+import decimal
 import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -176,6 +178,38 @@ def test_count_blocked_ret_checks_one_or_all(tmp_path, capsys):
     # the condition is the retraction mode's: list homomorphisms take any list
     rc, doc = run_json(capsys, ["--no-meta", *argv, "lhom"])
     assert rc == 0 and doc["count"] == "8"
+
+
+def test_approx_report_past_the_float_range(tmp_path, capsys):
+    """Y past 2^1024 (520 isolated vertices plus P3 into the 2-wrench): its
+    decimal comes from the integers, 12 significant digits as float's .12g
+    writes them."""
+    pattern = Graph([f"i{k:03d}" for k in range(520)] + ["a", "b", "c"], [("a", "b"), ("b", "c")])
+    (tmp_path / "g.hg").write_text(files.serialize_graph(pattern))
+    argv = ["--no-meta", "approx", "--mode", "sur", "-G", str(tmp_path / "g.hg"), "-H", fixture("two_wrench.hg"),
+            "--epsilon", "0.5", "--delta", "0.5"]
+    rc, doc = run_json(capsys, argv)
+    assert rc == 0
+    y = doc["Y"]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 12
+        want = decimal.Decimal(y["numerator"]) / decimal.Decimal(y["denominator"])
+        assert want > 2**1024 and y["decimal"] == f"{want.normalize():e}"
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["--mode", "comp", "--method", "ie", "-G", fixture("p3.hg"), "-H", fixture("h1.hg")], "33554432"),
+        (["--mode", "hom", "--method", "enum", "-G", fixture("j3.hg"), "-H", fixture("h2.hg")], "10000000"),
+    ],
+    ids=["ie-2^25-terms", "enum-10^7-assignments"],
+)
+def test_reference_count_routes_fail_fast(capsys, argv, size):
+    start = time.perf_counter()
+    assert cli.main(["count", *argv]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert f": {size} is past the bound" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_numpy_out():
@@ -396,7 +430,9 @@ def _leaf_commands(paths):
 
 # the --no-meta stdout of each command, digested at the commit before the
 # CLI bound one handler per command; verify-csp's, the full-size run, at the
-# commit before each verify check ran at one size
+# commit before each verify check ran at one size; approx-sur's and
+# approx-comp's when the collapsed draw moved to `approx._binomial` on the
+# `pyrng` stream
 _PINNED_REPORTS = {
     "classify-2-wrench": "dda941b9ecfe27a4",
     "classify-c4": "f157483f8e5be51c",
@@ -407,8 +443,8 @@ _PINNED_REPORTS = {
     "count-sur-ie": "76b9dbfb65a70f3c",
     "count-comp-enum": "5fc68908ebaad901",
     "count-blocked": "caa4dec8e957a889",
-    "approx-sur": "908b668c7a5e8215",
-    "approx-comp": "e60cf5b6457b4de0",
+    "approx-sur": "351058e04a299b86",
+    "approx-comp": "871a33ab82e152c8",
     "gadget-dirichlet": "7b45c9eeb0dbcced",
     "gadget-fixed": "d6f199a3ba457987",
     "gadget-fixed-pbrp": "fefa8521b2d507f7",

@@ -824,6 +824,39 @@ def test_covering_counts_match_inclusion_exclusion(pattern, target):
     assert exact.count_compaction(inst, target) == reference.count_compaction_ie(inst, target)
 
 
+def test_reference_routes_refuse_past_their_bounds(monkeypatch):
+    """Each route that `retraction-lab count` offers refuses one step past
+    its bound, naming the size, before it starts; at the bound it runs."""
+    many = Graph([f"t{i:04d}" for i in range(9901)])
+    # 101 * 9901 = 10^6 + 1 assignments of two isolated vertices
+    two = ListedInstance(Graph(["u", "w"]), {"u": frozenset(many.vertices[:101])}, many.vertices)
+    with pytest.raises(ValueError, match="assignments to enumerate: 1000001 is past the bound of 1000000"):
+        reference.naive_count(two, many)
+    # 2^17 terms: 17 target vertices (sur), 16 vertices and one edge (comp)
+    wide = Graph([f"t{i:02d}" for i in range(17)])
+    edged = Graph([f"t{i:02d}" for i in range(16)], [("t00", "t01")])
+    with pytest.raises(ValueError, match="inclusion-exclusion terms: 131072 is past the bound of 65536"):
+        reference.count_surjective_ie(ListedInstance.full(K2, wide), wide)
+    with pytest.raises(ValueError, match="inclusion-exclusion terms: 131072 is past the bound of 65536"):
+        reference.count_compaction_ie(ListedInstance.full(K2, edged), edged)
+    # P3 -> K2: 8 assignments; 4 sur terms, 8 comp terms
+    inst = ListedInstance.full(build_path(3), K2)
+    monkeypatch.setattr(reference, "NAIVE_ASSIGNMENT_BOUND", 8)
+    assert reference.naive_count(inst, K2, "sur") == exact.count(inst, K2, "sur") == 2
+    monkeypatch.setattr(reference, "NAIVE_ASSIGNMENT_BOUND", 7)
+    with pytest.raises(ValueError, match="8 is past the bound of 7"):
+        reference.naive_count(inst, K2, "sur")
+    monkeypatch.setattr(reference, "IE_TERM_BOUND", 8)
+    assert reference.count_compaction_ie(inst, K2) == exact.count_compaction(inst, K2) == 2
+    monkeypatch.setattr(reference, "IE_TERM_BOUND", 4)
+    assert reference.count_surjective_ie(inst, K2) == 2
+    with pytest.raises(ValueError, match="8 is past the bound of 4"):
+        reference.count_compaction_ie(inst, K2)
+    monkeypatch.setattr(reference, "IE_TERM_BOUND", 3)
+    with pytest.raises(ValueError, match="4 is past the bound of 3"):
+        reference.count_surjective_ie(inst, K2)
+
+
 def _plain_order(search) -> list[list[int]]:
     """`_Search._order` written as a plain `min` over every candidate."""
     adj = search.adj

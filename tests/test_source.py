@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import retraction_lab
 
@@ -88,4 +89,21 @@ def test_only_the_checkers_import_reference():
                 names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
                 if any(n.split(".")[-1] == "reference" for n in names):
                     found.append(f"{name}:{node.lineno}")
+    assert not found, found
+
+
+def test_library_imports_only_the_standard_library():
+    """The package has no runtime dependency: every import in it, typing-only
+    ones included, names a standard-library module or the package itself."""
+    allowed = sys.stdlib_module_names | {"retraction_lab"}
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed]
     assert not found, found
