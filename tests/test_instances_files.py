@@ -207,3 +207,152 @@ def test_checked_in_fixtures_match_their_generator():
     for name, graph in regenerate.FIXTURES.items():
         with open(os.path.join(fixdir, name), encoding="utf-8", newline="") as fh:
             assert fh.read() == files.serialize_graph(graph), name
+
+
+# (format, text, parse summary or ParseError message), recorded before the
+# four parsers read one grammar table; instance and blocked texts resolve
+# their target against a directory holding h.hg (the 2-wrench: b, g, r1, r2)
+# and bad.hg (a duplicate vertex on line 2)
+_PINNED_PARSES = [
+    ('graph', 'v a loop\nv b\ne a b\n', (('a', 'b'), ('a',), (('a', 'b'),))),
+    ('graph', 'v a\ne a a\n', (('a',), ('a',), ())),
+    ('graph', '# only a comment\n\n   \n', ((), (), ())),
+    ('graph', 'v a # trailing comment\nv b#c\ne a b\n', (('a', 'b'), (), (('a', 'b'),))),
+    ('graph', 'v a\r\nv b\r\ne a b\r\n', (('a', 'b'), (), (('a', 'b'),))),
+    ('graph', 'e a b\nv a\nv b\ne b a\n', (('a', 'b'), (), (('a', 'b'),))),
+    ('graph', 'v loop\nv x loop\ne loop x\n', (('loop', 'x'), ('x',), (('loop', 'x'),))),
+    ('graph', 'v\n', 'line 1: malformed vertex record'),
+    ('graph', 'v a b\n', 'line 1: malformed vertex record'),
+    ('graph', 'v a loop extra\n', 'line 1: malformed vertex record'),
+    ('graph', 'v a\nv a\n', "line 2: duplicate vertex 'a'"),
+    ('graph', 'v a\ne a\n', 'line 2: malformed edge record'),
+    ('graph', 'v a\ne a b c\n', 'line 2: malformed edge record'),
+    ('graph', 'w a\n', "line 1: unknown record 'w'"),
+    ('graph', 'target h.hg\nv a\n', "line 1: unknown record 'target'"),
+    ('graph', 'v a\nl a *\n', "line 2: unknown record 'l'"),
+    ('graph', 'v a\ne a c\n', "edge endpoint 'c' is not a declared vertex"),
+    ('graph', 'v a\ne c a\ne a d\n', "edge endpoint 'c' is not a declared vertex"),
+    ('graph', 'v a\ne a c\nv a\n', "line 3: duplicate vertex 'a'"),
+    ('instance',
+     'target h.hg\nv x\nv y\ne x y\nl x *\nl y b,g\n',
+     ((('x', 'y'), (), (('x', 'y'),)),
+      (('x', ('b', 'g', 'r1', 'r2')), ('y', ('b', 'g'))),
+      ('b', 'g', 'r1', 'r2'),
+      ('b', 'g', 'r1', 'r2'))),
+    ('instance',
+     'target h.hg\nv x\n',
+     ((('x',), (), ()), (('x', ('b', 'g', 'r1', 'r2')),), ('b', 'g', 'r1', 'r2'), ('b', 'g', 'r1', 'r2'))),
+    ('instance',
+     '# header\ntarget h.hg # the wrench\nv x\nl x r1\n',
+     ((('x',), (), ()), (('x', ('r1',)),), ('b', 'g', 'r1', 'r2'), ('b', 'g', 'r1', 'r2'))),
+    ('instance',
+     'target h.hg\nv x\nl x b,b,g\n',
+     ((('x',), (), ()), (('x', ('b', 'g')),), ('b', 'g', 'r1', 'r2'), ('b', 'g', 'r1', 'r2'))),
+    ('instance', 'v x\n', 'missing `target <path>` header'),
+    ('instance', '', 'missing `target <path>` header'),
+    ('instance', 'target\nv x\n', 'line 1: malformed target header'),
+    ('instance', 'target h.hg extra\n', 'line 1: malformed target header'),
+    ('instance', 'target h.hg\ntarget h.hg\n', 'line 2: malformed target header'),
+    ('instance', 'v x y z\ntarget h.hg\ntarget h.hg\n', 'line 3: malformed target header'),
+    ('instance', 'v x y z\n', 'missing `target <path>` header'),
+    ('instance', 'target bad.hg\nv x\n', "line 2: duplicate vertex 'a'"),
+    ('instance', 'target h.hg\nl x\nv a b c\n', 'line 3: malformed vertex record'),
+    ('instance', 'target h.hg\nl x\n', 'line 2: malformed list record'),
+    ('instance', 'target h.hg\nv x\nl x b g\n', 'line 3: malformed list record'),
+    ('instance', 'target h.hg\nv x\nl x *\nl x b\n', "line 4: duplicate list for 'x'"),
+    ('instance',
+     'target h.hg\nv x\nl x b,zz,aa\n',
+     "line 3: list mentions unknown target vertices ['aa', 'zz']"),
+    ('instance', 'target h.hg\nv x\nl y *\nl x zz\n', "line 4: list mentions unknown target vertices ['zz']"),
+    ('instance', 'target h.hg\nv x\nl y *\n', "list for undeclared vertex 'y'"),
+    ('instance', 'target h.hg\nv x loop\n', 'pattern graphs must be irreflexive'),
+    ('instance', 'target h.hg\nv x\ne x x\n', 'pattern graphs must be irreflexive'),
+    ('instance', 'target h.hg\nb A 1 *\n', "line 2: unknown record 'b'"),
+    ('instance', 'target h.hg\nv x\ne x y\n', "edge endpoint 'y' is not a declared vertex"),
+    ('instance', 'target h.hg\nv x\nl x *,b\n', "line 3: list mentions unknown target vertices ['*']"),
+    ('instance', 'target h.hg\nv x\ne x z\nl x qq\n', "edge endpoint 'z' is not a declared vertex"),
+    ('blocked',
+     'target h.hg\nb A 3 *\nb u 1 *\nc u A apex\np u b\n',
+     ((('A', 3, None), ('u', 1, None)),
+      (('u', 'A', 'apex'),),
+      (('u', 'b'),),
+      ('b', 'g', 'r1', 'r2'),
+      ('b', 'g', 'r1', 'r2'))),
+    ('blocked',
+     'target h.hg\nb A 2 b,g\nb B 2 *\nc A B pm\nb z 1 r1,r2\nc z A apex\n',
+     ((('A', 2, ('b', 'g')), ('B', 2, None), ('z', 1, ('r1', 'r2'))),
+      (('A', 'B', 'pm'), ('z', 'A', 'apex')),
+      (),
+      ('b', 'g', 'r1', 'r2'),
+      ('b', 'g', 'r1', 'r2'))),
+    ('blocked', 'b A 1 *\n', 'missing `target <path>` header'),
+    ('blocked', 'target h.hg\ntarget h.hg\n', 'line 2: malformed target header'),
+    ('blocked', 'target bad.hg\nb A 1 *\n', "line 2: duplicate vertex 'a'"),
+    ('blocked', 'target h.hg\nb A 1\n', 'line 2: malformed block record'),
+    ('blocked', 'target h.hg\nb A x *\n', "line 2: invalid literal for int() with base 10: 'x'"),
+    ('blocked', 'target h.hg\nb A 0 *\n', "line 2: block 'A' needs positive multiplicity"),
+    ('blocked', 'target h.hg\nb A -1 *\n', "line 2: block 'A' needs positive multiplicity"),
+    ('blocked', 'target h.hg\nb A 1 *\nb B 1 *\nc A B\n', 'line 4: malformed coupling record'),
+    ('blocked', 'target h.hg\nb A 1 *\nb B 1 *\nc A B xx\n', "line 4: unknown coupling kind 'xx'"),
+    ('blocked', 'target h.hg\nb A 1 *\nb B 1 *\nc A B xx\nb C 0 *\n', "line 4: unknown coupling kind 'xx'"),
+    ('blocked', 'target h.hg\nb A 1 *\np A\n', 'line 3: malformed pin record'),
+    ('blocked', 'target h.hg\nv x\n', "line 2: unknown record 'v'"),
+    ('blocked', 'target h.hg\nb A 1 *\nb A 1 *\n', "duplicate block 'A'"),
+    ('blocked',
+     'target h.hg\nb A 1 *\nc A B cb\n',
+     "coupling Coupling(a='A', b='B', kind='cb') references unknown block"),
+    ('blocked',
+     'target h.hg\nb A 1 *\nb B 2 *\nc A B pm\n',
+     'perfect matching A-B joins unequal multiplicities'),
+    ('blocked', 'target h.hg\nb A 2 *\np A b\n', "pinned block 'A' must have multiplicity 1"),
+    ('blocked', 'target h.hg\nb A 1 zz\n', "block 'A' list mentions unknown target vertices"),
+    ('blocked', 'target h.hg\nb A 1 ,\n', "block 'A' list mentions unknown target vertices"),
+    ('blocked', 'target h.hg\nb A 1 *\np A zz\n', "pin target 'zz' is not a target vertex"),
+    ('csp', 'x a\nx b\nimp a b\npin a 1\n', (('a', 'b'), (('a', 'b'),), (('a', 1),))),
+    ('csp', 'x a\nimp a a\npin a 0\n', (('a',), (('a', 'a'),), (('a', 0),))),
+    ('csp', 'x\n', 'line 1: malformed variable record'),
+    ('csp', 'x a b\n', 'line 1: malformed variable record'),
+    ('csp', 'x a\nimp a\n', 'line 2: malformed imp record'),
+    ('csp', 'x a\npin a 2\n', 'line 2: malformed pin record'),
+    ('csp', 'x a\npin a\n', 'line 2: malformed pin record'),
+    ('csp', 'x a\npin a 01\n', 'line 2: malformed pin record'),
+    ('csp', 'y a\n', "line 1: unknown record 'y'"),
+    ('csp', 'x a\nimp a b\nw\n', "line 3: unknown record 'w'"),
+    ('csp', 'imp a b\n', 'Imp(a,b) references undeclared variables'),
+    ('csp', 'x a\nx a\n', 'duplicate variables'),
+    ('csp', 'x a\npin b 1\n', "pin on undeclared variable 'b'"),
+    ('csp', 'x a\npin a 1\npin a 0\n', "multiple pins on 'a'"),
+]
+
+
+def _graph_summary(g):
+    return g.vertices, tuple(v for v in g.vertices if g.is_looped(v)), tuple(g.non_loop_edges())
+
+
+def _parse_summary(fmt, text, base):
+    if fmt == "graph":
+        return _graph_summary(files.parse_graph(text))
+    if fmt == "instance":
+        inst, target = files.parse_instance(text, base)
+        lists = tuple((v, tuple(sorted(s))) for v, s in inst.lists.items())
+        return _graph_summary(inst.pattern), lists, inst.target_vertices, target.vertices
+    if fmt == "blocked":
+        b, target = files.parse_blocked(text, base)
+        blocks = tuple((k.name, k.multiplicity, k.list and tuple(sorted(k.list))) for k in b.blocks)
+        return blocks, tuple((c.a, c.b, c.kind) for c in b.couplings), b.pins, b.target_vertices, target.vertices
+    inst = files.parse_csp(text)
+    return inst.variables, inst.imps, inst.pins
+
+
+def test_parse_results_and_messages_are_pinned(tmp_path):
+    (tmp_path / "h.hg").write_text(files.serialize_graph(build_two_wrench()))
+    (tmp_path / "bad.hg").write_text("v a\nv a\n")
+    wrong = []
+    for fmt, text, want in _PINNED_PARSES:
+        try:
+            got = _parse_summary(fmt, text, str(tmp_path))
+        except files.ParseError as exc:
+            got = str(exc)
+        if got != want:
+            wrong.append((fmt, text, got))
+    assert not wrong, wrong
