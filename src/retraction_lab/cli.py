@@ -73,11 +73,7 @@ def _write(report: dict | str, out: str | None = None, meta: bool = False) -> No
 
 def _load_instance(args) -> tuple[ListedInstance, "object"]:
     if args.lists:
-        with open(args.lists, encoding="utf-8") as fh:
-            inst, target = files.parse_instance(
-                fh.read(), os.path.dirname(os.path.abspath(args.lists))
-            )
-        return inst, target
+        return files.load_instance(args.lists)
     if not args.pattern or not args.target:
         raise ValueError("give -G and -H, or an instance file via -L")
     pattern = files.load_graph(args.pattern)
@@ -96,10 +92,7 @@ def _cmd_count(args) -> dict:
             raise ValueError("--method blocked needs a blocked-instance file via -L")
         if mode not in ("hom", "lhom", "ret"):
             raise ValueError("--method blocked supports hom/lhom/ret modes")
-        with open(args.lists, encoding="utf-8") as fh:
-            blocked, target = files.parse_blocked(
-                fh.read(), os.path.dirname(os.path.abspath(args.lists))
-            )
+        blocked, target = files.load_blocked(args.lists)
         if mode == "ret":
             check_retraction_blocks(blocked)
         value = exact.count_blocked(blocked, target)
@@ -251,10 +244,7 @@ def _cmd_csp_pbrp(args) -> dict:
 
 
 def _cmd_csp_translate(args) -> str:
-    with open(args.instance, encoding="utf-8") as fh:
-        inst, _target = files.parse_instance(
-            fh.read(), os.path.dirname(os.path.abspath(args.instance))
-        )
+    inst, _target = files.load_instance(args.instance)
     out = csp.translate_ret_to_csp(inst, files.load_csp(args.iv), files.load_csp(args.ie))
     return files.serialize_csp(out)
 
@@ -297,10 +287,7 @@ def _cmd_types_verify(args) -> dict:
 
 
 def _cmd_types_dominance(args) -> dict:
-    # the large-cut plan's rule: p and q are overridden together, and positive
-    if (args.p is None) != (args.q is None):
-        raise ValueError("override p and q together")
-    p, q = gadgets.choose_pq(args.k) if args.p is None else (args.p, args.q)
+    p, q = gadgets.largecut_pq(args.k, args.p, args.q)
     if min(p, q) < 1:
         raise ValueError("p and q must be positive")
     rep = homtypes.dominance_report(args.k, p, q)

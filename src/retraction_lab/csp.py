@@ -53,9 +53,6 @@ class CspInstance:
                 raise ValueError(f"multiple pins on {x!r}")
             seen.add(x)
 
-    def pin_map(self) -> dict[str, int]:
-        return dict(self.pins)
-
 
 # Imp(x, y) as a digraph: value 0 may go to 0 or 1, value 1 only to 1
 _IMP_OUT = (0b11, 0b10)

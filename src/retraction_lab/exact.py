@@ -619,9 +619,7 @@ def count_blocked(b: BlockedInstance, target: Graph) -> int:
             )
         return count_list_hom(expand_blocked(b), target)
 
-    full = frozenset(target.vertices)
-    lists = {blk.name: full if blk.list is None else blk.list for blk in b.blocks}
-    lists.update((name, frozenset((t,))) for name, t in b.pins)
+    lists = b.block_lists()
     weight = {blk.name: blk.multiplicity for blk in b.blocks}
     # the block graph, its vertices numbered by sorted block name
     names = sorted(weight)

@@ -5,9 +5,8 @@ Graph file, one record per line (# starts a comment):
     v <id> [loop]
     e <id> <id>
 
-Instance file: a `target <path>` header (resolved against the instance
-file's directory), then pattern records as above plus list records
-`l <id> *` (full list, the default) or `l <id> t1,t2,...`.
+Instance file: a `target <path>` header, then pattern records as above plus
+list records `l <id> *` (full list, the default) or `l <id> t1,t2,...`.
 
 Blocked-instance file: `target <path>` header, then
     b <id> <mult> *|<t1,t2,...>
@@ -16,12 +15,19 @@ Blocked-instance file: `target <path>` header, then
 
 CSP file: `x <var>`, `imp <x> <y>`, `pin <x> 0|1`.
 
+One table, `_GRAMMAR`, states each record kind's argument counts; the four
+parsers read through it.  Ids and paths are tokens (no whitespace, no `#`;
+in a list also no `,` and not `*`), and the serializers refuse any other.
+This module owns the path rule: a `target` path resolves against the
+directory of its file (`load_instance`, `load_blocked`) or `base_dir`.
+
 serialize(parse(text)) is the normal form; parsing it again is the
 identity.
 """
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 from .csp import CspInstance
 from .graphs import Graph
@@ -32,11 +38,56 @@ class ParseError(ValueError):
     pass
 
 
-def _records(text: str):
+# record kind: (its argument counts, the name its errors use, the values the
+# last argument may take in a record of the largest count, or None for any)
+_GRAMMAR = {
+    "v": ((1, 2), "vertex record", {"loop"}),
+    "e": ((2,), "edge record", None),
+    "target": ((1,), "target header", None),
+    "l": ((2,), "list record", None),
+    "b": ((3,), "block record", None),
+    "c": ((3,), "coupling record", None),
+    "p": ((2,), "pin record", None),
+    "x": ((1,), "variable record", None),
+    "imp": ((2,), "imp record", None),
+    "pin": ((2,), "pin record", {"0", "1"}),
+}
+
+
+def _lines(text: str):
+    """(line number, kind, arguments) of each record, comments dropped."""
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        rec = raw.split("#", 1)[0].split()
+        if rec:
+            yield lineno, rec[0], rec[1:]
+
+
+def _read(records, kinds):
+    """The records, each checked against `_GRAMMAR` in turn: its kind one of
+    `kinds`, its argument count and its last argument."""
+    for lineno, kind, args in records:
+        if kind not in kinds:
+            raise ParseError(f"line {lineno}: unknown record {kind!r}")
+        counts, name, last = _GRAMMAR[kind]
+        if len(args) not in counts or last and len(args) == counts[-1] and args[-1] not in last:
+            raise ParseError(f"line {lineno}: malformed {name}")
+        yield lineno, kind, args
+
+
+@contextmanager
+def _constructing(prefix: str = ""):
+    """A constructor's ValueError, raised inside, as a ParseError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ParseError(f"{prefix}{exc}") from None
+
+
+def _token(tok: str, what: str, in_list: bool = False) -> str:
+    """tok, if it reads back as one token (in a list: one list entry)."""
+    if tok.split() != [tok] or "#" in tok or in_list and ("," in tok or tok == "*"):
+        raise ValueError(f"cannot write {what} {tok!r}: it would not read back as one token")
+    return tok
 
 
 def _graph(records) -> Graph:
@@ -44,155 +95,115 @@ def _graph(records) -> Graph:
     a loop."""
     verts: dict[str, bool] = {}
     edges: list[tuple[str, str]] = []
-    for lineno, rec in records:
-        kind, args = rec[0], rec[1:]
-        if kind == "v":
-            if not args or len(args) > 2 or (len(args) == 2 and args[1] != "loop"):
-                raise ParseError(f"line {lineno}: malformed vertex record")
-            if args[0] in verts:
-                raise ParseError(f"line {lineno}: duplicate vertex {args[0]!r}")
-            verts[args[0]] = len(args) == 2
-        elif kind == "e":
-            if len(args) != 2:
-                raise ParseError(f"line {lineno}: malformed edge record")
+    for lineno, kind, args in _read(records, ("v", "e")):
+        if kind == "e":
             edges.append((args[0], args[1]))
+        elif args[0] in verts:
+            raise ParseError(f"line {lineno}: duplicate vertex {args[0]!r}")
         else:
-            raise ParseError(f"line {lineno}: unknown record {kind!r}")
-    for u, v in edges:
-        for x in (u, v):
-            if x not in verts:
-                raise ParseError(f"edge endpoint {x!r} is not a declared vertex")
-        if u == v:
-            verts[u] = True
-    return Graph(
-        verts,
-        edges + [(v, v) for v, looped in verts.items() if looped],
-    )
+            verts[args[0]] = len(args) == 2
+    missing = next((x for edge in edges for x in edge if x not in verts), None)
+    if missing is not None:
+        raise ParseError(f"edge endpoint {missing!r} is not a declared vertex")
+    verts.update((u, True) for u, v in edges if u == v)
+    return Graph(verts, edges + [(v, v) for v, looped in verts.items() if looped])
 
 
 def parse_graph(text: str) -> Graph:
-    return _graph(_records(text))
+    return _graph(_lines(text))
 
 
 def serialize_graph(g: Graph) -> str:
-    lines = []
-    for v in g.vertices:
-        lines.append(f"v {v} loop" if g.is_looped(v) else f"v {v}")
-    for u, v in g.non_loop_edges():
-        lines.append(f"e {u} {v}")
+    lines = [f"v {_token(v, 'vertex')}" + " loop" * g.is_looped(v) for v in g.vertices]
+    lines += [f"e {u} {v}" for u, v in g.non_loop_edges()]
     return "\n".join(lines) + "\n"
 
 
-def _split_instance_text(text: str) -> tuple[str, list[tuple[int, list[str]]]]:
-    target_path = None
-    body = []
-    for lineno, rec in _records(text):
-        if rec[0] == "target":
-            if len(rec) != 2 or target_path is not None:
-                raise ParseError(f"line {lineno}: malformed target header")
-            target_path = rec[1]
-        else:
-            body.append((lineno, rec))
-    if target_path is None:
+def _targeted(text: str, base_dir: str) -> tuple[Graph, list]:
+    """The target graph that the one `target` header names, resolved against
+    base_dir, and the other records.  Every header is read first."""
+    records = list(_lines(text))
+    path = None
+    for lineno, _, args in _read((rec for rec in records if rec[1] == "target"), ("target",)):
+        if path is not None:
+            raise ParseError(f"line {lineno}: malformed target header")
+        path = args[0]
+    if path is None:
         raise ParseError("missing `target <path>` header")
-    return target_path, body
+    return load_graph(os.path.join(base_dir, path)), [rec for rec in records if rec[1] != "target"]
+
+
+def _text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_text(path))
+
+
+def load_instance(path: str) -> tuple[ListedInstance, Graph]:
+    return parse_instance(_text(path), os.path.dirname(os.path.abspath(path)))
+
+
+def load_blocked(path: str) -> tuple[BlockedInstance, Graph]:
+    return parse_blocked(_text(path), os.path.dirname(os.path.abspath(path)))
 
 
 def load_csp(path: str) -> CspInstance:
-    with open(path, encoding="utf-8") as fh:
-        return parse_csp(fh.read())
+    return parse_csp(_text(path))
 
 
 def parse_instance(text: str, base_dir: str = ".") -> tuple[ListedInstance, Graph]:
     """Parse an instance file; the referenced target graph is loaded from
-    disk relative to base_dir.  Returns (instance, target)."""
-    target_path, body = _split_instance_text(text)
-    target = load_graph(os.path.join(base_dir, target_path))
-    pattern = _graph((lineno, rec) for lineno, rec in body if rec[0] != "l")
+    disk relative to base_dir.  Returns (instance, target).  The pattern
+    records are read before the list records."""
+    target, body = _targeted(text, base_dir)
+    pattern = _graph(rec for rec in body if rec[1] != "l")
+    full = frozenset(target.vertices)
     lists: dict[str, frozenset[str]] = {}
-    for lineno, rec in body:
-        if rec[0] != "l":
-            continue
-        args = rec[1:]
-        if len(args) != 2:
-            raise ParseError(f"line {lineno}: malformed list record")
-        name = args[0]
+    for lineno, _, (name, entries) in _read((rec for rec in body if rec[1] == "l"), ("l",)):
         if name in lists:
             raise ParseError(f"line {lineno}: duplicate list for {name!r}")
-        if args[1] == "*":
-            lists[name] = frozenset(target.vertices)
-        else:
-            entries = frozenset(args[1].split(","))
-            unknown = entries - set(target.vertices)
-            if unknown:
-                raise ParseError(
-                    f"line {lineno}: list mentions unknown target vertices {sorted(unknown)}"
-                )
-            lists[name] = entries
+        entries = full if entries == "*" else frozenset(entries.split(","))
+        if entries - full:
+            raise ParseError(f"line {lineno}: list mentions unknown target vertices {sorted(entries - full)}")
+        lists[name] = entries
     for name in lists:
         if name not in pattern:
             raise ParseError(f"list for undeclared vertex {name!r}")
-    try:
-        inst = ListedInstance(pattern, lists, target.vertices)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    return inst, target
+    with _constructing():
+        return ListedInstance(pattern, lists, target.vertices), target
 
 
 def parse_blocked(text: str, base_dir: str = ".") -> tuple[BlockedInstance, Graph]:
-    target_path, body = _split_instance_text(text)
-    target = load_graph(os.path.join(base_dir, target_path))
+    target, body = _targeted(text, base_dir)
     blocks: list[Block] = []
     couplings: list[Coupling] = []
     pins: list[tuple[str, str]] = []
-    for lineno, rec in body:
-        kind, args = rec[0], rec[1:]
-        if kind == "b":
-            if len(args) != 3:
-                raise ParseError(f"line {lineno}: malformed block record")
-            name, mult, lst = args
-            try:
-                mult_i = int(mult)
-                blist = None if lst == "*" else frozenset(lst.split(","))
-                blocks.append(Block(name, mult_i, blist))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-        elif kind == "c":
-            if len(args) != 3:
-                raise ParseError(f"line {lineno}: malformed coupling record")
-            try:
-                couplings.append(Coupling(args[0], args[1], args[2]))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-        elif kind == "p":
-            if len(args) != 2:
-                raise ParseError(f"line {lineno}: malformed pin record")
-            pins.append((args[0], args[1]))
-        else:
-            raise ParseError(f"line {lineno}: unknown record {kind!r}")
-    try:
-        blocked = BlockedInstance(
-            tuple(blocks), tuple(couplings), tuple(pins), target.vertices
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    return blocked, target
+    for lineno, kind, args in _read(body, ("b", "c", "p")):
+        with _constructing(f"line {lineno}: "):
+            if kind == "b":
+                name, mult, lst = args
+                blocks.append(Block(name, int(mult), None if lst == "*" else frozenset(lst.split(","))))
+            elif kind == "c":
+                couplings.append(Coupling(*args))
+            else:
+                pins.append((args[0], args[1]))
+    with _constructing():
+        return BlockedInstance(tuple(blocks), tuple(couplings), tuple(pins), target.vertices), target
 
 
 def serialize_blocked(b: BlockedInstance, target_path: str) -> str:
-    lines = [f"target {target_path}"]
+    lines = [f"target {_token(target_path, 'target path')}"]
     for blk in b.blocks:
-        lst = "*" if blk.list is None else ",".join(sorted(blk.list))
+        lst = "*" if blk.list is None else ",".join(_token(t, "list entry", True) for t in sorted(blk.list))
+        _token(lst, f"block {_token(blk.name, 'block')!r} list")
         lines.append(f"b {blk.name} {blk.multiplicity} {lst}")
     for c in b.couplings:
         lines.append(f"c {c.a} {c.b} {c.kind}")
     for name, tv in b.pins:
-        lines.append(f"p {name} {tv}")
+        lines.append(f"p {name} {_token(tv, 'pin target')}")
     return "\n".join(lines) + "\n"
 
 
@@ -200,30 +211,19 @@ def parse_csp(text: str) -> CspInstance:
     variables: list[str] = []
     imps: list[tuple[str, str]] = []
     pins: list[tuple[str, int]] = []
-    for lineno, rec in _records(text):
-        kind, args = rec[0], rec[1:]
+    for _, kind, args in _read(_lines(text), ("x", "imp", "pin")):
         if kind == "x":
-            if len(args) != 1:
-                raise ParseError(f"line {lineno}: malformed variable record")
             variables.append(args[0])
         elif kind == "imp":
-            if len(args) != 2:
-                raise ParseError(f"line {lineno}: malformed imp record")
             imps.append((args[0], args[1]))
-        elif kind == "pin":
-            if len(args) != 2 or args[1] not in ("0", "1"):
-                raise ParseError(f"line {lineno}: malformed pin record")
-            pins.append((args[0], int(args[1])))
         else:
-            raise ParseError(f"line {lineno}: unknown record {kind!r}")
-    try:
+            pins.append((args[0], int(args[1])))
+    with _constructing():
         return CspInstance(tuple(variables), tuple(imps), tuple(pins))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
 
 
 def serialize_csp(inst: CspInstance) -> str:
-    lines = [f"x {x}" for x in inst.variables]
+    lines = [f"x {_token(x, 'variable')}" for x in inst.variables]
     lines += [f"imp {x} {y}" for x, y in inst.imps]
     lines += [f"pin {x} {val}" for x, val in inst.pins]
     return "\n".join(lines) + "\n"

@@ -5,6 +5,8 @@ vertex gadget J(p, q, t).
 """
 from __future__ import annotations
 
+from functools import cache
+
 from .graphs import Graph
 from .instances import Block, BlockedInstance, Coupling
 
@@ -53,10 +55,12 @@ def build_two_wrench() -> Graph:
     )
 
 
+@cache
 def build_hk(k: int) -> Graph:
     """The (8+k)-vertex target of the distance-2 hardness analysis: looped
     w1, d-shaped tails on r1/r2, center path r1-b-r2, pendant g with leaves
-    y1..yk, and complete joins between {w1,d1}, {w2,d2} and the y's.
+    y1..yk, and complete joins between {w1,d1}, {w2,d2} and the y's.  Built
+    once per k: a Graph is immutable.
     """
     if k < 1:
         raise ValueError("H_k needs k >= 1")
@@ -147,16 +151,19 @@ def build_star(leaves: int) -> Graph:
 
 
 J_BLOCK_NAMES = ("A", "B", "C", "C'", "B'", "A'")
+# the apex blocks that every J(p, q, t) is wired to, and their pins: alpha
+# and alpha' to g, beta to b, vertices of every H_k
+J_APEXES = ("alpha", "alpha'", "beta")
+J_APEX_PINS = tuple(zip(J_APEXES, ("g", "g", "b")))
 
 
-def j_gadget_parts(
-    p: int, q: int, t: int, prefix: str, alpha: str, alpha2: str, beta: str
-) -> tuple[list[Block], list[Coupling]]:
-    """Blocks and couplings of one J(p, q, t) gadget wired to the given apex
-    block names (the apex blocks themselves are not included)."""
+def j_gadget_parts(p: int, q: int, t: int, prefix: str) -> tuple[list[Block], list[Coupling]]:
+    """Blocks and couplings of one J(p, q, t) gadget wired to the apex blocks
+    J_APEXES (the apex blocks themselves are not included)."""
     if min(p, q, t) < 1:
         raise ValueError("p, q, t must be positive")
     names = {n: prefix + n for n in J_BLOCK_NAMES}
+    alpha, alpha2, beta = J_APEXES
     blocks = [
         Block(names["A"], p * t), Block(names["B"], p * t),
         Block(names["C"], q * t), Block(names["C'"], q * t),
@@ -186,10 +193,9 @@ def build_j_blocked(p: int, q: int, t: int, k: int = 1) -> BlockedInstance:
     beta->B,C,C',B'; pins alpha, alpha' -> g and beta -> b (vertices of
     every H_k).
     """
-    blocks, couplings = j_gadget_parts(p, q, t, "", "alpha", "alpha'", "beta")
-    blocks += [Block("alpha", 1), Block("alpha'", 1), Block("beta", 1)]
-    pins = (("alpha", "g"), ("alpha'", "g"), ("beta", "b"))
-    return BlockedInstance(tuple(blocks), tuple(couplings), pins, build_hk(k).vertices)
+    blocks, couplings = j_gadget_parts(p, q, t, "")
+    blocks += [Block(apex, 1) for apex in J_APEXES]
+    return BlockedInstance(tuple(blocks), tuple(couplings), J_APEX_PINS, build_hk(k).vertices)
 
 
 def build_fixed_graph(kind: str, **params) -> Graph:

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 from .classifier import induced_j3_embeddings, is_square_free
 from .exact import count_blocked
-from .fixedgraphs import build_hk, j_gadget_parts
+from .fixedgraphs import J_APEX_PINS, J_APEXES, build_hk, j_gadget_parts
 from .graphs import Graph, connected_components, is_connected
 from .homtypes import enumerate_maximal_types, n_exact, symmetric_partner
 from .instances import Block, BlockedInstance, Coupling, ListedInstance
@@ -154,6 +154,14 @@ class CutReductionPlan:
         return dict(self.labels)
 
 
+def _check_base(g: Graph) -> None:
+    """The cut reductions' base graph is connected and irreflexive."""
+    if not is_connected(g):
+        raise ValueError("base graph must be connected")
+    if not g.is_irreflexive():
+        raise ValueError("base graph must be irreflexive")
+
+
 def _edge_names(g: Graph) -> list[tuple[str, tuple[str, str]]]:
     return [(f"e{i}", e) for i, e in enumerate(sorted(g.non_loop_edges()))]
 
@@ -181,10 +189,7 @@ def build_cut_instance(
     the smallest r <= CUT_R_MAX with |r*log_{d}(2^s) - p| <= delta_prime/n^2
     for the three terminal degrees d.
     """
-    if not is_connected(g):
-        raise ValueError("base graph must be connected")
-    if not g.is_irreflexive():
-        raise ValueError("base graph must be irreflexive")
+    _check_base(g)
     terminals = (alpha, beta, gamma)
     if len(set(terminals)) != 3:
         raise ValueError("terminals must be three distinct vertices")
@@ -347,6 +352,13 @@ def choose_pq(k: int) -> tuple[int, int]:
         p += 1
 
 
+def largecut_pq(k: int, p: int | None = None, q: int | None = None) -> tuple[int, int]:
+    """The large-cut plan's (p, q): choose_pq(k), unless both are given."""
+    if (p is None) != (q is None):
+        raise ValueError("override p and q together")
+    return choose_pq(k) if p is None else (p, q)
+
+
 @dataclass(frozen=True)
 class LargeCutPlan:
     base: Graph
@@ -376,24 +388,18 @@ def build_largecut_instance(
     Default parameters: (p, q) from choose_pq(k), t = n^4, s = n + 1; all
     overridable for desk scale.
     """
-    if not is_connected(g):
-        raise ValueError("base graph must be connected")
-    if not g.is_irreflexive():
-        raise ValueError("base graph must be irreflexive")
+    _check_base(g)
     n = len(g)
-    if p is None or q is None:
-        if (p is None) != (q is None):
-            raise ValueError("override p and q together")
-        p, q = choose_pq(k)
+    p, q = largecut_pq(k, p, q)
     t = n**4 if t is None else t
     s = n + 1 if s is None else s
     if min(p, q, t, s) < 1:
         raise ValueError("parameters must be positive")
-    alpha, alpha2, beta = "alpha", "alpha'", "beta"
-    blocks = [Block(alpha, 1), Block(alpha2, 1), Block(beta, 1)]
+    beta = J_APEXES[2]
+    blocks = [Block(apex, 1) for apex in J_APEXES]
     couplings = []
     for v in g.vertices:
-        vb, vc = j_gadget_parts(p, q, t, f"{v}.", alpha, alpha2, beta)
+        vb, vc = j_gadget_parts(p, q, t, f"{v}.")
         blocks += vb
         couplings += vc
     for ename, (u, v) in _edge_names(g):
@@ -407,9 +413,8 @@ def build_largecut_instance(
             Coupling(beta, se, "apex"),
             Coupling(beta, sep, "apex"),
         ]
-    pins = ((alpha, "g"), (alpha2, "g"), (beta, "b"))
     target = build_hk(k)
-    blocked = BlockedInstance(tuple(blocks), tuple(couplings), pins, target.vertices)
+    blocked = BlockedInstance(tuple(blocks), tuple(couplings), J_APEX_PINS, target.vertices)
     return LargeCutPlan(g, cut_size, k, p, q, t, s, blocked, target)
 
 

@@ -45,9 +45,6 @@ class HomType:
     def sizes(self) -> tuple[int, int, int]:
         return len(self.t1), len(self.t2), len(self.t3)
 
-    def canonical(self) -> tuple[tuple[Pair, ...], ...]:
-        return tuple(tuple(sorted(t)) for t in (self.t1, self.t2, self.t3))
-
 
 def symmetric_partner(t: HomType) -> HomType:
     """The involution swapping the two ends of the gadget."""
@@ -199,9 +196,6 @@ class DominanceReport:
     per_step: tuple[tuple[str, Fraction], ...]  # Nhat(T_i)/Nhat(T4) at t=1
     gamma: Fraction
     window_ok: bool
-
-    def ratios_at(self, tt: int) -> dict[str, Fraction]:
-        return {label: r**tt for label, r in self.per_step}
 
 
 def dominance_report(k: int, p: int, q: int) -> DominanceReport:

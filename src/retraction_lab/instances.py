@@ -39,12 +39,10 @@ def check_retraction_blocks(b: "BlockedInstance") -> None:
     """The one-or-all list condition on every block of a blocked instance:
     a pinned block has one value, a block with no list has all of them."""
     n = len(b.target_vertices)
-    pins = b.pin_map()
-    for blk in b.blocks:
-        size = 1 if blk.name in pins else n if blk.list is None else len(blk.list)
-        if size not in (1, n):
+    for name, lst in b.block_lists().items():
+        if len(lst) not in (1, n):
             raise ValueError(
-                f"retraction instance needs |S_b| in {{1, {n}}}; block {blk.name!r} has {size}"
+                f"retraction instance needs |S_b| in {{1, {n}}}; block {name!r} has {len(lst)}"
             )
 
 
@@ -183,14 +181,13 @@ class BlockedInstance:
                 raise ValueError(f"duplicate pin on block {name!r}")
             seen_pins.add(name)
 
-    def block(self, name: str) -> Block:
-        for blk in self.blocks:
-            if blk.name == name:
-                return blk
-        raise ValueError(f"unknown block {name!r}")
-
-    def pin_map(self) -> dict[str, str]:
-        return dict(self.pins)
+    def block_lists(self) -> dict[str, frozenset[str]]:
+        """Each block's list, in block order: its pin's one target vertex if
+        it is pinned, else its own list, or every target vertex if none."""
+        full = frozenset(self.target_vertices)
+        lists = {blk.name: full if blk.list is None else blk.list for blk in self.blocks}
+        lists.update((name, frozenset((tv,))) for name, tv in self.pins)
+        return lists
 
     def expansion_size(self) -> int:
         return sum(blk.multiplicity for blk in self.blocks)
@@ -222,17 +219,5 @@ def expand_blocked(b: BlockedInstance) -> ListedInstance:
             for u in va:
                 for v in vb:
                     edges.append((u, v))
-    pattern = Graph(all_names, edges)
-    tset = frozenset(b.target_vertices)
-    pins = b.pin_map()
-    lists = {}
-    for blk in b.blocks:
-        if blk.name in pins:
-            blk_list = frozenset((pins[blk.name],))
-        elif blk.list is None:
-            blk_list = tset
-        else:
-            blk_list = blk.list
-        for v in names[blk.name]:
-            lists[v] = blk_list
-    return ListedInstance(pattern, lists, b.target_vertices)
+    lists = {v: lst for name, lst in b.block_lists().items() for v in names[name]}
+    return ListedInstance(Graph(all_names, edges), lists, b.target_vertices)

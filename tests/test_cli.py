@@ -492,6 +492,15 @@ def test_text_reports_honour_out(tmp_path, capsys, argv):
     assert shown and out.read_text() == shown
 
 
+def test_j_block_refuses_a_target_path_that_would_not_read_back(tmp_path, capsys):
+    out = tmp_path / "j.blk"
+    out.write_text("before\n")
+    argv = ["gadget", "j-block", "-p", "1", "-q", "1", "-t", "1", "--target-path", "my dir/H_1.hg"]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert "'my dir/H_1.hg'" in capsys.readouterr().err
+    assert out.read_text() == "before\n"
+
+
 @pytest.mark.parametrize("pq", (["-p", "10"], ["-q", "10"], ["-p", "0", "-q", "0"], ["-p", "44", "-q", "-1"]))
 def test_types_dominance_overrides_p_and_q_together(capsys, pq):
     assert cli.main(["types", "dominance", "-k", "1", *pq]) == 1

@@ -3,9 +3,11 @@ import os
 
 import pytest
 
-from retraction_lab import files
+from fractions import Fraction
+
+from retraction_lab import csp, files, gadgets
 from retraction_lab.csp import CspInstance
-from retraction_lab.fixedgraphs import build_two_wrench
+from retraction_lab.fixedgraphs import build_fixed_graph, build_j_blocked, build_two_wrench
 from retraction_lab.graphs import Graph
 from retraction_lab.instances import (
     Block,
@@ -68,7 +70,7 @@ def test_blocked_files(tmp_path):
     )
     blocked, loaded = files.parse_blocked(text, str(tmp_path))
     assert loaded == target
-    assert blocked.block("A").multiplicity == 3
+    assert blocked.blocks[0] == Block("A", 3)
     out = files.serialize_blocked(blocked, "h.hg")
     again, _ = files.parse_blocked(out, str(tmp_path))
     assert again == blocked
@@ -356,3 +358,61 @@ def test_parse_results_and_messages_are_pinned(tmp_path):
         if got != want:
             wrong.append((fmt, text, got))
     assert not wrong, wrong
+
+
+FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def test_everything_the_library_writes_reads_back(tmp_path):
+    """parse(serialize(x)) == x for each object a CLI text command prints."""
+    iv, ie = csp.pbrp_csp(4, {1, 3, 4})
+    h = csp.build_graph_from_csp(iv, ie)
+    graphs = [
+        build_fixed_graph("j_q", q=3), build_fixed_graph("j_q", q=5), build_fixed_graph("wr_q", q=3),
+        build_fixed_graph("2-wrench"), build_fixed_graph("h_k", k=1), build_fixed_graph("h_k", k=3),
+        build_fixed_graph("h'_k", k=2), build_fixed_graph("pbrp", q=4, s={1, 3, 4}), h,
+    ]
+    for g in graphs:
+        assert files.parse_graph(files.serialize_graph(g)) == g
+    pattern = Graph(["u", "w"], [("u", "w")])
+    ret = ListedInstance(pattern, {"u": frozenset((h.vertices[0],))}, h.vertices)
+    for inst in (iv, ie, csp.translate_ret_to_csp(ret, iv, ie)):
+        assert files.parse_csp(files.serialize_csp(inst)) == inst
+    star, j3 = (files.load_graph(os.path.join(FIXDIR, name)) for name in ("terminal_star.hg", "j3.hg"))
+    cut = gadgets.build_cut_instance(star, "a", "b", "c", 2, j3, delta_prime=Fraction(1, 20))
+    large = gadgets.build_largecut_instance(
+        files.load_graph(os.path.join(FIXDIR, "k2.hg")), 1, 2, p=1, q=2, t=1, s=1
+    )
+    plans = [
+        (build_j_blocked(2, 1, 1), build_fixed_graph("h_k", k=1)),
+        (build_j_blocked(1, 2, 3, 3), build_fixed_graph("h_k", k=3)),
+        (cut.blocked, cut.target),
+        (large.blocked, large.target),
+    ]
+    for blocked, target in plans:
+        (tmp_path / "h.hg").write_text(files.serialize_graph(target))
+        text = files.serialize_blocked(blocked, "h.hg")
+        assert files.parse_blocked(text, str(tmp_path)) == (blocked, target)
+
+
+def test_serializers_refuse_ids_that_would_not_read_back():
+    with pytest.raises(ValueError, match="'A#1'"):
+        files.serialize_graph(expand_blocked(build_j_blocked(1, 1, 2)).pattern)
+    with pytest.raises(ValueError, match="'a b'"):
+        files.serialize_graph(Graph(["a b", "c"], [("a b", "c")]))
+    star_list = BlockedInstance((Block("A", 2, frozenset({"*"})),), (), (), ("*", "x"))
+    with pytest.raises(ValueError, match=r"'\*'"):
+        files.serialize_blocked(star_list, "h.hg")
+    with pytest.raises(ValueError, match="'my dir/H_1.hg'"):
+        files.serialize_blocked(build_j_blocked(1, 1, 1), "my dir/H_1.hg")
+    comma = BlockedInstance((Block("A", 1, frozenset({"x,y"})),), (), (), ("x,y",))
+    with pytest.raises(ValueError, match="'x,y'"):
+        files.serialize_blocked(comma, "h.hg")
+    empty = BlockedInstance((Block("A", 1, frozenset()),), (), (), ("x",))
+    with pytest.raises(ValueError, match="'A'"):
+        files.serialize_blocked(empty, "h.hg")
+    pinned = BlockedInstance((Block("A", 1),), (), (("A", "x\ty"),), ("x\ty",))
+    with pytest.raises(ValueError, match="pin target"):
+        files.serialize_blocked(pinned, "h.hg")
+    with pytest.raises(ValueError, match="'x#1'"):
+        files.serialize_csp(CspInstance(("x#1",)))

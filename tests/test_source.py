@@ -107,3 +107,16 @@ def test_library_imports_only_the_standard_library():
                 continue
             found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed]
     assert not found, found
+
+
+def test_cli_reads_no_file_itself():
+    """`files` reads every input and resolves its target path, so the one
+    `open(` in `cli` is the writer's."""
+    tree = _modules()["cli.py"]
+    opens = [
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _names(node.func) == ["open"]
+    ]
+    assert opens == ["_write"], opens

@@ -132,9 +132,7 @@ def test_census_routes_reject_bad_pairs():
 
 def test_maximal_types_match_set_route():
     for k in range(1, 7):
-        got = [(label, t.canonical()) for label, t in ht.enumerate_maximal_types(k)]
-        want = [(label, t.canonical()) for label, t in reference.maximal_types_sets(k)]
-        assert got == want, k
+        assert ht.enumerate_maximal_types(k) == reference.maximal_types_sets(k), k
 
 
 def test_symmetry_involution():
@@ -247,8 +245,6 @@ def test_dominance_and_sandwich():
     assert rep.gamma < 1
     per = dict(rep.per_step)
     assert per["T1"] == Fraction(5**44, 4**52)
-    at3 = rep.ratios_at(3)
-    assert at3["T1"] == per["T1"] ** 3
     assert ht.lemma43_scan(1, p, q, 8) == 1
     assert ht.lemma43_check(1, p, q, 2)
 
