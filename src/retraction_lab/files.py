@@ -114,7 +114,7 @@ def parse_graph(text: str) -> Graph:
 
 
 def serialize_graph(g: Graph) -> str:
-    lines = [f"v {_token(v, 'vertex')}" + " loop" * g.is_looped(v) for v in g.vertices]
+    lines = [f"v {_token(v, 'vertex')} loop" if g.is_looped(v) else f"v {_token(v, 'vertex')}" for v in g.vertices]
     lines += [f"e {u} {v}" for u, v in g.non_loop_edges()]
     return "\n".join(lines) + "\n"
 
@@ -197,9 +197,9 @@ def parse_blocked(text: str, base_dir: str = ".") -> tuple[BlockedInstance, Grap
 def serialize_blocked(b: BlockedInstance, target_path: str) -> str:
     lines = [f"target {_token(target_path, 'target path')}"]
     for blk in b.blocks:
+        name = _token(blk.name, "block")
         lst = "*" if blk.list is None else ",".join(_token(t, "list entry", True) for t in sorted(blk.list))
-        _token(lst, f"block {_token(blk.name, 'block')!r} list")
-        lines.append(f"b {blk.name} {blk.multiplicity} {lst}")
+        lines.append(f"b {name} {blk.multiplicity} {_token(lst, f'block {name!r} list')}")
     for c in b.couplings:
         lines.append(f"c {c.a} {c.b} {c.kind}")
     for name, tv in b.pins:
