@@ -10,10 +10,12 @@ takes any such object.  The module has two: an `ExactOracle` and a
 `ExactOracle` is treated as exact.  Its counts are exact integers, a noisy
 oracle's exact rationals; the estimator's output Y is an exact rational.
 
-With an `ExactOracle` the coverage estimator costs three kernel counts: the
-number t of witnesses, their total weight Omega and the union |union|; it
-lists no witness and asks the oracle nothing.  Any other oracle, and a run
-with force_jvv, lists the witnesses with `enumerate_T` and weighs each one.
+With an `ExactOracle` the coverage estimator costs at most three kernel
+counts: the number t of witnesses, the union |union| and their total weight
+Omega, counted only for a non-empty union (every map that Omega counts lies
+in the union, so an empty one forces Omega = 0); it lists no witness and
+asks the oracle nothing.  Any other oracle, and a run with force_jvv, lists
+the witnesses with `enumerate_T` and weighs each one.
 One capped covering search (`exact._witness_search`) defines the witnesses:
 `count_witnesses` counts its maps and `enumerate_T` lists them.
 
@@ -531,9 +533,12 @@ def coverage_mc(
     and Madras), made by `_binomial` from the stream
     `pyrng(seed, "coverage", mode)` at the correctly rounded float of that
     ratio, which exists however large Omega is.  That needs no witness and
-    no omega_i, only three kernel counts: t (`count_witnesses`, which fixes
-    m), Omega (`count_witness_extensions`) and |union|, the exact surjective
-    (sur) or compaction (comp) count; `omegas` is then ().  force_jvv runs the
+    no omega_i, only at most three kernel counts: t (`count_witnesses`, which
+    fixes m), |union|, the exact surjective (sur) or compaction (comp) count,
+    and Omega (`count_witness_extensions`), counted only when |union| > 0:
+    every sigma counted in Omega extends a witness and so lies in the union,
+    so an empty union forces Omega = 0, and the run returns with no draw;
+    `omegas` is then ().  force_jvv runs the
     literal per-sample walk instead, which is also what every oracle other
     than an ExactOracle gets: it lists the witnesses with `enumerate_T` and
     weighs each by `powered_count`.  That walk is one loop over the m draws
@@ -559,7 +564,9 @@ def coverage_mc(
     eps1, delta1, delta2, m = algorithm_parameters(t, eps, delta)
     if collapsed:
         omegas = ()
-        omega = count_witness_extensions(inst, target, mode)
+        union = count_surjective(inst, target) if mode == "sur" else count_compaction(inst, target)
+        # every sigma counted in Omega extends a witness, so lies in the union
+        omega = count_witness_extensions(inst, target, mode) if union else 0
     else:
         pinned = []
         for us, tau in ts:
@@ -573,7 +580,6 @@ def coverage_mc(
         return CoverageRun(mode, t, omegas, omega, m, 0, Fraction(0), seed, eps, delta, "none")
 
     if collapsed:
-        union = count_surjective(inst, target) if mode == "sur" else count_compaction(inst, target)
         x_total = _binomial(pyrng(seed, "coverage", mode), m, union / omega)
         sampler = "collapsed-exact"
     else:

@@ -23,12 +23,17 @@ distinct residual states, not the count.  A state is
     neighbor field, its spare bit set, leaves that spare bit clear
     (Lamport's multiple-byte test).  Each child costs a few big-int
     operations over n (k + 1) bits;
-  - sur: that int, plus the target vertices already covered;
-  - comp: those, plus the covered target edges, and in the int an assigned
-    vertex next to an unassigned one keeps its value (one bit) in its own
-    field, cleared once its last neighbor is assigned;
+  - sur: that int with the target vertices already covered in the k bits
+    above the fields;
+  - comp: also the covered target edges, in the bits above those, and an
+    assigned vertex next to an unassigned one keeps its value (one bit) in
+    its own field, cleared once its last neighbor is assigned;
   - under a cap on the vertices with a covering value (the coverage
-    estimator's witness counts, `_witness_search`): also that number.
+    estimator's witness counts, `_witness_search`): also that number, in
+    the top bits.
+  A child step narrows and tests only the fields of unassigned neighbors,
+  so the coverage bits pass through it unchanged, and every state is one
+  int.
 A split count (`_pin_counts`, the exact sampler's pinning step) runs the
 same sweep from one state per value t of a chosen vertex and keeps every
 number of partial maps as one int with a field per value, so one sweep
@@ -157,15 +162,19 @@ class _Search:
         One sweep along the fixed order (see `_order`): each step extends
         every state by the next vertex, and children that leave the same
         residual subproblem merge into one state whose number of partial
-        maps is the sum of theirs.  The key is the domains packed into one
-        int of (k + 1)-bit fields (see the module docstring), plus, covering,
-        the covered vertices and edges and, under a cap, the number of
-        vertices with a covering value (0 without one).  With edges to
-        cover, an assigned vertex keeps its value (one bit) in its own field
-        while it has an unassigned neighbor: a step reads the values of the
-        assigned neighbors of the vertex it assigns, for the edges its value
-        realizes, then clears the fields of those whose last unassigned
-        neighbor it was.
+        maps is the sum of theirs.  The key is one int: the domains in
+        (k + 1)-bit fields at bits [0, n (k + 1)) (see the module
+        docstring) and, covering, the covered target vertices in the k bits
+        above them, the covered edges (one bit each) above those and, under
+        a cap, the number of vertices with a covering value on top.  A child
+        ORs in its value's vertex and edge bits and adds 1 to that number;
+        a state's room for the vertices left to cover is worked out once,
+        before its children.  With edges to cover, an assigned vertex keeps
+        its value (one bit) in its own field while it has an unassigned
+        neighbor: a step reads the values of the assigned neighbors of the
+        vertex it assigns, for the edges its value realizes, then clears the
+        fields of those whose last unassigned neighbor it was.  The count is
+        the sum over the states whose coverage bits equal the goal.
 
         With `split`, a vertex, the counts with that vertex pinned to each
         of its values, from the same one sweep: it starts from one state per
@@ -188,10 +197,17 @@ class _Search:
         low_out, low_in, off_out, off_in = self.low_out, self.low_in, self.off_out, self.off_in
         # bit 0 of every field of an unassigned, unpeeled vertex
         low_rest = ((1 << n * w) - 1) // ((1 << w) - 1)
-        # state -> number of partial maps; covering, (state, covered vertices,
-        # covered edges, used) -> number of partial maps
+        # state -> number of partial maps
         if split is None:
-            states: dict = {x: 1} if full_v is None else {(x, 0, 0, 0): 1}
+            states: dict = {x: 1}
+            if full_v is not None:
+                # the covered vertices start at bit cv_at, the number used
+                # at bit used_at
+                cv_at = n * w
+                used_at = cv_at + k + full_e.bit_length()
+                one_used = 0 if cap is None else 1 << used_at
+                # ebit with each edge bit moved to its place in the state
+                erow = [[e << cv_at + k for e in row] for row in ebit] if full_e else None
         else:
             sb, ss = _split_bits(self.domains), split * w
             x &= ~(vmask << ss)
@@ -252,46 +268,52 @@ class _Search:
                 # unassigned neighbor, and a neighbor whose last one v is
                 # has its field cleared
                 back, keep = [], 0
-                if ebit is not None:
+                if full_e:
                     keep = adj[v] & rest
                     for u in _bits(adj[v] & ~rest):
                         back.append(u * w)
                         if not adj[u] & rest:
                             clear &= ~(vmask << u * w)
-                for (x, cov_v, cov_e, used), c in states.items():
+                for x, c in states.items():
+                    todo = full_v & ~(x >> cv_at)
+                    left = todo.bit_count()
+                    spare = 1 if cap is None else cap - (x >> used_at) - left
                     d = x >> sv & vmask
+                    if left > room or not spare:
+                        if left > room + 1 or spare < 0:
+                            continue
+                        # v must cover a new target vertex (no room left),
+                        # or may not cover a covered one (no cap left)
+                        d &= todo if left > room else todo | ~full_v
+                        if not d:
+                            continue
                     # the edge bits of each assigned neighbor's value
-                    rows = [ebit[(x >> su & vmask).bit_length() - 1] for su in back]
+                    rows = [erow[(x >> su & vmask).bit_length() - 1] for su in back] if back else ()
                     x &= clear
                     while d:
                         b = d & -d
                         d ^= b
                         t = b.bit_length() - 1
-                        cb = b & full_v
-                        if cb and used == cap:
-                            continue  # a covering value past the cap
-                        cv = cov_v | cb
-                        nu = 0 if cap is None else used + (cb != 0)
-                        if (full_v & ~cv).bit_count() > (room if cap is None else min(room, cap - nu)):
-                            continue
                         y = x & ~(s_low * off_out[t])
                         if digraph:
                             y &= ~(p_low * off_in[t])
                         if (y | nb_high) - nb_low & nb_high != nb_high:
                             continue  # a neighbor's domain emptied
-                        ce = cov_e
                         for row in rows:
-                            ce |= row[t]
+                            y |= row[t]
                         if keep:
                             y |= b << sv
-                        key = (y, cv, ce, nu)
-                        nxt[key] = nxt.get(key, 0) + c
+                        if b & full_v:
+                            y = (y | b << cv_at) + one_used
+                        nxt[y] = nxt.get(y, 0) + c
             if not nxt:
                 return 0
             states = nxt
         if full_v is None:
             return sum(states.values())
-        return sum(c for (_, cv, ce, _), c in states.items() if cv == full_v and ce == full_e)
+        # a child sets no coverage bit outside the goal
+        goal = full_v | full_e << k
+        return sum(c for x, c in states.items() if x >> cv_at & goal == goal)
 
     def _order(self, split: int | None = None) -> list[int]:
         """The fixed branching order of `count`: the pattern components one

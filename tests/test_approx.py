@@ -183,10 +183,104 @@ def test_witness_counts_examples():
         approx.count_witnesses(p6, tw, "hom")
 
 
+def test_covering_counts_at_the_edges_of_the_packed_key():
+    """The covering state packs the fields, the covered target vertices, the
+    covered edges and the number used into one int; these shapes put each
+    region past a machine word or a byte."""
+    # K2 + m isolated vertices: every cap binds, and for m > 60 the fields
+    # (3 bits each in sur/comp, 5 weighted) pass 128 bits and the counts 2^64
+    for m, mode in ((64, "sur"), (12, "comp"), (70, "comp")):
+        g = Graph(["x", "y"] + [f"i{j:02d}" for j in range(m)], [("x", "y")])
+        inst = ListedInstance.full(g, K2)
+        t = approx.count_witnesses(inst, K2, mode)
+        omega = approx.count_witness_extensions(inst, K2, mode)
+        if mode == "comp":
+            # U is {x, y} and at most two isolated vertices, each free
+            assert t == 2 * (1 + 2 * m + 4 * math.comb(m, 2))
+            assert omega == 2 ** (m + 1) * (1 + m + math.comb(m, 2))
+        if m < 70:
+            ts = approx.enumerate_T(inst, K2, mode)
+            assert t == len(ts) and omega == _pinned_total(inst, K2, ts), (m, mode)
+        if m > 60:
+            assert omega > 2**64 and len(g.vertices) * 3 > 128
+            sur, comp = exact.count_surjective(inst, K2), exact.count_compaction(inst, K2)
+            assert sur == comp == reference.count_compaction_ie(inst, K2) == 2 ** (m + 1) > 2**64
+    # the wheel on a 4-cycle with one chord: 9 edges, so the covered edges
+    # fill more than a byte; the sur cap binds on the 7-vertex pattern
+    rim = [f"c{i}" for i in range(4)]
+    wheel_edges = [("h", c) for c in rim] + list(zip(rim, rim[1:] + rim[:1])) + [("c0", "c2")]
+    wheel = Graph(["h"] + rim, wheel_edges)
+    assert wheel.edge_count() == 9
+    inst = ListedInstance.full(Graph(["h", "p", "q"] + rim, wheel_edges + [("c0", "p"), ("p", "q")]), wheel)
+    assert exact.count_surjective(inst, wheel) == reference.count_surjective_ie(inst, wheel) > 0
+    assert exact.count_compaction(inst, wheel) == reference.count_compaction_ie(inst, wheel) > 0
+    for mode in ("sur", "comp"):
+        ts = approx.enumerate_T(inst, wheel, mode)
+        assert approx.count_witnesses(inst, wheel, mode) == len(ts) > 0, mode
+        assert approx.count_witness_extensions(inst, wheel, mode) == _pinned_total(inst, wheel, ts), mode
+    # the comp cap (23) cannot bind on 7 vertices; a cap of 6 puts the
+    # number used right above the 9 edge bits, checked against the listing
+    for weighted in (False, True):
+        search = exact._witness_search(inst, wheel, "comp", weighted)
+        search.cover(search.full_v, edges=True, top=6)
+        assert search.count() == sum(1 for _ in search.assignments()) > 0, weighted
+
+
+def test_omega_is_zero_exactly_when_the_union_is():
+    """|union| <= Omega, since every sigma in the union extends a witness;
+    and Omega = 0 exactly when |union| = 0, since every sigma counted in
+    Omega lies in the union.  The estimator skips Omega on the second."""
+    targets = [("K2", K2), ("P3", build_path(3)), ("2-wrench", build_two_wrench()), ("J3", build_jq(3))]
+    empty = full = 0
+    for tname, target in targets:
+        k = len(target.vertices)
+        for i in range(15):
+            rng = pyrng("omega-union", tname, i)
+            g = verify.random_graph(rng, rng.randint(k, k + 3), 0.5, "g")
+            inst = ListedInstance(g, verify.random_lists(("omega-union", tname, i), g, target), target.vertices)
+            for mode, counter in (("sur", exact.count_surjective), ("comp", exact.count_compaction)):
+                where = (tname, i, mode)
+                union = counter(inst, target)
+                omega = approx.count_witness_extensions(inst, target, mode)
+                assert union <= omega, where
+                assert (omega == 0) == (union == 0), where
+                if union:
+                    full += 1
+                elif approx.count_witnesses(inst, target, mode):
+                    empty += 1
+    # neither direction holds vacuously
+    assert empty and full, (empty, full)
+
+
 def test_coverage_zero_shortcircuit():
     single = ListedInstance.full(Graph(["z"]), K2)
     run = approx.coverage_mc(single, K2, "sur", 0.2, 0.1, approx.ExactOracle(), seed=0)
     assert run.t == 0 and run.y == 0
+
+
+def test_coverage_skips_omega_when_the_union_is_empty(monkeypatch):
+    calls = []
+    omega_count = approx.count_witness_extensions
+
+    def refuse(*args):
+        raise AssertionError("Omega counted although the union is empty")
+
+    monkeypatch.setattr(approx, "count_witness_extensions", refuse)
+    # K3 -> K2: six witnesses (an edge onto K2), no homomorphism
+    k3 = ListedInstance.full(Graph("xyz", [("x", "y"), ("y", "z"), ("x", "z")]), K2)
+    for mode in ("sur", "comp"):
+        run = approx.coverage_mc(k3, K2, mode, 0.2, 0.1, approx.ExactOracle(), seed=3)
+        assert (run.t, run.omega, run.x_total, run.y, run.m, run.sampler) == (6, 0, 0, 0, 478079, "none")
+
+    def counting(*args):
+        calls.append(args)
+        return omega_count(*args)
+
+    monkeypatch.setattr(approx, "count_witness_extensions", counting)
+    p4 = ListedInstance.full(build_path(4), K2)
+    run = approx.coverage_mc(p4, K2, "sur", 0.2, 0.1, approx.ExactOracle(), seed=3)
+    assert run.sampler == "collapsed-exact" and len(calls) == 1
+    assert run.omega == _pinned_total(p4, K2, approx.enumerate_T(p4, K2, "sur"))
 
 
 def test_coverage_m_formula():
