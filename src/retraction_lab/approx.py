@@ -19,16 +19,15 @@ the witnesses with `enumerate_T` and weighs each one.
 One capped covering search (`exact._witness_search`) defines the witnesses:
 `count_witnesses` counts its maps and `enumerate_T` lists them.
 
-The sampler pins one multi-valued vertex per step, each value weighted by
-the count of the instance pinned to it (self-reducibility, as in Jerrum,
-Valiant and Vazirani).  With an `ExactOracle` the weights of a node's
-values come from one split sweep of the kernel (`exact._pin_counts`), the
-first time any draw reaches the node; any other oracle is asked once per
-value, since its answers may vary from call to call.  A `NoisyOracle`
-answers those calls, and the m calls of a powered median, as memoised exact
-counts times fresh factors e^u, so powering and pinning over it cost little
-more than the random numbers they draw, with the calls, order and random
-numbers of asking it one call at a time.
+The sampler pins one multi-valued vertex per step, in the order the
+kernel's sweep fixes them, each value weighted by the count of the instance
+pinned to it (self-reducibility, as in Jerrum, Valiant and Vazirani).  An
+`ExactOracle` reads those counts from its draw tables (`exact._DrawTables`);
+any other oracle is asked once per value, since its answers may vary from
+call to call.  A `NoisyOracle` answers those calls, and the m calls of a
+powered median, as memoised exact counts (for the sampler, its inner
+`ExactOracle`'s tables) times fresh factors e^u, with the calls, order and
+random numbers of asking it one call at a time.
 """
 from __future__ import annotations
 
@@ -40,7 +39,11 @@ from fractions import Fraction
 from . import reference
 from ._seeds import pyrng
 from .exact import (
-    _pin_counts,
+    _check_same_target,
+    _draw,
+    _DrawTables,
+    _search,
+    _walk_order,
     _witness_search,
     count_blocked,
     count_compaction,
@@ -67,18 +70,21 @@ class ExactOracle:
     """Retraction/list-homomorphism counting backed by the exact counter:
     `count_list_hom` for a ListedInstance, `count_blocked` for a
     BlockedInstance; ignores the precision parameter.  Memoises counts and
-    pinning trees by instance, for as long as the oracle lives.  `calls`
-    counts the queries actually made: each `count` call, memoised or not,
-    and each split sweep that weighs the values of a new pinning-tree node
-    (see `_PinTree`), so a draw that walks known nodes adds none."""
+    draw tables (`exact._DrawTables`) by instance, for as long as the
+    oracle lives.  `calls` counts each `count` call, memoised or not, and
+    each table built, so a draw that reaches only known tables adds none."""
 
     def __init__(self):
-        self.calls = 0
+        self._asked = 0
         self._cache: dict = {}
-        self._trees: dict = {}
+        self._tables: dict = {}
+
+    @property
+    def calls(self) -> int:
+        return self._asked + sum(tables.built for tables in self._tables.values())
 
     def count(self, inst: ListedInstance | BlockedInstance, target: Graph, eps: float | None = None):
-        self.calls += 1
+        self._asked += 1
         blocked = type(inst) is BlockedInstance
         # a BlockedInstance is a frozen dataclass, so it is its own key
         key = (inst, target) if blocked else _instance_key(inst, target)
@@ -87,19 +93,18 @@ class ExactOracle:
             n = self._cache[key] = (count_blocked if blocked else count_list_hom)(inst, target)
         return n
 
-    def pin_tree(self, inst: ListedInstance, target: Graph) -> "_PinTree":
-        """The pinning tree of (inst, target), built on first use and kept,
-        with the root's prefix sums (or, with no multi-valued vertex, the
-        count) in place; raises ValueError if the count is zero."""
+    def draw_tables(self, inst: ListedInstance, target: Graph) -> _DrawTables:
+        """The draw tables of (inst, target), built on first use and kept;
+        raises ValueError if the count is zero."""
         key = _instance_key(inst, target)
-        tree = self._trees.get(key)
-        if tree is None:
-            tree = _PinTree(self, inst, target)
-            total = tree.split(tree.root, *tree.choices[0])[-1] if tree.choices else self.count(inst, target)
-            if total <= 0:
+        tables = self._tables.get(key)
+        if tables is None:
+            _check_same_target(inst, target)
+            tables = _DrawTables(_search(inst.pattern, inst.lists, target), inst.pattern.vertices, target.vertices)
+            if not tables.total:
                 raise ValueError(_NO_HOMS)
-            self._trees[key] = tree
-        return tree
+            self._tables[key] = tables
+        return tables
 
 
 class NoisyOracle:
@@ -114,9 +119,9 @@ class NoisyOracle:
     Every answer is the memoised exact count times one factor e^u from
     `_factors`.  `median` answers the m calls of `powered_count` with one
     exact count and one Fraction; the sampler walks the inner ExactOracle's
-    pinning tree and perturbs a node's exact counts afresh on every visit
-    (`_perturbed`).  Both make the calls of `count`, in order, drawing the
-    same random numbers.
+    draw tables and perturbs a table's exact prefix sums afresh on every
+    visit (`_perturbed`).  Both make the calls of `count`, in order, drawing
+    the same random numbers.
     """
 
     def __init__(self, eps0: float, fail_prob: float, seed: int):
@@ -150,9 +155,9 @@ class NoisyOracle:
         return _times(true, factors[m // 2])
 
     def _perturbed(self, acc: list[int], eps) -> list[int]:
-        """One fresh answer per child of a pinning node whose exact counts
-        have prefix sums acc, as `_prefix_sums` of the answers: len(acc)
-        calls of `count`."""
+        """One fresh answer per value of a vertex whose exact pinned counts
+        have prefix sums acc (a draw table's), as `_prefix_sums` of the
+        answers: len(acc) calls of `count`."""
         self.calls += len(acc)
         trues = [b - a for a, b in zip([0, *acc], acc)]
         factors = iter(self._factors(eps, len(trues) - trues.count(0)))
@@ -221,144 +226,41 @@ def _prefix_sums(weights) -> list[int]:
     return acc
 
 
-def _draw(rng, acc: list[int]) -> int:
-    """Exact categorical draw: index i with probability proportional to
-    acc[i] - acc[i - 1].  r is drawn below the total as
-    `random.Random.randrange` draws it, from `getrandbits` of the total's
-    bit length until it falls below, so it uses the same random numbers
-    without randrange's Python layers; a zero weight is never drawn."""
-    if not acc or acc[-1] <= 0:
-        raise ValueError("all weights vanish")
-    total = acc[-1]
-    k = total.bit_length()
-    r = rng.getrandbits(k)
-    while r >= total:
-        r = rng.getrandbits(k)
-    return bisect_right(acc, r)
-
-
 # candidates `sample_hom` draws before it gives up
 MAX_RESAMPLES = 100
 _NO_HOMS = "instance has no homomorphisms (oracle count is zero)"
 
 
-class _PinNode:
-    """A node of a pinning tree: its instance, the prefix sums of its
-    children's exact counts (in an ExactOracle's tree, from the first visit
-    on), its children (None where a child was never pinned), and at a leaf
-    the assignment, stored once it has passed the edge check."""
+def _drawer(oracle, inst: ListedInstance, target: Graph, eps):
+    """draw(rng): one homomorphism of inst as a new dict, with the oracle
+    calls of one `sample_hom` call at precision eps (see there); raises
+    ValueError if the instance has no homomorphism."""
+    if type(oracle) is ExactOracle:
+        return oracle.draw_tables(inst, target).draw
+    noisy = type(oracle) is NoisyOracle
+    lists, edges = inst.lists, inst.pattern.non_loop_edges()
+    choices = () if noisy else [(v, sorted(lists[v])) for v in _walk_order(inst, target) if len(lists[v]) > 1]
 
-    __slots__ = ("inst", "acc", "kids", "tau")
-
-    def __init__(self, inst: ListedInstance):
-        self.inst = inst
-        self.acc = None
-        self.kids = None
-        self.tau = None
-
-
-class _PinTree:
-    """Self-reducible sampling of one instance: depth d pins the d-th
-    multi-valued vertex, each value weighted by a count of the instance
-    pinned to it.
-
-    The tree keeps its structure: its nodes and their pinned instances
-    persist across draws.  An ExactOracle's tree (owner) also keeps the
-    exact counts: a node's prefix sums come from one split sweep of the
-    kernel (`exact._pin_counts`) on its first visit, which adds one to the
-    owner's `calls`, and the node pins only the children drawn from it.  A
-    NoisyOracle walks its inner ExactOracle's tree and perturbs those counts
-    afresh on every visit.  Any other oracle gets a tree with no owner, kept
-    for one `sample_hom` call or one coverage run, whose nodes pin every
-    child on their first visit and ask the oracle for each child's count on
-    every visit: the calls of a walk from a fresh root, in the same order."""
-
-    __slots__ = ("owner", "target", "choices", "edges", "root")
-
-    def __init__(self, owner, inst: ListedInstance, target: Graph):
-        self.owner = owner
-        self.target = target
-        self.choices = [(v, sorted(sv)) for v, sv in inst.lists.items() if len(sv) > 1]
-        self.edges = inst.pattern.non_loop_edges()
-        self.root = _PinNode(inst)
-
-    def split(self, node: _PinNode, v: str, values: list[str]) -> list[int]:
-        """node's exact prefix sums, filled on its first visit from one
-        sweep over its vertex v."""
-        if node.acc is None:
-            self.owner.calls += 1
-            node.acc = _prefix_sums(_pin_counts(node.inst, self.target, v))
-            node.kids = [None] * len(values)
-        return node.acc
-
-    def draw(self, rng, weigh=None) -> _PinNode:
-        """A leaf whose assignment is a homomorphism, drawn by walking from
-        the root, each node's children weighted by the prefix sums
-        weigh(self, node, v, values), by default the exact ones (`split`);
-        raises ValueError after MAX_RESAMPLES failed attempts."""
-        target = self.target
+    def draw(rng):
+        if oracle.count(inst, target, eps) <= 0:
+            raise ValueError(_NO_HOMS)
+        if noisy:  # the walk's answers, from the inner ExactOracle's tables
+            return oracle._exact.draw_tables(inst, target).draw(rng, lambda acc: oracle._perturbed(acc, eps))
         for _ in range(MAX_RESAMPLES):
-            node = self.root
-            for v, values in self.choices:
-                if weigh is None:
-                    acc = node.acc or self.split(node, v, values)
-                else:
-                    acc = weigh(self, node, v, values)
+            cur = inst
+            for v, values in choices:
+                pins = [cur.pin(v, s) for s in values]
+                acc = _prefix_sums([oracle.count(pin, target, eps) for pin in pins])
                 if acc[-1] <= 0:
                     break  # a dead end: resample
-                i = _draw(rng, acc)
-                kid = node.kids[i]
-                if kid is None:
-                    kid = node.kids[i] = _PinNode(node.inst.pin(v, values[i]))
-                node = kid
+                cur = pins[_draw(rng, acc)]
             else:
-                if node.tau is None:
-                    tau = {v: next(iter(sv)) for v, sv in node.inst.lists.items()}
-                    if not all(target.has_edge(tau[u], tau[v]) for u, v in self.edges):
-                        continue
-                    node.tau = tau
-                return node
+                tau = {v: next(iter(sv)) for v, sv in cur.lists.items()}
+                if all(target.has_edge(tau[u], tau[v]) for u, v in edges):
+                    return tau
         raise ValueError(f"no homomorphism found after {MAX_RESAMPLES} resamples")
 
-
-def _walk(oracle, target: Graph, eps):
-    """The pinning walk over an oracle's answers at precision eps, as
-    (tree_of, ask, weigh): tree_of(inst) is the pinning tree of inst,
-    ask(tree) asks the oracle for the count of the tree's instance once per
-    draw, as a walk from a fresh root does (None for an ExactOracle, whose
-    counts do not vary), and weigh is `_PinTree.draw`'s."""
-    if type(oracle) is ExactOracle:
-        return (lambda inst: oracle.pin_tree(inst, target)), None, None
-    if type(oracle) is NoisyOracle:
-        inner = oracle._exact
-
-        def tree_of(inst):
-            try:
-                return inner.pin_tree(inst, target)
-            except ValueError:
-                oracle.calls += 1  # the ask that finds the count zero
-                raise
-
-        def ask(tree):
-            # the tree exists, so the count is positive and draws a factor
-            oracle.calls += 1
-            oracle._factors(eps, 1)
-
-        def weigh(tree, node, v, values):
-            return oracle._perturbed(node.acc or tree.split(node, v, values), eps)
-
-        return tree_of, ask, weigh
-
-    def ask(tree):
-        if oracle.count(tree.root.inst, target, eps) <= 0:
-            raise ValueError(_NO_HOMS)
-
-    def weigh(tree, node, v, values):
-        if node.kids is None:
-            node.kids = [_PinNode(node.inst.pin(v, s)) for s in values]
-        return _prefix_sums([oracle.count(kid.inst, target, eps) for kid in node.kids])
-
-    return (lambda inst: _PinTree(None, inst, target)), ask, weigh
+    return draw
 
 
 def sample_hom(
@@ -374,34 +276,26 @@ def sample_hom(
     Draws from `rng`, a `random.Random`, or from a stream derived from
     `seed` (default 0); giving both raises ValueError.  Returns a new dict.
 
-    With an exact oracle the output is exactly uniform.  The fully pinned
-    candidate is verified to be a homomorphism and resampled on failure, as
-    is a walk that reaches a node whose values all weigh 0 (ValueError after
-    MAX_RESAMPLES attempts).  An ExactOracle or a NoisyOracle weighs an
-    instance with no homomorphism 0, so neither happens with them; only
-    another oracle, whose count may be positive there, needs the rejection.
-
-    A draw uses one categorical draw (`_draw`) per multi-valued vertex.
-    With an ExactOracle it walks the oracle's pinning tree of the instance,
-    so it does kernel work only at nodes no earlier draw reached: a node's
-    first visit weighs every value of its vertex with one split sweep of the
-    kernel (one unit of the oracle's `calls`) and pins only the value it
-    draws, and later draws reuse the node's prefix sums.  Any other oracle
-    is asked once for the instance per call and once per (multi-valued
-    vertex, value) per attempt, since its answers may vary from call to
-    call; a NoisyOracle answers from the exact counts on its inner
-    ExactOracle's tree (see `_PinTree`).
+    With an exact oracle the output is exactly uniform.  Every oracle pins
+    in the walk order (`exact._walk_order`), with one categorical draw
+    (`_draw`) per multi-valued vertex.  An ExactOracle draws from its
+    tables (`exact._DrawTables`), building one (a unit of its `calls`) per
+    (step, state) pair no earlier draw reached.  A NoisyOracle is asked for
+    the instance once and each (multi-valued vertex, value) once, answered
+    from its inner ExactOracle's tables.  Any other oracle is asked the
+    same calls, since its answers may vary from call to call; its fully
+    pinned candidate is checked and resampled on failure, as is a walk that
+    reaches a vertex whose values all weigh 0 (ValueError after
+    MAX_RESAMPLES attempts).
     """
     if rng is not None and seed is not None:
         raise ValueError("give sample_hom a seed or an rng, not both")
     if rng is None:
         rng = pyrng(seed if seed is not None else 0, "sample-hom")
     if type(oracle) is ExactOracle:
-        return dict(oracle.pin_tree(inst, target).draw(rng).tau)
-    tree_of, ask, weigh = _walk(oracle, target, eps)
-    tree = tree_of(inst)
-    ask(tree)
-    return dict(tree.draw(rng, weigh).tau)
+        # `_drawer`'s first case without its call: a repeat draw takes a few µs
+        return oracle.draw_tables(inst, target).draw(rng)
+    return _drawer(oracle, inst, target, eps)(rng)
 
 
 # -- the coverage estimator ---------------------------------------------------
@@ -542,13 +436,11 @@ def coverage_mc(
     literal per-sample walk instead, which is also what every oracle other
     than an ExactOracle gets: it lists the witnesses with `enumerate_T` and
     weighs each by `powered_count`.  That walk is one loop over the m draws
-    from the pinning trees of `sample_hom` (see `_PinTree`): it looks up
-    each witness's tree once per run and decides the first-occurrence
-    verdict once per (witness index, leaf); a witness whose pinned instance
-    has one leaf (no multi-valued vertex) draws no random number past its
-    branch, so its verdict is decided once per run.  An oracle other than an
-    ExactOracle is still asked, per draw, the calls of one `sample_hom`
-    call, in the same order.
+    of `sample_hom` (see `_drawer`), with the calls of one `sample_hom` call
+    per draw (with an ExactOracle, one per draw table built); it decides the
+    first-occurrence verdict once per (witness index, drawn map).  With an
+    ExactOracle, a witness with no multi-valued vertex always draws the same
+    map and no random number, so it is drawn once per run.
     """
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -586,15 +478,12 @@ def coverage_mc(
         rng = pyrng(seed, "coverage-jvv", mode)
         sample_eps = eps1 / (2 * len(target.vertices) ** len(inst.pattern.vertices))
         acc = _prefix_sums(omegas)
-        tree_of, ask, weigh = _walk(oracle, target, sample_eps)
-        # per-run state, by witness index: its tree, looked up on its first
-        # draw, and the verdict of its one leaf if it has no choice to make
-        # (its walk draws no random number); the verdict of a (witness
-        # index, leaf) of a larger tree is decided once.  Two witnesses may
-        # pin to the same instance, hence the same leaves.
+        # by witness index: its draw function, set up on its first draw, and
+        # with an ExactOracle the verdict of its one map if it has no choice.
+        # Two witnesses may pin to one instance, drawing the same maps.
         getrandbits, total = rng.getrandbits, acc[-1]
         k = total.bit_length()
-        trees: list = [None] * t
+        draws: list = [None] * t
         fixed: list = [None] * t
         verdicts: dict = {}
         x_total = 0
@@ -603,18 +492,17 @@ def coverage_mc(
             while r >= total:
                 r = getrandbits(k)
             i = bisect_right(acc, r)
-            tree = trees[i]
-            if tree is None:
-                tree = trees[i] = tree_of(pinned[i])
-            if ask is not None:
-                ask(tree)
             verdict = fixed[i]
             if verdict is None:
-                leaf = tree.draw(rng, weigh)
-                verdict = verdicts.get((i, leaf))
+                draw = draws[i]
+                if draw is None:
+                    draw = draws[i] = _drawer(oracle, pinned[i], target, sample_eps)
+                sigma = draw(rng)
+                image = tuple(sigma.values())
+                verdict = verdicts.get((i, image))
                 if verdict is None:
-                    verdict = verdicts[i, leaf] = _first_occurrence(ts, i, leaf.tau)
-                    if not tree.choices:
+                    verdict = verdicts[i, image] = _first_occurrence(ts, i, sigma)
+                    if type(oracle) is ExactOracle and all(len(s) == 1 for s in pinned[i].lists.values()):
                         fixed[i] = verdict
             x_total += verdict
         sampler = "jvv"

@@ -34,10 +34,8 @@ distinct residual states, not the count.  A state is
   A child step narrows and tests only the fields of unassigned neighbors,
   so the coverage bits pass through it unchanged, and every state is one
   int.
-A split count (`_pin_counts`, the exact sampler's pinning step) runs the
-same sweep from one state per value t of a chosen vertex and keeps every
-number of partial maps as one int with a field per value, so one sweep
-returns the count of the instance pinned to each value.
+Uniform draws (`_DrawTables`) keep the plain sweep's levels, count each
+state's completions in one backward pass and walk the steps forward.
 Enumeration backtracks on the same packed int, with the same child step
 and borrow test (an assigned vertex's field is left as it is and no longer
 read), branching most-constrained-first (fewest values, then the lowest
@@ -54,6 +52,8 @@ in `reference`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Iterator
 
 from .graphs import DiGraph, Graph, _bits
@@ -156,92 +156,38 @@ class _Search:
             self.full_e = (1 << e) - 1
         return self
 
-    def count(self, split: int | None = None) -> int:
+    def count(self) -> int:
         """Number of homomorphisms that meet the coverage goal.
 
         One sweep along the fixed order (see `_order`): each step extends
         every state by the next vertex, and children that leave the same
         residual subproblem merge into one state whose number of partial
-        maps is the sum of theirs.  The key is one int: the domains in
-        (k + 1)-bit fields at bits [0, n (k + 1)) (see the module
-        docstring) and, covering, the covered target vertices in the k bits
-        above them, the covered edges (one bit each) above those and, under
-        a cap, the number of vertices with a covering value on top.  A child
-        ORs in its value's vertex and edge bits and adds 1 to that number;
-        a state's room for the vertices left to cover is worked out once,
-        before its children.  With edges to cover, an assigned vertex keeps
-        its value (one bit) in its own field while it has an unassigned
-        neighbor: a step reads the values of the assigned neighbors of the
-        vertex it assigns, for the edges its value realizes, then clears the
-        fields of those whose last unassigned neighbor it was.  The count is
-        the sum over the states whose coverage bits equal the goal.
-
-        With `split`, a vertex, the counts with that vertex pinned to each
-        of its values, from the same one sweep: it starts from one state per
-        value t, the vertex's domain {t} and its number of partial maps
-        1 << t * `_split_bits` (domains), so that field t of every number,
-        and of the returned int, counts the maps with the vertex at t (no
-        field can carry into the next).  The order is the one each pinned
-        instance gets on its own.  A split takes no weights and no coverage
-        goal."""
-        if split is not None and (self.weights is not None or self.full_v is not None):
-            raise ValueError("a split count takes no weights and no coverage goal")
+        maps is the sum of theirs.  A covering child ORs in its value's
+        vertex and edge bits and adds 1 to the number used (the key's layout
+        is in the module docstring); a state's room for the vertices left to
+        cover is worked out once, before its children.  With edges to cover,
+        a step reads the values kept by the assigned neighbors of the vertex
+        it assigns, then clears the fields of those whose last unassigned
+        neighbor it was.  The count is the sum over the states whose
+        coverage bits equal the goal."""
         if any(d == 0 for d in self.domains):
             return 0
-        full_v, full_e, ebit = self.full_v, self.full_e, self.ebit
         n, k, w, vmask = len(self.domains), self.w - 1, self.w, self.vmask
-        # a cap no assignment can reach stays out of the search and its keys
-        cap = self.top if self.top is not None and self.top < n else None
-        order = self._order(split)
-        digraph, adj, cw, x = self.digraph, self.adj, self.weights, self.packed
+        digraph, adj, cw = self.digraph, self.adj, self.weights
         low_out, low_in, off_out, off_in = self.low_out, self.low_in, self.off_out, self.off_in
-        # bit 0 of every field of an unassigned, unpeeled vertex
-        low_rest = ((1 << n * w) - 1) // ((1 << w) - 1)
         # state -> number of partial maps
-        if split is None:
-            states: dict = {x: 1}
-            if full_v is not None:
-                # the covered vertices start at bit cv_at, the number used
-                # at bit used_at
-                cv_at = n * w
-                used_at = cv_at + k + full_e.bit_length()
-                one_used = 0 if cap is None else 1 << used_at
-                # ebit with each edge bit moved to its place in the state
-                erow = [[e << cv_at + k for e in row] for row in ebit] if full_e else None
-        else:
-            sb, ss = _split_bits(self.domains), split * w
-            x &= ~(vmask << ss)
-            states = {x | 1 << ss + t: 1 << t * sb for t in _bits(self.domains[split])}
-        active = (1 << n) - 1
-        for v in order:
-            if not active >> v & 1:
-                continue  # peeled
-            active ^= 1 << v
-            rest = active
-            sv = v * w
-            low_rest ^= 1 << sv
-            clear = ~(vmask << sv)
-            s_low = low_out[v] & low_rest
-            p_low = low_in[v] & low_rest if digraph else 0
-            nb_low = s_low | p_low
-            nb_high = nb_low << k
-            nxt: dict = {}
-            if full_v is None:
-                # v's neighbors left with no unassigned neighbor, or v itself
-                # if it has none: their domains are final and each contributes
-                # |domain|^weight
-                nbrs = adj[v] & rest
-                lone = [u for u in _bits(nbrs) if not adj[u] & rest] if nbrs else [v]
-                peel = [(u * w, 1 if cw is None else cw[u]) for u in lone]
-                for u in lone:
-                    active &= ~(1 << u)
-                    low_rest &= ~(1 << u * w)
-                    clear &= ~(vmask << u * w)
-                if not nbrs:
+        states: dict = {self.packed: 1}
+        if self.full_v is None:
+            for v, lone, s_low, p_low, nb_low, nb_high, clear in self._steps():
+                sv = v * w
+                nxt: dict = {}
+                if not nb_low:
+                    e = 1 if cw is None else cw[v]
                     for x, c in states.items():
                         y = x & clear
-                        nxt[y] = nxt.get(y, 0) + c * (x >> sv & vmask).bit_count() ** peel[0][1]
+                        nxt[y] = nxt.get(y, 0) + c * (x >> sv & vmask).bit_count() ** e
                 else:
+                    peel = [(u * w, 1 if cw is None else cw[u]) for u in lone]
                     for x, c in states.items():
                         d = x >> sv & vmask
                         while d:
@@ -259,66 +205,127 @@ class _Search:
                                 f *= (y >> su & vmask).bit_count() ** wu
                             y &= clear
                             nxt[y] = nxt.get(y, 0) + f
-            else:
-                # each vertex still to assign covers at most one more target
-                # vertex, and at most cap - used of them may
-                room = rest.bit_count()
-                # with edges: the fields of v's assigned neighbors, which
-                # hold their values; v keeps its value if it has an
-                # unassigned neighbor, and a neighbor whose last one v is
-                # has its field cleared
-                back, keep = [], 0
-                if full_e:
-                    keep = adj[v] & rest
-                    for u in _bits(adj[v] & ~rest):
-                        back.append(u * w)
-                        if not adj[u] & rest:
-                            clear &= ~(vmask << u * w)
-                for x, c in states.items():
-                    todo = full_v & ~(x >> cv_at)
-                    left = todo.bit_count()
-                    spare = 1 if cap is None else cap - (x >> used_at) - left
-                    d = x >> sv & vmask
-                    if left > room or not spare:
-                        if left > room + 1 or spare < 0:
-                            continue
-                        # v must cover a new target vertex (no room left),
-                        # or may not cover a covered one (no cap left)
-                        d &= todo if left > room else todo | ~full_v
-                        if not d:
-                            continue
-                    # the edge bits of each assigned neighbor's value
-                    rows = [erow[(x >> su & vmask).bit_length() - 1] for su in back] if back else ()
-                    x &= clear
-                    while d:
-                        b = d & -d
-                        d ^= b
-                        t = b.bit_length() - 1
-                        y = x & ~(s_low * off_out[t])
-                        if digraph:
-                            y &= ~(p_low * off_in[t])
-                        if (y | nb_high) - nb_low & nb_high != nb_high:
-                            continue  # a neighbor's domain emptied
-                        for row in rows:
-                            y |= row[t]
-                        if keep:
-                            y |= b << sv
-                        if b & full_v:
-                            y = (y | b << cv_at) + one_used
-                        nxt[y] = nxt.get(y, 0) + c
+                if not nxt:
+                    return 0
+                states = nxt
+            return sum(states.values())
+        full_v, full_e, ebit = self.full_v, self.full_e, self.ebit
+        # a cap no assignment can reach stays out of the search and its keys
+        cap = self.top if self.top is not None and self.top < n else None
+        # the covered vertices start at bit cv_at, the number used at bit
+        # used_at
+        cv_at = n * w
+        used_at = cv_at + k + full_e.bit_length()
+        one_used = 0 if cap is None else 1 << used_at
+        # ebit with each edge bit moved to its place in the state
+        erow = [[e << cv_at + k for e in row] for row in ebit] if full_e else None
+        # bit 0 of every field of an unassigned vertex
+        low_rest = ((1 << n * w) - 1) // ((1 << w) - 1)
+        rest = (1 << n) - 1
+        for v in self._order():
+            rest ^= 1 << v
+            sv = v * w
+            low_rest ^= 1 << sv
+            clear = ~(vmask << sv)
+            s_low = low_out[v] & low_rest
+            p_low = low_in[v] & low_rest if digraph else 0
+            nb_low = s_low | p_low
+            nb_high = nb_low << k
+            nxt: dict = {}
+            # each vertex still to assign covers at most one more target
+            # vertex, and at most cap - used of them may
+            room = rest.bit_count()
+            # with edges: the fields of v's assigned neighbors, which hold
+            # their values; v keeps its value if it has an unassigned
+            # neighbor, and a neighbor whose last one v is has its field
+            # cleared
+            back, keep = [], 0
+            if full_e:
+                keep = adj[v] & rest
+                for u in _bits(adj[v] & ~rest):
+                    back.append(u * w)
+                    if not adj[u] & rest:
+                        clear &= ~(vmask << u * w)
+            for x, c in states.items():
+                todo = full_v & ~(x >> cv_at)
+                left = todo.bit_count()
+                spare = 1 if cap is None else cap - (x >> used_at) - left
+                d = x >> sv & vmask
+                if left > room or not spare:
+                    if left > room + 1 or spare < 0:
+                        continue
+                    # v must cover a new target vertex (no room left), or
+                    # may not cover a covered one (no cap left)
+                    d &= todo if left > room else todo | ~full_v
+                    if not d:
+                        continue
+                # the edge bits of each assigned neighbor's value
+                rows = [erow[(x >> su & vmask).bit_length() - 1] for su in back] if back else ()
+                x &= clear
+                while d:
+                    b = d & -d
+                    d ^= b
+                    t = b.bit_length() - 1
+                    y = x & ~(s_low * off_out[t])
+                    if digraph:
+                        y &= ~(p_low * off_in[t])
+                    if (y | nb_high) - nb_low & nb_high != nb_high:
+                        continue  # a neighbor's domain emptied
+                    for row in rows:
+                        y |= row[t]
+                    if keep:
+                        y |= b << sv
+                    if b & full_v:
+                        y = (y | b << cv_at) + one_used
+                    nxt[y] = nxt.get(y, 0) + c
             if not nxt:
                 return 0
             states = nxt
-        if full_v is None:
-            return sum(states.values())
         # a child sets no coverage bit outside the goal
         goal = full_v | full_e << k
         return sum(c for x, c in states.items() if x >> cv_at & goal == goal)
 
-    def _order(self, split: int | None = None) -> list[int]:
+    def _steps(self) -> list[tuple]:
+        """The plain sweep's steps, one per vertex v of `_order` not peeled
+        before its turn: (v, lone, s_low, p_low, nb_low, nb_high, clear).
+        It assigns v and peels lone, v's neighbors left with no unassigned
+        neighbor, in index order.  s_low (p_low) is bit 0 of the fields of
+        v's unassigned out- (in-) neighbors, nb_low their union (0 when v,
+        with none, is peeled itself), nb_high its spare bits; clear clears
+        the fields of v and lone."""
+        n, w, k, vmask = len(self.domains), self.w, self.w - 1, self.vmask
+        adj, digraph, low_out, low_in = self.adj, self.digraph, self.low_out, self.low_in
+        # bit 0 of every field of an unassigned, unpeeled vertex
+        low_rest = ((1 << n * w) - 1) // ((1 << w) - 1)
+        active = (1 << n) - 1
+        steps = []
+        for v in self._order():
+            if not active >> v & 1:
+                continue  # peeled
+            active ^= 1 << v
+            low_rest ^= 1 << v * w
+            clear = ~(vmask << v * w)
+            s_low = low_out[v] & low_rest
+            p_low = low_in[v] & low_rest if digraph else 0
+            nb_low = s_low | p_low
+            lone, m = [], adj[v] & active
+            while m:
+                b = m & -m
+                m ^= b
+                u = b.bit_length() - 1
+                if not adj[u] & active:
+                    lone.append(u)
+            for u in lone:
+                active ^= 1 << u
+                low_rest ^= 1 << u * w
+                clear &= ~(vmask << u * w)
+            steps.append((v, lone, s_low, p_low, nb_low, nb_low << k, clear))
+        return steps
+
+    def _order(self) -> list[int]:
         """The fixed branching order of `count`: the pattern components one
         after another (components by lowest vertex).  Within a component:
-        the single-value vertices first (`split` counts as one), then
+        the single-value vertices first, then
         greedily the vertex, next to the assigned ones if any is, that
         leaves the fewest unassigned vertices next to assigned ones (ties:
         the lowest index), then the vertices of weight > 1.  In a fixed order every branch reaches the
@@ -330,8 +337,6 @@ class _Search:
         for v, d in enumerate(self.domains):
             if d.bit_count() == 1:
                 single |= 1 << v
-        if split is not None:
-            single |= 1 << split
         order = []
         unseen = (1 << len(adj)) - 1
         while unseen:
@@ -408,13 +413,22 @@ class _Search:
         The branch vertex is the active one of fewest values (ties: the lowest
         index), and its values go in ascending order.  When it is the last
         active vertex, each of its values completes a map, yielded here once
-        it meets the goal, with no child generator."""
+        it meets the goal, with no child generator.  A covering state is
+        pruned when unassigned vertices cannot cover the target vertices
+        left, or pattern edges with an unassigned end the target edges."""
         full_v, top = self.full_v, self.top
         if full_v is not None:
             room = active.bit_count()
             if top is not None:
                 room = min(room, top - used)
             if (full_v & ~cov_v).bit_count() > room:
+                return
+            left_e = (self.full_e & ~cov_e).bit_count()
+            # the pattern edges with an active end: each active vertex's
+            # edges, halving those with both ends active
+            if left_e and 2 * left_e > sum(
+                2 * self.adj[u].bit_count() - (self.adj[u] & active).bit_count() for u in _bits(active)
+            ):
                 return
         w, vmask = self.w, self.vmask
         # the first field of fewest values; no active field is empty, so
@@ -460,13 +474,6 @@ class _Search:
                 yield from self._enumerate(rest, low, y, image, cov_v | cb, ce, used + (cb != 0))
             elif full_v is None or cov_v | cb == full_v and ce == full_e:
                 yield tuple(image)
-
-
-def _split_bits(domains: list[int]) -> int:
-    """The width of a field of a split count (see `_Search.count`): above the
-    bit length of the product of the domain sizes, which bounds every
-    number of partial maps of the sweep."""
-    return 1 + sum(d.bit_count().bit_length() for d in domains)
 
 
 def _domains(vertices, lists: dict[str, frozenset[str]], tindex: dict[str, int]) -> list[int]:
@@ -527,18 +534,6 @@ def count_list_hom(inst: ListedInstance, target: Graph) -> int:
     """Exact number of list homomorphisms from (G, S) to the target."""
     _check_same_target(inst, target)
     return _search(inst.pattern, inst.lists, target).count()
-
-
-def _pin_counts(inst: ListedInstance, target: Graph, v: str) -> list[int]:
-    """count_list_hom(inst.pin(v, t), target) for each t in v's list, in
-    sorted order (the target's index order), from one split sweep of the
-    kernel (see `_Search.count`) instead of one count per value."""
-    _check_same_target(inst, target)
-    search = _search(inst.pattern, inst.lists, target)
-    i = inst.pattern.index(v)
-    width = _split_bits(search.domains)
-    packed, mask = search.count(i), (1 << width) - 1
-    return [packed >> t * width & mask for t in _bits(search.domains[i])]
 
 
 def count_hom(pattern: Graph, target: Graph) -> int:
@@ -607,6 +602,122 @@ def count(inst: ListedInstance, target: Graph, mode: str) -> int:
     if mode == "comp":
         return count_compaction(inst, target)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+# -- uniform draws ---------------------------------------------------------
+
+
+def _draw(rng, acc: list[int]) -> int:
+    """Exact categorical draw: index i with probability proportional to
+    acc[i] - acc[i - 1].  r is drawn below the total as
+    `random.Random.randrange` draws it, from `getrandbits` of the total's
+    bit length until it falls below, so it uses the same random numbers
+    without randrange's Python layers; a zero weight is never drawn."""
+    if not acc or acc[-1] <= 0:
+        raise ValueError("all weights vanish")
+    total = acc[-1]
+    k = total.bit_length()
+    r = rng.getrandbits(k)
+    while r >= total:
+        r = rng.getrandbits(k)
+    return bisect_right(acc, r)
+
+
+class _DrawTables:
+    """Uniform draws of the homomorphisms of a kernel with no weights and
+    no coverage goal, by forward filtering and backward sampling, as Dechter
+    (AIJ 1999) samples from bucket elimination.  The plain sweep runs
+    once along `count`'s steps, each peeled vertex fixed at a step of its
+    own right after its parent's (the walk order, `_walk_order`), and keeps
+    its levels' states; one backward pass gives each state its number of
+    completions, so `total` is the count.  A draw walks the steps, drawing
+    each vertex of more than one value over the exact counts with it pinned
+    to each value of its list: the self-reducible walk of Jerrum, Valiant
+    and Vazirani (TCS 1986), random number for random number.  `built`
+    counts the tables, one per (step, state) pair a draw reached.  `names`
+    and `labels` name the pattern and target vertices."""
+
+    def __init__(self, search: _Search, names, labels):
+        if search.weights is not None or search.full_v is not None:
+            raise ValueError("draw tables take no weights and no coverage goal")
+        w, vmask = search.w, search.vmask
+        self.steps = steps = []
+        for v, lone, s_low, p_low, nb_low, nb_high, _ in search._steps():
+            steps.append((v, (), s_low, p_low, nb_low, nb_high, ~(vmask << v * w)))
+            steps += [(u, (), 0, 0, 0, 0, ~(vmask << u * w)) for u in lone]
+        self.search, self.names = search, names
+        # per vertex, the values of its list in index order, and their labels
+        self.lists = [list(_bits(d)) for d in search.domains]
+        self.values = [[labels[t] for t in ts] for ts in self.lists]
+        self.image = {v: vals[0] if len(vals) == 1 else None for v, vals in zip(names, self.values)}
+        self.tables: list[dict] = [{} for _ in steps]
+        self.built, self.total, self.first = 0, 0, ()
+        self.levels = levels = [{search.packed: 1} if all(search.domains) else {}]
+        for i in range(len(steps)):
+            levels.append(dict.fromkeys(y for x in levels[i] for y in self._children(i, x) if y is not None))
+        if not levels[-1]:
+            return
+        # a state of the last level completes once
+        levels[-1] = dict.fromkeys(levels[-1], 1)
+        for i in range(len(steps) - 1, -1, -1):
+            after = levels[i + 1]
+            for x in levels[i]:
+                levels[i][x] = sum(after[y] for y in self._children(i, x) if y is not None)
+        self.total = levels[0][search.packed]
+        self.first = self._table(0, search.packed)
+
+    def _children(self, i: int, x: int) -> list[tuple]:
+        """Per value of the list of step i's vertex, the state after the step
+        from state x, or None for a value outside the vertex's domain or
+        that empties a neighbor's."""
+        search = self.search
+        v, _, s_low, p_low, nb_low, nb_high, clear = self.steps[i]
+        off_out, off_in, d = search.off_out, search.off_in, x >> v * search.w & search.vmask
+        out = []
+        for t in self.lists[v]:
+            y = x & ~(s_low * off_out[t]) & ~(p_low * off_in[t]) & clear
+            out.append(y if d >> t & 1 and (y | nb_high) - nb_low & nb_high == nb_high else None)
+        return out
+
+    def _table(self, i: int, x: int) -> tuple:
+        """The table of state x before step i, built once (() past the last
+        step): (acc, kids, i, the name of the step's vertex v).  acc: the
+        prefix sums of the counts with v pinned to each value of its list
+        (None for one value); kids[j]: None for a count of 0, else [the next
+        table once a draw reaches it, the next state, the value's label]."""
+        if i == len(self.steps):
+            return ()
+        table = self.tables[i].get(x)
+        if table is None:
+            v, after = self.steps[i][0], self.levels[i + 1]
+            children = self._children(i, x)
+            counts = [0 if y is None else after[y] for y in children]
+            kids = [[None, y, label] if c else None for label, y, c in zip(self.values[v], children, counts)]
+            acc = list(accumulate(counts)) if len(kids) > 1 else None
+            table = self.tables[i][x] = (acc, kids, i, self.names[v])
+            self.built += 1
+        return table
+
+    def draw(self, rng, weigh=None) -> dict:
+        """One homomorphism as a new dict, drawn over each table's prefix
+        sums or weigh(prefix sums); needs total > 0."""
+        image = self.image.copy()
+        table = self.first
+        while table:
+            acc, kids, i, v = table
+            kid = kids[0] if acc is None else kids[_draw(rng, acc if weigh is None else weigh(acc))]
+            image[v] = kid[2]
+            table = kid[0]
+            if table is None:
+                table = kid[0] = self._table(i + 1, kid[1])
+        return image
+
+
+def _walk_order(inst: ListedInstance, target: Graph) -> list[str]:
+    """The pattern vertices in the order the plain sweep fixes them."""
+    _check_same_target(inst, target)
+    steps = _search(inst.pattern, inst.lists, target)._steps()
+    return [inst.pattern.vertices[u] for v, lone, *_ in steps for u in (v, *lone)]
 
 
 # -- blocked evaluation ----------------------------------------------------

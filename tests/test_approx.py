@@ -18,12 +18,19 @@ from retraction_lab.fixedgraphs import (
     build_jq,
     build_path,
     build_reflexive_path,
+    build_star,
     build_two_wrench,
 )
 from retraction_lab.graphs import Graph
 from retraction_lab.instances import ListedInstance
 
 K2 = Graph("ab", [("a", "b")])
+# shapes whose walk order is not their vertex order: the star's is l1, c,
+# l2, l3, the spider's a2, a1, h, c1, b1, b2, the tailed triangle's d, c, a, b
+SPIDER = Graph(
+    ["h", "a1", "a2", "b1", "b2", "c1"], [("h", "a1"), ("a1", "a2"), ("h", "b1"), ("b1", "b2"), ("h", "c1")]
+)
+TAILED_TRIANGLE = Graph("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
 
 
 def test_enumerate_T_examples():
@@ -590,6 +597,21 @@ def test_sample_hom_uniformity_small():
     assert tv <= 0.07
 
 
+def test_sample_hom_uniformity_where_the_walk_order_is_not_the_vertex_order():
+    # the 1/20 bound of verify's jvv-uniformity check, on the 81 maps of the
+    # star K_{1,3} into the 2-wrench, whose draws pin a leaf before the centre
+    tw = build_two_wrench()
+    inst = ListedInstance.full(build_star(3), tw)
+    assert exact._walk_order(inst, tw) == ["l1", "c", "l2", "l3"]
+    homs = {tuple(sorted(h.items())) for h in exact.enumerate_homs(inst, tw)}
+    oracle, rng, n = approx.ExactOracle(), pyrng("uniform-star"), 20_000
+    draws = (approx.sample_hom(oracle, inst, tw, 0.05, rng=rng) for _ in range(n))
+    counts = Counter(tuple(sorted(tau.items())) for tau in draws)
+    assert set(counts) <= homs and len(homs) == 81
+    tv = Fraction(1, 2) * sum(abs(Fraction(counts[h], n) - Fraction(1, len(homs))) for h in homs)
+    assert tv <= Fraction(1, 20)
+
+
 def test_powered_count_exact_and_quarter_delta():
     oracle = approx.ExactOracle()
     inst = ListedInstance.full(build_path(3), K2)
@@ -693,6 +715,18 @@ def test_noisy_sampler_matches_per_call_route():
         draws = [_owned_draws(oracle, inst, tw, pyrng("noisy-walk", k), 20) for oracle in (a, b)]
         assert draws[0] == draws[1], k
         assert _same_state(a, b)
+    # where the walk order is not the vertex order: full lists, then random
+    # lists with singletons
+    j3 = build_jq(3)
+    for k, (g, target) in enumerate(((build_star(3), tw), (SPIDER, j3), (TAILED_TRIANGLE, tw))):
+        for lists in ({}, _random_lists(r, g, target, retraction=True)):
+            inst = ListedInstance(g, lists, target.vertices)
+            a, b = _noisy_twins(0.25, k)
+            if exact.count_list_hom(inst, target) == 0:
+                continue
+            draws = [_owned_draws(oracle, inst, target, pyrng("noisy-order", k), 20) for oracle in (a, b)]
+            assert draws[0] == draws[1], (k, lists)
+            assert _same_state(a, b)
     for g, target, mode, seed in ((K2, K2, "sur", 1), (build_path(3), K2, "comp", 2)):
         a, b = _noisy_twins(0.25, seed)
         runs = [
@@ -931,6 +965,7 @@ def test_pinning_tree_matches_fresh_root_walk():
     tw, j3, h1 = build_two_wrench(), build_jq(3), build_hk(1)
     tree7 = Graph("abcdefg", [("a", "b"), ("b", "c"), ("b", "d"), ("d", "e"), ("e", "f"), ("e", "g")])
     shapes = [(build_path(3), tw), (build_path(5), tw), (build_cycle(6), j3), (tree7, h1)]
+    shapes += [(build_star(3), tw), (SPIDER, j3), (TAILED_TRIANGLE, tw)]
     for k, (g, target) in enumerate(shapes):
         inst = ListedInstance.full(g, target)
         a = _owned_draws(approx.ExactOracle(), inst, target, pyrng("tree-vs-fresh", k), 60)
@@ -949,12 +984,17 @@ def test_pinning_tree_matches_fresh_root_walk():
             continue
         a = _owned_draws(oracle, inst, tw, pyrng("lists", k), 30)
         assert a == _owned_draws(_FreshRootExact(), inst, tw, pyrng("lists", k), 30), k
-        tree = oracle.pin_tree(inst, tw)
-        zero_branches += sum(
-            x == y for x, y in zip([0] + tree.root.acc, tree.root.acc)
-        )
+        zero_branches += _zero_weights(oracle.draw_tables(inst, tw))
         checked += 1
     assert checked >= 20 and zero_branches > 0
+    # random lists with singletons where the walk order is not the vertex order
+    for k, (g, target) in enumerate(shapes[4:] * 6):
+        inst = ListedInstance(g, _random_lists(r, g, target, retraction=k % 2 == 0), target.vertices)
+        if exact.count_list_hom(inst, target) == 0:
+            continue
+        a = _owned_draws(oracle, inst, target, pyrng("order-lists", k), 30)
+        b = _owned_draws(_FreshRootExact(), inst, target, pyrng("order-lists", k), 30)
+        assert a == b, (k, g.vertices)
     # the literal walk: overlapping witnesses on P4 -> K2; on K2 -> K2 and
     # P3 -> P3 every witness pins the whole pattern, so each tree is one leaf;
     # on P3 -> K2 in comp mode the |U| = 3 witnesses have one leaf and the
@@ -992,33 +1032,37 @@ def test_pinning_tree_matches_fresh_root_walk():
     assert (runs[0].x_total, runs[0].y) == (runs[1].x_total, runs[1].y)
 
 
+def _zero_weights(tables) -> int:
+    """The values of zero count over every prefix sum list of the tables
+    built so far."""
+    accs = [table[0] for memo in tables.tables for table in memo.values() if table[0] is not None]
+    return sum(x == y for acc in accs for x, y in zip([0] + acc, acc))
+
+
 def test_exact_sampler_work_does_not_grow_with_draws(monkeypatch):
-    sweeps = []
-    count = exact._Search.count
+    work = []
+    for cls, name in ((exact._Search, "_steps"), (exact._Search, "count"), (exact._DrawTables, "_children")):
 
-    def counting(search, *args):
-        sweeps.append(args)
-        return count(search, *args)
+        def recorded(self, *args, _f=getattr(cls, name), _name=name):
+            work.append(_name)
+            return _f(self, *args)
 
-    monkeypatch.setattr(exact._Search, "count", counting)
+        monkeypatch.setattr(cls, name, recorded)
     tw = build_two_wrench()
     inst = ListedInstance.full(build_path(3), tw)
     oracle, rng = approx.ExactOracle(), pyrng("work")
-    calls = []
+    seen = []
     for n in (200, 1800):
         for _ in range(n):
             approx.sample_hom(oracle, inst, tw, 0.05, rng=rng)
-        calls.append(oracle.calls)
-    assert calls[0] == calls[1]
-    # one split sweep per node with a vertex left to pin, and no other count
-    nodes, stack = 0, [oracle.pin_tree(inst, tw).root]
-    while stack:
-        node = stack.pop()
-        if node.acc is not None:
-            nodes += 1
-            stack += [kid for kid in node.kids if kid is not None]
-    assert len(sweeps) == nodes == calls[-1] == 14  # the root, 4 nodes with c0 pinned, 9 with c0 and c1
-    assert all(sweeps) and not oracle._cache
+        seen.append((oracle.calls, len(work)))
+    assert seen[0] == seen[1]
+    # one sweep, no count, and one table per (step, state) pair reached: the
+    # start state, then one state per neighbourhood of c0's value, then of
+    # c1's (b: every value, g: b, r1: b and r1, r2: b and r2)
+    tables = oracle.draw_tables(inst, tw)
+    assert [len(memo) for memo in tables.tables] == [1, 4, 4]
+    assert work.count("_steps") == 1 and "count" not in work and seen[-1][0] == 9 and not oracle._cache
 
 
 def test_sample_hom_rejects_seed_with_rng():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 
 import hashlib
 import math
@@ -380,6 +380,27 @@ def _naive_images(pattern, lists, target, mode="lhom"):
     )
 
 
+def test_comp_listing_prunes_on_target_edges_left(monkeypatch):
+    # comp witnesses on K2 of one edge plus 24 isolated vertices: only the
+    # edge can realize K2's edge, so a branch that gives x and y one value
+    # cannot complete.  Pruned on the target edges left, the listing makes a
+    # few calls per witness; without that prune it made 1 063 094 calls.
+    calls = []
+    enumerate_ = exact._Search._enumerate
+
+    def counting(search, *args):
+        calls.append(1)
+        return enumerate_(search, *args)
+
+    monkeypatch.setattr(exact._Search, "_enumerate", counting)
+    k2, m = Graph("ab", [("a", "b")]), 24
+    inst = ListedInstance.full(Graph(["x", "y"] + [f"z{i:02d}" for i in range(m)], [("x", "y")]), k2)
+    ts = approx.enumerate_T(inst, k2, "comp")
+    # U holds x and y, mapped to a and b either way, and up to two others
+    assert len(ts) == 2 * (1 + 2 * m + 4 * math.comb(m, 2)) == approx.count_witnesses(inst, k2, "comp")
+    assert len(calls) <= 10 * len(ts)
+
+
 def test_enumeration_leaf_steps_match_naive():
     # the last vertex's values complete maps in place: no vertex (one empty
     # map), one vertex, a second-to-last vertex whose every value empties
@@ -601,33 +622,45 @@ def test_packed_fields_at_word_boundaries_match_naive_digraphs():
             ), (k, loops)
 
 
-# -- split counts ------------------------------------------------------------
+# -- draw tables -------------------------------------------------------------
 
 
-def _per_pin(inst, target, v):
-    """count_list_hom and the naive count of inst pinned at v to each value."""
-    pins = [inst.pin(v, t) for t in sorted(inst.lists[v])]
-    counts = [exact.count_list_hom(p, target) for p in pins]
-    assert counts == [reference.naive_count(p, target) for p in pins]
-    return counts
-
-
-def _check_split(inst, target):
-    """_pin_counts equals the per-pin counts at every vertex; returns how many
-    zero counts and singleton lists the splits met."""
-    zeros = singles = 0
-    for v in inst.pattern.vertices:
-        got = exact._pin_counts(inst, target, v)
-        assert got == _per_pin(inst, target, v), v
-        zeros += got.count(0)
-        singles += len(inst.lists[v]) == 1
-    return zeros, singles
+def _check_tables(inst, target, rng, draws=3):
+    """Draws from the draw tables of (inst, target), checking each prefix
+    sum list a draw reads, in the walk order, against count_list_hom of the
+    instance with the vertices drawn before pinned and the list's vertex
+    pinned to each of its values; returns how many zero counts the lists
+    held and the largest count."""
+    search = exact._search(inst.pattern, inst.lists, target)
+    tables = exact._DrawTables(search, inst.pattern.vertices, target.vertices)
+    assert tables.total == exact.count_list_hom(inst, target)
+    if math.prod(map(len, inst.lists.values())) <= 10**4:
+        assert tables.total == reference.naive_count(inst, target)
+    if not tables.total:
+        return 0, 0
+    multi = [v for v in exact._walk_order(inst, target) if len(inst.lists[v]) > 1]
+    zeros = largest = 0
+    for _ in range(draws):
+        seen = []
+        tau = tables.draw(rng, lambda acc: seen.append(acc) or acc)
+        assert len(seen) == len(multi)
+        pinned = inst
+        for v, acc in zip(multi, seen):
+            counts = [exact.count_list_hom(pinned.pin(v, t), target) for t in sorted(inst.lists[v])]
+            assert acc == list(accumulate(counts)), v
+            zeros += counts.count(0)
+            largest = max(largest, *counts)
+            pinned = pinned.pin(v, tau[v])
+        assert exact.count_list_hom(pinned, target) == 1
+    return zeros, largest
 
 
 def test_split_counts_match_per_pin_counts():
-    # random patterns and lists, some values of zero count, some singleton lists
+    # every prefix sum list a draw reads splits the count over the drawn
+    # vertex's values: random patterns and lists, some values of zero count,
+    # some singleton lists
     tw, h1 = TW, build_hk(1)
-    rng = pyrng("split-random")
+    rng = pyrng("tables-random")
     zeros = singles = 0
     for i in range(120):
         target = (tw, h1)[i % 2]
@@ -635,30 +668,31 @@ def test_split_counts_match_per_pin_counts():
         pv = [f"g{j}" for j in range(rng.randint(1, 6))]
         pattern = Graph(pv, [e for e in combinations(pv, 2) if rng.random() < 0.4])
         lists = {v: frozenset(rng.sample(tv, rng.randint(1, 3))) for v in pv}
-        z, s = _check_split(ListedInstance(pattern, lists, tv), target)
-        zeros, singles = zeros + z, singles + s
+        zeros += _check_tables(ListedInstance(pattern, lists, tv), target, rng)[0]
+        singles += sum(len(s) == 1 for s in lists.values())
     assert zeros > 0 and singles > 0
-    # an isolated split vertex, peeled at its own step
+    # an isolated vertex, peeled at its own step
     iso = Graph(["a", "b", "c"], [("a", "b")])
-    inst = ListedInstance(iso, {"a": frozenset(("r1", "b"))}, tw.vertices)
-    assert exact._pin_counts(inst, tw, "c") == [6, 6, 6, 6] == _per_pin(inst, tw, "c")
-    # a split vertex peeled as the lone neighbour of a pinned vertex before it
+    _check_tables(ListedInstance(iso, {"a": frozenset(("r1", "b"))}, tw.vertices), tw, rng)
+    # two multi-valued vertices peeled as the lone neighbours of a pinned one
     star = Graph(["a", "b", "c"], [("a", "b"), ("a", "c")])
     inst = ListedInstance(star, {"a": frozenset(("r1",)), "c": frozenset(("b", "g"))}, tw.vertices)
-    assert exact._pin_counts(inst, tw, "b") == [1, 0, 1, 0] == _per_pin(inst, tw, "b")
+    assert exact._walk_order(inst, tw) == ["a", "b", "c"]
+    assert _check_tables(inst, tw, rng)[0] > 0
     # targets of 1 to 65 vertices, fields on either side of 8, 16 and 64 bits
     for k, loops, tv, palette, edges in _boundary_targets(directed=False):
         target = Graph(tv, edges)
-        rng = pyrng("split-boundary", k, loops)
+        rng = pyrng("tables-boundary", k, loops)
         for _ in range(4):
             pv = [f"g{i}" for i in range(rng.randint(1, 4))]
             pattern = Graph(pv, [e for e in combinations(pv, 2) if rng.random() < 0.6])
-            _check_split(ListedInstance(pattern, _boundary_lists(rng, pv, tv, palette), tv), target)
+            _check_tables(ListedInstance(pattern, _boundary_lists(rng, pv, tv, palette), tv), target, rng)
 
 
 def test_split_counts_above_64_bits():
-    # hom(P40 -> H_1) with vertex i at t is the number of walks of length i
-    # ending at t times the number of length 39 - i starting there
+    # hom(P40 -> H_1) pinned along a draw; before any pin, vertex i at t has
+    # the number of walks of length i ending at t times the number of length
+    # 39 - i starting there
     h1 = build_hk(1)
     n, k = 40, len(h1.vertices)
     adj = [[1 if h1.has_edge(a, b) else 0 for b in h1.vertices] for a in h1.vertices]
@@ -666,19 +700,23 @@ def test_split_counts_above_64_bits():
     for _ in range(n - 1):
         walks.append([sum(walks[-1][a] * adj[a][b] for a in range(k)) for b in range(k)])
     inst = ListedInstance.full(build_path(n), h1)
-    for i in (0, 1, 17, n - 1):
-        got = exact._pin_counts(inst, h1, f"c{i}")
-        assert got == [walks[i][t] * walks[n - 1 - i][t] for t in range(k)]
-        assert max(got) > 2**64
-        assert got == [exact.count_list_hom(inst.pin(f"c{i}", t), h1) for t in h1.vertices]
+    assert _check_tables(inst, h1, pyrng("tables-wide"), draws=1)[1] > 2**64
+    search = exact._search(inst.pattern, inst.lists, h1)
+    tables = exact._DrawTables(search, inst.pattern.vertices, h1.vertices)
+    seen = []
+    tables.draw(pyrng("tables-wide"), lambda acc: seen.append(acc) or acc)
+    first = exact._walk_order(inst, h1)[0]
+    i = int(first[1:])
+    want = [walks[i][h1.vertices.index(t)] * walks[n - 1 - i][h1.vertices.index(t)] for t in sorted(inst.lists[first])]
+    assert seen[0] == list(accumulate(want)) and max(want) > 2**64
 
 
 def test_split_count_refuses_weights_and_covering():
+    # tables take no weights and no coverage goal
     weighted = exact._Search([0, 0], [0, 0], [3, 3], [3, 3], [3, 3], [2, 1])
-    inst = ListedInstance.full(build_path(3), TW)
-    for search in (weighted, exact._covering(inst, TW, need_edges=False)):
+    for search in (weighted, exact._covering(ListedInstance.full(build_path(3), TW), TW, need_edges=False)):
         with pytest.raises(ValueError, match="no weights and no coverage goal"):
-            search.count(0)
+            exact._DrawTables(search, range(3), range(4))
 
 
 def test_blocked_weighted_peel_on_a_wide_target():
