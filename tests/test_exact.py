@@ -952,6 +952,63 @@ def test_order_matches_the_plain_min(case):
     assert search._order() == [v for run in _plain_order(search) for v in run]
 
 
+def _step_plans():
+    """Seeded kernels, each with its listed instance and target when it has
+    an undirected one: patterns of one or more components with random lists
+    and single-value vertices, digraphs with loops, Imp-CSP instances, block
+    graphs whose multi-blocks (heavy vertices) couple only to anchors, and
+    the empty pattern."""
+    h1 = build_hk(1)
+    for i in range(150):
+        rng = pyrng("step-plan", i)
+        target = (TW, h1)[i % 2]
+        tv = target.vertices
+        pv = [f"g{j}" for j in range(rng.randint(1, 10))]
+        p = rng.choice((0.15, 0.35, 0.6))
+        pattern = Graph(pv, [e for e in combinations(pv, 2) if rng.random() < p])
+        lists = {v: frozenset(rng.sample(tv, rng.choice((1, 1, 2, 3, len(tv))))) for v in pv}
+        yield exact._search(pattern, lists, target), ListedInstance(pattern, lists, tv), target
+    for i in range(100):
+        rng = pyrng("step-plan-digraphs", i)
+        tv = [f"h{j}" for j in range(rng.randint(1, 4))]
+        target = DiGraph(tv, [e for e in product(tv, repeat=2) if rng.random() < 0.6])
+        pv = [f"g{j}" for j in range(rng.randint(1, 8))]
+        pattern = DiGraph(pv, [e for e in product(pv, repeat=2) if rng.random() < 0.2])
+        lists = {v: frozenset(rng.sample(tv, rng.randint(1, len(tv)))) for v in pv}
+        yield exact._search(pattern, lists, target), None, None
+    for i in range(100):
+        rng = pyrng("step-plan-csp", i)
+        xs = tuple(f"x{j}" for j in range(rng.randint(1, 10)))
+        imps = tuple((x, y) for x, y in product(xs, repeat=2) if rng.random() < 0.15)
+        pins = tuple((x, rng.randint(0, 1)) for x in xs if rng.random() < 0.2)
+        yield csp._imp_search(csp.CspInstance(xs, imps, pins)), None, None
+    for i in range(100):
+        rng = pyrng("step-plan-blocks", i)
+        anchors, multis = rng.randint(1, 5), rng.randint(0, 4)
+        n = anchors + multis
+        adj = [0] * n
+        for a, b in combinations(range(n), 2):
+            if a < anchors and rng.random() < 0.4:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        doms = [rng.randint(1, 511) for _ in range(n)]
+        weights = [1] * anchors + [rng.randint(2, 50) for _ in range(multis)]
+        yield exact._Search(adj, adj, doms, h1._adj, h1._adj, weights), None, None
+    yield exact._search(Graph(), {}, K2), ListedInstance.full(Graph(), K2), K2
+
+
+def test_step_plan_is_pinned():
+    # recorded before the steps spread each vertex's neighbours themselves:
+    # the order, every step tuple and the walk order of each kernel
+    h = hashlib.sha256()
+    plans = 0
+    for search, inst, target in _step_plans():
+        walk = exact._walk_order(inst, target) if inst is not None else None
+        h.update(repr((search._order(), search._steps(), walk)).encode())
+        plans += 1
+    assert (plans, h.hexdigest()[:16]) == (451, "94978fde39a83d01")
+
+
 def test_large_star_count():
     # hom(K_{1,n}, H) = sum over the centre's image c of deg(c)^n; a greedy
     # order that scores every candidate at every step spends seconds here
