@@ -15,14 +15,16 @@ distinct residual states, not the count.  A state is
   - hom, lhom, ret: one int packing every vertex's domain, field v (k + 1
     bits for a k-vertex target) for pattern vertex v, whatever its place in
     the order, with a spare top bit that stays 0; assigned and peeled
-    vertices hold 0.  A
-    child narrows every unassigned neighbor of the vertex it assigns with
-    one multiply (bit 0 of each neighbor's field times the values not next
-    to the chosen one, so no field carries into the next), and a
-    neighbor's domain emptied exactly when subtracting 1 from each
-    neighbor field, its spare bit set, leaves that spare bit clear
-    (Lamport's multiple-byte test).  Each child costs a few big-int
-    operations over n (k + 1) bits;
+    vertices hold 0.  A child narrows every unassigned neighbor of the
+    vertex it assigns with one multiply (bit 0 of each neighbor's field
+    times the values not next to the chosen one, so no field carries into
+    the next), and a neighbor's domain emptied exactly when subtracting 1
+    from each neighbor field, its spare bit set, leaves that spare bit
+    clear (Lamport's multiple-byte test).  Each child costs a few big-int
+    operations over n (k + 1) bits.  The step that assigns a vertex spreads
+    its unassigned neighbors into bit 0 of their fields once, for all its
+    children, so a count spreads each pattern edge once (`_steps`; the
+    covering branch of `count` at its own steps);
   - sur: that int with the target vertices already covered in the k bits
     above the fields;
   - comp: also the covered target edges, in the bits above those, and an
@@ -39,15 +41,16 @@ state's completions in one backward pass and walk the steps forward.
 Enumeration backtracks on the same packed int, with the same child step
 and borrow test (an assigned vertex's field is left as it is and no longer
 read), branching most-constrained-first (fewest values, then the lowest
-index), and prunes on the same coverage state as counting; the step that
-assigns the last vertex yields each completed map itself, a covering one
-once it meets the goal.  Both are deterministic.  Enumeration recurses once
-per vertex it branches on but the last, so one deeper than Python's
-recursion limit raises ValueError; the library lists only small
-patterns.  Each mode has this one route; the second
-routes through other identities (a product over components,
-inclusion-exclusion for surjective and compaction counts) are cross-checks
-in `reference`.
+index); its branching is dynamic, so `assignments` spreads every vertex's
+neighbors up front, into a table that counts never build.  It prunes on
+the same coverage state as counting; the step that assigns the last vertex
+yields each completed map itself, a covering one once it meets the goal.
+Both are deterministic.  Enumeration recurses once per vertex it branches
+on but the last, so one deeper than Python's recursion limit raises
+ValueError; the library lists only small patterns.  Each mode has this one
+route; the second routes through other identities (a product over
+components, inclusion-exclusion for surjective and compaction counts) are
+cross-checks in `reference`.
 """
 from __future__ import annotations
 
@@ -56,7 +59,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterator
 
-from .graphs import DiGraph, Graph, _bits
+from .graphs import DiGraph, Graph
 from .instances import BlockedInstance, ListedInstance, check_retraction_lists, expand_blocked
 
 COUNT_MODES = ("hom", "lhom", "ret", "sur", "comp")
@@ -71,6 +74,17 @@ def stirling_surjections(a: int, b: int) -> int:
 
 # -- search kernel ---------------------------------------------------------
 
+
+def _spread(m: int, w: int) -> int:
+    """Bit 0 of field v, of w-bit fields, for each vertex v of mask m."""
+    lo = 0
+    while m:
+        b = m & -m
+        lo |= 1 << (b.bit_length() - 1) * w
+        m ^= b
+    return lo
+
+
 class _Search:
     """The backtracking search behind every counter and enumerator here.
 
@@ -82,14 +96,16 @@ class _Search:
 
     A search state holds the unassigned vertices' domain masks,
     forward-checked against every assigned neighbor, packed into one int of
-    (k + 1)-bit fields, field v for pattern vertex v; the constructor builds
-    that layout once for `count` and `assignments` both.  `count` sweeps a
-    fixed order (see `_order`), clears a vertex's field once it is assigned
-    or peeled (covering edges, once it also has no unassigned neighbor), so
-    the int alone fixes the residual subproblem, and merges the partial
-    maps that reach equal ints; `assignments` backtracks on the int,
-    branches most-constrained-first and yields each map at the step that
-    assigns its last vertex.
+    (k + 1)-bit fields, field v for pattern vertex v; the constructor packs
+    the domains and the target's off-neighborhood masks, and builds no
+    per-vertex table.  `count` sweeps a fixed order (see `_order`), spreads
+    a vertex's unassigned neighbors at the step that assigns it, clears a
+    vertex's field once it is assigned or peeled (covering edges, once it
+    also has no unassigned neighbor), so the int alone fixes the residual
+    subproblem, and merges the partial maps that reach equal ints; `assignments` spreads every vertex's out-
+    and in-neighbors into one table, backtracks on the int, branches
+    most-constrained-first and yields each map at the step that assigns its
+    last vertex.
 
     `weights` (default all 1) makes vertex v stand for weights[v]
     independent copies of itself: once peeled it contributes
@@ -100,6 +116,7 @@ class _Search:
 
     def __init__(self, out, inn, domains: list[int], tout, tin, weights: list[int] | None = None):
         self.digraph = inn is not out
+        self.out, self.inn = out, inn
         self.adj = [a | b for a, b in zip(out, inn)] if self.digraph else out
         self.domains = domains
         self.weights = weights
@@ -111,23 +128,13 @@ class _Search:
         self.full_v = self.ebit = self.top = None
         self.full_e = 0
         # the packed layout: field v, w = k + 1 bits, holds pattern vertex
-        # v's domain; low_out[v] (low_in[v]) is bit 0 of the field of each
-        # out- (in-) neighbor of v, off_out[t] (off_in[t]) the values not in
-        # t's out- (in-) neighborhood
+        # v's domain; off_out[t] (off_in[t]) is the values not in t's out-
+        # (in-) neighborhood.  The step that assigns a vertex spreads its
+        # unassigned neighbors into bit 0 of their fields (`_steps`, the
+        # covering branch of `count`); `assignments` spreads every vertex's
+        # neighbors once, for the listing's dynamic branching.
         k = len(tout)
         self.w, self.vmask = w, vmask = k + 1, (1 << k) - 1
-        lows = []
-        for masks in (out, inn) if self.digraph else (out,):
-            row = []
-            for m in masks:
-                lo = 0
-                while m:
-                    b = m & -m
-                    lo |= 1 << (b.bit_length() - 1) * w
-                    m ^= b
-                row.append(lo)
-            lows.append(row)
-        self.low_out, self.low_in = lows[0], lows[-1]
         self.off_out = [vmask & ~a for a in tout]
         self.off_in = [vmask & ~a for a in tin] if self.digraph else self.off_out
         x = 0
@@ -148,9 +155,17 @@ class _Search:
         if edges:
             k, e = self.w - 1, 0
             self.ebit = ebit = [[0] * k for _ in range(k)]
-            for i in _bits(full_v):
+            m = full_v
+            while m:
+                b = m & -m
+                m ^= b
+                i = b.bit_length() - 1
                 # the goal vertices above i next to i
-                for j in _bits(full_v & ~self.off_out[i] & ~((2 << i) - 1)):
+                js = full_v & ~self.off_out[i] & ~((b << 1) - 1)
+                while js:
+                    c = js & -js
+                    js ^= c
+                    j = c.bit_length() - 1
                     ebit[i][j] = ebit[j][i] = 1 << e
                     e += 1
             self.full_e = (1 << e) - 1
@@ -170,11 +185,11 @@ class _Search:
         it assigns, then clears the fields of those whose last unassigned
         neighbor it was.  The count is the sum over the states whose
         coverage bits equal the goal."""
-        if any(d == 0 for d in self.domains):
+        if 0 in self.domains:
             return 0
         n, k, w, vmask = len(self.domains), self.w - 1, self.w, self.vmask
         digraph, adj, cw = self.digraph, self.adj, self.weights
-        low_out, low_in, off_out, off_in = self.low_out, self.low_in, self.off_out, self.off_in
+        off_out, off_in = self.off_out, self.off_in
         # state -> number of partial maps
         states: dict = {self.packed: 1}
         if self.full_v is None:
@@ -219,16 +234,15 @@ class _Search:
         one_used = 0 if cap is None else 1 << used_at
         # ebit with each edge bit moved to its place in the state
         erow = [[e << cv_at + k for e in row] for row in ebit] if full_e else None
-        # bit 0 of every field of an unassigned vertex
-        low_rest = ((1 << n * w) - 1) // ((1 << w) - 1)
+        out, inn = self.out, self.inn
         rest = (1 << n) - 1
         for v in self._order():
             rest ^= 1 << v
             sv = v * w
-            low_rest ^= 1 << sv
             clear = ~(vmask << sv)
-            s_low = low_out[v] & low_rest
-            p_low = low_in[v] & low_rest if digraph else 0
+            # bit 0 of the fields of v's unassigned out- (in-) neighbors
+            s_low = _spread(out[v] & rest, w)
+            p_low = _spread(inn[v] & rest, w) if digraph else 0
             nb_low = s_low | p_low
             nb_high = nb_low << k
             nxt: dict = {}
@@ -242,7 +256,11 @@ class _Search:
             back, keep = [], 0
             if full_e:
                 keep = adj[v] & rest
-                for u in _bits(adj[v] & ~rest):
+                m = adj[v] & ~rest
+                while m:
+                    b = m & -m
+                    m ^= b
+                    u = b.bit_length() - 1
                     back.append(u * w)
                     if not adj[u] & rest:
                         clear &= ~(vmask << u * w)
@@ -293,32 +311,38 @@ class _Search:
         v's unassigned out- (in-) neighbors, nb_low their union (0 when v,
         with none, is peeled itself), nb_high its spare bits; clear clears
         the fields of v and lone."""
-        n, w, k, vmask = len(self.domains), self.w, self.w - 1, self.vmask
-        adj, digraph, low_out, low_in = self.adj, self.digraph, self.low_out, self.low_in
-        # bit 0 of every field of an unassigned, unpeeled vertex
-        low_rest = ((1 << n * w) - 1) // ((1 << w) - 1)
-        active = (1 << n) - 1
+        w, k, vmask = self.w, self.w - 1, self.vmask
+        adj, digraph, out, inn = self.adj, self.digraph, self.out, self.inn
+        # the unassigned, unpeeled vertices
+        active = (1 << len(adj)) - 1
         steps = []
         for v in self._order():
             if not active >> v & 1:
                 continue  # peeled
             active ^= 1 << v
-            low_rest ^= 1 << v * w
             clear = ~(vmask << v * w)
-            s_low = low_out[v] & low_rest
-            p_low = low_in[v] & low_rest if digraph else 0
-            nb_low = s_low | p_low
+            # one pass over v's unassigned neighbors spreads each into bit 0
+            # of its field and finds the lone ones
+            s_low = p_low = 0
             lone, m = [], adj[v] & active
             while m:
                 b = m & -m
                 m ^= b
                 u = b.bit_length() - 1
+                lo = 1 << u * w
+                if not digraph:
+                    s_low |= lo
+                else:
+                    if out[v] & b:
+                        s_low |= lo
+                    if inn[v] & b:
+                        p_low |= lo
                 if not adj[u] & active:
                     lone.append(u)
             for u in lone:
                 active ^= 1 << u
-                low_rest ^= 1 << u * w
                 clear &= ~(vmask << u * w)
+            nb_low = s_low | p_low
             steps.append((v, lone, s_low, p_low, nb_low, nb_low << k, clear))
         return steps
 
@@ -360,26 +384,32 @@ class _Search:
                 m ^= b
             left = comp & ~single & ~heavy
             while left:
-                # a frontier candidate leaves at least the rest of the frontier
-                # next to assigned vertices, so the first one that leaves no
-                # more is the minimum, and the scan stops there
-                cand = reach & left
-                floor = cand.bit_count() - 1 if cand else 0
-                m = cand or left
-                best = left.bit_count()  # above every key
-                while m:
-                    b = m & -m
-                    u = b.bit_length() - 1
-                    k = ((reach | adj[u]) & left & ~b).bit_count()
-                    if k < best:
-                        v, vb, best = u, b, k
-                        if k == floor:
-                            break
-                    m ^= b
+                # a candidate u leaves the rest of the frontier next to
+                # assigned vertices, and adj[u] & beyond besides (u is not
+                # its own neighbor), so the key is the size of that; a lone
+                # candidate needs no key, and the first one of key 0 is the
+                # minimum, where the scan stops
+                beyond = left & ~reach
+                vb = m = (left & reach) or left
+                if m & (m - 1):
+                    best = left.bit_count()  # above every key
+                    while m:
+                        b = m & -m
+                        key = (adj[b.bit_length() - 1] & beyond).bit_count()
+                        if key < best:
+                            vb, best = b, key
+                            if not key:
+                                break
+                        m ^= b
+                v = vb.bit_length() - 1
                 order.append(v)
                 left ^= vb
                 reach |= adj[v]
-            order.extend(_bits(comp & heavy))
+            m = comp & heavy
+            while m:
+                b = m & -m
+                order.append(b.bit_length() - 1)
+                m ^= b
         return order
 
     def assignments(self) -> Iterator[tuple[int, ...]]:
@@ -387,17 +417,20 @@ class _Search:
         of its images' target indices in pattern vertex order; deterministic
         order."""
         n, w = len(self.domains), self.w
-        if any(d == 0 for d in self.domains):
+        if 0 in self.domains:
             return
         if not n:
             # the one empty map, which covers an empty goal only
             if not self.full_v:
                 yield ()
             return
-        # bit 0 of every field
+        # bit 0 of every field; per vertex, bit 0 of the fields of its out-
+        # and in-neighbors, spread once for the dynamic branching
         low = ((1 << n * w) - 1) // ((1 << w) - 1)
+        low_out = [_spread(m, w) for m in self.out]
+        lows = (low_out, [_spread(m, w) for m in self.inn] if self.digraph else low_out)
         try:
-            yield from self._enumerate((1 << n) - 1, low, self.packed, [0] * n, 0, 0, 0)
+            yield from self._enumerate(lows, (1 << n) - 1, low, self.packed, [0] * n, 0, 0, 0)
         except RecursionError:
             raise ValueError(
                 f"enumeration on a {n}-vertex pattern: the search recurses once per vertex it "
@@ -405,11 +438,13 @@ class _Search:
             ) from None
 
     def _enumerate(
-        self, active: int, low: int, x: int, image: list[int], cov_v: int, cov_e: int, used: int
+        self, lows: tuple, active: int, low: int, x: int, image: list[int], cov_v: int, cov_e: int, used: int
     ) -> Iterator[tuple[int, ...]]:
         """The completions of packed state `x` that meet the goal, pruned as
-        in `count`; `active`, the unassigned vertices, is not empty, `low` is
-        bit 0 of each of their fields, and ``image`` holds the others' values.
+        in `count`; `lows` is the per-vertex out- and in-neighbor spreads of
+        `assignments`, `active`, the unassigned vertices, is not empty, `low`
+        is bit 0 of each of their fields, and ``image`` holds the others'
+        values.
         The branch vertex is the active one of fewest values (ties: the lowest
         index), and its values go in ascending order.  When it is the last
         active vertex, each of its values completes a map, yielded here once
@@ -424,12 +459,17 @@ class _Search:
             if (full_v & ~cov_v).bit_count() > room:
                 return
             left_e = (self.full_e & ~cov_e).bit_count()
-            # the pattern edges with an active end: each active vertex's
-            # edges, halving those with both ends active
-            if left_e and 2 * left_e > sum(
-                2 * self.adj[u].bit_count() - (self.adj[u] & active).bit_count() for u in _bits(active)
-            ):
-                return
+            if left_e:
+                # twice the pattern edges with an active end: each active
+                # vertex's edges, those with both ends active once
+                ends, m = 0, active
+                while m:
+                    b = m & -m
+                    m ^= b
+                    a = self.adj[b.bit_length() - 1]
+                    ends += 2 * a.bit_count() - (a & active).bit_count()
+                if 2 * left_e > ends:
+                    return
         w, vmask = self.w, self.vmask
         # the first field of fewest values; no active field is empty, so
         # one of one value ends the scan
@@ -446,13 +486,19 @@ class _Search:
         rest = active & ~(1 << v)
         low ^= 1 << v * w
         # the child step and borrow test of `count`
-        s_low = self.low_out[v] & low
-        p_low = self.low_in[v] & low if self.digraph else 0
+        s_low = lows[0][v] & low
+        p_low = lows[1][v] & low if self.digraph else 0
         nb_low = s_low | p_low
         nb_high = nb_low << w - 1
         off_out, off_in = self.off_out, self.off_in
         ebit, goal, full_e = self.ebit, full_v or 0, self.full_e
-        assigned_nbrs = list(_bits(self.adj[v] & ~active)) if ebit else ()
+        assigned_nbrs = []
+        if ebit:
+            m = self.adj[v] & ~active
+            while m:
+                b = m & -m
+                assigned_nbrs.append(b.bit_length() - 1)
+                m ^= b
         d = x >> v * w & vmask
         while d:
             b = d & -d
@@ -471,7 +517,7 @@ class _Search:
                 ce |= ebit[image[u]][t]
             image[v] = t
             if rest:
-                yield from self._enumerate(rest, low, y, image, cov_v | cb, ce, used + (cb != 0))
+                yield from self._enumerate(lows, rest, low, y, image, cov_v | cb, ce, used + (cb != 0))
             elif full_v is None or cov_v | cb == full_v and ce == full_e:
                 yield tuple(image)
 
@@ -647,7 +693,7 @@ class _DrawTables:
             steps += [(u, (), 0, 0, 0, 0, ~(vmask << u * w)) for u in lone]
         self.search, self.names = search, names
         # per vertex, the values of its list in index order, and their labels
-        self.lists = [list(_bits(d)) for d in search.domains]
+        self.lists = [[t for t in range(w - 1) if d >> t & 1] for d in search.domains]
         self.values = [[labels[t] for t in ts] for ts in self.lists]
         self.image = {v: vals[0] if len(vals) == 1 else None for v, vals in zip(names, self.values)}
         self.tables: list[dict] = [{} for _ in steps]

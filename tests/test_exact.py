@@ -456,6 +456,35 @@ def test_enumeration_leaf_steps_match_naive():
     assert sorted(exact._search(pattern, lists, target).assignments()) == naive != []
 
 
+def test_listing_matches_naive_on_digraphs_and_covering_goals():
+    # `assignments` spreads its own per-vertex neighbor table: digraphs with
+    # loops and 2-cycles (out- and in-spreads differ), and sur and comp goals
+    for i in range(120):
+        rng = pyrng("listing-digraphs", i)
+        tv = [f"h{j}" for j in range(rng.randint(1, 4))]
+        target = DiGraph(tv, [e for e in product(tv, repeat=2) if rng.random() < 0.6])
+        pv = [f"g{j}" for j in range(rng.randint(1, 6))]
+        pattern = DiGraph(pv, [e for e in product(pv, repeat=2) if rng.random() < 0.25])
+        lists = {v: frozenset(rng.sample(tv, rng.randint(1, len(tv)))) for v in pv}
+        got = list(exact._search(pattern, lists, target).assignments())
+        assert len(set(got)) == len(got) == reference.naive_count_digraph(pattern, lists, target), i
+        for image in got:
+            assert all(tv[t] in lists[v] for v, t in zip(pv, image))
+            assert all(target.has_arc(tv[image[pattern.index(u)]], tv[image[pattern.index(v)]])
+                       for u, v in pattern.arcs())
+    for i in range(120):
+        rng = pyrng("listing-covering", i)
+        tv = [f"h{j}" for j in range(rng.randint(1, 4))]
+        target = Graph(tv, [e for e in combinations_with_replacement(tv, 2) if rng.random() < 0.5])
+        pv = [f"g{j}" for j in range(rng.randint(1, 7))]
+        pattern = Graph(pv, [e for e in combinations(pv, 2) if rng.random() < 0.4])
+        lists = {v: frozenset(rng.sample(tv, rng.randint(1, len(tv)))) for v in pv}
+        listed = ListedInstance(pattern, lists, tv)
+        for mode in ("sur", "comp"):
+            search = exact._covering(listed, target, need_edges=mode == "comp")
+            assert sorted(search.assignments()) == _naive_images(pattern, lists, target, mode), (i, mode)
+
+
 def _covering_counts(listed, target, listing=True):
     """sur and comp, then per mode t, Omega and (with `listing`) the number
     of witnesses `enumerate_T` lists."""
