@@ -17,7 +17,9 @@ in the union, so an empty one forces Omega = 0); it lists no witness and
 asks the oracle nothing.  Any other oracle, and a run with force_jvv, lists
 the witnesses with `enumerate_T` and weighs each one.
 One capped covering search (`exact._witness_search`) defines the witnesses:
-`count_witnesses` counts its maps and `enumerate_T` lists them.
+`count_witnesses` counts its maps and `enumerate_T` lists them.  It runs on
+the target and the lists as they are: a vertex outside U takes no value
+there, and in Omega's search it takes one but covers nothing.
 
 The sampler pins one multi-valued vertex per step, in the order the
 kernel's sweep fixes them, each value weighted by the count of the instance
@@ -307,10 +309,11 @@ def enumerate_T(inst: ListedInstance, target: Graph, mode: str):
     surjective mode: |U| = |V(H)| and tau a surjective (hence bijective)
     homomorphism from G[U]; compaction mode: |V(H)| <= |U| <= |V(H)| + 2|E(H)|
     and tau a compaction from G[U].  They are the maps of the search that
-    `count_witnesses` counts, U the vertices not at _|_, sorted by |U| and
-    then U; for one U they keep the kernel's order, which is its order on
-    G[U] (_|_ narrows nothing).  The search recurses once per pattern
-    vertex: a pattern deeper than Python's recursion limit raises ValueError.
+    `count_witnesses` counts, U the vertices that take a value, sorted by
+    |U| and then U; for one U they keep the kernel's order, which is its
+    order on G[U] (a vertex outside U takes no value and narrows nothing).
+    The search recurses once per pattern vertex: a pattern deeper than
+    Python's recursion limit raises ValueError.
     """
     _check_mode(mode)
     pv, tv = inst.pattern.vertices, target.vertices

@@ -28,14 +28,19 @@ distinct residual states, not the count.  A state is
   - sur: that int with the target vertices already covered in the k bits
     above the fields;
   - comp: also the covered target edges, in the bits above those, and an
-    assigned vertex next to an unassigned one keeps its value (one bit) in
-    its own field, cleared once its last neighbor is assigned;
-  - under a cap on the vertices with a covering value (the coverage
-    estimator's witness counts, `_witness_search`): also that number, in
-    the top bits.
+    assigned covering vertex next to an unassigned one keeps its value (one
+    bit) in its own field, cleared once its last neighbor is assigned; a
+    vertex that covers nothing keeps 0, which realizes no edge;
+  - under a cap on the covering vertices (the coverage estimator's witness
+    counts, `_witness_search`): also that number, in the top bits.  There
+    a vertex may also stay outside U and cover nothing, on the plain
+    target and lists: for Omega it still takes a value and narrows its
+    neighbors; for t it takes none, so its field needs no value for it and
+    a neighbor whose domain empties can still stay out.
   A child step narrows and tests only the fields of unassigned neighbors,
   so the coverage bits pass through it unchanged, and every state is one
-  int.
+  int.  The step that assigns the last vertex builds no level: per state it
+  counts the children that complete the goal.
 Uniform draws (`_DrawTables`) keep the plain sweep's levels, count each
 state's completions in one backward pass and walk the steps forward.
 Enumeration backtracks on the same packed int, with the same child step
@@ -43,8 +48,9 @@ and borrow test (an assigned vertex's field is left as it is and no longer
 read), branching most-constrained-first (fewest values, then the lowest
 index); its branching is dynamic, so `assignments` spreads every vertex's
 neighbors up front, into a table that counts never build.  It prunes on
-the same coverage state as counting; the step that assigns the last vertex
-yields each completed map itself, a covering one once it meets the goal.
+the same coverage state as counting and lists a vertex outside U after
+its covering values; the step that assigns the last vertex yields each
+completed map itself, a covering one once it meets the goal.
 Both are deterministic.  Enumeration recurses once per vertex it branches
 on but the last, so one deeper than Python's recursion limit raises
 ValueError; the library lists only small patterns.  Each mode has this one
@@ -102,10 +108,12 @@ class _Search:
     a vertex's unassigned neighbors at the step that assigns it, clears a
     vertex's field once it is assigned or peeled (covering edges, once it
     also has no unassigned neighbor), so the int alone fixes the residual
-    subproblem, and merges the partial maps that reach equal ints; `assignments` spreads every vertex's out-
-    and in-neighbors into one table, backtracks on the int, branches
-    most-constrained-first and yields each map at the step that assigns its
-    last vertex.
+    subproblem, and merges the partial maps that reach equal ints; it
+    counts the last vertex's children without building a level.
+    `assignments` spreads every vertex's out- and in-neighbors into one
+    table, backtracks on the int, branches most-constrained-first and
+    yields each map at the step that assigns its last vertex.  Both read
+    the coverage goal that `cover` sets on an undirected kernel.
 
     `weights` (default all 1) makes vertex v stand for weights[v]
     independent copies of itself: once peeled it contributes
@@ -125,7 +133,7 @@ class _Search:
             if w > 1 and domains[v].bit_count() > 1:
                 self.heavy |= 1 << v
         # no coverage goal until `cover` sets one
-        self.full_v = self.ebit = self.top = None
+        self.full_v = self.ebit = self.top = self.outside = None
         self.full_e = 0
         # the packed layout: field v, w = k + 1 bits, holds pattern vertex
         # v's domain; off_out[t] (off_in[t]) is the values not in t's out-
@@ -142,16 +150,24 @@ class _Search:
             x |= d << v * w
         self.packed = x
 
-    def cover(self, full_v: int, edges: bool = False, top: int | None = None) -> "_Search":
+    def cover(
+        self, full_v: int, edges: bool = False, top: int | None = None, outside: str | None = None
+    ) -> "_Search":
         """Set the goal `count` and `assignments` read: only maps whose
         values cover the target-vertex mask `full_v` (value t covers
         ``(1 << t) & full_v``); with `edges`, only those that also realize
         every non-loop target edge between two vertices of `full_v` on a
-        pattern edge; with `top`, at most `top` pattern vertices take a
-        covering value.  The edges are numbered in index order into
-        ``ebit[i][j]``, the bit of the edge that values i and j realize (0 if
-        none)."""
-        self.full_v, self.top, self.ebit, self.full_e = full_v, top, None, 0
+        pattern edge of two covering vertices; with `top`, at most `top`
+        pattern vertices cover.  A vertex that takes a value outside
+        `full_v` covers nothing; with `outside`, any vertex may cover
+        nothing: "blank", taking no value and narrowing no neighbor (listed
+        as value k, for a k-vertex target), or "valued", taking any value
+        of its list as usual (value h listed as k + h).  The edges are
+        numbered in index order into ``ebit[i][j]``, the bit of the edge that
+        values i and j realize (0 if none).  The kernel must be undirected."""
+        if self.digraph:
+            raise ValueError("a coverage goal needs an undirected kernel")
+        self.full_v, self.top, self.outside, self.ebit, self.full_e = full_v, top, outside, None, 0
         if edges:
             k, e = self.w - 1, 0
             self.ebit = ebit = [[0] * k for _ in range(k)]
@@ -177,15 +193,20 @@ class _Search:
         One sweep along the fixed order (see `_order`): each step extends
         every state by the next vertex, and children that leave the same
         residual subproblem merge into one state whose number of partial
-        maps is the sum of theirs.  A covering child ORs in its value's
-        vertex and edge bits and adds 1 to the number used (the key's layout
-        is in the module docstring); a state's room for the vertices left to
-        cover is worked out once, before its children.  With edges to cover,
-        a step reads the values kept by the assigned neighbors of the vertex
-        it assigns, then clears the fields of those whose last unassigned
-        neighbor it was.  The count is the sum over the states whose
-        coverage bits equal the goal."""
-        if 0 in self.domains:
+        maps is the sum of theirs.  With a goal, a state's values that may
+        cover and whether a child that covers nothing is allowed are worked
+        out once, before its children (each vertex left covers at most one
+        more target vertex, and under a cap only so many more may cover).  A
+        covering child ORs in its value's vertex and edge bits, adds 1 to the
+        number used and keeps its value while it has an unassigned neighbor;
+        a child that covers nothing sets no bit and keeps nothing (the key's
+        layout is in the module docstring).  With edges to cover, a step
+        reads the values kept by the assigned neighbors of the vertex it
+        assigns (a field of 0 realizes no edge), then clears the fields of
+        those whose last unassigned neighbor it was.  The step that assigns
+        the last vertex builds no level: per state it counts the children
+        that complete the goal."""
+        if 0 in self.domains and self.outside != "blank":
             return 0
         n, k, w, vmask = len(self.domains), self.w - 1, self.w, self.vmask
         digraph, adj, cw = self.digraph, self.adj, self.weights
@@ -224,27 +245,40 @@ class _Search:
                     return 0
                 states = nxt
             return sum(states.values())
-        full_v, full_e, ebit = self.full_v, self.full_e, self.ebit
+        full_v, full_e, ebit, blank = self.full_v, self.full_e, self.ebit, self.outside == "blank"
+        order = self._order()
+        if not order:
+            # the one empty map covers an empty goal only
+            return int(not full_v)
         # a cap no assignment can reach stays out of the search and its keys
         cap = self.top if self.top is not None and self.top < n else None
-        # the covered vertices start at bit cv_at, the number used at bit
-        # used_at
+        # the values whose child covers nothing: those outside the goal, and
+        # with outside="valued" every value; outside="blank" adds a child
+        # of no value
+        nonc = vmask if self.outside == "valued" else vmask & ~full_v
+        # the covered vertices start at bit cv_at, the covered edges at bit
+        # ce_at, the number used at bit used_at
         cv_at = n * w
-        used_at = cv_at + k + full_e.bit_length()
+        ce_at = cv_at + k
+        used_at = ce_at + full_e.bit_length()
         one_used = 0 if cap is None else 1 << used_at
-        # ebit with each edge bit moved to its place in the state
-        erow = [[e << cv_at + k for e in row] for row in ebit] if full_e else None
-        out, inn = self.out, self.inn
+        # per value, the edge bits it realizes with each value; the last row,
+        # of none, is the one a field of 0 reads.  erow: moved to their place
+        # in the state
+        if full_e:
+            ebit = ebit + [[0] * k]
+            erow = [[e << ce_at for e in row] for row in ebit]
         rest = (1 << n) - 1
-        for v in self._order():
+        for v in order[:-1]:
             rest ^= 1 << v
             sv = v * w
             clear = ~(vmask << sv)
-            # bit 0 of the fields of v's unassigned out- (in-) neighbors
-            s_low = _spread(out[v] & rest, w)
-            p_low = _spread(inn[v] & rest, w) if digraph else 0
-            nb_low = s_low | p_low
-            nb_high = nb_low << k
+            # bit 0 of the fields of v's unassigned neighbors; with
+            # outside="blank" no borrow test, since a neighbor whose domain
+            # empties can still take no value
+            nb_low = _spread(adj[v] & rest, w)
+            t_low = 0 if blank else nb_low
+            t_high = t_low << k
             nxt: dict = {}
             # each vertex still to assign covers at most one more target
             # vertex, and at most cap - used of them may
@@ -269,39 +303,78 @@ class _Search:
                 left = todo.bit_count()
                 spare = 1 if cap is None else cap - (x >> used_at) - left
                 d = x >> sv & vmask
-                if left > room or not spare:
+                # the values that may cover, those whose child covers
+                # nothing, and whether the child of no value is allowed
+                ins, outs, bare = full_v, nonc, blank
+                if left > room or spare <= 0:
                     if left > room + 1 or spare < 0:
                         continue
                     # v must cover a new target vertex (no room left), or
                     # may not cover a covered one (no cap left)
-                    d &= todo if left > room else todo | ~full_v
-                    if not d:
+                    ins = todo
+                    if left > room:
+                        outs = bare = 0
+                    d &= ins | outs
+                    if not d and not bare:
                         continue
                 # the edge bits of each assigned neighbor's value
                 rows = [erow[(x >> su & vmask).bit_length() - 1] for su in back] if back else ()
                 x &= clear
+                if bare:
+                    nxt[x] = nxt.get(x, 0) + c
                 while d:
                     b = d & -d
                     d ^= b
                     t = b.bit_length() - 1
-                    y = x & ~(s_low * off_out[t])
-                    if digraph:
-                        y &= ~(p_low * off_in[t])
-                    if (y | nb_high) - nb_low & nb_high != nb_high:
+                    y = x & ~(nb_low * off_out[t])
+                    if t_low and (y | t_high) - t_low & t_high != t_high:
                         continue  # a neighbor's domain emptied
-                    for row in rows:
-                        y |= row[t]
-                    if keep:
-                        y |= b << sv
-                    if b & full_v:
+                    if outs and b & outs:
+                        nxt[y] = nxt.get(y, 0) + c
+                    if b & ins:
+                        for row in rows:
+                            y |= row[t]
+                        if keep:
+                            y |= b << sv
                         y = (y | b << cv_at) + one_used
-                    nxt[y] = nxt.get(y, 0) + c
+                        nxt[y] = nxt.get(y, 0) + c
             if not nxt:
                 return 0
             states = nxt
-        # a child sets no coverage bit outside the goal
-        goal = full_v | full_e << k
-        return sum(c for x, c in states.items() if x >> cv_at & goal == goal)
+        # the last vertex: all its neighbors are assigned and keep their values
+        v = order[-1]
+        sv = v * w
+        back, m = [], adj[v] if full_e else 0
+        while m:
+            b = m & -m
+            m ^= b
+            back.append((b.bit_length() - 1) * w)
+        total = 0
+        for x, c in states.items():
+            todo = full_v & ~(x >> cv_at)
+            left = todo.bit_count()
+            spare = 1 if cap is None else cap - (x >> used_at) - left
+            if left > 1 or spare < 0:
+                continue
+            d = x >> sv & vmask
+            # the values that may complete the goal: with one target vertex
+            # left, only that one; else any covering value the cap allows
+            m = d & todo if left else d & full_v if spare > 0 else 0
+            missing = full_e and full_e & ~(x >> ce_at)
+            if not missing:
+                total += c * (m.bit_count() if left else m.bit_count() + (d & nonc).bit_count() + blank)
+            elif m:
+                rows = [ebit[(x >> su & vmask).bit_length() - 1] for su in back]
+                while m:
+                    b = m & -m
+                    m ^= b
+                    t = b.bit_length() - 1
+                    e = 0
+                    for row in rows:
+                        e |= row[t]
+                    if not missing & ~e:
+                        total += c
+        return total
 
     def _steps(self) -> list[tuple]:
         """The plain sweep's steps, one per vertex v of `_order` not peeled
@@ -414,10 +487,10 @@ class _Search:
 
     def assignments(self) -> Iterator[tuple[int, ...]]:
         """The homomorphisms that meet the coverage goal, each as the tuple
-        of its images' target indices in pattern vertex order; deterministic
-        order."""
+        of its images' target indices in pattern vertex order (a vertex
+        outside the goal's U listed as `cover` says); deterministic order."""
         n, w = len(self.domains), self.w
-        if 0 in self.domains:
+        if 0 in self.domains and self.outside != "blank":
             return
         if not n:
             # the one empty map, which covers an empty goal only
@@ -446,12 +519,14 @@ class _Search:
         is bit 0 of each of their fields, and ``image`` holds the others'
         values.
         The branch vertex is the active one of fewest values (ties: the lowest
-        index), and its values go in ascending order.  When it is the last
-        active vertex, each of its values completes a map, yielded here once
-        it meets the goal, with no child generator.  A covering state is
-        pruned when unassigned vertices cannot cover the target vertices
-        left, or pattern edges with an unassigned end the target edges."""
-        full_v, top = self.full_v, self.top
+        index), and its values go in ascending order, then, with `outside`,
+        the children that cover nothing: the one of no value ("blank") or
+        each value again ("valued").  When it is the last active vertex,
+        each child completes a map, yielded here once it meets the goal,
+        with no child generator.  A covering state is pruned when unassigned
+        vertices cannot cover the target vertices left, or pattern edges
+        with an unassigned end the target edges."""
+        full_v, top, outside = self.full_v, self.top, self.outside
         if full_v is not None:
             room = active.bit_count()
             if top is not None:
@@ -471,27 +546,30 @@ class _Search:
                 if 2 * left_e > ends:
                     return
         w, vmask = self.w, self.vmask
-        # the first field of fewest values; no active field is empty, so
-        # one of one value ends the scan
-        m, fewest = active, w
+        blank, valued = outside == "blank", outside == "valued"
+        # the first field of fewest values; an active field is empty only
+        # with outside="blank", so one of that size ends the scan
+        m, fewest, least = active, w, int(not blank)
         while m:
             b = m & -m
             i = b.bit_length() - 1
             c = (x >> i * w & vmask).bit_count()
             if c < fewest:
                 v, fewest = i, c
-                if c == 1:
+                if c == least:
                     break
             m ^= b
         rest = active & ~(1 << v)
         low ^= 1 << v * w
-        # the child step and borrow test of `count`
+        # the child step and borrow test of `count` (none with
+        # outside="blank", where a neighbor whose domain empties can still
+        # take no value)
         s_low = lows[0][v] & low
         p_low = lows[1][v] & low if self.digraph else 0
-        nb_low = s_low | p_low
+        nb_low = 0 if blank else s_low | p_low
         nb_high = nb_low << w - 1
         off_out, off_in = self.off_out, self.off_in
-        ebit, goal, full_e = self.ebit, full_v or 0, self.full_e
+        ebit, goal, full_e, k = self.ebit, full_v or 0, self.full_e, w - 1
         assigned_nbrs = []
         if ebit:
             m = self.adj[v] & ~active
@@ -499,6 +577,8 @@ class _Search:
                 b = m & -m
                 assigned_nbrs.append(b.bit_length() - 1)
                 m ^= b
+        # (image value, state) of the children that cover nothing, listed last
+        outs = [(k, x)] if blank else []
         d = x >> v * w & vmask
         while d:
             b = d & -d
@@ -509,16 +589,26 @@ class _Search:
                 y &= ~(p_low * off_in[t])
             if (y | nb_high) - nb_low & nb_high != nb_high:
                 continue  # a neighbor's domain emptied
+            if valued:
+                outs.append((k + t, y))
             cb = b & goal
-            if cb and used == top:
-                continue
             ce = cov_e
-            for u in assigned_nbrs:
-                ce |= ebit[image[u]][t]
+            if cb:
+                if used == top:
+                    continue
+                for u in assigned_nbrs:
+                    if image[u] < k:
+                        ce |= ebit[image[u]][t]
             image[v] = t
             if rest:
                 yield from self._enumerate(lows, rest, low, y, image, cov_v | cb, ce, used + (cb != 0))
             elif full_v is None or cov_v | cb == full_v and ce == full_e:
+                yield tuple(image)
+        for t, y in outs:
+            image[v] = t
+            if rest:
+                yield from self._enumerate(lows, rest, low, y, image, cov_v, cov_e, used)
+            elif cov_v == full_v and cov_e == full_e:
                 yield tuple(image)
 
 
@@ -601,30 +691,24 @@ def _covering(inst: ListedInstance, target: Graph, need_edges: bool) -> _Search:
 
 
 def _witness_search(inst: ListedInstance, target: Graph, mode: str, weighted: bool) -> _Search:
-    """The covering kernel over an augmented target whose count is the number
-    of coverage witnesses (U, tau) of G in `mode` or, `weighted`, the number
-    of pairs (witness, list homomorphism of G extending it), which is Omega.
+    """The covering kernel whose count is the number of coverage witnesses
+    (U, tau) of G in `mode` or, `weighted`, the number of pairs (witness,
+    list homomorphism of G extending it), which is Omega.
 
-    Unweighted, the values are V(H) plus a value _|_ (index |V(H)|) adjacent
-    to every value and to itself and added to every list: the vertices
-    outside U take _|_.  Weighted, value h is (h, in) and |V(H)| + h is
-    (h, out), adjacent to (h', in or out) when h ~ h', on lists
-    S x {in, out}: the vertices in U take an "in" value.  Either way only the
-    values of the vertices in U cover a target vertex (and, in comp mode, a
-    target edge, through a pattern edge with both ends in U), and at most
-    |V(H)| (sur) or |V(H)| + 2|E(H)| (comp) vertices are in U."""
+    It runs on the target and the lists as they are, and its goal lets any
+    vertex stay outside U (`cover`'s `outside`).  Unweighted, a vertex
+    outside U takes no value, so it narrows no neighbor and a neighbor whose
+    list empties can still stay out; a listing gives it value |V(H)|.
+    Weighted, it takes a value h of its list as a vertex in U would, listed
+    as |V(H)| + h.  Either way only the vertices in U cover a target vertex
+    (and, in comp mode, a target edge, through a pattern edge with both ends
+    in U), and at most |V(H)| (sur) or |V(H)| + 2|E(H)| (comp) vertices are
+    in U."""
     _check_same_target(inst, target)
     k = len(target.vertices)
-    doms = _domains(inst.pattern.vertices, inst.lists, target._index)
-    if weighted:
-        tadj = [a | a << k for a in target._adj] * 2
-        doms = [d | d << k for d in doms]
-    else:
-        tadj = [a | 1 << k for a in target._adj] + [(1 << k + 1) - 1]
-        doms = [d | 1 << k for d in doms]
     top = k if mode == "sur" else k + 2 * target.edge_count()
-    adj = inst.pattern._adj
-    return _Search(adj, adj, doms, tadj, tadj).cover((1 << k) - 1, mode == "comp", top)
+    search = _search(inst.pattern, inst.lists, target)
+    return search.cover((1 << k) - 1, mode == "comp", top, "valued" if weighted else "blank")
 
 
 def count_surjective(inst: ListedInstance, target: Graph) -> int:

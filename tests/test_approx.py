@@ -166,6 +166,67 @@ def test_witness_counts_match_the_listing():
                     assert sum(1 for _ in search.assignments()) == search.count(), (where, weighted)
 
 
+def _naive_t_and_omega(inst, target, mode):
+    """t and Omega from `reference` alone: the naive witnesses, and the sum
+    of the homomorphisms that extend each."""
+    ws = reference.naive_witnesses(inst, target, mode)
+    return len(ws), sum(reference.coverage_partition(inst, target, ws)[0])
+
+
+def _last_step_instances():
+    """Seeded instances on which only the last vertex of the kernel's order
+    may take one target vertex h, a leaf of the target if it has one: every
+    witness covers h, and in comp mode h's edges, at its last step."""
+    targets = [build_path(3), build_two_wrench(), build_cycle(4), build_star(3)]
+    for i in range(40):
+        rng = pyrng("witness-last-step", i)
+        target = targets[i % len(targets)]
+        tv = target.vertices
+        g = verify.random_graph(rng, rng.randint(len(tv), len(tv) + 2), 0.5, "g")
+        # lists of two or more values, so no vertex is placed first for a
+        # single value and the order is the one of full lists
+        last = exact._search(g, {v: frozenset(tv) for v in g.vertices}, target)._order()[-1]
+        leaves = [h for h in tv if len(target.neighbors(h) - {h}) == 1]
+        h = rng.choice(leaves or tv)
+        others = [u for u in tv if u != h]
+        lists = {v: frozenset(rng.sample(others, rng.randint(2, len(others)))) for v in g.vertices}
+        lists[g.vertices[last]] |= {h}
+        yield ListedInstance(g, lists, tv), target, last
+
+
+def test_witness_counts_match_the_naive_witnesses():
+    # t and Omega against `reference` alone, in both modes: K2 plus isolated
+    # vertices, where both caps bind (sur 2, comp 4), with full and random
+    # lists; then instances whose last step must cover the last target
+    # vertex or edge
+    cases = []
+    for m in range(7):
+        g = Graph(["x", "y"] + [f"i{j}" for j in range(m)], [("x", "y")])
+        cases.append((ListedInstance.full(g, K2), K2))
+        rng = pyrng("witness-naive-caps", m)
+        lists = {v: frozenset(rng.sample("ab", rng.randint(1, 2))) for v in g.vertices}
+        cases.append((ListedInstance(g, lists, K2.vertices), K2))
+    p3_and_two = Graph(["u", "v", "x", "y", "z"], [("x", "y"), ("y", "z")])
+    cases.append((ListedInstance.full(p3_and_two, K2), K2))
+    found = {"sur": 0, "comp": 0}
+    for inst, target in cases:
+        for mode in ("sur", "comp"):
+            t, omega = _naive_t_and_omega(inst, target, mode)
+            assert approx.count_witnesses(inst, target, mode) == t, (inst.pattern, mode)
+            assert approx.count_witness_extensions(inst, target, mode) == omega, (inst.pattern, mode)
+            found[mode] += t > 0
+    assert min(found.values()) >= 12, found
+    last_step = {"sur": 0, "comp": 0}
+    for inst, target, last in _last_step_instances():
+        assert exact._witness_search(inst, target, "sur", False)._order()[-1] == last
+        for mode in ("sur", "comp"):
+            t, omega = _naive_t_and_omega(inst, target, mode)
+            assert approx.count_witnesses(inst, target, mode) == t, (inst.pattern, target, mode)
+            assert approx.count_witness_extensions(inst, target, mode) == omega, (inst.pattern, target, mode)
+            last_step[mode] += t > 0
+    assert min(last_step.values()) >= 10, last_step
+
+
 def test_witness_counts_examples():
     tw = build_two_wrench()
     # the sur cap binds: only |V(H)| = 4 of the six vertices may cover
@@ -229,7 +290,7 @@ def test_covering_counts_at_the_edges_of_the_packed_key():
     # number used right above the 9 edge bits, checked against the listing
     for weighted in (False, True):
         search = exact._witness_search(inst, wheel, "comp", weighted)
-        search.cover(search.full_v, edges=True, top=6)
+        search.cover(search.full_v, edges=True, top=6, outside=search.outside)
         assert search.count() == sum(1 for _ in search.assignments()) > 0, weighted
 
 

@@ -518,6 +518,43 @@ def test_covering_counts_are_pinned():
     assert h.hexdigest()[:16] == "6e2d006b8af18697"
 
 
+def test_every_cap_counts_what_the_listing_lists():
+    # a cap below the goal's size admits no map: P6 onto the 2-wrench with
+    # at most 2 of its 4 vertices covered
+    p6 = ListedInstance.full(build_path(6), TW)
+    for weighted in (False, True):
+        search = exact._witness_search(p6, TW, "sur", weighted)
+        search.cover(search.full_v, top=2, outside=search.outside)
+        assert search.count() == sum(1 for _ in search.assignments()) == 0, weighted
+    assert exact._covering(p6, TW, need_edges=False).cover(15, top=2).count() == 0
+    # every cap from 0 to n on seeded instances, against the listing and,
+    # with no vertex outside, against the naive sur and comp counts
+    for i in range(150):
+        rng = pyrng("cover-caps", i)
+        tv = [f"h{j}" for j in range(rng.randint(1, 4))]
+        target = Graph(tv, [e for e in combinations_with_replacement(tv, 2) if rng.random() < 0.5])
+        pv = [f"g{j}" for j in range(rng.randint(0, 6))]
+        pattern = Graph(pv, [e for e in combinations(pv, 2) if rng.random() < 0.4])
+        lists = {v: frozenset(rng.sample(tv, rng.randint(1, len(tv)))) for v in pv}
+        full = (1 << len(tv)) - 1
+        for edges, mode in ((False, "sur"), (True, "comp")):
+            naive = len(_naive_images(pattern, lists, target, mode))
+            for outside in (None, "blank", "valued"):
+                for top in range(len(pv) + 1):
+                    search = exact._search(pattern, lists, target).cover(full, edges, top, outside)
+                    got = search.count()
+                    assert got == sum(1 for _ in search.assignments()), (i, mode, outside, top)
+                    if outside is None:
+                        assert got == (naive if len(pv) <= top else 0), (i, mode, top)
+
+
+def test_cover_refuses_a_digraph_kernel():
+    arc = DiGraph("ab", [("a", "b")])
+    search = exact._search(arc, {v: frozenset("ab") for v in "ab"}, arc)
+    with pytest.raises(ValueError, match="undirected"):
+        search.cover(3)
+
+
 def test_large_patterns_with_a_shallow_search_still_count():
     # a star's leaves are peeled after its centre, one level deep (1 100
     # disjoint edges count one component at a time: test_blocked_many_components)
