@@ -310,20 +310,18 @@ def enumerate_T(inst: ListedInstance, target: Graph, mode: str):
     homomorphism from G[U]; compaction mode: |V(H)| <= |U| <= |V(H)| + 2|E(H)|
     and tau a compaction from G[U].  They are the maps of the search that
     `count_witnesses` counts, U the vertices that take a value, sorted by
-    |U| and then U; for one U they keep the kernel's order, which is its
-    order on G[U] (a vertex outside U takes no value and narrows nothing).
-    The search recurses once per pattern vertex: a pattern deeper than
-    Python's recursion limit raises ValueError.
+    |U|, then U, then the images' target indices in pattern vertex order,
+    so the order does not depend on the kernel's.
     """
     _check_mode(mode)
     pv, tv = inst.pattern.vertices, target.vertices
     k = len(tv)
     found = []
     for image in _witness_search(inst, target, mode, weighted=False).assignments():
-        found.append((tuple(i for i, t in enumerate(image) if t < k), image))
-    # stable: within one U, the kernel's order
-    found.sort(key=lambda f: (len(f[0]), f[0]))
-    return [(tuple(pv[i] for i in us), {pv[i]: tv[image[i]] for i in us}) for us, image in found]
+        us = tuple(i for i, t in enumerate(image) if t < k)
+        found.append((len(us), us, image))
+    found.sort()
+    return [(tuple(pv[i] for i in us), {pv[i]: tv[image[i]] for i in us}) for _, us, image in found]
 
 
 def _check_mode(mode: str) -> None:

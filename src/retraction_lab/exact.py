@@ -43,19 +43,13 @@ distinct residual states, not the count.  A state is
   counts the children that complete the goal.
 Uniform draws (`_DrawTables`) keep the plain sweep's levels, count each
 state's completions in one backward pass and walk the steps forward.
-Enumeration backtracks on the same packed int, with the same child step
-and borrow test (an assigned vertex's field is left as it is and no longer
-read), branching most-constrained-first (fewest values, then the lowest
-index); its branching is dynamic, so `assignments` spreads every vertex's
-neighbors up front, into a table that counts never build.  It prunes on
-the same coverage state as counting and lists a vertex outside U after
-its covering values; the step that assigns the last vertex yields each
-completed map itself, a covering one once it meets the goal.
-Both are deterministic.  Enumeration recurses once per vertex it branches
-on but the last, so one deeper than Python's recursion limit raises
-ValueError; the library lists only small patterns.  Each mode has this one
-route; the second routes through other identities (a product over
-components, inclusion-exclusion for surjective and compaction counts) are
+Listing (`_Levels`) keeps the levels of a sweep along the same order, each
+child made as in `count`'s covering branch but pruned on the cap alone;
+one backward pass keeps per (step, state) the children that reach a map
+meeting the goal, and a loop walks them, so a listing enters no dead
+branch and no pattern is too deep for it.  Each mode has this one route;
+the second routes through other identities (a product over components,
+inclusion-exclusion for surjective and compaction counts) are
 cross-checks in `reference`.
 """
 from __future__ import annotations
@@ -92,7 +86,7 @@ def _spread(m: int, w: int) -> int:
 
 
 class _Search:
-    """The backtracking search behind every counter and enumerator here.
+    """The search behind every counter, sampler and lister here.
 
     The pattern and the target are out/in adjacency masks over vertex
     indices; an undirected graph passes the same masks as out and in.  A
@@ -110,10 +104,9 @@ class _Search:
     also has no unassigned neighbor), so the int alone fixes the residual
     subproblem, and merges the partial maps that reach equal ints; it
     counts the last vertex's children without building a level.
-    `assignments` spreads every vertex's out- and in-neighbors into one
-    table, backtracks on the int, branches most-constrained-first and
-    yields each map at the step that assigns its last vertex.  Both read
-    the coverage goal that `cover` sets on an undirected kernel.
+    `assignments` walks the live children of the levels `_Levels` keeps.
+    Both read the coverage goal that `cover` sets, once, on an undirected
+    kernel.
 
     `weights` (default all 1) makes vertex v stand for weights[v]
     independent copies of itself: once peeled it contributes
@@ -139,8 +132,7 @@ class _Search:
         # v's domain; off_out[t] (off_in[t]) is the values not in t's out-
         # (in-) neighborhood.  The step that assigns a vertex spreads its
         # unassigned neighbors into bit 0 of their fields (`_steps`, the
-        # covering branch of `count`); `assignments` spreads every vertex's
-        # neighbors once, for the listing's dynamic branching.
+        # covering branch of `count`, `_Levels`).
         k = len(tout)
         self.w, self.vmask = w, vmask = k + 1, (1 << k) - 1
         self.off_out = [vmask & ~a for a in tout]
@@ -164,9 +156,12 @@ class _Search:
         as value k, for a k-vertex target), or "valued", taking any value
         of its list as usual (value h listed as k + h).  The edges are
         numbered in index order into ``ebit[i][j]``, the bit of the edge that
-        values i and j realize (0 if none).  The kernel must be undirected."""
+        values i and j realize (0 if none).  The kernel must be undirected
+        and have no goal yet: a goal is set whole, once."""
         if self.digraph:
             raise ValueError("a coverage goal needs an undirected kernel")
+        if self.full_v is not None:
+            raise ValueError("the kernel already has a coverage goal")
         self.full_v, self.top, self.outside, self.ebit, self.full_e = full_v, top, outside, None, 0
         if edges:
             k, e = self.w - 1, 0
@@ -488,127 +483,27 @@ class _Search:
     def assignments(self) -> Iterator[tuple[int, ...]]:
         """The homomorphisms that meet the coverage goal, each as the tuple
         of its images' target indices in pattern vertex order (a vertex
-        outside the goal's U listed as `cover` says); deterministic order."""
-        n, w = len(self.domains), self.w
-        if 0 in self.domains and self.outside != "blank":
-            return
-        if not n:
-            # the one empty map, which covers an empty goal only
-            if not self.full_v:
-                yield ()
-            return
-        # bit 0 of every field; per vertex, bit 0 of the fields of its out-
-        # and in-neighbors, spread once for the dynamic branching
-        low = ((1 << n * w) - 1) // ((1 << w) - 1)
-        low_out = [_spread(m, w) for m in self.out]
-        lows = (low_out, [_spread(m, w) for m in self.inn] if self.digraph else low_out)
-        try:
-            yield from self._enumerate(lows, (1 << n) - 1, low, self.packed, [0] * n, 0, 0, 0)
-        except RecursionError:
-            raise ValueError(
-                f"enumeration on a {n}-vertex pattern: the search recurses once per vertex it "
-                "branches on and went past Python's recursion limit"
-            ) from None
-
-    def _enumerate(
-        self, lows: tuple, active: int, low: int, x: int, image: list[int], cov_v: int, cov_e: int, used: int
-    ) -> Iterator[tuple[int, ...]]:
-        """The completions of packed state `x` that meet the goal, pruned as
-        in `count`; `lows` is the per-vertex out- and in-neighbor spreads of
-        `assignments`, `active`, the unassigned vertices, is not empty, `low`
-        is bit 0 of each of their fields, and ``image`` holds the others'
-        values.
-        The branch vertex is the active one of fewest values (ties: the lowest
-        index), and its values go in ascending order, then, with `outside`,
-        the children that cover nothing: the one of no value ("blank") or
-        each value again ("valued").  When it is the last active vertex,
-        each child completes a map, yielded here once it meets the goal,
-        with no child generator.  A covering state is pruned when unassigned
-        vertices cannot cover the target vertices left, or pattern edges
-        with an unassigned end the target edges."""
-        full_v, top, outside = self.full_v, self.top, self.outside
-        if full_v is not None:
-            room = active.bit_count()
-            if top is not None:
-                room = min(room, top - used)
-            if (full_v & ~cov_v).bit_count() > room:
-                return
-            left_e = (self.full_e & ~cov_e).bit_count()
-            if left_e:
-                # twice the pattern edges with an active end: each active
-                # vertex's edges, those with both ends active once
-                ends, m = 0, active
-                while m:
-                    b = m & -m
-                    m ^= b
-                    a = self.adj[b.bit_length() - 1]
-                    ends += 2 * a.bit_count() - (a & active).bit_count()
-                if 2 * left_e > ends:
-                    return
-        w, vmask = self.w, self.vmask
-        blank, valued = outside == "blank", outside == "valued"
-        # the first field of fewest values; an active field is empty only
-        # with outside="blank", so one of that size ends the scan
-        m, fewest, least = active, w, int(not blank)
-        while m:
-            b = m & -m
-            i = b.bit_length() - 1
-            c = (x >> i * w & vmask).bit_count()
-            if c < fewest:
-                v, fewest = i, c
-                if c == least:
-                    break
-            m ^= b
-        rest = active & ~(1 << v)
-        low ^= 1 << v * w
-        # the child step and borrow test of `count` (none with
-        # outside="blank", where a neighbor whose domain empties can still
-        # take no value)
-        s_low = lows[0][v] & low
-        p_low = lows[1][v] & low if self.digraph else 0
-        nb_low = 0 if blank else s_low | p_low
-        nb_high = nb_low << w - 1
-        off_out, off_in = self.off_out, self.off_in
-        ebit, goal, full_e, k = self.ebit, full_v or 0, self.full_e, w - 1
-        assigned_nbrs = []
-        if ebit:
-            m = self.adj[v] & ~active
-            while m:
-                b = m & -m
-                assigned_nbrs.append(b.bit_length() - 1)
-                m ^= b
-        # (image value, state) of the children that cover nothing, listed last
-        outs = [(k, x)] if blank else []
-        d = x >> v * w & vmask
-        while d:
-            b = d & -d
-            d ^= b
-            t = b.bit_length() - 1
-            y = x & ~(s_low * off_out[t])
-            if p_low:
-                y &= ~(p_low * off_in[t])
-            if (y | nb_high) - nb_low & nb_high != nb_high:
-                continue  # a neighbor's domain emptied
-            if valued:
-                outs.append((k + t, y))
-            cb = b & goal
-            ce = cov_e
-            if cb:
-                if used == top:
-                    continue
-                for u in assigned_nbrs:
-                    if image[u] < k:
-                        ce |= ebit[image[u]][t]
-            image[v] = t
-            if rest:
-                yield from self._enumerate(lows, rest, low, y, image, cov_v | cb, ce, used + (cb != 0))
-            elif full_v is None or cov_v | cb == full_v and ce == full_e:
-                yield tuple(image)
-        for t, y in outs:
-            image[v] = t
-            if rest:
-                yield from self._enumerate(lows, rest, low, y, image, cov_v, cov_e, used)
-            elif cov_v == full_v and cov_e == full_e:
+        outside the goal's U listed as `cover` says); deterministic order.
+        A depth-first walk of the levels `_Levels` keeps, entering only live
+        children, so every branch ends in a map; a loop, not a recursion, so
+        no pattern is too deep to list."""
+        levels = _Levels(self)
+        if levels.first == ():
+            yield ()  # no vertex: the one empty map
+        # per step entered, an iterator over its state's live children
+        # (value, the next state's live children, () past the last step)
+        order, image = levels.order, [0] * len(self.domains)
+        stack = [iter(levels.first or ())]
+        while stack:
+            for t, kids in stack[-1]:
+                break
+            else:
+                stack.pop()
+                continue
+            image[order[len(stack) - 1]] = t
+            if kids:
+                stack.append(iter(kids))
+            else:
                 yield tuple(image)
 
 
@@ -848,6 +743,110 @@ def _walk_order(inst: ListedInstance, target: Graph) -> list[str]:
     _check_same_target(inst, target)
     steps = _search(inst.pattern, inst.lists, target)._steps()
     return [inst.pattern.vertices[u] for v, lone, *_ in steps for u in (v, *lone)]
+
+
+# -- listing ---------------------------------------------------------------
+
+
+class _Levels:
+    """The levels of a kernel's sweep along `_order`, kept for listing
+    (`assignments`).  A child extends a state as `count`'s covering branch
+    does, with the same key (with no goal, the fields alone), but prunes on
+    the cap alone, and a state of the last level completes exactly when its
+    covered vertices and edges are the goal's.  The forward pass keeps each
+    level's states; one backward pass computes their children again and
+    keeps, per (step, state) that completes, its live children as
+    [(listed value, the next state's live children)], () past the last
+    step.  `first` is the start state's, None if no map meets the goal.
+    `expanded` counts the states whose children were computed, twice each
+    state before the last level, and `stored` the states kept."""
+
+    def __init__(self, search: _Search):
+        n, k, w, vmask = len(search.domains), search.w - 1, search.w, search.vmask
+        self.search, self.full_v, full_e, adj = search, search.full_v or 0, search.full_e, search.adj
+        self.cap = search.top if search.top is not None and search.top < n else None
+        self.cv_at = cv_at = n * w
+        self.used_at = used_at = cv_at + k + full_e.bit_length()
+        if full_e:
+            self.erow = [[e << cv_at + k for e in row] for row in search.ebit + [[0] * k]]
+        # per step: (v, the fields it clears, bit 0 of its unassigned out-
+        # and in-neighbors' fields, those the borrow test reads (none with
+        # outside="blank") and their spare bits, its assigned neighbors'
+        # field offsets, whether it keeps its value)
+        self.order, self.steps, rest = search._order(), [], (1 << n) - 1
+        for v in self.order:
+            rest ^= 1 << v
+            clear = ~(vmask << v * w)
+            s_low = _spread(search.out[v] & rest, w)
+            p_low = _spread(search.inn[v] & rest, w) if search.digraph else 0
+            t_low = 0 if search.outside == "blank" else s_low | p_low
+            back, keep = [], 0
+            if full_e:
+                keep = adj[v] & rest
+                m = adj[v] & ~rest
+                while m:
+                    b = m & -m
+                    m ^= b
+                    u = b.bit_length() - 1
+                    back.append(u * w)
+                    if not adj[u] & rest:
+                        clear &= ~(vmask << u * w)
+            self.steps.append((v, clear, s_low, p_low, t_low, t_low << k, back, keep))
+        self.expanded = 0
+        levels = [[search.packed]]
+        for i in range(n):
+            levels.append(list(dict.fromkeys(y for kids in self._children(i, levels[i]) for _, y in kids)))
+        self.stored = sum(map(len, levels))
+        goal, cmask = self.full_v | full_e << k, (1 << used_at - cv_at) - 1
+        live = {x: () for x in levels[-1] if x >> cv_at & cmask == goal}
+        for i in range(n - 1, -1, -1):
+            after, live = live, {}
+            for x, kids in zip(levels[i], self._children(i, levels[i])):
+                kids = [(t, after[y]) for t, y in kids if y in after]
+                if kids:
+                    live[x] = kids
+        self.first = live.get(search.packed)
+
+    def _children(self, i: int, states: list[int]) -> list[list[tuple[int, int]]]:
+        """Per state, its children at step i as (listed value, next state):
+        with outside="blank" the child of no value (listed k), then per value
+        of the vertex's domain, ascending, the child that covers nothing and
+        the covering one, each where allowed (a covering one only while
+        fewer than the cap cover)."""
+        self.expanded += len(states)
+        search = self.search
+        v, clear, s_low, p_low, t_low, t_high, back, keep = self.steps[i]
+        k, vmask, off_out, off_in, full_v = search.w - 1, search.vmask, search.off_out, search.off_in, self.full_v
+        sv, cv_at, used_at, cap = v * search.w, self.cv_at, self.used_at, self.cap
+        # the values whose child covers nothing, listed from value `shift` up
+        nonc, shift = (vmask, k) if search.outside == "valued" else (vmask & ~full_v, 0)
+        blank, one_used = search.outside == "blank", 0 if cap is None else 1 << used_at
+        out = []
+        for x in states:
+            d = x >> sv & vmask
+            covers = full_v if cap is None or x >> used_at < cap else 0
+            # the edge bits of each assigned neighbor's value (a field of 0
+            # reads the last row, of none)
+            rows = [self.erow[(x >> su & vmask).bit_length() - 1] for su in back]
+            x &= clear
+            kids = [(k, x)] if blank else []
+            while d:
+                b = d & -d
+                d ^= b
+                t = b.bit_length() - 1
+                y = x & ~(s_low * off_out[t]) & ~(p_low * off_in[t])
+                if t_low and (y | t_high) - t_low & t_high != t_high:
+                    continue  # a neighbor's domain emptied
+                if b & nonc:
+                    kids.append((shift + t, y))
+                if b & covers:
+                    for row in rows:
+                        y |= row[t]
+                    if keep:
+                        y |= b << sv
+                    kids.append((t, (y | b << cv_at) + one_used))
+            out.append(kids)
+        return out
 
 
 # -- blocked evaluation ----------------------------------------------------

@@ -13,7 +13,7 @@ multiplicity; couplings say how the expansions are wired:
     apex  star from a multiplicity-1 block to every vertex of the other
 
 Expansion is deterministic: a block named B with multiplicity m > 1 expands
-to vertices "B#1" .. "B#m"; a multiplicity-1 block expands to a vertex named
+to vertices "B$1" .. "B$m"; a multiplicity-1 block expands to a vertex named
 exactly B.
 """
 from __future__ import annotations
@@ -196,7 +196,7 @@ class BlockedInstance:
 def block_vertex_names(blk: Block) -> list[str]:
     if blk.multiplicity == 1:
         return [blk.name]
-    return [f"{blk.name}#{i}" for i in range(1, blk.multiplicity + 1)]
+    return [f"{blk.name}${i}" for i in range(1, blk.multiplicity + 1)]
 
 
 def expand_blocked(b: BlockedInstance) -> ListedInstance:

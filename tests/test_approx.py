@@ -41,9 +41,12 @@ def test_enumerate_T_examples():
     assert approx.enumerate_T(single, K2, "sur") == []
     with pytest.raises(ValueError):
         approx.enumerate_T(inst, K2, "hom")
-    # the witness search recurses once per pattern vertex, not per vertex of U
-    with pytest.raises(ValueError, match="enumeration on a 1500-vertex pattern"):
-        approx.enumerate_T(ListedInstance.full(build_path(1500), K2), K2, "sur")
+    # the witness search walks its levels in a loop, so a pattern deeper than
+    # the recursion limit lists: P1500 with every list empty but c0's and c1's
+    path = build_path(1500)
+    lists = {v: frozenset() for v in path.vertices} | {"c0": frozenset("a"), "c1": frozenset("b")}
+    deep = ListedInstance(path, lists, K2.vertices)
+    assert approx.enumerate_T(deep, K2, "sur") == [(("c0", "c1"), {"c0": "a", "c1": "b"})]
 
 
 def test_enumerate_T_respects_lists():
@@ -83,10 +86,12 @@ def _witness_digests():
 
 
 def test_witness_lists_are_pinned():
-    # computed with the enumerators the covering kernel replaced: the comp
-    # order is unchanged, and in sur mode only the order within a U may move
+    # the sur digest and the totals were computed with the enumerators the
+    # covering kernel replaced; the comp digest was re-recorded when
+    # `enumerate_T` came to sort each U's witnesses by their images (the
+    # same witnesses, as multisets)
     digests, ts_per_target = _witness_digests()
-    assert digests == {"sur": "c36a9551522dca76", "comp": "849a224a50d9d75f"}
+    assert digests == {"sur": "c36a9551522dca76", "comp": "a8fa694dee7c1ea6"}
     assert ts_per_target == {
         ("K2", "sur"): 305, ("K2", "comp"): 1070,
         ("2-wrench", "sur"): 596, ("2-wrench", "comp"): 560,
@@ -100,14 +105,14 @@ def _per_subset_witnesses(inst, target, mode):
     """The witnesses by a second route, the one `enumerate_T` took before it
     listed the capped witness search: each U of |V(H)| up to the cap
     vertices in `combinations` order, and for each the covering kernel's
-    maps of G[U] in its order."""
+    maps of G[U], sorted."""
     pv, tv = inst.pattern.vertices, target.vertices
     top = len(tv) if mode == "sur" else len(tv) + 2 * target.edge_count()
     out = []
     for size in range(len(tv), min(len(pv), top) + 1):
         for us in combinations(pv, size):
             sub = ListedInstance(inst.pattern.induced(us), {u: inst.lists[u] for u in us}, tv)
-            for image in exact._covering(sub, target, need_edges=mode == "comp").assignments():
+            for image in sorted(exact._covering(sub, target, need_edges=mode == "comp").assignments()):
                 out.append((us, {u: tv[t] for u, t in zip(us, image)}))
     return out
 
@@ -288,10 +293,9 @@ def test_covering_counts_at_the_edges_of_the_packed_key():
         assert approx.count_witness_extensions(inst, wheel, mode) == _pinned_total(inst, wheel, ts), mode
     # the comp cap (23) cannot bind on 7 vertices; a cap of 6 puts the
     # number used right above the 9 edge bits, checked against the listing
-    for weighted in (False, True):
-        search = exact._witness_search(inst, wheel, "comp", weighted)
-        search.cover(search.full_v, edges=True, top=6, outside=search.outside)
-        assert search.count() == sum(1 for _ in search.assignments()) > 0, weighted
+    for outside in ("blank", "valued"):
+        search = exact._search(inst.pattern, inst.lists, wheel).cover(31, True, 6, outside)
+        assert search.count() == sum(1 for _ in search.assignments()) > 0, outside
 
 
 def test_omega_is_zero_exactly_when_the_union_is():

@@ -307,11 +307,17 @@ def test_counts_past_the_recursion_limit():
     assert exact.count(edges, TW, "sur") == reference.count_surjective_ie(edges, TW) > 0
 
 
-def test_search_past_the_recursion_limit_raises_value_error():
-    # enumeration still recurses once per vertex it branches on
+def test_listings_past_the_recursion_limit():
+    # listing walks stored levels in a loop, so no pattern is too deep for it
     path = build_path(1500)
-    with pytest.raises(ValueError, match="enumeration on a 1500-vertex pattern"):
-        next(exact.enumerate_homs(ListedInstance.full(path, TW), TW))
+    hom = next(exact.enumerate_homs(ListedInstance.full(path, TW), TW))
+    assert all(TW.has_edge(hom[u], hom[v]) for u, v in path.edges())
+    edges = ListedInstance.full(Graph([], [(f"a{i}", f"b{i}") for i in range(520)]), TW)
+    image = next(exact._covering(edges, TW, need_edges=False).assignments())
+    pv = edges.pattern.vertices
+    assert all(TW.has_edge(TW.vertices[image[pv.index(u)]], TW.vertices[image[pv.index(v)]])
+               for u, v in edges.pattern.edges())
+    assert set(image) == set(range(len(TW.vertices)))
 
 
 def _padded(listing, keep: int, n: int):
@@ -357,8 +363,9 @@ def _listings():
 
 
 def test_enumeration_order_is_pinned():
-    # recorded before enumeration moved onto the packed state; seeded
-    # estimator runs depend on the order of the witnesses
+    # recorded when listing moved onto the sweep's stored levels (the maps
+    # of every listing are those of the backtracking lister before it, as
+    # multisets); seeded estimator runs depend on the order of the witnesses
     h = hashlib.sha256()
     maps = 0
     for listing in _listings():
@@ -366,7 +373,7 @@ def test_enumeration_order_is_pinned():
             h.update(repr(image).encode())
             maps += 1
         h.update(b"\0")
-    assert (maps, h.hexdigest()[:16]) == (10993, "9240ff6a2d4bac8a")
+    assert (maps, h.hexdigest()[:16]) == (10993, "5feefbdb88a740be")
 
 
 def _naive_images(pattern, lists, target, mode="lhom"):
@@ -380,25 +387,32 @@ def _naive_images(pattern, lists, target, mode="lhom"):
     )
 
 
-def test_comp_listing_prunes_on_target_edges_left(monkeypatch):
-    # comp witnesses on K2 of one edge plus 24 isolated vertices: only the
-    # edge can realize K2's edge, so a branch that gives x and y one value
-    # cannot complete.  Pruned on the target edges left, the listing makes a
-    # few calls per witness; without that prune it made 1 063 094 calls.
-    calls = []
-    enumerate_ = exact._Search._enumerate
+def test_comp_listing_enters_only_live_children(monkeypatch):
+    # comp witnesses on K2 of one edge plus m isolated vertices, named to
+    # sort after the edge's ends (z..) or before them (i..): only the edge
+    # can realize K2's edge.  The covering levels compute each stored
+    # state's children once forward and once backward, and the walk reads
+    # the live ones from that memo, whatever the names
+    made = []
+    init = exact._Levels.__init__
 
-    def counting(search, *args):
-        calls.append(1)
-        return enumerate_(search, *args)
+    def keep(levels, search):
+        init(levels, search)
+        made.append(levels)
 
-    monkeypatch.setattr(exact._Search, "_enumerate", counting)
-    k2, m = Graph("ab", [("a", "b")]), 24
-    inst = ListedInstance.full(Graph(["x", "y"] + [f"z{i:02d}" for i in range(m)], [("x", "y")]), k2)
-    ts = approx.enumerate_T(inst, k2, "comp")
-    # U holds x and y, mapped to a and b either way, and up to two others
-    assert len(ts) == 2 * (1 + 2 * m + 4 * math.comb(m, 2)) == approx.count_witnesses(inst, k2, "comp")
-    assert len(calls) <= 10 * len(ts)
+    monkeypatch.setattr(exact._Levels, "__init__", keep)
+    k2 = Graph("ab", [("a", "b")])
+    for m in (24, 70):
+        for name in ("z", "i"):
+            made.clear()
+            g = Graph(["x", "y"] + [f"{name}{i:02d}" for i in range(m)], [("x", "y")])
+            inst = ListedInstance.full(g, k2)
+            ts = approx.enumerate_T(inst, k2, "comp")
+            # U holds x and y, mapped to a and b either way, and up to two others
+            t = 2 * (1 + 2 * m + 4 * math.comb(m, 2))
+            assert len(ts) == t == approx.count_witnesses(inst, k2, "comp"), (m, name)
+            [levels] = made
+            assert levels.expanded <= 2 * levels.stored, (m, name, levels.expanded, levels.stored)
 
 
 def test_enumeration_leaf_steps_match_naive():
@@ -522,11 +536,10 @@ def test_every_cap_counts_what_the_listing_lists():
     # a cap below the goal's size admits no map: P6 onto the 2-wrench with
     # at most 2 of its 4 vertices covered
     p6 = ListedInstance.full(build_path(6), TW)
-    for weighted in (False, True):
-        search = exact._witness_search(p6, TW, "sur", weighted)
-        search.cover(search.full_v, top=2, outside=search.outside)
-        assert search.count() == sum(1 for _ in search.assignments()) == 0, weighted
-    assert exact._covering(p6, TW, need_edges=False).cover(15, top=2).count() == 0
+    for outside in ("blank", "valued"):
+        search = exact._search(p6.pattern, p6.lists, TW).cover(15, top=2, outside=outside)
+        assert search.count() == sum(1 for _ in search.assignments()) == 0, outside
+    assert exact._search(p6.pattern, p6.lists, TW).cover(15, top=2).count() == 0
     # every cap from 0 to n on seeded instances, against the listing and,
     # with no vertex outside, against the naive sur and comp counts
     for i in range(150):
@@ -553,6 +566,15 @@ def test_cover_refuses_a_digraph_kernel():
     search = exact._search(arc, {v: frozenset("ab") for v in "ab"}, arc)
     with pytest.raises(ValueError, match="undirected"):
         search.cover(3)
+
+
+def test_cover_refuses_a_kernel_that_has_a_goal():
+    # a goal is set whole: re-covering a witness search with a new cap would
+    # drop its `outside` half
+    p6 = ListedInstance.full(build_path(6), TW)
+    for search in (exact._covering(p6, TW, need_edges=False), exact._witness_search(p6, TW, "sur", False)):
+        with pytest.raises(ValueError, match="already has a coverage goal"):
+            search.cover(search.full_v, top=2)
 
 
 def test_large_patterns_with_a_shallow_search_still_count():

@@ -59,6 +59,19 @@ def test_every_private_definition_is_used():
     assert not dead, dead
 
 
+def test_no_function_in_exact_calls_itself():
+    """Counting, drawing and listing are loops over the sweep's levels, so no
+    pattern is too deep for them: no function or method in `exact` calls a
+    function of its own name."""
+    found = [
+        f"exact.py:{node.lineno} {node.name}"
+        for node in ast.walk(_modules()["exact.py"])
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(call, ast.Call) and node.name in _names(call.func) for call in ast.walk(node))
+    ]
+    assert not found, found
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
     for name, tree in _modules().items():
