@@ -62,19 +62,15 @@ POWERING_TRIALS_PER_LOG = 72  # Chernoff: median of 8 ln(1/delta) quarter-fail
 # -- oracles -----------------------------------------------------------------
 
 
-def _instance_key(inst: ListedInstance, target: Graph):
-    # a ListedInstance keeps its lists in pattern-vertex order, so equal
-    # instances give equal keys without a sort
-    return (inst.pattern, tuple(inst.lists.items()), target)
-
-
 class ExactOracle:
     """Retraction/list-homomorphism counting backed by the exact counter:
     `count_list_hom` for a ListedInstance, `count_blocked` for a
     BlockedInstance; ignores the precision parameter.  Memoises counts and
-    draw tables (`exact._DrawTables`) by instance, for as long as the
-    oracle lives.  `calls` counts each `count` call, memoised or not, and
-    each table built, so a draw that reaches only known tables adds none."""
+    draw tables (`exact._DrawTables`) keyed by (instance, target), for as
+    long as the oracle lives: both instance types are hashable values, so
+    equal instances share one entry, and a ListedInstance computes its hash
+    once.  `calls` counts each `count` call, memoised or not, and each table
+    built, so a draw that reaches only known tables adds none."""
 
     def __init__(self):
         self._asked = 0
@@ -87,18 +83,17 @@ class ExactOracle:
 
     def count(self, inst: ListedInstance | BlockedInstance, target: Graph, eps: float | None = None):
         self._asked += 1
-        blocked = type(inst) is BlockedInstance
-        # a BlockedInstance is a frozen dataclass, so it is its own key
-        key = (inst, target) if blocked else _instance_key(inst, target)
+        key = (inst, target)
         n = self._cache.get(key)
         if n is None:
+            blocked = type(inst) is BlockedInstance
             n = self._cache[key] = (count_blocked if blocked else count_list_hom)(inst, target)
         return n
 
     def draw_tables(self, inst: ListedInstance, target: Graph) -> _DrawTables:
         """The draw tables of (inst, target), built on first use and kept;
         raises ValueError if the count is zero."""
-        key = _instance_key(inst, target)
+        key = (inst, target)
         tables = self._tables.get(key)
         if tables is None:
             _check_same_target(inst, target)

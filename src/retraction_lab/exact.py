@@ -44,8 +44,8 @@ distinct residual states, not the count.  A state is
 Uniform draws (`_DrawTables`) keep the plain sweep's levels, count each
 state's completions in one backward pass and walk the steps forward.
 Listing (`_Levels`) keeps the levels of a sweep along the same order, each
-child made as in `count`'s covering branch but pruned on the cap alone;
-one backward pass keeps per (step, state) the children that reach a map
+child made and pruned as in `count`'s covering branch, the last level
+checked against the whole goal; one backward pass keeps per (step, state) the children that reach a map
 meeting the goal, and a loop walks them, so a listing enters no dead
 branch and no pattern is too deep for it.  Each mode has this one route;
 the second routes through other identities (a product over components,
@@ -706,10 +706,12 @@ class _DrawTables:
 
     def _table(self, i: int, x: int) -> tuple:
         """The table of state x before step i, built once (() past the last
-        step): (acc, kids, i, the name of the step's vertex v).  acc: the
-        prefix sums of the counts with v pinned to each value of its list
-        (None for one value); kids[j]: None for a count of 0, else [the next
-        table once a draw reaches it, the next state, the value's label]."""
+        step): (acc, total, bits, kids, i, the name of the step's vertex v).
+        acc: the prefix sums of the counts with v pinned to each value of
+        its list (None for one value), total its last entry (the count of
+        state x) and bits total's bit length, the draw's `getrandbits`
+        width; kids[j]: None for a count of 0, else [the next table once a
+        draw reaches it, the next state, the value's label]."""
         if i == len(self.steps):
             return ()
         table = self.tables[i].get(x)
@@ -719,18 +721,30 @@ class _DrawTables:
             counts = [0 if y is None else after[y] for y in children]
             kids = [[None, y, label] if c else None for label, y, c in zip(self.values[v], children, counts)]
             acc = list(accumulate(counts)) if len(kids) > 1 else None
-            table = self.tables[i][x] = (acc, kids, i, self.names[v])
+            total = sum(counts)
+            table = self.tables[i][x] = (acc, total, total.bit_length(), kids, i, self.names[v])
             self.built += 1
         return table
 
     def draw(self, rng, weigh=None) -> dict:
         """One homomorphism as a new dict, drawn over each table's prefix
-        sums or weigh(prefix sums); needs total > 0."""
+        sums or weigh(prefix sums); needs total > 0.  Over the exact sums the
+        categorical draw is `_draw`'s, inlined: the same rejection rule, so
+        the same random numbers."""
+        getrandbits = rng.getrandbits
         image = self.image.copy()
         table = self.first
         while table:
-            acc, kids, i, v = table
-            kid = kids[0] if acc is None else kids[_draw(rng, acc if weigh is None else weigh(acc))]
+            acc, total, bits, kids, i, v = table
+            if acc is None:
+                kid = kids[0]
+            elif weigh is None:
+                r = getrandbits(bits)
+                while r >= total:
+                    r = getrandbits(bits)
+                kid = kids[bisect_right(acc, r)]
+            else:
+                kid = kids[_draw(rng, weigh(acc))]
             image[v] = kid[2]
             table = kid[0]
             if table is None:
@@ -751,9 +765,10 @@ def _walk_order(inst: ListedInstance, target: Graph) -> list[str]:
 class _Levels:
     """The levels of a kernel's sweep along `_order`, kept for listing
     (`assignments`).  A child extends a state as `count`'s covering branch
-    does, with the same key (with no goal, the fields alone), but prunes on
-    the cap alone, and a state of the last level completes exactly when its
-    covered vertices and edges are the goal's.  The forward pass keeps each
+    does, with the same key (with no goal, the fields alone) and the same
+    limits on the vertices left to cover and the covers the cap leaves, and
+    a state of the last level completes exactly when its covered vertices
+    and edges are the goal's.  The forward pass keeps each
     level's states; one backward pass computes their children again and
     keeps, per (step, state) that completes, its live children as
     [(listed value, the next state's live children)], () past the last
@@ -811,8 +826,11 @@ class _Levels:
         """Per state, its children at step i as (listed value, next state):
         with outside="blank" the child of no value (listed k), then per value
         of the vertex's domain, ascending, the child that covers nothing and
-        the covering one, each where allowed (a covering one only while
-        fewer than the cap cover)."""
+        the covering one, each where allowed.  As in `count`, each vertex
+        left covers at most one more goal vertex and at most cap - used of
+        them may cover: a state that cannot meet the goal has no children,
+        and one that needs every vertex left, or every cover the cap leaves,
+        to cover a new goal vertex has only children that do."""
         self.expanded += len(states)
         search = self.search
         v, clear, s_low, p_low, t_low, t_high, back, keep = self.steps[i]
@@ -821,15 +839,29 @@ class _Levels:
         # the values whose child covers nothing, listed from value `shift` up
         nonc, shift = (vmask, k) if search.outside == "valued" else (vmask & ~full_v, 0)
         blank, one_used = search.outside == "blank", 0 if cap is None else 1 << used_at
+        # the vertices still to assign after this step's
+        room = len(self.order) - i - 1
         out = []
         for x in states:
             d = x >> sv & vmask
-            covers = full_v if cap is None or x >> used_at < cap else 0
+            todo = full_v & ~(x >> cv_at)
+            left = todo.bit_count()
+            spare = 1 if cap is None else cap - (x >> used_at) - left
+            # the values that may cover, those whose child covers nothing,
+            # and whether the child of no value is allowed
+            ins, outs, bare = full_v, nonc, blank
+            if left > room or spare <= 0:
+                if left > room + 1 or spare < 0:
+                    out.append([])
+                    continue
+                ins = todo
+                if left > room:
+                    outs = bare = 0
             # the edge bits of each assigned neighbor's value (a field of 0
             # reads the last row, of none)
             rows = [self.erow[(x >> su & vmask).bit_length() - 1] for su in back]
             x &= clear
-            kids = [(k, x)] if blank else []
+            kids = [(k, x)] if bare else []
             while d:
                 b = d & -d
                 d ^= b
@@ -837,9 +869,9 @@ class _Levels:
                 y = x & ~(s_low * off_out[t]) & ~(p_low * off_in[t])
                 if t_low and (y | t_high) - t_low & t_high != t_high:
                     continue  # a neighbor's domain emptied
-                if b & nonc:
+                if b & outs:
                     kids.append((shift + t, y))
-                if b & covers:
+                if b & ins:
                     for row in rows:
                         y |= row[t]
                     if keep:

@@ -47,9 +47,10 @@ def check_retraction_blocks(b: "BlockedInstance") -> None:
 
 
 class ListedInstance:
-    """Irreflexive pattern + per-vertex lists over a fixed target vertex set."""
+    """Irreflexive pattern + per-vertex lists over a fixed target vertex set.
+    A value type: equal instances hash equal, and the hash is computed once."""
 
-    __slots__ = ("pattern", "lists", "target_vertices")
+    __slots__ = ("pattern", "lists", "target_vertices", "_hash")
 
     def __init__(
         self,
@@ -75,6 +76,7 @@ class ListedInstance:
         # in pattern-vertex order, whatever the order of `lists`
         self.lists: dict[str, frozenset[str]] = norm
         self.target_vertices = tuple(sorted(target_vertices))
+        self._hash: int | None = None
 
     @property
     def target_size(self) -> int:
@@ -96,6 +98,7 @@ class ListedInstance:
         out.pattern = self.pattern
         out.lists = lists
         out.target_vertices = self.target_vertices
+        out._hash = None
         return out
 
     def restrict_lists(self, allowed: frozenset[str]) -> "ListedInstance":
@@ -109,6 +112,19 @@ class ListedInstance:
             and self.lists == other.lists
             and self.target_vertices == other.target_vertices
         )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            # the lists are in pattern-vertex order, so equal instances list
+            # equal values in the same order
+            self._hash = hash((self.pattern, tuple(self.lists.values()), self.target_vertices))
+        return self._hash
+
+    def __getstate__(self):
+        # str hashes are salted per process, so a cached hash must not travel
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_hash"] = None
+        return None, state
 
     def __repr__(self) -> str:
         pins = sum(1 for sv in self.lists.values() if len(sv) == 1)

@@ -900,6 +900,16 @@ def test_equal_instances_share_one_oracle_entry():
     assert oracle.count(pinned, tw) == exact.count_list_hom(pinned, tw)
     assert oracle.count(pinned.pin("c0", "b"), tw) == oracle.count(pinned, tw)
     assert len(oracle._cache) == 2
+    # the draw tables: one entry for the forward and backward lists alike
+    for inst in (forward, backward):
+        approx.sample_hom(oracle, inst, tw, 0.05, seed=3)
+    assert len(oracle._tables) == 1
+    # equal instances hash equal: the lists in either order, a pinned copy
+    # and the same instance built again
+    again = ListedInstance(p3, {"c0": frozenset(("b",)), "c2": frozenset(("r1",))}, tw.vertices)
+    assert hash(forward) == hash(backward)
+    for twin in (pinned.pin("c0", "b"), again):
+        assert twin == pinned and hash(twin) == hash(pinned)
 
 
 def _linear_scan_index(rng, weights) -> int:
@@ -960,7 +970,7 @@ class _FreshRootExact:
         self._memo = {}
 
     def count(self, inst, target, eps=None):
-        key = approx._instance_key(inst, target)
+        key = (inst, target)
         if key not in self._memo:
             self._memo[key] = exact.count_list_hom(inst, target)
         return self._memo[key]
@@ -1033,9 +1043,12 @@ def test_pinning_tree_matches_fresh_root_walk():
     shapes += [(build_star(3), tw), (SPIDER, j3), (TAILED_TRIANGLE, tw)]
     for k, (g, target) in enumerate(shapes):
         inst = ListedInstance.full(g, target)
-        a = _owned_draws(approx.ExactOracle(), inst, target, pyrng("tree-vs-fresh", k), 60)
-        b = _owned_draws(_FreshRootExact(), inst, target, pyrng("tree-vs-fresh", k), 60)
+        rngs = [pyrng("tree-vs-fresh", k) for _ in range(2)]
+        a = _owned_draws(approx.ExactOracle(), inst, target, rngs[0], 60)
+        b = _owned_draws(_FreshRootExact(), inst, target, rngs[1], 60)
         assert a == b, (k, g.vertices)
+        # the table draw consumes the random numbers of the walk's `_draw`s
+        assert rngs[0].getstate() == rngs[1].getstate(), (k, g.vertices)
     # random and one-or-all lists on one pattern, all through one ExactOracle,
     # with some values of zero weight
     r = random.Random(7)
@@ -1047,8 +1060,10 @@ def test_pinning_tree_matches_fresh_root_walk():
             with pytest.raises(ValueError, match="no homomorphisms"):
                 approx.sample_hom(oracle, inst, tw, 0.05, rng=pyrng("lists", k))
             continue
-        a = _owned_draws(oracle, inst, tw, pyrng("lists", k), 30)
-        assert a == _owned_draws(_FreshRootExact(), inst, tw, pyrng("lists", k), 30), k
+        rngs = [pyrng("lists", k) for _ in range(2)]
+        a = _owned_draws(oracle, inst, tw, rngs[0], 30)
+        assert a == _owned_draws(_FreshRootExact(), inst, tw, rngs[1], 30), k
+        assert rngs[0].getstate() == rngs[1].getstate(), k
         zero_branches += _zero_weights(oracle.draw_tables(inst, tw))
         checked += 1
     assert checked >= 20 and zero_branches > 0

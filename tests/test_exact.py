@@ -415,6 +415,33 @@ def test_comp_listing_enters_only_live_children(monkeypatch):
             assert levels.expanded <= 2 * levels.stored, (m, name, levels.expanded, levels.stored)
 
 
+def test_listing_levels_keep_no_state_short_of_room(monkeypatch):
+    # as in `count`, each vertex left covers at most one more goal vertex:
+    # no state stored before step i may have more goal vertices uncovered
+    # than the n - i vertices still to assign
+    seen = []
+    children = exact._Levels._children
+
+    def record(levels, i, states):
+        seen.append((levels, i, list(states)))
+        return children(levels, i, states)
+
+    monkeypatch.setattr(exact._Levels, "_children", record)
+    for g in (K2, build_path(3)):
+        for mode in ("sur", "comp"):
+            seen.clear()
+            inst = ListedInstance.full(g, g)
+            assert approx.enumerate_T(inst, g, mode), (g.vertices, mode)
+            n = len(g)
+            short = {
+                (i, x)
+                for levels, i, states in seen
+                for x in states
+                if (levels.full_v & ~(x >> levels.cv_at)).bit_count() > n - i
+            }
+            assert seen and not short, (g.vertices, mode, short)
+
+
 def test_enumeration_leaf_steps_match_naive():
     # the last vertex's values complete maps in place: no vertex (one empty
     # map), one vertex, a second-to-last vertex whose every value empties

@@ -25,6 +25,7 @@ from retraction_lab.graphs import (
     neighbor_union,
     neighborhoods,
 )
+from retraction_lab.instances import ListedInstance
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -168,25 +169,32 @@ def test_digraph_equality_hash_repr_and_len():
 
 _UNPICKLE = """
 import pickle, sys
-from retraction_lab.fixedgraphs import build_hk
-g = pickle.loads(sys.stdin.buffer.read())
-fresh = build_hk(1)
-print(g == fresh, hash(g) == hash(fresh), len({g: 1, fresh: 2}))
+from retraction_lab.fixedgraphs import build_hk, build_path
+from retraction_lab.instances import ListedInstance
+h1 = build_hk(1)
+fresh = [h1, ListedInstance.full(build_path(3), h1).pin("c1", "b")]
+for g, f in zip(pickle.loads(sys.stdin.buffer.read()), fresh):
+    print(g == f, hash(g) == hash(f), len({g: 1, f: 2}))
 """
 
 
 def test_pickled_graph_hashes_like_a_fresh_one():
-    g = build_hk(1)
-    hash(g)  # fill the cache before pickling
-    back = pickle.loads(pickle.dumps(g))
-    assert back == g and hash(back) == hash(g) == hash(build_hk(1))
+    h1 = build_hk(1)
+    # a graph and a listed instance, each with its hash cached before pickling
+    values = [h1, ListedInstance.full(build_path(3), h1).pin("c1", "b")]
+    for g in values:
+        hash(g)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g)
+    assert hash(values[0]) == hash(build_hk(1))
+    assert hash(values[1]) == hash(ListedInstance(build_path(3), {"c1": frozenset("b")}, h1.vertices))
     # str hashes are salted per process: a hash that travelled with the
     # pickle would differ from the one the receiving process computes
     env = dict(os.environ, PYTHONHASHSEED="12345")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _UNPICKLE], input=pickle.dumps(g), env=env,
+        [sys.executable, "-c", _UNPICKLE], input=pickle.dumps(values), env=env,
         capture_output=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr.decode()
-    assert done.stdout.decode().split() == ["True", "True", "1"]
+    assert done.stdout.decode().split() == ["True", "True", "1"] * 2

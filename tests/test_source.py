@@ -89,6 +89,37 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, unused
 
 
+def test_a_cached_hash_does_not_travel_in_a_pickle():
+    """str hashes are salted per process, so a class that caches its hash in
+    a `_hash` slot needs a `__getstate__` that sets it to None in the state
+    it returns; else an unpickled copy answers the sender's hash."""
+    found = []
+    for name, tree in _modules().items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            slots = [
+                node.value
+                for node in cls.body
+                if isinstance(node, ast.Assign) and any(_names(t) == ["__slots__"] for t in node.targets)
+            ]
+            if not any(getattr(c, "value", None) == "_hash" for s in slots for c in ast.walk(s)):
+                continue
+            # state["_hash"] = None in the class's own __getstate__
+            drops = any(
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+                and node.value.value is None
+                and any(getattr(getattr(t, "slice", None), "value", None) == "_hash" for t in node.targets)
+                for f in cls.body
+                if isinstance(f, ast.FunctionDef) and f.name == "__getstate__"
+                for node in ast.walk(f)
+            )
+            if not drops:
+                found.append(f"{name}:{cls.lineno} {cls.name}")
+    assert not found, found
+
+
 def test_only_the_checkers_import_reference():
     """`reference` holds the cross-checks the library is tested against: it
     may call the library, but the library must not lean on it.  Only `cli`
