@@ -45,9 +45,10 @@ Uniform draws (`_DrawTables`) keep the plain sweep's levels, count each
 state's completions in one backward pass and walk the steps forward.
 Listing (`_Levels`) keeps the levels of a sweep along the same order, each
 child made and pruned as in `count`'s covering branch, the last level
-checked against the whole goal; one backward pass keeps per (step, state) the children that reach a map
-meeting the goal, and a loop walks them, so a listing enters no dead
-branch and no pattern is too deep for it.  Each mode has this one route;
+checked against the whole goal; one backward pass keeps per (step,
+state) the children that reach a map meeting the goal, and a loop walks
+them, so a listing enters no dead branch and no pattern is too deep for
+it.  Each mode has this one route;
 the second routes through other identities (a product over components,
 inclusion-exclusion for surjective and compaction counts) are
 cross-checks in `reference`.
