@@ -24,8 +24,8 @@ there, and in Omega's search it takes one but covers nothing.
 The sampler pins one multi-valued vertex per step, in the order the
 kernel's sweep fixes them, each value weighted by the count of the instance
 pinned to it (self-reducibility, as in Jerrum, Valiant and Vazirani).  An
-`ExactOracle` reads those counts from its draw tables (`exact._DrawTables`);
-any other oracle is asked once per value, since its answers may vary from
+`ExactOracle` reads those counts from the instance's level store
+(`exact._Levels`, the one store that listings walk too); any other oracle is asked once per value, since its answers may vary from
 call to call.  A `NoisyOracle` answers those calls, and the m calls of a
 powered median, as memoised exact counts (for the sampler, its inner
 `ExactOracle`'s tables) times fresh factors e^u, with the calls, order and
@@ -43,7 +43,7 @@ from ._seeds import pyrng
 from .exact import (
     _check_same_target,
     _draw,
-    _DrawTables,
+    _Levels,
     _search,
     _walk_order,
     _witness_search,
@@ -66,7 +66,7 @@ class ExactOracle:
     """Retraction/list-homomorphism counting backed by the exact counter:
     `count_list_hom` for a ListedInstance, `count_blocked` for a
     BlockedInstance; ignores the precision parameter.  Memoises counts and
-    draw tables (`exact._DrawTables`) keyed by (instance, target), for as
+    level stores (`exact._Levels`) keyed by (instance, target), for as
     long as the oracle lives: both instance types are hashable values, so
     equal instances share one entry, and a ListedInstance computes its hash
     once.  `calls` counts each `count` call, memoised or not, and each table
@@ -90,14 +90,15 @@ class ExactOracle:
             n = self._cache[key] = (count_blocked if blocked else count_list_hom)(inst, target)
         return n
 
-    def draw_tables(self, inst: ListedInstance, target: Graph) -> _DrawTables:
-        """The draw tables of (inst, target), built on first use and kept;
-        raises ValueError if the count is zero."""
+    def draw_tables(self, inst: ListedInstance, target: Graph) -> _Levels:
+        """The level store of (inst, target), whose draw tables a draw
+        builds, made on first use and kept; raises ValueError if the count
+        is zero."""
         key = (inst, target)
         tables = self._tables.get(key)
         if tables is None:
             _check_same_target(inst, target)
-            tables = _DrawTables(_search(inst.pattern, inst.lists, target), inst.pattern.vertices, target.vertices)
+            tables = _Levels(_search(inst.pattern, inst.lists, target), inst.pattern.vertices, target.vertices)
             if not tables.total:
                 raise ValueError(_NO_HOMS)
             self._tables[key] = tables
@@ -275,15 +276,15 @@ def sample_hom(
 
     With an exact oracle the output is exactly uniform.  Every oracle pins
     in the walk order (`exact._walk_order`), with one categorical draw
-    (`_draw`) per multi-valued vertex.  An ExactOracle draws from its
-    tables (`exact._DrawTables`), building one (a unit of its `calls`) per
-    (step, state) pair no earlier draw reached.  A NoisyOracle is asked for
-    the instance once and each (multi-valued vertex, value) once, answered
-    from its inner ExactOracle's tables.  Any other oracle is asked the
-    same calls, since its answers may vary from call to call; its fully
-    pinned candidate is checked and resampled on failure, as is a walk that
-    reaches a vertex whose values all weigh 0 (ValueError after
-    MAX_RESAMPLES attempts).
+    (`_draw`) per multi-valued vertex.  An ExactOracle draws from the
+    instance's level store (`exact._Levels`), building one table (a unit of
+    its `calls`) per (step, state) pair no earlier draw reached.  A
+    NoisyOracle is asked for the instance once and each (multi-valued
+    vertex, value) once, answered from its inner ExactOracle's tables.  Any
+    other oracle is asked the same calls, since its answers may vary from
+    call to call; its fully pinned candidate is checked and resampled on
+    failure, as is a walk that reaches a vertex whose values all weigh 0
+    (ValueError after MAX_RESAMPLES attempts).
     """
     if rng is not None and seed is not None:
         raise ValueError("give sample_hom a seed or an rng, not both")

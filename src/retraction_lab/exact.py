@@ -23,8 +23,8 @@ distinct residual states, not the count.  A state is
     clear (Lamport's multiple-byte test).  Each child costs a few big-int
     operations over n (k + 1) bits.  The step that assigns a vertex spreads
     its unassigned neighbors into bit 0 of their fields once, for all its
-    children, so a count spreads each pattern edge once (`_steps`; the
-    covering branch of `count` at its own steps);
+    children, so a count spreads each pattern edge once (`_steps`, and
+    `_cover_steps` with a coverage goal);
   - sur: that int with the target vertices already covered in the k bits
     above the fields;
   - comp: also the covered target edges, in the bits above those, and an
@@ -41,17 +41,17 @@ distinct residual states, not the count.  A state is
   so the coverage bits pass through it unchanged, and every state is one
   int.  The step that assigns the last vertex builds no level: per state it
   counts the children that complete the goal.
-Uniform draws (`_DrawTables`) keep the plain sweep's levels, count each
-state's completions in one backward pass and walk the steps forward.
-Listing (`_Levels`) keeps the levels of a sweep along the same order, each
-child made and pruned as in `count`'s covering branch, the last level
-checked against the whole goal; one backward pass keeps per (step,
-state) the children that reach a map meeting the goal, and a loop walks
-them, so a listing enters no dead branch and no pattern is too deep for
-it.  Each mode has this one route;
-the second routes through other identities (a product over components,
-inclusion-exclusion for surjective and compaction counts) are
-cross-checks in `reference`.
+Listing and uniform draws read one level store (`_Levels`): a sweep that
+keeps its levels, along the walk order with no coverage goal and along the
+same order with one, each state's children made by one child rule (pruned
+as in `count`'s covering branch) and computed once, the last level checked
+against the whole goal.  One backward pass gives each state its number of
+completions and keeps the children that complete.  A listing walks them in
+a loop, so it enters no dead branch and no pattern is too deep for it; a
+draw walks the steps forward over the prefix sums of those numbers.  Each
+mode has this one route; the second routes through other identities (a
+product over components, inclusion-exclusion for surjective and compaction
+counts) are cross-checks in `reference`.
 """
 from __future__ import annotations
 
@@ -105,7 +105,7 @@ class _Search:
     also has no unassigned neighbor), so the int alone fixes the residual
     subproblem, and merges the partial maps that reach equal ints; it
     counts the last vertex's children without building a level.
-    `assignments` walks the live children of the levels `_Levels` keeps.
+    `assignments` walks the level store (`_Levels`), which draws read too.
     Both read the coverage goal that `cover` sets, once, on an undirected
     kernel.
 
@@ -132,8 +132,8 @@ class _Search:
         # the packed layout: field v, w = k + 1 bits, holds pattern vertex
         # v's domain; off_out[t] (off_in[t]) is the values not in t's out-
         # (in-) neighborhood.  The step that assigns a vertex spreads its
-        # unassigned neighbors into bit 0 of their fields (`_steps`, the
-        # covering branch of `count`, `_Levels`).
+        # unassigned neighbors into bit 0 of their fields (`_steps`, and
+        # `_cover_steps` with a coverage goal).
         k = len(tout)
         self.w, self.vmask = w, vmask = k + 1, (1 << k) - 1
         self.off_out = [vmask & ~a for a in tout]
@@ -205,7 +205,7 @@ class _Search:
         if 0 in self.domains and self.outside != "blank":
             return 0
         n, k, w, vmask = len(self.domains), self.w - 1, self.w, self.vmask
-        digraph, adj, cw = self.digraph, self.adj, self.weights
+        digraph, cw = self.digraph, self.weights
         off_out, off_in = self.off_out, self.off_in
         # state -> number of partial maps
         states: dict = {self.packed: 1}
@@ -242,8 +242,8 @@ class _Search:
                 states = nxt
             return sum(states.values())
         full_v, full_e, ebit, blank = self.full_v, self.full_e, self.ebit, self.outside == "blank"
-        order = self._order()
-        if not order:
+        steps = self._cover_steps()
+        if not steps:
             # the one empty map covers an empty goal only
             return int(not full_v)
         # a cap no assignment can reach stays out of the search and its keys
@@ -264,36 +264,13 @@ class _Search:
         if full_e:
             ebit = ebit + [[0] * k]
             erow = [[e << ce_at for e in row] for row in ebit]
-        rest = (1 << n) - 1
-        for v in order[:-1]:
-            rest ^= 1 << v
+        for i, (v, clear, nb_low, t_low, back, keep) in enumerate(steps[:-1]):
             sv = v * w
-            clear = ~(vmask << sv)
-            # bit 0 of the fields of v's unassigned neighbors; with
-            # outside="blank" no borrow test, since a neighbor whose domain
-            # empties can still take no value
-            nb_low = _spread(adj[v] & rest, w)
-            t_low = 0 if blank else nb_low
             t_high = t_low << k
             nxt: dict = {}
             # each vertex still to assign covers at most one more target
             # vertex, and at most cap - used of them may
-            room = rest.bit_count()
-            # with edges: the fields of v's assigned neighbors, which hold
-            # their values; v keeps its value if it has an unassigned
-            # neighbor, and a neighbor whose last one v is has its field
-            # cleared
-            back, keep = [], 0
-            if full_e:
-                keep = adj[v] & rest
-                m = adj[v] & ~rest
-                while m:
-                    b = m & -m
-                    m ^= b
-                    u = b.bit_length() - 1
-                    back.append(u * w)
-                    if not adj[u] & rest:
-                        clear &= ~(vmask << u * w)
+            room = n - 1 - i
             for x, c in states.items():
                 todo = full_v & ~(x >> cv_at)
                 left = todo.bit_count()
@@ -338,13 +315,8 @@ class _Search:
                 return 0
             states = nxt
         # the last vertex: all its neighbors are assigned and keep their values
-        v = order[-1]
+        v, _, _, _, back, _ = steps[-1]
         sv = v * w
-        back, m = [], adj[v] if full_e else 0
-        while m:
-            b = m & -m
-            m ^= b
-            back.append((b.bit_length() - 1) * w)
         total = 0
         for x, c in states.items():
             todo = full_v & ~(x >> cv_at)
@@ -371,6 +343,38 @@ class _Search:
                     if not missing & ~e:
                         total += c
         return total
+
+    def _cover_steps(self) -> list[tuple]:
+        """The covering sweep's steps, one per vertex v of `_order`: (v,
+        clear, nb_low, t_low, back, keep).  nb_low is bit 0 of the fields of
+        v's unassigned neighbors, t_low those the borrow test reads: none
+        with outside="blank", since a neighbor whose domain empties can
+        still take no value.  With edges to cover, back holds the field
+        offsets of v's assigned neighbors, which hold their values; keep is
+        nonzero if v keeps its value, having an unassigned neighbor; and
+        clear clears v's field and those of the neighbors whose last
+        unassigned neighbor v is.  Without, back is empty, keep 0 and clear
+        clears v's field alone."""
+        w, vmask, adj, blank = self.w, self.vmask, self.adj, self.outside == "blank"
+        rest = (1 << len(adj)) - 1
+        steps = []
+        for v in self._order():
+            rest ^= 1 << v
+            clear = ~(vmask << v * w)
+            nb_low = _spread(adj[v] & rest, w)
+            back, keep = [], 0
+            if self.full_e:
+                keep = adj[v] & rest
+                m = adj[v] & ~rest
+                while m:
+                    b = m & -m
+                    m ^= b
+                    u = b.bit_length() - 1
+                    back.append(u * w)
+                    if not adj[u] & rest:
+                        clear &= ~(vmask << u * w)
+            steps.append((v, clear, nb_low, 0 if blank else nb_low, back, keep))
+        return steps
 
     def _steps(self) -> list[tuple]:
         """The plain sweep's steps, one per vertex v of `_order` not peeled
@@ -418,10 +422,10 @@ class _Search:
     def _order(self) -> list[int]:
         """The fixed branching order of `count`: the pattern components one
         after another (components by lowest vertex).  Within a component:
-        the single-value vertices first, then
-        greedily the vertex, next to the assigned ones if any is, that
-        leaves the fewest unassigned vertices next to assigned ones (ties:
-        the lowest index), then the vertices of weight > 1.  In a fixed order every branch reaches the
+        the single-value vertices first, then greedily the vertex, next to
+        the assigned ones if any is, that leaves the fewest unassigned
+        vertices next to assigned ones (ties: the lowest index), then the
+        vertices of weight > 1.  In a fixed order every branch reaches the
         same active set after the same number of steps, so `count`'s states
         differ only in the domains on that frontier: paths, cycles and
         2 x k grids keep a bounded number of states per step."""
@@ -485,25 +489,29 @@ class _Search:
         """The homomorphisms that meet the coverage goal, each as the tuple
         of its images' target indices in pattern vertex order (a vertex
         outside the goal's U listed as `cover` says); deterministic order.
-        A depth-first walk of the levels `_Levels` keeps, entering only live
-        children, so every branch ends in a map; a loop, not a recursion, so
-        no pattern is too deep to list."""
+        A depth-first walk of the levels `_Levels` keeps, entering only
+        children of positive count, so every branch ends in a map; a loop,
+        not a recursion, so no pattern is too deep to list."""
         levels = _Levels(self)
-        if levels.first == ():
+        if not levels.total:
+            return
+        order, kids = levels.order, levels.kids
+        if not order:
             yield ()  # no vertex: the one empty map
-        # per step entered, an iterator over its state's live children
-        # (value, the next state's live children, () past the last step)
-        order, image = levels.order, [0] * len(self.domains)
-        stack = [iter(levels.first or ())]
+            return
+        n, image = len(order), [0] * len(order)
+        # per step entered, an iterator over its state's children
+        stack = [iter(kids[0][0])]
         while stack:
-            for t, kids in stack[-1]:
+            for t, j in stack[-1]:
                 break
             else:
                 stack.pop()
                 continue
-            image[order[len(stack) - 1]] = t
-            if kids:
-                stack.append(iter(kids))
+            i = len(stack)
+            image[order[i - 1]] = t
+            if i < n:
+                stack.append(iter(kids[i][j]))
             else:
                 yield tuple(image)
 
@@ -630,7 +638,7 @@ def count(inst: ListedInstance, target: Graph, mode: str) -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-# -- uniform draws ---------------------------------------------------------
+# -- the level store: listing and uniform draws ----------------------------
 
 
 def _draw(rng, acc: list[int]) -> int:
@@ -649,110 +657,6 @@ def _draw(rng, acc: list[int]) -> int:
     return bisect_right(acc, r)
 
 
-class _DrawTables:
-    """Uniform draws of the homomorphisms of a kernel with no weights and
-    no coverage goal, by forward filtering and backward sampling, as Dechter
-    (AIJ 1999) samples from bucket elimination.  The plain sweep runs
-    once along `count`'s steps, each peeled vertex fixed at a step of its
-    own right after its parent's (the walk order, `_walk_order`), and keeps
-    its levels' states; one backward pass gives each state its number of
-    completions, so `total` is the count.  A draw walks the steps, drawing
-    each vertex of more than one value over the exact counts with it pinned
-    to each value of its list: the self-reducible walk of Jerrum, Valiant
-    and Vazirani (TCS 1986), random number for random number.  `built`
-    counts the tables, one per (step, state) pair a draw reached.  `names`
-    and `labels` name the pattern and target vertices."""
-
-    def __init__(self, search: _Search, names, labels):
-        if search.weights is not None or search.full_v is not None:
-            raise ValueError("draw tables take no weights and no coverage goal")
-        w, vmask = search.w, search.vmask
-        self.steps = steps = []
-        for v, lone, s_low, p_low, nb_low, nb_high, _ in search._steps():
-            steps.append((v, (), s_low, p_low, nb_low, nb_high, ~(vmask << v * w)))
-            steps += [(u, (), 0, 0, 0, 0, ~(vmask << u * w)) for u in lone]
-        self.search, self.names = search, names
-        # per vertex, the values of its list in index order, and their labels
-        self.lists = [[t for t in range(w - 1) if d >> t & 1] for d in search.domains]
-        self.values = [[labels[t] for t in ts] for ts in self.lists]
-        self.image = {v: vals[0] if len(vals) == 1 else None for v, vals in zip(names, self.values)}
-        self.tables: list[dict] = [{} for _ in steps]
-        self.built, self.total, self.first = 0, 0, ()
-        self.levels = levels = [{search.packed: 1} if all(search.domains) else {}]
-        for i in range(len(steps)):
-            levels.append(dict.fromkeys(y for x in levels[i] for y in self._children(i, x) if y is not None))
-        if not levels[-1]:
-            return
-        # a state of the last level completes once
-        levels[-1] = dict.fromkeys(levels[-1], 1)
-        for i in range(len(steps) - 1, -1, -1):
-            after = levels[i + 1]
-            for x in levels[i]:
-                levels[i][x] = sum(after[y] for y in self._children(i, x) if y is not None)
-        self.total = levels[0][search.packed]
-        self.first = self._table(0, search.packed)
-
-    def _children(self, i: int, x: int) -> list[tuple]:
-        """Per value of the list of step i's vertex, the state after the step
-        from state x, or None for a value outside the vertex's domain or
-        that empties a neighbor's."""
-        search = self.search
-        v, _, s_low, p_low, nb_low, nb_high, clear = self.steps[i]
-        off_out, off_in, d = search.off_out, search.off_in, x >> v * search.w & search.vmask
-        out = []
-        for t in self.lists[v]:
-            y = x & ~(s_low * off_out[t]) & ~(p_low * off_in[t]) & clear
-            out.append(y if d >> t & 1 and (y | nb_high) - nb_low & nb_high == nb_high else None)
-        return out
-
-    def _table(self, i: int, x: int) -> tuple:
-        """The table of state x before step i, built once (() past the last
-        step): (acc, total, bits, kids, i, the name of the step's vertex v).
-        acc: the prefix sums of the counts with v pinned to each value of
-        its list (None for one value), total its last entry (the count of
-        state x) and bits total's bit length, the draw's `getrandbits`
-        width; kids[j]: None for a count of 0, else [the next table once a
-        draw reaches it, the next state, the value's label]."""
-        if i == len(self.steps):
-            return ()
-        table = self.tables[i].get(x)
-        if table is None:
-            v, after = self.steps[i][0], self.levels[i + 1]
-            children = self._children(i, x)
-            counts = [0 if y is None else after[y] for y in children]
-            kids = [[None, y, label] if c else None for label, y, c in zip(self.values[v], children, counts)]
-            acc = list(accumulate(counts)) if len(kids) > 1 else None
-            total = sum(counts)
-            table = self.tables[i][x] = (acc, total, total.bit_length(), kids, i, self.names[v])
-            self.built += 1
-        return table
-
-    def draw(self, rng, weigh=None) -> dict:
-        """One homomorphism as a new dict, drawn over each table's prefix
-        sums or weigh(prefix sums); needs total > 0.  Over the exact sums the
-        categorical draw is `_draw`'s, inlined: the same rejection rule, so
-        the same random numbers."""
-        getrandbits = rng.getrandbits
-        image = self.image.copy()
-        table = self.first
-        while table:
-            acc, total, bits, kids, i, v = table
-            if acc is None:
-                kid = kids[0]
-            elif weigh is None:
-                r = getrandbits(bits)
-                while r >= total:
-                    r = getrandbits(bits)
-                kid = kids[bisect_right(acc, r)]
-            else:
-                kid = kids[_draw(rng, weigh(acc))]
-            image[v] = kid[2]
-            table = kid[0]
-            if table is None:
-                table = kid[0] = self._table(i + 1, kid[1])
-        return image
-
-
 def _walk_order(inst: ListedInstance, target: Graph) -> list[str]:
     """The pattern vertices in the order the plain sweep fixes them."""
     _check_same_target(inst, target)
@@ -760,26 +664,36 @@ def _walk_order(inst: ListedInstance, target: Graph) -> list[str]:
     return [inst.pattern.vertices[u] for v, lone, *_ in steps for u in (v, *lone)]
 
 
-# -- listing ---------------------------------------------------------------
-
-
 class _Levels:
-    """The levels of a kernel's sweep along `_order`, kept for listing
-    (`assignments`).  A child extends a state as `count`'s covering branch
-    does, with the same key (with no goal, the fields alone) and the same
-    limits on the vertices left to cover and the covers the cap leaves, and
-    a state of the last level completes exactly when its covered vertices
-    and edges are the goal's.  The forward pass keeps each
-    level's states; one backward pass computes their children again and
-    keeps, per (step, state) that completes, its live children as
-    [(listed value, the next state's live children)], () past the last
-    step.  `first` is the start state's, None if no map meets the goal.
-    `expanded` counts the states whose children were computed, twice each
-    state before the last level, and `stored` the states kept."""
+    """The one level store: a kernel's sweep with its levels kept, for
+    listing (`assignments`) and uniform draws (`draw`).  With no coverage
+    goal it sweeps `_steps` in the walk order (`_walk_order`): each peeled
+    vertex is a step of its own right after its parent's, with no neighbor
+    to narrow.  With a goal it sweeps `_order`.  One child rule,
+    `_children`, extends a state as `count`'s covering branch does, with
+    the same key (with no goal, the fields alone) and the same limits on
+    the vertices left to cover and the covers the cap leaves; a state of
+    the last level completes exactly when its covered vertices and edges
+    are the goal's.
 
-    def __init__(self, search: _Search):
+    The forward pass computes each state's children once and keeps them as
+    `kids[i][s]`: [(listed value, index of the child in level i + 1)]; a
+    level's states are dropped once the next level is made.  One backward
+    pass over the kept children gives each state its number of completions,
+    `counts[i][s]`, so `total` is the kernel's count, and keeps only the
+    children that complete, which a listing walks.  A draw samples forward
+    over the same counts, as Dechter (AIJ 1999) samples from bucket
+    elimination: each vertex's value over the exact counts with it pinned
+    to each value of its list, the self-reducible walk of Jerrum, Valiant
+    and Vazirani (TCS 1986), random number for random number.  `names` and
+    `labels` name the pattern and target vertices in a draw, and `built`
+    counts the draw tables, one per (step, state) pair a draw reached."""
+
+    def __init__(self, search: _Search, names=(), labels=()):
+        if search.weights is not None:
+            raise ValueError("the level store takes no weights")
         n, k, w, vmask = len(search.domains), search.w - 1, search.w, search.vmask
-        self.search, self.full_v, full_e, adj = search, search.full_v or 0, search.full_e, search.adj
+        self.search, self.full_v, full_e = search, search.full_v or 0, search.full_e
         self.cap = search.top if search.top is not None and search.top < n else None
         self.cv_at = cv_at = n * w
         self.used_at = used_at = cv_at + k + full_e.bit_length()
@@ -789,50 +703,48 @@ class _Levels:
         # and in-neighbors' fields, those the borrow test reads (none with
         # outside="blank") and their spare bits, its assigned neighbors'
         # field offsets, whether it keeps its value)
-        self.order, self.steps, rest = search._order(), [], (1 << n) - 1
-        for v in self.order:
-            rest ^= 1 << v
-            clear = ~(vmask << v * w)
-            s_low = _spread(search.out[v] & rest, w)
-            p_low = _spread(search.inn[v] & rest, w) if search.digraph else 0
-            t_low = 0 if search.outside == "blank" else s_low | p_low
-            back, keep = [], 0
-            if full_e:
-                keep = adj[v] & rest
-                m = adj[v] & ~rest
-                while m:
-                    b = m & -m
-                    m ^= b
-                    u = b.bit_length() - 1
-                    back.append(u * w)
-                    if not adj[u] & rest:
-                        clear &= ~(vmask << u * w)
-            self.steps.append((v, clear, s_low, p_low, t_low, t_low << k, back, keep))
-        self.expanded = 0
-        levels = [[search.packed]]
+        self.steps = steps = []
+        if search.full_v is None:
+            for v, lone, s_low, p_low, nb_low, nb_high, _ in search._steps():
+                steps.append((v, ~(vmask << v * w), s_low, p_low, nb_low, nb_high, (), 0))
+                steps += [(u, ~(vmask << u * w), 0, 0, 0, 0, (), 0) for u in lone]
+        else:
+            for v, clear, nb_low, t_low, back, keep in search._cover_steps():
+                steps.append((v, clear, nb_low, 0, t_low, t_low << k, back, keep))
+        self.order = [step[0] for step in steps]
+        states = [] if 0 in search.domains and search.outside != "blank" else [search.packed]
+        self.kids = []
         for i in range(n):
-            levels.append(list(dict.fromkeys(y for kids in self._children(i, levels[i]) for _, y in kids)))
-        self.stored = sum(map(len, levels))
+            kids, states = self._children(i, states)
+            self.kids.append(kids)
         goal, cmask = self.full_v | full_e << k, (1 << used_at - cv_at) - 1
-        live = {x: () for x in levels[-1] if x >> cv_at & cmask == goal}
+        counts = [int(x >> cv_at & cmask == goal) for x in states]
+        self.counts = [counts]
         for i in range(n - 1, -1, -1):
-            after, live = live, {}
-            for x, kids in zip(levels[i], self._children(i, levels[i])):
-                kids = [(t, after[y]) for t, y in kids if y in after]
-                if kids:
-                    live[x] = kids
-        self.first = live.get(search.packed)
+            after, kids = counts, self.kids[i]
+            if 0 in after:  # keep only the children that complete
+                kids = self.kids[i] = [[(t, j) for t, j in ks if after[j]] for ks in kids]
+            counts = [sum([after[j] for _, j in ks]) for ks in kids]
+            self.counts.append(counts)
+        self.counts.reverse()
+        self.total = sum(self.counts[0])
+        self.names, self.labels = names, labels
+        self.image = dict.fromkeys(names)
+        self.tables: list[dict] = [{} for _ in steps]
+        self.built, self.first = 0, None
 
-    def _children(self, i: int, states: list[int]) -> list[list[tuple[int, int]]]:
-        """Per state, its children at step i as (listed value, next state):
-        with outside="blank" the child of no value (listed k), then per value
-        of the vertex's domain, ascending, the child that covers nothing and
-        the covering one, each where allowed.  As in `count`, each vertex
-        left covers at most one more goal vertex and at most cap - used of
-        them may cover: a state that cannot meet the goal has no children,
-        and one that needs every vertex left, or every cover the cap leaves,
-        to cover a new goal vertex has only children that do."""
-        self.expanded += len(states)
+    def _children(self, i: int, states: list[int]) -> tuple[list[list[tuple[int, int]]], list[int]]:
+        """The one child rule.  Per state, its children at step i as
+        (listed value, index of the child in the next level), and the next
+        level's states in index order, children that leave the same state
+        merged into one.  With outside="blank" the child of no value (listed
+        k) comes first, then per value of the vertex's domain, ascending, the
+        child that covers nothing and the covering one, each where allowed.
+        As in `count`, each vertex left covers at most one more goal vertex
+        and at most cap - used of them may cover: a state that cannot meet
+        the goal has no children, and one that needs every vertex left, or
+        every cover the cap leaves, to cover a new goal vertex has only
+        children that do."""
         search = self.search
         v, clear, s_low, p_low, t_low, t_high, back, keep = self.steps[i]
         k, vmask, off_out, off_in, full_v = search.w - 1, search.vmask, search.off_out, search.off_in, self.full_v
@@ -841,7 +753,9 @@ class _Levels:
         nonc, shift = (vmask, k) if search.outside == "valued" else (vmask & ~full_v, 0)
         blank, one_used = search.outside == "blank", 0 if cap is None else 1 << used_at
         # the vertices still to assign after this step's
-        room = len(self.order) - i - 1
+        room = len(self.steps) - i - 1
+        # the next level's states -> their indices
+        index: dict = {}
         out = []
         for x in states:
             d = x >> sv & vmask
@@ -862,7 +776,7 @@ class _Levels:
             # reads the last row, of none)
             rows = [self.erow[(x >> su & vmask).bit_length() - 1] for su in back]
             x &= clear
-            kids = [(k, x)] if bare else []
+            kids = [(k, index.setdefault(x, len(index)))] if bare else []
             while d:
                 b = d & -d
                 d ^= b
@@ -871,15 +785,70 @@ class _Levels:
                 if t_low and (y | t_high) - t_low & t_high != t_high:
                     continue  # a neighbor's domain emptied
                 if b & outs:
-                    kids.append((shift + t, y))
+                    kids.append((shift + t, index.setdefault(y, len(index))))
                 if b & ins:
                     for row in rows:
                         y |= row[t]
                     if keep:
                         y |= b << sv
-                    kids.append((t, (y | b << cv_at) + one_used))
+                    kids.append((t, index.setdefault((y | b << cv_at) + one_used, len(index))))
             out.append(kids)
-        return out
+        return out, list(index)
+
+    def _table(self, i: int, s: int) -> tuple:
+        """The draw table of state s before step i, built once (() past the
+        last step): (acc, total, bits, kids, i, the name of the step's vertex
+        v).  acc: the prefix sums of the counts with v pinned to each value
+        of its list (None for one value), total its last entry (the count of
+        state s) and bits total's bit length, the draw's `getrandbits` width;
+        kids[p], for the p-th value of the list: None for a count of 0, else
+        [the next table once a draw reaches it, the next state's index, the
+        value's label]."""
+        if i == len(self.steps):
+            return ()
+        table = self.tables[i].get(s)
+        if table is None:
+            v, after = self.order[i], self.counts[i + 1]
+            d = self.search.domains[v]
+            counts, kids = [0] * d.bit_count(), [None] * d.bit_count()
+            for t, j in self.kids[i][s]:
+                # t's place in the list
+                p = (d & (1 << t) - 1).bit_count()
+                counts[p], kids[p] = after[j], [None, j, self.labels[t]]
+            acc = list(accumulate(counts)) if len(kids) > 1 else None
+            total = sum(counts)
+            table = self.tables[i][s] = (acc, total, total.bit_length(), kids, i, self.names[v])
+            self.built += 1
+        return table
+
+    def draw(self, rng, weigh=None) -> dict:
+        """One homomorphism as a new dict, drawn over each table's prefix
+        sums or weigh(prefix sums); ValueError on a kernel with a coverage
+        goal or no map.  Over the exact sums the categorical draw is `_draw`'s, inlined: the
+        same rejection rule, so the same random numbers."""
+        getrandbits = rng.getrandbits
+        table = self.first
+        if table is None:
+            if self.search.full_v is not None or not self.total:
+                raise ValueError("draws need a kernel with no coverage goal and a map")
+            table = self.first = self._table(0, 0)
+        image = self.image.copy()
+        while table:
+            acc, total, bits, kids, i, v = table
+            if acc is None:
+                kid = kids[0]
+            elif weigh is None:
+                r = getrandbits(bits)
+                while r >= total:
+                    r = getrandbits(bits)
+                kid = kids[bisect_right(acc, r)]
+            else:
+                kid = kids[_draw(rng, weigh(acc))]
+            image[v] = kid[2]
+            table = kid[0]
+            if table is None:
+                table = kid[0] = self._table(i + 1, kid[1])
+        return image
 
 
 # -- blocked evaluation ----------------------------------------------------

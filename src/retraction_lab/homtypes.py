@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .exact import _search, count_list_hom, stirling_surjections
 from .fixedgraphs import build_hk, build_j_blocked
-from .graphs import Graph, _bits, common_neighbors, neighbor_union
+from .graphs import Graph, common_neighbors, neighbor_union
 from .instances import block_vertex_names, expand_blocked
 
 Pair = tuple[str, str]
@@ -181,8 +181,10 @@ def brute_count_by_type(p: int, q: int, tt: int, k: int) -> dict[HomType, int]:
     buckets: dict[HomType, int] = {}
     for key, maps in by_key.items():
         parts: list[set[Pair]] = [set(), set(), set()]
-        for b in _bits(key):
-            m, ij = divmod(b, n * n)
+        while key:
+            low = key & -key
+            key ^= low
+            m, ij = divmod(low.bit_length() - 1, n * n)
             parts[m].add((tv[ij // n], tv[ij % n]))
         buckets[HomType(*map(frozenset, parts))] = maps
     return buckets

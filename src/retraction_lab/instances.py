@@ -19,6 +19,7 @@ exactly B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .graphs import Graph
 
@@ -48,7 +49,9 @@ def check_retraction_blocks(b: "BlockedInstance") -> None:
 
 class ListedInstance:
     """Irreflexive pattern + per-vertex lists over a fixed target vertex set.
-    A value type: equal instances hash equal, and the hash is computed once."""
+    A value type: equal instances hash equal, the hash is computed once, and
+    `lists` is a read-only mapping, so an instance cannot change under a
+    cache that keys on it."""
 
     __slots__ = ("pattern", "lists", "target_vertices", "_hash")
 
@@ -74,7 +77,7 @@ class ListedInstance:
             raise ValueError(f"lists given for unknown pattern vertices {sorted(extra)}")
         self.pattern = pattern
         # in pattern-vertex order, whatever the order of `lists`
-        self.lists: dict[str, frozenset[str]] = norm
+        self.lists = MappingProxyType(norm)
         self.target_vertices = tuple(sorted(target_vertices))
         self._hash: int | None = None
 
@@ -92,11 +95,11 @@ class ListedInstance:
         `__init__`, and its lists keep pattern-vertex order."""
         if t not in self.lists[v]:
             raise ValueError(f"{t!r} is not in the list of {v!r}")
-        lists = dict(self.lists)
+        lists = self.lists.copy()
         lists[v] = frozenset((t,))
         out = object.__new__(ListedInstance)
         out.pattern = self.pattern
-        out.lists = lists
+        out.lists = MappingProxyType(lists)
         out.target_vertices = self.target_vertices
         out._hash = None
         return out
@@ -121,10 +124,17 @@ class ListedInstance:
         return self._hash
 
     def __getstate__(self):
-        # str hashes are salted per process, so a cached hash must not travel
+        # str hashes are salted per process, so a cached hash must not
+        # travel; a read-only mapping does not pickle, its dict does
         state = {name: getattr(self, name) for name in self.__slots__}
+        state["lists"] = dict(self.lists)
         state["_hash"] = None
-        return None, state
+        return state
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.lists = MappingProxyType(self.lists)
 
     def __repr__(self) -> str:
         pins = sum(1 for sv in self.lists.values() if len(sv) == 1)

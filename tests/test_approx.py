@@ -1121,7 +1121,7 @@ def _zero_weights(tables) -> int:
 
 def test_exact_sampler_work_does_not_grow_with_draws(monkeypatch):
     work = []
-    for cls, name in ((exact._Search, "_steps"), (exact._Search, "count"), (exact._DrawTables, "_children")):
+    for cls, name in ((exact._Search, "_steps"), (exact._Search, "count"), (exact._Levels, "_children")):
 
         def recorded(self, *args, _f=getattr(cls, name), _name=name):
             work.append(_name)

@@ -363,9 +363,12 @@ def _listings():
 
 
 def test_enumeration_order_is_pinned():
-    # recorded when listing moved onto the sweep's stored levels (the maps
-    # of every listing are those of the backtracking lister before it, as
-    # multisets); seeded estimator runs depend on the order of the witnesses
+    # re-recorded when listings with no coverage goal moved to the walk
+    # order of the one level store (the same 10 993 maps, those listings
+    # sorted-equal and every covering listing in the same order); the maps
+    # of every listing are those of the backtracking lister before the
+    # stored levels, as multisets; seeded estimator runs depend on the
+    # order of the witnesses
     h = hashlib.sha256()
     maps = 0
     for listing in _listings():
@@ -373,7 +376,7 @@ def test_enumeration_order_is_pinned():
             h.update(repr(image).encode())
             maps += 1
         h.update(b"\0")
-    assert (maps, h.hexdigest()[:16]) == (10993, "5feefbdb88a740be")
+    assert (maps, h.hexdigest()[:16]) == (10993, "5a1b17c35c92f0d0")
 
 
 def _naive_images(pattern, lists, target, mode="lhom"):
@@ -390,29 +393,31 @@ def _naive_images(pattern, lists, target, mode="lhom"):
 def test_comp_listing_enters_only_live_children(monkeypatch):
     # comp witnesses on K2 of one edge plus m isolated vertices, named to
     # sort after the edge's ends (z..) or before them (i..): only the edge
-    # can realize K2's edge.  The covering levels compute each stored
-    # state's children once forward and once backward, and the walk reads
-    # the live ones from that memo, whatever the names
-    made = []
-    init = exact._Levels.__init__
+    # can realize K2's edge.  The level store computes each state's
+    # children once, in one call of its child rule per step before the
+    # last level, and the walk enters only children that complete,
+    # whatever the names
+    calls = []
+    children = exact._Levels._children
 
-    def keep(levels, search):
-        init(levels, search)
-        made.append(levels)
+    def record(levels, i, states):
+        calls.append((levels, i, len(states)))
+        return children(levels, i, states)
 
-    monkeypatch.setattr(exact._Levels, "__init__", keep)
+    monkeypatch.setattr(exact._Levels, "_children", record)
     k2 = Graph("ab", [("a", "b")])
     for m in (24, 70):
         for name in ("z", "i"):
-            made.clear()
+            calls.clear()
             g = Graph(["x", "y"] + [f"{name}{i:02d}" for i in range(m)], [("x", "y")])
             inst = ListedInstance.full(g, k2)
             ts = approx.enumerate_T(inst, k2, "comp")
             # U holds x and y, mapped to a and b either way, and up to two others
             t = 2 * (1 + 2 * m + 4 * math.comb(m, 2))
             assert len(ts) == t == approx.count_witnesses(inst, k2, "comp"), (m, name)
-            [levels] = made
-            assert levels.expanded <= 2 * levels.stored, (m, name, levels.expanded, levels.stored)
+            [levels] = {levels for levels, _, _ in calls}
+            assert [i for _, i, _ in calls] == list(range(m + 2)), (m, name)
+            assert [size for _, _, size in calls] == list(map(len, levels.kids)), (m, name)
 
 
 def test_listing_levels_keep_no_state_short_of_room(monkeypatch):
@@ -747,7 +752,7 @@ def _check_tables(inst, target, rng, draws=3):
     pinned to each of its values; returns how many zero counts the lists
     held and the largest count."""
     search = exact._search(inst.pattern, inst.lists, target)
-    tables = exact._DrawTables(search, inst.pattern.vertices, target.vertices)
+    tables = exact._Levels(search, inst.pattern.vertices, target.vertices)
     assert tables.total == exact.count_list_hom(inst, target)
     if math.prod(map(len, inst.lists.values())) <= 10**4:
         assert tables.total == reference.naive_count(inst, target)
@@ -817,7 +822,7 @@ def test_split_counts_above_64_bits():
     inst = ListedInstance.full(build_path(n), h1)
     assert _check_tables(inst, h1, pyrng("tables-wide"), draws=1)[1] > 2**64
     search = exact._search(inst.pattern, inst.lists, h1)
-    tables = exact._DrawTables(search, inst.pattern.vertices, h1.vertices)
+    tables = exact._Levels(search, inst.pattern.vertices, h1.vertices)
     seen = []
     tables.draw(pyrng("tables-wide"), lambda acc: seen.append(acc) or acc)
     first = exact._walk_order(inst, h1)[0]
@@ -826,12 +831,47 @@ def test_split_counts_above_64_bits():
     assert seen[0] == list(accumulate(want)) and max(want) > 2**64
 
 
-def test_split_count_refuses_weights_and_covering():
-    # tables take no weights and no coverage goal
+def test_level_store_total_is_the_count():
+    # the store's backward pass against `count`'s own sweep on random
+    # patterns and lists: plain graph and digraph kernels, covering kernels
+    # with and without edges on random goals, and witness goals whose
+    # vertices outside U stay blank or take a value, with no cap, a cap
+    # that cannot bind and one that can
+    zero = positive = binding = 0
+    for i in range(150):
+        rng = pyrng("level-store-total", i)
+        tv = [f"h{j}" for j in range(rng.randint(1, 4))]
+        target = Graph(tv, [e for e in combinations_with_replacement(tv, 2) if rng.random() < 0.5])
+        pv = [f"g{j}" for j in range(rng.randint(0, 6))]
+        pattern = Graph(pv, [e for e in combinations(pv, 2) if rng.random() < 0.4])
+        lists = {v: frozenset(rng.sample(tv, rng.randint(1, len(tv)))) for v in pv}
+        dtarget = DiGraph(tv, [e for e in product(tv, repeat=2) if rng.random() < 0.6])
+        dpattern = DiGraph(pv, [e for e in product(pv, repeat=2) if rng.random() < 0.2])
+        kernels = [(exact._search(pattern, lists, target), None), (exact._search(dpattern, lists, dtarget), None)]
+        for edges in (False, True):
+            goal = rng.getrandbits(len(tv))
+            kernels.append((exact._search(pattern, lists, target).cover(goal, edges), None))
+            for outside in ("blank", "valued"):
+                uncapped = exact._search(pattern, lists, target).cover(goal, edges, None, outside)
+                kernels.append((uncapped, None))
+                for top in (len(pv), rng.randint(0, len(pv))):
+                    kernels.append((exact._search(pattern, lists, target).cover(goal, edges, top, outside), uncapped))
+        for search, uncapped in kernels:
+            total = search.count()
+            assert exact._Levels(search).total == total, (i, search.full_v, search.top, search.outside)
+            zero += not total
+            positive += total > 0
+            binding += uncapped is not None and total < uncapped.count()
+    assert zero > 100 and positive > 1000 and binding > 50, (zero, positive, binding)
+    # no weights; draws need a kernel with no coverage goal
     weighted = exact._Search([0, 0], [0, 0], [3, 3], [3, 3], [3, 3], [2, 1])
-    for search in (weighted, exact._covering(ListedInstance.full(build_path(3), TW), TW, need_edges=False)):
-        with pytest.raises(ValueError, match="no weights and no coverage goal"):
-            exact._DrawTables(search, range(3), range(4))
+    with pytest.raises(ValueError, match="no weights"):
+        exact._Levels(weighted)
+    covering = exact._covering(ListedInstance.full(build_path(3), K2), K2, need_edges=False)
+    levels = exact._Levels(covering, build_path(3).vertices, K2.vertices)
+    assert levels.total == covering.count() > 0
+    with pytest.raises(ValueError, match="no coverage goal"):
+        levels.draw(pyrng("covering-draw"))
 
 
 def test_blocked_weighted_peel_on_a_wide_target():

@@ -198,3 +198,44 @@ def test_pickled_graph_hashes_like_a_fresh_one():
     )
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout.decode().split() == ["True", "True", "1"] * 2
+
+
+_UNPICKLE_LISTS = """
+import pickle, sys
+from retraction_lab.fixedgraphs import build_path, build_two_wrench
+from retraction_lab.instances import ListedInstance
+tw = build_two_wrench()
+full = ListedInstance.full(build_path(3), tw)
+for inst, fresh in zip(pickle.loads(sys.stdin.buffer.read()), (full, full.pin("c0", "b"))):
+    try:
+        inst.lists["c0"] = frozenset(("g",))
+    except TypeError:
+        print(inst == fresh, hash(inst) == hash(fresh), len({inst: 1, fresh: 2}))
+"""
+
+
+def test_listed_instance_lists_are_read_only():
+    # an instance keys the oracles' caches by its hash, computed once: an
+    # edit of its lists in place would leave both stale, so it raises, in
+    # an unpickled copy too
+    tw = build_two_wrench()
+    full = ListedInstance.full(build_path(3), tw)
+    values = [full, full.pin("c0", "b")]
+    for inst in values:
+        hash(inst)
+        with pytest.raises(TypeError):
+            inst.lists["c0"] = frozenset(("g",))
+        with pytest.raises(TypeError):
+            del inst.lists["c1"]
+        back = pickle.loads(pickle.dumps(inst))
+        assert back == inst and hash(back) == hash(inst)
+        with pytest.raises(TypeError):
+            back.lists["c0"] = frozenset(("g",))
+    env = dict(os.environ, PYTHONHASHSEED="54321")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _UNPICKLE_LISTS], input=pickle.dumps(values), env=env,
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().split() == ["True", "True", "1"] * 2
