@@ -23,8 +23,9 @@ distinct residual states, not the count.  A state is
     clear (Lamport's multiple-byte test).  Each child costs a few big-int
     operations over n (k + 1) bits.  The step that assigns a vertex spreads
     its unassigned neighbors into bit 0 of their fields once, for all its
-    children, so a count spreads each pattern edge once (`_steps`, and
-    `_cover_steps` with a coverage goal);
+    children, so a count spreads each pattern edge once (`_steps`; with a
+    coverage goal, the covering sweeps of `count` and `_Levels` at their own
+    steps);
   - sur: that int with the target vertices already covered in the k bits
     above the fields;
   - comp: also the covered target edges, in the bits above those, and an
@@ -132,8 +133,8 @@ class _Search:
         # the packed layout: field v, w = k + 1 bits, holds pattern vertex
         # v's domain; off_out[t] (off_in[t]) is the values not in t's out-
         # (in-) neighborhood.  The step that assigns a vertex spreads its
-        # unassigned neighbors into bit 0 of their fields (`_steps`, and
-        # `_cover_steps` with a coverage goal).
+        # unassigned neighbors into bit 0 of their fields (`_steps`; with a
+        # coverage goal, the covering sweeps of `count` and `_Levels`).
         k = len(tout)
         self.w, self.vmask = w, vmask = k + 1, (1 << k) - 1
         self.off_out = [vmask & ~a for a in tout]
@@ -205,7 +206,7 @@ class _Search:
         if 0 in self.domains and self.outside != "blank":
             return 0
         n, k, w, vmask = len(self.domains), self.w - 1, self.w, self.vmask
-        digraph, cw = self.digraph, self.weights
+        digraph, adj, cw = self.digraph, self.adj, self.weights
         off_out, off_in = self.off_out, self.off_in
         # state -> number of partial maps
         states: dict = {self.packed: 1}
@@ -242,8 +243,8 @@ class _Search:
                 states = nxt
             return sum(states.values())
         full_v, full_e, ebit, blank = self.full_v, self.full_e, self.ebit, self.outside == "blank"
-        steps = self._cover_steps()
-        if not steps:
+        order = self._order()
+        if not order:
             # the one empty map covers an empty goal only
             return int(not full_v)
         # a cap no assignment can reach stays out of the search and its keys
@@ -264,13 +265,36 @@ class _Search:
         if full_e:
             ebit = ebit + [[0] * k]
             erow = [[e << ce_at for e in row] for row in ebit]
-        for i, (v, clear, nb_low, t_low, back, keep) in enumerate(steps[:-1]):
+        rest = (1 << n) - 1
+        for v in order[:-1]:
+            rest ^= 1 << v
             sv = v * w
+            clear = ~(vmask << sv)
+            # bit 0 of the fields of v's unassigned neighbors; with
+            # outside="blank" no borrow test, since a neighbor whose domain
+            # empties can still take no value
+            nb_low = _spread(adj[v] & rest, w)
+            t_low = 0 if blank else nb_low
             t_high = t_low << k
             nxt: dict = {}
             # each vertex still to assign covers at most one more target
             # vertex, and at most cap - used of them may
-            room = n - 1 - i
+            room = rest.bit_count()
+            # with edges: the fields of v's assigned neighbors, which hold
+            # their values; v keeps its value if it has an unassigned
+            # neighbor, and a neighbor whose last one v is has its field
+            # cleared
+            back, keep = [], 0
+            if full_e:
+                keep = adj[v] & rest
+                m = adj[v] & ~rest
+                while m:
+                    b = m & -m
+                    m ^= b
+                    u = b.bit_length() - 1
+                    back.append(u * w)
+                    if not adj[u] & rest:
+                        clear &= ~(vmask << u * w)
             for x, c in states.items():
                 todo = full_v & ~(x >> cv_at)
                 left = todo.bit_count()
@@ -315,8 +339,13 @@ class _Search:
                 return 0
             states = nxt
         # the last vertex: all its neighbors are assigned and keep their values
-        v, _, _, _, back, _ = steps[-1]
+        v = order[-1]
         sv = v * w
+        back, m = [], adj[v] if full_e else 0
+        while m:
+            b = m & -m
+            m ^= b
+            back.append((b.bit_length() - 1) * w)
         total = 0
         for x, c in states.items():
             todo = full_v & ~(x >> cv_at)
@@ -343,38 +372,6 @@ class _Search:
                     if not missing & ~e:
                         total += c
         return total
-
-    def _cover_steps(self) -> list[tuple]:
-        """The covering sweep's steps, one per vertex v of `_order`: (v,
-        clear, nb_low, t_low, back, keep).  nb_low is bit 0 of the fields of
-        v's unassigned neighbors, t_low those the borrow test reads: none
-        with outside="blank", since a neighbor whose domain empties can
-        still take no value.  With edges to cover, back holds the field
-        offsets of v's assigned neighbors, which hold their values; keep is
-        nonzero if v keeps its value, having an unassigned neighbor; and
-        clear clears v's field and those of the neighbors whose last
-        unassigned neighbor v is.  Without, back is empty, keep 0 and clear
-        clears v's field alone."""
-        w, vmask, adj, blank = self.w, self.vmask, self.adj, self.outside == "blank"
-        rest = (1 << len(adj)) - 1
-        steps = []
-        for v in self._order():
-            rest ^= 1 << v
-            clear = ~(vmask << v * w)
-            nb_low = _spread(adj[v] & rest, w)
-            back, keep = [], 0
-            if self.full_e:
-                keep = adj[v] & rest
-                m = adj[v] & ~rest
-                while m:
-                    b = m & -m
-                    m ^= b
-                    u = b.bit_length() - 1
-                    back.append(u * w)
-                    if not adj[u] & rest:
-                        clear &= ~(vmask << u * w)
-            steps.append((v, clear, nb_low, 0 if blank else nb_low, back, keep))
-        return steps
 
     def _steps(self) -> list[tuple]:
         """The plain sweep's steps, one per vertex v of `_order` not peeled
@@ -709,8 +706,24 @@ class _Levels:
                 steps.append((v, ~(vmask << v * w), s_low, p_low, nb_low, nb_high, (), 0))
                 steps += [(u, ~(vmask << u * w), 0, 0, 0, 0, (), 0) for u in lone]
         else:
-            for v, clear, nb_low, t_low, back, keep in search._cover_steps():
-                steps.append((v, clear, nb_low, 0, t_low, t_low << k, back, keep))
+            rest, adj = (1 << n) - 1, search.adj
+            for v in search._order():
+                rest ^= 1 << v
+                clear = ~(vmask << v * w)
+                s_low = _spread(adj[v] & rest, w)
+                t_low = 0 if search.outside == "blank" else s_low
+                back, keep = [], 0
+                if full_e:
+                    keep = adj[v] & rest
+                    m = adj[v] & ~rest
+                    while m:
+                        b = m & -m
+                        m ^= b
+                        u = b.bit_length() - 1
+                        back.append(u * w)
+                        if not adj[u] & rest:
+                            clear &= ~(vmask << u * w)
+                steps.append((v, clear, s_low, 0, t_low, t_low << k, back, keep))
         self.order = [step[0] for step in steps]
         states = [] if 0 in search.domains and search.outside != "blank" else [search.packed]
         self.kids = []
