@@ -699,7 +699,9 @@ class _Levels:
         # per step: (v, the fields it clears, bit 0 of its unassigned out-
         # and in-neighbors' fields, those the borrow test reads (none with
         # outside="blank") and their spare bits, its assigned neighbors'
-        # field offsets, whether it keeps its value)
+        # field offsets, whether it keeps its value); with no goal the
+        # plain sweep's steps, a peeled vertex's narrowing nothing, and with
+        # one the steps of `count`'s covering branch
         self.steps = steps = []
         if search.full_v is None:
             for v, lone, s_low, p_low, nb_low, nb_high, _ in search._steps():
