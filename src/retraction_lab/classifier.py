@@ -6,7 +6,8 @@ components get the full trichotomy, irreflexive square-free components get
 the irreflexive classification, and looped components with 3- or 4-cycles
 are UNCLASSIFIED unless one of the girth-independent neighborhood witnesses
 fires (those lemmas need no girth assumption, or only triangle-freeness).
-Girth >= 5 is tested as no triangle and no 4-cycle, loops ignored.  There is
+Girth >= 5 is tested as no triangle and no 4-cycle, loops ignored, both
+found in one pass over each vertex's neighbors (`_short_cycles`).  There is
 one recognizer per shape; each reads the adjacency masks and answers for any
 graph, so none needs the girth or a connectivity check first.
 
@@ -26,7 +27,9 @@ CLASS_BIS = "BIS_EQUIVALENT"
 CLASS_SAT = "SAT_EQUIVALENT"
 CLASS_UNCLASSIFIED = "UNCLASSIFIED"
 
-_RANK = {CLASS_FP: 0, CLASS_BIS: 1, CLASS_SAT: 2}
+# the combined class is the highest-ranked one met: UNCLASSIFIED absorbs
+# FP and BIS, and SAT absorbs everything
+_RANK = {CLASS_FP: 0, CLASS_BIS: 1, CLASS_UNCLASSIFIED: 2, CLASS_SAT: 3}
 
 WITNESS_WR = "WR_q-neighborhood"
 WITNESS_NON_2WRENCH = "non-2-Wrench-neighborhood"
@@ -110,8 +113,12 @@ def _path_order(adj: tuple[int, ...], mask: int) -> list[int] | None:
     """The indices of mask in order along the path it induces (loops
     ignored), from its lower-index end; None if it induces no path."""
     start = None
-    for i in _bits(mask):
-        d = (adj[i] & mask & ~(1 << i)).bit_count()
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        d = (adj[i] & mask & ~low).bit_count()
         if d > 2:
             return None
         if d < 2 and start is None:
@@ -124,11 +131,18 @@ def _path_order(adj: tuple[int, ...], mask: int) -> list[int] | None:
 
 def is_irreflexive_star(h: Graph) -> bool:
     """K_{1,n} for n >= 0 (includes K1 and K2), no loops."""
+    if h._loops:
+        return False
     n = len(h)
+    if n <= 1:
+        return True
+    if h.edge_count() != n - 1:
+        return False
     full = (1 << n) - 1
-    return not h._loops and (
-        n <= 1 or h.edge_count() == n - 1 and any(a | 1 << i == full for i, a in enumerate(h._adj))
-    )
+    for i, a in enumerate(h._adj):
+        if a | 1 << i == full:
+            return True
+    return False
 
 
 def is_single_looped_vertex(h: Graph) -> bool:
@@ -148,12 +162,18 @@ def is_caterpillar(h: Graph) -> bool:
     if h._loops:
         return False
     adj = h._adj
-    spine = sum(1 << i for i, a in enumerate(adj) if a.bit_count() >= 2)
+    spine = 0
+    for i, a in enumerate(adj):
+        if a.bit_count() >= 2:
+            spine |= 1 << i
     if not spine:  # every degree is 0 or 1: connected only as K1 or K2
         return len(h) <= 1 or adj == (2, 1)
-    return _path_order(adj, spine) is not None and all(
-        a & spine for i, a in enumerate(adj) if not spine >> i & 1
-    )
+    if _path_order(adj, spine) is None:
+        return False
+    for i, a in enumerate(adj):
+        if not (a & spine or spine >> i & 1):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -183,11 +203,15 @@ def is_pbrp(h: Graph) -> PbrpShape | None:
     order = _path_order(adj, h._loops)
     if order is None:
         return None
-    path = tuple(vs[i] for i in order)
+    path = tuple([vs[i] for i in order])
     # an unlooped vertex's mask is the one bit of its internal anchor
     position = {1 << i: p for p, i in enumerate(order[1:-1], 1)}
     bristles: dict[int, str] = {}
-    for u in _bits((1 << len(h)) - 1 & ~h._loops):
+    rest = (1 << len(h)) - 1 & ~h._loops
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
         p = position.get(adj[u])
         if p is None or p in bristles:
             return None
@@ -256,7 +280,7 @@ def _two_wrench(adj: tuple[int, ...], loops: int, b: int) -> tuple[int, int, int
     g = (nb & ~loops).bit_length() - 1
     if adj[g] & nb != bb:
         return None
-    r1, r2 = _bits(rs)
+    r1, r2 = (rs & -rs).bit_length() - 1, rs.bit_length() - 1
     if adj[r1] & nb != 1 << r1 | bb or adj[r2] & nb != 1 << r2 | bb:
         return None
     return r1, r2, g
@@ -300,14 +324,35 @@ def distance2_labeling(h: Graph, b: str) -> dict[str, str] | None:
     return {h.vertices[i]: slot for i, slot in slots.items()}
 
 
+def _short_cycles(adj: tuple[int, ...]) -> tuple[bool, bool]:
+    """(has a triangle, has a 4-cycle), loops ignored, in one pass over each
+    vertex's neighbors.  For a vertex i with neighbors N, and S_j the
+    neighbors of a j in N other than i and j: a triangle through i is an S_j
+    meeting N, and a 4-cycle through i is two S_j meeting.  A vertex of
+    degree <= 1 lies on no cycle."""
+    triangle = square = False
+    for i, a in enumerate(adj):
+        bi = 1 << i
+        nb = a & ~bi
+        if not nb & nb - 1:
+            continue
+        met = 0
+        rest = nb
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            s = adj[low.bit_length() - 1] & ~(bi | low)
+            if s & met:
+                square = True
+            if s & nb:
+                triangle = True
+            met |= s
+    return triangle, square
+
+
 def _has_triangle(adj: tuple[int, ...]) -> bool:
-    """True iff two adjacent vertices have a common neighbor besides
-    themselves."""
-    return any(
-        adj[i] & adj[j] & ~(1 << i | 1 << j)
-        for i, a in enumerate(adj)
-        for j in _bits(a >> i + 1 << i + 1)
-    )
+    """True iff some three distinct vertices are pairwise adjacent."""
+    return _short_cycles(adj)[0]
 
 
 def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
@@ -318,7 +363,11 @@ def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
     adj, loops = h._adj, h._loops
     triangle_free = None  # worked out on first need
     out: list[tuple[str, str]] = []
-    for b in _bits(loops):
+    rest = loops
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        b = low.bit_length() - 1
         v = h.vertices[b]
         if _is_wr(adj, loops, b):
             out.append((WITNESS_WR, v))
@@ -371,13 +420,7 @@ def _cycle_witness(h: Graph) -> tuple[str, tuple[str, ...]] | None:
 def is_square_free(h: Graph) -> bool:
     """True iff no 4-cycle exists: no two vertices with two common neighbors
     besides themselves."""
-    adj = h._adj
-    n = len(adj)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (adj[i] & adj[j] & ~(1 << i | 1 << j)).bit_count() >= 2:
-                return False
-    return True
+    return not _short_cycles(h._adj)[1]
 
 
 def reflexive_cycle_core(h: Graph) -> tuple[str, ...] | None:
@@ -427,12 +470,13 @@ def _looped_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def classify_component(c: Graph) -> ComponentVerdict:
-    """The verdict on a connected component c; two mask loops (no 4-cycle, no
-    triangle) choose between the girth >= 5 trichotomy and the others."""
+    """The verdict on a connected component c; one pass over the masks (no
+    triangle, no 4-cycle) chooses between the girth >= 5 trichotomy and the
+    others."""
     verts = c.vertices
-    square_free = is_square_free(c)
+    triangle, square = _short_cycles(c._adj)
     irr = c.is_irreflexive()
-    if square_free and not _has_triangle(c._adj):  # girth >= 5
+    if not (triangle or square):  # girth >= 5
         if irr:
             if is_irreflexive_star(c):
                 return ComponentVerdict(verts, CLASS_FP, "Thm1.i")
@@ -448,7 +492,7 @@ def classify_component(c: Graph) -> ComponentVerdict:
         return ComponentVerdict(
             verts, CLASS_SAT, "Thm1.iii", tuple(_looped_sat_witnesses(c))
         )
-    if irr and square_free:
+    if irr and not square:
         # girth 3 and square-free: never a star or caterpillar
         return ComponentVerdict(
             verts, CLASS_SAT, "Thm5.iii", tuple(_irreflexive_sat_witnesses(c))
@@ -468,13 +512,14 @@ def classify(h: Graph) -> Verdict:
     comps = connected_components(h)
     if not comps:
         return Verdict(CLASS_FP, "Thm1.i", (), ())
-    cvs = tuple(classify_component(c) for c in comps)
-    if any(cv.cls == CLASS_SAT for cv in cvs):
-        overall = CLASS_SAT
-    elif any(cv.cls == CLASS_UNCLASSIFIED for cv in cvs):
-        overall = CLASS_UNCLASSIFIED
-    else:
-        overall = max((cv.cls for cv in cvs), key=_RANK.__getitem__)
-    deciding = next(cv for cv in cvs if cv.cls == overall)
-    witnesses = tuple(w for cv in cvs if cv.cls == overall for w in cv.witnesses)
-    return Verdict(overall, deciding.clause, witnesses, cvs)
+    cvs = []
+    top = -1
+    for c in comps:
+        cv = classify_component(c)
+        cvs.append(cv)
+        rank = _RANK[cv.cls]
+        if rank > top:  # the first component of a higher class decides
+            top, deciding, witnesses = rank, cv, cv.witnesses
+        elif rank == top:
+            witnesses += cv.witnesses
+    return Verdict(deciding.cls, deciding.clause, witnesses, tuple(cvs))

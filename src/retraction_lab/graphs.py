@@ -108,7 +108,13 @@ class Graph:
         return self._adj[self.index(v)].bit_count()
 
     def _vertex_set(self, mask: int) -> frozenset[str]:
-        return frozenset(self.vertices[i] for i in _bits(mask))
+        vs = self.vertices
+        out = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out.append(vs[low.bit_length() - 1])
+        return frozenset(out)
 
     def looped_vertices(self) -> tuple[str, ...]:
         return tuple(self.vertices[i] for i in _bits(self._loops))
@@ -122,11 +128,15 @@ class Graph:
 
     def edges(self) -> list[tuple[str, str]]:
         """All edges, loops included, as sorted pairs (u <= v), sorted."""
+        vs = self.vertices
         out = []
-        for i, v in enumerate(self.vertices):
-            for j in _bits(self._adj[i]):
-                if j >= i:
-                    out.append((v, self.vertices[j]))
+        for i, a in enumerate(self._adj):
+            v = vs[i]
+            a = a >> i << i  # the neighbors j >= i
+            while a:
+                low = a & -a
+                a ^= low
+                out.append((v, vs[low.bit_length() - 1]))
         return out
 
     def non_loop_edges(self) -> list[tuple[str, str]]:
@@ -137,7 +147,7 @@ class Graph:
 
     def edge_count(self) -> int:
         """len(edges()): a non-loop edge is in two masks, a loop in one."""
-        return (sum(a.bit_count() for a in self._adj) + self._loops.bit_count()) // 2
+        return (sum(map(int.bit_count, self._adj)) + self._loops.bit_count()) // 2
 
     # -- derived graphs ---------------------------------------------------
 
@@ -208,10 +218,14 @@ class DiGraph:
         return bool(self._out[self.index(u)] >> self.index(v) & 1)
 
     def arcs(self) -> list[tuple[str, str]]:
+        vs = self.vertices
         out = []
-        for i, v in enumerate(self.vertices):
-            for j in _bits(self._out[i]):
-                out.append((v, self.vertices[j]))
+        for i, a in enumerate(self._out):
+            v = vs[i]
+            while a:
+                low = a & -a
+                a ^= low
+                out.append((v, vs[low.bit_length() - 1]))
         return out
 
 
@@ -281,30 +295,39 @@ def neighbor_union(h: Graph, vs: Iterable[str]) -> frozenset[str]:
 
 def connected_components(h: Graph) -> list[Graph]:
     """Components as graphs, ordered by their smallest vertex id."""
-    n = len(h)
-    seen = 0
+    adj, vs = h._adj, h.vertices
+    full = (1 << len(h)) - 1
+    rest = full
     comps = []
-    for i in range(n):
-        if seen >> i & 1:
-            continue
-        comp = 1 << i
-        frontier = 1 << i
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
             nxt = 0
-            for j in _bits(frontier):
-                nxt |= h._adj[j] & ~comp
-            comp |= nxt
-            frontier = nxt
-        if comp == (1 << n) - 1:
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adj[low.bit_length() - 1]
+            frontier = nxt & ~comp
+            comp |= frontier
+        if comp == full:
             return [h]  # connected; graphs are immutable, so h is its own component
-        seen |= comp
+        rest &= ~comp
         # a component is closed under adjacency: its vertices' edges are all
         # inside it, so there is no need to scan the edges of all of h
-        vs = h.vertices
-        comps.append(Graph(
-            [vs[i] for i in _bits(comp)],
-            [(vs[i], vs[j]) for i in _bits(comp) for j in _bits(h._adj[i]) if j >= i],
-        ))
+        names = []
+        edges = []
+        while comp:
+            low = comp & -comp
+            comp ^= low
+            i = low.bit_length() - 1
+            u = vs[i]
+            names.append(u)
+            a = adj[i] >> i << i  # the neighbors j >= i
+            while a:
+                lo = a & -a
+                a ^= lo
+                edges.append((u, vs[lo.bit_length() - 1]))
+        comps.append(Graph(names, edges))
     return comps
 
 

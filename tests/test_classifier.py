@@ -18,7 +18,7 @@ from retraction_lab.fixedgraphs import (
     build_two_wrench,
     build_wr,
 )
-from retraction_lab.graphs import Graph, connected_components, girth
+from retraction_lab.graphs import Graph, _bits, connected_components, girth
 from retraction_lab.verify import random_graph
 
 
@@ -227,6 +227,128 @@ def test_girth_five_branch_is_two_mask_loops():
     # both outcomes, with and without loops, and every short girth
     assert {(b, irr) for b, irr, _ in seen} == {(b, irr) for b in (False, True) for irr in (False, True)}
     assert {3, 4, 5, 6, math.inf} <= {g for _, _, g in seen}
+
+
+def _old_has_triangle(adj):
+    """The triangle test classify_component ran before the one-pass girth
+    routine."""
+    return any(
+        adj[i] & adj[j] & ~(1 << i | 1 << j)
+        for i, a in enumerate(adj)
+        for j in _bits(a >> i + 1 << i + 1)
+    )
+
+
+def _old_is_square_free(adj):
+    """The pair loop is_square_free ran before the one-pass girth routine."""
+    n = len(adj)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (adj[i] & adj[j] & ~(1 << i | 1 << j)).bit_count() >= 2:
+                return False
+    return True
+
+
+def _split_graph(rng):
+    """0 to 10 vertices dealt into up to three groups, G(n, p) inside each
+    group and none between them, each vertex looped with one probability."""
+    n = rng.randint(0, 10)
+    vs = [f"v{j}" for j in range(n)]
+    groups = rng.randint(1, 3)
+    group = [rng.randrange(groups) for _ in vs]
+    p = rng.choice((0.25, 0.45, 0.7))
+    loop_p = rng.choice((0.0, 0.3, 1.0))
+    edges = [(v, v) for v in vs if rng.random() < loop_p]
+    edges += [
+        (vs[a], vs[b])
+        for a in range(n)
+        for b in range(a + 1, n)
+        if group[a] == group[b] and rng.random() < p
+    ]
+    return Graph(vs, edges)
+
+
+def test_short_cycle_pass_matches_girth_and_the_tests_it_replaced():
+    seen = set()
+    for i in range(3000):
+        h = _split_graph(pyrng("short-cycles", i))
+        adj = h._adj
+        flags = cl._short_cycles(adj)
+        assert flags == (_old_has_triangle(adj), not _old_is_square_free(adj)), h.edges()
+        assert (flags == (False, False)) == (girth(h) >= 5), h.edges()
+        assert cl.is_square_free(h) == _old_is_square_free(adj)
+        assert cl._has_triangle(adj) == flags[0]
+        seen.add((flags, h.is_irreflexive(), len(connected_components(h)) > 1))
+    # every pair of flags, with and without loops, on one and on several
+    # components
+    assert len(seen) == 16, sorted(seen)
+
+
+def _old_combination(h):
+    """classify's combination before the one loop over the component
+    verdicts: `any`, `any`, `max` and `next` passes and a witness generator."""
+    comps = connected_components(h)
+    if not comps:
+        return cl.Verdict(cl.CLASS_FP, "Thm1.i", (), ())
+    cvs = tuple(cl.classify_component(c) for c in comps)
+    if any(cv.cls == cl.CLASS_SAT for cv in cvs):
+        overall = cl.CLASS_SAT
+    elif any(cv.cls == cl.CLASS_UNCLASSIFIED for cv in cvs):
+        overall = cl.CLASS_UNCLASSIFIED
+    else:
+        rank = {cl.CLASS_FP: 0, cl.CLASS_BIS: 1, cl.CLASS_SAT: 2}
+        overall = max((cv.cls for cv in cvs), key=rank.__getitem__)
+    deciding = next(cv for cv in cvs if cv.cls == overall)
+    witnesses = tuple(w for cv in cvs if cv.cls == overall for w in cv.witnesses)
+    return cl.Verdict(overall, deciding.clause, witnesses, cvs)
+
+
+def test_classify_combines_like_the_generator_passes():
+    # components of every class, several with witnesses of their own
+    pieces = [
+        Graph(["a"]),
+        build_star(3),
+        Graph(["a"], [("a", "a")]),
+        build_reflexive_path(2),
+        build_path(5),
+        build_two_wrench(),
+        build_pbrp(2, {1}),
+        build_cycle(5),
+        build_cycle(3),
+        build_jq(3),
+        build_hk(1),
+        build_wr(3),
+        build_cycle(4),
+        Graph("abcde", [(a, b) for a in "ab" for b in "cde"]),
+    ]
+    mixes = set()
+    several_sat = 0
+    for i in range(600):
+        rng = pyrng("combine", i)
+        chosen = [rng.choice(pieces) for _ in range(rng.randint(0, 4))]
+        names = rng.sample("pqrstuvw", len(chosen))
+        h = Graph(
+            [f"{x}.{v}" for x, g in zip(names, chosen) for v in g.vertices],
+            [(f"{x}.{u}", f"{x}.{v}") for x, g in zip(names, chosen) for u, v in g.edges()],
+        )
+        v = cl.classify(h)
+        assert v == _old_combination(h), h.edges()
+        classes = [cv.cls for cv in v.components]
+        mixes.add((tuple(sorted(set(classes))), len(classes) > 1))
+        several_sat += classes.count(cl.CLASS_SAT) > 1
+    for i in range(600):
+        h = _split_graph(pyrng("combine-split", i))
+        assert cl.classify(h) == _old_combination(h), h.edges()
+    # the empty graph, all FP, BIS with FP, SAT with UNCLASSIFIED, every
+    # class at once; and witnesses gathered from several SAT components
+    assert {
+        ((), False),
+        ((cl.CLASS_FP,), True),
+        ((cl.CLASS_BIS, cl.CLASS_FP), True),
+        ((cl.CLASS_SAT, cl.CLASS_UNCLASSIFIED), True),
+        ((cl.CLASS_BIS, cl.CLASS_FP, cl.CLASS_SAT, cl.CLASS_UNCLASSIFIED), True),
+    } <= mixes, sorted(mixes)
+    assert several_sat >= 50
 
 
 def _cls(h):

@@ -72,6 +72,49 @@ def test_no_function_in_exact_calls_itself():
     assert not found, found
 
 
+# what `classify` runs on every girth >= 5 component, by module and
+# qualified name
+_CLASSIFY_PATH = {
+    "classifier.py": {
+        "classify",
+        "classify_component",
+        "_short_cycles",
+        "is_irreflexive_star",
+        "is_caterpillar",
+        "_path_order",
+        "is_pbrp",
+    },
+    "graphs.py": {"connected_components", "Graph.edges", "Graph._vertex_set", "Graph.edge_count"},
+}
+
+
+def test_classify_path_builds_no_generator():
+    """A generator costs a frame per call and a resume per item, the bulk of
+    a classification of a small component: no function that `classify` runs
+    on every girth >= 5 component builds a generator expression or calls
+    `graphs._bits`."""
+    found, named = [], set()
+    for name, funcs in _CLASSIFY_PATH.items():
+        tree = _modules()[name]
+        for top in tree.body:
+            inner = top.body if isinstance(top, ast.ClassDef) else ()
+            for d in (top, *inner):
+                if not isinstance(d, ast.FunctionDef):
+                    continue
+                qual = d.name if d is top else f"{top.name}.{d.name}"
+                if qual not in funcs:
+                    continue
+                named.add((name, qual))
+                found += [
+                    f"{name}:{node.lineno} {qual}"
+                    for node in ast.walk(d)
+                    if isinstance(node, ast.GeneratorExp)
+                    or isinstance(node, ast.Call) and "_bits" in _names(node.func)
+                ]
+    assert named == {(name, f) for name, funcs in _CLASSIFY_PATH.items() for f in funcs}
+    assert not found, found
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
     for name, tree in _modules().items():
