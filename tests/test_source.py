@@ -72,8 +72,9 @@ def test_no_function_in_exact_calls_itself():
     assert not found, found
 
 
-# what `classify` runs on every girth >= 5 component, by module and
-# qualified name
+# what `classify` runs on every girth >= 5 component, and the per-graph
+# accessors `Graph.edges` and `Graph._vertex_set`, by module and qualified
+# name
 _CLASSIFY_PATH = {
     "classifier.py": {
         "classify",
