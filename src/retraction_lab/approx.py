@@ -25,11 +25,12 @@ The sampler pins one multi-valued vertex per step, in the order the
 kernel's sweep fixes them, each value weighted by the count of the instance
 pinned to it (self-reducibility, as in Jerrum, Valiant and Vazirani).  An
 `ExactOracle` reads those counts from the instance's level store
-(`exact._Levels`, the one store that listings walk too); any other oracle is asked once per value, since its answers may vary from
-call to call.  A `NoisyOracle` answers those calls, and the m calls of a
-powered median, as memoised exact counts (for the sampler, its inner
-`ExactOracle`'s tables) times fresh factors e^u, with the calls, order and
-random numbers of asking it one call at a time.
+(`exact._Levels`, the one store that listings walk too); any other oracle
+is asked once per value, since its answers may vary from call to call.  A
+`NoisyOracle` answers those calls, and the m calls of a powered median, as
+memoised exact counts (for the sampler, its inner `ExactOracle`'s tables)
+times fresh factors e^u, with the calls, order and random numbers of asking
+it one call at a time.
 """
 from __future__ import annotations
 
@@ -41,10 +42,9 @@ from fractions import Fraction
 from . import reference
 from ._seeds import pyrng
 from .exact import (
-    _check_same_target,
     _draw,
+    _kernel,
     _Levels,
-    _search,
     _walk_order,
     _witness_search,
     count_blocked,
@@ -53,7 +53,7 @@ from .exact import (
     count_surjective,
 )
 from .graphs import Graph
-from .instances import BlockedInstance, ListedInstance
+from .instances import BlockedInstance, ListedInstance, check_target
 
 POWERING_TRIALS_PER_LOG = 72  # Chernoff: median of 8 ln(1/delta) quarter-fail
 # trials already suffices; 72 is comfortable
@@ -97,8 +97,7 @@ class ExactOracle:
         key = (inst, target)
         tables = self._tables.get(key)
         if tables is None:
-            _check_same_target(inst, target)
-            tables = _Levels(_search(inst.pattern, inst.lists, target), inst.pattern.vertices, target.vertices)
+            tables = _Levels(_kernel(inst, target), inst.pattern.vertices, target.vertices)
             if not tables.total:
                 raise ValueError(_NO_HOMS)
             self._tables[key] = tables
@@ -518,6 +517,7 @@ def lhom_padding(inst: ListedInstance, target: Graph) -> ListedInstance:
     The copy carries the target's non-loop edges only; patterns are
     irreflexive, and pinning makes loop edges redundant for coverage.
     """
+    check_target(inst, target)
     prefix = "H."
     while any(v.startswith(prefix) for v in inst.pattern.vertices):
         prefix = "H" + prefix

@@ -24,8 +24,8 @@ distinct residual states, not the count.  A state is
     operations over n (k + 1) bits.  The step that assigns a vertex spreads
     its unassigned neighbors into bit 0 of their fields once, for all its
     children, so a count spreads each pattern edge once (`_steps`; with a
-    coverage goal, the covering sweeps of `count` and `_Levels` at their own
-    steps);
+    coverage goal, `_cover_step`, whose steps `count` and `_Levels` both
+    sweep);
   - sur: that int with the target vertices already covered in the k bits
     above the fields;
   - comp: also the covered target edges, in the bits above those, and an
@@ -38,21 +38,23 @@ distinct residual states, not the count.  A state is
     target and lists: for Omega it still takes a value and narrows its
     neighbors; for t it takes none, so its field needs no value for it and
     a neighbor whose domain empties can still stay out.
-  A child step narrows and tests only the fields of unassigned neighbors,
-  so the coverage bits pass through it unchanged, and every state is one
-  int.  The step that assigns the last vertex builds no level: per state it
+  `cover` fixes this layout once, for `count` and `_Levels` alike.  A
+  child step narrows and tests only the fields of unassigned neighbors, so
+  the coverage bits pass through it unchanged, and every state is one int.
+  The step that assigns the last vertex builds no level: per state it
   counts the children that complete the goal.
 Listing and uniform draws read one level store (`_Levels`): a sweep that
-keeps its levels, along the walk order with no coverage goal and along the
-same order with one, each state's children made by one child rule (pruned
-as in `count`'s covering branch) and computed once, the last level checked
-against the whole goal.  One backward pass gives each state its number of
-completions and keeps the children that complete.  A listing walks them in
-a loop, so it enters no dead branch and no pattern is too deep for it; a
-draw walks the steps forward over the prefix sums of those numbers.  Each
-mode has this one route; the second routes through other identities (a
-product over components, inclusion-exclusion for surjective and compaction
-counts) are cross-checks in `reference`.
+keeps its levels, along the walk order with no coverage goal and along
+`count`'s covering steps, on the same key, with one, each state's children
+made by one child rule (pruned as in `count`'s covering branch) and
+computed once, the last level checked against the whole goal.  One
+backward pass gives each state its number of completions and keeps the
+children that complete.  A listing walks them in a loop, so it enters no
+dead branch and no pattern is too deep for it; a draw walks the steps
+forward over the prefix sums of those numbers.  Each mode has this one
+route; the second routes through other identities (a product over
+components, inclusion-exclusion for surjective and compaction counts) are
+cross-checks in `reference`.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ from itertools import accumulate
 from typing import Iterator
 
 from .graphs import DiGraph, Graph
-from .instances import BlockedInstance, ListedInstance, check_retraction_lists, expand_blocked
+from .instances import BlockedInstance, ListedInstance, check_retraction_lists, check_target, expand_blocked
 
 COUNT_MODES = ("hom", "lhom", "ret", "sur", "comp")
 
@@ -75,16 +77,6 @@ def stirling_surjections(a: int, b: int) -> int:
 
 
 # -- search kernel ---------------------------------------------------------
-
-
-def _spread(m: int, w: int) -> int:
-    """Bit 0 of field v, of w-bit fields, for each vertex v of mask m."""
-    lo = 0
-    while m:
-        b = m & -m
-        lo |= 1 << (b.bit_length() - 1) * w
-        m ^= b
-    return lo
 
 
 class _Search:
@@ -107,8 +99,8 @@ class _Search:
     subproblem, and merges the partial maps that reach equal ints; it
     counts the last vertex's children without building a level.
     `assignments` walks the level store (`_Levels`), which draws read too.
-    Both read the coverage goal that `cover` sets, once, on an undirected
-    kernel.
+    Both read the coverage goal and key layout that `cover` sets, once, on
+    an undirected kernel, and sweep the covering steps of `_cover_step`.
 
     `weights` (default all 1) makes vertex v stand for weights[v]
     independent copies of itself: once peeled it contributes
@@ -127,16 +119,19 @@ class _Search:
         for v, w in enumerate(weights or ()):
             if w > 1 and domains[v].bit_count() > 1:
                 self.heavy |= 1 << v
-        # no coverage goal until `cover` sets one
-        self.full_v = self.ebit = self.top = self.outside = None
-        self.full_e = 0
         # the packed layout: field v, w = k + 1 bits, holds pattern vertex
         # v's domain; off_out[t] (off_in[t]) is the values not in t's out-
         # (in-) neighborhood.  The step that assigns a vertex spreads its
         # unassigned neighbors into bit 0 of their fields (`_steps`; with a
-        # coverage goal, the covering sweeps of `count` and `_Levels`).
+        # coverage goal, `_cover_step`).
         k = len(tout)
         self.w, self.vmask = w, vmask = k + 1, (1 << k) - 1
+        # no coverage goal until `cover` sets one: the key is the fields
+        # alone and every value covers nothing (see `cover` for the layout)
+        self.goal, self.full_v, self.full_e, self.top, self.outside = False, 0, 0, None, None
+        self.ebit = self.erow = None
+        self.cv_at = self.ce_at = self.used_at = len(domains) * w
+        self.nonc, self.one_used = vmask, 0
         self.off_out = [vmask & ~a for a in tout]
         self.off_in = [vmask & ~a for a in tin] if self.digraph else self.off_out
         x = 0
@@ -158,16 +153,25 @@ class _Search:
         as value k, for a k-vertex target), or "valued", taking any value
         of its list as usual (value h listed as k + h).  The edges are
         numbered in index order into ``ebit[i][j]``, the bit of the edge that
-        values i and j realize (0 if none).  The kernel must be undirected
-        and have no goal yet: a goal is set whole, once."""
+        values i and j realize (0 if none); row k, of no value, is the one a
+        field of 0 reads.  The kernel must be undirected and have no goal
+        yet: a goal is set whole, once.
+
+        It fixes the key `count` and `_Levels` share: after the fields, the
+        covered target vertices from bit `cv_at`, the covered edges from bit
+        `ce_at` (`erow`: ebit's rows moved there) and, under a cap, the
+        number used from bit `used_at`, which a covering child raises by
+        `one_used`.  A `top` no assignment can reach is no cap and stays out
+        of the keys.  `nonc`: the values whose child covers nothing, those
+        outside the goal (with outside="valued", every value)."""
         if self.digraph:
             raise ValueError("a coverage goal needs an undirected kernel")
-        if self.full_v is not None:
+        if self.goal:
             raise ValueError("the kernel already has a coverage goal")
-        self.full_v, self.top, self.outside, self.ebit, self.full_e = full_v, top, outside, None, 0
+        self.goal, self.full_v, self.outside = True, full_v, outside
+        k, e = self.w - 1, 0
         if edges:
-            k, e = self.w - 1, 0
-            self.ebit = ebit = [[0] * k for _ in range(k)]
+            self.ebit = ebit = [[0] * k for _ in range(k + 1)]
             m = full_v
             while m:
                 b = m & -m
@@ -182,6 +186,14 @@ class _Search:
                     ebit[i][j] = ebit[j][i] = 1 << e
                     e += 1
             self.full_e = (1 << e) - 1
+        self.ce_at = self.cv_at + k
+        self.used_at = self.ce_at + e
+        if e:
+            self.erow = [[bit << self.ce_at for bit in row] for row in self.ebit]
+        if top is not None and top < len(self.domains):
+            self.top, self.one_used = top, 1 << self.used_at
+        if outside != "valued":
+            self.nonc &= ~full_v
         return self
 
     def count(self) -> int:
@@ -210,7 +222,7 @@ class _Search:
         off_out, off_in = self.off_out, self.off_in
         # state -> number of partial maps
         states: dict = {self.packed: 1}
-        if self.full_v is None:
+        if not self.goal:
             for v, lone, s_low, p_low, nb_low, nb_high, clear in self._steps():
                 sv = v * w
                 nxt: dict = {}
@@ -242,59 +254,26 @@ class _Search:
                     return 0
                 states = nxt
             return sum(states.values())
-        full_v, full_e, ebit, blank = self.full_v, self.full_e, self.ebit, self.outside == "blank"
+        full_v, full_e, ebit, erow, nonc = self.full_v, self.full_e, self.ebit, self.erow, self.nonc
+        cap, cv_at, ce_at, used_at, one_used = self.top, self.cv_at, self.ce_at, self.used_at, self.one_used
+        blank = self.outside == "blank"
         order = self._order()
         if not order:
             # the one empty map covers an empty goal only
             return int(not full_v)
-        # a cap no assignment can reach stays out of the search and its keys
-        cap = self.top if self.top is not None and self.top < n else None
-        # the values whose child covers nothing: those outside the goal, and
-        # with outside="valued" every value; outside="blank" adds a child
-        # of no value
-        nonc = vmask if self.outside == "valued" else vmask & ~full_v
-        # the covered vertices start at bit cv_at, the covered edges at bit
-        # ce_at, the number used at bit used_at
-        cv_at = n * w
-        ce_at = cv_at + k
-        used_at = ce_at + full_e.bit_length()
-        one_used = 0 if cap is None else 1 << used_at
-        # per value, the edge bits it realizes with each value; the last row,
-        # of none, is the one a field of 0 reads.  erow: moved to their place
-        # in the state
-        if full_e:
-            ebit = ebit + [[0] * k]
-            erow = [[e << ce_at for e in row] for row in ebit]
         rest = (1 << n) - 1
         for v in order[:-1]:
             rest ^= 1 << v
             sv = v * w
-            clear = ~(vmask << sv)
-            # bit 0 of the fields of v's unassigned neighbors; with
-            # outside="blank" no borrow test, since a neighbor whose domain
+            clear, nb_low, back, keep = self._cover_step(v, rest)
+            # with outside="blank" no borrow test: a neighbor whose domain
             # empties can still take no value
-            nb_low = _spread(adj[v] & rest, w)
             t_low = 0 if blank else nb_low
             t_high = t_low << k
             nxt: dict = {}
             # each vertex still to assign covers at most one more target
             # vertex, and at most cap - used of them may
             room = rest.bit_count()
-            # with edges: the fields of v's assigned neighbors, which hold
-            # their values; v keeps its value if it has an unassigned
-            # neighbor, and a neighbor whose last one v is has its field
-            # cleared
-            back, keep = [], 0
-            if full_e:
-                keep = adj[v] & rest
-                m = adj[v] & ~rest
-                while m:
-                    b = m & -m
-                    m ^= b
-                    u = b.bit_length() - 1
-                    back.append(u * w)
-                    if not adj[u] & rest:
-                        clear &= ~(vmask << u * w)
             for x, c in states.items():
                 todo = full_v & ~(x >> cv_at)
                 left = todo.bit_count()
@@ -341,11 +320,7 @@ class _Search:
         # the last vertex: all its neighbors are assigned and keep their values
         v = order[-1]
         sv = v * w
-        back, m = [], adj[v] if full_e else 0
-        while m:
-            b = m & -m
-            m ^= b
-            back.append((b.bit_length() - 1) * w)
+        back = self._cover_step(v, 0)[2] if full_e else ()
         total = 0
         for x, c in states.items():
             todo = full_v & ~(x >> cv_at)
@@ -372,6 +347,32 @@ class _Search:
                     if not missing & ~e:
                         total += c
         return total
+
+    def _cover_step(self, v: int, rest: int) -> tuple:
+        """The covering step that assigns v, with the vertices of `rest`
+        still unassigned, as `count` and `_Levels` sweep it: (clear, nb_low,
+        back, keep).  nb_low: bit 0 of the fields of v's unassigned
+        neighbors.  With edges to cover, back: the field offsets of v's
+        assigned neighbors, whose fields hold their values; keep: nonzero
+        if v has an unassigned neighbor, so keeps its value; and clear
+        clears, besides v's field, those of the neighbors whose last
+        unassigned neighbor v is."""
+        w, vmask, adj, edges = self.w, self.vmask, self.adj, self.full_e
+        clear, nb_low, back = ~(vmask << v * w), 0, []
+        # one pass over v's neighbors: the unassigned ones spread into bit 0
+        # of their fields, with edges the assigned ones into back
+        m = adj[v] if edges else adj[v] & rest
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
+            if b & rest:
+                nb_low |= 1 << u * w
+            else:
+                back.append(u * w)
+                if not adj[u] & rest:
+                    clear &= ~(vmask << u * w)
+        return clear, nb_low, back, edges and adj[v] & rest
 
     def _steps(self) -> list[tuple]:
         """The plain sweep's steps, one per vertex v of `_order` not peeled
@@ -548,9 +549,11 @@ def _search(pattern: Graph | DiGraph, lists: dict[str, frozenset[str]], target: 
     return _Search(out, inn, doms, target._out, target._in)
 
 
-def _check_same_target(inst: ListedInstance, target: Graph) -> None:
-    if inst.target_vertices != target.vertices:
-        raise ValueError("instance lists are over a different target vertex set")
+def _kernel(inst: ListedInstance, target: Graph) -> _Search:
+    """The kernel on an instance and a target; ValueError unless the
+    instance's lists are over the target's vertex set."""
+    check_target(inst, target)
+    return _search(inst.pattern, inst.lists, target)
 
 
 def enumerate_homs(inst: ListedInstance, target: Graph) -> Iterator[dict[str, str]]:
@@ -558,10 +561,8 @@ def enumerate_homs(inst: ListedInstance, target: Graph) -> Iterator[dict[str, st
     public listing API, kept for callers outside the library's own listings
     (`verify`'s bichromatic-forcing and jvv-uniformity checks) and timed as
     a layer by `perfbench`."""
-    _check_same_target(inst, target)
     pv, tv = inst.pattern.vertices, target.vertices
-    search = _search(inst.pattern, inst.lists, target)
-    return ({v: tv[t] for v, t in zip(pv, image)} for image in search.assignments())
+    return ({v: tv[t] for v, t in zip(pv, image)} for image in _kernel(inst, target).assignments())
 
 
 # -- the five counting modes ------------------------------------------------
@@ -569,8 +570,7 @@ def enumerate_homs(inst: ListedInstance, target: Graph) -> Iterator[dict[str, st
 
 def count_list_hom(inst: ListedInstance, target: Graph) -> int:
     """Exact number of list homomorphisms from (G, S) to the target."""
-    _check_same_target(inst, target)
-    return _search(inst.pattern, inst.lists, target).count()
+    return _kernel(inst, target).count()
 
 
 def count_hom(pattern: Graph, target: Graph) -> int:
@@ -587,8 +587,7 @@ def count_retraction(inst: ListedInstance, target: Graph) -> int:
 def _covering(inst: ListedInstance, target: Graph, need_edges: bool) -> _Search:
     """The kernel on (inst, target) with the goal of covering every target
     vertex and, with `need_edges`, every non-loop target edge."""
-    _check_same_target(inst, target)
-    return _search(inst.pattern, inst.lists, target).cover((1 << len(target.vertices)) - 1, need_edges)
+    return _kernel(inst, target).cover((1 << len(target.vertices)) - 1, need_edges)
 
 
 def _witness_search(inst: ListedInstance, target: Graph, mode: str, weighted: bool) -> _Search:
@@ -605,10 +604,9 @@ def _witness_search(inst: ListedInstance, target: Graph, mode: str, weighted: bo
     (and, in comp mode, a target edge, through a pattern edge with both ends
     in U), and at most |V(H)| (sur) or |V(H)| + 2|E(H)| (comp) vertices are
     in U."""
-    _check_same_target(inst, target)
+    search = _kernel(inst, target)
     k = len(target.vertices)
     top = k if mode == "sur" else k + 2 * target.edge_count()
-    search = _search(inst.pattern, inst.lists, target)
     return search.cover((1 << k) - 1, mode == "comp", top, "valued" if weighted else "blank")
 
 
@@ -656,8 +654,7 @@ def _draw(rng, acc: list[int]) -> int:
 
 def _walk_order(inst: ListedInstance, target: Graph) -> list[str]:
     """The pattern vertices in the order the plain sweep fixes them."""
-    _check_same_target(inst, target)
-    steps = _search(inst.pattern, inst.lists, target)._steps()
+    steps = _kernel(inst, target)._steps()
     return [inst.pattern.vertices[u] for v, lone, *_ in steps for u in (v, *lone)]
 
 
@@ -690,41 +687,24 @@ class _Levels:
         if search.weights is not None:
             raise ValueError("the level store takes no weights")
         n, k, w, vmask = len(search.domains), search.w - 1, search.w, search.vmask
-        self.search, self.full_v, full_e = search, search.full_v or 0, search.full_e
-        self.cap = search.top if search.top is not None and search.top < n else None
-        self.cv_at = cv_at = n * w
-        self.used_at = used_at = cv_at + k + full_e.bit_length()
-        if full_e:
-            self.erow = [[e << cv_at + k for e in row] for row in search.ebit + [[0] * k]]
+        self.search = search
         # per step: (v, the fields it clears, bit 0 of its unassigned out-
         # and in-neighbors' fields, those the borrow test reads (none with
         # outside="blank") and their spare bits, its assigned neighbors'
-        # field offsets, whether it keeps its value); with no goal the
-        # plain sweep's steps, a peeled vertex's narrowing nothing, and with
-        # one the steps of `count`'s covering branch
+        # field offsets, whether it keeps its value); with no goal the plain
+        # sweep's steps, a peeled vertex's narrowing nothing, and with one
+        # `_cover_step`'s, the steps `count` sweeps
         self.steps = steps = []
-        if search.full_v is None:
+        if not search.goal:
             for v, lone, s_low, p_low, nb_low, nb_high, _ in search._steps():
                 steps.append((v, ~(vmask << v * w), s_low, p_low, nb_low, nb_high, (), 0))
                 steps += [(u, ~(vmask << u * w), 0, 0, 0, 0, (), 0) for u in lone]
         else:
-            rest, adj = (1 << n) - 1, search.adj
+            rest = (1 << n) - 1
             for v in search._order():
                 rest ^= 1 << v
-                clear = ~(vmask << v * w)
-                s_low = _spread(adj[v] & rest, w)
+                clear, s_low, back, keep = search._cover_step(v, rest)
                 t_low = 0 if search.outside == "blank" else s_low
-                back, keep = [], 0
-                if full_e:
-                    keep = adj[v] & rest
-                    m = adj[v] & ~rest
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        u = b.bit_length() - 1
-                        back.append(u * w)
-                        if not adj[u] & rest:
-                            clear &= ~(vmask << u * w)
                 steps.append((v, clear, s_low, 0, t_low, t_low << k, back, keep))
         self.order = [step[0] for step in steps]
         states = [] if 0 in search.domains and search.outside != "blank" else [search.packed]
@@ -732,8 +712,9 @@ class _Levels:
         for i in range(n):
             kids, states = self._children(i, states)
             self.kids.append(kids)
-        goal, cmask = self.full_v | full_e << k, (1 << used_at - cv_at) - 1
-        counts = [int(x >> cv_at & cmask == goal) for x in states]
+        # a state of the last level completes when it covers the whole goal
+        full_v, full_e, cv_at, ce_at = search.full_v, search.full_e, search.cv_at, search.ce_at
+        counts = [int(not full_v & ~(x >> cv_at) | full_e & ~(x >> ce_at)) for x in states]
         self.counts = [counts]
         for i in range(n - 1, -1, -1):
             after, kids = counts, self.kids[i]
@@ -762,11 +743,11 @@ class _Levels:
         children that do."""
         search = self.search
         v, clear, s_low, p_low, t_low, t_high, back, keep = self.steps[i]
-        k, vmask, off_out, off_in, full_v = search.w - 1, search.vmask, search.off_out, search.off_in, self.full_v
-        sv, cv_at, used_at, cap = v * search.w, self.cv_at, self.used_at, self.cap
-        # the values whose child covers nothing, listed from value `shift` up
-        nonc, shift = (vmask, k) if search.outside == "valued" else (vmask & ~full_v, 0)
-        blank, one_used = search.outside == "blank", 0 if cap is None else 1 << used_at
+        k, vmask, off_out, off_in, sv = search.w - 1, search.vmask, search.off_out, search.off_in, v * search.w
+        full_v, nonc, cap, erow = search.full_v, search.nonc, search.top, search.erow
+        cv_at, used_at, one_used, blank = search.cv_at, search.used_at, search.one_used, search.outside == "blank"
+        # a child that covers nothing lists its value from `shift` up
+        shift = k if search.outside == "valued" else 0
         # the vertices still to assign after this step's
         room = len(self.steps) - i - 1
         # the next level's states -> their indices
@@ -789,7 +770,7 @@ class _Levels:
                     outs = bare = 0
             # the edge bits of each assigned neighbor's value (a field of 0
             # reads the last row, of none)
-            rows = [self.erow[(x >> su & vmask).bit_length() - 1] for su in back]
+            rows = [erow[(x >> su & vmask).bit_length() - 1] for su in back]
             x &= clear
             kids = [(k, index.setdefault(x, len(index)))] if bare else []
             while d:
@@ -844,7 +825,7 @@ class _Levels:
         getrandbits = rng.getrandbits
         table = self.first
         if table is None:
-            if self.search.full_v is not None or not self.total:
+            if self.search.goal or not self.total:
                 raise ValueError("draws need a kernel with no coverage goal and a map")
             table = self.first = self._table(0, 0)
         image = self.image.copy()

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import _search, count_list_hom, stirling_surjections
+from .exact import _kernel, count_list_hom, stirling_surjections
 from .fixedgraphs import build_hk, build_j_blocked
 from .graphs import Graph, common_neighbors, neighbor_union
 from .instances import block_vertex_names, expand_blocked
@@ -173,7 +173,7 @@ def brute_count_by_type(p: int, q: int, tt: int, k: int) -> dict[HomType, int]:
         for x, y in zip(names[xs], names[ys])
     ]
     by_key: dict[int, int] = {}
-    for image in _search(inst.pattern, inst.lists, hk).assignments():
+    for image in _kernel(inst, hk).assignments():
         key = 0
         for bit, x, y in ends:
             key |= bit[image[x]][image[y]]

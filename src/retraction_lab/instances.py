@@ -36,6 +36,13 @@ def check_retraction_lists(inst: "ListedInstance") -> None:
             )
 
 
+def check_target(inst: "ListedInstance", target: Graph) -> None:
+    """Raise ValueError unless the instance's lists are over the target's
+    vertex set."""
+    if inst.target_vertices != target.vertices:
+        raise ValueError("instance lists are over a different target vertex set")
+
+
 def check_retraction_blocks(b: "BlockedInstance") -> None:
     """The one-or-all list condition on every block of a blocked instance:
     a pinned block has one value, a block with no list has all of them."""
@@ -93,7 +100,9 @@ class ListedInstance:
         """The instance with the list of v collapsed to {t}.  The copy is
         valid because this instance is, so it skips the checks of
         `__init__`, and its lists keep pattern-vertex order."""
-        if t not in self.lists[v]:
+        if t not in self.lists.get(v, ()):
+            if v not in self.lists:
+                raise ValueError(f"{v!r} is not a pattern vertex")
             raise ValueError(f"{t!r} is not in the list of {v!r}")
         lists = self.lists.copy()
         lists[v] = frozenset((t,))
@@ -203,6 +212,8 @@ class BlockedInstance:
                 raise ValueError(f"pinned block {name!r} must have multiplicity 1")
             if tv not in tset:
                 raise ValueError(f"pin target {tv!r} is not a target vertex")
+            if by_name[name].list is not None and tv not in by_name[name].list:
+                raise ValueError(f"pin target {tv!r} is not in the list of block {name!r}")
             if name in seen_pins:
                 raise ValueError(f"duplicate pin on block {name!r}")
             seen_pins.add(name)

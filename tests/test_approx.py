@@ -814,6 +814,8 @@ def test_padding_identities():
     # padding twice leaves the count fixed
     twice = approx.lhom_padding(padded, tw)
     assert exact.count_surjective(twice, tw) == 9
+    with pytest.raises(ValueError, match="instance lists are over a different target vertex set"):
+        approx.lhom_padding(inst, K2)
 
 
 def test_coverage_with_noisy_oracle_runs_jvv():

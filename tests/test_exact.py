@@ -177,7 +177,7 @@ def test_backtracking_matches_naive_all_modes():
 def _blocked_instances(draw):
     """Up to four blocks of multiplicity 1-3 (expansion at most 8 vertices)
     into a target on at most 3 vertices with loops; random couplings, lists
-    and pins."""
+    and pins, each pin in its block's list."""
     tv = [f"h{j}" for j in range(draw(st.integers(1, 3)))]
     target = Graph(tv, [e for e in combinations_with_replacement(tv, 2) if draw(st.booleans())])
     mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda ms: sum(ms) <= 8))
@@ -196,7 +196,7 @@ def _blocked_instances(draw):
         elif kind == "cb":
             couplings.append(Coupling(a.name, b.name, "cb"))
     pins = tuple(
-        (blk.name, draw(st.sampled_from(tv)))
+        (blk.name, draw(st.sampled_from(tv if blk.list is None else sorted(blk.list))))
         for blk in blocks
         if blk.multiplicity == 1 and draw(st.integers(0, 3)) == 0
     )
@@ -442,7 +442,7 @@ def test_listing_levels_keep_no_state_short_of_room(monkeypatch):
                 (i, x)
                 for levels, i, states in seen
                 for x in states
-                if (levels.full_v & ~(x >> levels.cv_at)).bit_count() > n - i
+                if (levels.search.full_v & ~(x >> levels.search.cv_at)).bit_count() > n - i
             }
             assert seen and not short, (g.vertices, mode, short)
 

@@ -197,6 +197,20 @@ def test_pin_equals_the_validated_instance():
         inst.pin("w", "r2")
     with pytest.raises(ValueError, match="not in the list"):
         inst.pin("u", "b")
+    with pytest.raises(ValueError, match="'q' is not a pattern vertex"):
+        inst.pin("q", "b")
+
+
+def test_a_pin_outside_its_block_list_is_refused(tmp_path):
+    # the pin would replace the block's list, dropping it unseen
+    k2 = Graph("ab", [("a", "b")])
+    with pytest.raises(ValueError, match="pin target 'b' is not in the list of block 'u'"):
+        BlockedInstance(
+            (Block("u", 1, frozenset({"a"})), Block("v", 1)), (Coupling("u", "v", "cb"),), (("u", "b"),), k2.vertices
+        )
+    (tmp_path / "k2.hg").write_text(files.serialize_graph(k2))
+    with pytest.raises(files.ParseError, match="pin target 'b' is not in the list of block 'u'"):
+        files.parse_blocked("target k2.hg\nb u 1 a\nb v 1 *\nc u v cb\np u b\n", str(tmp_path))
 
 
 def test_checked_in_fixtures_match_their_generator():

@@ -72,6 +72,44 @@ def test_no_function_in_exact_calls_itself():
     assert not found, found
 
 
+def test_exact_builds_the_covering_step_in_one_function():
+    """`count` and the level store sweep the same covering steps, so one
+    function in `exact` builds them: the only one that spreads a vertex's
+    unassigned neighbors (`_spread`, where it is a function of its own) or
+    lists its assigned ones (`back`)."""
+    builders = [
+        node.name
+        for node in ast.walk(_modules()["exact.py"])
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call)
+            and (
+                _names(call.func) == ["_spread"]
+                or _names(call.func) == ["append"] and _names(call.func.value) == ["back"]
+            )
+            for call in ast.walk(node)
+        )
+    ]
+    assert builders == ["_cover_step"], builders
+
+
+def test_only_exact_kernel_builds_the_kernel_on_an_instance():
+    """`exact._kernel` checks that an instance's lists are over the target
+    before it builds the kernel, so it is the one call that passes an
+    instance's `.lists` to `_search`."""
+    found = [
+        f"{name} {top.name}"
+        for name, tree in _modules().items()
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and _names(node.func) == ["_search"]
+        and any(isinstance(arg, ast.Attribute) and arg.attr == "lists" for arg in node.args)
+    ]
+    assert found == ["exact.py _kernel"], found
+
+
 # what `classify` runs on every girth >= 5 component, and the per-graph
 # accessors `Graph.edges` and `Graph._vertex_set`, by module and qualified
 # name
