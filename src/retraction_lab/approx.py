@@ -235,11 +235,13 @@ def _drawer(oracle, inst: ListedInstance, target: Graph, eps):
     if type(oracle) is ExactOracle:
         return oracle.draw_tables(inst, target).draw
     noisy = type(oracle) is NoisyOracle
-    lists, edges = inst.lists, inst.pattern.non_loop_edges()
+    pv, tv, edges = inst.pattern.vertices, inst.target_vertices, inst.pattern.non_loop_edges()
+    lists = None if noisy else inst.lists
     choices = () if noisy else [(v, sorted(lists[v])) for v in _walk_order(inst, target) if len(lists[v]) > 1]
 
     def draw(rng):
-        if oracle.count(inst, target, eps) <= 0:
+        # an empty list leaves no map, whatever an inexact oracle answers
+        if oracle.count(inst, target, eps) <= 0 or 0 in inst.domains:
             raise ValueError(_NO_HOMS)
         if noisy:  # the walk's answers, from the inner ExactOracle's tables
             return oracle._exact.draw_tables(inst, target).draw(rng, lambda acc: oracle._perturbed(acc, eps))
@@ -252,7 +254,7 @@ def _drawer(oracle, inst: ListedInstance, target: Graph, eps):
                     break  # a dead end: resample
                 cur = pins[_draw(rng, acc)]
             else:
-                tau = {v: next(iter(sv)) for v, sv in cur.lists.items()}
+                tau = {v: tv[d.bit_length() - 1] for v, d in zip(pv, cur.domains)}
                 if all(target.has_edge(tau[u], tau[v]) for u, v in edges):
                     return tau
         raise ValueError(f"no homomorphism found after {MAX_RESAMPLES} resamples")
@@ -498,7 +500,7 @@ def coverage_mc(
                 verdict = verdicts.get((i, image))
                 if verdict is None:
                     verdict = verdicts[i, image] = _first_occurrence(ts, i, sigma)
-                    if type(oracle) is ExactOracle and all(len(s) == 1 for s in pinned[i].lists.values()):
+                    if type(oracle) is ExactOracle and all(d.bit_count() == 1 for d in pinned[i].domains):
                         fixed[i] = verdict
             x_total += verdict
         sampler = "jvv"

@@ -350,11 +350,6 @@ def _short_cycles(adj: tuple[int, ...]) -> tuple[bool, bool]:
     return triangle, square
 
 
-def _has_triangle(adj: tuple[int, ...]) -> bool:
-    """True iff some three distinct vertices are pairwise adjacent."""
-    return _short_cycles(adj)[0]
-
-
 def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
     """(case-label, vertex) pairs for the looped-neighborhood hardness
     lemmas: WR_q neighborhoods, non-2-Wrench neighborhoods (in triangle-free
@@ -376,7 +371,7 @@ def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
                 out.append((WITNESS_DIST2, v))
         elif adj[b] & ~loops:
             if triangle_free is None:
-                triangle_free = not _has_triangle(adj)
+                triangle_free = not _short_cycles(adj)[0]
             if triangle_free:
                 out.append((WITNESS_NON_2WRENCH, v))
     return out

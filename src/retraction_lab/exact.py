@@ -61,10 +61,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import DiGraph, Graph
-from .instances import BlockedInstance, ListedInstance, check_retraction_lists, check_target, expand_blocked
+from .instances import BlockedInstance, ListedInstance, check_retraction_lists, check_target
+from .instances import expand_blocked, list_masks
 
 COUNT_MODES = ("hom", "lhom", "ret", "sur", "comp")
 
@@ -109,7 +110,7 @@ class _Search:
     so it is always peeled, never branched on.
     """
 
-    def __init__(self, out, inn, domains: list[int], tout, tin, weights: list[int] | None = None):
+    def __init__(self, out, inn, domains: Sequence[int], tout, tin, weights: list[int] | None = None):
         self.digraph = inn is not out
         self.out, self.inn = out, inn
         self.adj = [a | b for a, b in zip(out, inn)] if self.digraph else out
@@ -196,6 +197,10 @@ class _Search:
             self.nonc &= ~full_v
         return self
 
+    def _no_map(self) -> bool:
+        """Whether an empty domain leaves no map: unless outside="blank"."""
+        return 0 in self.domains and self.outside != "blank"
+
     def count(self) -> int:
         """Number of homomorphisms that meet the coverage goal.
 
@@ -215,7 +220,7 @@ class _Search:
         those whose last unassigned neighbor it was.  The step that assigns
         the last vertex builds no level: per state it counts the children
         that complete the goal."""
-        if 0 in self.domains and self.outside != "blank":
+        if self._no_map():
             return 0
         n, k, w, vmask = len(self.domains), self.w - 1, self.w, self.vmask
         digraph, adj, cw = self.digraph, self.adj, self.weights
@@ -514,32 +519,16 @@ class _Search:
                 yield tuple(image)
 
 
-def _domains(vertices, lists: dict[str, frozenset[str]], tindex: dict[str, int]) -> list[int]:
-    """Each vertex's list, a subset of the target's vertices, as a mask over
-    the target indices: a list of every target vertex is the full mask."""
-    k = len(tindex)
-    full = (1 << k) - 1
-    out = []
-    for v in vertices:
-        s = lists[v]
-        if len(s) == k:
-            out.append(full)
-            continue
-        mask = 0
-        for t in s:
-            mask |= 1 << tindex[t]
-        out.append(mask)
-    return out
-
-
 def _search(pattern: Graph | DiGraph, lists: dict[str, frozenset[str]], target: Graph | DiGraph) -> _Search:
-    """The kernel on two graphs or on two digraphs.  A looped digraph vertex
-    needs a looped image: its loop becomes that restriction of its domain.
-    (Graph patterns are irreflexive, see `ListedInstance`.)"""
-    doms = _domains(pattern.vertices, lists, target._index)
+    """The kernel on two graphs or on two digraphs, with label lists (see
+    `instances.list_masks`: no list means the full list, and a malformed one
+    raises ValueError).  A looped digraph vertex needs a looped image: its
+    loop becomes that restriction of its domain.  (Graph patterns are
+    irreflexive, see `ListedInstance`.)"""
+    doms = list_masks(pattern.vertices, lists, target.vertices)
     if isinstance(pattern, Graph):
         return _Search(pattern._adj, pattern._adj, doms, target._adj, target._adj)
-    out, inn = list(pattern._out), list(pattern._in)
+    doms, out, inn = list(doms), list(pattern._out), list(pattern._in)
     tloops = sum(1 << t for t, m in enumerate(target._out) if m >> t & 1)
     for v, m in enumerate(out):
         if m >> v & 1:
@@ -550,10 +539,11 @@ def _search(pattern: Graph | DiGraph, lists: dict[str, frozenset[str]], target: 
 
 
 def _kernel(inst: ListedInstance, target: Graph) -> _Search:
-    """The kernel on an instance and a target; ValueError unless the
-    instance's lists are over the target's vertex set."""
+    """The kernel on an instance and a target, from the instance's masks as
+    they are; ValueError unless its lists are over the target's vertices."""
     check_target(inst, target)
-    return _search(inst.pattern, inst.lists, target)
+    adj = inst.pattern._adj
+    return _Search(adj, adj, inst.domains, target._adj, target._adj)
 
 
 def enumerate_homs(inst: ListedInstance, target: Graph) -> Iterator[dict[str, str]]:
@@ -707,7 +697,7 @@ class _Levels:
                 t_low = 0 if search.outside == "blank" else s_low
                 steps.append((v, clear, s_low, 0, t_low, t_low << k, back, keep))
         self.order = [step[0] for step in steps]
-        states = [] if 0 in search.domains and search.outside != "blank" else [search.packed]
+        states = [] if search._no_map() else [search.packed]
         self.kids = []
         for i in range(n):
             kids, states = self._children(i, states)
@@ -889,6 +879,6 @@ def count_blocked(b: BlockedInstance, target: Graph) -> int:
         i, j = index[c.a], index[c.b]
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    doms = _domains(names, lists, target._index)
+    doms = list_masks(names, lists, target.vertices)
     weights = [weight[name] for name in names]
     return _Search(adj, adj, doms, target._adj, target._adj, weights).count()

@@ -2,8 +2,9 @@
 gadget builders.
 
 A ListedInstance is an irreflexive pattern graph together with a list
-S_v of allowed target vertices per pattern vertex.  Retraction instances are
-the special case where every list has size 1 or size |V(H)|.
+S_v of allowed target vertices per pattern vertex, held as a mask (see
+`list_masks`).  Retraction instances are the special case where every list
+has size 1 or size |V(H)|.
 
 A BlockedInstance compresses repeated independent sets ("blocks") with a
 multiplicity; couplings say how the expansions are wired:
@@ -24,16 +25,41 @@ from types import MappingProxyType
 from .graphs import Graph
 
 
+def list_masks(vertices, lists, target_vertices: tuple[str, ...]) -> tuple[int, ...]:
+    """Each vertex's list as a mask, in the order of `vertices`, bit i for
+    target_vertices[i]; a vertex with no list gets the full mask.  The one
+    place where target-vertex labels become masks.  ValueError on a
+    duplicate target vertex, a value that is not a target vertex or a list
+    for a vertex not in `vertices`."""
+    bit = {t: 1 << i for i, t in enumerate(target_vertices)}
+    if len(bit) != len(target_vertices):
+        raise ValueError("duplicate target vertices")
+    full, out, given = (1 << len(bit)) - 1, [], 0
+    for v in vertices:
+        sv = lists.get(v)
+        given += sv is not None
+        if sv is None or bit.keys() == sv:  # no list, or every target vertex
+            out.append(full)
+            continue
+        mask = 0
+        for t in sv:
+            if t not in bit:
+                raise ValueError(f"list of {v!r} mentions unknown target vertices {sorted(set(sv) - bit.keys())}")
+            mask |= bit[t]
+        out.append(mask)
+    if given != len(lists):
+        raise ValueError(f"lists given for unknown pattern vertices {sorted(lists.keys() - set(vertices))}")
+    return tuple(out)
+
+
 def check_retraction_lists(inst: "ListedInstance") -> None:
     """Raise ValueError, naming the first offending vertex, unless every
     list holds one or all of the target vertices: the one-or-all list
     condition of a retraction instance."""
-    n = inst.target_size
-    for v, sv in inst.lists.items():
-        if len(sv) not in (1, n):
-            raise ValueError(
-                f"retraction instance needs |S_v| in {{1, {n}}}; vertex {v!r} has {len(sv)}"
-            )
+    n = len(inst.target_vertices)
+    for v, d in zip(inst.pattern.vertices, inst.domains):
+        if d.bit_count() not in (1, n):
+            raise ValueError(f"retraction instance needs |S_v| in {{1, {n}}}; vertex {v!r} has {d.bit_count()}")
 
 
 def check_target(inst: "ListedInstance", target: Graph) -> None:
@@ -55,98 +81,84 @@ def check_retraction_blocks(b: "BlockedInstance") -> None:
 
 
 class ListedInstance:
-    """Irreflexive pattern + per-vertex lists over a fixed target vertex set.
-    A value type: equal instances hash equal, the hash is computed once, and
-    `lists` is a read-only mapping, so an instance cannot change under a
-    cache that keys on it."""
+    """Irreflexive pattern + per-vertex lists over a fixed target vertex set,
+    stored once as `domains`: a mask per pattern vertex, in pattern-vertex
+    order, bit i for target_vertices[i] (sorted), the layout the search
+    kernel packs.  `lists`, the same lists as frozensets of labels, is a
+    read-only view built on first use.  A value type: equal instances hash
+    equal, the hash is computed once and nothing can be edited in place,
+    so an instance cannot change under a cache that keys on it."""
 
-    __slots__ = ("pattern", "lists", "target_vertices", "_hash")
+    __slots__ = ("pattern", "domains", "target_vertices", "_hash", "_lists")
 
-    def __init__(
-        self,
-        pattern: Graph,
-        lists: dict[str, frozenset[str]],
-        target_vertices: tuple[str, ...],
-    ):
+    def __init__(self, pattern: Graph, lists: dict[str, frozenset[str]], target_vertices: tuple[str, ...]):
         if not pattern.is_irreflexive():
             raise ValueError("pattern graphs must be irreflexive")
-        tset = frozenset(target_vertices)
-        if len(tset) != len(target_vertices):
-            raise ValueError("duplicate target vertices")
-        norm = {}
-        for v in pattern.vertices:
-            sv = frozenset(lists.get(v, tset))
-            if not sv <= tset:
-                raise ValueError(f"list of {v!r} mentions unknown target vertices {sorted(sv - tset)}")
-            norm[v] = sv
-        extra = set(lists) - set(pattern.vertices)
-        if extra:
-            raise ValueError(f"lists given for unknown pattern vertices {sorted(extra)}")
         self.pattern = pattern
-        # in pattern-vertex order, whatever the order of `lists`
-        self.lists = MappingProxyType(norm)
         self.target_vertices = tuple(sorted(target_vertices))
-        self._hash: int | None = None
+        self.domains = list_masks(pattern.vertices, lists, self.target_vertices)
+        self._hash = self._lists = None
 
     @property
-    def target_size(self) -> int:
-        return len(self.target_vertices)
+    def lists(self) -> MappingProxyType:
+        """Each pattern vertex's list as a frozenset of target vertices, in
+        pattern-vertex order: a read-only view of `domains`."""
+        if self._lists is None:
+            tv, masks = self.target_vertices, zip(self.pattern.vertices, self.domains)
+            view = {v: frozenset(t for i, t in enumerate(tv) if d >> i & 1) for v, d in masks}
+            self._lists = MappingProxyType(view)
+        return self._lists
 
     @classmethod
     def full(cls, pattern: Graph, target: Graph) -> "ListedInstance":
         return cls(pattern, {}, target.vertices)
 
-    def pin(self, v: str, t: str) -> "ListedInstance":
-        """The instance with the list of v collapsed to {t}.  The copy is
-        valid because this instance is, so it skips the checks of
-        `__init__`, and its lists keep pattern-vertex order."""
-        if t not in self.lists.get(v, ()):
-            if v not in self.lists:
-                raise ValueError(f"{v!r} is not a pattern vertex")
-            raise ValueError(f"{t!r} is not in the list of {v!r}")
-        lists = self.lists.copy()
-        lists[v] = frozenset((t,))
+    def _with(self, domains: tuple[int, ...]) -> "ListedInstance":
+        """This instance with narrower masks, unchecked: valid as this one is."""
         out = object.__new__(ListedInstance)
-        out.pattern = self.pattern
-        out.lists = MappingProxyType(lists)
-        out.target_vertices = self.target_vertices
-        out._hash = None
+        out.pattern, out.domains, out.target_vertices = self.pattern, domains, self.target_vertices
+        out._hash = out._lists = None
         return out
 
+    def pin(self, v: str, t: str) -> "ListedInstance":
+        """The instance with the list of v collapsed to {t}."""
+        i = self.pattern._index.get(v)
+        if i is None:
+            raise ValueError(f"{v!r} is not a pattern vertex")
+        tv, d = self.target_vertices, self.domains
+        b = 1 << tv.index(t) if t in tv else 0
+        if not d[i] & b:
+            raise ValueError(f"{t!r} is not in the list of {v!r}")
+        return self._with(d[:i] + (b,) + d[i + 1 :])
+
     def restrict_lists(self, allowed: frozenset[str]) -> "ListedInstance":
-        lists = {v: sv & allowed for v, sv in self.lists.items()}
-        return ListedInstance(self.pattern, lists, self.target_vertices)
+        """Every list intersected with `allowed` (its non-target values ignored)."""
+        tv = self.target_vertices
+        (keep,) = list_masks(("allowed",), {"allowed": allowed & frozenset(tv)}, tv)
+        return self._with(tuple(d & keep for d in self.domains))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ListedInstance)
             and self.pattern == other.pattern
-            and self.lists == other.lists
+            and self.domains == other.domains
             and self.target_vertices == other.target_vertices
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            # the lists are in pattern-vertex order, so equal instances list
-            # equal values in the same order
-            self._hash = hash((self.pattern, tuple(self.lists.values()), self.target_vertices))
+            self._hash = hash((self.pattern, self.domains, self.target_vertices))
         return self._hash
 
     def __getstate__(self):
         # str hashes are salted per process, so a cached hash must not
-        # travel; a read-only mapping does not pickle, its dict does
+        # travel; the read-only view does not pickle, and is rebuilt on use
         state = {name: getattr(self, name) for name in self.__slots__}
-        state["lists"] = dict(self.lists)
-        state["_hash"] = None
-        return state
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
-        self.lists = MappingProxyType(self.lists)
+        state["_hash"] = state["_lists"] = None
+        return None, state
 
     def __repr__(self) -> str:
-        pins = sum(1 for sv in self.lists.values() if len(sv) == 1)
+        pins = sum(1 for d in self.domains if d.bit_count() == 1)
         return f"ListedInstance({len(self.pattern)} vertices, {pins} pinned)"
 
 

@@ -644,6 +644,10 @@ def test_sample_hom_rejects_what_a_third_party_oracle_overcounts():
     with pytest.raises(ValueError, match=f"after {approx.MAX_RESAMPLES} resamples"):
         approx.sample_hom(only_root, k2, K2, 0.1, seed=1)
     assert only_root.calls == 1 + 2 * approx.MAX_RESAMPLES
+    # an empty list leaves no map, whatever the oracle answers
+    empty = ListedInstance(Graph(["x"]), {"x": frozenset()}, K2.vertices)
+    with pytest.raises(ValueError, match="no homomorphisms"):
+        approx.sample_hom(_Counts(lambda inst, target: 1), empty, K2, 0.1, seed=1)
 
 
 def test_sample_hom_uniformity_small():

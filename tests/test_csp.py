@@ -149,6 +149,20 @@ def test_directed_counter_matches_naive():
         )
 
 
+
+def test_directed_list_counts_take_lists_as_an_instance_does():
+    # no list means the full list; a value that is not a target vertex, or a
+    # list for a vertex outside the pattern, raises ValueError
+    pattern = DiGraph("ab", [("a", "b")])
+    target = DiGraph("xyz", [("x", "y"), ("y", "z"), ("z", "z")])
+    full = {v: frozenset(target.vertices) for v in pattern.vertices}
+    assert csp.count_dir_list_hom(pattern, {}, target) == csp.count_dir_list_hom(pattern, full, target) == 3
+    assert csp.count_dir_list_hom(pattern, {"a": frozenset("x")}, target) == 1
+    with pytest.raises(ValueError, match="unknown target vertices"):
+        csp.count_dir_list_hom(pattern, {"a": frozenset("7")}, target)
+    with pytest.raises(ValueError, match="unknown pattern vertices"):
+        csp.count_dir_list_hom(pattern, {"q": frozenset("x")}, target)
+
 @st.composite
 def _csp_instances(draw):
     """At most 8 variables; Imp(x, x) and pins allowed."""

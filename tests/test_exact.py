@@ -40,6 +40,9 @@ def test_retraction_examples():
     with pytest.raises(ValueError):
         bad = ListedInstance(p3, {"c1": frozenset(("b", "g"))}, TW.vertices)
         exact.count_retraction(bad, TW)
+    # an empty list holds neither one nor all of the target vertices
+    with pytest.raises(ValueError, match="vertex 'c1' has 0"):
+        exact.count_retraction(ListedInstance(p3, {"c1": frozenset()}, TW.vertices), TW)
 
 
 def test_sur_comp_examples():

@@ -5,7 +5,8 @@ import pytest
 
 from fractions import Fraction
 
-from retraction_lab import csp, files, gadgets
+from retraction_lab import csp, files, gadgets, verify
+from retraction_lab._seeds import pyrng
 from retraction_lab.csp import CspInstance
 from retraction_lab.fixedgraphs import build_fixed_graph, build_j_blocked, build_two_wrench
 from retraction_lab.graphs import Graph
@@ -126,6 +127,8 @@ def test_listed_instance_validation():
         ListedInstance.full(looped, k2)
     with pytest.raises(ValueError):
         ListedInstance(k2, {"a": frozenset(("zzz",))}, k2.vertices)
+    with pytest.raises(ValueError, match=r"unknown target vertices \['zzz'\]"):
+        ListedInstance(k2, {"a": frozenset(("a", "zzz"))}, k2.vertices)  # as many values as targets
     with pytest.raises(ValueError):
         ListedInstance(k2, {"zzz": frozenset(("a",))}, k2.vertices)
     inst = ListedInstance.full(k2, k2)
@@ -200,6 +203,28 @@ def test_pin_equals_the_validated_instance():
     with pytest.raises(ValueError, match="'q' is not a pattern vertex"):
         inst.pin("q", "b")
 
+
+
+def test_masks_and_label_lists_give_equal_instances():
+    # the lists are stored once, as domain masks (bit i for the i-th sorted
+    # target vertex): rebuilding an instance from its label view, restricting
+    # its lists and pinning a vertex each equal the instance that labels
+    # build afresh, and hash equal
+    for seed in range(100):
+        pattern, target = verify.random_pattern(seed), verify.random_target(seed)
+        tv = target.vertices
+        inst = ListedInstance(pattern, verify.random_lists(seed, pattern, target), tv)
+        assert inst.domains == tuple(sum(1 << tv.index(t) for t in inst.lists[v]) for v in pattern.vertices)
+        again = ListedInstance(pattern, inst.lists, tv)
+        assert again == inst and hash(again) == hash(inst)
+        rng = pyrng("value-type", seed)
+        allowed = frozenset(rng.sample(tv, rng.randint(0, len(tv))))
+        cut = ListedInstance(pattern, {v: sv & allowed for v, sv in inst.lists.items()}, tv)
+        assert inst.restrict_lists(allowed) == cut and hash(inst.restrict_lists(allowed)) == hash(cut)
+        for v, sv in inst.lists.items():
+            for t in sorted(sv):
+                pinned = ListedInstance(pattern, {**inst.lists, v: frozenset((t,))}, tv)
+                assert inst.pin(v, t) == pinned and hash(inst.pin(v, t)) == hash(pinned)
 
 def test_a_pin_outside_its_block_list_is_refused(tmp_path):
     # the pin would replace the block's list, dropping it unseen

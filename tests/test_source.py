@@ -96,7 +96,7 @@ def test_exact_builds_the_covering_step_in_one_function():
 def test_only_exact_kernel_builds_the_kernel_on_an_instance():
     """`exact._kernel` checks that an instance's lists are over the target
     before it builds the kernel, so it is the one call that passes an
-    instance's `.lists` to `_search`."""
+    instance's `.domains` to the kernel (`_Search` or `_search`)."""
     found = [
         f"{name} {top.name}"
         for name, tree in _modules().items()
@@ -104,10 +104,23 @@ def test_only_exact_kernel_builds_the_kernel_on_an_instance():
         if isinstance(top, (ast.FunctionDef, ast.ClassDef))
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
-        and _names(node.func) == ["_search"]
-        and any(isinstance(arg, ast.Attribute) and arg.attr == "lists" for arg in node.args)
+        and _names(node.func) in (["_Search"], ["_search"])
+        and any(isinstance(arg, ast.Attribute) and arg.attr == "domains" for arg in node.args)
     ]
     assert found == ["exact.py _kernel"], found
+
+
+def test_exact_reads_no_label_lists():
+    """An instance stores its lists once, as domain masks in the kernel's
+    layout, and `instances.list_masks` alone turns labels into masks: no
+    code in `exact` reads an instance's `.lists` or a graph's label index
+    `._index`."""
+    found = [
+        f"exact.py:{node.lineno} {node.attr}"
+        for node in ast.walk(_modules()["exact.py"])
+        if isinstance(node, ast.Attribute) and node.attr in ("lists", "_index")
+    ]
+    assert not found, found
 
 
 # what `classify` runs on every girth >= 5 component, and the per-graph
