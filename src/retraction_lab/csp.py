@@ -156,15 +156,15 @@ def _product_var(v: str, x: str) -> str:
 def _translate(
     vertices: tuple[str, ...],
     arcs: list[tuple[str, str]],
-    lists: dict[str, frozenset[str]],
+    one: dict[str, str],
     iv: CspInstance,
     fwd: CspInstance,
     bwd: CspInstance,
 ) -> CspInstance:
     """The CSP instance on vertices x X: per vertex a copy of iv's
     constraints; per arc (u, v) fwd's constraints from u to v and bwd's from
-    v to u; per vertex with a one-element list, delta pins matching that
-    assignment."""
+    v to u; per vertex in `one`, which maps each vertex with a one-element
+    list to that element, delta pins matching that assignment."""
     if not (iv.variables == fwd.variables == bwd.variables):
         raise ValueError("instances must share the variable set")
     xs = iv.variables
@@ -182,11 +182,9 @@ def _translate(
         imps += [(nu[i], nv[j]) for i, j in fwd_ij]
         imps += [(nv[i], nu[j]) for i, j in bwd_ij]
     pins = []
-    for v in vertices:
-        if len(lists[v]) == 1:
-            (name,) = lists[v]
-            tau = assignment_of_name(name, xs)
-            pins += [(nx, tau[x]) for nx, x in zip(names[v], xs)]
+    for v, name in one.items():
+        tau = assignment_of_name(name, xs)
+        pins += [(nx, tau[x]) for nx, x in zip(names[v], xs)]
     return CspInstance(variables, tuple(imps), tuple(pins))
 
 
@@ -196,8 +194,9 @@ def translate_ret_to_csp(inst: ListedInstance, iv: CspInstance, ie: CspInstance)
     with each pattern edge one arc and ie both forward and backward.
     """
     check_retraction_lists(inst)
-    pattern = inst.pattern
-    return _translate(pattern.vertices, pattern.non_loop_edges(), inst.lists, iv, ie, ie)
+    pattern, tv = inst.pattern, inst.target_vertices
+    one = {v: tv[d.bit_length() - 1] for v, d in zip(pattern.vertices, inst.domains) if d.bit_count() == 1}
+    return _translate(pattern.vertices, pattern.non_loop_edges(), one, iv, ie, ie)
 
 
 def translate_dirret_to_csp(
@@ -210,7 +209,8 @@ def translate_dirret_to_csp(
     """Directed variant: forward constraints go with the arc, backward ones
     against it.
     """
-    return _translate(pattern.vertices, pattern.arcs(), lists, iv, if_, ib)
+    one = {v: next(iter(lists[v])) for v in pattern.vertices if len(lists[v]) == 1}
+    return _translate(pattern.vertices, pattern.arcs(), one, iv, if_, ib)
 
 
 def pbrp_csp(q: int, s: set[int] | frozenset[int]) -> tuple[CspInstance, CspInstance]:
