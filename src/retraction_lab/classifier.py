@@ -7,17 +7,20 @@ the irreflexive classification, and looped components with 3- or 4-cycles
 are UNCLASSIFIED unless one of the girth-independent neighborhood witnesses
 fires (those lemmas need no girth assumption, or only triangle-freeness).
 Girth >= 5 is tested as no triangle and no 4-cycle, loops ignored, both
-found in one pass over each vertex's neighbors (`_short_cycles`).  There is
-one recognizer per shape; each reads the adjacency masks and answers for any
-graph, so none needs the girth or a connectivity check first.
+found in one pass over each vertex's neighbors (`_short_cycles`), run once
+per component: the neighborhood witnesses take its triangle flag rather
+than a pass of their own.  There is one recognizer per shape; each reads the
+adjacency masks and answers for any graph, so none needs the girth or a
+connectivity check first.  The verdicts and `PbrpShape` are NamedTuples:
+immutable, hashable values built at a tuple's cost.
 
 Classes: FP < BIS_EQUIVALENT < SAT_EQUIVALENT, with UNCLASSIFIED absorbing
 anything that is not already SAT.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .fixedgraphs import build_hk
 from .graphs import Graph, _bits, connected_components
@@ -53,8 +56,7 @@ UNCLASSIFIED_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ComponentVerdict:
+class ComponentVerdict(NamedTuple):
     vertices: tuple[str, ...]
     cls: str
     clause: str
@@ -62,8 +64,7 @@ class ComponentVerdict:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     cls: str
     clause: str
     witnesses: tuple[tuple[str, tuple[str, ...]], ...]
@@ -176,8 +177,7 @@ def is_caterpillar(h: Graph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PbrpShape:
+class PbrpShape(NamedTuple):
     """Recognized bristled-path structure: path c_0..c_{Q+1} plus bristles
     keyed by internal position (empty for a plain reflexive path)."""
 
@@ -355,8 +355,13 @@ def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
     lemmas: WR_q neighborhoods, non-2-Wrench neighborhoods (in triangle-free
     graphs), and the distance-2 sandwich.
     """
+    return _neighborhood_witnesses(h, not _short_cycles(h._adj)[0])
+
+
+def _neighborhood_witnesses(h: Graph, triangle_free: bool) -> list[tuple[str, str]]:
+    """`neighborhood_witnesses` on a graph already known to have a triangle
+    or not."""
     adj, loops = h._adj, h._loops
-    triangle_free = None  # worked out on first need
     out: list[tuple[str, str]] = []
     rest = loops
     while rest:
@@ -369,11 +374,8 @@ def neighborhood_witnesses(h: Graph) -> list[tuple[str, str]]:
         elif _two_wrench(adj, loops, b) is not None:
             if distance2_labeling(h, v) is not None:
                 out.append((WITNESS_DIST2, v))
-        elif adj[b] & ~loops:
-            if triangle_free is None:
-                triangle_free = not _short_cycles(adj)[0]
-            if triangle_free:
-                out.append((WITNESS_NON_2WRENCH, v))
+        elif triangle_free and adj[b] & ~loops:
+            out.append((WITNESS_NON_2WRENCH, v))
     return out
 
 
@@ -453,8 +455,9 @@ def _irreflexive_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def _looped_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
+    """The witnesses on a looped girth >= 5 component, triangle-free."""
     wits: list[tuple[str, tuple[str, ...]]] = [
-        (label, (v,)) for label, v in neighborhood_witnesses(c)
+        (label, (v,)) for label, v in _neighborhood_witnesses(c, True)
     ]
     rc = reflexive_cycle_core(c)
     if rc is not None:
@@ -493,7 +496,7 @@ def classify_component(c: Graph) -> ComponentVerdict:
             verts, CLASS_SAT, "Thm5.iii", tuple(_irreflexive_sat_witnesses(c))
         )
     if not irr:
-        wits = [(label, (v,)) for label, v in neighborhood_witnesses(c)]
+        wits = [(label, (v,)) for label, v in _neighborhood_witnesses(c, not triangle)]
         if wits:
             return ComponentVerdict(
                 verts, CLASS_SAT, _WITNESS_CLAUSE[wits[0][0]], tuple(wits)

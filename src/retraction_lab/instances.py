@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 def list_masks(vertices, lists, target_vertices: tuple[str, ...]) -> tuple[int, ...]:
@@ -102,10 +102,12 @@ class ListedInstance:
     @property
     def lists(self) -> MappingProxyType:
         """Each pattern vertex's list as a frozenset of target vertices, in
-        pattern-vertex order: a read-only view of `domains`."""
+        pattern-vertex order: a read-only view of `domains`.  Equal masks
+        share one frozenset, built from the mask's set bits."""
         if self._lists is None:
-            tv, masks = self.target_vertices, zip(self.pattern.vertices, self.domains)
-            view = {v: frozenset(t for i, t in enumerate(tv) if d >> i & 1) for v, d in masks}
+            tv = self.target_vertices
+            made = {d: frozenset([tv[i] for i in _bits(d)]) for d in set(self.domains)}
+            view = {v: made[d] for v, d in zip(self.pattern.vertices, self.domains)}
             self._lists = MappingProxyType(view)
         return self._lists
 

@@ -283,6 +283,40 @@ def test_short_cycle_pass_matches_girth_and_the_tests_it_replaced():
     assert len(seen) == 16, sorted(seen)
 
 
+def test_one_short_cycle_pass_per_component(monkeypatch):
+    # the neighborhood witnesses take classify_component's triangle flag, on
+    # a looped star (girth >= 5) and on a looped pendant at a C4 alike
+    calls = []
+    real = cl._short_cycles
+    monkeypatch.setattr(cl, "_short_cycles", lambda adj: calls.append(adj) or real(adj))
+    star = Graph([], [("b", "b"), ("b", "x"), ("b", "y")])
+    assert cl.classify(star).to_json() == {
+        "class": cl.CLASS_SAT,
+        "clause": "Thm1.iii",
+        "witnesses": [{"case": cl.WITNESS_NON_2WRENCH, "vertices": ["b"]}],
+        "components": [
+            {
+                "vertices": ["b", "x", "y"],
+                "class": cl.CLASS_SAT,
+                "clause": "Thm1.iii",
+                "witnesses": [{"case": cl.WITNESS_NON_2WRENCH, "vertices": ["b"]}],
+            }
+        ],
+    }
+    assert len(calls) == 1
+    calls.clear()
+    square = [("c1", "c2"), ("c2", "c3"), ("c3", "c4"), ("c4", "c1"), ("z", "z"), ("z", "c1")]
+    three = Graph([], star.edges() + [("p", "q")] + square)
+    v = cl.classify(three)
+    assert [(cv.cls, cv.clause) for cv in v.components] == [
+        (cl.CLASS_SAT, "Thm1.iii"),
+        (cl.CLASS_SAT, "Lem27"),
+        (cl.CLASS_FP, "Thm1.i"),
+    ]
+    assert v.witnesses == ((cl.WITNESS_NON_2WRENCH, ("b",)), (cl.WITNESS_NON_2WRENCH, ("z",)))
+    assert len(calls) == len(v.components) == 3
+
+
 def _old_combination(h):
     """classify's combination before the one loop over the component
     verdicts: `any`, `any`, `max` and `next` passes and a witness generator."""
@@ -460,6 +494,26 @@ def test_classify_verdicts_are_pinned():
         h.update(json.dumps(cl.classify(g).to_json(), sort_keys=True).encode())
         graphs += 1
     assert (graphs, h.hexdigest()[:16]) == (3028, "c9716aec4de0b7ec")
+
+
+def test_verdicts_are_immutable_values():
+    from retraction_lab.verify import classifier_fixture_rows
+
+    v = cl.classify(build_pbrp(4, {1, 3, 4}))
+    shape = cl.is_pbrp(build_pbrp(4, {1, 3, 4}))
+    for record, field in ((v, "cls"), (v.components[0], "note"), (shape, "path")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert (shape.q, shape.s) == (4, frozenset({1, 3, 4}))
+    # repr and to_json recorded while the verdicts were frozen dataclasses
+    h = hashlib.sha256()
+    for _, g, _, _ in classifier_fixture_rows():
+        v = cl.classify(g)
+        again = cl.classify(Graph(g.vertices, g.edges()))
+        assert again == v and hash(again) == hash(v)
+        h.update(f"{v!r}\n{cl.is_pbrp(g)!r}\n".encode())
+        h.update(json.dumps(v.to_json(), sort_keys=True).encode())
+    assert h.hexdigest()[:16] == "d757ad0e7ed0e30b"
 
 
 def _recognizer_corpus():

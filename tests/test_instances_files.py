@@ -226,6 +226,20 @@ def test_masks_and_label_lists_give_equal_instances():
                 pinned = ListedInstance(pattern, {**inst.lists, v: frozenset((t,))}, tv)
                 assert inst.pin(v, t) == pinned and hash(inst.pin(v, t)) == hash(pinned)
 
+
+def test_label_view_is_the_lists_given():
+    # the view builds one frozenset per distinct mask, so the full lists
+    # share one
+    for seed in range(100):
+        pattern, target = verify.random_pattern(seed), verify.random_target(seed)
+        lists = verify.random_lists(seed, pattern, target)
+        inst = ListedInstance(pattern, lists, target.vertices)
+        assert list(inst.lists.items()) == [(v, lists[v]) for v in pattern.vertices]
+        full = ListedInstance.full(pattern, target)
+        assert list(full.lists.items()) == [(v, frozenset(target.vertices)) for v in pattern.vertices]
+        assert len({id(s) for s in full.lists.values()}) <= 1
+
+
 def test_a_pin_outside_its_block_list_is_refused(tmp_path):
     # the pin would replace the block's list, dropping it unseen
     k2 = Graph("ab", [("a", "b")])

@@ -123,9 +123,9 @@ def test_exact_reads_no_label_lists():
     assert not found, found
 
 
-# what `classify` runs on every girth >= 5 component, and the per-graph
-# accessors `Graph.edges` and `Graph._vertex_set`, by module and qualified
-# name
+# what `classify` runs on every girth >= 5 component and every looped SAT
+# one, and the per-graph accessors `Graph.edges` and `Graph._vertex_set`, by
+# module and qualified name
 _CLASSIFY_PATH = {
     "classifier.py": {
         "classify",
@@ -135,6 +135,11 @@ _CLASSIFY_PATH = {
         "is_caterpillar",
         "_path_order",
         "is_pbrp",
+        "is_single_looped_vertex",
+        "is_double_looped_edge",
+        "_looped_sat_witnesses",
+        "_neighborhood_witnesses",
+        "_two_wrench",
     },
     "graphs.py": {"connected_components", "Graph.edges", "Graph._vertex_set", "Graph.edge_count"},
 }
@@ -164,6 +169,18 @@ def test_classify_path_builds_no_generator():
                     or isinstance(node, ast.Call) and "_bits" in _names(node.func)
                 ]
     assert named == {(name, f) for name, funcs in _CLASSIFY_PATH.items() for f in funcs}
+    assert not found, found
+
+
+def test_classifier_declares_no_dataclass():
+    """A frozen dataclass sets each field through `object.__setattr__`, which
+    cost more than the rest of a small component's classification: the
+    classifier's records are NamedTuples."""
+    found = [
+        f"classifier.py:{node.lineno}"
+        for node in ast.walk(_modules()["classifier.py"])
+        if "dataclass" in _names(node)
+    ]
     assert not found, found
 
 
