@@ -38,6 +38,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import reference
 from ._seeds import pyrng
@@ -154,11 +155,19 @@ class NoisyOracle:
     def _perturbed(self, acc: list[int], eps) -> list[int]:
         """One fresh answer per value of a vertex whose exact pinned counts
         have prefix sums acc (a draw table's), as `_prefix_sums` of the
-        answers: len(acc) calls of `count`."""
+        answers: len(acc) calls of `count`.  An answer is true * num / den
+        with den a power of two (`float.as_integer_ratio`), so the least
+        common denominator of the answers in lowest terms is the largest
+        den / gcd(true * num, den), and the sums stay integers throughout."""
         self.calls += len(acc)
         trues = [b - a for a, b in zip([0, *acc], acc)]
         factors = iter(self._factors(eps, len(trues) - trues.count(0)))
-        return _prefix_sums([_times(true, next(factors)) if true else 0 for true in trues])
+        answers = []  # (true * num, den) per answer
+        for true in trues:
+            num, den = next(factors).as_integer_ratio() if true else (0, 1)
+            answers.append((true * num, den))
+        lcd = max(den // math.gcd(p, den) for p, den in answers)
+        return list(accumulate(p * lcd // den for p, den in answers))
 
     def _factors(self, eps, n: int) -> list[float]:
         """The factors e^u of n answers at precision eps (eps0 when eps is

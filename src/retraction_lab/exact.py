@@ -24,8 +24,7 @@ distinct residual states, not the count.  A state is
     operations over n (k + 1) bits.  The step that assigns a vertex spreads
     its unassigned neighbors into bit 0 of their fields once, for all its
     children, so a count spreads each pattern edge once (`_steps`; with a
-    coverage goal, `_cover_step`, whose steps `count` and `_Levels` both
-    sweep);
+    coverage goal, `_cover_step`, built as the sweep reaches the step);
   - sur: that int with the target vertices already covered in the k bits
     above the fields;
   - comp: also the covered target edges, in the bits above those, and an
@@ -38,21 +37,24 @@ distinct residual states, not the count.  A state is
     target and lists: for Omega it still takes a value and narrows its
     neighbors; for t it takes none, so its field needs no value for it and
     a neighbor whose domain empties can still stay out.
-  `cover` fixes this layout once, for `count` and `_Levels` alike.  A
-  child step narrows and tests only the fields of unassigned neighbors, so
-  the coverage bits pass through it unchanged, and every state is one int.
-  The step that assigns the last vertex builds no level: per state it
-  counts the children that complete the goal.
-Listing and uniform draws read one level store (`_Levels`): a sweep that
-keeps its levels, along the walk order with no coverage goal and along
-`count`'s covering steps, on the same key, with one, each state's children
-made by one child rule (pruned as in `count`'s covering branch) and
-computed once, the last level checked against the whole goal.  One
-backward pass gives each state its number of completions and keeps the
-children that complete.  A listing walks them in a loop, so it enters no
-dead branch and no pattern is too deep for it; a draw walks the steps
-forward over the prefix sums of those numbers.  Each mode has this one
-route; the second routes through other identities (a product over
+  `cover` fixes this layout once.  A child step narrows and tests only the
+  fields of unassigned neighbors, so the coverage bits pass through it
+  unchanged, and every state is one int.
+With no coverage goal `count` sweeps in a loop of its own, which peels and
+weighs vertices.  Every other sweep is one method, `_Search._sweep`, with
+two outputs: per state, its limits (the vertices left to cover against
+those left to assign, and the covers a cap leaves) are worked out once,
+then one loop per output makes its children.  A covering count adds their
+numbers into the next level and counts the last step in place, without
+building a level.  The level store (`_Levels`) keeps every level instead,
+each state's children as (listed value, index into the next level), along
+the walk order with no goal (each peeled vertex a step of its own) and
+along the covering steps with one; the last level is checked against the
+whole goal.  One backward pass gives each state its number of completions
+and keeps the children that complete.  A listing walks them in a loop, so
+it enters no dead branch and no pattern is too deep for it; a draw walks
+the steps forward over the prefix sums of those numbers.  Each mode has
+this one route; the second routes through other identities (a product over
 components, inclusion-exclusion for surjective and compaction counts) are
 cross-checks in `reference`.
 """
@@ -93,15 +95,15 @@ class _Search:
     forward-checked against every assigned neighbor, packed into one int of
     (k + 1)-bit fields, field v for pattern vertex v; the constructor packs
     the domains and the target's off-neighborhood masks, and builds no
-    per-vertex table.  `count` sweeps a fixed order (see `_order`), spreads
-    a vertex's unassigned neighbors at the step that assigns it, clears a
-    vertex's field once it is assigned or peeled (covering edges, once it
-    also has no unassigned neighbor), so the int alone fixes the residual
-    subproblem, and merges the partial maps that reach equal ints; it
-    counts the last vertex's children without building a level.
-    `assignments` walks the level store (`_Levels`), which draws read too.
-    Both read the coverage goal and key layout that `cover` sets, once, on
-    an undirected kernel, and sweep the covering steps of `_cover_step`.
+    per-vertex table.  A sweep follows a fixed order (see `_order`),
+    spreads a vertex's unassigned neighbors at the step that assigns it,
+    clears a vertex's field once it is assigned or peeled (covering edges,
+    once it also has no unassigned neighbor), so the int alone fixes the
+    residual subproblem, and merges the partial maps that reach equal ints.
+    `count` sweeps in a loop of its own with no coverage goal and through
+    `_sweep` with one; `assignments` walks the level store (`_Levels`),
+    which draws read too, and which `_sweep` builds.  `cover` sets the
+    coverage goal and key layout, once, on an undirected kernel.
 
     `weights` (default all 1) makes vertex v stand for weights[v]
     independent copies of itself: once peeled it contributes
@@ -132,7 +134,6 @@ class _Search:
         self.goal, self.full_v, self.full_e, self.top, self.outside = False, 0, 0, None, None
         self.ebit = self.erow = None
         self.cv_at = self.ce_at = self.used_at = len(domains) * w
-        self.nonc, self.one_used = vmask, 0
         self.off_out = [vmask & ~a for a in tout]
         self.off_in = [vmask & ~a for a in tin] if self.digraph else self.off_out
         x = 0
@@ -158,13 +159,11 @@ class _Search:
         field of 0 reads.  The kernel must be undirected and have no goal
         yet: a goal is set whole, once.
 
-        It fixes the key `count` and `_Levels` share: after the fields, the
-        covered target vertices from bit `cv_at`, the covered edges from bit
-        `ce_at` (`erow`: ebit's rows moved there) and, under a cap, the
-        number used from bit `used_at`, which a covering child raises by
-        `one_used`.  A `top` no assignment can reach is no cap and stays out
-        of the keys.  `nonc`: the values whose child covers nothing, those
-        outside the goal (with outside="valued", every value)."""
+        It fixes the key every covering sweep keys its states by: after the
+        fields, the covered target vertices from bit `cv_at`, the covered
+        edges from bit `ce_at` (`erow`: ebit's rows moved there) and, under
+        a cap, the number used from bit `used_at`.  A `top` no assignment
+        can reach is no cap and stays out of the keys."""
         if self.digraph:
             raise ValueError("a coverage goal needs an undirected kernel")
         if self.goal:
@@ -192,9 +191,7 @@ class _Search:
         if e:
             self.erow = [[bit << self.ce_at for bit in row] for row in self.ebit]
         if top is not None and top < len(self.domains):
-            self.top, self.one_used = top, 1 << self.used_at
-        if outside != "valued":
-            self.nonc &= ~full_v
+            self.top = top
         return self
 
     def _no_map(self) -> bool:
@@ -204,81 +201,105 @@ class _Search:
     def count(self) -> int:
         """Number of homomorphisms that meet the coverage goal.
 
-        One sweep along the fixed order (see `_order`): each step extends
-        every state by the next vertex, and children that leave the same
-        residual subproblem merge into one state whose number of partial
-        maps is the sum of theirs.  With a goal, a state's values that may
-        cover and whether a child that covers nothing is allowed are worked
-        out once, before its children (each vertex left covers at most one
-        more target vertex, and under a cap only so many more may cover).  A
-        covering child ORs in its value's vertex and edge bits, adds 1 to the
-        number used and keeps its value while it has an unassigned neighbor;
-        a child that covers nothing sets no bit and keeps nothing (the key's
-        layout is in the module docstring).  With edges to cover, a step
-        reads the values kept by the assigned neighbors of the vertex it
-        assigns (a field of 0 realizes no edge), then clears the fields of
-        those whose last unassigned neighbor it was.  The step that assigns
-        the last vertex builds no level: per state it counts the children
-        that complete the goal."""
+        With a goal, the covering sweep (`_sweep`).  With none, one sweep
+        along the walk order (`_steps`): each step extends every state by
+        the next vertex, peels its neighbors left with no unassigned
+        neighbor and weighs each peeled vertex's domain, and children that
+        leave the same residual subproblem merge into one state whose number
+        of partial maps is the sum of theirs."""
+        if self.goal:
+            return self._sweep()
         if self._no_map():
             return 0
-        n, k, w, vmask = len(self.domains), self.w - 1, self.w, self.vmask
-        digraph, adj, cw = self.digraph, self.adj, self.weights
+        w, vmask, digraph, cw = self.w, self.vmask, self.digraph, self.weights
         off_out, off_in = self.off_out, self.off_in
         # state -> number of partial maps
         states: dict = {self.packed: 1}
-        if not self.goal:
-            for v, lone, s_low, p_low, nb_low, nb_high, clear in self._steps():
-                sv = v * w
-                nxt: dict = {}
-                if not nb_low:
-                    e = 1 if cw is None else cw[v]
-                    for x, c in states.items():
-                        y = x & clear
-                        nxt[y] = nxt.get(y, 0) + c * (x >> sv & vmask).bit_count() ** e
-                else:
-                    peel = [(u * w, 1 if cw is None else cw[u]) for u in lone]
-                    for x, c in states.items():
-                        d = x >> sv & vmask
-                        while d:
-                            b = d & -d
-                            d ^= b
-                            t = b.bit_length() - 1
-                            y = x & ~(s_low * off_out[t])
-                            if digraph:
-                                y &= ~(p_low * off_in[t])
-                            # a neighbor's field of 0, minus 1, borrows its spare bit
-                            if (y | nb_high) - nb_low & nb_high != nb_high:
-                                continue  # that neighbor's domain emptied
-                            f = c
-                            for su, wu in peel:
-                                f *= (y >> su & vmask).bit_count() ** wu
-                            y &= clear
-                            nxt[y] = nxt.get(y, 0) + f
-                if not nxt:
-                    return 0
-                states = nxt
-            return sum(states.values())
-        full_v, full_e, ebit, erow, nonc = self.full_v, self.full_e, self.ebit, self.erow, self.nonc
-        cap, cv_at, ce_at, used_at, one_used = self.top, self.cv_at, self.ce_at, self.used_at, self.one_used
-        blank = self.outside == "blank"
-        order = self._order()
-        if not order:
-            # the one empty map covers an empty goal only
-            return int(not full_v)
-        rest = (1 << n) - 1
-        for v in order[:-1]:
-            rest ^= 1 << v
+        for v, lone, s_low, p_low, nb_low, nb_high, clear in self._steps():
             sv = v * w
-            clear, nb_low, back, keep = self._cover_step(v, rest)
-            # with outside="blank" no borrow test: a neighbor whose domain
-            # empties can still take no value
-            t_low = 0 if blank else nb_low
-            t_high = t_low << k
             nxt: dict = {}
-            # each vertex still to assign covers at most one more target
-            # vertex, and at most cap - used of them may
-            room = rest.bit_count()
+            if not nb_low:
+                e = 1 if cw is None else cw[v]
+                for x, c in states.items():
+                    y = x & clear
+                    nxt[y] = nxt.get(y, 0) + c * (x >> sv & vmask).bit_count() ** e
+            else:
+                peel = [(u * w, 1 if cw is None else cw[u]) for u in lone]
+                for x, c in states.items():
+                    d = x >> sv & vmask
+                    while d:
+                        b = d & -d
+                        d ^= b
+                        t = b.bit_length() - 1
+                        y = x & ~(s_low * off_out[t])
+                        if digraph:
+                            y &= ~(p_low * off_in[t])
+                        # a neighbor's field of 0, minus 1, borrows its spare bit
+                        if (y | nb_high) - nb_low & nb_high != nb_high:
+                            continue  # that neighbor's domain emptied
+                        f = c
+                        for su, wu in peel:
+                            f *= (y >> su & vmask).bit_count() ** wu
+                        y &= clear
+                        nxt[y] = nxt.get(y, 0) + f
+            if not nxt:
+                return 0
+            states = nxt
+        return sum(states.values())
+
+    def _sweep(self, kids: list | None = None):
+        """The covering count or, with `kids`, the level store's sweep.
+
+        With a goal it follows `_order`, each step built by `_cover_step` as
+        the sweep reaches it; with none (the store only), the walk order
+        (`_walk`).  Per state, once: the values that may cover and whether a
+        child that covers nothing is allowed (each vertex left covers at
+        most one more goal vertex, and under a cap only so many more may
+        cover), so a state that cannot meet the goal, or has no child left,
+        is skipped; then the edge rows of its assigned neighbors' values and
+        the clear.  A covering child ORs in its value's vertex and edge
+        bits, adds 1 to the number used and keeps its value while it has an
+        unassigned neighbor; a child that covers nothing sets no bit and
+        keeps nothing (the key's layout is in the module docstring).  With
+        outside="blank" the child of no value (listed k) comes first, then
+        per value of the vertex's domain, ascending, the child that covers
+        nothing and the covering one, each where allowed.
+
+        Then one loop per output.  Without `kids` it adds each child's
+        number of partial maps into the next level and counts the last step
+        in place: per state, the children that complete the goal; it returns
+        the count.  With `kids` it appends per step each state's children as
+        [(listed value, index of the child in the next level)], builds all
+        n levels, narrowing in-neighbors too on a digraph, and returns the
+        order and the last level's states, in index order."""
+        n, k, w, vmask = len(self.domains), self.w - 1, self.w, self.vmask
+        off_out, off_in, goal, store = self.off_out, self.off_in, self.goal, kids is not None
+        full_v, full_e, ebit, erow, cap = self.full_v, self.full_e, self.ebit, self.erow, self.top
+        cv_at, ce_at, used_at, blank = self.cv_at, self.ce_at, self.used_at, self.outside == "blank"
+        # a covering child raises the number used by one_used; nonc: the
+        # values whose child covers nothing, those outside the goal (with
+        # outside="valued", every value, listed from k up)
+        one_used = 0 if cap is None else 1 << used_at
+        nonc, shift = (vmask, k) if self.outside == "valued" else (vmask & ~full_v, 0)
+        walk = None if goal else self._walk()
+        order = self._order() if goal else [step[0] for step in walk]
+        back, keep, rest = (), 0, (1 << n) - 1
+        # state -> number of partial maps (in the store, its index)
+        states: dict = {} if self._no_map() else {self.packed: 1}
+        for i in range(n if store else n - 1):
+            if goal:
+                v = order[i]
+                rest ^= 1 << v
+                clear, s_low, back, keep = self._cover_step(v, rest)
+                # with outside="blank" no borrow test: a neighbor whose
+                # domain empties can still take no value
+                p_low, t_low = 0, 0 if blank else s_low
+                t_high = t_low << k
+            else:
+                v, clear, s_low, p_low, t_low, t_high = walk[i]
+            sv, room = v * w, n - i - 1
+            nxt: dict = {}
+            level = []
             for x, c in states.items():
                 todo = full_v & ~(x >> cv_at)
                 left = todo.bit_count()
@@ -288,26 +309,46 @@ class _Search:
                 # nothing, and whether the child of no value is allowed
                 ins, outs, bare = full_v, nonc, blank
                 if left > room or spare <= 0:
-                    if left > room + 1 or spare < 0:
-                        continue
-                    # v must cover a new target vertex (no room left), or
-                    # may not cover a covered one (no cap left)
+                    # v must cover a new goal vertex (no room left), or may
+                    # not cover a covered one (no cap left)
                     ins = todo
                     if left > room:
                         outs = bare = 0
                     d &= ins | outs
-                    if not d and not bare:
+                    if left > room + 1 or spare < 0 or not d and not bare:
+                        if store:
+                            level.append([])
                         continue
-                # the edge bits of each assigned neighbor's value
+                # the edge bits of each assigned neighbor's value (a field
+                # of 0 reads the last row, of none)
                 rows = [erow[(x >> su & vmask).bit_length() - 1] for su in back] if back else ()
                 x &= clear
+                if store:
+                    ks = [(k, nxt.setdefault(x, len(nxt)))] if bare else []
+                    while d:
+                        b = d & -d
+                        d ^= b
+                        t = b.bit_length() - 1
+                        y = x & ~(s_low * off_out[t]) & ~(p_low * off_in[t])
+                        if t_low and (y | t_high) - t_low & t_high != t_high:
+                            continue  # a neighbor's domain emptied
+                        if b & outs:
+                            ks.append((shift + t, nxt.setdefault(y, len(nxt))))
+                        if b & ins:
+                            for row in rows:
+                                y |= row[t]
+                            if keep:
+                                y |= b << sv
+                            ks.append((t, nxt.setdefault((y | b << cv_at) + one_used, len(nxt))))
+                    level.append(ks)
+                    continue
                 if bare:
                     nxt[x] = nxt.get(x, 0) + c
                 while d:
                     b = d & -d
                     d ^= b
                     t = b.bit_length() - 1
-                    y = x & ~(nb_low * off_out[t])
+                    y = x & ~(s_low * off_out[t])
                     if t_low and (y | t_high) - t_low & t_high != t_high:
                         continue  # a neighbor's domain emptied
                     if outs and b & outs:
@@ -319,9 +360,16 @@ class _Search:
                             y |= b << sv
                         y = (y | b << cv_at) + one_used
                         nxt[y] = nxt.get(y, 0) + c
-            if not nxt:
+            if store:
+                kids.append(level)
+            elif not nxt:
                 return 0
             states = nxt
+        if store:
+            return order, states
+        if not order:
+            # the one empty map covers an empty goal only
+            return int(not full_v)
         # the last vertex: all its neighbors are assigned and keep their values
         v = order[-1]
         sv = v * w
@@ -355,13 +403,13 @@ class _Search:
 
     def _cover_step(self, v: int, rest: int) -> tuple:
         """The covering step that assigns v, with the vertices of `rest`
-        still unassigned, as `count` and `_Levels` sweep it: (clear, nb_low,
-        back, keep).  nb_low: bit 0 of the fields of v's unassigned
-        neighbors.  With edges to cover, back: the field offsets of v's
-        assigned neighbors, whose fields hold their values; keep: nonzero
-        if v has an unassigned neighbor, so keeps its value; and clear
-        clears, besides v's field, those of the neighbors whose last
-        unassigned neighbor v is."""
+        still unassigned, as `_sweep` reaches it: (clear, nb_low, back,
+        keep).  nb_low: bit 0 of the fields of v's unassigned neighbors.
+        With edges to cover, back: the field offsets of v's assigned
+        neighbors, whose fields hold their values; keep: nonzero if v has an
+        unassigned neighbor, so keeps its value; and clear clears, besides
+        v's field, those of the neighbors whose last unassigned neighbor v
+        is."""
         w, vmask, adj, edges = self.w, self.vmask, self.adj, self.full_e
         clear, nb_low, back = ~(vmask << v * w), 0, []
         # one pass over v's neighbors: the unassigned ones spread into bit 0
@@ -421,6 +469,17 @@ class _Search:
             nb_low = s_low | p_low
             steps.append((v, lone, s_low, p_low, nb_low, nb_low << k, clear))
         return steps
+
+    def _walk(self) -> list[tuple]:
+        """The walk order's steps, which the level store sweeps with no
+        goal: `_steps`, each peeled vertex a step of its own right after its
+        parent's, narrowing nothing; (v, clear, s_low, p_low, nb_low,
+        nb_high), where clear clears v's field alone."""
+        vmask, w, walk = self.vmask, self.w, []
+        for v, lone, s_low, p_low, nb_low, nb_high, _ in self._steps():
+            walk.append((v, ~(vmask << v * w), s_low, p_low, nb_low, nb_high))
+            walk += [(u, ~(vmask << u * w), 0, 0, 0, 0) for u in lone]
+        return walk
 
     def _order(self) -> list[int]:
         """The fixed branching order of `count`: the pattern components one
@@ -644,23 +703,19 @@ def _draw(rng, acc: list[int]) -> int:
 
 def _walk_order(inst: ListedInstance, target: Graph) -> list[str]:
     """The pattern vertices in the order the plain sweep fixes them."""
-    steps = _kernel(inst, target)._steps()
-    return [inst.pattern.vertices[u] for v, lone, *_ in steps for u in (v, *lone)]
+    return [inst.pattern.vertices[step[0]] for step in _kernel(inst, target)._walk()]
 
 
 class _Levels:
-    """The one level store: a kernel's sweep with its levels kept, for
-    listing (`assignments`) and uniform draws (`draw`).  With no coverage
-    goal it sweeps `_steps` in the walk order (`_walk_order`): each peeled
-    vertex is a step of its own right after its parent's, with no neighbor
-    to narrow.  With a goal it sweeps `_order`.  One child rule,
-    `_children`, extends a state as `count`'s covering branch does, with
-    the same key (with no goal, the fields alone) and the same limits on
-    the vertices left to cover and the covers the cap leaves; a state of
-    the last level completes exactly when its covered vertices and edges
-    are the goal's.
+    """The one level store: a kernel's sweep (`_Search._sweep`) with its
+    levels kept, for listing (`assignments`) and uniform draws (`draw`).
+    With no coverage goal the sweep follows the walk order (`_walk_order`):
+    each peeled vertex is a step of its own right after its parent's, with
+    no neighbor to narrow.  With a goal it follows `_order`, with the keys
+    and limits of the covering count; a state of the last level completes
+    exactly when its covered vertices and edges are the goal's.
 
-    The forward pass computes each state's children once and keeps them as
+    The sweep computes each state's children once and keeps them as
     `kids[i][s]`: [(listed value, index of the child in level i + 1)]; a
     level's states are dropped once the next level is made.  One backward
     pass over the kept children gives each state its number of completions,
@@ -676,37 +731,14 @@ class _Levels:
     def __init__(self, search: _Search, names=(), labels=()):
         if search.weights is not None:
             raise ValueError("the level store takes no weights")
-        n, k, w, vmask = len(search.domains), search.w - 1, search.w, search.vmask
         self.search = search
-        # per step: (v, the fields it clears, bit 0 of its unassigned out-
-        # and in-neighbors' fields, those the borrow test reads (none with
-        # outside="blank") and their spare bits, its assigned neighbors'
-        # field offsets, whether it keeps its value); with no goal the plain
-        # sweep's steps, a peeled vertex's narrowing nothing, and with one
-        # `_cover_step`'s, the steps `count` sweeps
-        self.steps = steps = []
-        if not search.goal:
-            for v, lone, s_low, p_low, nb_low, nb_high, _ in search._steps():
-                steps.append((v, ~(vmask << v * w), s_low, p_low, nb_low, nb_high, (), 0))
-                steps += [(u, ~(vmask << u * w), 0, 0, 0, 0, (), 0) for u in lone]
-        else:
-            rest = (1 << n) - 1
-            for v in search._order():
-                rest ^= 1 << v
-                clear, s_low, back, keep = search._cover_step(v, rest)
-                t_low = 0 if search.outside == "blank" else s_low
-                steps.append((v, clear, s_low, 0, t_low, t_low << k, back, keep))
-        self.order = [step[0] for step in steps]
-        states = [] if search._no_map() else [search.packed]
         self.kids = []
-        for i in range(n):
-            kids, states = self._children(i, states)
-            self.kids.append(kids)
+        self.order, states = search._sweep(self.kids)
         # a state of the last level completes when it covers the whole goal
         full_v, full_e, cv_at, ce_at = search.full_v, search.full_e, search.cv_at, search.ce_at
         counts = [int(not full_v & ~(x >> cv_at) | full_e & ~(x >> ce_at)) for x in states]
         self.counts = [counts]
-        for i in range(n - 1, -1, -1):
+        for i in range(len(self.order) - 1, -1, -1):
             after, kids = counts, self.kids[i]
             if 0 in after:  # keep only the children that complete
                 kids = self.kids[i] = [[(t, j) for t, j in ks if after[j]] for ks in kids]
@@ -716,70 +748,8 @@ class _Levels:
         self.total = sum(self.counts[0])
         self.names, self.labels = names, labels
         self.image = dict.fromkeys(names)
-        self.tables: list[dict] = [{} for _ in steps]
+        self.tables: list[dict] = [{} for _ in self.order]
         self.built, self.first = 0, None
-
-    def _children(self, i: int, states: list[int]) -> tuple[list[list[tuple[int, int]]], list[int]]:
-        """The one child rule.  Per state, its children at step i as
-        (listed value, index of the child in the next level), and the next
-        level's states in index order, children that leave the same state
-        merged into one.  With outside="blank" the child of no value (listed
-        k) comes first, then per value of the vertex's domain, ascending, the
-        child that covers nothing and the covering one, each where allowed.
-        As in `count`, each vertex left covers at most one more goal vertex
-        and at most cap - used of them may cover: a state that cannot meet
-        the goal has no children, and one that needs every vertex left, or
-        every cover the cap leaves, to cover a new goal vertex has only
-        children that do."""
-        search = self.search
-        v, clear, s_low, p_low, t_low, t_high, back, keep = self.steps[i]
-        k, vmask, off_out, off_in, sv = search.w - 1, search.vmask, search.off_out, search.off_in, v * search.w
-        full_v, nonc, cap, erow = search.full_v, search.nonc, search.top, search.erow
-        cv_at, used_at, one_used, blank = search.cv_at, search.used_at, search.one_used, search.outside == "blank"
-        # a child that covers nothing lists its value from `shift` up
-        shift = k if search.outside == "valued" else 0
-        # the vertices still to assign after this step's
-        room = len(self.steps) - i - 1
-        # the next level's states -> their indices
-        index: dict = {}
-        out = []
-        for x in states:
-            d = x >> sv & vmask
-            todo = full_v & ~(x >> cv_at)
-            left = todo.bit_count()
-            spare = 1 if cap is None else cap - (x >> used_at) - left
-            # the values that may cover, those whose child covers nothing,
-            # and whether the child of no value is allowed
-            ins, outs, bare = full_v, nonc, blank
-            if left > room or spare <= 0:
-                if left > room + 1 or spare < 0:
-                    out.append([])
-                    continue
-                ins = todo
-                if left > room:
-                    outs = bare = 0
-            # the edge bits of each assigned neighbor's value (a field of 0
-            # reads the last row, of none)
-            rows = [erow[(x >> su & vmask).bit_length() - 1] for su in back]
-            x &= clear
-            kids = [(k, index.setdefault(x, len(index)))] if bare else []
-            while d:
-                b = d & -d
-                d ^= b
-                t = b.bit_length() - 1
-                y = x & ~(s_low * off_out[t]) & ~(p_low * off_in[t])
-                if t_low and (y | t_high) - t_low & t_high != t_high:
-                    continue  # a neighbor's domain emptied
-                if b & outs:
-                    kids.append((shift + t, index.setdefault(y, len(index))))
-                if b & ins:
-                    for row in rows:
-                        y |= row[t]
-                    if keep:
-                        y |= b << sv
-                    kids.append((t, index.setdefault((y | b << cv_at) + one_used, len(index))))
-            out.append(kids)
-        return out, list(index)
 
     def _table(self, i: int, s: int) -> tuple:
         """The draw table of state s before step i, built once (() past the
@@ -790,7 +760,7 @@ class _Levels:
         kids[p], for the p-th value of the list: None for a count of 0, else
         [the next table once a draw reaches it, the next state's index, the
         value's label]."""
-        if i == len(self.steps):
+        if i == len(self.order):
             return ()
         table = self.tables[i].get(s)
         if table is None:

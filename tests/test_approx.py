@@ -5,7 +5,7 @@ import statistics
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -870,6 +870,20 @@ def test_seeded_sample_hom_draws_are_pinned():
     assert oracle.calls == 104
 
 
+def test_noisy_perturbed_sums_are_the_prefix_sums_of_the_fraction_answers():
+    # `_perturbed` scales its answers to integers itself; the reference is
+    # `_prefix_sums` of the answers as Fractions, over a twin oracle's factors
+    rng = random.Random(56)
+    mine, twin = approx.NoisyOracle(0.3, 0.2, seed=4), approx.NoisyOracle(0.3, 0.2, seed=4)
+    for _ in range(20_000):
+        sizes = (0, rng.randrange(1, 9), rng.randrange(1, 1 << 12) << rng.randrange(60), rng.getrandbits(90))
+        trues = [rng.choice(sizes) for _ in range(rng.randrange(1, 6))]
+        eps = rng.choice((None, 0.01, 0.2, 0.5))
+        factors = iter(twin._factors(eps, len(trues) - trues.count(0)))
+        want = approx._prefix_sums([approx._times(t, next(factors)) if t else 0 for t in trues])
+        assert mine._perturbed(list(accumulate(trues)), eps) == want, trues
+
+
 def test_seeded_jvv_and_noisy_runs_are_pinned():
     p3, p4 = build_path(3), build_path(4)
     for g, target in ((K2, K2), (p3, p3)):
@@ -1127,7 +1141,7 @@ def _zero_weights(tables) -> int:
 
 def test_exact_sampler_work_does_not_grow_with_draws(monkeypatch):
     work = []
-    for cls, name in ((exact._Search, "_steps"), (exact._Search, "count"), (exact._Levels, "_children")):
+    for cls, name in ((exact._Search, "_steps"), (exact._Search, "count"), (exact._Search, "_sweep")):
 
         def recorded(self, *args, _f=getattr(cls, name), _name=name):
             work.append(_name)
@@ -1148,7 +1162,8 @@ def test_exact_sampler_work_does_not_grow_with_draws(monkeypatch):
     # c1's (b: every value, g: b, r1: b and r1, r2: b and r2)
     tables = oracle.draw_tables(inst, tw)
     assert [len(memo) for memo in tables.tables] == [1, 4, 4]
-    assert work.count("_steps") == 1 and "count" not in work and seen[-1][0] == 9 and not oracle._cache
+    assert work.count("_steps") == work.count("_sweep") == 1 and "count" not in work
+    assert seen[-1][0] == 9 and not oracle._cache
 
 
 def test_sample_hom_rejects_seed_with_rng():

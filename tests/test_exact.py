@@ -397,17 +397,16 @@ def test_comp_listing_enters_only_live_children(monkeypatch):
     # comp witnesses on K2 of one edge plus m isolated vertices, named to
     # sort after the edge's ends (z..) or before them (i..): only the edge
     # can realize K2's edge.  The level store computes each state's
-    # children once, in one call of its child rule per step before the
-    # last level, and the walk enters only children that complete,
-    # whatever the names
+    # children once, in one sweep that keeps one level per vertex, and the
+    # walk enters only children that complete, whatever the names
     calls = []
-    children = exact._Levels._children
+    sweep = exact._Search._sweep
 
-    def record(levels, i, states):
-        calls.append((levels, i, len(states)))
-        return children(levels, i, states)
+    def record(search, kids=None):
+        calls.append(kids)
+        return sweep(search, kids)
 
-    monkeypatch.setattr(exact._Levels, "_children", record)
+    monkeypatch.setattr(exact._Search, "_sweep", record)
     k2 = Graph("ab", [("a", "b")])
     for m in (24, 70):
         for name in ("z", "i"):
@@ -415,39 +414,24 @@ def test_comp_listing_enters_only_live_children(monkeypatch):
             g = Graph(["x", "y"] + [f"{name}{i:02d}" for i in range(m)], [("x", "y")])
             inst = ListedInstance.full(g, k2)
             ts = approx.enumerate_T(inst, k2, "comp")
+            [kids] = calls
+            assert kids is not None and len(kids) == m + 2, (m, name)
             # U holds x and y, mapped to a and b either way, and up to two others
             t = 2 * (1 + 2 * m + 4 * math.comb(m, 2))
             assert len(ts) == t == approx.count_witnesses(inst, k2, "comp"), (m, name)
-            [levels] = {levels for levels, _, _ in calls}
-            assert [i for _, i, _ in calls] == list(range(m + 2)), (m, name)
-            assert [size for _, _, size in calls] == list(map(len, levels.kids)), (m, name)
 
 
-def test_listing_levels_keep_no_state_short_of_room(monkeypatch):
+def test_listing_levels_keep_no_state_short_of_room():
     # as in `count`, each vertex left covers at most one more goal vertex:
     # no state stored before step i may have more goal vertices uncovered
-    # than the n - i vertices still to assign
-    seen = []
-    children = exact._Levels._children
-
-    def record(levels, i, states):
-        seen.append((levels, i, list(states)))
-        return children(levels, i, states)
-
-    monkeypatch.setattr(exact._Levels, "_children", record)
-    for g in (K2, build_path(3)):
+    # than the n - i vertices still to assign.  The t search's level sizes
+    # are pinned: without that limit P3 -> P3 sur stored 24 states
+    for g, sizes in ((K2, [1, 2]), (build_path(3), [1, 3, 4])):
         for mode in ("sur", "comp"):
-            seen.clear()
             inst = ListedInstance.full(g, g)
+            levels = exact._Levels(exact._witness_search(inst, g, mode, weighted=False))
+            assert [len(level) for level in levels.kids] == sizes, (g.vertices, mode)
             assert approx.enumerate_T(inst, g, mode), (g.vertices, mode)
-            n = len(g)
-            short = {
-                (i, x)
-                for levels, i, states in seen
-                for x in states
-                if (levels.search.full_v & ~(x >> levels.search.cv_at)).bit_count() > n - i
-            }
-            assert seen and not short, (g.vertices, mode, short)
 
 
 def test_enumeration_leaf_steps_match_naive():

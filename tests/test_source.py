@@ -93,6 +93,23 @@ def test_exact_builds_the_covering_step_in_one_function():
     assert builders == ["_cover_step"], builders
 
 
+def test_exact_makes_covering_children_in_one_sweep():
+    """`count` and the level store make covering children in one sweep,
+    `_Search._sweep`, so besides `_Search.cover`, which fixes the covering
+    key, it is the only function in `exact` that names what a covering
+    child reads: `one_used`, what it adds to the number used, or `nonc`,
+    the values whose child covers nothing."""
+    found = sorted(
+        {
+            node.name
+            for node in ast.walk(_modules()["exact.py"])
+            if isinstance(node, ast.FunctionDef)
+            and any(n in ("one_used", "nonc") for inner in ast.walk(node) for n in _names(inner))
+        }
+    )
+    assert "_sweep" in found and set(found) <= {"cover", "_sweep"}, found
+
+
 def test_only_exact_kernel_builds_the_kernel_on_an_instance():
     """`exact._kernel` checks that an instance's lists are over the target
     before it builds the kernel, so it is the one call that passes an
