@@ -42,19 +42,19 @@ distinct residual states, not the count.  A state is
   unchanged, and every state is one int.
 With no coverage goal `count` sweeps in a loop of its own, which peels and
 weighs vertices.  Every other sweep is one method, `_Search._sweep`, with
-two outputs: per state, its limits (the vertices left to cover against
-those left to assign, and the covers a cap leaves) are worked out once,
-then one loop per output makes its children.  A covering count adds their
-numbers into the next level and counts the last step in place, without
-building a level.  The level store (`_Levels`) keeps every level instead,
-each state's children as (listed value, index into the next level), along
-the walk order with no goal (each peeled vertex a step of its own) and
+two outputs: per state, its limits (the vertices left to cover against those
+left to assign, and the covers a cap leaves) are worked out once, then one
+loop per output makes its children.  A covering count adds their numbers
+into the next level and counts the last step in place, from the same limits,
+without building a level.  The level store (`_Levels`) keeps every level
+instead, each state's children as (listed value, index into the next level),
+along the walk order with no goal (each peeled vertex a step of its own) and
 along the covering steps with one; the last level is checked against the
 whole goal.  One backward pass gives each state its number of completions
-and keeps the children that complete.  A listing walks them in a loop, so
-it enters no dead branch and no pattern is too deep for it; a draw walks
-the steps forward over the prefix sums of those numbers.  Each mode has
-this one route; the second routes through other identities (a product over
+and keeps the children that complete.  A listing walks them in a loop, so it
+enters no dead branch and no pattern is too deep for it; a draw walks the
+steps forward over the prefix sums of those numbers.  Each mode has this one
+route; the second routes through other identities (a product over
 components, inclusion-exclusion for surjective and compaction counts) are
 cross-checks in `reference`.
 """
@@ -132,7 +132,7 @@ class _Search:
         # no coverage goal until `cover` sets one: the key is the fields
         # alone and every value covers nothing (see `cover` for the layout)
         self.goal, self.full_v, self.full_e, self.top, self.outside = False, 0, 0, None, None
-        self.ebit = self.erow = None
+        self.erow = None
         self.cv_at = self.ce_at = self.used_at = len(domains) * w
         self.off_out = [vmask & ~a for a in tout]
         self.off_in = [vmask & ~a for a in tin] if self.digraph else self.off_out
@@ -153,25 +153,25 @@ class _Search:
         `full_v` covers nothing; with `outside`, any vertex may cover
         nothing: "blank", taking no value and narrowing no neighbor (listed
         as value k, for a k-vertex target), or "valued", taking any value
-        of its list as usual (value h listed as k + h).  The edges are
-        numbered in index order into ``ebit[i][j]``, the bit of the edge that
-        values i and j realize (0 if none); row k, of no value, is the one a
-        field of 0 reads.  The kernel must be undirected and have no goal
-        yet: a goal is set whole, once.
+        of its list as usual (value h listed as k + h).  The kernel must be
+        undirected and have no goal yet: a goal is set whole, once.
 
         It fixes the key every covering sweep keys its states by: after the
         fields, the covered target vertices from bit `cv_at`, the covered
-        edges from bit `ce_at` (`erow`: ebit's rows moved there) and, under
-        a cap, the number used from bit `used_at`.  A `top` no assignment
-        can reach is no cap and stays out of the keys."""
+        edges from bit `ce_at` and, under a cap, the number used from bit
+        `used_at`, numbered in index order into the one edge table,
+        ``erow[i][j]``: the key bit of the edge that values i and j realize
+        (0 if none); row k, of no value, is the one a field of 0 reads.  A
+        `top` no assignment can reach is no cap and stays out of the keys."""
         if self.digraph:
             raise ValueError("a coverage goal needs an undirected kernel")
         if self.goal:
             raise ValueError("the kernel already has a coverage goal")
         self.goal, self.full_v, self.outside = True, full_v, outside
         k, e = self.w - 1, 0
+        self.ce_at = ce_at = self.cv_at + k
         if edges:
-            self.ebit = ebit = [[0] * k for _ in range(k + 1)]
+            self.erow = erow = [[0] * k for _ in range(k + 1)]
             m = full_v
             while m:
                 b = m & -m
@@ -183,13 +183,10 @@ class _Search:
                     c = js & -js
                     js ^= c
                     j = c.bit_length() - 1
-                    ebit[i][j] = ebit[j][i] = 1 << e
+                    erow[i][j] = erow[j][i] = 1 << ce_at + e
                     e += 1
             self.full_e = (1 << e) - 1
-        self.ce_at = self.cv_at + k
-        self.used_at = self.ce_at + e
-        if e:
-            self.erow = [[bit << self.ce_at for bit in row] for row in self.ebit]
+        self.used_at = ce_at + e
         if top is not None and top < len(self.domains):
             self.top = top
         return self
@@ -256,25 +253,27 @@ class _Search:
         child that covers nothing is allowed (each vertex left covers at
         most one more goal vertex, and under a cap only so many more may
         cover), so a state that cannot meet the goal, or has no child left,
-        is skipped; then the edge rows of its assigned neighbors' values and
-        the clear.  A covering child ORs in its value's vertex and edge
-        bits, adds 1 to the number used and keeps its value while it has an
-        unassigned neighbor; a child that covers nothing sets no bit and
-        keeps nothing (the key's layout is in the module docstring).  With
-        outside="blank" the child of no value (listed k) comes first, then
-        per value of the vertex's domain, ascending, the child that covers
-        nothing and the covering one, each where allowed.
+        is skipped.  A covering child ORs in its value's vertex bit and the
+        edge rows of its assigned neighbors' values at that value, adds 1 to
+        the number used and keeps its value while it has an unassigned
+        neighbor; a child that covers nothing sets no bit and keeps nothing
+        (the key's layout is in the module docstring).  With outside="blank"
+        the child of no value (listed k) comes first, then per value of the
+        vertex's domain, ascending, the child that covers nothing and the
+        covering one, each where allowed.
 
         Then one loop per output.  Without `kids` it adds each child's
-        number of partial maps into the next level and counts the last step
-        in place: per state, the children that complete the goal; it returns
+        number of partial maps into the next level, but at the last step,
+        where the limits leave only children that cover every goal vertex,
+        into the count: per child if no goal edge is missing, else per
+        covering value whose edge rows realize every missing one; it returns
         the count.  With `kids` it appends per step each state's children as
         [(listed value, index of the child in the next level)], builds all
         n levels, narrowing in-neighbors too on a digraph, and returns the
         order and the last level's states, in index order."""
         n, k, w, vmask = len(self.domains), self.w - 1, self.w, self.vmask
         off_out, off_in, goal, store = self.off_out, self.off_in, self.goal, kids is not None
-        full_v, full_e, ebit, erow, cap = self.full_v, self.full_e, self.ebit, self.erow, self.top
+        full_v, goal_e, erow, cap = self.full_v, self.full_e << self.ce_at, self.erow, self.top
         cv_at, ce_at, used_at, blank = self.cv_at, self.ce_at, self.used_at, self.outside == "blank"
         # a covering child raises the number used by one_used; nonc: the
         # values whose child covers nothing, those outside the goal (with
@@ -286,7 +285,8 @@ class _Search:
         back, keep, rest = (), 0, (1 << n) - 1
         # state -> number of partial maps (in the store, its index)
         states: dict = {} if self._no_map() else {self.packed: 1}
-        for i in range(n if store else n - 1):
+        total = 0
+        for i in range(n):
             if goal:
                 v = order[i]
                 rest ^= 1 << v
@@ -298,6 +298,9 @@ class _Search:
             else:
                 v, clear, s_low, p_low, t_low, t_high = walk[i]
             sv, room = v * w, n - i - 1
+            # tail: the states' children are not added into the next level's
+            # numbers (the store lists them; the count's last step counts them)
+            tail = store or not room
             nxt: dict = {}
             level = []
             for x, c in states.items():
@@ -319,11 +322,30 @@ class _Search:
                         if store:
                             level.append([])
                         continue
-                # the edge bits of each assigned neighbor's value (a field
-                # of 0 reads the last row, of none)
-                rows = [erow[(x >> su & vmask).bit_length() - 1] for su in back] if back else ()
-                x &= clear
-                if store:
+                if tail:
+                    if not store:
+                        # the last vertex: every child left covers the goal's
+                        # vertices; only a covering value realizes its edges
+                        missing = goal_e & ~x
+                        if not missing:
+                            total += c * ((d & ins).bit_count() + (d & outs).bit_count() + bare)
+                            continue
+                        rows = [erow[(x >> su & vmask).bit_length() - 1] for su in back]
+                        d &= ins
+                        while d:
+                            b = d & -d
+                            d ^= b
+                            t = b.bit_length() - 1
+                            e = 0
+                            for row in rows:
+                                e |= row[t]
+                            if not missing & ~e:
+                                total += c
+                        continue
+                    # the edge bits of each assigned neighbor's value (a field
+                    # of 0 reads the last row, of none)
+                    rows = [erow[(x >> su & vmask).bit_length() - 1] for su in back] if back else ()
+                    x &= clear
                     ks = [(k, nxt.setdefault(x, len(nxt)))] if bare else []
                     while d:
                         b = d & -d
@@ -342,6 +364,8 @@ class _Search:
                             ks.append((t, nxt.setdefault((y | b << cv_at) + one_used, len(nxt))))
                     level.append(ks)
                     continue
+                rows = [erow[(x >> su & vmask).bit_length() - 1] for su in back] if back else ()
+                x &= clear
                 if bare:
                     nxt[x] = nxt.get(x, 0) + c
                 while d:
@@ -363,43 +387,12 @@ class _Search:
             if store:
                 kids.append(level)
             elif not nxt:
-                return 0
+                return total
             states = nxt
         if store:
             return order, states
-        if not order:
-            # the one empty map covers an empty goal only
-            return int(not full_v)
-        # the last vertex: all its neighbors are assigned and keep their values
-        v = order[-1]
-        sv = v * w
-        back = self._cover_step(v, 0)[2] if full_e else ()
-        total = 0
-        for x, c in states.items():
-            todo = full_v & ~(x >> cv_at)
-            left = todo.bit_count()
-            spare = 1 if cap is None else cap - (x >> used_at) - left
-            if left > 1 or spare < 0:
-                continue
-            d = x >> sv & vmask
-            # the values that may complete the goal: with one target vertex
-            # left, only that one; else any covering value the cap allows
-            m = d & todo if left else d & full_v if spare > 0 else 0
-            missing = full_e and full_e & ~(x >> ce_at)
-            if not missing:
-                total += c * (m.bit_count() if left else m.bit_count() + (d & nonc).bit_count() + blank)
-            elif m:
-                rows = [ebit[(x >> su & vmask).bit_length() - 1] for su in back]
-                while m:
-                    b = m & -m
-                    m ^= b
-                    t = b.bit_length() - 1
-                    e = 0
-                    for row in rows:
-                        e |= row[t]
-                    if not missing & ~e:
-                        total += c
-        return total
+        # no vertex: the one empty map covers an empty goal only
+        return int(not full_v)
 
     def _cover_step(self, v: int, rest: int) -> tuple:
         """The covering step that assigns v, with the vertices of `rest`

@@ -110,6 +110,25 @@ def test_exact_makes_covering_children_in_one_sweep():
     assert "_sweep" in found and set(found) <= {"cover", "_sweep"}, found
 
 
+def test_exact_works_out_the_covering_limits_once():
+    """`_Search._sweep` counts the last step in its step loop, from the
+    limits it works out for every step, so `spare`, the covers a cap leaves
+    a state, is assigned in one place in `exact`, inside `_sweep`; and the
+    kernel keeps one edge table, the key-shifted rows `cover` builds, so no
+    function but `cover` names `ebit`."""
+    tree = _modules()["exact.py"]
+    funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    sweep = next(fn for fn in funcs if fn.name == "_sweep")
+    spare = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "spare" and isinstance(node.ctx, ast.Store)
+    ]
+    assert len(spare) == 1 and sweep.lineno <= spare[0] <= sweep.end_lineno, spare
+    ebit = {fn.name for fn in funcs if any("ebit" in _names(node) for node in ast.walk(fn))}
+    assert ebit <= {"cover"}, ebit
+
+
 def test_only_exact_kernel_builds_the_kernel_on_an_instance():
     """`exact._kernel` checks that an instance's lists are over the target
     before it builds the kernel, so it is the one call that passes an
