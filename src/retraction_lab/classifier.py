@@ -41,7 +41,6 @@ WITNESS_REFL_CYCLE = "reflexive-cycle>=5"
 WITNESS_ODD_CYCLE = "odd-cycle"
 WITNESS_J3 = "induced-J3"
 WITNESS_EVEN_PSEUDOTREE = "even-cycle-pseudotree"
-WITNESS_FALLBACK = "not-PBRP/star-analysis"
 
 _WITNESS_CLAUSE = {
     WITNESS_WR: "Lem26",
@@ -449,8 +448,6 @@ def _irreflexive_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
     cycle = _cycle_witness(c)
     if cycle is not None and (cycle[0] == WITNESS_ODD_CYCLE or not wits):
         wits.append(cycle)
-    if not wits:
-        wits.append((WITNESS_FALLBACK, ()))
     return wits
 
 
@@ -462,8 +459,6 @@ def _looped_sat_witnesses(c: Graph) -> list[tuple[str, tuple[str, ...]]]:
     rc = reflexive_cycle_core(c)
     if rc is not None:
         wits.append((WITNESS_REFL_CYCLE, rc))
-    if not wits:
-        wits.append((WITNESS_FALLBACK, ()))
     return wits
 
 

@@ -23,8 +23,8 @@ distinct residual states, not the count.  A state is
     clear (Lamport's multiple-byte test).  Each child costs a few big-int
     operations over n (k + 1) bits.  The step that assigns a vertex spreads
     its unassigned neighbors into bit 0 of their fields once, for all its
-    children, so a count spreads each pattern edge once (`_steps`; with a
-    coverage goal, `_cover_step`, built as the sweep reaches the step);
+    children, so a count spreads each pattern edge once (`_steps` for
+    `count`'s plain loop, `_cover_step` as `_sweep` reaches the step);
   - sur: that int with the target vertices already covered in the k bits
     above the fields;
   - comp: also the covered target edges, in the bits above those, and an
@@ -42,21 +42,21 @@ distinct residual states, not the count.  A state is
   unchanged, and every state is one int.
 With no coverage goal `count` sweeps in a loop of its own, which peels and
 weighs vertices.  Every other sweep is one method, `_Search._sweep`, with
-two outputs: per state, its limits (the vertices left to cover against those
-left to assign, and the covers a cap leaves) are worked out once, then one
-loop per output makes its children.  A covering count adds their numbers
+two outputs, and each of its steps, with a goal or with none, comes from
+`_cover_step`.  Per state, its limits (the vertices left to cover against
+those left to assign, and the covers a cap leaves) are worked out once, then
+one loop per output makes its children.  A covering count adds their numbers
 into the next level and counts the last step in place, from the same limits,
 without building a level.  The level store (`_Levels`) keeps every level
 instead, each state's children as (listed value, index into the next level),
-along the walk order with no goal (each peeled vertex a step of its own) and
-along the covering steps with one; the last level is checked against the
-whole goal.  One backward pass gives each state its number of completions
-and keeps the children that complete.  A listing walks them in a loop, so it
-enters no dead branch and no pattern is too deep for it; a draw walks the
-steps forward over the prefix sums of those numbers.  Each mode has this one
-route; the second routes through other identities (a product over
-components, inclusion-exclusion for surjective and compaction counts) are
-cross-checks in `reference`.
+along the walk order (`_walk`) with no goal and along `_order` with one; the
+last level is checked against the whole goal.  One backward pass gives each
+state its number of completions and keeps the children that complete.  A
+listing walks them in a loop, so it enters no dead branch and no pattern is
+too deep for it; a draw walks the steps forward over the prefix sums of
+those numbers.  Each mode has this one route; the second routes through
+other identities (a product over components, inclusion-exclusion for
+surjective and compaction counts) are cross-checks in `reference`.
 """
 from __future__ import annotations
 
@@ -125,8 +125,8 @@ class _Search:
         # the packed layout: field v, w = k + 1 bits, holds pattern vertex
         # v's domain; off_out[t] (off_in[t]) is the values not in t's out-
         # (in-) neighborhood.  The step that assigns a vertex spreads its
-        # unassigned neighbors into bit 0 of their fields (`_steps`; with a
-        # coverage goal, `_cover_step`).
+        # unassigned neighbors into bit 0 of their fields (`_steps` in
+        # `count`'s plain loop, `_cover_step` in `_sweep`).
         k = len(tout)
         self.w, self.vmask = w, vmask = k + 1, (1 << k) - 1
         # no coverage goal until `cover` sets one: the key is the fields
@@ -247,9 +247,9 @@ class _Search:
     def _sweep(self, kids: list | None = None):
         """The covering count or, with `kids`, the level store's sweep.
 
-        With a goal it follows `_order`, each step built by `_cover_step` as
-        the sweep reaches it; with none (the store only), the walk order
-        (`_walk`).  Per state, once: the values that may cover and whether a
+        It follows `_order` with a goal and the walk order (`_walk`) with
+        none (the store only), each step built by `_cover_step` as the sweep
+        reaches it.  Per state, once: the values that may cover and whether a
         child that covers nothing is allowed (each vertex left covers at
         most one more goal vertex, and under a cap only so many more may
         cover), so a state that cannot meet the goal, or has no child left,
@@ -280,23 +280,17 @@ class _Search:
         # outside="valued", every value, listed from k up)
         one_used = 0 if cap is None else 1 << used_at
         nonc, shift = (vmask, k) if self.outside == "valued" else (vmask & ~full_v, 0)
-        walk = None if goal else self._walk()
-        order = self._order() if goal else [step[0] for step in walk]
-        back, keep, rest = (), 0, (1 << n) - 1
+        order, rest = self._order() if goal else self._walk(), (1 << n) - 1
         # state -> number of partial maps (in the store, its index)
         states: dict = {} if self._no_map() else {self.packed: 1}
         total = 0
-        for i in range(n):
-            if goal:
-                v = order[i]
-                rest ^= 1 << v
-                clear, s_low, back, keep = self._cover_step(v, rest)
-                # with outside="blank" no borrow test: a neighbor whose
-                # domain empties can still take no value
-                p_low, t_low = 0, 0 if blank else s_low
-                t_high = t_low << k
-            else:
-                v, clear, s_low, p_low, t_low, t_high = walk[i]
+        for i, v in enumerate(order):
+            rest ^= 1 << v
+            clear, s_low, p_low, back, keep = self._cover_step(v, rest)
+            # with outside="blank" no borrow test: a neighbor whose domain
+            # empties can still take no value
+            t_low = 0 if blank else s_low | p_low
+            t_high = t_low << k
             sv, room = v * w, n - i - 1
             # tail: the states' children are not added into the next level's
             # numbers (the store lists them; the count's last step counts them)
@@ -395,16 +389,18 @@ class _Search:
         return int(not full_v)
 
     def _cover_step(self, v: int, rest: int) -> tuple:
-        """The covering step that assigns v, with the vertices of `rest`
-        still unassigned, as `_sweep` reaches it: (clear, nb_low, back,
-        keep).  nb_low: bit 0 of the fields of v's unassigned neighbors.
-        With edges to cover, back: the field offsets of v's assigned
-        neighbors, whose fields hold their values; keep: nonzero if v has an
-        unassigned neighbor, so keeps its value; and clear clears, besides
-        v's field, those of the neighbors whose last unassigned neighbor v
-        is."""
+        """The step of `_sweep` that assigns v, with the vertices of `rest`
+        still unassigned, with a goal or none: (clear, s_low, p_low, back,
+        keep).  s_low (p_low) is bit 0 of the fields of v's unassigned out-
+        (in-) neighbors, as `_steps` splits them (on an undirected kernel,
+        out is adj and p_low 0).  With edges to cover, back: the field
+        offsets of v's assigned neighbors, whose fields hold their values;
+        keep: nonzero if v has an unassigned neighbor, so keeps its value;
+        and clear clears, besides v's field, those of the neighbors whose
+        last unassigned neighbor v is."""
         w, vmask, adj, edges = self.w, self.vmask, self.adj, self.full_e
-        clear, nb_low, back = ~(vmask << v * w), 0, []
+        out, inn = self.out[v], self.inn[v] if self.digraph else 0
+        clear, s_low, p_low, back = ~(vmask << v * w), 0, 0, []
         # one pass over v's neighbors: the unassigned ones spread into bit 0
         # of their fields, with edges the assigned ones into back
         m = adj[v] if edges else adj[v] & rest
@@ -413,12 +409,15 @@ class _Search:
             m ^= b
             u = b.bit_length() - 1
             if b & rest:
-                nb_low |= 1 << u * w
+                if b & out:
+                    s_low |= 1 << u * w
+                if b & inn:
+                    p_low |= 1 << u * w
             else:
                 back.append(u * w)
                 if not adj[u] & rest:
                     clear &= ~(vmask << u * w)
-        return clear, nb_low, back, edges and adj[v] & rest
+        return clear, s_low, p_low, back, edges and adj[v] & rest
 
     def _steps(self) -> list[tuple]:
         """The plain sweep's steps, one per vertex v of `_order` not peeled
@@ -463,16 +462,11 @@ class _Search:
             steps.append((v, lone, s_low, p_low, nb_low, nb_low << k, clear))
         return steps
 
-    def _walk(self) -> list[tuple]:
-        """The walk order's steps, which the level store sweeps with no
-        goal: `_steps`, each peeled vertex a step of its own right after its
-        parent's, narrowing nothing; (v, clear, s_low, p_low, nb_low,
-        nb_high), where clear clears v's field alone."""
-        vmask, w, walk = self.vmask, self.w, []
-        for v, lone, s_low, p_low, nb_low, nb_high, _ in self._steps():
-            walk.append((v, ~(vmask << v * w), s_low, p_low, nb_low, nb_high))
-            walk += [(u, ~(vmask << u * w), 0, 0, 0, 0) for u in lone]
-        return walk
+    def _walk(self) -> list[int]:
+        """The walk order the level store sweeps with no goal, as vertex
+        indices: each vertex `_steps` assigns, then those it peels, which
+        have no unassigned neighbor left, so their steps narrow nothing."""
+        return [u for v, lone, *_ in self._steps() for u in (v, *lone)]
 
     def _order(self) -> list[int]:
         """The fixed branching order of `count`: the pattern components one
@@ -696,13 +690,13 @@ def _draw(rng, acc: list[int]) -> int:
 
 def _walk_order(inst: ListedInstance, target: Graph) -> list[str]:
     """The pattern vertices in the order the plain sweep fixes them."""
-    return [inst.pattern.vertices[step[0]] for step in _kernel(inst, target)._walk()]
+    return [inst.pattern.vertices[v] for v in _kernel(inst, target)._walk()]
 
 
 class _Levels:
     """The one level store: a kernel's sweep (`_Search._sweep`) with its
     levels kept, for listing (`assignments`) and uniform draws (`draw`).
-    With no coverage goal the sweep follows the walk order (`_walk_order`):
+    With no coverage goal the sweep follows the walk order (`_Search._walk`):
     each peeled vertex is a step of its own right after its parent's, with
     no neighbor to narrow.  With a goal it follows `_order`, with the keys
     and limits of the covering count; a state of the last level completes

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +19,7 @@ from retraction_lab.fixedgraphs import (
     build_two_wrench,
     build_wr,
 )
-from retraction_lab.graphs import Graph, _bits, connected_components, girth
+from retraction_lab.graphs import Graph, _bits, connected_components, girth, is_connected
 from retraction_lab.verify import random_graph
 
 
@@ -438,6 +439,37 @@ def test_sat_witness_wr_star():
     cls, clause, labels = _cls(build_wr(3))
     assert (cls, clause) == (cl.CLASS_SAT, "Thm1.iii")
     assert cl.WITNESS_WR in labels
+
+
+def test_every_sat_verdict_names_a_witness_of_its_clause():
+    # every connected graph on v0..v(n-1), n <= 5, with every set of looped
+    # vertices: a SAT verdict always names a witness, and only witnesses
+    # its clause's proof uses (Thm5.iii: a J3 or a cycle, which an
+    # irreflexive non-caterpillar has; Thm1.iii: the looped dichotomy)
+    irreflexive = {cl.WITNESS_J3, cl.WITNESS_ODD_CYCLE, cl.WITNESS_EVEN_PSEUDOTREE}
+    looped = {cl.WITNESS_WR, cl.WITNESS_NON_2WRENCH, cl.WITNESS_DIST2, cl.WITNESS_REFL_CYCLE}
+    graphs = sat = 0
+    for n in range(1, 6):
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(combinations(names, 2))
+        for m in range(1 << len(pairs)):
+            edges = [e for j, e in enumerate(pairs) if m >> j & 1]
+            if not is_connected(Graph(names, edges)):
+                continue
+            for loops in range(1 << n):
+                h = Graph(names, edges + [(v, v) for i, v in enumerate(names) if loops >> i & 1])
+                cv = cl.classify_component(h)
+                graphs += 1
+                if cv.cls != cl.CLASS_SAT:
+                    continue
+                sat += 1
+                labels = {label for label, _ in cv.witnesses}
+                assert labels, (edges, loops)
+                if cv.clause == "Thm5.iii":
+                    assert labels <= irreflexive, (edges, loops, labels)
+                elif cv.clause == "Thm1.iii":
+                    assert labels <= looped, (edges, loops, labels)
+    assert (graphs, sat) == (23942, 6615)
 
 
 def test_hk_itself_is_sat_despite_short_cycles():

@@ -861,6 +861,19 @@ def test_level_store_total_is_the_count():
         levels.draw(pyrng("covering-draw"))
 
 
+def test_digraph_store_narrows_in_neighbors():
+    # a <- b <- c into p -> q -> r, in the walk order a, b, c: assigning a
+    # vertex narrows its in-neighbor to the values with an arc into its
+    # value, and value p, with no in-arc, leaves none, so the store drops
+    # the states a = p and (a, b) = (q, p); a store that skipped the test on
+    # in-neighbors would keep them as dead states, which the backward pass
+    # prunes, so only the level sizes show it ([1, 3, 2])
+    pattern = DiGraph(["a", "b", "c"], [("b", "a"), ("c", "b")])
+    levels = exact._Levels(exact._search(pattern, {}, DiGraph(["p", "q", "r"], [("p", "q"), ("q", "r")])))
+    assert levels.order == [0, 1, 2] and levels.total == 1
+    assert [len(level) for level in levels.kids] == [1, 2, 1]
+
+
 def test_blocked_weighted_peel_on_a_wide_target():
     # the multi-blocks are peeled, each contributing |domain|^multiplicity,
     # from the fields of a 9-vertex target (H_1) and of a 17-vertex one

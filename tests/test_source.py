@@ -93,6 +93,25 @@ def test_exact_builds_the_covering_step_in_one_function():
     assert builders == ["_cover_step"], builders
 
 
+def test_exact_keeps_one_step_format_per_sweep():
+    """`_sweep` takes every step, with a goal or none, from `_cover_step`,
+    and `count`'s plain loop takes its steps from `_steps`, so no other
+    function in `exact` binds a step's neighbor spreads, `s_low` or `p_low`:
+    no second, precomputed step format."""
+    found = sorted(
+        {
+            node.name
+            for node in ast.walk(_modules()["exact.py"])
+            if isinstance(node, ast.FunctionDef)
+            and any(
+                isinstance(inner, ast.Name) and inner.id in ("s_low", "p_low") and isinstance(inner.ctx, ast.Store)
+                for inner in ast.walk(node)
+            )
+        }
+    )
+    assert "_cover_step" in found and set(found) <= {"_steps", "_cover_step", "count", "_sweep"}, found
+
+
 def test_exact_makes_covering_children_in_one_sweep():
     """`count` and the level store make covering children in one sweep,
     `_Search._sweep`, so besides `_Search.cover`, which fixes the covering
